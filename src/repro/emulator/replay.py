@@ -283,7 +283,8 @@ class TraceReplayer:
     :class:`~repro.emulator.traces.Trace` replays through the per-event
     handler loop, a :class:`~repro.emulator.columnar.ColumnarTrace`
     through the batched columnar loop (same semantics, same
-    fingerprint, several times the throughput).
+    fingerprint, several times the throughput).  Both loops run the
+    fault gauntlet, surrogate recovery and rediscovery, and mobility.
     """
 
     def __init__(self, trace: Union[Trace, ColumnarTrace],
@@ -701,10 +702,10 @@ class TraceReplayer:
     # -- the replay loop ------------------------------------------------------
 
     def run(self) -> EmulationResult:
-        if isinstance(self.trace, ColumnarTrace) and self._delivery is None:
-            # The batched loop does not thread the fault gauntlet's
-            # per-exchange callbacks; faulty configs take the (equally
-            # correct) per-event path below.
+        if isinstance(self.trace, ColumnarTrace):
+            # Every columnar trace, faulty or not, takes the batched
+            # loop; the per-event loop below replays row traces and is
+            # the reference the parity tests hold the batched loop to.
             return self._run_columnar(self.trace)
         handlers = {
             AllocEvent: self._replay_alloc,
@@ -782,7 +783,8 @@ class TraceReplayer:
         loop; mutable replayer state lives in locals and is spilled to
         (and reloaded from) the instance only around the rare cold
         calls — GC cycles, partitioning attempts, surrogate-side
-        reclaims, coalesced transfers.
+        reclaims, coalesced transfers, fault-gauntlet exchanges and
+        rediscovery.
         """
         cols = trace.column_lists()
         strings = trace.strings
@@ -846,6 +848,14 @@ class TraceReplayer:
         cache_note_read = cache.note_read if cache is not None else None
         static_key = RemoteReadCache.static_key
         coalescer = self._coalescer
+        # Fault gauntlet: without a coalescer every uncached remote
+        # operation is one exchange of its own; with one, the exchanges
+        # happen inside its flushes.  Either way an exchange may declare
+        # the surrogate dead, and recovery then rewrites the heap
+        # counters and placement under the loop.
+        delivery = self._delivery
+        attempt = (delivery.attempt
+                   if delivery is not None and coalescer is None else None)
         graph_record = graph.record_interaction
         graph_add_cpu = graph.add_cpu
         graph_add_memory = graph.add_memory
@@ -872,6 +882,7 @@ class TraceReplayer:
         remote_accesses = result.remote_accesses
         remote_bytes = result.remote_bytes
         peak_client = result.peak_client_bytes
+        reattach_at = self._reattach_at
         ep = 0
         oom = False
 
@@ -943,8 +954,12 @@ class TraceReplayer:
                         # trip, zero bytes on the wire.
                         pass
                     elif coalescer is not None:
-                        self._now = now
                         result.comm_time = comm_time
+                        if delivery is None:
+                            self._now = now
+                        else:
+                            self._exchange_spill(ep, now, client_live,
+                                                 surrogate_live, peak_client)
                         if is_write:
                             coalescer.write(accessor_site, owner_site,
                                             nbytes)
@@ -953,19 +968,37 @@ class TraceReplayer:
                                            nbytes)
                         now = self._now
                         comm_time = result.comm_time
+                        if delivery is not None:
+                            (client_live, surrogate_live, class_on_surrogate,
+                             peak_client, reattach_at) = self._exchange_reload()
                         remote_accesses += 1
                         remote_bytes += nbytes
                     else:
-                        ck = (nbytes, is_write)
-                        cost = access_memo_get(ck)
-                        if cost is None:
-                            cost = remote_access_cost(link, nbytes,
-                                                      bool(is_write))
-                            access_cost_memo[ck] = cost
-                        comm_time += cost
-                        now += cost
-                        remote_accesses += 1
-                        remote_bytes += nbytes
+                        delivered = True
+                        if attempt is not None:
+                            self._exchange_spill(ep, now, client_live,
+                                                 surrogate_live, peak_client)
+                            delivered = attempt()
+                            now = self._now
+                        if delivered:
+                            ck = (nbytes, is_write)
+                            cost = access_memo_get(ck)
+                            if cost is None:
+                                cost = remote_access_cost(link, nbytes,
+                                                          bool(is_write))
+                                access_cost_memo[ck] = cost
+                            comm_time += cost
+                            now += cost
+                            remote_accesses += 1
+                            remote_bytes += nbytes
+                        else:
+                            # Surrogate lost mid-access: recovery has
+                            # repatriated the owner, so the access
+                            # completes locally, uncharged.
+                            (client_live, surrogate_live, class_on_surrogate,
+                             peak_client, reattach_at) = self._exchange_reload()
+                            owner_site = self._site_for(
+                                owner_class, oo if oo >= 0 else None)
                 if granular_ids:
                     accessor_node = (
                         object_node_id(accessor_class, ao)
@@ -1075,14 +1108,37 @@ class TraceReplayer:
                 arg_bytes = n1[i]
                 ret_bytes = n2[i]
                 nbytes = arg_bytes + ret_bytes
+                if attempt is not None and exec_site != caller_site:
+                    self._exchange_spill(ep, now, client_live,
+                                         surrogate_live, peak_client)
+                    delivered = attempt()
+                    now = self._now
+                    if not delivered:
+                        # The surrogate died under this round trip:
+                        # recovery has repatriated everything, so the
+                        # invocation is local now.
+                        (client_live, surrogate_live, class_on_surrogate,
+                         peak_client, reattach_at) = self._exchange_reload()
+                        caller_site, exec_site = self._invoke_sites(
+                            caller_class, ao if ao >= 0 else None,
+                            callee_class, bo if bo >= 0 else None,
+                            strings[kid], flags[i] & FLAG_STATELESS,
+                        )
                 if exec_site != caller_site:
                     if coalescer is not None:
-                        self._now = now
                         result.comm_time = comm_time
+                        if delivery is None:
+                            self._now = now
+                        else:
+                            self._exchange_spill(ep, now, client_live,
+                                                 surrogate_live, peak_client)
                         coalescer.invoke(caller_site, exec_site,
                                          arg_bytes, ret_bytes)
                         now = self._now
                         comm_time = result.comm_time
+                        if delivery is not None:
+                            (client_live, surrogate_live, class_on_surrogate,
+                             peak_client, reattach_at) = self._exchange_reload()
                     else:
                         ck = (arg_bytes, ret_bytes)
                         cost = invoke_memo_get(ck)
@@ -1177,6 +1233,7 @@ class TraceReplayer:
                         pend_count = self._pending_edge_count
                         comm_time = result.comm_time
                         peak_client = result.peak_client_bytes
+                        reattach_at = self._reattach_at
                         # Placement may have changed under the GC's
                         # offload trigger, but the serial handler keeps
                         # its pre-GC site decision — so does this one.
@@ -1265,6 +1322,7 @@ class TraceReplayer:
                     pend_count = self._pending_edge_count
                     comm_time = result.comm_time
                     peak_client = result.peak_client_bytes
+                    reattach_at = self._reattach_at
             else:
                 # -- inline _replay_free (TAG_FREE) -----------------------
                 oid = a_oid[i]
@@ -1307,10 +1365,39 @@ class TraceReplayer:
                 pend_count = self._pending_edge_count
                 comm_time = result.comm_time
                 peak_client = result.peak_client_bytes
+                reattach_at = self._reattach_at
                 link = self._link
                 next_roam = self._next_link_change
                 access_cost_memo.clear()
                 invoke_cost_memo.clear()
+            if (
+                reattach_at is not None
+                and now >= reattach_at
+                and self._surrogate_dead
+            ):
+                # ---- spill / cold call / reload -------------------------
+                # The partition that killed the surrogate has healed:
+                # rediscovery may start a fresh offload epoch.
+                self._columnar_spill(
+                    ep, now, client_live, surrogate_live,
+                    allocs_since_gc, bytes_since_gc, last_reeval,
+                    pend_pair, pend_bytes, pend_count,
+                    cpu_client, cpu_surrogate, comm_time,
+                    monitoring_time, remote_invocations, remote_native,
+                    remote_accesses, remote_bytes, peak_client,
+                )
+                self._rediscover()
+                now = self._now
+                client_live = self._client_live
+                surrogate_live = self._surrogate_live
+                last_reeval = self._last_reevaluation
+                class_on_surrogate = self._class_on_surrogate
+                pend_pair = self._pending_edge
+                pend_bytes = self._pending_edge_bytes
+                pend_count = self._pending_edge_count
+                comm_time = result.comm_time
+                peak_client = result.peak_client_bytes
+                reattach_at = self._reattach_at
             if (
                 offload_at is not None
                 and ep == offload_at
@@ -1334,6 +1421,7 @@ class TraceReplayer:
                 pend_count = self._pending_edge_count
                 comm_time = result.comm_time
                 peak_client = result.peak_client_bytes
+                reattach_at = self._reattach_at
             if (
                 reevaluate_every is not None
                 and offload_enabled
@@ -1360,6 +1448,7 @@ class TraceReplayer:
                 pend_count = self._pending_edge_count
                 comm_time = result.comm_time
                 peak_client = result.peak_client_bytes
+                reattach_at = self._reattach_at
             if oom:
                 break
         # -- final spill ------------------------------------------------------
@@ -1438,6 +1527,31 @@ class TraceReplayer:
         if peak_client > result.peak_client_bytes:
             result.peak_client_bytes = peak_client
         result.events_processed = ep
+
+    def _exchange_spill(self, ep, now, client_live, surrogate_live,
+                        peak_client) -> None:
+        """Spill the batched loop's state around a fault-gauntlet exchange.
+
+        The exchange reads the clock and the event index (for
+        ``crash_at_event``); recovery from a dead surrogate rewrites the
+        heap counters and may raise the peak.  The caller always reloads
+        the clock afterwards, and :meth:`_exchange_reload` when recovery
+        may have run.
+        """
+        result = self.result
+        self._now = now
+        result.events_processed = ep
+        self._client_live = client_live
+        self._surrogate_live = surrogate_live
+        if peak_client > result.peak_client_bytes:
+            result.peak_client_bytes = peak_client
+
+    def _exchange_reload(self):
+        """Heap counters, placement, peak and reattach time after an
+        exchange that may have declared the surrogate dead."""
+        return (self._client_live, self._surrogate_live,
+                self._class_on_surrogate, self.result.peak_client_bytes,
+                self._reattach_at)
 
     # -- allocation and the emulated collector -------------------------------------
 
@@ -1715,27 +1829,33 @@ class TraceReplayer:
 
     # -- interactions ------------------------------------------------------------
 
-    def _invoke_sites(self, event: InvokeEvent) -> Tuple[str, str]:
-        caller_site = self._site_for(event.caller_class, event.caller_oid)
-        if event.is_native:
-            if event.stateless and self.config.flags.stateless_natives_local:
+    def _invoke_sites(
+        self, caller_class: str, caller_oid: Optional[int],
+        callee_class: str, callee_oid: Optional[int], mkind: str,
+        stateless: bool,
+    ) -> Tuple[str, str]:
+        caller_site = self._site_for(caller_class, caller_oid)
+        if mkind == "native":
+            if stateless and self.config.flags.stateless_natives_local:
                 exec_site = caller_site
             else:
                 exec_site = CLIENT
-        elif event.is_static:
+        elif mkind == "static":
             exec_site = caller_site
         else:
-            exec_site = self._site_for(event.callee_class, event.callee_oid)
+            exec_site = self._site_for(callee_class, callee_oid)
         return caller_site, exec_site
 
     def _replay_invoke(self, event: InvokeEvent) -> None:
-        caller_site, exec_site = self._invoke_sites(event)
+        sites = (event.caller_class, event.caller_oid, event.callee_class,
+                 event.callee_oid, event.mkind, event.stateless)
+        caller_site, exec_site = self._invoke_sites(*sites)
         remote = exec_site != caller_site
         nbytes = event.arg_bytes + event.ret_bytes
         if remote and self._coalescer is None and not self._exchange():
             # The surrogate died under this round trip: recovery has
             # repatriated everything, so the invocation is local now.
-            caller_site, exec_site = self._invoke_sites(event)
+            caller_site, exec_site = self._invoke_sites(*sites)
             remote = exec_site != caller_site
         if remote:
             if self._coalescer is not None:

@@ -11,6 +11,7 @@ from repro.emulator.events import (
 )
 from repro.emulator.replay import EmulatorConfig, TraceReplayer
 from repro.emulator.traces import Trace
+from repro.net.faults import FaultSpec
 from repro.net.mobility import (
     WAVELAN_WAN_ROAM,
     LinkProfile,
@@ -152,6 +153,30 @@ class TestDeterminism:
         assert columnar.fingerprint() == serial.fingerprint()
         shards = replicate(ColumnarTrace.from_trace(trace), config,
                            clients=3)
+        sharded = ShardedReplayer(shards, workers=2).run()
+        fingerprints = {c.result.fingerprint() for c in sharded.clients}
+        assert fingerprints == {serial.fingerprint()}
+
+    @pytest.mark.parametrize("mode", ["handoff", "repatriate"])
+    def test_lossy_roam_serial_columnar_sharded_parity(self, mode):
+        # A lossy link under a profile with a disconnection window: the
+        # replay runs the fault gauntlet and the mobility reactions
+        # together, and all three replay paths must still agree.
+        trace = roaming_trace()
+        config = base_config(trace).with_faults(
+            FaultSpec(seed=4, loss_rate=0.05)
+        ).with_profile(WAVELAN_WAN_ROAM, MobilityConfig(mode=mode))
+        serial = TraceReplayer(trace, config).run()
+        assert serial.completed
+        assert serial.faults.retries > 0
+        assert serial.mobility.trend_fires >= 1
+        columnar = TraceReplayer(
+            ColumnarTrace.from_trace(trace), config
+        ).run()
+        assert columnar.completed
+        assert columnar.fingerprint() == serial.fingerprint()
+        shards = replicate(ColumnarTrace.from_trace(trace), config,
+                           clients=2)
         sharded = ShardedReplayer(shards, workers=2).run()
         fingerprints = {c.result.fingerprint() for c in sharded.clients}
         assert fingerprints == {serial.fingerprint()}

@@ -3,7 +3,9 @@
 The columnar batched loop and the sharded replayer are performance
 paths, not semantic ones: replaying dia or javanote serially (event
 objects), columnar (batched dispatch), or sharded (process pool) must
-produce bit-identical fingerprints, with the data plane on or off.
+produce bit-identical fingerprints, with the data plane on or off and
+under injected faults (loss, latency spikes, a crash, and a partition
+long enough to kill the surrogate and then rediscover it).
 """
 
 import dataclasses
@@ -11,6 +13,7 @@ import os
 
 import pytest
 
+from benchmarks.report import _offloadable_nodes
 from repro.emulator.columnar import ColumnarTrace, write_ctrace
 from repro.emulator.parallel import (
     AggregateReplayResult,
@@ -21,8 +24,11 @@ from repro.emulator.parallel import (
 )
 from repro.emulator.replay import TraceReplayer
 from repro.experiments import cached_trace, memory_emulator_config
+from repro.experiments.common import cpu_emulator_config
 from repro.experiments.exp_overhead import MEMORY_WORKLOADS
+from repro.net.faults import FaultSpec
 from repro.rpc.batch import DataPlaneConfig
+from repro.rpc.retry import RetryPolicy
 
 APPS = ["dia", "javanote"]
 
@@ -61,6 +67,116 @@ class TestColumnarParity:
                                             app_name, plane):
         assert (fingerprints[(app_name, plane, "columnar")]
                 == fingerprints[(app_name, plane, "serial")])
+
+
+FAULT_CASES = ["loss", "loss-dataplane", "crash", "loss-spikes",
+               "partition"]
+
+
+def forced_offload_config(trace):
+    """Offload the three largest unpinned classes a tenth of the way in,
+    onto the 3.5x surrogate, so every later event can cross the link."""
+    return dataclasses.replace(
+        cpu_emulator_config(offload_at_event=max(1, len(trace) // 10)),
+        forced_offload_nodes=_offloadable_nodes(trace),
+    )
+
+
+def fault_config(trace, case):
+    base = forced_offload_config(trace)
+    loss = FaultSpec(seed=1, loss_rate=0.05)
+    if case == "loss":
+        return base.with_faults(loss)
+    if case == "loss-dataplane":
+        return dataclasses.replace(
+            base.with_faults(loss),
+            data_plane=DataPlaneConfig(coalescing=True, read_cache=True),
+        )
+    if case == "crash":
+        return base.with_faults(
+            FaultSpec(seed=7, crash_at_event=2 * base.offload_at_event))
+    if case == "loss-spikes":
+        return base.with_faults(FaultSpec(
+            seed=2, loss_rate=0.05, latency_spike_rate=0.1,
+            latency_spike_s=0.05))
+    # A partition opening half a second after the offload and lasting
+    # four times the retry ladder: the surrogate is declared dead, then
+    # rediscovered when the window heals.
+    offload_time = TraceReplayer(trace, base).run().offloads[0].time
+    start = offload_time + 0.5
+    end = start + 4 * RetryPolicy().give_up_s
+    return base.with_faults(
+        FaultSpec(seed=3, partition_windows=((start, end),)))
+
+
+@pytest.fixture(scope="module")
+def fault_replays():
+    """Serial and columnar results per (app, fault case), plus the
+    config — the serial (per-event) loop is the oracle."""
+    table = {}
+    for app in APPS:
+        trace = trace_for(app)
+        columnar = ColumnarTrace.from_trace(trace)
+        for case in FAULT_CASES:
+            config = fault_config(trace, case)
+            table[(app, case)] = (
+                TraceReplayer(trace, config).run(),
+                TraceReplayer(columnar, config).run(),
+                config,
+            )
+    return table
+
+
+@pytest.mark.parametrize("app_name", APPS)
+@pytest.mark.parametrize("case", FAULT_CASES)
+class TestFaultParity:
+    def test_columnar_replay_matches_serial(self, fault_replays,
+                                            app_name, case):
+        serial, columnar, _ = fault_replays[(app_name, case)]
+        assert serial.completed
+        assert columnar.fingerprint() == serial.fingerprint()
+
+    def test_scenario_exercises_its_fault(self, fault_replays,
+                                          app_name, case):
+        report = fault_replays[(app_name, case)][0].faults
+        if case.startswith("loss"):
+            assert report.retries > 0
+        if case == "loss-spikes":
+            assert report.latency_spikes > 0
+        if case == "crash":
+            assert report.lost_reason == "crash"
+            assert report.recoveries == 1
+        if case == "partition":
+            assert report.lost_reason == "partition"
+            assert report.recoveries == 1
+            assert report.rediscoveries == 1
+
+    def test_shards_match_serial(self, fault_replays, app_name, case):
+        serial, _, config = fault_replays[(app_name, case)]
+        columnar = ColumnarTrace.from_trace(trace_for(app_name))
+        aggregate = ShardedReplayer(
+            replicate(columnar, config, clients=2), workers=2).run()
+        assert [c.result.fingerprint() for c in aggregate.clients] \
+            == [serial.fingerprint()] * 2
+
+
+class TestFaultyColumnarStaysBatched:
+    def test_faulty_columnar_replay_builds_no_event_objects(
+            self, monkeypatch):
+        # A faulty config must not fall back to the per-event loop,
+        # which would materialise one object per event.
+        trace = trace_for("dia")
+        columnar = ColumnarTrace.from_trace(trace)
+        config = fault_config(trace, "loss")
+
+        def refuse(self):
+            raise AssertionError("faulty replay built event objects")
+
+        monkeypatch.setattr(ColumnarTrace, "iter_events", refuse)
+        result = TraceReplayer(columnar, config).run()
+        assert result.completed
+        assert result.faults.retries > 0
+        assert columnar._events_cache is None
 
 
 @pytest.mark.parametrize("app_name", APPS)

@@ -53,6 +53,11 @@ DEFAULT_TARGETS = (
     "src/repro/core/partitioner.py",
     "src/repro/net/mobility.py",
     "src/repro/platform/migration.py",
+    "src/repro/emulator/replay.py",
+    "src/repro/rpc/retry.py",
+    "src/repro/net/faults.py",
+    "src/repro/rpc/batch.py",
+    "src/repro/rpc/cache.py",
 )
 
 SUPPRESS_MARKER = "detlint: allow"
