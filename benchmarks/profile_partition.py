@@ -12,7 +12,6 @@ Examples::
     python -m benchmarks.profile_partition --nodes 5000
     python -m benchmarks.profile_partition --nodes 20000 --rounds 3 \
         --output profile_partition.txt
-    python -m benchmarks.profile_partition --legacy   # pre-CSR kernel
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ TOP_FUNCTIONS = 20
 
 
 def profile_partition(node_count: int, rounds: int = 5,
-                      use_flat: bool = True,
                       top: int = TOP_FUNCTIONS) -> str:
     """Profile ``rounds`` cold partitions at ``node_count`` nodes.
 
@@ -48,8 +46,7 @@ def profile_partition(node_count: int, rounds: int = 5,
 
     def run() -> None:
         for _ in range(rounds):
-            partitioner = Partitioner(MemoryPartitionPolicy(0.20),
-                                      use_flat=use_flat)
+            partitioner = Partitioner(MemoryPartitionPolicy(0.20))
             partitioner.partition(graph, pinned, ctx)
 
     profiler = cProfile.Profile()
@@ -59,8 +56,7 @@ def profile_partition(node_count: int, rounds: int = 5,
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(top)
     header = (f"profile_partition: {node_count} nodes, {rounds} rounds, "
-              f"{'flat-CSR' if use_flat else 'legacy'} kernel, "
-              f"top {top} by cumulative time\n")
+              f"flat-CSR kernel, top {top} by cumulative time\n")
     return header + buffer.getvalue()
 
 
@@ -75,9 +71,6 @@ def main(argv=None) -> int:
                         help="cold partitions to profile (default: 5)")
     parser.add_argument("--top", type=int, default=TOP_FUNCTIONS,
                         help="number of hotspot rows (default: 20)")
-    parser.add_argument("--legacy", action="store_true",
-                        help="profile the pre-CSR string-keyed kernel "
-                             "instead of the flat path")
     parser.add_argument("--output", type=str, default=None,
                         help="also write the report to this file "
                              "(stdout is always printed)")
@@ -86,8 +79,7 @@ def main(argv=None) -> int:
     if args.nodes < 1 or args.rounds < 1 or args.top < 1:
         parser.error("--nodes, --rounds and --top must be positive")
 
-    report = profile_partition(args.nodes, rounds=args.rounds,
-                               use_flat=not args.legacy, top=args.top)
+    report = profile_partition(args.nodes, rounds=args.rounds, top=args.top)
     sys.stdout.write(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -10,8 +10,8 @@ import random
 
 import pytest
 
+from repro.core import flatgraph
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import generate_candidates
 from repro.core.partitioner import Partitioner
 from repro.core.policy import EvaluationContext, MemoryPartitionPolicy
 from repro.emulator import Emulator
@@ -54,8 +54,9 @@ def test_perf_candidate_generation_134_nodes(benchmark):
     """The paper-scale graph on its own (no policy evaluation)."""
     graph = synthetic_graph(134)
     pinned = [f"c{i:04d}" for i in range(0, 134, 10)]
-    candidates = benchmark(generate_candidates, graph, pinned)
-    assert 0 < len(candidates) < 134
+    chain = benchmark(
+        lambda: flatgraph.snapshot(graph).generate_chain(pinned))
+    assert 0 < chain.k < 134
 
 
 def test_perf_replay_throughput(benchmark):

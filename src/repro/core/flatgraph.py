@@ -1,9 +1,10 @@
 """Flat integer-indexed CSR snapshot of the execution graph.
 
-The MINCUT candidate generator in :mod:`repro.core.mincut` runs on the
-string-keyed dict-of-dicts :class:`~repro.core.graph.ExecutionGraph`.
-That shape is right for the monitor (incremental point updates, stable
-node identities) but wrong for the control-plane hot path: one candidate
+This is the partitioner's production MINCUT kernel; the string-keyed
+generator in :mod:`repro.core.mincut` is its reference implementation.
+The dict-of-dicts :class:`~repro.core.graph.ExecutionGraph` shape is
+right for the monitor (incremental point updates, stable node
+identities) but wrong for the control-plane hot path: one candidate
 chain walks every edge several times through hash lookups and tuple
 heap keys.  This module compiles the graph into the same stdlib-``array``
 SoA style the emulator's columnar replay core uses:
@@ -20,7 +21,7 @@ SoA style the emulator's columnar replay core uses:
 Packed connectivity keys
 ------------------------
 
-The legacy generator orders surrogate nodes by the tuple
+The reference generator orders surrogate nodes by the tuple
 ``(conn_bytes, conn_count, node_id)`` with ties broken towards the
 *largest* id.  Here the whole tuple is packed into one integer::
 
@@ -29,7 +30,7 @@ The legacy generator orders surrogate nodes by the tuple
 where ``rank(v)`` is the node id's lexicographic rank, ``NB`` is a
 power of two above the node count and ``CB`` a power of two above twice
 the graph's total interaction count.  Packed keys compare exactly like
-the legacy tuples (ranks are distinct, so ties never reach doubt), a
+the reference tuples (ranks are distinct, so ties never reach doubt), a
 relaxation is a single integer add of the edge's pre-packed increment,
 and a lazy-deletion heap of plain ints replaces the tuple heap.  The
 factor-of-two slack in ``CB`` means interaction counts can keep growing
@@ -44,20 +45,19 @@ cut, the rest join), so the inner loop never touches per-edge cut sums.
 Bounded local repair
 --------------------
 
-The legacy warm start is all-or-nothing: any shrinking edge or greedy
-order flip abandons the whole move log and reruns cold.  Here the move
-log is *repaired* instead.  A single sweep replays the previous order
-while exactly tracking the packed connectivity of the **perturbed set**
-— endpoints of changed edges, plus (lazily) every neighbor of a node
-that moves out of its old position.  At each step the recorded winner
-is compared against the best tracked competitor; a flip splices the
-overtaking node into the order and promotes its untouched neighbors
-into the tracked set (their old recorded values can no longer be
-trusted relative to the displaced segment).  Untracked nodes keep
-exactly their recorded connectivities — every node whose connectivity
-could have changed is tracked by construction — so the sweep emits the
-same order and statistics a cold run would.  The sweep falls back cold
-only when
+A warm start does not abandon the whole move log on a shrinking edge or
+a greedy order flip; it *repairs* the log.  A single sweep replays the
+previous order while exactly tracking the packed connectivity of the
+**perturbed set** — endpoints of changed edges, plus (lazily) every
+neighbor of a node that moves out of its old position.  At each step
+the recorded winner is compared against the best tracked competitor; a
+flip splices the overtaking node into the order and promotes its
+untouched neighbors into the tracked set (their old recorded values can
+no longer be trusted relative to the displaced segment).  Untracked
+nodes keep exactly their recorded connectivities — every node whose
+connectivity could have changed is tracked by construction — so the
+sweep emits the same order and statistics a cold run would.  The sweep
+falls back cold only when
 
 * a recorded winner's connectivity *shrank* below its recorded value
   (untracked dominance can no longer be certified cheaply),
@@ -119,12 +119,10 @@ class FlatDelta(NamedTuple):
 class FlatWarmState:
     """Index-space outcome of one candidate-generation run.
 
-    The flat equivalent of :class:`repro.core.mincut.WarmStartState`:
-    everything is keyed by interned node index, selections are stored as
-    packed keys (with the basis they were packed under, so a basis
-    doubling can re-encode them in O(k)), and the per-candidate
-    statistics columns are plain Python lists ready for difference-free
-    exact repair.
+    What :meth:`FlatGraph.repair_chain` needs to warm-start the next
+    epoch: everything is keyed by interned node index, and selections
+    are stored as packed keys (with the basis they were packed under,
+    so a basis doubling can re-encode them in O(k)).
     """
 
     __slots__ = (
@@ -172,7 +170,7 @@ class FlatChain:
     Candidate objects — with their O(V) frozenset node sets — are only
     materialised on demand, through the same
     shared-:class:`~repro.core.mincut._MoveLog` lazy mechanism the
-    legacy generator uses, so a chain whose winner is picked by a
+    reference generator uses, so a chain whose winner is picked by a
     columnar policy scan materialises exactly one candidate.
 
     The packed basis (``cb``, ``nb``) and resource totals are captured
@@ -307,7 +305,7 @@ class FlatChain:
         )
 
     def candidates(self) -> List[CandidatePartition]:
-        """The full legacy candidate list (memoised)."""
+        """The full candidate list (memoised)."""
         materialized = self._materialized
         if materialized is None:
             log = self._move_log()
@@ -333,11 +331,10 @@ class FlatChain:
     def fingerprint(self):
         """Hashable digest of the statistics columns (C-speed hashing).
 
-        The columnar analogue of
-        :func:`repro.core.policy.candidates_fingerprint`: node sets are
-        excluded (no policy selects on them), and the integer columns
-        are packed through ``array.tobytes`` so the policy-evaluation
-        memo hashes five byte strings instead of k tuples.
+        Part of the policy-evaluation memo's key: node sets are
+        excluded (no policy selects on them), and the columns are
+        packed through ``array.tobytes`` so the memo hashes five byte
+        strings instead of k tuples.
         """
         fp = self._fingerprint
         if fp is None:
@@ -351,7 +348,7 @@ class FlatChain:
                 )
             except OverflowError:
                 # Statistics beyond int64 (pathological byte totals):
-                # fall back to the legacy tuple-of-tuples shape.
+                # fall back to one tuple per candidate.
                 fp = tuple(
                     zip(self.cut_bytes, self.cut_count,
                         self.surrogate_memory, self.surrogate_cpu,
@@ -403,12 +400,12 @@ class FlatGraph:
     # -- compilation --------------------------------------------------------
 
     @classmethod
-    def try_compile(cls, graph: ExecutionGraph) -> Optional["FlatGraph"]:
-        """Compile a snapshot; None when the graph is unsupported.
+    def try_compile(cls, graph: ExecutionGraph) -> "FlatGraph":
+        """Compile a snapshot of ``graph``.
 
-        Negative edge weights (possible only through synthetic negative
-        ``record_interaction`` deltas) would break the packed-key sign
-        convention, so such graphs stay on the legacy string path.
+        Every graph compiles: ``ExecutionGraph.record_interaction``
+        refuses to leave an edge weight negative, which keeps the
+        packed-key sign convention sound.
         """
         self = cls.__new__(cls)
         names = list(graph.nodes())
@@ -423,7 +420,7 @@ class FlatGraph:
             node_mem[i] = stats.memory_bytes
             node_cpu[i] = stats.cpu_seconds
         # Lexicographic interning rank: packed keys tie-break exactly
-        # like the legacy (bytes, count, node-id) max selection.
+        # like the reference (bytes, count, node-id) max selection.
         by_name = sorted(range(n), key=names.__getitem__)
         rank = [0] * n
         r2i = [0] * n
@@ -437,8 +434,6 @@ class FlatGraph:
         edge_pos: Dict[Tuple[str, str], int] = {}
         total_count = 0
         for key, edge in graph.edges():
-            if edge.bytes < 0 or edge.count < 0:
-                return None
             edge_pos[key] = len(edge_a)
             edge_a.append(idx[key[0]])
             edge_b.append(idx[key[1]])
@@ -529,9 +524,9 @@ class FlatGraph:
         graph (the delta names what changed; the graph is the source of
         truth), so it works across copy-on-write graph replacement as
         long as the delta covers the gap.  Returns None on node churn,
-        on an edge whose endpoints are unknown, on negative weights, or
-        when the post-sync link count disagrees with the graph (a sign
-        the delta did not cover every mutation).
+        on an edge whose endpoints are unknown, or when the post-sync
+        link count disagrees with the graph (a sign the delta did not
+        cover every mutation).
         """
         idx = self.idx
         if graph.node_count != self.n:
@@ -546,7 +541,7 @@ class FlatGraph:
         changed_pos: List[int] = []
         for key in sorted(delta.edges):
             edge = graph.edge(*key)
-            if edge is None or edge.bytes < 0 or edge.count < 0:
+            if edge is None:
                 return None
             pos = self.edge_pos.get(key)
             if pos is None:
@@ -663,10 +658,10 @@ class FlatGraph:
     ) -> FlatChain:
         """Cold run of the MINCUT heuristic on packed integer keys.
 
-        Emits bit-identical candidates to the legacy generator: same
+        Emits bit-identical candidates to the reference generator: same
         move order, same integer cut/memory statistics, and the same
         float accumulation order for the CPU columns (the seed sums are
-        taken in the same set-iteration order the legacy path uses).
+        taken in the same set-iteration order the reference uses).
         """
         seed_set = self._seed_set(pinned)
         n = self.n
@@ -992,20 +987,14 @@ _snapshots: "WeakKeyDictionary[ExecutionGraph, FlatGraph]" = (
 )
 
 
-def snapshot(graph: ExecutionGraph) -> Optional[FlatGraph]:
-    """A compiled snapshot of ``graph`` (cached while its version holds).
-
-    Returns None when the graph is unsupported by the flat path (see
-    :meth:`FlatGraph.try_compile`); callers fall back to the legacy
-    string-keyed generator.
-    """
+def snapshot(graph: ExecutionGraph) -> FlatGraph:
+    """A compiled snapshot of ``graph`` (cached while its version holds)."""
     fg = _snapshots.get(graph)
     if fg is not None and fg.synced_version == graph.version:
         return fg
     fg = FlatGraph.try_compile(graph)
-    if fg is not None:
-        try:
-            _snapshots[graph] = fg
-        except TypeError:
-            pass  # non-weakrefable graph subclass: still usable, uncached
+    try:
+        _snapshots[graph] = fg
+    except TypeError:
+        pass  # non-weakrefable graph subclass: still usable, uncached
     return fg

@@ -192,11 +192,22 @@ class ExecutionGraph:
 
         Same-node interactions are ignored, as in the paper ("information
         is recorded only for interactions between two different classes").
+        A negative delta may shrink an edge, but never below zero: that
+        raises before anything is mutated.
         """
         if a == b:
             return
         key = (a, b) if a <= b else (b, a)
         edge = self._edges.get(key)
+        if nbytes < 0 or count < 0:
+            old_bytes, old_count = (0, 0) if edge is None else (
+                edge.bytes, edge.count)
+            if old_bytes + nbytes < 0 or old_count + count < 0:
+                raise PartitioningError(
+                    f"interaction {a!r}-{b!r} would leave the edge "
+                    f"weights negative ({old_bytes + nbytes} bytes, "
+                    f"{old_count + count} interactions)"
+                )
         if edge is None:
             self.ensure_node(a)
             self.ensure_node(b)

@@ -20,13 +20,15 @@ O((V + E) log V) instead of O(V^2 + E); connectivities only ever grow
 while a vertex is selectable, so the freshest heap entry for a vertex is
 always the largest and stale entries can simply be skipped on pop.
 
-This module is the *reference* implementation: ``Partitioner`` runs the
-flat-index CSR rewrite of the same heuristic (``core.flatgraph``) by
-default and keeps this string-keyed kernel behind ``use_flat=False``.
-The two must stay bit-identical — same candidate chains, statistics,
-and float accumulation order — which
+This module is the *reference* kernel.  ``Partitioner`` and
+``IncrementalPartitioner`` run the flat-index CSR rewrite of the same
+heuristic (``core.flatgraph``), which adds warm starts by bounded local
+repair; this cold string-keyed generator is what that kernel, the
+chain-scanning policies and the benchmark ablations are tested
+against.  The two must stay bit-identical — same candidate chains,
+statistics, and float accumulation order — which
 ``tests/core/test_flatgraph_parity.py`` enforces on randomized graphs;
-behavioural changes here must be mirrored there.
+behavioural changes to either must be mirrored in the other.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import heapq
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import PartitioningError
-from .graph import ExecutionGraph, GraphDelta
+from .graph import ExecutionGraph
 
 
 class _MaxOrderStr:
@@ -197,71 +199,6 @@ class CandidatePartition:
         )
 
 
-class WarmStartState:
-    """Persisted outcome of one candidate-generation run.
-
-    A warm start replays the previous run's move order against the
-    mutated graph: candidate statistics are patched through difference
-    arrays built from the dirty edges/nodes alone, and the greedy
-    selection order is *re-validated* — at every step the previously
-    selected node must still dominate every node whose connectivity
-    could have changed.  Edge weights only grow through
-    ``record_interaction``, so nodes untouched by the delta keep their
-    old connectivity and cannot newly overtake a selection; only the
-    perturbed nodes (endpoints of dirty edges) need checking.  If any
-    check fails — the move order would differ, the node set changed,
-    the seed changed, or an edge shrank — the warm path returns nothing
-    and the caller falls back to a full cold run.  A successful warm
-    run therefore emits *exactly* the candidate chain the cold run
-    would (up to float addition order in the CPU-seconds fields).
-    """
-
-    __slots__ = (
-        "ready",
-        "last_run_warm",
-        "seed",
-        "order",
-        "pos",
-        "node_count",
-        "sel_bytes",
-        "sel_count",
-        "cut_bytes",
-        "cut_count",
-        "surrogate_memory",
-        "surrogate_cpu",
-        "client_cpu",
-        "edge_values",
-        "node_values",
-    )
-
-    def __init__(self) -> None:
-        self.ready = False
-        #: True when the most recent generate_candidates call with this
-        #: state was served by the warm path (for session statistics).
-        self.last_run_warm = False
-        self.seed: FrozenSet[str] = frozenset()
-        #: Move order; ``order[j]`` joined the client partition at
-        #: candidate index ``j + 1`` (the final entry never moved).
-        self.order: List[str] = []
-        #: node -> candidate index from which it is on the client side
-        #: (0 for seed members, ``len(order)`` for the never-moved tail).
-        self.pos: Dict[str, int] = {}
-        self.node_count = 0
-        #: Connectivity (bytes, count) of the selected node at each of
-        #: the ``len(order) - 1`` selection steps, for re-validation.
-        self.sel_bytes: List[int] = []
-        self.sel_count: List[int] = []
-        # Per-candidate statistics arrays (length == len(order)).
-        self.cut_bytes: List[int] = []
-        self.cut_count: List[int] = []
-        self.surrogate_memory: List[int] = []
-        self.surrogate_cpu: List[float] = []
-        self.client_cpu: List[float] = []
-        #: Last-seen raw values, for computing deltas of dirty entries.
-        self.edge_values: Dict[Tuple[str, str], Tuple[int, int]] = {}
-        self.node_values: Dict[str, Tuple[int, float]] = {}
-
-
 def _seed_nodes(graph: ExecutionGraph, pinned: Iterable[str]) -> Set[str]:
     """Client-partition seed: pinned nodes present in the graph.
 
@@ -285,8 +222,6 @@ def _seed_nodes(graph: ExecutionGraph, pinned: Iterable[str]) -> Set[str]:
 def generate_candidates(
     graph: ExecutionGraph,
     pinned: Iterable[str],
-    warm: Optional[WarmStartState] = None,
-    delta: Optional[GraphDelta] = None,
 ) -> List[CandidatePartition]:
     """Run the modified MINCUT heuristic, returning all candidates.
 
@@ -299,27 +234,10 @@ def generate_candidates(
     heap keyed on ``(conn_bytes, conn_count, node)``: connectivity to
     the client only grows, so each relaxation pushes a fresh entry and
     pops discard entries that no longer match the live connectivity.
-
-    With ``warm`` (a :class:`WarmStartState`) the run records enough of
-    its internals to warm-start the next call; passing the previous
-    call's ``warm`` together with the graph ``delta`` since then
-    attempts the incremental path first (see :class:`WarmStartState`)
-    and silently falls back to the cold run when the delta invalidates
-    the previous move order.
     """
-    pinned = list(pinned)
-    if warm is not None:
-        warm.last_run_warm = False
-        if delta is not None and warm.ready:
-            candidates = _warm_generate(graph, pinned, warm, delta)
-            if candidates is not None:
-                warm.last_run_warm = True
-                return candidates
     client: Set[str] = _seed_nodes(graph, pinned)
     surrogate: Set[str] = set(graph.nodes()) - client
     if not surrogate:
-        if warm is not None:
-            warm.ready = False
         return []
 
     total_memory = graph.total_memory()
@@ -350,18 +268,6 @@ def generate_candidates(
 
     log = _MoveLog(frozenset(client))
     candidates: List[CandidatePartition] = []
-    state = warm if warm is not None else None
-    if state is not None:
-        state.ready = False
-        state.seed = log.seed
-        state.order = log.order
-        state.sel_bytes = []
-        state.sel_count = []
-        state.cut_bytes = []
-        state.cut_count = []
-        state.surrogate_memory = []
-        state.surrogate_cpu = []
-        state.client_cpu = []
 
     def record() -> None:
         candidates.append(
@@ -375,12 +281,6 @@ def generate_candidates(
                 client_cpu=client_cpu,
             )
         )
-        if state is not None:
-            state.cut_bytes.append(cut_bytes)
-            state.cut_count.append(cut_count)
-            state.surrogate_memory.append(total_memory - client_memory)
-            state.surrogate_cpu.append(total_cpu - client_cpu)
-            state.client_cpu.append(client_cpu)
 
     record()
     remaining = len(surrogate)
@@ -400,9 +300,6 @@ def generate_candidates(
             ):
                 break
         remaining -= 1
-        if state is not None:
-            state.sel_bytes.append(-neg_bytes)
-            state.sel_count.append(-neg_count)
         stats = graph.node(moved)
         client_memory += stats.memory_bytes
         client_cpu += stats.cpu_seconds
@@ -429,239 +326,6 @@ def generate_candidates(
     # The never-moved remainder closes the move order so lazy candidates
     # can slice their surrogate side out of it.
     log.order.extend(conn_bytes)
-    if state is not None:
-        state.pos = {node: 0 for node in log.seed}
-        for index, node in enumerate(log.order):
-            state.pos[node] = index + 1
-        state.node_count = graph.node_count
-        state.edge_values = {
-            key: (edge.bytes, edge.count) for key, edge in graph.edges()
-        }
-        state.node_values = {
-            node: (graph.node(node).memory_bytes, graph.node(node).cpu_seconds)
-            for node in graph.nodes()
-        }
-        state.ready = len(log.order) >= 2
-    return candidates
-
-
-def _warm_generate(
-    graph: ExecutionGraph,
-    pinned: List[str],
-    warm: WarmStartState,
-    delta: GraphDelta,
-) -> Optional[List[CandidatePartition]]:
-    """Incremental candidate generation; ``None`` means fall back cold.
-
-    Works in three phases: (1) compute per-edge/per-node deltas against
-    the previous run's recorded values, bailing out on anything the
-    incremental model cannot express (new nodes, shrinking edges, a
-    different seed); (2) re-validate the previous greedy move order,
-    tracking the exact new connectivity timelines of the perturbed
-    nodes only; (3) patch the per-candidate statistics through
-    difference arrays over the move positions.  Total cost is
-    O(D log D + k) for a dirty region of size D and k candidates.
-    """
-    k = len(warm.order)
-    if k < 2 or graph.node_count != warm.node_count:
-        return None
-    seed = {node for node in pinned if graph.has_node(node)}
-    if not seed or frozenset(seed) != warm.seed:
-        return None
-    pos = warm.pos
-
-    # -- phase 1: deltas ---------------------------------------------------------
-    edge_deltas: List[Tuple[str, str, int, int]] = []
-    for key in delta.edges:
-        a, b = key
-        if a not in pos or b not in pos:
-            return None
-        edge = graph.edge(a, b)
-        if edge is None:
-            return None
-        old_bytes, old_count = warm.edge_values.get(key, (0, 0))
-        dbytes = edge.bytes - old_bytes
-        dcount = edge.count - old_count
-        if dbytes < 0 or dcount < 0:
-            # A shrinking edge breaks the only-grows argument that lets
-            # unperturbed nodes keep their recorded connectivities.
-            return None
-        if dbytes or dcount:
-            edge_deltas.append((a, b, dbytes, dcount))
-    node_deltas: List[Tuple[str, int, float]] = []
-    for node in delta.nodes:
-        if node not in pos:
-            return None
-        stats = graph.node(node)
-        old_memory, old_cpu = warm.node_values.get(node, (0, 0.0))
-        dmemory = stats.memory_bytes - old_memory
-        dcpu = stats.cpu_seconds - old_cpu
-        if dmemory or dcpu:
-            node_deltas.append((node, dmemory, dcpu))
-
-    # -- phase 2: re-validate the move order -------------------------------------
-    # Perturbed nodes are the non-seed endpoints of changed edges; all
-    # other nodes keep exactly their recorded connectivity at every
-    # step, and since edges only grew they cannot newly overtake the
-    # recorded selections.  For each perturbed node rebuild its exact
-    # connectivity timeline from the new graph: a base value against
-    # the seed plus one event per neighbour that joins the client side
-    # before the perturbed node itself would move.
-    perturbed: Set[str] = set()
-    for a, b, _, _ in edge_deltas:
-        if pos[a] > 0:
-            perturbed.add(a)
-        if pos[b] > 0:
-            perturbed.add(b)
-    cur_bytes: Dict[str, int] = {}
-    cur_count: Dict[str, int] = {}
-    pending: Dict[int, List[Tuple[str, int, int]]] = {}
-    for node in perturbed:
-        node_pos = pos[node]
-        base_bytes = base_count = 0
-        for neighbor, edge in graph.adjacent_edges(node):
-            neighbor_pos = pos.get(neighbor)
-            if neighbor_pos is None:
-                return None
-            if neighbor_pos == 0:
-                base_bytes += edge.bytes
-                base_count += edge.count
-            elif neighbor_pos < node_pos:
-                pending.setdefault(neighbor_pos, []).append(
-                    (node, edge.bytes, edge.count)
-                )
-        cur_bytes[node] = base_bytes
-        cur_count[node] = base_count
-    heap: List[Tuple[int, int, _MaxOrderStr]] = [
-        (-cur_bytes[node], -cur_count[node], _MaxOrderStr(node))
-        for node in perturbed
-    ]
-    heapq.heapify(heap)
-
-    new_sel_bytes = list(warm.sel_bytes)
-    new_sel_count = list(warm.sel_count)
-    for step in range(k - 1):
-        if step:
-            for node, ebytes, ecount in pending.pop(step, ()):
-                cur_bytes[node] += ebytes
-                cur_count[node] += ecount
-                heapq.heappush(
-                    heap,
-                    (-cur_bytes[node], -cur_count[node], _MaxOrderStr(node)),
-                )
-        moved = warm.order[step]
-        if moved in perturbed:
-            moved_bytes = cur_bytes[moved]
-            moved_count = cur_count[moved]
-            new_sel_bytes[step] = moved_bytes
-            new_sel_count[step] = moved_count
-        else:
-            moved_bytes = warm.sel_bytes[step]
-            moved_count = warm.sel_count[step]
-        # Drop heap entries that are stale, already on the client side,
-        # or the selectee itself (never a competitor again), then check
-        # whether the best remaining perturbed node would now win.
-        while heap:
-            neg_bytes, neg_count, wrapped = heap[0]
-            node = wrapped.value
-            if (
-                pos[node] <= step
-                or node == moved
-                or cur_bytes[node] != -neg_bytes
-                or cur_count[node] != -neg_count
-            ):
-                heapq.heappop(heap)
-                continue
-            if (-neg_bytes, -neg_count, node) > (
-                moved_bytes, moved_count, moved
-            ):
-                return None
-            break
-
-    # -- phase 3: patch candidate statistics -------------------------------------
-    diff_cut_bytes = [0] * (k + 1)
-    diff_cut_count = [0] * (k + 1)
-    for a, b, dbytes, dcount in edge_deltas:
-        low = pos[a]
-        high = pos[b]
-        if low > high:
-            low, high = high, low
-        high = min(high, k)
-        if low < high:
-            diff_cut_bytes[low] += dbytes
-            diff_cut_bytes[high] -= dbytes
-            diff_cut_count[low] += dcount
-            diff_cut_count[high] -= dcount
-    diff_memory = [0] * (k + 1)
-    diff_surrogate_cpu = [0.0] * (k + 1)
-    diff_client_cpu = [0.0] * (k + 1)
-    for node, dmemory, dcpu in node_deltas:
-        node_pos = pos[node]
-        surrogate_until = min(node_pos, k)
-        if surrogate_until > 0:
-            diff_memory[0] += dmemory
-            diff_memory[surrogate_until] -= dmemory
-            diff_surrogate_cpu[0] += dcpu
-            diff_surrogate_cpu[surrogate_until] -= dcpu
-        if node_pos < k:
-            diff_client_cpu[node_pos] += dcpu
-            diff_client_cpu[k] -= dcpu
-
-    cut_bytes = list(warm.cut_bytes)
-    cut_count = list(warm.cut_count)
-    surrogate_memory = list(warm.surrogate_memory)
-    surrogate_cpu = list(warm.surrogate_cpu)
-    client_cpu = list(warm.client_cpu)
-    running_cb = running_cc = running_mem = 0
-    running_scpu = running_ccpu = 0.0
-    for index in range(k):
-        running_cb += diff_cut_bytes[index]
-        running_cc += diff_cut_count[index]
-        running_mem += diff_memory[index]
-        running_scpu += diff_surrogate_cpu[index]
-        running_ccpu += diff_client_cpu[index]
-        if running_cb:
-            cut_bytes[index] += running_cb
-        if running_cc:
-            cut_count[index] += running_cc
-        if running_mem:
-            surrogate_memory[index] += running_mem
-        if running_scpu:
-            surrogate_cpu[index] += running_scpu
-        if running_ccpu:
-            client_cpu[index] += running_ccpu
-
-    log = _MoveLog(warm.seed)
-    log.order = warm.order
-    candidates = [
-        CandidatePartition._deferred(
-            log=log,
-            moves_applied=index,
-            cut_count=cut_count[index],
-            cut_bytes=cut_bytes[index],
-            surrogate_memory=surrogate_memory[index],
-            surrogate_cpu=surrogate_cpu[index],
-            client_cpu=client_cpu[index],
-        )
-        for index in range(k)
-    ]
-
-    # Commit the patched state so the next epoch warm-starts from here.
-    warm.sel_bytes = new_sel_bytes
-    warm.sel_count = new_sel_count
-    warm.cut_bytes = cut_bytes
-    warm.cut_count = cut_count
-    warm.surrogate_memory = surrogate_memory
-    warm.surrogate_cpu = surrogate_cpu
-    warm.client_cpu = client_cpu
-    for a, b, _, _ in edge_deltas:
-        edge = graph.edge(a, b)
-        warm.edge_values[(a, b) if a <= b else (b, a)] = (
-            edge.bytes, edge.count
-        )
-    for node, _, _ in node_deltas:
-        stats = graph.node(node)
-        warm.node_values[node] = (stats.memory_bytes, stats.cpu_seconds)
     return candidates
 
 

@@ -1,9 +1,10 @@
 """The partitioning module: candidates + policy = decision.
 
-Ties the modified MINCUT candidate generator to a partitioning policy
-and wraps the outcome in a :class:`PartitionDecision`, including the
-wall-clock cost of computing it (the paper reports ~0.1 s on a 600 MHz
-Pentium for JavaNote's 134-class graph).
+Ties the modified MINCUT candidate generator (the flat CSR kernel in
+:mod:`repro.core.flatgraph`) to a partitioning policy and wraps the
+outcome in a :class:`PartitionDecision`, including the wall-clock cost
+of computing it (the paper reports ~0.1 s on a 600 MHz Pentium for
+JavaNote's 134-class graph).
 """
 
 from __future__ import annotations
@@ -16,21 +17,13 @@ from ..errors import NoBeneficialPartitionError
 from . import flatgraph
 from .graph import ExecutionGraph, GraphDelta
 from .hints import contract_graph, expand_nodes
-from .mincut import CandidatePartition, WarmStartState, generate_candidates
 from .policy import (
     EvaluationContext,
     PartitionPolicy,
     PolicyDecision,
     PolicyEvaluationCache,
     evaluate_chain_with_cache,
-    evaluate_with_cache,
 )
-
-#: Run candidate generation on the flat CSR core by default; the legacy
-#: string-keyed generator stays available behind ``use_flat=False`` (it
-#: is the parity oracle, and the fallback for graphs the flat core
-#: cannot represent, e.g. negative edge weights).
-USE_FLAT_DEFAULT = True
 
 
 @dataclass(frozen=True)
@@ -89,15 +82,9 @@ class Partitioner:
     generation, so no candidate can split a semantic component.
     """
 
-    def __init__(
-        self,
-        policy: PartitionPolicy,
-        hints=None,
-        use_flat: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, policy: PartitionPolicy, hints=None) -> None:
         self.policy = policy
         self.hints = hints
-        self.use_flat = USE_FLAT_DEFAULT if use_flat is None else use_flat
 
     def _prepare(
         self, graph: ExecutionGraph, pinned: List[str]
@@ -128,24 +115,17 @@ class Partitioner:
         """Attempt a partitioning; never raises on policy refusal."""
         started = time.perf_counter()  # detlint: allow - reported compute cost
         graph, pinned, expansion = self._prepare(graph, list(pinned))
-        fg = flatgraph.snapshot(graph) if self.use_flat else None
+        chain = flatgraph.snapshot(graph).generate_chain(pinned)
         try:
-            if fg is not None:
-                chain = fg.generate_chain(pinned)
-                evaluated = chain.k
-                decision = self.policy.evaluate_chain(chain, ctx)
-            else:
-                candidates = generate_candidates(graph, pinned)
-                evaluated = len(candidates)
-                decision = self.policy.evaluate(candidates, ctx)
+            decision = self.policy.evaluate_chain(chain, ctx)
         except NoBeneficialPartitionError as refusal:
             return PartitionDecision.refusal(
                 reason=str(refusal),
-                candidates_evaluated=evaluated,
+                candidates_evaluated=chain.k,
                 compute_seconds=time.perf_counter() - started,  # detlint: allow
                 policy_name=self.policy.name,
             )
-        accepted = self._accept(decision, evaluated, started)
+        accepted = self._accept(decision, chain.k, started)
         if expansion:
             accepted = replace(
                 accepted,
@@ -184,16 +164,16 @@ class ReevalStats:
     """Counters for one incremental re-evaluation session.
 
     ``reuse_hits`` counts epochs where the graph was untouched since the
-    previous attempt and the prior candidate list was reused outright;
-    ``warm_hits`` counts epochs served by the warm-started generator;
+    previous attempt and the prior candidate chain was reused outright;
+    ``warm_hits`` counts epochs served by repairing the previous chain;
     ``cold_runs`` counts full cold candidate generations.
 
-    On the flat CSR path every cold epoch also increments exactly one
-    fallback-taxonomy counter naming *why* it ran cold: ``not_ready``
-    (no usable warm state — first epoch, oversized delta, changed
-    pinned set, or a freshly compiled snapshot), ``node_churn`` (the
-    node set changed, so the interning table was rebuilt), ``seed_change``
-    (same nodes, different effective seed), ``shrunk_winner`` (a
+    Every cold epoch also increments exactly one fallback-taxonomy
+    counter naming *why* it ran cold: ``not_ready`` (no usable warm
+    state — first epoch, oversized delta, changed pinned set, or a
+    freshly compiled snapshot), ``node_churn`` (the node set changed,
+    so the interning table was rebuilt), ``seed_change`` (same nodes,
+    different effective seed), ``shrunk_winner`` (a
     recorded winner's connectivity shrank below its recorded value, so
     local repair could not certify the order), ``budget`` (the repair
     region outgrew its adjacency budget), and ``forced`` (``force_cold``
@@ -229,11 +209,13 @@ class IncrementalPartitioner:
     Wraps a :class:`Partitioner` and keeps three pieces of state between
     ``partition()`` calls:
 
-    * a :class:`~repro.core.mincut.WarmStartState` so candidate
-      generation can be re-seeded from the previous run when the graph
+    * a :class:`~repro.core.flatgraph.FlatGraph` snapshot synced with
+      each epoch's delta, plus the
+      :class:`~repro.core.flatgraph.FlatWarmState` of its last run, so
+      the chain is repaired from the previous move order when the graph
       delta is small (dirty fraction at most ``warm_threshold``),
-    * the previous candidate list, reused outright when the graph,
-      pinned set, and hints are all unchanged,
+    * the previous :class:`~repro.core.flatgraph.FlatChain`, reused
+      outright when the graph, pinned set, and hints are all unchanged,
     * a :class:`~repro.core.policy.PolicyEvaluationCache` memoising the
       policy's *selection* across epochs.
 
@@ -257,14 +239,12 @@ class IncrementalPartitioner:
         self.warm_threshold = warm_threshold
         self.force_cold = force_cold
         self.stats = ReevalStats()
-        self._warm = WarmStartState()
         self._fg: Optional[flatgraph.FlatGraph] = None
         self._fwarm = flatgraph.FlatWarmState()
         self._cache = PolicyEvaluationCache(maxsize=cache_size)
         self._last_graph: Optional[ExecutionGraph] = None
         self._last_version: int = -1
         self._last_pinned_key: Optional[FrozenSet[str]] = None
-        self._last_candidates: Optional[List[CandidatePartition]] = None
         self._last_chain: Optional[flatgraph.FlatChain] = None
         self._last_expansion: Dict[str, FrozenSet[str]] = {}
 
@@ -277,100 +257,54 @@ class IncrementalPartitioner:
         graph: ExecutionGraph,
         pinned: List[str],
         delta: GraphDelta,
-    ):
-        """Produce candidates, via reuse, warm start, or a cold run.
+    ) -> Tuple[flatgraph.FlatChain, Dict[str, FrozenSet[str]], bool]:
+        """Produce the chain, via reuse, warm repair, or a cold run.
 
-        Returns ``(payload, expansion, warm_used)`` where the payload is
-        a :class:`~repro.core.flatgraph.FlatChain` on the flat path and
-        a legacy candidate list otherwise.
+        Returns ``(chain, expansion, warm_used)``.
         """
         pinned_key = frozenset(pinned)
-        unchanged = (
+        hints = self.base.hints
+        contracted = hints is not None and hints.has_groups
+        if (
             graph is self._last_graph
             and graph.version == self._last_version
             and delta.empty
             and pinned_key == self._last_pinned_key
-            and (self._last_candidates is not None
-                 or self._last_chain is not None)
-        )
-        hints = self.base.hints
-        contracted = hints is not None and hints.has_groups
-        if unchanged:
+        ):
             self.stats.reuse_hits += 1
             if contracted:
                 self.stats.contraction_reuses += 1
-            payload = (self._last_chain if self._last_chain is not None
-                       else self._last_candidates)
-            return payload, self._last_expansion, False
+            return self._last_chain, self._last_expansion, False
         work_graph, eff_pinned, expansion = self.base._prepare(graph, pinned)
-        warm_used = False
-        payload = None
         if contracted:
             # Contraction rebuilds the graph wholesale; warm-start
-            # bookkeeping does not survive it.  The cold run still goes
-            # through the flat kernel when possible.
-            if self.base.use_flat:
-                fg = flatgraph.snapshot(work_graph)
-                if fg is not None:
-                    payload = fg.generate_chain(eff_pinned)
-            if payload is None:
-                payload = generate_candidates(work_graph, eff_pinned)
+            # bookkeeping does not survive it.
+            chain = flatgraph.snapshot(work_graph).generate_chain(eff_pinned)
+            warm_used = False
             self.stats.cold_runs += 1
             self.stats.fallback_forced += 1
         else:
-            denominator = graph.node_count + graph.link_count
-            dirty_fraction = (
-                delta.size() / denominator if denominator else 1.0
+            chain, warm_used = self._repair_or_cold(
+                work_graph, eff_pinned, pinned_key, delta
             )
-            self.stats.last_dirty_fraction = dirty_fraction
-            if self.base.use_flat:
-                payload, warm_used = self._generate_flat(
-                    work_graph, eff_pinned, pinned_key, delta, dirty_fraction
-                )
-            if payload is None:
-                use_warm = (
-                    self._warm.ready
-                    and not delta.empty
-                    and dirty_fraction <= self.warm_threshold
-                    and pinned_key == self._last_pinned_key
-                )
-                payload = generate_candidates(
-                    work_graph,
-                    eff_pinned,
-                    warm=self._warm,
-                    delta=delta if use_warm else None,
-                )
-                warm_used = self._warm.last_run_warm
-                if warm_used:
-                    self.stats.warm_hits += 1
-                else:
-                    self.stats.cold_runs += 1
         self._last_graph = graph
         self._last_version = graph.version
         self._last_pinned_key = pinned_key
-        if isinstance(payload, flatgraph.FlatChain):
-            self._last_chain = payload
-            self._last_candidates = None
-        else:
-            self._last_candidates = payload
-            self._last_chain = None
+        self._last_chain = chain
         self._last_expansion = expansion
-        return payload, expansion, warm_used
+        return chain, expansion, warm_used
 
-    def _generate_flat(
+    def _repair_or_cold(
         self,
         graph: ExecutionGraph,
         pinned: List[str],
         pinned_key: FrozenSet[str],
         delta: GraphDelta,
-        dirty_fraction: float,
-    ) -> Tuple[Optional["flatgraph.FlatChain"], bool]:
-        """Flat-core epoch: sync the snapshot, repair or rerun cold.
-
-        Returns ``(None, False)`` when the graph cannot be represented
-        flatly at all; the caller then falls back to the legacy
-        generator for this epoch.
-        """
+    ) -> Tuple[flatgraph.FlatChain, bool]:
+        """Sync the snapshot, then repair the last chain or rerun cold."""
+        denominator = graph.node_count + graph.link_count
+        dirty_fraction = delta.size() / denominator if denominator else 1.0
+        self.stats.last_dirty_fraction = dirty_fraction
         reason = flatgraph.COLD_NOT_READY
         fg = self._fg
         fdelta = None
@@ -389,8 +323,6 @@ class IncrementalPartitioner:
             fg = flatgraph.FlatGraph.try_compile(graph)
             self._fg = fg
             self._fwarm = flatgraph.FlatWarmState()
-            if fg is None:
-                return None, False
         warm_viable = (
             fdelta is not None
             and self._fwarm.ready
@@ -446,21 +378,14 @@ class IncrementalPartitioner:
             self.stats.fallback_forced += 1
             self._record_epoch(started)
             return decision
-        payload, expansion, warm_used = self._generate(
+        chain, expansion, warm_used = self._generate(
             graph, list(pinned), delta
         )
-        is_chain = isinstance(payload, flatgraph.FlatChain)
-        evaluated = payload.k if is_chain else len(payload)
         hits_before = self._cache.hits
         try:
-            if is_chain:
-                policy_decision, cache_hit = evaluate_chain_with_cache(
-                    self.base.policy, payload, ctx, self._cache
-                )
-            else:
-                policy_decision, cache_hit = evaluate_with_cache(
-                    self.base.policy, payload, ctx, self._cache
-                )
+            policy_decision, cache_hit = evaluate_chain_with_cache(
+                self.base.policy, chain, ctx, self._cache
+            )
         except NoBeneficialPartitionError as refusal:
             cache_hit = self._cache.hits > hits_before
             if cache_hit:
@@ -469,7 +394,7 @@ class IncrementalPartitioner:
             return replace(
                 PartitionDecision.refusal(
                     reason=str(refusal),
-                    candidates_evaluated=evaluated,
+                    candidates_evaluated=chain.k,
                     compute_seconds=time.perf_counter() - started,  # detlint: allow
                     policy_name=self.base.policy.name,
                 ),
@@ -478,7 +403,7 @@ class IncrementalPartitioner:
             )
         if cache_hit:
             self.stats.cache_hits += 1
-        accepted = self.base._accept(policy_decision, evaluated, started)
+        accepted = self.base._accept(policy_decision, chain.k, started)
         if expansion:
             accepted = replace(
                 accepted,

@@ -302,7 +302,7 @@ class PolicyEvaluationCache:
     either the winning candidate's index or a memoised refusal reason.
     Storing the *index* (rather than the decision) keeps candidate node
     sets lazy and lets a hit rebuild its decision against the current
-    candidate list, so a collision between two graphs with identical
+    chain, so a collision between two graphs with identical
     scalar statistics is still answered correctly — every policy
     selects purely on those scalars.
     """
@@ -338,22 +338,6 @@ class PolicyEvaluationCache:
             entries.popitem(last=False)
 
 
-def candidates_fingerprint(
-    candidates: List[CandidatePartition],
-) -> Tuple[Tuple[int, int, int, float, float], ...]:
-    """Hashable fingerprint of a candidate chain's scalar statistics.
-
-    Node sets are deliberately excluded: materialising them would cost
-    O(V) per candidate (defeating the generator's lazy chain), and no
-    policy consults them during selection.
-    """
-    return tuple(
-        (c.cut_count, c.cut_bytes, c.surrogate_memory,
-         c.surrogate_cpu, c.client_cpu)
-        for c in candidates
-    )
-
-
 def context_key(ctx: EvaluationContext) -> Tuple:
     """The context fields a policy selection can depend on.
 
@@ -371,55 +355,23 @@ def context_key(ctx: EvaluationContext) -> Tuple:
     )
 
 
-def evaluate_with_cache(
-    policy: PartitionPolicy,
-    candidates: List[CandidatePartition],
-    ctx: EvaluationContext,
-    cache: PolicyEvaluationCache,
-) -> Tuple[PolicyDecision, bool]:
-    """Evaluate through the memo; returns ``(decision, was_cache_hit)``.
-
-    Raises :class:`NoBeneficialPartitionError` exactly as
-    ``policy.evaluate`` would — refusals are memoised too (with their
-    reason), since a refused epoch is the steady state of the
-    re-evaluation loop.
-    """
-    key = (id(policy), candidates_fingerprint(candidates),
-           context_key(ctx))
-    entry = cache.get(key)
-    if entry is not None:
-        kind, payload = entry
-        if kind == _REFUSED:
-            raise NoBeneficialPartitionError(payload)
-        return policy.decision_for(candidates[payload], ctx), True
-    try:
-        decision = policy.evaluate(candidates, ctx)
-    except NoBeneficialPartitionError as refusal:
-        cache.put(key, (_REFUSED, str(refusal)))
-        raise
-    winner = decision.candidate
-    index = next(
-        i for i, candidate in enumerate(candidates) if candidate is winner
-    )
-    cache.put(key, ("selected", index))
-    return decision, False
-
-
 def evaluate_chain_with_cache(
     policy: PartitionPolicy,
     chain: "FlatChain",
     ctx: EvaluationContext,
     cache: PolicyEvaluationCache,
 ) -> Tuple[PolicyDecision, bool]:
-    """Chain-shaped :func:`evaluate_with_cache`.
+    """Evaluate through the memo; returns ``(decision, was_cache_hit)``.
 
-    The chain fingerprint hashes the statistics columns as packed byte
-    strings (so keys never collide with list-shaped entries, whose
-    fingerprints are tuples of tuples), and a hit replays the winner by
-    chain index.  Chain candidates carry their index as
-    ``_moves_applied``; if a custom policy's base-path evaluation hands
-    back a candidate from somewhere else entirely, the selection is
-    simply not memoised.
+    Raises :class:`NoBeneficialPartitionError` exactly as
+    ``policy.evaluate_chain`` would — refusals are memoised too (with
+    their reason), since a refused epoch is the steady state of the
+    re-evaluation loop.  The key is the chain's scalar fingerprint
+    (:meth:`~repro.core.flatgraph.FlatChain.fingerprint`) plus
+    :func:`context_key`, and a hit replays the winner by chain index.
+    Chain candidates carry their index as ``_moves_applied``; if a
+    custom policy's base-path evaluation hands back a candidate from
+    somewhere else entirely, the selection is simply not memoised.
     """
     key = (id(policy), chain.fingerprint(), context_key(ctx))
     entry = cache.get(key)
@@ -602,7 +554,7 @@ class CpuPartitionPolicy(PartitionPolicy):
             if surrogate_cpu[i] > 0:
                 # Term-for-term the same expression as
                 # predict_completion_time, so the floats agree bit for
-                # bit with the legacy evaluation.
+                # bit with the list ``evaluate``.
                 compute = (
                     client_cpu[i] / client_speed
                     + surrogate_cpu[i] / surrogate_speed

@@ -1,16 +1,17 @@
-"""Flat-CSR partitioner core vs the legacy string-keyed generator.
+"""Flat-CSR partitioner core vs the string-keyed reference kernel.
 
 The flat path (``core.flatgraph``) must be *bit-identical* to the
-legacy MINCUT kernel — same candidates, same statistics (including the
-float CPU columns), same policy selections, same refusal messages —
-across cold runs, warm-started sessions, and every repair/fallback
-branch.  These tests drive both implementations over
-hypothesis-randomised graphs and adversarial mutation mixes (edge
-growth, shrinking edges, node churn, greedy-order flips) and compare
-exhaustively.
+reference MINCUT kernel (``core.mincut.generate_candidates``) — same
+candidates, same statistics (including the float CPU columns), same
+policy selections, same refusal messages — across cold runs,
+warm-started sessions, and every repair/fallback branch.  These tests
+drive both implementations over hypothesis-randomised graphs and
+adversarial mutation mixes (edge growth, shrinking edges, node churn,
+greedy-order flips) and compare exhaustively.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,11 @@ from hypothesis import strategies as st
 from repro.core import flatgraph
 from repro.core.graph import ExecutionGraph
 from repro.core.mincut import generate_candidates
-from repro.core.partitioner import IncrementalPartitioner, Partitioner
+from repro.core.partitioner import (
+    IncrementalPartitioner,
+    PartitionDecision,
+    Partitioner,
+)
 from repro.core.policy import (
     BestEffortCpuPolicy,
     CombinedPartitionPolicy,
@@ -28,7 +33,7 @@ from repro.core.policy import (
     MemoryPartitionPolicy,
     PartitionPolicy,
 )
-from repro.errors import PartitioningError
+from repro.errors import NoBeneficialPartitionError, PartitioningError
 
 POLICIES = (
     MemoryPartitionPolicy(0.20),
@@ -46,10 +51,28 @@ def make_context(graph: ExecutionGraph) -> EvaluationContext:
     )
 
 
-def assert_chain_matches(chain, legacy) -> None:
+def reference_decision(policy, graph, pinned, ctx) -> PartitionDecision:
+    """The cold reference: ``generate_candidates`` + the list ``evaluate``.
+
+    Wrapped the way ``Partitioner`` wraps an accepted decision or a
+    refusal, so it compares field for field with the shipped path.
+    """
+    candidates = generate_candidates(graph, pinned)
+    try:
+        decision = policy.evaluate(candidates, ctx)
+    except NoBeneficialPartitionError as refusal:
+        return PartitionDecision.refusal(
+            reason=str(refusal), candidates_evaluated=len(candidates),
+            compute_seconds=0.0, policy_name=policy.name,
+        )
+    return Partitioner(policy)._accept(decision, len(candidates),
+                                       time.perf_counter())
+
+
+def assert_chain_matches(chain, reference) -> None:
     """Every candidate statistic and node set, exactly (floats too)."""
-    assert chain.k == len(legacy)
-    for got, want in zip(chain.candidates(), legacy):
+    assert chain.k == len(reference)
+    for got, want in zip(chain.candidates(), reference):
         assert got.client_nodes == want.client_nodes
         assert got.surrogate_nodes == want.surrogate_nodes
         assert got.cut_bytes == want.cut_bytes
@@ -59,18 +82,18 @@ def assert_chain_matches(chain, legacy) -> None:
         assert got.client_cpu == want.client_cpu
 
 
-def assert_decisions_match(flat, legacy) -> None:
+def assert_decisions_match(flat, reference) -> None:
     """PartitionDecision parity (warm_start/cache flags may differ)."""
-    assert flat.beneficial == legacy.beneficial
-    assert flat.refusal_reason == legacy.refusal_reason
-    assert flat.offload_nodes == legacy.offload_nodes
-    assert flat.client_nodes == legacy.client_nodes
-    assert flat.cut_bytes == legacy.cut_bytes
-    assert flat.cut_count == legacy.cut_count
-    assert flat.freed_bytes == legacy.freed_bytes
-    assert flat.predicted_time == legacy.predicted_time
-    assert flat.original_time == legacy.original_time
-    assert flat.policy_name == legacy.policy_name
+    assert flat.beneficial == reference.beneficial
+    assert flat.refusal_reason == reference.refusal_reason
+    assert flat.offload_nodes == reference.offload_nodes
+    assert flat.client_nodes == reference.client_nodes
+    assert flat.cut_bytes == reference.cut_bytes
+    assert flat.cut_count == reference.cut_count
+    assert flat.freed_bytes == reference.freed_bytes
+    assert flat.predicted_time == reference.predicted_time
+    assert flat.original_time == reference.original_time
+    assert flat.policy_name == reference.policy_name
 
 
 @st.composite
@@ -105,9 +128,8 @@ class TestColdParity:
     def test_cold_chain_matches_legacy(self, case):
         graph, pinned = case
         legacy = generate_candidates(graph, pinned)
-        fg = flatgraph.snapshot(graph)
-        assert fg is not None
-        assert_chain_matches(fg.generate_chain(pinned), legacy)
+        assert_chain_matches(
+            flatgraph.snapshot(graph).generate_chain(pinned), legacy)
 
     @given(graph_cases(), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -115,11 +137,9 @@ class TestColdParity:
         graph, pinned = case
         ctx = make_context(graph)
         policy = POLICIES[policy_index]
-        flat = Partitioner(policy, use_flat=True).partition(
-            graph, pinned, ctx)
-        legacy = Partitioner(policy, use_flat=False).partition(
-            graph, pinned, ctx)
-        assert_decisions_match(flat, legacy)
+        flat = Partitioner(policy).partition(graph, pinned, ctx)
+        assert_decisions_match(
+            flat, reference_decision(policy, graph, pinned, ctx))
 
     def test_empty_graph_raises_like_legacy(self):
         graph = ExecutionGraph()
@@ -146,21 +166,6 @@ class TestColdParity:
         chain = flatgraph.snapshot(graph).generate_chain(["a", "b"])
         assert chain.k == 0
         assert chain.candidates() == []
-
-    def test_negative_edge_weight_disables_flat_compile(self):
-        graph = ExecutionGraph()
-        graph.add_memory("a", 100)
-        graph.add_memory("b", 200)
-        graph.record_interaction("a", "b", -64)
-        assert flatgraph.FlatGraph.try_compile(graph) is None
-        assert flatgraph.snapshot(graph) is None
-        # The partitioner transparently falls back to the legacy kernel.
-        ctx = make_context(graph)
-        flat = Partitioner(MemoryPartitionPolicy(0.20),
-                           use_flat=True).partition(graph, ["a"], ctx)
-        legacy = Partitioner(MemoryPartitionPolicy(0.20),
-                             use_flat=False).partition(graph, ["a"], ctx)
-        assert_decisions_match(flat, legacy)
 
 
 class TestFlatGraphStructure:
@@ -225,16 +230,6 @@ class TestFlatGraphStructure:
         graph.drain_dirty()
         fg = flatgraph.FlatGraph.try_compile(graph)
         graph.record_interaction("a", "z", 10)  # new node appears
-        assert fg.sync(graph, graph.drain_dirty()) is None
-
-    def test_sync_refuses_negative_result(self):
-        graph = ExecutionGraph()
-        graph.add_memory("a", 100)
-        graph.add_memory("b", 100)
-        graph.record_interaction("a", "b", 10)
-        graph.drain_dirty()
-        fg = flatgraph.FlatGraph.try_compile(graph)
-        graph.record_interaction("a", "b", -50)  # bytes would go negative
         assert fg.sync(graph, graph.drain_dirty()) is None
 
     def test_fingerprint_packs_columns_and_overflow_falls_back(self):
@@ -329,36 +324,27 @@ class TestSessionParity:
     @settings(max_examples=30, deadline=None)
     def test_session_matches_legacy_session(self, seed, epochs,
                                             policy_index):
+        """Every epoch of a warm session against a cold reference."""
         policy = POLICIES[policy_index]
-        base = ExecutionGraph()
+        graph = ExecutionGraph()
         names = [f"n{i:02d}" for i in range(10)]
         rng = random.Random(seed)
         for name in names:
-            base.add_memory(name, rng.randrange(100, 8192))
-            base.add_cpu(name, rng.randrange(0, 640) / 64)
+            graph.add_memory(name, rng.randrange(100, 8192))
+            graph.add_cpu(name, rng.randrange(0, 640) / 64)
         for _ in range(18):
-            base.record_interaction(rng.choice(names), rng.choice(names),
-                                    rng.randrange(1, 4096))
-        legacy_graph = base.copy()
+            graph.record_interaction(rng.choice(names), rng.choice(names),
+                                     rng.randrange(1, 4096))
 
-        flat = IncrementalPartitioner(Partitioner(policy, use_flat=True))
-        legacy = IncrementalPartitioner(
-            Partitioner(policy, use_flat=False))
+        session = IncrementalPartitioner(Partitioner(policy))
         pinned = [names[0], names[3]]
-
-        # Two independent-but-identical mutation streams: sessions drain
-        # their graph's dirty set, so each needs its own graph copy.
-        flat_rng = random.Random(seed + 1)
-        legacy_rng = random.Random(seed + 1)
-        flat_names, legacy_names = list(names), list(names)
         for epoch in epochs:
             for kind in epoch:
-                self._apply(base, flat_names, kind, flat_rng)
-                self._apply(legacy_graph, legacy_names, kind, legacy_rng)
-            ctx = make_context(base)
+                self._apply(graph, names, kind, rng)
+            ctx = make_context(graph)
             assert_decisions_match(
-                flat.partition(base, pinned, ctx),
-                legacy.partition(legacy_graph, pinned, ctx),
+                session.partition(graph, pinned, ctx),
+                reference_decision(policy, graph, pinned, ctx),
             )
 
     def test_warm_session_matches_forced_cold_session(self):
@@ -373,9 +359,8 @@ class TestSessionParity:
         cold_graph = base.copy()
         pinned = [names[0], names[5]]
         policy = MemoryPartitionPolicy(0.20)
-        warm = IncrementalPartitioner(Partitioner(policy, use_flat=True))
-        cold = IncrementalPartitioner(Partitioner(policy, use_flat=True),
-                                      force_cold=True)
+        warm = IncrementalPartitioner(Partitioner(policy))
+        cold = IncrementalPartitioner(Partitioner(policy), force_cold=True)
         warm_rng, cold_rng = random.Random(11), random.Random(11)
         edge_keys = [key for key, _ in base.edges()]
         for _ in range(15):
@@ -396,11 +381,9 @@ class TestSessionParity:
         graph.record_interaction("a", "b", 100)
         graph.record_interaction("b", "c", 10)
         ctx = make_context(graph)
-        flat = Partitioner(ThirdPartyPolicy(), use_flat=True).partition(
-            graph, ["a"], ctx)
-        legacy = Partitioner(ThirdPartyPolicy(), use_flat=False).partition(
-            graph, ["a"], ctx)
-        assert_decisions_match(flat, legacy)
+        flat = Partitioner(ThirdPartyPolicy()).partition(graph, ["a"], ctx)
+        assert_decisions_match(
+            flat, reference_decision(ThirdPartyPolicy(), graph, ["a"], ctx))
 
 
 class TestFallbackTaxonomy:
@@ -415,8 +398,7 @@ class TestFallbackTaxonomy:
             graph.record_interaction(rng.choice(names), rng.choice(names),
                                      rng.randrange(1, 4096))
         session = IncrementalPartitioner(
-            Partitioner(policy or MemoryPartitionPolicy(0.20),
-                        use_flat=True))
+            Partitioner(policy or MemoryPartitionPolicy(0.20)))
         return graph, names, session
 
     def test_node_churn_is_counted_and_recompiles(self):
@@ -453,7 +435,7 @@ class TestFallbackTaxonomy:
         graph.add_memory("b", 100)
         graph.record_interaction("a", "b", 32)
         session = IncrementalPartitioner(
-            Partitioner(MemoryPartitionPolicy(0.20), use_flat=True))
+            Partitioner(MemoryPartitionPolicy(0.20)))
         ctx = make_context(graph)
         session.partition(graph, ["a"], ctx)  # k == 1: warm never ready
         graph.record_interaction("a", "b", 8)

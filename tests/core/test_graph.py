@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import (
+    EdgeStats,
     ExecutionGraph,
     edge_key,
     node_class,
@@ -88,6 +89,33 @@ class TestConstruction:
         with pytest.raises(PartitioningError):
             ExecutionGraph().node("ghost")
 
+    @pytest.mark.parametrize("nbytes, count", [(-11, 0), (0, -4), (-11, -4)])
+    def test_negative_edge_rejected_without_mutation(self, nbytes, count):
+        graph = ExecutionGraph()
+        graph.record_interaction("a", "b", 10, count=3)
+        graph.drain_dirty()
+        graph.add_memory("c", 5)  # leaves a dirty node behind
+        version = graph.version
+        for a, b in (("a", "b"), ("a", "new")):  # existing, then new edge
+            with pytest.raises(PartitioningError):
+                graph.record_interaction(a, b, nbytes, count=count)
+        assert sorted(graph.nodes()) == ["a", "b", "c"]
+        assert graph.link_count == 1
+        assert graph.edge("a", "b") == EdgeStats(count=3, bytes=10)
+        assert graph.neighbors("a") == {"b"}
+        assert graph.version == version
+        delta = graph.drain_dirty()
+        assert delta.nodes == {"c"} and delta.edges == frozenset()
+
+    def test_negative_delta_may_shrink_edge_to_zero(self):
+        graph = ExecutionGraph()
+        graph.record_interaction("a", "b", 10, count=3)
+        graph.record_interaction("b", "a", -4, count=0)
+        assert graph.edge("a", "b") == EdgeStats(count=3, bytes=6)
+        graph.record_interaction("a", "b", -6, count=-3)
+        assert graph.edge("a", "b") == EdgeStats(count=0, bytes=0)
+        assert graph.drain_dirty().edges == {("a", "b")}
+
 
 class TestQueries:
     def test_cut_counts_crossing_edges_only(self):
@@ -154,6 +182,12 @@ class TestSerialisation:
         assert clone.node("a").cpu_seconds == pytest.approx(1.5)
         assert clone.node("a").created_objects == 1
         assert clone.edge("a", "b").bytes == 1000
+
+    def test_from_dict_rejects_negative_edge(self):
+        data = make_triangle().to_dict()
+        data["edges"][0]["bytes"] = -1
+        with pytest.raises(PartitioningError):
+            ExecutionGraph.from_dict(data)
 
     def test_copy_is_independent(self):
         graph = make_triangle()

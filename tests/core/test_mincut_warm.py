@@ -1,18 +1,26 @@
-"""Parity: warm-started candidate generation vs a cold run.
+"""Parity: the warm-started MINCUT kernel vs a cold reference run.
 
-The warm path must be a pure optimisation.  After every mutation burst
-the warm-started generator either produces the *same* candidate chain a
-cold run would (integer cut/memory statistics exactly, CPU floats up to
-addition order) or falls back to the cold run — and the best candidate
-selected by the policy must be identical either way.
+The warm path (``FlatGraph.sync`` + ``FlatGraph.repair_chain`` over a
+``FlatWarmState``) must be a pure optimisation.  After every mutation
+burst it either repairs the previous move order into *exactly* the
+candidate chain the cold reference generator produces — every
+statistic, node set and float — or names the reason it fell back, and
+the cold rerun then re-records the warm state so the next small delta
+is served warm again.
 """
 
 import random
 
 import pytest
 
+from repro.core.flatgraph import (
+    COLD_NODE_CHURN,
+    COLD_SEED_CHANGE,
+    FlatGraph,
+    FlatWarmState,
+)
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import WarmStartState, generate_candidates
+from repro.core.mincut import generate_candidates
 from repro.core.policy import EvaluationContext, MemoryPartitionPolicy
 from repro.errors import NoBeneficialPartitionError
 
@@ -44,14 +52,38 @@ def mutate(rng, graph, nodes, rounds):
             graph.add_cpu(rng.choice(nodes), rng.random() * 0.1)
 
 
-def assert_candidate_chains_match(warm_chain, cold_chain):
-    assert len(warm_chain) == len(cold_chain)
-    for ours, theirs in zip(warm_chain, cold_chain):
+class WarmKernel:
+    """A snapshot plus its warm state, advanced one epoch at a time."""
+
+    def __init__(self, graph, pinned):
+        graph.drain_dirty()
+        self.fg = FlatGraph.try_compile(graph)
+        self.warm = FlatWarmState()
+        self.fg.generate_chain(pinned, warm=self.warm)
+
+    def step(self, graph, pinned):
+        """Returns ``(chain, reason)``; ``reason`` is None when warm."""
+        fdelta = self.fg.sync(graph, graph.drain_dirty())
+        if fdelta is None:
+            self.fg = FlatGraph.try_compile(graph)
+            self.warm = FlatWarmState()
+            reason = COLD_NODE_CHURN
+        else:
+            chain, reason, _, _ = self.fg.repair_chain(
+                self.warm, fdelta, pinned)
+            if chain is not None:
+                return chain, None
+        return self.fg.generate_chain(pinned, warm=self.warm), reason
+
+
+def assert_candidate_chains_match(chain, reference):
+    assert chain.k == len(reference)
+    for ours, theirs in zip(chain.candidates(), reference):
         assert ours.cut_bytes == theirs.cut_bytes
         assert ours.cut_count == theirs.cut_count
         assert ours.surrogate_memory == theirs.surrogate_memory
-        assert ours.surrogate_cpu == pytest.approx(theirs.surrogate_cpu)
-        assert ours.client_cpu == pytest.approx(theirs.client_cpu)
+        assert ours.surrogate_cpu == theirs.surrogate_cpu
+        assert ours.client_cpu == theirs.client_cpu
         assert ours.client_nodes == theirs.client_nodes
         assert ours.surrogate_nodes == theirs.surrogate_nodes
 
@@ -65,22 +97,17 @@ def test_randomized_mutation_sequences_keep_parity(seed):
     policy = MemoryPartitionPolicy(0.20)
     ctx = EvaluationContext(heap_capacity=graph.total_memory(), elapsed=10.0)
 
-    warm = WarmStartState()
-    graph.drain_dirty()
-    generate_candidates(graph, pinned, warm=warm)
-
+    kernel = WarmKernel(graph, pinned)
     warm_served = 0
     for _ in range(15):
         mutate(rng, graph, nodes, rounds=rng.randrange(1, 5))
-        delta = graph.drain_dirty()
-        warm_chain = generate_candidates(graph, pinned, warm=warm,
-                                         delta=delta)
-        if warm.last_run_warm:
+        chain, reason = kernel.step(graph, pinned)
+        if reason is None:
             warm_served += 1
         cold_chain = generate_candidates(graph, pinned)
-        assert_candidate_chains_match(warm_chain, cold_chain)
+        assert_candidate_chains_match(chain, cold_chain)
         try:
-            warm_best = policy.evaluate(warm_chain, ctx).candidate
+            warm_best = policy.evaluate_chain(chain, ctx).candidate
         except NoBeneficialPartitionError:
             with pytest.raises(NoBeneficialPartitionError):
                 policy.evaluate(cold_chain, ctx)
@@ -95,27 +122,20 @@ def test_new_node_falls_back_to_cold():
     rng = random.Random(99)
     graph, nodes = random_graph(rng, 20)
     pinned = nodes[:2]
-    warm = WarmStartState()
-    graph.drain_dirty()
-    generate_candidates(graph, pinned, warm=warm)
+    kernel = WarmKernel(graph, pinned)
     graph.record_interaction(nodes[0], "brand-new-node", 100)
-    delta = graph.drain_dirty()
-    chain = generate_candidates(graph, pinned, warm=warm, delta=delta)
-    assert not warm.last_run_warm
-    cold = generate_candidates(graph, pinned)
-    assert_candidate_chains_match(chain, cold)
+    chain, reason = kernel.step(graph, pinned)
+    assert reason == COLD_NODE_CHURN
+    assert_candidate_chains_match(chain, generate_candidates(graph, pinned))
 
 
 def test_changed_pinned_seed_falls_back_to_cold():
     rng = random.Random(7)
     graph, nodes = random_graph(rng, 20)
-    warm = WarmStartState()
-    graph.drain_dirty()
-    generate_candidates(graph, nodes[:2], warm=warm)
+    kernel = WarmKernel(graph, nodes[:2])
     graph.record_interaction(nodes[3], nodes[4], 10)
-    delta = graph.drain_dirty()
-    chain = generate_candidates(graph, nodes[:3], warm=warm, delta=delta)
-    assert not warm.last_run_warm
+    chain, reason = kernel.step(graph, nodes[:3])
+    assert reason == COLD_SEED_CHANGE
     assert_candidate_chains_match(
         chain, generate_candidates(graph, nodes[:3])
     )
@@ -126,18 +146,14 @@ def test_warm_state_recovers_after_fallback():
     rng = random.Random(21)
     graph, nodes = random_graph(rng, 30)
     pinned = nodes[:3]
-    warm = WarmStartState()
-    graph.drain_dirty()
-    generate_candidates(graph, pinned, warm=warm)
+    kernel = WarmKernel(graph, pinned)
     # Force a fallback via a brand-new node...
     graph.record_interaction(nodes[0], "newcomer", 50)
-    generate_candidates(graph, pinned, warm=warm,
-                        delta=graph.drain_dirty())
-    assert not warm.last_run_warm
+    _, reason = kernel.step(graph, pinned)
+    assert reason == COLD_NODE_CHURN
     # ...then a tiny growth delta on an existing edge must go warm.
     key, _ = next(graph.edges())
     graph.record_interaction(key[0], key[1], 1)
-    chain = generate_candidates(graph, pinned, warm=warm,
-                                delta=graph.drain_dirty())
-    assert warm.last_run_warm
+    chain, reason = kernel.step(graph, pinned)
+    assert reason is None
     assert_candidate_chains_match(chain, generate_candidates(graph, pinned))

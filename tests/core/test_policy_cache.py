@@ -2,38 +2,36 @@
 
 import pytest
 
-from repro.core.mincut import CandidatePartition
+from repro.core import flatgraph
+from repro.core.graph import ExecutionGraph
 from repro.core.policy import (
     CpuPartitionPolicy,
     EvaluationContext,
     MemoryPartitionPolicy,
     PolicyEvaluationCache,
-    candidates_fingerprint,
     context_key,
-    evaluate_with_cache,
+    evaluate_chain_with_cache,
 )
 from repro.errors import ConfigurationError, NoBeneficialPartitionError
 
 
-def candidate(cut_bytes, memory, cut_count=1, surrogate_cpu=1.0,
-              client_cpu=1.0, offload=("x",)):
-    return CandidatePartition(
-        client_nodes=frozenset({"main"}),
-        surrogate_nodes=frozenset(offload),
-        cut_count=cut_count,
-        cut_bytes=cut_bytes,
-        surrogate_memory=memory,
-        surrogate_cpu=surrogate_cpu,
-        client_cpu=client_cpu,
-    )
+def chain(names=("x", "y", "z"), yz_bytes=300):
+    """A three-candidate chain with ``main`` pinned.
 
-
-def chain():
-    return [
-        candidate(500, 900, offload=("x", "y")),
-        candidate(100, 600, offload=("y",)),
-        candidate(300, 400, offload=("x",)),
-    ]
+    Candidates offload {x, y, z}, {y, z} and {z}: cut bytes 500, 100
+    and ``yz_bytes``, surrogate memory 900, 600 and 300.
+    """
+    x, y, z = names
+    graph = ExecutionGraph()
+    graph.add_memory("main", 100)
+    graph.add_cpu("main", 1.0)
+    for name, cpu in ((x, 3.0), (y, 3.0), (z, 3.0)):
+        graph.add_memory(name, 300)
+        graph.add_cpu(name, cpu)
+    graph.record_interaction("main", x, 500)
+    graph.record_interaction(x, y, 100)
+    graph.record_interaction(y, z, yz_bytes)
+    return flatgraph.snapshot(graph).generate_chain(["main"])
 
 
 CTX = EvaluationContext(heap_capacity=1000, elapsed=10.0)
@@ -66,12 +64,11 @@ class TestCacheMechanics:
 
 class TestKeying:
     def test_fingerprint_covers_only_scalar_statistics(self):
-        fp1 = candidates_fingerprint(chain())
-        fp2 = candidates_fingerprint(chain())
-        assert fp1 == fp2
-        bumped = chain()
-        bumped[1] = candidate(101, 600, offload=("y",))
-        assert candidates_fingerprint(bumped) != fp1
+        fp1 = chain().fingerprint()
+        assert chain().fingerprint() == fp1
+        # Node names are not part of the key; the statistics are.
+        assert chain(names=("p", "q", "r")).fingerprint() == fp1
+        assert chain(yz_bytes=301).fingerprint() != fp1
 
     def test_context_key_ignores_elapsed(self):
         base = EvaluationContext(heap_capacity=1000, elapsed=10.0)
@@ -82,25 +79,26 @@ class TestKeying:
 
 
 class TestEvaluateWithCache:
+    """``evaluate_chain_with_cache`` over :class:`FlatChain` inputs."""
+
     def test_hit_returns_byte_identical_decision(self):
         policy = MemoryPartitionPolicy(0.20)
         cache = PolicyEvaluationCache()
-        cold = policy.evaluate(chain(), CTX)
-        first, hit1 = evaluate_with_cache(policy, chain(), CTX, cache)
-        second, hit2 = evaluate_with_cache(policy, chain(), CTX, cache)
+        cold = policy.evaluate_chain(chain(), CTX)
+        first, hit1 = evaluate_chain_with_cache(policy, chain(), CTX, cache)
+        second, hit2 = evaluate_chain_with_cache(policy, chain(), CTX, cache)
         assert (hit1, hit2) == (False, True)
-        for decision in (first, second):
-            assert decision.candidate.surrogate_nodes == \
-                cold.candidate.surrogate_nodes
-            assert decision.predicted_bandwidth == cold.predicted_bandwidth
-            assert decision.policy_name == cold.policy_name
+        assert cold.candidate.surrogate_nodes == {"y", "z"}
+        assert first == cold
+        assert second == cold
 
     def test_hit_recomputes_bandwidth_against_current_context(self):
         policy = MemoryPartitionPolicy(0.20)
         cache = PolicyEvaluationCache()
-        evaluate_with_cache(policy, chain(), CTX, cache)
+        evaluate_chain_with_cache(policy, chain(), CTX, cache)
         later = EvaluationContext(heap_capacity=1000, elapsed=20.0)
-        decision, hit = evaluate_with_cache(policy, chain(), later, cache)
+        decision, hit = evaluate_chain_with_cache(policy, chain(), later,
+                                                  cache)
         assert hit
         assert decision.predicted_bandwidth == pytest.approx(
             decision.candidate.cut_bytes / 20.0
@@ -110,9 +108,9 @@ class TestEvaluateWithCache:
         policy = MemoryPartitionPolicy(0.99)  # nothing frees 99%
         cache = PolicyEvaluationCache()
         with pytest.raises(NoBeneficialPartitionError) as cold:
-            evaluate_with_cache(policy, chain(), CTX, cache)
+            evaluate_chain_with_cache(policy, chain(), CTX, cache)
         with pytest.raises(NoBeneficialPartitionError) as warm:
-            evaluate_with_cache(policy, chain(), CTX, cache)
+            evaluate_chain_with_cache(policy, chain(), CTX, cache)
         assert str(warm.value) == str(cold.value)
         assert cache.hits == 1
 
@@ -122,7 +120,7 @@ class TestEvaluateWithCache:
         cpu = CpuPartitionPolicy()
         ctx = EvaluationContext(heap_capacity=1000, total_cpu=10.0,
                                 elapsed=10.0, surrogate_speed=10.0)
-        evaluate_with_cache(memory, chain(), ctx, cache)
-        decision, hit = evaluate_with_cache(cpu, chain(), ctx, cache)
+        evaluate_chain_with_cache(memory, chain(), ctx, cache)
+        decision, hit = evaluate_chain_with_cache(cpu, chain(), ctx, cache)
         assert not hit
         assert decision.policy_name == cpu.name

@@ -48,9 +48,12 @@ DEFAULT_TARGETS = (
     "src/repro/emulator/parallel.py",
     "src/repro/emulator/columnar.py",
     "src/repro/rpc/marshal.py",
+    "src/repro/core/graph.py",
+    "src/repro/core/hints.py",
     "src/repro/core/mincut.py",
     "src/repro/core/flatgraph.py",
     "src/repro/core/partitioner.py",
+    "src/repro/core/policy.py",
     "src/repro/net/mobility.py",
     "src/repro/platform/migration.py",
     "src/repro/emulator/replay.py",
