@@ -72,10 +72,11 @@ RPC_MIN_SPEEDUP = 2.0
 #: Aggregate-throughput floor for the parallel replay core.  The
 #: absolute target (and the 5x-serial variant) only express themselves
 #: on a multi-core box, so the enforced gate degrades to a
-#: machine-robust pair on small/loaded runners: the columnar loop must
-#: beat the per-event loop by ``PARALLEL_COLUMNAR_MIN_SPEEDUP`` and
-#: sharding must not *lose* throughput against single-process columnar
-#: replay (``PARALLEL_RETENTION`` of it, covering pool-spawn noise).
+#: machine-robust pair on small/loaded runners: replaying a trace held
+#: in columnar form must beat a one-shot row-trace replay (conversion
+#: included) by ``PARALLEL_COLUMNAR_MIN_SPEEDUP`` and sharding must not
+#: *lose* throughput against single-process columnar replay
+#: (``PARALLEL_RETENTION`` of it, covering pool-spawn noise).
 PARALLEL_FLOOR_EPS = 5_000_000.0
 PARALLEL_SERIAL_MULTIPLE = 5.0
 PARALLEL_COLUMNAR_MIN_SPEEDUP = 1.2
@@ -747,8 +748,8 @@ def bench_mobility(quick: bool = False) -> dict:
         base.with_profile(WAVELAN_WAN_ROAM, MobilityConfig(mode="handoff")),
     ).run()
 
-    # Parity: the handoff run must fingerprint identically through the
-    # serial loop, the columnar batched loop, and a sharded replay.
+    # Parity: the handoff run must fingerprint identically from the row
+    # trace, from its columnar form, and through a sharded replay.
     columnar = TraceReplayer(
         ColumnarTrace.from_trace(trace), handoff_config
     ).run()
@@ -1012,37 +1013,44 @@ def parallel_floor_verdict(
 def bench_replay_parallel(rounds: int, serial_eps: float) -> dict:
     """Columnar + sharded replay throughput, with the floor gate.
 
-    Replays dia through the columnar batched loop (single process) and
-    through a sharded fleet (one shard per emulated client), checks the
-    three paths' fingerprints agree bit-for-bit, and evaluates the
-    aggregate-throughput floor:
+    Replays dia three ways: "serial" is a one-shot
+    ``TraceReplayer(row_trace, config).run()``, conversion to columnar
+    form included (what ``repro replay file.jsonl`` pays); "columnar"
+    replays a trace already held in columnar form (what every replay
+    after the first pays); "sharded" runs one shard per emulated client
+    on a process pool.  Checks the three fingerprints agree
+    bit-for-bit, and evaluates the aggregate-throughput floor:
 
     * absolute: >= ``PARALLEL_FLOOR_EPS`` aggregate events/s
       (only evaluated on boxes with >= 4 CPUs), or
     * relative: >= ``PARALLEL_SERIAL_MULTIPLE`` x the serial rate, or
     * machine-robust (small/loaded runners, where neither can fire):
-      the columnar loop beats serial by
+      columnar beats serial by
       ``PARALLEL_COLUMNAR_MIN_SPEEDUP`` x *and* sharding retains
       ``PARALLEL_RETENTION`` of single-process columnar throughput.
     """
     import os
 
-    from repro.emulator import ColumnarTrace, ShardedReplayer, replicate
+    from repro.emulator import (
+        ColumnarTrace, ShardedReplayer, TraceReplayer, replicate,
+    )
 
     trace = cached_trace("dia", MEMORY_WORKLOADS["dia"])
     columnar = ColumnarTrace.from_trace(trace)
     config = memory_emulator_config()
     events = len(trace)
 
-    serial_emulator = Emulator(trace)
-    serial_fp = serial_emulator.replay(config).fingerprint()
+    def one_shot():
+        return TraceReplayer(trace, config).run()
+
+    serial_fp = one_shot().fingerprint()
     columnar_emulator = Emulator(columnar)
     columnar_fp = columnar_emulator.replay(config).fingerprint()
     # The serial rate is re-measured here, back-to-back with the
     # columnar rate, so the speedup compares like with like — the
     # ``replay`` section's number was taken under a different heap and
     # load (heavy graph benches run in between).
-    serial_stats = _time(lambda: serial_emulator.replay(config), rounds)
+    serial_stats = _time(one_shot, rounds)
     serial_local_eps = events / serial_stats["mean_s"]
     col_stats = _time(lambda: columnar_emulator.replay(config), rounds)
     columnar_eps = events / col_stats["mean_s"]

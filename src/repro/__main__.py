@@ -113,6 +113,22 @@ def _load_trace(source: str):
         f"(apps: {', '.join(sorted(by_name))})")
 
 
+def _load_columnar(source: str):
+    """Load or record ``source`` and convert it to columnar form once.
+
+    A missing source or a malformed trace (from loading or from the
+    conversion) is reported as one stderr line; returns ``None`` then.
+    """
+    from .emulator import ColumnarTrace
+    from .errors import TraceFormatError
+
+    try:
+        return ColumnarTrace.from_trace(_load_trace(source))
+    except (FileNotFoundError, TraceFormatError) as exc:
+        print(exc, file=sys.stderr)
+        return None
+
+
 def _convert(src: str, dst: str) -> int:
     """``trace convert``: JSONL <-> columnar, by destination suffix."""
     from .emulator import ColumnarTrace, write_ctrace
@@ -138,26 +154,19 @@ def _convert(src: str, dst: str) -> int:
 
 def _replay(source: str, heap_mb: float, offload: bool,
             faults: str = None, workers: int = 1, clients: int = 1,
-            trace_format: str = "auto", link_profile: str = None,
-            mobility: str = "handoff") -> int:
+            link_profile: str = None, mobility: str = "handoff") -> int:
     from .config import DeviceProfile
     from .emulator import (
-        ColumnarTrace, Emulator, EmulatorConfig, MobilityConfig,
-        ShardedReplayer, replicate,
+        Emulator, EmulatorConfig, MobilityConfig, ShardedReplayer,
+        replicate,
     )
     from .net.faults import FaultSpec
     from .net.mobility import LinkProfile
     from .units import MB
 
-    try:
-        trace = _load_trace(source)
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
+    trace = _load_columnar(source)
+    if trace is None:
         return 2
-    if trace_format == "ctrace":
-        trace = ColumnarTrace.from_trace(trace)
-    elif trace_format == "jsonl" and isinstance(trace, ColumnarTrace):
-        trace = trace.to_trace()
     config = EmulatorConfig(
         client=DeviceProfile("client-dev", cpu_speed=1.0,
                              heap_capacity=int(heap_mb * MB)),
@@ -237,19 +246,14 @@ def _fleet_run(source: str, clients: int, surrogates: int,
     surrogates, with admission control, DRR fairness, and eviction."""
     from .config import DeviceProfile
     from .emulator import (
-        ColumnarTrace, EmulatorConfig, FleetConfig, FleetEmulator,
-        replicate,
+        EmulatorConfig, FleetConfig, FleetEmulator, replicate,
     )
     from .errors import ConfigurationError
     from .units import MB
 
-    try:
-        trace = _load_trace(source)
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
+    trace = _load_columnar(source)
+    if trace is None:
         return 2
-    if not isinstance(trace, ColumnarTrace):
-        trace = ColumnarTrace.from_trace(trace)
     config = EmulatorConfig(
         client=DeviceProfile("client-dev", cpu_speed=1.0,
                              heap_capacity=int(heap_mb * MB)),
@@ -342,14 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--clients", type=int, default=1, metavar="N",
                         help="emulated clients for 'replay' (default 1; "
                              "each replays the trace independently)")
-    parser.add_argument("--format", dest="trace_format", default="auto",
-                        choices=("auto", "jsonl", "ctrace", "sarif"),
-                        help="in-memory trace representation for "
-                             "'replay': columnar (ctrace) uses the "
-                             "batched dispatch loop (default: as "
-                             "loaded); for 'analyze', 'sarif' renders "
-                             "the diagnostics as a SARIF 2.1.0 log "
-                             "(to --json PATH, or stdout)")
+    parser.add_argument("--format", dest="report_format", default="auto",
+                        choices=("auto", "sarif"),
+                        help="report format for 'analyze': 'sarif' "
+                             "renders the diagnostics as a SARIF 2.1.0 "
+                             "log (to --json PATH, or stdout)")
     parser.add_argument("--surrogates", type=int, default=4, metavar="M",
                         help="surrogate pool size for 'fleet run' "
                              "(default 4)")
@@ -400,14 +401,13 @@ def main(argv=None) -> int:
         if len(targets) != 2:
             print("usage: python -m repro replay <path|app> [--heap-mb N] "
                   "[--no-offload] [--faults SPEC] [--workers N] "
-                  "[--clients N] [--format ctrace] "
+                  "[--clients N] "
                   "[--link-profile SPEC] [--mobility MODE]",
                   file=sys.stderr)
             return 2
         return _replay(targets[1], args.heap_mb, not args.no_offload,
                        args.faults, workers=args.workers,
                        clients=args.clients,
-                       trace_format=args.trace_format,
                        link_profile=args.link_profile,
                        mobility=args.mobility)
     if targets[0] == "fleet":
@@ -437,7 +437,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         return _analyze(targets[1], args.json,
-                        sarif=args.trace_format == "sarif")
+                        sarif=args.report_format == "sarif")
     if targets == ["list"]:
         print("available experiments:")
         for name, description in DESCRIPTIONS.items():

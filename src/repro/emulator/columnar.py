@@ -196,6 +196,12 @@ class ColumnarTrace:
 
     @classmethod
     def from_trace(cls, trace: Union[Trace, "ColumnarTrace"]) -> "ColumnarTrace":
+        """Convert a row trace in one pass; a columnar trace is returned
+        unchanged.
+
+        Raises :class:`TraceFormatError` for an oid that is not a
+        non-negative integer and for a value its column cannot hold.
+        """
         if isinstance(trace, ColumnarTrace):
             return trace
         strings: List[str] = []
@@ -204,89 +210,114 @@ class ColumnarTrace:
         def intern(name: str) -> int:
             sid = index.get(name)
             if sid is None:
-                sid = len(strings)
-                index[name] = sid
+                sid = index[name] = len(strings)
                 strings.append(name)
             return sid
 
+        lists: Dict[str, list] = {name: [] for name, _ in COLUMN_SPECS}
+        tags, a_cls, a_oid = (lists["tags"].append, lists["a_cls"].append,
+                              lists["a_oid"].append)
+        b_cls, b_oid = lists["b_cls"].append, lists["b_oid"].append
+        m_id, k_id, flags = (lists["m_id"].append, lists["k_id"].append,
+                             lists["flags"].append)
+        n1, n2, f64 = lists["n1"].append, lists["n2"].append, lists["f64"].append
+        for event in trace.events:
+            kind = type(event)
+            if kind is AccessEvent:
+                tags(TAG_ACCESS)
+                a_cls(intern(event.accessor_class))
+                oid = event.accessor_oid
+                a_oid(oid if type(oid) is int and oid >= 0
+                      else _oid_cell(oid, "accessor_oid"))
+                b_cls(intern(event.owner_class))
+                oid = event.owner_oid
+                b_oid(oid if type(oid) is int and oid >= 0
+                      else _oid_cell(oid, "owner_oid"))
+                m_id(-1)
+                k_id(-1)
+                flags((FLAG_WRITE if event.is_write else 0)
+                      | (FLAG_STATIC if event.is_static else 0))
+                n1(event.nbytes)
+                n2(0)
+                f64(0.0)
+            elif kind is InvokeEvent:
+                tags(TAG_INVOKE)
+                a_cls(intern(event.caller_class))
+                oid = event.caller_oid
+                a_oid(oid if type(oid) is int and oid >= 0
+                      else _oid_cell(oid, "caller_oid"))
+                b_cls(intern(event.callee_class))
+                oid = event.callee_oid
+                b_oid(oid if type(oid) is int and oid >= 0
+                      else _oid_cell(oid, "callee_oid"))
+                m_id(intern(event.method))
+                k_id(intern(event.mkind))
+                flags(FLAG_STATELESS if event.stateless else 0)
+                n1(event.arg_bytes)
+                n2(event.ret_bytes)
+                f64(0.0)
+            elif kind is WorkEvent:
+                tags(TAG_WORK)
+                a_cls(intern(event.class_name))
+                oid = event.oid
+                a_oid(oid if type(oid) is int and oid >= 0
+                      else _oid_cell(oid, "work oid"))
+                b_cls(-1)
+                b_oid(-1)
+                m_id(-1)
+                k_id(-1)
+                flags(0)
+                n1(0)
+                n2(0)
+                f64(event.seconds)
+            elif kind is AllocEvent:
+                tags(TAG_ALLOC)
+                a_cls(intern(event.class_name))
+                oid = event.oid
+                a_oid(oid if type(oid) is int and oid >= 0
+                      else _oid_cell(oid, "oid"))
+                b_cls(intern(event.creator_class))
+                oid = event.creator_oid
+                b_oid(oid if type(oid) is int and oid >= 0
+                      else _oid_cell(oid, "creator_oid"))
+                m_id(-1)
+                k_id(-1)
+                flags(0)
+                n1(event.size)
+                n2(0)
+                f64(0.0)
+            elif kind is FreeEvent:
+                tags(TAG_FREE)
+                a_cls(-1)
+                oid = event.oid
+                a_oid(oid if type(oid) is int and oid >= 0
+                      else _oid_cell(oid, "oid"))
+                b_cls(-1)
+                b_oid(-1)
+                m_id(-1)
+                k_id(-1)
+                flags(0)
+                n1(0)
+                n2(0)
+                f64(0.0)
+            else:
+                raise TraceFormatError(
+                    f"unknown trace event type {kind.__name__!r}")
+        try:
+            columns = {name: array(code, lists[name])
+                       for name, code in COLUMN_SPECS}
+        except (TypeError, OverflowError) as exc:
+            raise TraceFormatError(
+                f"trace {trace.app_name!r} holds a value its column "
+                f"cannot store: {exc}"
+            ) from exc
         columnar = cls(
             app_name=trace.app_name,
             class_traits={k: dict(v) for k, v in trace.class_traits.items()},
             notes=trace.notes,
             strings=strings,
+            columns=columns,
         )
-        cols = columnar.columns
-        tags, a_cls, a_oid = cols["tags"], cols["a_cls"], cols["a_oid"]
-        b_cls, b_oid = cols["b_cls"], cols["b_oid"]
-        m_id, k_id, flags = cols["m_id"], cols["k_id"], cols["flags"]
-        n1, n2, f64 = cols["n1"], cols["n2"], cols["f64"]
-        for event in trace.events:
-            kind = event.kind
-            if kind == "invoke":
-                tags.append(TAG_INVOKE)
-                a_cls.append(intern(event.caller_class))
-                a_oid.append(_oid_cell(event.caller_oid, "caller_oid"))
-                b_cls.append(intern(event.callee_class))
-                b_oid.append(_oid_cell(event.callee_oid, "callee_oid"))
-                m_id.append(intern(event.method))
-                k_id.append(intern(event.mkind))
-                flags.append(FLAG_STATELESS if event.stateless else 0)
-                n1.append(event.arg_bytes)
-                n2.append(event.ret_bytes)
-                f64.append(0.0)
-            elif kind == "access":
-                tags.append(TAG_ACCESS)
-                a_cls.append(intern(event.accessor_class))
-                a_oid.append(_oid_cell(event.accessor_oid, "accessor_oid"))
-                b_cls.append(intern(event.owner_class))
-                b_oid.append(_oid_cell(event.owner_oid, "owner_oid"))
-                m_id.append(-1)
-                k_id.append(-1)
-                flags.append(
-                    (FLAG_WRITE if event.is_write else 0)
-                    | (FLAG_STATIC if event.is_static else 0)
-                )
-                n1.append(event.nbytes)
-                n2.append(0)
-                f64.append(0.0)
-            elif kind == "work":
-                tags.append(TAG_WORK)
-                a_cls.append(intern(event.class_name))
-                a_oid.append(_oid_cell(event.oid, "work oid"))
-                b_cls.append(-1)
-                b_oid.append(-1)
-                m_id.append(-1)
-                k_id.append(-1)
-                flags.append(0)
-                n1.append(0)
-                n2.append(0)
-                f64.append(event.seconds)
-            elif kind == "alloc":
-                tags.append(TAG_ALLOC)
-                a_cls.append(intern(event.class_name))
-                a_oid.append(_oid_cell(event.oid, "oid"))
-                b_cls.append(intern(event.creator_class))
-                b_oid.append(_oid_cell(event.creator_oid, "creator_oid"))
-                m_id.append(-1)
-                k_id.append(-1)
-                flags.append(0)
-                n1.append(event.size)
-                n2.append(0)
-                f64.append(0.0)
-            elif kind == "free":
-                tags.append(TAG_FREE)
-                a_cls.append(-1)
-                a_oid.append(_oid_cell(event.oid, "oid"))
-                b_cls.append(-1)
-                b_oid.append(-1)
-                m_id.append(-1)
-                k_id.append(-1)
-                flags.append(0)
-                n1.append(0)
-                n2.append(0)
-                f64.append(0.0)
-            else:  # pragma: no cover - TraceEvent is a closed union
-                raise TraceFormatError(f"unknown event kind {kind!r}")
         return columnar
 
     def iter_events(self) -> Iterator[TraceEvent]:

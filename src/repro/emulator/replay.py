@@ -56,13 +56,6 @@ from .columnar import (
     TAG_INVOKE,
     TAG_WORK,
 )
-from .events import (
-    AccessEvent,
-    AllocEvent,
-    FreeEvent,
-    InvokeEvent,
-    WorkEvent,
-)
 from .timemodel import (
     migration_cost,
     migration_payload,
@@ -279,17 +272,18 @@ class EmulationResult:
 class TraceReplayer:
     """Replays one trace under one configuration.
 
-    Accepts either representation of a trace: the row-oriented
-    :class:`~repro.emulator.traces.Trace` replays through the per-event
-    handler loop, a :class:`~repro.emulator.columnar.ColumnarTrace`
-    through the batched columnar loop (same semantics, same
-    fingerprint, several times the throughput).  Both loops run the
-    fault gauntlet, surrogate recovery and rediscovery, and mobility.
+    Accepts either representation of a trace and converts a row
+    :class:`~repro.emulator.traces.Trace` to a
+    :class:`~repro.emulator.columnar.ColumnarTrace` on entry (a columnar
+    trace is used as is), so every replay runs the one batched loop in
+    :meth:`run`.  Callers that replay one trace several times convert
+    it once themselves.  A trace with a malformed oid raises
+    :class:`~repro.errors.TraceFormatError` here.
     """
 
     def __init__(self, trace: Union[Trace, ColumnarTrace],
                  config: EmulatorConfig) -> None:
-        self.trace = trace
+        self.trace = trace = ColumnarTrace.from_trace(trace)
         self.config = config
         # Object residency and bookkeeping.
         self._site: Dict[int, str] = {}
@@ -440,19 +434,6 @@ class TraceReplayer:
 
     # -- batched graph updates ---------------------------------------------------
 
-    def _record_interaction(self, a: str, b: str, nbytes: int) -> None:
-        if a == b:
-            return
-        pair = (a, b) if a <= b else (b, a)
-        if pair == self._pending_edge:
-            self._pending_edge_bytes += nbytes
-            self._pending_edge_count += 1
-            return
-        self._flush_interactions()
-        self._pending_edge = pair
-        self._pending_edge_bytes = nbytes
-        self._pending_edge_count = 1
-
     def _flush_interactions(self) -> None:
         pair = self._pending_edge
         if pair is not None:
@@ -465,15 +446,6 @@ class TraceReplayer:
             self._pending_edge_count = 0
 
     # -- time ------------------------------------------------------------
-
-    def _charge_cpu(self, site: str, reference_seconds: float) -> None:
-        if site == CLIENT:
-            wall = reference_seconds / self.config.client.cpu_speed
-            self.result.cpu_time_client += wall
-        else:
-            wall = reference_seconds / self.config.surrogate.cpu_speed
-            self.result.cpu_time_surrogate += wall
-        self._now += wall
 
     def _charge_comm(self, seconds: float) -> None:
         self.result.comm_time += seconds
@@ -507,28 +479,6 @@ class TraceReplayer:
             # The batch died with the surrogate: its legs never travel.
             return
         self._charge_comm(self._link.one_way(nbytes))
-
-    def _cache_key(self, event: AccessEvent):
-        """Cache key for one access, or None when uncacheable.
-
-        Arrays are excluded (bulk element traffic is placement data,
-        not read-mostly state); statics cache at class granularity.
-        """
-        if event.is_static:
-            return RemoteReadCache.static_key(event.owner_class)
-        if event.owner_oid is None or event.owner_class.endswith("[]"):
-            return None
-        return event.owner_oid
-
-    def _charge_monitoring(self, site: str) -> None:
-        cost = self.config.monitoring_event_cost
-        if not cost:
-            return
-        speed = (self.config.client.cpu_speed if site == CLIENT
-                 else self.config.surrogate.cpu_speed)
-        wall = cost / speed
-        self.result.monitoring_time += wall
-        self._now += wall
 
     # -- surrogate death and rediscovery -------------------------------------
 
@@ -701,56 +651,8 @@ class TraceReplayer:
 
     # -- the replay loop ------------------------------------------------------
 
-    def run(self) -> EmulationResult:
-        if isinstance(self.trace, ColumnarTrace):
-            # Every columnar trace, faulty or not, takes the batched
-            # loop; the per-event loop below replays row traces and is
-            # the reference the parity tests hold the batched loop to.
-            return self._run_columnar(self.trace)
-        handlers = {
-            AllocEvent: self._replay_alloc,
-            FreeEvent: self._replay_free,
-            InvokeEvent: self._replay_invoke,
-            AccessEvent: self._replay_access,
-            WorkEvent: self._replay_work,
-        }
-        offload_at = self.config.offload_at_event
-        reevaluate_every = self.config.reevaluate_every
-        for event in self.trace.events:
-            handlers[type(event)](event)
-            self.result.events_processed += 1
-            if self._now >= self._next_link_change:
-                self._poll_mobility()
-            if (
-                self._reattach_at is not None
-                and self._surrogate_dead
-                and self._now >= self._reattach_at
-            ):
-                self._rediscover()
-            if (
-                offload_at is not None
-                and self.result.events_processed == offload_at
-                and self.config.offload_enabled
-            ):
-                self._attempt_offload()
-            if (
-                reevaluate_every is not None
-                and self.config.offload_enabled
-                and self.result.offload_count > 0
-                and self._now - self._last_reevaluation >= reevaluate_every
-            ):
-                # Clock-driven re-evaluation (global-placement mode):
-                # checked against virtual time on every event, because
-                # after an offload the client may stop allocating (and
-                # hence stop collecting) entirely.
-                self._last_reevaluation = self._now
-                self._attempt_offload(reevaluation=True)
-            if self.result.oom:
-                break
-        return self._finish_run()
-
     def _finish_run(self) -> EmulationResult:
-        """Close out a replay (shared by the per-event and batched loops)."""
+        """Close out a replay once the loop has spilled its state."""
         self._flush_interactions()
         if self._coalescer is not None:
             self._coalescer.flush()
@@ -770,22 +672,22 @@ class TraceReplayer:
         self.result.data_plane = self._dp_stats
         return self.result
 
-    def _run_columnar(self, trace: ColumnarTrace) -> EmulationResult:
-        """Batched dispatch over a columnar trace.
+    def run(self) -> EmulationResult:
+        """Replay the trace: one batched dispatch over its columns.
 
-        Semantically this is :meth:`run`'s per-event loop with the five
-        handlers inlined: the same operations happen in the same order
-        with the same floating-point arithmetic, so serial and columnar
-        replays of one trace produce bit-identical fingerprints (the
-        parity tests in ``tests/emulator`` enforce this).  The speed
+        Each event kind's handling is written inline, and every float
+        is accumulated in a fixed order, so equal traces and configs
+        give byte-identical fingerprints; the digests in
+        ``tests/emulator/replay_goldens.json`` pin them.  The speed
         comes from batch-decoding the columns into plain lists once and
         hoisting every per-event attribute/config lookup out of the
         loop; mutable replayer state lives in locals and is spilled to
         (and reloaded from) the instance only around the rare cold
         calls — GC cycles, partitioning attempts, surrogate-side
-        reclaims, coalesced transfers, fault-gauntlet exchanges and
-        rediscovery.
+        reclaims, coalesced transfers, fault-gauntlet exchanges,
+        roaming and rediscovery.
         """
+        trace = self.trace
         cols = trace.column_lists()
         strings = trace.strings
         tags = cols["tags"]
@@ -890,7 +792,7 @@ class TraceReplayer:
         SURROGATE_ = SURROGATE
         for i, tag in enumerate(tags):
             if tag == TAG_ACCESS:
-                # -- inline _replay_access --------------------------------
+                # -- access ------------------------------------------------
                 acid = a_cls[i]
                 accessor_class = strings[acid]
                 ao = a_oid[i]
@@ -1037,7 +939,7 @@ class TraceReplayer:
                     monitoring_time += wall
                     now += wall
             elif tag == TAG_WORK:
-                # -- inline _replay_work ----------------------------------
+                # -- work --------------------------------------------------
                 class_name = strings[a_cls[i]]
                 ao = a_oid[i]
                 if ao >= 0:
@@ -1062,7 +964,7 @@ class TraceReplayer:
                 now += wall
                 graph_add_cpu(class_name, seconds)
             elif tag == TAG_INVOKE:
-                # -- inline _replay_invoke --------------------------------
+                # -- invoke ------------------------------------------------
                 acid = a_cls[i]
                 caller_class = strings[acid]
                 ao = a_oid[i]
@@ -1190,7 +1092,7 @@ class TraceReplayer:
                     monitoring_time += wall
                     now += wall
             elif tag == TAG_ALLOC:
-                # -- inline _replay_alloc ---------------------------------
+                # -- alloc -------------------------------------------------
                 creator_class = strings[b_cls[i]]
                 site = (
                     SURROGATE_ if creator_class in class_on_surrogate
@@ -1199,47 +1101,25 @@ class TraceReplayer:
                 size = n1[i]
                 if site == CLIENT_:
                     if client_live + size > capacity:
-                        # ---- spill / cold call / reload -----------------
-                        self._now = now
-                        self._client_live = client_live
-                        self._surrogate_live = surrogate_live
-                        self._allocs_since_gc = allocs_since_gc
-                        self._bytes_since_gc = bytes_since_gc
-                        self._last_reevaluation = last_reeval
-                        self._pending_edge = pend_pair
-                        self._pending_edge_bytes = pend_bytes
-                        self._pending_edge_count = pend_count
-                        result.cpu_time_client = cpu_client
-                        result.cpu_time_surrogate = cpu_surrogate
-                        result.comm_time = comm_time
-                        result.monitoring_time = monitoring_time
-                        result.remote_invocations = remote_invocations
-                        result.remote_native_invocations = remote_native
-                        result.remote_accesses = remote_accesses
-                        result.remote_bytes = remote_bytes
-                        result.events_processed = ep
-                        if peak_client > result.peak_client_bytes:
-                            result.peak_client_bytes = peak_client
+                        self._columnar_spill(
+                            ep, now, client_live, surrogate_live,
+                            allocs_since_gc, bytes_since_gc, last_reeval,
+                            pend_pair, pend_bytes, pend_count,
+                            cpu_client, cpu_surrogate, comm_time,
+                            monitoring_time, remote_invocations,
+                            remote_native, remote_accesses, remote_bytes,
+                            peak_client,
+                        )
                         self._gc_cycle("space-exhausted")
-                        now = self._now
-                        client_live = self._client_live
-                        surrogate_live = self._surrogate_live
-                        allocs_since_gc = self._allocs_since_gc
-                        bytes_since_gc = self._bytes_since_gc
-                        last_reeval = self._last_reevaluation
-                        class_on_surrogate = self._class_on_surrogate
-                        pend_pair = self._pending_edge
-                        pend_bytes = self._pending_edge_bytes
-                        pend_count = self._pending_edge_count
-                        comm_time = result.comm_time
-                        peak_client = result.peak_client_bytes
-                        reattach_at = self._reattach_at
+                        (now, client_live, surrogate_live, allocs_since_gc,
+                         bytes_since_gc, last_reeval, class_on_surrogate,
+                         pend_pair, pend_bytes, pend_count, comm_time,
+                         peak_client, reattach_at) = self._columnar_reload()
                         # Placement may have changed under the GC's
-                        # offload trigger, but the serial handler keeps
-                        # its pre-GC site decision — so does this one.
+                        # offload trigger, but the allocation keeps its
+                        # pre-GC site decision.
                         if client_live + size > capacity:
-                            # OOM: like the serial handler's early
-                            # return, the rest of the handler is
+                            # OOM: the rest of the allocation is
                             # skipped; the common post-event checks
                             # below still run before the loop breaks.
                             result.oom = True
@@ -1276,7 +1156,7 @@ class TraceReplayer:
                         )
                         monitoring_time += wall
                         now += wall
-                    # -- inline _maybe_gc ---------------------------------
+                    # -- collector triggers -------------------------------
                     if (capacity - client_live) / capacity < space_frac:
                         reason = "space-pressure"
                     elif allocs_since_gc >= allocs_per_cycle:
@@ -1288,43 +1168,21 @@ class TraceReplayer:
                 else:
                     reason = None
                 if reason is not None:
-                    # ---- spill / cold call / reload ---------------------
-                    self._now = now
-                    self._client_live = client_live
-                    self._surrogate_live = surrogate_live
-                    self._allocs_since_gc = allocs_since_gc
-                    self._bytes_since_gc = bytes_since_gc
-                    self._last_reevaluation = last_reeval
-                    self._pending_edge = pend_pair
-                    self._pending_edge_bytes = pend_bytes
-                    self._pending_edge_count = pend_count
-                    result.cpu_time_client = cpu_client
-                    result.cpu_time_surrogate = cpu_surrogate
-                    result.comm_time = comm_time
-                    result.monitoring_time = monitoring_time
-                    result.remote_invocations = remote_invocations
-                    result.remote_native_invocations = remote_native
-                    result.remote_accesses = remote_accesses
-                    result.remote_bytes = remote_bytes
-                    result.events_processed = ep
-                    if peak_client > result.peak_client_bytes:
-                        result.peak_client_bytes = peak_client
+                    self._columnar_spill(
+                        ep, now, client_live, surrogate_live,
+                        allocs_since_gc, bytes_since_gc, last_reeval,
+                        pend_pair, pend_bytes, pend_count,
+                        cpu_client, cpu_surrogate, comm_time,
+                        monitoring_time, remote_invocations, remote_native,
+                        remote_accesses, remote_bytes, peak_client,
+                    )
                     self._gc_cycle(reason)
-                    now = self._now
-                    client_live = self._client_live
-                    surrogate_live = self._surrogate_live
-                    allocs_since_gc = self._allocs_since_gc
-                    bytes_since_gc = self._bytes_since_gc
-                    last_reeval = self._last_reevaluation
-                    class_on_surrogate = self._class_on_surrogate
-                    pend_pair = self._pending_edge
-                    pend_bytes = self._pending_edge_bytes
-                    pend_count = self._pending_edge_count
-                    comm_time = result.comm_time
-                    peak_client = result.peak_client_bytes
-                    reattach_at = self._reattach_at
+                    (now, client_live, surrogate_live, allocs_since_gc,
+                     bytes_since_gc, last_reeval, class_on_surrogate,
+                     pend_pair, pend_bytes, pend_count, comm_time,
+                     peak_client, reattach_at) = self._columnar_reload()
             else:
-                # -- inline _replay_free (TAG_FREE) -----------------------
+                # -- free (TAG_FREE) ---------------------------------------
                 oid = a_oid[i]
                 site = site_get(oid)
                 if site is None:
@@ -1340,10 +1198,9 @@ class TraceReplayer:
                     self._reclaim(oid)
                     client_live = self._client_live
                     surrogate_live = self._surrogate_live
-            # -- post-event checks (mirrors run()) ------------------------
+            # -- post-event checks ----------------------------------------
             ep += 1
             if now >= next_roam:
-                # ---- spill / cold call / reload -------------------------
                 # The roam may migrate state, charge time, and change
                 # the link — which invalidates the wire-cost memos.
                 self._columnar_spill(
@@ -1355,17 +1212,10 @@ class TraceReplayer:
                     remote_accesses, remote_bytes, peak_client,
                 )
                 self._poll_mobility()
-                now = self._now
-                client_live = self._client_live
-                surrogate_live = self._surrogate_live
-                last_reeval = self._last_reevaluation
-                class_on_surrogate = self._class_on_surrogate
-                pend_pair = self._pending_edge
-                pend_bytes = self._pending_edge_bytes
-                pend_count = self._pending_edge_count
-                comm_time = result.comm_time
-                peak_client = result.peak_client_bytes
-                reattach_at = self._reattach_at
+                (now, client_live, surrogate_live, allocs_since_gc,
+                 bytes_since_gc, last_reeval, class_on_surrogate,
+                 pend_pair, pend_bytes, pend_count, comm_time,
+                 peak_client, reattach_at) = self._columnar_reload()
                 link = self._link
                 next_roam = self._next_link_change
                 access_cost_memo.clear()
@@ -1375,7 +1225,6 @@ class TraceReplayer:
                 and now >= reattach_at
                 and self._surrogate_dead
             ):
-                # ---- spill / cold call / reload -------------------------
                 # The partition that killed the surrogate has healed:
                 # rediscovery may start a fresh offload epoch.
                 self._columnar_spill(
@@ -1387,23 +1236,16 @@ class TraceReplayer:
                     remote_accesses, remote_bytes, peak_client,
                 )
                 self._rediscover()
-                now = self._now
-                client_live = self._client_live
-                surrogate_live = self._surrogate_live
-                last_reeval = self._last_reevaluation
-                class_on_surrogate = self._class_on_surrogate
-                pend_pair = self._pending_edge
-                pend_bytes = self._pending_edge_bytes
-                pend_count = self._pending_edge_count
-                comm_time = result.comm_time
-                peak_client = result.peak_client_bytes
-                reattach_at = self._reattach_at
+                (now, client_live, surrogate_live, allocs_since_gc,
+                 bytes_since_gc, last_reeval, class_on_surrogate,
+                 pend_pair, pend_bytes, pend_count, comm_time,
+                 peak_client, reattach_at) = self._columnar_reload()
             if (
                 offload_at is not None
                 and ep == offload_at
                 and offload_enabled
             ):
-                self._columnar_offload(
+                self._columnar_spill(
                     ep, now, client_live, surrogate_live,
                     allocs_since_gc, bytes_since_gc, last_reeval,
                     pend_pair, pend_bytes, pend_count,
@@ -1411,17 +1253,11 @@ class TraceReplayer:
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
                 )
-                now = self._now
-                client_live = self._client_live
-                surrogate_live = self._surrogate_live
-                last_reeval = self._last_reevaluation
-                class_on_surrogate = self._class_on_surrogate
-                pend_pair = self._pending_edge
-                pend_bytes = self._pending_edge_bytes
-                pend_count = self._pending_edge_count
-                comm_time = result.comm_time
-                peak_client = result.peak_client_bytes
-                reattach_at = self._reattach_at
+                self._attempt_offload()
+                (now, client_live, surrogate_live, allocs_since_gc,
+                 bytes_since_gc, last_reeval, class_on_surrogate,
+                 pend_pair, pend_bytes, pend_count, comm_time,
+                 peak_client, reattach_at) = self._columnar_reload()
             if (
                 reevaluate_every is not None
                 and offload_enabled
@@ -1429,67 +1265,29 @@ class TraceReplayer:
                 and now - last_reeval >= reevaluate_every
             ):
                 last_reeval = now
-                self._columnar_offload(
+                self._columnar_spill(
                     ep, now, client_live, surrogate_live,
                     allocs_since_gc, bytes_since_gc, last_reeval,
                     pend_pair, pend_bytes, pend_count,
                     cpu_client, cpu_surrogate, comm_time,
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
-                    reevaluation=True,
                 )
-                now = self._now
-                client_live = self._client_live
-                surrogate_live = self._surrogate_live
-                last_reeval = self._last_reevaluation
-                class_on_surrogate = self._class_on_surrogate
-                pend_pair = self._pending_edge
-                pend_bytes = self._pending_edge_bytes
-                pend_count = self._pending_edge_count
-                comm_time = result.comm_time
-                peak_client = result.peak_client_bytes
-                reattach_at = self._reattach_at
+                self._attempt_offload(reevaluation=True)
+                (now, client_live, surrogate_live, allocs_since_gc,
+                 bytes_since_gc, last_reeval, class_on_surrogate,
+                 pend_pair, pend_bytes, pend_count, comm_time,
+                 peak_client, reattach_at) = self._columnar_reload()
             if oom:
                 break
-        # -- final spill ------------------------------------------------------
-        self._now = now
-        self._client_live = client_live
-        self._surrogate_live = surrogate_live
-        self._allocs_since_gc = allocs_since_gc
-        self._bytes_since_gc = bytes_since_gc
-        self._last_reevaluation = last_reeval
-        self._pending_edge = pend_pair
-        self._pending_edge_bytes = pend_bytes
-        self._pending_edge_count = pend_count
-        result.cpu_time_client = cpu_client
-        result.cpu_time_surrogate = cpu_surrogate
-        result.comm_time = comm_time
-        result.monitoring_time = monitoring_time
-        result.remote_invocations = remote_invocations
-        result.remote_native_invocations = remote_native
-        result.remote_accesses = remote_accesses
-        result.remote_bytes = remote_bytes
-        result.events_processed = ep
-        if peak_client > result.peak_client_bytes:
-            result.peak_client_bytes = peak_client
-        return self._finish_run()
-
-    def _columnar_offload(
-        self, ep, now, client_live, surrogate_live, allocs_since_gc,
-        bytes_since_gc, last_reeval, pend_pair, pend_bytes, pend_count,
-        cpu_client, cpu_surrogate, comm_time, monitoring_time,
-        remote_invocations, remote_native, remote_accesses, remote_bytes,
-        peak_client, reevaluation=False,
-    ) -> None:
-        """Spill hoisted loop state and run one partitioning attempt."""
         self._columnar_spill(
             ep, now, client_live, surrogate_live, allocs_since_gc,
-            bytes_since_gc, last_reeval, pend_pair, pend_bytes,
-            pend_count, cpu_client, cpu_surrogate, comm_time,
-            monitoring_time, remote_invocations, remote_native,
-            remote_accesses, remote_bytes, peak_client,
+            bytes_since_gc, last_reeval, pend_pair, pend_bytes, pend_count,
+            cpu_client, cpu_surrogate, comm_time, monitoring_time,
+            remote_invocations, remote_native, remote_accesses,
+            remote_bytes, peak_client,
         )
-        self._attempt_offload(reevaluation=reevaluation)
+        return self._finish_run()
 
     def _columnar_spill(
         self, ep, now, client_live, surrogate_live, allocs_since_gc,
@@ -1501,10 +1299,11 @@ class TraceReplayer:
         """Write the batched loop's hoisted state back to the instance.
 
         The batched loop keeps replayer state in locals; this helper
-        writes it back so a cold call (:meth:`_attempt_offload`,
-        :meth:`_poll_mobility`, and everything they reach) observes the
-        exact state the serial loop would, then the caller reloads what
-        the call may have changed.
+        writes it back so a cold call (:meth:`_gc_cycle`,
+        :meth:`_attempt_offload`, :meth:`_poll_mobility`,
+        :meth:`_rediscover`, and everything they reach) observes the
+        replay's exact state, then the caller takes
+        :meth:`_columnar_reload` back into its locals.
         """
         result = self.result
         self._now = now
@@ -1527,6 +1326,17 @@ class TraceReplayer:
         if peak_client > result.peak_client_bytes:
             result.peak_client_bytes = peak_client
         result.events_processed = ep
+
+    def _columnar_reload(self):
+        """The hoisted loop state a cold call may have changed, in the
+        order the loop unpacks it."""
+        result = self.result
+        return (self._now, self._client_live, self._surrogate_live,
+                self._allocs_since_gc, self._bytes_since_gc,
+                self._last_reevaluation, self._class_on_surrogate,
+                self._pending_edge, self._pending_edge_bytes,
+                self._pending_edge_count, result.comm_time,
+                result.peak_client_bytes, self._reattach_at)
 
     def _exchange_spill(self, ep, now, client_live, surrogate_live,
                         peak_client) -> None:
@@ -1555,46 +1365,6 @@ class TraceReplayer:
 
     # -- allocation and the emulated collector -------------------------------------
 
-    def _replay_alloc(self, event: AllocEvent) -> None:
-        site = self._class_site(event.creator_class)
-        if site == CLIENT:
-            capacity = self.config.client.heap_capacity
-            if self._client_live + event.size > capacity:
-                self._gc_cycle("space-exhausted")
-                if self._client_live + event.size > capacity:
-                    self.result.oom = True
-                    self.result.oom_time = self._now
-                    return
-            self._client_live += event.size
-            if self._client_live > self.result.peak_client_bytes:
-                self.result.peak_client_bytes = self._client_live
-            self._allocs_since_gc += 1
-            self._bytes_since_gc += event.size
-        else:
-            self._surrogate_live += event.size
-        self._site[event.oid] = site
-        self._size[event.oid] = event.size
-        self._class[event.oid] = event.class_name
-        node = self._node_for(event.class_name, event.oid)
-        self.graph.add_memory(node, event.size)
-        self.graph.note_object_created(node)
-        # The creating class is part of the execution picture even if no
-        # interaction has referenced it yet.
-        self.graph.ensure_node(event.creator_class)
-        self._charge_monitoring(site)
-        self._maybe_gc()
-
-    def _replay_free(self, event: FreeEvent) -> None:
-        site = self._site.get(event.oid)
-        if site is None:
-            return
-        if site == CLIENT:
-            # Client garbage waits for an emulated collection cycle.
-            self._pending_garbage.append(event.oid)
-            self._pending_garbage_bytes += self._size[event.oid]
-        else:
-            self._reclaim(event.oid)
-
     def _reclaim(self, oid: int) -> None:
         site = self._site.pop(oid, None)
         if site is None:
@@ -1612,16 +1382,6 @@ class TraceReplayer:
         if self.graph.has_node(node):
             self.graph.add_memory(node, -size)
             self.graph.note_object_freed(node)
-
-    def _maybe_gc(self) -> None:
-        capacity = self.config.client.heap_capacity
-        free_fraction = (capacity - self._client_live) / capacity
-        if free_fraction < self.config.gc.space_pressure_fraction:
-            self._gc_cycle("space-pressure")
-        elif self._allocs_since_gc >= self.config.gc.allocations_per_cycle:
-            self._gc_cycle("allocation-count")
-        elif self._bytes_since_gc >= self.config.gc.bytes_per_cycle:
-            self._gc_cycle("allocation-bytes")
 
     def _gc_cycle(self, reason: str) -> None:
         if self._coalescer is not None:
@@ -1845,94 +1605,3 @@ class TraceReplayer:
         else:
             exec_site = self._site_for(callee_class, callee_oid)
         return caller_site, exec_site
-
-    def _replay_invoke(self, event: InvokeEvent) -> None:
-        sites = (event.caller_class, event.caller_oid, event.callee_class,
-                 event.callee_oid, event.mkind, event.stateless)
-        caller_site, exec_site = self._invoke_sites(*sites)
-        remote = exec_site != caller_site
-        nbytes = event.arg_bytes + event.ret_bytes
-        if remote and self._coalescer is None and not self._exchange():
-            # The surrogate died under this round trip: recovery has
-            # repatriated everything, so the invocation is local now.
-            caller_site, exec_site = self._invoke_sites(*sites)
-            remote = exec_site != caller_site
-        if remote:
-            if self._coalescer is not None:
-                # Control transfers: the invoke closes its batch, and
-                # any buffered writes piggyback on its request leg.
-                self._coalescer.invoke(caller_site, exec_site,
-                                       event.arg_bytes, event.ret_bytes)
-            else:
-                self._charge_comm(remote_invoke_cost(
-                    self._link, event.arg_bytes, event.ret_bytes
-                ))
-            self.result.remote_invocations += 1
-            self.result.remote_bytes += nbytes
-            if event.is_native:
-                self.result.remote_native_invocations += 1
-        caller_node = self._node_for(event.caller_class, event.caller_oid)
-        callee_node = self._node_for(event.callee_class, event.callee_oid)
-        self._record_interaction(caller_node, callee_node, nbytes)
-        self._charge_monitoring(exec_site)
-
-    def _replay_access(self, event: AccessEvent) -> None:
-        accessor_site = self._site_for(event.accessor_class,
-                                       event.accessor_oid)
-        if event.is_static:
-            owner_site = CLIENT
-        else:
-            owner_site = self._site_for(event.owner_class, event.owner_oid)
-        remote = owner_site != accessor_site
-        if self._cache is not None and event.is_write:
-            # Any write (local or remote) makes a cached copy on the
-            # other site stale.
-            key = self._cache_key(event)
-            if key is not None:
-                self._cache.invalidate(key)
-        if remote:
-            cached = False
-            if self._cache is not None and not event.is_write:
-                key = self._cache_key(event)
-                cached = key is not None and self._cache.note_read(key)
-            lost = (
-                not cached
-                and self._coalescer is None
-                and not self._exchange()
-            )
-            if lost:
-                # Surrogate lost mid-access: recovery has repatriated
-                # the owner, so the access completes locally, uncharged.
-                remote = False
-                owner_site = self._site_for(event.owner_class,
-                                            event.owner_oid)
-            if cached or lost:
-                # Served from the reading site's copy (or resolved
-                # locally after recovery): no round trip, zero bytes on
-                # the wire — a local read, cost-wise.
-                pass
-            elif self._coalescer is not None:
-                if event.is_write:
-                    self._coalescer.write(accessor_site, owner_site,
-                                          event.nbytes)
-                else:
-                    self._coalescer.read(accessor_site, owner_site,
-                                         event.nbytes)
-                self.result.remote_accesses += 1
-                self.result.remote_bytes += event.nbytes
-            else:
-                self._charge_comm(remote_access_cost(
-                    self._link, event.nbytes, event.is_write
-                ))
-                self.result.remote_accesses += 1
-                self.result.remote_bytes += event.nbytes
-        accessor_node = self._node_for(event.accessor_class,
-                                       event.accessor_oid)
-        owner_node = self._node_for(event.owner_class, event.owner_oid)
-        self._record_interaction(accessor_node, owner_node, event.nbytes)
-        self._charge_monitoring(owner_site)
-
-    def _replay_work(self, event: WorkEvent) -> None:
-        site = self._site_for(event.class_name, event.oid)
-        self._charge_cpu(site, event.seconds)
-        self.graph.add_cpu(event.class_name, event.seconds)

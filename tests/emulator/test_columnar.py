@@ -142,6 +142,19 @@ class TestRoundTrip:
         with pytest.raises(TraceFormatError, match="non-negative"):
             ColumnarTrace.from_trace(build_trace([FreeEvent(-3)]))
 
+    def test_bool_oid_rejected(self):
+        with pytest.raises(TraceFormatError, match="non-negative"):
+            ColumnarTrace.from_trace(build_trace([
+                AllocEvent(True, "app.Model", 16, "<main>", None),
+            ]))
+
+    @pytest.mark.parametrize("size", ["64", 2 ** 63])
+    def test_value_its_column_cannot_hold_rejected(self, size):
+        with pytest.raises(TraceFormatError, match="cannot store"):
+            ColumnarTrace.from_trace(build_trace([
+                AllocEvent(1, "app.Model", size, "<main>", None),
+            ]))
+
     def test_pinned_classes_match_row_trace(self):
         trace = sample_trace()
         columnar = ColumnarTrace.from_trace(trace)

@@ -18,6 +18,8 @@ from repro.net.mobility import (
     MobilityConfig,
 )
 
+from .replay_goldens import digest, golden
+
 ROAM = "step=0:wavelan,ramp=4:8:wavelan:wan,step=16:wavelan"
 DECAY = "step=0:wavelan,step=4:wan"
 # Recovery at t=7: repatriation slows the tail to client speed, so the
@@ -67,6 +69,32 @@ def roam_replay(spec=ROAM, mode="handoff", trace=None):
     mobility = MobilityConfig(mode=mode) if mode else None
     config = base_config(trace).with_profile(profile, mobility)
     return TraceReplayer(trace, config).run()
+
+
+def roam_config(trace, mode):
+    return base_config(trace).with_profile(LinkProfile.parse(ROAM),
+                                           MobilityConfig(mode=mode))
+
+
+def lossy_roam_config(trace, mode):
+    return base_config(trace).with_faults(
+        FaultSpec(seed=4, loss_rate=0.05)
+    ).with_profile(WAVELAN_WAN_ROAM, MobilityConfig(mode=mode))
+
+
+def assert_matches_golden(key, trace, config):
+    """The row input, the columnar input and three sharded clients all
+    reproduce the checked-in fingerprint digest for ``key``."""
+    row = TraceReplayer(trace, config).run()
+    assert row.completed
+    columnar = TraceReplayer(ColumnarTrace.from_trace(trace), config).run()
+    shards = replicate(ColumnarTrace.from_trace(trace), config, clients=3)
+    sharded = ShardedReplayer(shards, workers=2).run()
+    expected = golden(key)
+    assert digest(row) == expected
+    assert digest(columnar) == expected
+    assert [digest(c.result) for c in sharded.clients] == [expected] * 3
+    return row
 
 
 class TestConfigSurface:
@@ -142,44 +170,19 @@ class TestDeterminism:
     @pytest.mark.parametrize("mode", ["handoff", "repatriate"])
     def test_serial_columnar_sharded_parity(self, mode):
         trace = roaming_trace()
-        profile = LinkProfile.parse(ROAM)
-        config = base_config(trace).with_profile(
-            profile, MobilityConfig(mode=mode)
-        )
-        serial = TraceReplayer(trace, config).run()
-        columnar = TraceReplayer(
-            ColumnarTrace.from_trace(trace), config
-        ).run()
-        assert columnar.fingerprint() == serial.fingerprint()
-        shards = replicate(ColumnarTrace.from_trace(trace), config,
-                           clients=3)
-        sharded = ShardedReplayer(shards, workers=2).run()
-        fingerprints = {c.result.fingerprint() for c in sharded.clients}
-        assert fingerprints == {serial.fingerprint()}
+        assert_matches_golden(f"mobility/{mode}/roam", trace,
+                              roam_config(trace, mode))
 
     @pytest.mark.parametrize("mode", ["handoff", "repatriate"])
     def test_lossy_roam_serial_columnar_sharded_parity(self, mode):
         # A lossy link under a profile with a disconnection window: the
         # replay runs the fault gauntlet and the mobility reactions
-        # together, and all three replay paths must still agree.
+        # together, and every input form must still hit the golden.
         trace = roaming_trace()
-        config = base_config(trace).with_faults(
-            FaultSpec(seed=4, loss_rate=0.05)
-        ).with_profile(WAVELAN_WAN_ROAM, MobilityConfig(mode=mode))
-        serial = TraceReplayer(trace, config).run()
-        assert serial.completed
-        assert serial.faults.retries > 0
-        assert serial.mobility.trend_fires >= 1
-        columnar = TraceReplayer(
-            ColumnarTrace.from_trace(trace), config
-        ).run()
-        assert columnar.completed
-        assert columnar.fingerprint() == serial.fingerprint()
-        shards = replicate(ColumnarTrace.from_trace(trace), config,
-                           clients=2)
-        sharded = ShardedReplayer(shards, workers=2).run()
-        fingerprints = {c.result.fingerprint() for c in sharded.clients}
-        assert fingerprints == {serial.fingerprint()}
+        result = assert_matches_golden(f"mobility/{mode}/lossy-roam", trace,
+                                       lossy_roam_config(trace, mode))
+        assert result.faults.retries > 0
+        assert result.mobility.trend_fires >= 1
 
     def test_mobility_report_feeds_the_fingerprint(self):
         handoff = roam_replay(mode="handoff")

@@ -1,9 +1,10 @@
 """Sharded multi-core replay: determinism, parity, and the merge rules.
 
-The columnar batched loop and the sharded replayer are performance
-paths, not semantic ones: replaying dia or javanote serially (event
-objects), columnar (batched dispatch), or sharded (process pool) must
-produce bit-identical fingerprints, with the data plane on or off and
+Input form and sharding are performance choices, not semantic ones:
+replaying dia or javanote from a row trace, from a columnar trace, or
+sharded across a process pool must reproduce the fingerprint digests
+checked into ``replay_goldens.json`` (the "serial" results, recorded
+from the original per-event loop), with the data plane on or off and
 under injected faults (loss, latency spikes, a crash, and a partition
 long enough to kill the surrogate and then rediscover it).
 """
@@ -30,6 +31,8 @@ from repro.net.faults import FaultSpec
 from repro.rpc.batch import DataPlaneConfig
 from repro.rpc.retry import RetryPolicy
 
+from .replay_goldens import digest, golden
+
 APPS = ["dia", "javanote"]
 
 
@@ -45,7 +48,7 @@ def config_with_plane(label):
 
 @pytest.fixture(scope="module")
 def fingerprints():
-    """Serial / columnar fingerprints per (app, plane) — replays
+    """Row- and columnar-input digests per (app, plane) — replays
     dominate test time, so compute each exactly once."""
     table = {}
     for app in APPS:
@@ -53,10 +56,10 @@ def fingerprints():
         columnar = ColumnarTrace.from_trace(trace)
         for label in ("off", "on"):
             config = config_with_plane(label)
-            table[(app, label, "serial")] = (
-                TraceReplayer(trace, config).run().fingerprint())
-            table[(app, label, "columnar")] = (
-                TraceReplayer(columnar, config).run().fingerprint())
+            table[(app, label, "row")] = digest(
+                TraceReplayer(trace, config).run())
+            table[(app, label, "columnar")] = digest(
+                TraceReplayer(columnar, config).run())
     return table
 
 
@@ -65,8 +68,9 @@ def fingerprints():
 class TestColumnarParity:
     def test_columnar_replay_matches_serial(self, fingerprints,
                                             app_name, plane):
-        assert (fingerprints[(app_name, plane, "columnar")]
-                == fingerprints[(app_name, plane, "serial")])
+        expected = golden(f"plane/{app_name}/{plane}")
+        assert fingerprints[(app_name, plane, "row")] == expected
+        assert fingerprints[(app_name, plane, "columnar")] == expected
 
 
 FAULT_CASES = ["loss", "loss-dataplane", "crash", "loss-spikes",
@@ -111,8 +115,8 @@ def fault_config(trace, case):
 
 @pytest.fixture(scope="module")
 def fault_replays():
-    """Serial and columnar results per (app, fault case), plus the
-    config — the serial (per-event) loop is the oracle."""
+    """Row- and columnar-input results per (app, fault case), plus the
+    config; the checked-in goldens are the oracle."""
     table = {}
     for app in APPS:
         trace = trace_for(app)
@@ -132,9 +136,11 @@ def fault_replays():
 class TestFaultParity:
     def test_columnar_replay_matches_serial(self, fault_replays,
                                             app_name, case):
-        serial, columnar, _ = fault_replays[(app_name, case)]
-        assert serial.completed
-        assert columnar.fingerprint() == serial.fingerprint()
+        row, columnar, _ = fault_replays[(app_name, case)]
+        assert row.completed
+        expected = golden(f"fault/{app_name}/{case}")
+        assert digest(row) == expected
+        assert digest(columnar) == expected
 
     def test_scenario_exercises_its_fault(self, fault_replays,
                                           app_name, case):
@@ -152,12 +158,12 @@ class TestFaultParity:
             assert report.rediscoveries == 1
 
     def test_shards_match_serial(self, fault_replays, app_name, case):
-        serial, _, config = fault_replays[(app_name, case)]
+        config = fault_replays[(app_name, case)][2]
         columnar = ColumnarTrace.from_trace(trace_for(app_name))
         aggregate = ShardedReplayer(
             replicate(columnar, config, clients=2), workers=2).run()
-        assert [c.result.fingerprint() for c in aggregate.clients] \
-            == [serial.fingerprint()] * 2
+        assert [digest(c.result) for c in aggregate.clients] \
+            == [golden(f"fault/{app_name}/{case}")] * 2
 
 
 class TestFaultyColumnarStaysBatched:
@@ -181,8 +187,7 @@ class TestFaultyColumnarStaysBatched:
 
 @pytest.mark.parametrize("app_name", APPS)
 class TestShardedParity:
-    def test_shards_match_serial_and_pool_matches_inline(
-            self, fingerprints, app_name):
+    def test_shards_match_serial_and_pool_matches_inline(self, app_name):
         columnar = ColumnarTrace.from_trace(trace_for(app_name))
         config = config_with_plane("off")
         shards = replicate(columnar, config, clients=2)
@@ -194,10 +199,10 @@ class TestShardedParity:
         assert pooled.workers == min(2, os.cpu_count() or 1)
         assert pooled.requested_workers == 2
         assert inline.fingerprint() == pooled.fingerprint()
-        serial_fp = fingerprints[(app_name, "off", "serial")]
+        expected = golden(f"plane/{app_name}/off")
         for aggregate in (inline, pooled):
-            assert [c.result.fingerprint() for c in aggregate.clients] \
-                == [serial_fp] * len(shards)
+            assert [digest(c.result) for c in aggregate.clients] \
+                == [expected] * len(shards)
 
 
 class TestShardMechanics:

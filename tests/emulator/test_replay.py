@@ -20,6 +20,7 @@ from repro.emulator.timemodel import (
     remote_invoke_cost,
 )
 from repro.emulator.traces import Trace
+from repro.errors import TraceFormatError
 from repro.net.wavelan import WAVELAN_11MBPS
 from repro.units import KB
 
@@ -309,3 +310,15 @@ class TestMonitoringCost:
             plain.total_time + 100 * 1e-3
         )
         assert monitored.monitoring_time == pytest.approx(0.1)
+
+
+class TestMalformedTraces:
+    def test_negative_oid_is_rejected_on_entry(self):
+        # Every trace replays through the columnar loop, so a row trace
+        # is held to the columnar oid rules before anything runs.
+        trace = make_trace([
+            AllocEvent(1, "app.Data", 64, "app.Engine", None),
+            FreeEvent(-3),
+        ])
+        with pytest.raises(TraceFormatError, match="non-negative"):
+            TraceReplayer(trace, config())

@@ -199,8 +199,8 @@ class TestParallelFloorVerdict:
         assert verdict["floor_ok"]
 
     def test_columnar_retention_clause(self):
-        # Below both the absolute target and 5x serial, but the
-        # columnar loop beats per-event replay and sharding retains its
+        # Below both the absolute target and 5x serial, but columnar
+        # replay beats a one-shot row replay and sharding retains its
         # throughput — the loaded-runner escape hatch.
         verdict = parallel_floor_verdict(
             aggregate_eps=1_300_000.0, serial_eps=1_000_000.0,

@@ -174,12 +174,56 @@ class TestShardedReplayCli:
         assert main(["fleet", "run", "--surrogates", "0"]) == 2
         assert "bad fleet configuration" in capsys.readouterr().err
 
-    def test_format_ctrace_matches_serial_replay(self, capsys):
+    def test_converted_ctrace_replays_like_the_bundled_app(
+            self, tmp_path, capsys):
+        ctrace = str(tmp_path / "dia.ctrace")
+        assert main(["trace", "convert", "dia", ctrace]) == 0
+        capsys.readouterr()
         assert main(["replay", "dia"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["replay", "dia", "--format", "ctrace"]) == 0
-        columnar = capsys.readouterr().out
-        assert serial == columnar
+        recorded = capsys.readouterr().out
+        assert main(["replay", ctrace]) == 0
+        assert capsys.readouterr().out == recorded
+
+    def test_replay_format_no_longer_picks_a_loop(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["replay", "dia", "--format", "ctrace"])
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def write_jsonl(path, rows):
+    """A JSONL trace file with the given event rows, verbatim."""
+    import json
+
+    from repro.emulator.traces import FORMAT_VERSION
+
+    header = {"version": FORMAT_VERSION, "app": "tiny",
+              "class_traits": {}, "notes": "", "events": len(rows)}
+    path.write_text("\n".join(json.dumps(line)
+                              for line in [header, *rows]) + "\n")
+    return str(path)
+
+
+class TestMalformedTraceCli:
+    ALLOC = ["A", 1, "app.Data", 64, "<main>", None]
+
+    @pytest.mark.parametrize("command", [["replay"], ["fleet", "run"]])
+    def test_unknown_event_tag_is_one_line_usage_error(
+            self, tmp_path, capsys, command):
+        path = write_jsonl(tmp_path / "bad.trace", [self.ALLOC, ["Z", 1]])
+        assert main([*command, path]) == 2
+        err = capsys.readouterr().err
+        assert "unknown trace event tag 'Z'" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["replay"], ["fleet", "run"]])
+    def test_negative_oid_is_one_line_usage_error(
+            self, tmp_path, capsys, command):
+        path = write_jsonl(tmp_path / "neg.trace", [self.ALLOC, ["F", -5]])
+        assert main([*command, path]) == 2
+        captured = capsys.readouterr()
+        assert "non-negative" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "replayed" not in captured.out
 
 
 class TestFaultInjectionCli:

@@ -61,6 +61,10 @@ DEFAULT_TARGETS = (
     "src/repro/net/faults.py",
     "src/repro/rpc/batch.py",
     "src/repro/rpc/cache.py",
+    "src/repro/emulator/emulator.py",
+    "src/repro/emulator/traces.py",
+    "src/repro/emulator/events.py",
+    "src/repro/emulator/timemodel.py",
 )
 
 SUPPRESS_MARKER = "detlint: allow"
