@@ -13,7 +13,7 @@ spills later allocations to whichever surrogate still has room.
 
 from repro import DeviceProfile, GCConfig, OffloadPolicy, TriggerConfig, VMConfig
 from repro.net import WAVELAN_11MBPS
-from repro.platform import MultiSurrogatePlatform, SurrogateSpec
+from repro.platform import DistributedPlatform, SurrogateSpec
 from repro.units import KB, bytes_to_human
 
 import quickstart
@@ -33,9 +33,9 @@ def small_surrogate(name, heap):
 
 
 def main() -> None:
-    cluster = MultiSurrogatePlatform(
-        [small_surrogate("set-top-box", 256 * KB),
-         small_surrogate("smart-frame", 256 * KB)],
+    cluster = DistributedPlatform(
+        surrogates=[small_surrogate("set-top-box", 256 * KB),
+                    small_surrogate("smart-frame", 256 * KB)],
         client_config=quickstart.tiny_device(128 * KB),
         offload_policy=OffloadPolicy(TriggerConfig(0.05, 1), 0.20),
     )
@@ -46,8 +46,8 @@ def main() -> None:
     print("surrogate usage after the run:")
     for name, used in cluster.surrogate_usage().items():
         print(f"  {name:14s} {bytes_to_human(used)}")
-    print(f"client heap: {bytes_to_human(cluster.client_vm.heap.used)} of "
-          f"{bytes_to_human(cluster.client_vm.heap.capacity)}")
+    print(f"client heap: {bytes_to_human(cluster.client.vm.heap.used)} of "
+          f"{bytes_to_human(cluster.client.vm.heap.capacity)}")
 
     album = cluster.ctx.get_global("album")
     print(f"\nalbum object lives on {album.home!r}; adding five more "

@@ -14,7 +14,7 @@ sharded replay core:
    virtual service time, offloaded-partition footprint, and re-offload
    cost.
 2. **Placement** — clients spread across the pool by predicted traffic
-   (:func:`~repro.platform.multi.place_fleet_clients`), preferring an
+   (:func:`place_fleet_clients`), preferring an
    AIDE-Lint cold-start estimate where the config carries one.
 3. **Serving side** — a deterministic virtual-time simulation runs the
    fleet: per-surrogate **admission control** (a concurrent-client cap
@@ -48,13 +48,62 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from ..platform.multi import place_fleet_clients
 from ..rpc.channel import QUEUE_SERVICE_SECONDS
 from ..units import MB
 from .parallel import ClientReplay, ReplayShard, ShardedReplayer
 
 ADMISSION_QUEUE = "queue"
 ADMISSION_REJECT = "reject"
+
+
+def place_fleet_clients(
+    predicted_load: Dict[str, float],
+    surrogates: List[str],
+    capacities: Optional[Dict[str, int]] = None,
+) -> Dict[str, str]:
+    """Balance whole *clients* across a surrogate pool.
+
+    The fleet-scale sibling of
+    :func:`~repro.platform.migration.assign_offload_nodes`: where that
+    assigner spreads one client's graph nodes k-ways by cohesion, this
+    one spreads N independent clients by **predicted traffic** (an
+    AIDE-Lint cold-start estimate where available, the trace's event
+    count otherwise).  Clients are placed heaviest-first onto the
+    currently least-loaded surrogate — the classic LPT balance rule —
+    with ties broken by pool order, so placement is deterministic for a
+    given load map.
+
+    ``capacities`` (optional, clients per surrogate) bounds how many
+    clients a member may receive; when every surrogate is full the
+    remaining clients overflow to the least-loaded member anyway (the
+    fleet's *admission control* decides queue-or-reject, placement only
+    picks the target).
+
+    Returns ``{client_id: surrogate_name}``.
+    """
+    if not surrogates:
+        raise ConfigurationError("fleet placement needs at least one "
+                                 "surrogate")
+    load: Dict[str, float] = {name: 0.0 for name in surrogates}
+    count: Dict[str, int] = {name: 0 for name in surrogates}
+    rank = {name: index for index, name in enumerate(surrogates)}
+    placed: Dict[str, str] = {}
+    order = sorted(predicted_load,
+                   key=lambda cid: (-predicted_load[cid], cid))
+    for client_id in order:
+        candidates = surrogates
+        if capacities is not None:
+            open_members = [
+                name for name in surrogates
+                if count[name] < capacities.get(name, 0)
+            ]
+            if open_members:
+                candidates = open_members
+        best = min(candidates, key=lambda name: (load[name], rank[name]))
+        placed[client_id] = best
+        load[best] += predicted_load[client_id]
+        count[best] += 1
+    return placed
 
 
 @dataclass(frozen=True)

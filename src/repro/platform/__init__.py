@@ -3,18 +3,16 @@
 from .discovery import SurrogateDirectory, SurrogateOffer
 from .migration import Migrator, PER_OBJECT_OVERHEAD_BYTES
 from .node import Node, make_client_node, make_surrogate_node
-from .multi import MultiSurrogatePlatform, MultiSurrogateRuntime, SurrogateSpec
 from .platform import (
     DistributedPlatform,
     DistributedRuntime,
     INT_ARRAY_CLASS,
     PlatformReport,
+    SurrogateSpec,
 )
 
 __all__ = [
     "DistributedPlatform",
-    "MultiSurrogatePlatform",
-    "MultiSurrogateRuntime",
     "SurrogateSpec",
     "DistributedRuntime",
     "INT_ARRAY_CLASS",

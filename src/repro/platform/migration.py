@@ -1,7 +1,7 @@
-"""Object migration between the client and surrogate VMs.
+"""Object migration between the client and its surrogate VMs.
 
-Given a placement (the set of graph nodes the partitioner wants on the
-surrogate), the migrator moves the corresponding live objects: whole
+Given a placement (the set of graph nodes the partitioner wants off the
+client), the migrator moves the corresponding live objects: whole
 classes at class granularity, individual arrays at object granularity.
 It charges the transfer against the link, keeps traffic statistics, and
 notifies the hooks so the monitor and experiments can see offloads.
@@ -10,14 +10,19 @@ Migration is bidirectional: applying a placement also returns to the
 client any object whose node is *not* in the offload set, which gives
 the platform the "global placement" behaviour the paper lists as future
 work (reverse migration on re-evaluation).
+
+With several surrogates (paper section 2: "multiple surrogates could be
+used by the client") :func:`assign_offload_nodes` spreads the offloaded
+nodes across them, and a move between two surrogates relays through the
+client — two wireless hops.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.engine import MigrationOutcome
-from ..core.graph import node_class, object_node_id
+from ..core.graph import ExecutionGraph, node_class, object_node_id
 from ..errors import MigrationError
 from ..net.link import LinkModel
 from ..net.stats import TrafficStats
@@ -32,22 +37,78 @@ from ..vm.vm import VirtualMachine
 PER_OBJECT_OVERHEAD_BYTES = 16
 
 
+def assign_offload_nodes(
+    graph: ExecutionGraph,
+    offload_nodes: FrozenSet[str],
+    capacities: Dict[str, int],
+    node_memory: Dict[str, int],
+    preference: List[str],
+) -> Dict[str, str]:
+    """Spread offloaded nodes across surrogates.
+
+    Greedy cohesion packing: nodes are placed largest-first; each node
+    goes to the surrogate with the strongest interaction coupling to
+    the nodes already placed there (so chatty neighbours co-locate and
+    avoid the two-hop relay), breaking ties by the caller-supplied
+    preference order, subject to each surrogate's free heap.
+
+    Returns ``{node: surrogate_name}``; raises
+    :class:`~repro.errors.MigrationError` when some node fits nowhere.
+    """
+    remaining = dict(capacities)
+    placed: Dict[str, str] = {}
+    members: Dict[str, Set[str]] = {name: set() for name in capacities}
+    order = sorted(
+        offload_nodes,
+        key=lambda n: (-node_memory.get(n, 0), n),
+    )
+    rank = {name: index for index, name in enumerate(preference)}
+    for node in order:
+        need = node_memory.get(node, 0)
+        candidates = [
+            name for name, free in remaining.items() if free >= need
+        ]
+        if not candidates:
+            raise MigrationError(
+                f"no surrogate can host node {node!r} ({need} bytes)"
+            )
+        best = max(
+            candidates,
+            key=lambda name: (
+                sum(graph.edge_bytes(node, other)
+                    for other in members[name]),
+                -rank.get(name, len(rank)),
+            ),
+        )
+        placed[node] = best
+        members[best].add(node)
+        remaining[best] -= need
+    return placed
+
+
 class Migrator:
-    """Applies placements between one client and one surrogate VM."""
+    """Applies placements between the client and its active surrogates.
+
+    ``surrogates`` (primary first) and ``links`` (surrogate name to its
+    client link) are the runtime's own list and table, shared rather
+    than copied, so a handoff or link change is seen by both.
+    """
 
     def __init__(
         self,
         client: VirtualMachine,
-        surrogate: VirtualMachine,
-        link: LinkModel,
+        surrogates: List[VirtualMachine],
+        links: Dict[str, LinkModel],
+        graph: ExecutionGraph,
         hooks: HookFanout,
         traffic: TrafficStats,
         object_granularity_classes: Set[str] = frozenset(),
         delivery: Optional[ReliableDelivery] = None,
     ) -> None:
         self.client = client
-        self.surrogate = surrogate
-        self.link = link
+        self.surrogates = surrogates
+        self.links = links
+        self.graph = graph
         self.hooks = hooks
         self.traffic = traffic
         self.object_granularity_classes = set(object_granularity_classes)
@@ -67,27 +128,42 @@ class Migrator:
 
     # -- placement interpretation ------------------------------------------------
 
-    def _wants_surrogate(self, obj: JObject, offload_nodes: FrozenSet[str]) -> bool:
+    def _node_for(self, obj: JObject) -> str:
         if obj.class_name in self.object_granularity_classes:
-            return object_node_id(obj.class_name, obj.oid) in offload_nodes
-        return obj.class_name in offload_nodes
+            return object_node_id(obj.class_name, obj.oid)
+        return obj.class_name
 
-    def _select(
-        self, vm: VirtualMachine, offload_nodes: FrozenSet[str], to_surrogate: bool
-    ) -> List[JObject]:
-        chosen = []
-        for obj in vm.heap.objects():
-            if self._wants_surrogate(obj, offload_nodes) == to_surrogate:
-                chosen.append(obj)
-        return chosen
+    def resident_nodes(self) -> FrozenSet[str]:
+        """Graph nodes with objects on any active surrogate."""
+        return frozenset(
+            self._node_for(obj)
+            for vm in self.surrogates for obj in vm.heap.objects()
+        )
+
+    def _assign(self, offload_nodes: FrozenSet[str]) -> Dict[str, str]:
+        """Map each offloaded node to the surrogate that should host it."""
+        if len(self.surrogates) == 1:
+            return dict.fromkeys(offload_nodes, self.surrogates[0].name)
+        node_memory = {
+            node: (self.graph.node(node).memory_bytes
+                   if self.graph.has_node(node) else 0)
+            for node in offload_nodes
+        }
+        capacities = {vm.name: vm.heap.free for vm in self.surrogates}
+        return assign_offload_nodes(
+            self.graph, offload_nodes, capacities, node_memory,
+            [vm.name for vm in self.surrogates],
+        )
 
     # -- the move itself ------------------------------------------------------
 
     def apply_placement(self, offload_nodes: FrozenSet[str]) -> MigrationOutcome:
         """Move objects so residency matches ``offload_nodes``.
 
-        Objects of offloaded nodes found on the client move out; objects
-        of non-offloaded nodes found on the surrogate move back.
+        Objects of offloaded nodes move to their assigned surrogate;
+        objects of every other node move back to the client.  Each
+        (source, target) pair is one stream; streams out of the client
+        run first.
         """
         for node in offload_nodes:
             if node_class(node) == "<main>":
@@ -96,49 +172,69 @@ class Migrator:
             # The surrogate is unreachable; recovery already pulled its
             # state home and owns residency until rediscovery.
             return MigrationOutcome()
-        outgoing = self._select(self.client, offload_nodes, to_surrogate=True)
-        returning = self._select(self.surrogate, offload_nodes, to_surrogate=False)
+        assignment = self._assign(offload_nodes)
+        client_name = self.client.name
+        batches: Dict[Tuple[str, str], List[JObject]] = {}
+        sites = {vm.name: vm for vm in (self.client, *self.surrogates)}
+        for vm in sites.values():
+            for obj in vm.heap.objects():
+                target = assignment.get(self._node_for(obj), client_name)
+                if target != vm.name:
+                    batches.setdefault((vm.name, target), []).append(obj)
         moved_bytes = 0
         moved_objects = 0
         seconds = 0.0
-        if outgoing:
-            nbytes, duration = self._move(outgoing, self.client, self.surrogate)
-            moved_bytes += nbytes
-            moved_objects += len(outgoing)
-            seconds += duration
-        if self.peer_lost:
-            # The peer died under the outgoing stream: recovery has run,
-            # the ``returning`` objects are already home — do not touch
-            # them again.
-            return MigrationOutcome()
-        if returning:
-            nbytes, duration = self._move(returning, self.surrogate, self.client)
-            moved_bytes += nbytes
-            moved_objects += len(returning)
-            seconds += duration
+        for source, target in sorted(
+            batches, key=lambda pair: (pair[0] != client_name, pair)
+        ):
+            objects = batches[(source, target)]
+            moved = self._move(objects, sites[source], sites[target],
+                               self._hops(source, target))
+            if self.peer_lost:
+                # The peer died under this stream: recovery has run and
+                # every object is already home — touch nothing more.
+                return MigrationOutcome()
+            moved_bytes += moved.moved_bytes
+            moved_objects += moved.moved_objects
+            seconds += moved.seconds
         return MigrationOutcome(
             moved_bytes=moved_bytes, moved_objects=moved_objects, seconds=seconds
         )
+
+    def _hops(self, source: str, target: str) -> Tuple[LinkModel, ...]:
+        """The client links a stream crosses: surrogate-to-surrogate
+        streams relay through the client."""
+        return tuple(
+            self.links[site] for site in (source, target)
+            if site != self.client.name
+        )
+
+    def _open_stream(self) -> bool:
+        """Exchange before mutate: the stream's opening message must
+        survive the fault gauntlet before any object changes residency.
+        A crash here aborts the whole stream un-applied — recovery
+        (triggered inside the failed exchange) sees every heap exactly
+        as it was."""
+        if self.delivery is None:
+            return True
+        if not self.delivery.attempt():
+            return False
+        self.last_migration_seq = self.delivery.exchanges
+        return True
 
     def _move(
         self,
         objects: List[JObject],
         source: VirtualMachine,
         destination: VirtualMachine,
-    ) -> Tuple[int, float]:
+        hops: Sequence[LinkModel],
+    ) -> MigrationOutcome:
+        if not self._open_stream():
+            return MigrationOutcome()
         payload = sum(
             obj.size_bytes + PER_OBJECT_OVERHEAD_BYTES for obj in objects
         )
         total = payload + MESSAGE_HEADER_BYTES
-        # Exchange before mutate: the stream's opening message must
-        # survive the fault gauntlet before any object changes
-        # residency.  A crash here aborts the whole stream un-applied —
-        # recovery (triggered inside the failed exchange) sees both
-        # heaps exactly as they were.
-        if self.delivery is not None:
-            if not self.delivery.attempt():
-                return 0, 0.0
-            self.last_migration_seq = self.delivery.exchanges
         # Capacity check before touching either heap, so a failed
         # migration leaves residency unchanged.
         incoming = sum(obj.size_bytes for obj in objects)
@@ -152,29 +248,31 @@ class Migrator:
         for obj in objects:
             source.evict(obj)
             destination.adopt(obj)
-        duration = self.link.bulk_transfer(total)
+        duration = sum(link.bulk_transfer(total) for link in hops)
         source.clock.advance(duration)
         self.traffic.record(total, category="migration")
         class_names = sorted({obj.class_name for obj in objects})
         self.hooks.on_offload(
             class_names, total, source.name, destination.name
         )
-        return total, duration
+        return MigrationOutcome(
+            moved_bytes=total, moved_objects=len(objects), seconds=duration
+        )
 
     def handoff_to(
         self,
         new_surrogate: VirtualMachine,
         backhaul: LinkModel,
-        link: Optional[LinkModel] = None,
+        link: LinkModel,
     ) -> MigrationOutcome:
-        """Move the offloaded partition surrogate-to-surrogate.
+        """Move the primary surrogate's partition to ``new_surrogate``.
 
         The roaming client found a better-placed surrogate: every object
-        resident on the current surrogate streams to ``new_surrogate``
-        over ``backhaul`` (the surrogate-side infrastructure link) —
-        the state never transits the client's wireless hop.  After the
-        move this migrator is attached to the new surrogate, talking
-        over ``link`` (default: keep the current link model).
+        resident on the primary streams to ``new_surrogate`` over
+        ``backhaul`` (the surrogate-side infrastructure link) — the
+        state never transits the client's wireless hop.  After the move
+        ``new_surrogate`` is the primary, talking over ``link``; the
+        departed surrogate is no longer active.
 
         Exactly-once under retry: the stream opens with one
         fault-checked delivery exchange *before* any object moves (the
@@ -183,47 +281,20 @@ class Migrator:
         an applied handoff from an aborted one.  A failed exchange
         aborts the handoff with both surrogates' heaps untouched.
         """
-        departing = list(self.surrogate.heap.objects())
-        if self.delivery is not None:
-            if not self.delivery.attempt():
-                return MigrationOutcome()
-            self.last_migration_seq = self.delivery.exchanges
-        if not departing:
-            self.surrogate = new_surrogate
-            if link is not None:
-                self.link = link
-            return MigrationOutcome()
-        payload = sum(
-            obj.size_bytes + PER_OBJECT_OVERHEAD_BYTES for obj in departing
-        )
-        total = payload + MESSAGE_HEADER_BYTES
-        incoming = sum(obj.size_bytes for obj in departing)
-        if new_surrogate.heap.free < incoming:
-            new_surrogate.collect_garbage("pre-handoff")
-            if new_surrogate.heap.free < incoming:
-                raise MigrationError(
-                    f"{new_surrogate.name} cannot host {incoming} bytes "
-                    f"({new_surrogate.heap.free} free)"
-                )
-        old = self.surrogate
-        for obj in departing:
-            old.evict(obj)
-            new_surrogate.adopt(obj)
-        duration = backhaul.bulk_transfer(total)
-        old.clock.advance(duration)
-        self.traffic.record(total, category="migration")
-        self.hooks.on_offload(
-            sorted({obj.class_name for obj in departing}),
-            total, old.name, new_surrogate.name,
-        )
-        self.surrogate = new_surrogate
-        if link is not None:
-            self.link = link
-        return MigrationOutcome(
-            moved_bytes=total,
-            moved_objects=len(departing),
-            seconds=duration,
-        )
+        old = self.surrogates[0]
+        departing = list(old.heap.objects())
+        outcome = MigrationOutcome()
+        if departing:
+            outcome = self._move(departing, old, new_surrogate, (backhaul,))
+        else:
+            self._open_stream()
+        if self.peer_lost:
+            # The opening exchange failed: the stream aborted un-applied.
+            return outcome
+        self.surrogates[0] = new_surrogate
+        del self.links[old.name]
+        self.links[new_surrogate.name] = link
+        return outcome
 
     def return_everything(self) -> MigrationOutcome:
         """Bring every offloaded object home (platform teardown)."""
@@ -234,7 +305,7 @@ class Migrator:
     def repatriate_unreachable(self) -> MigrationOutcome:
         """Rebuild every surrogate-resident object on the client.
 
-        The surrogate is gone, so nothing travels the wire and nothing
+        The surrogates are gone, so nothing travels the wire and nothing
         is charged to the link or the clock: the client *reconstructs*
         the lost state from its own bookkeeping (the reference map and
         monitored field traffic give it every object it ever saw leave),
@@ -242,23 +313,27 @@ class Migrator:
         back into the client heap.  A pre-recovery collection runs if
         the reconstructed state would not fit as-is.
         """
-        stranded = list(self.surrogate.heap.objects())
+        stranded = [(vm, list(vm.heap.objects())) for vm in self.surrogates]
+        stranded = [(vm, objects) for vm, objects in stranded if objects]
         if not stranded:
             return MigrationOutcome()
-        incoming = sum(obj.size_bytes for obj in stranded)
+        incoming = sum(
+            obj.size_bytes for _, objects in stranded for obj in objects
+        )
         if self.client.heap.free < incoming:
             self.client.collect_garbage("recovery")
-        moved_bytes = 0
-        for obj in stranded:
-            self.surrogate.evict(obj)
-            self.client.adopt(obj)
-            moved_bytes += obj.size_bytes
-        self.hooks.on_offload(
-            sorted({obj.class_name for obj in stranded}),
-            0, self.surrogate.name, self.client.name,
-        )
+        moved_objects = 0
+        for vm, objects in stranded:
+            for obj in objects:
+                vm.evict(obj)
+                self.client.adopt(obj)
+            moved_objects += len(objects)
+            self.hooks.on_offload(
+                sorted({obj.class_name for obj in objects}),
+                0, vm.name, self.client.name,
+            )
         return MigrationOutcome(
-            moved_bytes=moved_bytes,
-            moved_objects=len(stranded),
+            moved_bytes=incoming,
+            moved_objects=moved_objects,
             seconds=0.0,
         )

@@ -1,19 +1,22 @@
 """The ad-hoc distributed platform (the paper's prototype).
 
-A :class:`DistributedPlatform` joins a client VM and a surrogate VM over
-a simulated wireless link, shares the application bytecodes between
-them, and installs the three AIDE modules: the execution monitor, the
-partitioner (behind the offloading engine), and the remote invocation
-support.  Running a guest application on the platform reproduces the
-paper's prototype behaviour: the application starts on the client, the
-platform watches memory pressure, and when the trigger policy fires it
-transparently offloads the selected classes to the surrogate.
+A :class:`DistributedPlatform` joins a client VM and one or more
+surrogate VMs over simulated wireless links, shares the application
+bytecodes between them, and installs the three AIDE modules: the
+execution monitor, the partitioner (behind the offloading engine), and
+the remote invocation support.  Running a guest application on the
+platform reproduces the paper's prototype behaviour: the application
+starts on the client, the platform watches memory pressure, and when
+the trigger policy fires it transparently offloads the selected classes
+to the surrogate.  With several surrogates (paper section 2: "multiple
+surrogates could be used by the client") the offloaded nodes spread
+across them and a full surrogate's allocations spill to a sibling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..config import EnhancementFlags, JORNADA, PC_SURROGATE, VMConfig
 from ..core.engine import MigrationOutcome, OffloadEvent, OffloadingEngine
@@ -26,7 +29,9 @@ from ..core.policy import (
     PartitionPolicy,
 )
 from ..errors import (
+    ConfigurationError,
     MigrationError,
+    OutOfMemoryError,
     PlatformError,
     SurrogateUnavailableError,
 )
@@ -44,6 +49,7 @@ from ..vm.clock import VirtualClock
 from ..vm.context import ExecutionContext, MAIN_CLASS, Runtime
 from ..vm.hooks import HookFanout
 from ..vm.natives import install_standard_library
+from ..vm.objectmodel import JObject
 from ..vm.vm import VirtualMachine
 from .discovery import SurrogateDirectory, SurrogateOffer
 from .migration import Migrator
@@ -54,19 +60,45 @@ from .node import make_client_node, make_surrogate_node
 INT_ARRAY_CLASS = "int[]"
 
 
+@dataclass(frozen=True)
+class SurrogateSpec:
+    """One surrogate of a platform: its name, VM config and client link."""
+
+    name: str
+    config: VMConfig
+    link: LinkModel = WAVELAN_11MBPS
+
+    def __post_init__(self) -> None:
+        if not self.name or self.name == "client":
+            raise ConfigurationError(
+                f"surrogate name {self.name!r} is not usable"
+            )
+
+
 class DistributedRuntime(Runtime):
-    """Two-site runtime: routing between the client and one surrogate."""
+    """Routing between the client and its surrogates.
+
+    ``surrogates`` lists the active surrogate VMs, primary first;
+    ``links`` maps each of them to its client link.  A client-surrogate
+    message rides that surrogate's link; a surrogate-surrogate message
+    relays through the client (the ad-hoc platform has no
+    surrogate-to-surrogate radio path), one charge per hop.  A full
+    surrogate's allocation spills to the active sibling with the most
+    free heap.
+    """
 
     def __init__(
         self,
         client_vm: VirtualMachine,
-        surrogate_vm: VirtualMachine,
-        link: LinkModel,
+        surrogates: Sequence[VirtualMachine],
+        links: Dict[str, LinkModel],
         traffic: TrafficStats,
     ) -> None:
-        self._vms = {client_vm.name: client_vm, surrogate_vm.name: surrogate_vm}
         self._client = client_vm
-        self.link = link
+        self._vms = {client_vm.name: client_vm}
+        self._vms.update((vm.name, vm) for vm in surrogates)
+        self.surrogates: List[VirtualMachine] = list(surrogates)
+        self.links = links
         self.traffic = traffic
         #: Optional reliability layer.  When present, every cross-site
         #: transfer runs the fault gauntlet first (drops, retries,
@@ -102,9 +134,44 @@ class DistributedRuntime(Runtime):
             # has already run (via ``on_peer_lost``) and the caller must
             # resolve the operation locally instead of charging it.
             return False
-        self._client.clock.advance(self.link.one_way(nbytes))
-        self.traffic.record(nbytes, category="rpc")
+        for site in (from_site, to_site):
+            if site != self._client.name:
+                self._client.clock.advance(self.links[site].one_way(nbytes))
+                self.traffic.record(nbytes, category="rpc")
         return True
+
+    def new_instance(self, site: str, cls) -> JObject:
+        try:
+            return self.vm(site).new_instance(cls)
+        except OutOfMemoryError as oom:
+            return self._spill(site, oom, lambda vm: vm.new_instance(cls))
+
+    def new_array(self, site: str, element_type: str, length: int,
+                  data=None) -> JObject:
+        try:
+            return self.vm(site).new_array(element_type, length, data=data)
+        except OutOfMemoryError as oom:
+            return self._spill(
+                site, oom,
+                lambda vm: vm.new_array(element_type, length, data=data),
+            )
+
+    def _spill(self, site: str, error: OutOfMemoryError,
+               allocate: Callable[[VirtualMachine], JObject]) -> JObject:
+        """Retry a failed surrogate allocation on the active siblings,
+        most free heap first.  Client allocations never spill: client
+        pressure is the trigger policy's concern, not the allocator's."""
+        if site != self._client.name:
+            siblings = sorted(
+                (vm for vm in self.surrogates if vm.name != site),
+                key=lambda vm: -vm.heap.free,
+            )
+            for vm in siblings:
+                try:
+                    return allocate(vm)
+                except OutOfMemoryError as oom:
+                    error = oom
+        raise error
 
 
 @dataclass
@@ -136,13 +203,20 @@ class PlatformReport:
 
 
 class DistributedPlatform:
-    """One client + one surrogate joined at run time."""
+    """One client + one or more surrogates joined at run time.
+
+    ``surrogates`` lists the surrogates as :class:`SurrogateSpec`; the
+    first is the *primary*, which recovery, handoff, mobility and the
+    RPC channel act on.  ``surrogate_config`` and ``link`` (default
+    WaveLAN) are the shorthand for a single surrogate named
+    ``"surrogate"``.
+    """
 
     def __init__(
         self,
         client_config: Optional[VMConfig] = None,
         surrogate_config: Optional[VMConfig] = None,
-        link: LinkModel = WAVELAN_11MBPS,
+        link: Optional[LinkModel] = None,
         offload_policy: Optional[OffloadPolicy] = None,
         partition_policy: Optional[PartitionPolicy] = None,
         flags: EnhancementFlags = EnhancementFlags(),
@@ -159,17 +233,32 @@ class DistributedPlatform:
         link_profile: Optional[LinkProfile] = None,
         mobility: Optional[MobilityConfig] = None,
         directory: Optional[SurrogateDirectory] = None,
+        surrogates: Optional[List[SurrogateSpec]] = None,
     ) -> None:
-        self.client_config = client_config or VMConfig(device=JORNADA)
-        self.surrogate_config = surrogate_config or VMConfig(device=PC_SURROGATE)
+        if surrogates is None:
+            surrogates = [SurrogateSpec(
+                "surrogate",
+                surrogate_config or VMConfig(device=PC_SURROGATE),
+                link or WAVELAN_11MBPS,
+            )]
+        elif surrogate_config is not None or link is not None:
+            raise ConfigurationError(
+                "pass surrogates or surrogate_config/link, not both"
+            )
+        if not surrogates:
+            raise ConfigurationError("need at least one surrogate")
+        names = [spec.name for spec in surrogates]
+        if len(set(names)) != len(names):
+            raise ConfigurationError("surrogate names must be unique")
         if link_profile is not None:
-            # A scheduled profile owns the link from t=0; the static
-            # ``link`` argument is ignored in its favour.
-            link = link_profile.link_at(0.0)
-        self.link = link
+            # A scheduled profile owns the primary's link from t=0; the
+            # static link is ignored in its favour.
+            surrogates = [replace(surrogates[0],
+                                  link=link_profile.link_at(0.0)),
+                          *surrogates[1:]]
+        self.client_config = client_config or VMConfig(device=JORNADA)
         self.flags = flags
         offload_policy = offload_policy or OffloadPolicy.initial()
-        self.offload_policy = offload_policy
 
         if registry is None:
             registry = ClassRegistry()
@@ -178,31 +267,30 @@ class DistributedPlatform:
         self.registry = registry
         self.clock = VirtualClock()
         self.client = make_client_node(self.client_config, registry, self.clock)
-        self.surrogate = make_surrogate_node(
-            self.surrogate_config, registry, self.clock
-        )
+        nodes = [
+            make_surrogate_node(spec.config, registry, self.clock,
+                                name=spec.name)
+            for spec in surrogates
+        ]
+        self.surrogate = nodes[0]
         self.hooks = HookFanout()
         self.traffic = TrafficStats()
         self.runtime = DistributedRuntime(
-            self.client.vm, self.surrogate.vm, link, self.traffic
+            self.client.vm, [node.vm for node in nodes],
+            {spec.name: spec.link for spec in surrogates}, self.traffic,
         )
         # Fault injection and the recovery ladder.  With a spec, every
         # cross-site exchange runs through ReliableDelivery: seeded
         # drops/spikes/partitions, bounded retransmission, and — on a
         # declared surrogate death — the graceful-degradation callback.
-        self.fault_spec = faults
-        self.retry_policy = retry if retry is not None else RetryPolicy()
         self.fault_report = FaultReport(
             spec=faults.canonical() if faults is not None else ""
-        )
-        self.fault_schedule = (
-            FaultSchedule(faults) if faults is not None else None
         )
         self.delivery: Optional[ReliableDelivery] = None
         if faults is not None:
             self.delivery = ReliableDelivery(
-                self.retry_policy,
-                schedule=self.fault_schedule,
+                retry if retry is not None else RetryPolicy(),
+                schedule=FaultSchedule(faults),
                 charge=self.clock.advance,
                 counters=self.fault_report,
                 now=lambda: self.clock.now,
@@ -237,7 +325,7 @@ class DistributedPlatform:
         #: this platform creates (including post-handoff rebuilds).
         self._service_quantum_s = dp_config.service_quantum_s
         self.data_plane = (
-            DataPlane(dp_config, link, self.runtime.transfer)
+            DataPlane(dp_config, self.link, self.runtime.transfer)
             if dp_config.any_enabled else None
         )
         self.ctx = ExecutionContext(
@@ -255,8 +343,9 @@ class DistributedPlatform:
 
         self.migrator = Migrator(
             self.client.vm,
-            self.surrogate.vm,
-            link,
+            self.runtime.surrogates,
+            self.runtime.links,
+            self.monitor.graph,
             self.hooks,
             self.traffic,
             object_granularity_classes=granularity,
@@ -289,9 +378,12 @@ class DistributedPlatform:
             delivery=self.delivery,
             service_quantum_s=self._service_quantum_s,
         )
-        self._wire_gc(self.client.vm)
-        self._wire_gc(self.surrogate.vm)
-        self._install_distributed_gc()
+        sites = [self.client.vm, *self.runtime.surrogates]
+        for vm in sites:
+            self._wire_gc(vm)
+            for peer in sites:
+                if peer is not vm:
+                    self._install_root_scanner(vm, peer)
         self._torn_down = False
 
     # -- construction helpers ------------------------------------------------
@@ -320,22 +412,22 @@ class DistributedPlatform:
         if site in self.channel.exports:
             self.channel.gc_barrier(site)
 
-    def _install_distributed_gc(self) -> None:
-        # Each scanner also consults the peer's *direct* roots (named
-        # globals, static fields): a client global may point straight at
-        # a migrated object on the surrogate.
-        client_scanner = CrossHeapRootScanner(
-            self.client.vm, self.surrogate.vm,
-            self.channel.exports[self.client.vm.name],
-            extra_peer_roots=self.surrogate.vm.local_roots,
+    def _install_root_scanner(self, local: VirtualMachine,
+                              peer: VirtualMachine) -> None:
+        """Let ``peer`` keep ``local``'s objects alive.
+
+        The scanner also consults the peer's *direct* roots (named
+        globals, static fields): a client global may point straight at
+        a migrated object on a surrogate.  Only the channel's two
+        endpoints have export maps.
+        """
+        exports = None
+        if {local.name, peer.name} == set(self.channel.sites):
+            exports = self.channel.exports[local.name]
+        scanner = CrossHeapRootScanner(
+            local, peer, exports, extra_peer_roots=peer.local_roots,
         )
-        surrogate_scanner = CrossHeapRootScanner(
-            self.surrogate.vm, self.client.vm,
-            self.channel.exports[self.surrogate.vm.name],
-            extra_peer_roots=self.client.vm.local_roots,
-        )
-        self.client.vm.add_root_source(client_scanner.roots)
-        self.surrogate.vm.add_root_source(surrogate_scanner.roots)
+        local.add_root_source(scanner.roots)
 
     @classmethod
     def from_discovery(
@@ -372,11 +464,14 @@ class DistributedPlatform:
         return pinned
 
     def evaluation_context(self) -> EvaluationContext:
+        """The fastest active surrogate over the lowest-RTT active link."""
         return EvaluationContext(
             heap_capacity=self.client.vm.heap.capacity,
             client_speed=self.client.device.cpu_speed,
-            surrogate_speed=self.surrogate.device.cpu_speed,
-            link=self.link,
+            surrogate_speed=max(
+                vm.device.cpu_speed for vm in self.runtime.surrogates
+            ),
+            link=min(self.runtime.links.values(), key=lambda link: link.rtt),
             total_cpu=self.monitor.graph.total_cpu(),
             elapsed=self.clock.now,
         )
@@ -505,13 +600,22 @@ class DistributedPlatform:
             remote_invocations=self.monitor.remote.remote_invocations,
             remote_native_invocations=self.monitor.remote.remote_native_invocations,
             client_heap_used=self.client.vm.heap.used,
-            surrogate_heap_used=self.surrogate.vm.heap.used,
+            surrogate_heap_used=sum(self.surrogate_usage().values()),
             cached_remote_reads=self.monitor.remote.cached_reads,
             rpc_rtts_saved=dp_stats.rtts_saved if dp_stats else 0,
             rpc_bytes_saved=dp_stats.bytes_saved if dp_stats else 0,
             pruned_handles=self.channel.pruned_handles,
             faults=self._faults_section(),
         )
+
+    def surrogate_usage(self) -> Dict[str, int]:
+        """Heap bytes in use on each active surrogate."""
+        return {vm.name: vm.heap.used for vm in self.runtime.surrogates}
+
+    @property
+    def link(self) -> LinkModel:
+        """The primary surrogate's client link."""
+        return self.runtime.links[self.surrogate.vm.name]
 
     @property
     def offload_events(self) -> List[OffloadEvent]:
@@ -539,13 +643,13 @@ class DistributedPlatform:
 
         Implements the migration answer to the paper's handoff question
         ("should the objects on the first surrogate be migrated to the
-        second surrogate?"): every object on the departing surrogate is
+        second surrogate?"): every object on the primary surrogate is
         shipped to the new one over a surrogate-to-surrogate backhaul
         link (infrastructure wiring, default fast Ethernet), the client
         link is switched to the new offer's link, and the AIDE modules
-        re-attach to the new surrogate.  Execution continues
-        transparently — subsequent remote interactions route to the new
-        surrogate.
+        re-attach to the new surrogate, which becomes the primary.
+        Execution continues transparently — subsequent remote
+        interactions route to the new surrogate.
         """
         from ..net.wavelan import ETHERNET_100MBPS
 
@@ -555,8 +659,11 @@ class DistributedPlatform:
             self.data_plane.migration_barrier()
             self.data_plane.note_migration()
         backhaul = backhaul if backhaul is not None else ETHERNET_100MBPS
-        suffix = sum(1 for vm in self.runtime.vms()) - 1
-        new_name = f"surrogate-{suffix + 1}"
+        taken = {vm.name for vm in self.runtime.vms()}
+        suffix = len(taken)
+        while f"surrogate-{suffix}" in taken:
+            suffix += 1
+        new_name = f"surrogate-{suffix}"
         new_node = make_surrogate_node(
             VMConfig(device=offer.device), self.registry, self.clock,
             name=new_name,
@@ -568,10 +675,8 @@ class DistributedPlatform:
         # The existing migrator (and its delivery layer, so exactly-once
         # and the recovery ladder survive the handoff) streams the state
         # over the backhaul and re-attaches to the new surrogate.
-        outcome = self.migrator.handoff_to(
-            new_node.vm, backhaul, link=offer.link
-        )
-        if self.migrator.surrogate is not new_node.vm:
+        outcome = self.migrator.handoff_to(new_node.vm, backhaul, offer.link)
+        if self.runtime.surrogates[0] is not new_node.vm:
             # The opening delivery exchange failed: the stream aborted
             # un-applied and recovery owns the old surrogate's state —
             # leave the platform attached where it was.
@@ -587,18 +692,9 @@ class DistributedPlatform:
             delivery=self.delivery,
             service_quantum_s=self._service_quantum_s,
         )
-        client_scanner = CrossHeapRootScanner(
-            self.client.vm, new_node.vm,
-            self.channel.exports[self.client.vm.name],
-            extra_peer_roots=new_node.vm.local_roots,
-        )
-        surrogate_scanner = CrossHeapRootScanner(
-            new_node.vm, self.client.vm,
-            self.channel.exports[new_node.vm.name],
-            extra_peer_roots=self.client.vm.local_roots,
-        )
-        self.client.vm.add_root_source(client_scanner.roots)
-        new_node.vm.add_root_source(surrogate_scanner.roots)
+        for peer in (self.client.vm, *self.runtime.surrogates[1:]):
+            self._install_root_scanner(peer, new_node.vm)
+            self._install_root_scanner(new_node.vm, peer)
         if self.mobility_report is not None:
             self.mobility_report.handoffs += 1
             self.mobility_report.handoff_bytes += outcome.moved_bytes
@@ -608,14 +704,13 @@ class DistributedPlatform:
     def _set_link(self, link: LinkModel) -> None:
         """Re-point every link-cost consumer at ``link``.
 
-        The runtime (RPC transfer charges), the migrator (placement
-        streams), and the data plane's coalescer (RTT-saving
-        accounting) each hold their own reference; a link change that
-        misses one silently keeps charging old-link costs.
+        The runtime's links table, which the migrator shares, holds the
+        primary's link for RPC charges and placement streams; the data
+        plane's coalescer (RTT-saving accounting) holds its own
+        reference.  A link change that misses one silently keeps
+        charging old-link costs.
         """
-        self.link = link
-        self.runtime.link = link
-        self.migrator.link = link
+        self.runtime.links[self.surrogate.vm.name] = link
         if self.data_plane is not None and self.data_plane.coalescer is not None:
             self.data_plane.coalescer.link = link
 
@@ -642,14 +737,12 @@ class DistributedPlatform:
                 # charge it at old-link prices before switching.
                 self.data_plane.flush()
             self._set_link(link)
-            if self.mobility_report is not None:
-                self.mobility_report.link_changes += 1
-        if self._trend is None or self.mobility is None:
+            self.mobility_report.link_changes += 1
+        if self._trend is None:
             return None
         action = self._trend.observe(now, link.bandwidth_bps)
         if action == "fire":
-            if self.mobility_report is not None:
-                self.mobility_report.trend_fires += 1
+            self.mobility_report.trend_fires += 1
             self._on_trend_fire()
         elif action == "recover":
             self._on_trend_recover()
@@ -661,7 +754,7 @@ class DistributedPlatform:
         if mobility.mode == "handoff" and self.directory is not None:
             try:
                 offer = self.directory.select(
-                    exclude=(getattr(self, "_current_offer_name", ""),),
+                    exclude=(self._current_offer_name,),
                 )
             except SurrogateUnavailableError:
                 offer = None
@@ -670,10 +763,8 @@ class DistributedPlatform:
                 return
         # Repatriation mode (or no better surrogate on offer): pull the
         # offloaded partition home over the still-working link, and
-        # remember it for re-offload when the link recovers.
-        offloaded = frozenset(
-            obj.class_name for obj in self.surrogate.vm.heap.objects()
-        )
+        # remember its graph nodes for re-offload when the link recovers.
+        offloaded = self.migrator.resident_nodes()
         try:
             outcome = self._migrate(frozenset())
         except MigrationError:
@@ -684,11 +775,10 @@ class DistributedPlatform:
             # an actual outage).
             return
         self._offloaded_before_repatriation = offloaded or None
-        if self.mobility_report is not None:
-            self.mobility_report.proactive_repatriations += 1
-            self.mobility_report.proactively_repatriated_bytes += (
-                outcome.moved_bytes
-            )
+        self.mobility_report.proactive_repatriations += 1
+        self.mobility_report.proactively_repatriated_bytes += (
+            outcome.moved_bytes
+        )
 
     def _on_trend_recover(self) -> None:
         """The link came back: restore the pre-repatriation placement.
@@ -706,5 +796,5 @@ class DistributedPlatform:
             outcome = self._migrate(placement)
         except MigrationError:
             return
-        if outcome.moved_objects and self.mobility_report is not None:
+        if outcome.moved_objects:
             self.mobility_report.reoffloads += 1

@@ -15,7 +15,7 @@ reproduce that here:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Set
+from typing import Callable, Iterable, List, Optional, Set
 
 from ..vm.objectmodel import JObject
 from ..vm.vm import VirtualMachine
@@ -40,14 +40,15 @@ class CrossHeapRootScanner:
     Install the scanner's :meth:`roots` on the local VM via
     ``vm.add_root_source``.  Exported objects are conservatively treated
     as live until :func:`reconcile_exports` drops them, mirroring the
-    way a real distributed scheme pins exports between epochs.
+    way a real distributed scheme pins exports between epochs.  Sites
+    with no RPC channel between them have no ``exports``.
     """
 
     def __init__(
         self,
         local_vm: VirtualMachine,
         peer_vm: VirtualMachine,
-        exports: ReferenceMap,
+        exports: Optional[ReferenceMap] = None,
         extra_peer_roots: Callable[[], Iterable[JObject]] = tuple,
     ) -> None:
         self.local_vm = local_vm
@@ -57,9 +58,10 @@ class CrossHeapRootScanner:
 
     def roots(self) -> List[JObject]:
         roots = _references_into(self.peer_vm, self.local_vm.name)
-        roots.extend(
-            obj for obj in self.exports.exported_objects() if obj.alive
-        )
+        if self.exports is not None:
+            roots.extend(
+                obj for obj in self.exports.exported_objects() if obj.alive
+            )
         for obj in self._extra_peer_roots():
             if obj.home == self.local_vm.name:
                 roots.append(obj)

@@ -48,8 +48,8 @@ class Runtime:
     """Placement and transport services used by the context.
 
     The single-VM runtime below is trivial; the distributed runtime in
-    :mod:`repro.platform` maps sites onto two device VMs joined by a
-    simulated wireless link.
+    :mod:`repro.platform` maps sites onto a client VM and one or more
+    surrogate VMs joined by simulated wireless links.
     """
 
     def client(self) -> VirtualMachine:
@@ -76,8 +76,8 @@ class Runtime:
         """Allocate an instance on ``site``.
 
         Runtimes may override placement under pressure (e.g. the
-        multi-surrogate runtime spills a full surrogate's allocations to
-        a sibling with free heap).
+        distributed runtime spills a full surrogate's allocations to an
+        active sibling with free heap).
         """
         return self.vm(site).new_instance(cls)
 

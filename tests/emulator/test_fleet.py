@@ -20,11 +20,11 @@ from repro.emulator.fleet import (
     ADMISSION_REJECT,
     ClientDemand,
     _FleetSimulation,
+    place_fleet_clients,
 )
 from repro.errors import ConfigurationError
 from repro.experiments import cached_trace, memory_emulator_config
 from repro.experiments.exp_overhead import MEMORY_WORKLOADS
-from repro.platform.multi import place_fleet_clients
 from repro.units import MB
 
 QUANTUM = FleetConfig().service_quantum_s

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.config import DeviceProfile
+from repro.config import DeviceProfile, EnhancementFlags
+from repro.core.graph import object_node_id
 from repro.net.mobility import LinkProfile, MobilityConfig
 from repro.net.wavelan import ETHERNET_100MBPS, WAVELAN_11MBPS
 from repro.platform.discovery import SurrogateDirectory, SurrogateOffer
@@ -50,8 +51,9 @@ class TestPollMobility:
         platform.poll_mobility()
         assert platform.mobility_report.link_changes == 1
         assert platform.link.name == "wan-384kbps"
-        assert platform.runtime.link is platform.link
-        assert platform.migrator.link is platform.link
+        primary = platform.surrogate.vm.name
+        assert platform.runtime.links[primary] is platform.link
+        assert platform.migrator.links is platform.runtime.links
 
 
 class TestTrendHandoff:
@@ -140,6 +142,30 @@ class TestTrendRepatriation:
         assert platform.poll_mobility() == "recover"
         assert platform.mobility_report.reoffloads == 1
         assert len(list(platform.surrogate.vm.heap.objects())) == offloaded
+
+    def test_reoffload_restores_arrays_tracked_per_object(self):
+        # At object granularity the placement names ``int[]#<oid>``
+        # nodes, so the remembered partition must be node ids, not the
+        # class names found on the surrogate heap.
+        platform = roaming_platform(
+            DECAY_AND_RECOVER, mode="repatriate",
+            flags=EnhancementFlags(arrays_object_granularity=True),
+        )
+        arrays = [platform.ctx.new_array("int", 100) for _ in range(4)]
+        for arr in arrays:
+            platform.client.vm.set_root(f"a{arr.oid}", arr)
+        platform._migrate(frozenset(
+            object_node_id("int[]", arr.oid) for arr in arrays
+        ))
+        surrogate = platform.surrogate.vm.name
+        assert all(arr.home == surrogate for arr in arrays)
+        platform.clock.advance(6.0)
+        assert platform.poll_mobility() == "fire"
+        assert all(arr.home == "client" for arr in arrays)
+        platform.clock.advance(5.0)
+        assert platform.poll_mobility() == "recover"
+        assert platform.mobility_report.reoffloads == 1
+        assert all(arr.home == surrogate for arr in arrays)
 
     def test_infeasible_repatriation_stays_remote(self):
         platform = roaming_platform(DECAY, mode="repatriate")

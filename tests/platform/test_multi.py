@@ -6,12 +6,12 @@ from repro.config import DeviceProfile, GCConfig, VMConfig
 from repro.core.graph import ExecutionGraph
 from repro.core.policy import OffloadPolicy, TriggerConfig
 from repro.errors import ConfigurationError, MigrationError
+from repro.net.faults import FaultSpec
 from repro.net.wavelan import ETHERNET_100MBPS, WAVELAN_11MBPS
-from repro.platform.multi import (
-    MultiSurrogatePlatform,
-    SurrogateSpec,
-    assign_offload_nodes,
-)
+from repro.platform.discovery import SurrogateOffer
+from repro.platform.migration import assign_offload_nodes
+from repro.platform.platform import DistributedPlatform, SurrogateSpec
+from repro.rpc.batch import DataPlaneConfig
 from repro.units import KB, MB
 
 from tests.platform.test_platform import HoarderApp, pressure_gc
@@ -28,8 +28,8 @@ def spec(name, heap, link=WAVELAN_11MBPS, speed=1.0):
 
 
 def make_cluster(*specs, client_heap=128 * KB):
-    return MultiSurrogatePlatform(
-        list(specs),
+    return DistributedPlatform(
+        surrogates=list(specs),
         client_config=VMConfig(
             device=DeviceProfile("jornada", 1.0, client_heap),
             gc=pressure_gc(), monitoring_event_cost=0.0),
@@ -93,9 +93,10 @@ class TestAssignment:
 class TestClusterPlatform:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            MultiSurrogatePlatform([])
+            DistributedPlatform(surrogates=[])
         with pytest.raises(ConfigurationError):
-            MultiSurrogatePlatform([spec("x", 1 * MB), spec("x", 1 * MB)])
+            DistributedPlatform(
+                surrogates=[spec("x", 1 * MB), spec("x", 1 * MB)])
         with pytest.raises(ConfigurationError):
             SurrogateSpec("client", VMConfig())
 
@@ -125,9 +126,9 @@ class TestClusterPlatform:
     def test_cross_surrogate_liveness(self):
         cluster = make_cluster(spec("s1", 160 * KB), spec("s2", 160 * KB))
         cluster.run(HoarderApp(segments=60))
-        for vm in cluster.surrogate_vms.values():
+        for vm in cluster.runtime.surrogates:
             vm.collect_garbage()
-        cluster.client_vm.collect_garbage()
+        cluster.client.vm.collect_garbage()
         doc = cluster.ctx.get_global("doc")
         assert doc.alive
         # The segment chain spans surrogates but stays fully alive.
@@ -151,9 +152,9 @@ class TestClusterPlatform:
         assert relay == pytest.approx(2 * direct)
 
     def test_faster_link_preferred_on_ties(self):
-        cluster = MultiSurrogatePlatform(
-            [spec("wifi", 8 * MB, WAVELAN_11MBPS),
-             spec("wired", 8 * MB, ETHERNET_100MBPS)],
+        cluster = DistributedPlatform(
+            surrogates=[spec("wifi", 8 * MB, WAVELAN_11MBPS),
+                        spec("wired", 8 * MB, ETHERNET_100MBPS)],
             client_config=VMConfig(
                 device=DeviceProfile("jornada", 1.0, 128 * KB),
                 gc=pressure_gc(), monitoring_event_cost=0.0),
@@ -161,7 +162,9 @@ class TestClusterPlatform:
         )
         # Preference follows the supplied order; callers who want the
         # fastest link first simply order the specs that way.
-        assert cluster.preference == ["wifi", "wired"]
+        assert [vm.name for vm in cluster.runtime.surrogates] == [
+            "wifi", "wired"]
+        assert cluster.migrator.surrogates is cluster.runtime.surrogates
 
 
 class TestAllocationSpill:
@@ -174,15 +177,15 @@ class TestAllocationSpill:
         # Fill s1 with rooted data, then allocate "on" s1: the spill
         # lands on s2.
         filler = runtime.vm("s1").new_array("byte", 80 * KB)
-        cluster.client_vm.set_root("filler", filler)
+        cluster.client.vm.set_root("filler", filler)
         spilled = runtime.new_array("s1", "byte", 64 * KB)
-        cluster.client_vm.set_root("spilled", spilled)
+        cluster.client.vm.set_root("spilled", spilled)
         assert spilled.home == "s2"
         # Instances spill the same way once s1 is genuinely full.
         packer = runtime.vm("s1").new_array(
             "byte", runtime.vm("s1").heap.free - 32
         )
-        cluster.client_vm.set_root("packer", packer)
+        cluster.client.vm.set_root("packer", packer)
         obj = runtime.new_instance("s1", store_cls)
         assert obj.home == "s2"
 
@@ -196,7 +199,7 @@ class TestAllocationSpill:
             # trigger policy).
             for _ in range(64):
                 arr = runtime.new_array("client", "byte", 8 * KB)
-                cluster.client_vm.set_root(f"k{arr.oid}", arr)
+                cluster.client.vm.set_root(f"k{arr.oid}", arr)
 
     def test_spill_exhaustion_raises_oom(self):
         from repro.errors import OutOfMemoryError
@@ -207,5 +210,70 @@ class TestAllocationSpill:
             kept = []
             for _ in range(16):
                 arr = runtime.new_array("s1", "byte", 16 * KB)
-                cluster.client_vm.set_root(f"a{arr.oid}", arr)
+                cluster.client.vm.set_root(f"a{arr.oid}", arr)
                 kept.append(arr)
+
+
+class TestClusterConfiguration:
+    def test_surrogates_exclude_the_single_surrogate_shorthand(self):
+        specs = [spec("s1", 1 * MB)]
+        with pytest.raises(ConfigurationError):
+            DistributedPlatform(surrogates=specs,
+                                surrogate_config=VMConfig())
+        with pytest.raises(ConfigurationError):
+            DistributedPlatform(surrogates=specs, link=WAVELAN_11MBPS)
+
+    def test_shorthand_builds_one_primary_surrogate(self):
+        platform = DistributedPlatform()
+        assert [vm.name for vm in platform.runtime.surrogates] == [
+            "surrogate"]
+        assert platform.link is WAVELAN_11MBPS
+
+
+class TestClusterFaults:
+    @pytest.mark.parametrize("crash_at_event", [1, 8])
+    @pytest.mark.parametrize("data_plane", [None, DataPlaneConfig(
+        coalescing=True, read_cache=True)], ids=["plain", "data-plane"])
+    def test_crash_pulls_every_surrogate_home(self, crash_at_event,
+                                              data_plane):
+        cluster = DistributedPlatform(
+            surrogates=[spec("s1", 160 * KB), spec("s2", 160 * KB)],
+            client_config=VMConfig(
+                device=DeviceProfile("jornada", 1.0, 256 * KB),
+                gc=pressure_gc(), monitoring_event_cost=0.0),
+            offload_policy=OffloadPolicy(TriggerConfig(0.5, 1), 0.20),
+            faults=FaultSpec(seed=5, crash_at_event=crash_at_event),
+            data_plane=data_plane,
+        )
+        report = cluster.run(HoarderApp(segments=50))
+        doc = cluster.ctx.get_global("doc")
+        assert cluster.ctx.get_field(doc, "count") == 50
+        assert cluster.surrogate_lost
+        assert cluster.surrogate_usage() == {"s1": 0, "s2": 0}
+        assert report.faults["objects_repatriated"] > 0
+        for site, refmap in cluster.channel.exports.items():
+            assert len(refmap) == 0, f"dangling exports on {site}"
+
+
+class TestClusterHandoff:
+    def test_spill_after_handoff_skips_the_departed_surrogate(self):
+        cluster = make_cluster(spec("s1", 8 * MB), spec("s2", 64 * KB))
+        cluster.run(HoarderApp(segments=60))
+        assert cluster.surrogate_usage()["s1"] > 0
+        cluster.handoff(SurrogateOffer(
+            name="fresh",
+            device=DeviceProfile("fresh-pc", cpu_speed=2.0,
+                                 heap_capacity=1 * MB),
+            link=WAVELAN_11MBPS,
+        ))
+        runtime = cluster.runtime
+        new = cluster.surrogate.vm
+        assert [vm.name for vm in runtime.surrogates] == [new.name, "s2"]
+        # The departed surrogate is empty, so it has the most free heap
+        # of any site; a spill must still pick an active sibling.
+        assert runtime.vm("s1").heap.used == 0
+        packer = new.new_array("byte", new.heap.free - 32)
+        cluster.client.vm.set_root("packer", packer)
+        spilled = runtime.new_array(new.name, "byte", 16 * KB)
+        assert spilled.home == "s2"
+        assert runtime.vm("s1").heap.used == 0

@@ -42,7 +42,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: partitioner core: candidate chains and their policy decisions must be
 #: bit-identical across runs (the flat/legacy parity suite depends on
 #: it), so the same no-wall-clock / no-set-iteration / seeded-random
-#: rules apply there.
+#: rules apply there.  The platform module builds the report the
+#: prototype workload's goldens hash.
 DEFAULT_TARGETS = (
     "src/repro/emulator/fleet.py",
     "src/repro/emulator/parallel.py",
@@ -56,6 +57,7 @@ DEFAULT_TARGETS = (
     "src/repro/core/policy.py",
     "src/repro/net/mobility.py",
     "src/repro/platform/migration.py",
+    "src/repro/platform/platform.py",
     "src/repro/emulator/replay.py",
     "src/repro/rpc/retry.py",
     "src/repro/net/faults.py",
