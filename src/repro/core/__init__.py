@@ -34,11 +34,9 @@ from .policy import (
     MemoryTrigger,
     OffloadPolicy,
     PartitionPolicy,
-    PeriodicTrigger,
     PolicyDecision,
     TriggerConfig,
     policy_sweep,
-    predict_compute_only,
     predict_completion_time,
 )
 
@@ -64,7 +62,6 @@ __all__ = [
     "PartitionDecision",
     "PartitionPolicy",
     "Partitioner",
-    "PeriodicTrigger",
     "PlacementHints",
     "PolicyDecision",
     "PowerProfile",
@@ -84,6 +81,5 @@ __all__ = [
     "object_node_id",
     "policy_sweep",
     "predict_completion_time",
-    "predict_compute_only",
     "stoer_wagner",
 ]

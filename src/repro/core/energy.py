@@ -23,7 +23,7 @@ This module supplies the two pieces that vision needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError, NoBeneficialPartitionError
 from .mincut import CandidatePartition
@@ -33,6 +33,9 @@ from .policy import (
     PolicyDecision,
     predict_completion_time,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
+    from .flatgraph import FlatChain
 
 
 @dataclass(frozen=True)
@@ -144,33 +147,63 @@ class EnergyPartitionPolicy(PartitionPolicy):
         self.power = power
         self.min_saving_fraction = min_saving_fraction
 
-    def evaluate(
-        self, candidates: List[CandidatePartition], ctx: EvaluationContext
+    def evaluate_chain(
+        self, chain: "FlatChain", ctx: EvaluationContext
     ) -> PolicyDecision:
-        offloading = [
-            c for c in candidates
-            if c.offloads_anything and c.surrogate_cpu > 0
-        ]
-        if not offloading:
+        surrogate_cpu = chain.surrogate_cpu
+        client_cpu = chain.client_cpu
+        cut_count = chain.cut_count
+        cut_bytes = chain.cut_bytes
+        memory = chain.surrogate_memory
+        client_speed = ctx.client_speed
+        surrogate_speed = ctx.surrogate_speed
+        link = ctx.link
+        rtt = link.rtt
+        bandwidth_bps = link.bandwidth_bps
+        bulk_transfer = link.bulk_transfer
+        run_energy = self.power.run_energy
+        best = -1
+        predicted = 0.0
+        for i in range(chain.k):
+            if surrogate_cpu[i] > 0:
+                # Term-for-term the same expression as
+                # predict_client_energy, so the scan ranks candidates
+                # by bit-identical floats.
+                waiting = (
+                    surrogate_cpu[i] / surrogate_speed
+                    + cut_count[i] * rtt
+                    + (cut_bytes[i] * 8) / bandwidth_bps
+                    + bulk_transfer(memory[i])
+                )
+                joules = run_energy(
+                    client_cpu[i] / client_speed, waiting,
+                    cut_bytes[i] + memory[i], 2 * cut_count[i] + 1,
+                )
+                if best < 0 or joules < predicted:
+                    best = i
+                    predicted = joules
+        if best < 0:
             raise NoBeneficialPartitionError(
                 "no candidate moves any computation"
             )
         baseline = local_energy(ctx, self.power)
-        best = min(
-            offloading,
-            key=lambda c: predict_client_energy(c, ctx, self.power),
-        )
-        predicted = predict_client_energy(best, ctx, self.power)
         if predicted >= baseline * (1.0 - self.min_saving_fraction):
             raise NoBeneficialPartitionError(
                 f"best candidate predicts {predicted:.1f}J vs "
                 f"{baseline:.1f}J locally"
             )
-        bandwidth = best.cut_bytes / ctx.elapsed if ctx.elapsed > 0 else 0.0
+        return self.decision_for(chain.candidate(best), ctx)
+
+    def decision_for(
+        self, candidate: CandidatePartition, ctx: EvaluationContext
+    ) -> PolicyDecision:
+        bandwidth = (
+            candidate.cut_bytes / ctx.elapsed if ctx.elapsed > 0 else 0.0
+        )
         return PolicyDecision(
-            candidate=best,
+            candidate=candidate,
             policy_name=self.name,
             predicted_bandwidth=bandwidth,
-            predicted_time=predict_completion_time(best, ctx),
+            predicted_time=predict_completion_time(candidate, ctx),
             original_time=ctx.total_cpu / ctx.client_speed,
         )

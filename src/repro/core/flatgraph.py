@@ -171,7 +171,7 @@ class FlatChain:
     materialised on demand, through the same
     shared-:class:`~repro.core.mincut._MoveLog` lazy mechanism the
     reference generator uses, so a chain whose winner is picked by a
-    columnar policy scan materialises exactly one candidate.
+    policy scan materialises exactly one candidate.
 
     The packed basis (``cb``, ``nb``) and resource totals are captured
     at construction: a later ``sync`` may rebasis or retotal the parent
@@ -197,7 +197,6 @@ class FlatChain:
         "_smem",
         "_scpu",
         "_log",
-        "_materialized",
         "_fingerprint",
     )
 
@@ -231,7 +230,6 @@ class FlatChain:
         self._smem: Optional[List[int]] = None
         self._scpu: Optional[List[float]] = None
         self._log: Optional[_MoveLog] = None
-        self._materialized: Optional[List[CandidatePartition]] = None
         self._fingerprint = None
 
     @property
@@ -286,9 +284,6 @@ class FlatChain:
 
     def candidate(self, index: int) -> CandidatePartition:
         """Materialise one candidate (index ``i``: client = seed + i moves)."""
-        materialized = self._materialized
-        if materialized is not None:
-            return materialized[index]
         # Single-element decode (same expressions as the column
         # properties, so the values are bit-identical): picking one
         # winner must not force whole-column decoding.
@@ -305,28 +300,8 @@ class FlatChain:
         )
 
     def candidates(self) -> List[CandidatePartition]:
-        """The full candidate list (memoised)."""
-        materialized = self._materialized
-        if materialized is None:
-            log = self._move_log()
-            materialized = [
-                CandidatePartition._deferred(
-                    log=log,
-                    moves_applied=index,
-                    cut_count=self.cut_count[index],
-                    cut_bytes=self.cut_bytes[index],
-                    surrogate_memory=self.surrogate_memory[index],
-                    surrogate_cpu=self.surrogate_cpu[index],
-                    client_cpu=self.client_cpu[index],
-                )
-                for index in range(self.k)
-            ]
-            self._materialized = materialized
-        return materialized
-
-    def materialized(self) -> Optional[List[CandidatePartition]]:
-        """The candidate list if it was ever materialised, else None."""
-        return self._materialized
+        """Every candidate, each materialised through :meth:`candidate`."""
+        return [self.candidate(index) for index in range(self.k)]
 
     def fingerprint(self):
         """Hashable digest of the statistics columns (C-speed hashing).

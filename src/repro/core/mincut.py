@@ -162,12 +162,6 @@ class CandidatePartition:
             self._surrogate_nodes = nodes
         return nodes
 
-    @property
-    def offloads_anything(self) -> bool:
-        if self._surrogate_nodes is not None:
-            return bool(self._surrogate_nodes)
-        return len(self._log.order) > self._moves_applied
-
     def _fields(self) -> tuple:
         return (
             self.client_nodes,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from ..errors import NoBeneficialPartitionError
 from . import flatgraph
@@ -117,45 +117,50 @@ class Partitioner:
         graph, pinned, expansion = self._prepare(graph, list(pinned))
         chain = flatgraph.snapshot(graph).generate_chain(pinned)
         try:
-            decision = self.policy.evaluate_chain(chain, ctx)
+            outcome = self.policy.evaluate_chain(chain, ctx)
         except NoBeneficialPartitionError as refusal:
-            return PartitionDecision.refusal(
-                reason=str(refusal),
-                candidates_evaluated=chain.k,
-                compute_seconds=time.perf_counter() - started,  # detlint: allow
-                policy_name=self.policy.name,
-            )
-        accepted = self._accept(decision, chain.k, started)
-        if expansion:
-            accepted = replace(
-                accepted,
-                offload_nodes=expand_nodes(accepted.offload_nodes,
-                                           expansion),
-                client_nodes=expand_nodes(accepted.client_nodes,
-                                          expansion),
-            )
-        return accepted
+            outcome = str(refusal)
+        return self._decide(outcome, chain.k, expansion, started)
 
-    def _accept(
+    def _decide(
         self,
-        decision: PolicyDecision,
+        outcome: Union[PolicyDecision, str],
         candidates_evaluated: int,
+        expansion: Dict[str, FrozenSet[str]],
         started: float,
     ) -> PartitionDecision:
-        candidate = decision.candidate
+        """The one step from a policy outcome to a :class:`PartitionDecision`.
+
+        ``outcome`` is the policy's decision, or its refusal reason; an
+        accepted placement is expanded back from any hint supernodes.
+        """
+        if isinstance(outcome, str):
+            elapsed = time.perf_counter() - started  # detlint: allow
+            return PartitionDecision.refusal(
+                reason=outcome,
+                candidates_evaluated=candidates_evaluated,
+                compute_seconds=elapsed,
+                policy_name=self.policy.name,
+            )
+        candidate = outcome.candidate
+        offload_nodes = candidate.surrogate_nodes
+        client_nodes = candidate.client_nodes
+        if expansion:
+            offload_nodes = expand_nodes(offload_nodes, expansion)
+            client_nodes = expand_nodes(client_nodes, expansion)
         return PartitionDecision(
             beneficial=True,
-            offload_nodes=candidate.surrogate_nodes,
-            client_nodes=candidate.client_nodes,
+            offload_nodes=offload_nodes,
+            client_nodes=client_nodes,
             cut_bytes=candidate.cut_bytes,
             cut_count=candidate.cut_count,
             freed_bytes=candidate.surrogate_memory,
-            predicted_bandwidth=decision.predicted_bandwidth,
+            predicted_bandwidth=outcome.predicted_bandwidth,
             candidates_evaluated=candidates_evaluated,
             compute_seconds=time.perf_counter() - started,  # detlint: allow
-            policy_name=decision.policy_name,
-            predicted_time=decision.predicted_time,
-            original_time=decision.original_time,
+            policy_name=outcome.policy_name,
+            predicted_time=outcome.predicted_time,
+            original_time=outcome.original_time,
         )
 
 
@@ -381,40 +386,15 @@ class IncrementalPartitioner:
         chain, expansion, warm_used = self._generate(
             graph, list(pinned), delta
         )
-        hits_before = self._cache.hits
-        try:
-            policy_decision, cache_hit = evaluate_chain_with_cache(
-                self.base.policy, chain, ctx, self._cache
-            )
-        except NoBeneficialPartitionError as refusal:
-            cache_hit = self._cache.hits > hits_before
-            if cache_hit:
-                self.stats.cache_hits += 1
-            self._record_epoch(started)
-            return replace(
-                PartitionDecision.refusal(
-                    reason=str(refusal),
-                    candidates_evaluated=chain.k,
-                    compute_seconds=time.perf_counter() - started,  # detlint: allow
-                    policy_name=self.base.policy.name,
-                ),
-                warm_start=warm_used,
-                policy_cache_hit=cache_hit,
-            )
+        outcome, cache_hit = evaluate_chain_with_cache(
+            self.base.policy, chain, ctx, self._cache
+        )
         if cache_hit:
             self.stats.cache_hits += 1
-        accepted = self.base._accept(policy_decision, chain.k, started)
-        if expansion:
-            accepted = replace(
-                accepted,
-                offload_nodes=expand_nodes(accepted.offload_nodes,
-                                           expansion),
-                client_nodes=expand_nodes(accepted.client_nodes,
-                                          expansion),
-            )
+        decision = self.base._decide(outcome, chain.k, expansion, started)
         self._record_epoch(started)
         return replace(
-            accepted, warm_start=warm_used, policy_cache_hit=cache_hit
+            decision, warm_start=warm_used, policy_cache_hit=cache_hit
         )
 
     def _record_epoch(self, started: float) -> None:

@@ -17,9 +17,10 @@ Two policy families drive offloading:
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Hashable, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, NoBeneficialPartitionError
 
@@ -92,24 +93,6 @@ class MemoryTrigger:
 
     def reset(self) -> None:
         self._consecutive = 0
-
-
-class PeriodicTrigger:
-    """Fires every ``interval`` seconds of virtual time (re-evaluation)."""
-
-    def __init__(self, interval: float) -> None:
-        if interval <= 0:
-            raise ConfigurationError("interval must be positive")
-        self.interval = interval
-        self._last_fired = 0.0
-        self.fired_count = 0
-
-    def observe_time(self, now: float) -> bool:
-        if now - self._last_fired >= self.interval:
-            self._last_fired = now
-            self.fired_count += 1
-            return True
-        return False
 
 
 class BandwidthTrendTrigger:
@@ -244,45 +227,39 @@ class PolicyDecision:
         return self.candidate.surrogate_memory
 
 
-class PartitionPolicy:
-    """Base partitioning policy; subclasses implement :meth:`evaluate`."""
+class PartitionPolicy(ABC):
+    """Base partitioning policy: one scan over the candidate chain.
+
+    A policy implements exactly two methods.  :meth:`evaluate_chain`
+    scans the chain's statistics columns (see ``core.flatgraph``),
+    picks the winner — the first candidate with the best key, like
+    ``min()`` — and returns ``decision_for(chain.candidate(i), ctx)``,
+    or raises :class:`NoBeneficialPartitionError` with the refusal
+    reason.  :meth:`decision_for` rebuilds the decision for a winner;
+    the evaluation memo calls it on a hit.
+    """
 
     name = "abstract"
 
-    def evaluate(
-        self, candidates: List[CandidatePartition], ctx: EvaluationContext
+    @abstractmethod
+    def evaluate_chain(
+        self, chain: "FlatChain", ctx: EvaluationContext
     ) -> PolicyDecision:
-        raise NotImplementedError
+        """Select a winner from ``chain``, or refuse every candidate."""
 
+    @abstractmethod
     def decision_for(
         self, candidate: CandidatePartition, ctx: EvaluationContext
     ) -> PolicyDecision:
         """Rebuild the full decision for an already-selected winner.
 
-        Used by the evaluation memo: the *selection* (which candidate
-        wins, or that every candidate is refused) is a pure function of
-        the candidates' scalar statistics and the cached context
-        fields, so it can be replayed from the cache — but the derived
-        predictions (bandwidth, completion times) are recomputed fresh
-        against the current context so a cache hit is indistinguishable
-        from a full evaluation.
+        The *selection* (which candidate wins, or that every candidate
+        is refused) is a pure function of the candidates' scalar
+        statistics and the cached context fields, so the memo can
+        replay it — but the derived predictions (bandwidth, completion
+        times) are recomputed fresh against the current context so a
+        cache hit is indistinguishable from a full evaluation.
         """
-        raise NotImplementedError
-
-    def evaluate_chain(
-        self, chain: "FlatChain", ctx: EvaluationContext
-    ) -> PolicyDecision:
-        """Evaluate a columnar candidate chain (see ``core.flatgraph``).
-
-        The built-in policies override this with a scan over the chain's
-        statistics columns that materialises only the winning candidate;
-        selections and refusals are identical to :meth:`evaluate` on the
-        materialised list (same float expressions in the same order,
-        same first-of-equal-key tie-breaks, same refusal messages).
-        This base implementation keeps third-party subclasses working by
-        materialising the chain and deferring to their :meth:`evaluate`.
-        """
-        return self.evaluate(chain.candidates(), ctx)
 
 
 # --------------------------------------------------------------------------
@@ -360,43 +337,32 @@ def evaluate_chain_with_cache(
     chain: "FlatChain",
     ctx: EvaluationContext,
     cache: PolicyEvaluationCache,
-) -> Tuple[PolicyDecision, bool]:
-    """Evaluate through the memo; returns ``(decision, was_cache_hit)``.
+) -> Tuple[Union[PolicyDecision, str], bool]:
+    """Evaluate through the memo; returns ``(outcome, was_cache_hit)``.
 
-    Raises :class:`NoBeneficialPartitionError` exactly as
-    ``policy.evaluate_chain`` would — refusals are memoised too (with
-    their reason), since a refused epoch is the steady state of the
-    re-evaluation loop.  The key is the chain's scalar fingerprint
+    ``outcome`` is the policy's decision, or the refusal reason
+    ``policy.evaluate_chain`` raised — refusals are memoised too, since
+    a refused epoch is the steady state of the re-evaluation loop.  The
+    key is the chain's scalar fingerprint
     (:meth:`~repro.core.flatgraph.FlatChain.fingerprint`) plus
-    :func:`context_key`, and a hit replays the winner by chain index.
-    Chain candidates carry their index as ``_moves_applied``; if a
-    custom policy's base-path evaluation hands back a candidate from
-    somewhere else entirely, the selection is simply not memoised.
+    :func:`context_key`, and the value is the winner's chain index:
+    ``chain.candidate(i)`` records ``i`` as ``_moves_applied``, and a
+    hit replays ``decision_for`` on ``chain.candidate(i)``.
     """
     key = (id(policy), chain.fingerprint(), context_key(ctx))
     entry = cache.get(key)
     if entry is not None:
         kind, payload = entry
         if kind == _REFUSED:
-            raise NoBeneficialPartitionError(payload)
+            return payload, True
         return policy.decision_for(chain.candidate(payload), ctx), True
     try:
         decision = policy.evaluate_chain(chain, ctx)
     except NoBeneficialPartitionError as refusal:
-        cache.put(key, (_REFUSED, str(refusal)))
-        raise
-    winner = decision.candidate
-    materialized = chain.materialized()
-    if materialized is not None:
-        index = next(
-            (i for i, c in enumerate(materialized) if c is winner), None
-        )
-    else:
-        index = winner._moves_applied
-        if not 0 <= index < chain.k:
-            index = None
-    if index is not None:
-        cache.put(key, ("selected", index))
+        reason = str(refusal)
+        cache.put(key, (_REFUSED, reason))
+        return reason, False
+    cache.put(key, ("selected", decision.candidate._moves_applied))
     return decision, False
 
 
@@ -418,21 +384,6 @@ class MemoryPartitionPolicy(PartitionPolicy):
                 f"min_free_fraction must be in (0, 1], got {min_free_fraction}"
             )
         self.min_free_fraction = min_free_fraction
-
-    def evaluate(
-        self, candidates: List[CandidatePartition], ctx: EvaluationContext
-    ) -> PolicyDecision:
-        required = self.min_free_fraction * ctx.heap_capacity
-        eligible = [
-            c for c in candidates
-            if c.offloads_anything and c.surrogate_memory >= required
-        ]
-        if not eligible:
-            raise NoBeneficialPartitionError(
-                f"no candidate frees the required {required:.0f} bytes"
-            )
-        best = min(eligible, key=lambda c: (c.cut_bytes, -c.surrogate_memory))
-        return self.decision_for(best, ctx)
 
     def evaluate_chain(
         self, chain: "FlatChain", ctx: EvaluationContext
@@ -513,27 +464,6 @@ class CpuPartitionPolicy(PartitionPolicy):
             )
         self.min_speedup_fraction = min_speedup_fraction
 
-    def evaluate(
-        self, candidates: List[CandidatePartition], ctx: EvaluationContext
-    ) -> PolicyDecision:
-        offloading = [
-            c for c in candidates
-            if c.offloads_anything and c.surrogate_cpu > 0
-        ]
-        if not offloading:
-            raise NoBeneficialPartitionError(
-                "no candidate moves any computation"
-            )
-        original_time = ctx.total_cpu / ctx.client_speed
-        best = min(offloading, key=lambda c: predict_completion_time(c, ctx))
-        predicted = predict_completion_time(best, ctx)
-        if predicted >= original_time * (1.0 - self.min_speedup_fraction):
-            raise NoBeneficialPartitionError(
-                f"best candidate predicts {predicted:.1f}s vs "
-                f"{original_time:.1f}s locally"
-            )
-        return self.decision_for(best, ctx)
-
     def evaluate_chain(
         self, chain: "FlatChain", ctx: EvaluationContext
     ) -> PolicyDecision:
@@ -554,7 +484,7 @@ class CpuPartitionPolicy(PartitionPolicy):
             if surrogate_cpu[i] > 0:
                 # Term-for-term the same expression as
                 # predict_completion_time, so the floats agree bit for
-                # bit with the list ``evaluate``.
+                # bit with the prediction ``decision_for`` reports.
                 compute = (
                     client_cpu[i] / client_speed
                     + surrogate_cpu[i] / surrogate_speed
@@ -595,22 +525,6 @@ class CpuPartitionPolicy(PartitionPolicy):
         )
 
 
-def predict_compute_only(
-    candidate: CandidatePartition, ctx: EvaluationContext
-) -> float:
-    """Optimistic prediction: compute and migration, no interaction cost.
-
-    This is the naive estimator an early system uses before it has an
-    accurate model of remote-interaction costs — it sees only the CPU
-    gain of the faster surrogate and the one-off migration.
-    """
-    compute = (
-        candidate.client_cpu / ctx.client_speed
-        + candidate.surrogate_cpu / ctx.surrogate_speed
-    )
-    return compute + ctx.link.bulk_transfer(candidate.surrogate_memory)
-
-
 class BestEffortCpuPolicy(CpuPartitionPolicy):
     """CPU policy that always offloads its *optimistically* best candidate.
 
@@ -624,28 +538,6 @@ class BestEffortCpuPolicy(CpuPartitionPolicy):
     """
 
     name = "cpu-best-effort"
-
-    def evaluate(
-        self, candidates: List[CandidatePartition], ctx: EvaluationContext
-    ) -> PolicyDecision:
-        offloading = [
-            c for c in candidates
-            if c.offloads_anything and c.surrogate_cpu > 0
-        ]
-        if not offloading:
-            raise NoBeneficialPartitionError(
-                "no candidate moves any computation"
-            )
-        # Offload (essentially) all of the movable computation, placed
-        # so that the historical interaction bytes across the cut are
-        # minimal — the same bandwidth-minimising objective the memory
-        # policy uses, applied to the compute cluster.
-        max_cpu = max(c.surrogate_cpu for c in offloading)
-        eligible = [
-            c for c in offloading if c.surrogate_cpu >= 0.95 * max_cpu
-        ]
-        best = min(eligible, key=lambda c: (c.cut_bytes, c.cut_count))
-        return self.decision_for(best, ctx)
 
     def evaluate_chain(
         self, chain: "FlatChain", ctx: EvaluationContext
@@ -681,42 +573,22 @@ class BestEffortCpuPolicy(CpuPartitionPolicy):
         return self.decision_for(chain.candidate(best), ctx)
 
 
-class CombinedPartitionPolicy(PartitionPolicy):
+class CombinedPartitionPolicy(MemoryPartitionPolicy):
     """Memory constraint plus completion-time objective (paper section 8).
 
     The paper lists "simultaneously consider multiple constraints" as
     future work; this policy implements the natural combination — free
-    the required memory, then minimise predicted completion time among
-    the eligible candidates.
+    the required memory (the memory policy's ``min_free_fraction``),
+    then minimise predicted completion time among the eligible
+    candidates.
     """
 
     name = "combined-memory-cpu"
 
-    def __init__(
-        self, min_free_fraction: float = 0.20, min_speedup_fraction: float = 0.0
-    ) -> None:
-        self._memory = MemoryPartitionPolicy(min_free_fraction)
-        self.min_speedup_fraction = min_speedup_fraction
-
-    def evaluate(
-        self, candidates: List[CandidatePartition], ctx: EvaluationContext
-    ) -> PolicyDecision:
-        required = self._memory.min_free_fraction * ctx.heap_capacity
-        eligible = [
-            c for c in candidates
-            if c.offloads_anything and c.surrogate_memory >= required
-        ]
-        if not eligible:
-            raise NoBeneficialPartitionError(
-                f"no candidate frees the required {required:.0f} bytes"
-            )
-        best = min(eligible, key=lambda c: predict_completion_time(c, ctx))
-        return self.decision_for(best, ctx)
-
     def evaluate_chain(
         self, chain: "FlatChain", ctx: EvaluationContext
     ) -> PolicyDecision:
-        required = self._memory.min_free_fraction * ctx.heap_capacity
+        required = self.min_free_fraction * ctx.heap_capacity
         memory = chain.surrogate_memory
         surrogate_cpu = chain.surrogate_cpu
         client_cpu = chain.client_cpu

@@ -16,6 +16,8 @@ from repro.errors import ConfigurationError, NoBeneficialPartitionError
 from repro.net.wavelan import WAVELAN_11MBPS
 from repro.units import MB
 
+from .policy_oracle import chain_of
+
 
 def candidate(surrogate_cpu, client_cpu, cut_count=0, cut_bytes=0,
               surrogate_memory=0):
@@ -91,7 +93,9 @@ class TestEnergyPolicy:
                           cut_count=100, cut_bytes=100_000)
         chatty = candidate(surrogate_cpu=900.0, client_cpu=100.0,
                            cut_count=10**6, cut_bytes=100 * MB)
-        decision = EnergyPartitionPolicy().evaluate([chatty, quiet], ctx())
+        decision = EnergyPartitionPolicy().evaluate_chain(
+            chain_of([chatty, quiet]), ctx()
+        )
         assert decision.candidate is quiet
         assert decision.policy_name == "energy-min-client-joules"
 
@@ -99,23 +103,23 @@ class TestEnergyPolicy:
         chatty = candidate(surrogate_cpu=100.0, client_cpu=900.0,
                            cut_count=2_000_000, cut_bytes=200 * MB)
         with pytest.raises(NoBeneficialPartitionError):
-            EnergyPartitionPolicy().evaluate([chatty], ctx())
+            EnergyPartitionPolicy().evaluate_chain(chain_of([chatty]), ctx())
 
     def test_min_saving_margin(self):
         marginal = candidate(surrogate_cpu=100.0, client_cpu=900.0,
                              cut_count=10, cut_bytes=10_000)
-        EnergyPartitionPolicy(min_saving_fraction=0.0).evaluate(
-            [marginal], ctx()
+        EnergyPartitionPolicy(min_saving_fraction=0.0).evaluate_chain(
+            chain_of([marginal]), ctx()
         )
         with pytest.raises(NoBeneficialPartitionError):
-            EnergyPartitionPolicy(min_saving_fraction=0.5).evaluate(
-                [marginal], ctx()
+            EnergyPartitionPolicy(min_saving_fraction=0.5).evaluate_chain(
+                chain_of([marginal]), ctx()
             )
 
     def test_no_compute_movers_refused(self):
         inert = candidate(surrogate_cpu=0.0, client_cpu=1000.0)
         with pytest.raises(NoBeneficialPartitionError):
-            EnergyPartitionPolicy().evaluate([inert], ctx())
+            EnergyPartitionPolicy().evaluate_chain(chain_of([inert]), ctx())
 
     def test_battery_can_beat_wall_clock(self):
         """The airplane-flight trade: slower wall clock, longer battery.
@@ -132,8 +136,8 @@ class TestEnergyPolicy:
         context = ctx()
         predicted_time = predict_completion_time(slow_but_thrifty, context)
         assert predicted_time > context.total_cpu / context.client_speed
-        decision = EnergyPartitionPolicy().evaluate(
-            [slow_but_thrifty], context
+        decision = EnergyPartitionPolicy().evaluate_chain(
+            chain_of([slow_but_thrifty]), context
         )
         assert decision.candidate is slow_but_thrifty
 

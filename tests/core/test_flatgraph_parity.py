@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import flatgraph
+from repro.core.energy import EnergyPartitionPolicy
 from repro.core.graph import ExecutionGraph
 from repro.core.mincut import generate_candidates
 from repro.core.partitioner import (
@@ -31,15 +32,17 @@ from repro.core.policy import (
     CpuPartitionPolicy,
     EvaluationContext,
     MemoryPartitionPolicy,
-    PartitionPolicy,
 )
 from repro.errors import NoBeneficialPartitionError, PartitioningError
+
+from .policy_oracle import oracle_select
 
 POLICIES = (
     MemoryPartitionPolicy(0.20),
     CpuPartitionPolicy(),
     BestEffortCpuPolicy(),
     CombinedPartitionPolicy(0.20),
+    EnergyPartitionPolicy(),
 )
 
 
@@ -52,21 +55,23 @@ def make_context(graph: ExecutionGraph) -> EvaluationContext:
 
 
 def reference_decision(policy, graph, pinned, ctx) -> PartitionDecision:
-    """The cold reference: ``generate_candidates`` + the list ``evaluate``.
+    """The cold reference: ``generate_candidates`` + ``oracle_select``.
 
     Wrapped the way ``Partitioner`` wraps an accepted decision or a
     refusal, so it compares field for field with the shipped path.
     """
     candidates = generate_candidates(graph, pinned)
     try:
-        decision = policy.evaluate(candidates, ctx)
+        winner = candidates[oracle_select(policy, candidates, ctx)]
     except NoBeneficialPartitionError as refusal:
         return PartitionDecision.refusal(
             reason=str(refusal), candidates_evaluated=len(candidates),
             compute_seconds=0.0, policy_name=policy.name,
         )
-    return Partitioner(policy)._accept(decision, len(candidates),
-                                       time.perf_counter())
+    return Partitioner(policy)._decide(
+        policy.decision_for(winner, ctx), len(candidates), {},
+        time.perf_counter(),
+    )
 
 
 def assert_chain_matches(chain, reference) -> None:
@@ -131,7 +136,7 @@ class TestColdParity:
         assert_chain_matches(
             flatgraph.snapshot(graph).generate_chain(pinned), legacy)
 
-    @given(graph_cases(), st.integers(0, 3))
+    @given(graph_cases(), st.integers(0, len(POLICIES) - 1))
     @settings(max_examples=40, deadline=None)
     def test_partitioner_flag_parity(self, case, policy_index):
         graph, pinned = case
@@ -251,33 +256,6 @@ class TestFlatGraphStructure:
         assert all(isinstance(part, tuple) for part in fp2)
         assert overflow.candidates()[0].cut_bytes == 2 ** 70
 
-    def test_chain_candidate_defers_materialisation(self):
-        graph = ExecutionGraph()
-        for name in ("a", "b", "c", "d"):
-            graph.add_memory(name, 100)
-        graph.record_interaction("a", "b", 10)
-        graph.record_interaction("b", "c", 20)
-        graph.record_interaction("c", "d", 30)
-        chain = flatgraph.snapshot(graph).generate_chain(["a"])
-        assert chain.materialized() is None
-        single = chain.candidate(1)
-        assert chain.materialized() is None  # one-off, not the full list
-        full = chain.candidates()
-        assert chain.materialized() is full
-        assert full[1].client_nodes == single.client_nodes
-
-
-class ThirdPartyPolicy(PartitionPolicy):
-    """Overrides only evaluate(): exercises the base evaluate_chain."""
-
-    name = "third-party"
-
-    def evaluate(self, candidates, ctx):
-        return MemoryPartitionPolicy(0.01).evaluate(candidates, ctx)
-
-    def decision_for(self, candidate, ctx):
-        return MemoryPartitionPolicy(0.01).decision_for(candidate, ctx)
-
 
 class TestSessionParity:
     """Multi-epoch incremental sessions under adversarial mutation mixes."""
@@ -319,7 +297,7 @@ class TestSessionParity:
             st.lists(st.sampled_from(KINDS), min_size=0, max_size=4),
             min_size=1, max_size=8,
         ),
-        st.integers(0, 3),
+        st.integers(0, len(POLICIES) - 1),
     )
     @settings(max_examples=30, deadline=None)
     def test_session_matches_legacy_session(self, seed, epochs,
@@ -373,17 +351,6 @@ class TestSessionParity:
                                    cold.partition(cold_graph, pinned, ctx))
         assert warm.stats.warm_hits > 0
         assert cold.stats.fallback_forced == cold.stats.cold_runs > 0
-
-    def test_third_party_policy_uses_base_evaluate_chain(self):
-        graph = ExecutionGraph()
-        for name in ("a", "b", "c"):
-            graph.add_memory(name, 4096)
-        graph.record_interaction("a", "b", 100)
-        graph.record_interaction("b", "c", 10)
-        ctx = make_context(graph)
-        flat = Partitioner(ThirdPartyPolicy()).partition(graph, ["a"], ctx)
-        assert_decisions_match(
-            flat, reference_decision(ThirdPartyPolicy(), graph, ["a"], ctx))
 
 
 class TestFallbackTaxonomy:

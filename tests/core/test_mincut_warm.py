@@ -24,6 +24,8 @@ from repro.core.mincut import generate_candidates
 from repro.core.policy import EvaluationContext, MemoryPartitionPolicy
 from repro.errors import NoBeneficialPartitionError
 
+from .policy_oracle import oracle_select
+
 
 def random_graph(rng, node_count, edge_factor=2.0):
     graph = ExecutionGraph()
@@ -110,9 +112,9 @@ def test_randomized_mutation_sequences_keep_parity(seed):
             warm_best = policy.evaluate_chain(chain, ctx).candidate
         except NoBeneficialPartitionError:
             with pytest.raises(NoBeneficialPartitionError):
-                policy.evaluate(cold_chain, ctx)
+                oracle_select(policy, cold_chain, ctx)
             continue
-        cold_best = policy.evaluate(cold_chain, ctx).candidate
+        cold_best = cold_chain[oracle_select(policy, cold_chain, ctx)]
         assert warm_best.surrogate_nodes == cold_best.surrogate_nodes
     # The point of the exercise: most small deltas must be served warm.
     assert warm_served > 0

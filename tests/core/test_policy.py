@@ -11,7 +11,6 @@ from repro.core.policy import (
     MemoryPartitionPolicy,
     MemoryTrigger,
     OffloadPolicy,
-    PeriodicTrigger,
     TriggerConfig,
     policy_sweep,
     predict_completion_time,
@@ -20,6 +19,8 @@ from repro.errors import ConfigurationError, NoBeneficialPartitionError
 from repro.net.wavelan import WAVELAN_11MBPS
 from repro.units import MB
 from repro.vm.gc import GCReport
+
+from .policy_oracle import chain_of
 
 
 def report(free_fraction, freed_bytes=1, capacity=1000, reason="test"):
@@ -92,19 +93,6 @@ class TestMemoryTrigger:
             TriggerConfig(tolerance=0)
 
 
-class TestPeriodicTrigger:
-    def test_fires_on_interval(self):
-        trigger = PeriodicTrigger(10.0)
-        assert not trigger.observe_time(5.0)
-        assert trigger.observe_time(10.0)
-        assert not trigger.observe_time(15.0)
-        assert trigger.observe_time(20.0)
-
-    def test_positive_interval_required(self):
-        with pytest.raises(ConfigurationError):
-            PeriodicTrigger(0)
-
-
 class TestMemoryPartitionPolicy:
     def make_ctx(self, capacity=10 * MB, elapsed=100.0):
         return EvaluationContext(heap_capacity=capacity, elapsed=elapsed)
@@ -117,7 +105,7 @@ class TestMemoryPartitionPolicy:
             candidate(500, cut_bytes=100, tag="half"),
             candidate(100, cut_bytes=10, tag="tiny"),   # frees too little
         ]
-        decision = policy.evaluate(candidates, ctx)
+        decision = policy.evaluate_chain(chain_of(candidates), ctx)
         assert decision.candidate.surrogate_memory == 500
 
     def test_prefers_more_memory_on_cut_ties(self):
@@ -127,24 +115,28 @@ class TestMemoryPartitionPolicy:
             candidate(300, cut_bytes=100, tag="a"),
             candidate(900, cut_bytes=100, tag="b"),
         ]
-        decision = policy.evaluate(candidates, ctx)
+        decision = policy.evaluate_chain(chain_of(candidates), ctx)
         assert decision.candidate.surrogate_memory == 900
 
     def test_refuses_when_nothing_frees_enough(self):
         policy = MemoryPartitionPolicy(min_free_fraction=0.50)
         ctx = self.make_ctx(capacity=1000)
         with pytest.raises(NoBeneficialPartitionError):
-            policy.evaluate([candidate(100, cut_bytes=1)], ctx)
+            policy.evaluate_chain(
+                chain_of([candidate(100, cut_bytes=1)]), ctx
+            )
 
     def test_refuses_empty_candidate_list(self):
         policy = MemoryPartitionPolicy()
         with pytest.raises(NoBeneficialPartitionError):
-            policy.evaluate([], self.make_ctx())
+            policy.evaluate_chain(chain_of([]), self.make_ctx())
 
     def test_predicted_bandwidth_uses_history_duration(self):
         policy = MemoryPartitionPolicy(min_free_fraction=0.10)
         ctx = self.make_ctx(capacity=1000, elapsed=50.0)
-        decision = policy.evaluate([candidate(500, cut_bytes=5000)], ctx)
+        decision = policy.evaluate_chain(
+            chain_of([candidate(500, cut_bytes=5000)]), ctx
+        )
         assert decision.predicted_bandwidth == pytest.approx(100.0)
 
     def test_invalid_fraction_rejected(self):
@@ -168,7 +160,9 @@ class TestCpuPartitionPolicy:
             1 * MB, cut_bytes=10_000, cut_count=100,
             surrogate_cpu=600.0, client_cpu=100.0,
         )
-        decision = CpuPartitionPolicy().evaluate([good], self.make_ctx())
+        decision = CpuPartitionPolicy().evaluate_chain(
+            chain_of([good]), self.make_ctx()
+        )
         assert decision.predicted_time < decision.original_time
         assert decision.predicted_time == pytest.approx(
             predict_completion_time(good, self.make_ctx())
@@ -182,7 +176,9 @@ class TestCpuPartitionPolicy:
             surrogate_cpu=600.0, client_cpu=100.0,
         )
         with pytest.raises(NoBeneficialPartitionError):
-            CpuPartitionPolicy().evaluate([chatty], self.make_ctx())
+            CpuPartitionPolicy().evaluate_chain(
+                chain_of([chatty]), self.make_ctx()
+            )
 
     def test_min_speedup_margin(self):
         barely = candidate(
@@ -190,10 +186,14 @@ class TestCpuPartitionPolicy:
             surrogate_cpu=10.0, client_cpu=690.0,
         )
         # Beneficial without a margin...
-        CpuPartitionPolicy(0.0).evaluate([barely], self.make_ctx())
+        CpuPartitionPolicy(0.0).evaluate_chain(
+            chain_of([barely]), self.make_ctx()
+        )
         # ...but not when a 20% improvement is demanded.
         with pytest.raises(NoBeneficialPartitionError):
-            CpuPartitionPolicy(0.20).evaluate([barely], self.make_ctx())
+            CpuPartitionPolicy(0.20).evaluate_chain(
+                chain_of([barely]), self.make_ctx()
+            )
 
     def test_prediction_includes_migration_and_rtt(self):
         ctx = self.make_ctx()
@@ -213,7 +213,9 @@ class TestCombinedPolicy:
         policy = CombinedPartitionPolicy(min_free_fraction=0.50)
         ctx = EvaluationContext(heap_capacity=1000, total_cpu=100.0)
         with pytest.raises(NoBeneficialPartitionError):
-            policy.evaluate([candidate(100, cut_bytes=1)], ctx)
+            policy.evaluate_chain(
+                chain_of([candidate(100, cut_bytes=1)]), ctx
+            )
 
     def test_selects_fastest_eligible(self):
         policy = CombinedPartitionPolicy(min_free_fraction=0.10)
@@ -225,7 +227,7 @@ class TestCombinedPolicy:
                          surrogate_cpu=50.0, client_cpu=50.0, tag="slow")
         fast = candidate(500, cut_bytes=100, cut_count=10,
                          surrogate_cpu=50.0, client_cpu=50.0, tag="fast")
-        decision = policy.evaluate([slow, fast], ctx)
+        decision = policy.evaluate_chain(chain_of([slow, fast]), ctx)
         assert decision.candidate is fast
 
 

@@ -3,11 +3,15 @@
 import pytest
 
 from repro.core import flatgraph
+from repro.core.energy import EnergyPartitionPolicy
 from repro.core.graph import ExecutionGraph
 from repro.core.policy import (
+    BestEffortCpuPolicy,
+    CombinedPartitionPolicy,
     CpuPartitionPolicy,
     EvaluationContext,
     MemoryPartitionPolicy,
+    PolicyDecision,
     PolicyEvaluationCache,
     context_key,
     evaluate_chain_with_cache,
@@ -104,14 +108,34 @@ class TestEvaluateWithCache:
             decision.candidate.cut_bytes / 20.0
         )
 
+    @pytest.mark.parametrize("policy", [
+        MemoryPartitionPolicy(0.20),
+        CpuPartitionPolicy(),
+        BestEffortCpuPolicy(),
+        CombinedPartitionPolicy(0.20),
+        EnergyPartitionPolicy(),
+    ], ids=lambda policy: policy.name)
+    def test_hit_equals_cold_for_every_policy(self, policy):
+        ctx = EvaluationContext(heap_capacity=1000, total_cpu=10.0,
+                                elapsed=10.0, surrogate_speed=10.0)
+        cache = PolicyEvaluationCache()
+        cold = policy.evaluate_chain(chain(), ctx)
+        first, hit1 = evaluate_chain_with_cache(policy, chain(), ctx, cache)
+        second, hit2 = evaluate_chain_with_cache(policy, chain(), ctx, cache)
+        assert (hit1, hit2) == (False, True)
+        assert isinstance(second, PolicyDecision)
+        assert first == cold
+        assert second == cold
+
     def test_refusals_are_memoised_with_their_reason(self):
         policy = MemoryPartitionPolicy(0.99)  # nothing frees 99%
         cache = PolicyEvaluationCache()
-        with pytest.raises(NoBeneficialPartitionError) as cold:
-            evaluate_chain_with_cache(policy, chain(), CTX, cache)
-        with pytest.raises(NoBeneficialPartitionError) as warm:
-            evaluate_chain_with_cache(policy, chain(), CTX, cache)
-        assert str(warm.value) == str(cold.value)
+        with pytest.raises(NoBeneficialPartitionError) as refusal:
+            policy.evaluate_chain(chain(), CTX)
+        cold = evaluate_chain_with_cache(policy, chain(), CTX, cache)
+        warm = evaluate_chain_with_cache(policy, chain(), CTX, cache)
+        assert cold == (str(refusal.value), False)
+        assert warm == (str(refusal.value), True)
         assert cache.hits == 1
 
     def test_different_policies_do_not_collide(self):

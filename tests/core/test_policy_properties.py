@@ -4,15 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.energy import EnergyPartitionPolicy
 from repro.core.graph import ExecutionGraph
 from repro.core.mincut import CandidatePartition, generate_candidates
 from repro.core.policy import (
+    BestEffortCpuPolicy,
+    CombinedPartitionPolicy,
+    CpuPartitionPolicy,
     EvaluationContext,
     MemoryPartitionPolicy,
     predict_completion_time,
 )
 from repro.errors import NoBeneficialPartitionError
 from repro.net.wavelan import WAVELAN_11MBPS
+
+from .policy_oracle import chain_of, oracle_select
 
 
 @st.composite
@@ -49,6 +55,78 @@ def weighted_graphs(draw):
     return graph, nodes
 
 
+@st.composite
+def built_in_policies(draw):
+    """Each built-in policy, with its threshold drawn at random."""
+    kind = draw(st.sampled_from(
+        ("memory", "cpu", "best-effort", "combined", "energy")))
+    if kind == "memory":
+        return MemoryPartitionPolicy(draw(st.floats(0.01, 1.0)))
+    if kind == "cpu":
+        return CpuPartitionPolicy(draw(st.floats(0.0, 0.9)))
+    if kind == "best-effort":
+        return BestEffortCpuPolicy()
+    if kind == "combined":
+        return CombinedPartitionPolicy(draw(st.floats(0.01, 1.0)))
+    return EnergyPartitionPolicy(min_saving_fraction=draw(st.floats(0.0, 0.9)))
+
+
+@st.composite
+def tie_prone_candidate_lists(draw):
+    """Candidate lists drawn from a pool of at most four statistics
+    rows, so exact repeats are common and the scans' first-of-equal-key
+    tie-breaks are exercised, not just their keys."""
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, 1000),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.floats(0, 100),
+        st.floats(0, 100),
+    ), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(rows), max_size=8))
+    return [
+        CandidatePartition(
+            client_nodes=frozenset({f"c{index}"}),
+            surrogate_nodes=frozenset({f"s{index}"}),
+            cut_count=cut_count,
+            cut_bytes=cut_bytes,
+            surrogate_memory=memory,
+            surrogate_cpu=surrogate_cpu,
+            client_cpu=client_cpu,
+        )
+        for index, (cut_count, cut_bytes, memory, surrogate_cpu,
+                    client_cpu) in enumerate(picks)
+    ]
+
+
+@st.composite
+def contexts(draw):
+    return EvaluationContext(
+        heap_capacity=draw(st.integers(1, 2 * 10**6)),
+        client_speed=draw(st.floats(0.25, 4.0)),
+        surrogate_speed=draw(st.floats(0.25, 8.0)),
+        total_cpu=draw(st.floats(0, 800)),
+        elapsed=draw(st.floats(0, 100)),
+    )
+
+
+class TestScanMatchesOracle:
+    @given(built_in_policies(), tie_prone_candidate_lists(), contexts())
+    @settings(max_examples=300, deadline=None)
+    def test_scan_picks_the_oracle_winner_or_refusal(self, policy,
+                                                     candidates, ctx):
+        try:
+            expected = oracle_select(policy, candidates, ctx)
+        except NoBeneficialPartitionError as refusal:
+            with pytest.raises(NoBeneficialPartitionError) as scanned:
+                policy.evaluate_chain(chain_of(candidates), ctx)
+            assert str(scanned.value) == str(refusal)
+            return
+        decision = policy.evaluate_chain(chain_of(candidates), ctx)
+        assert decision.candidate is candidates[expected]
+        assert decision == policy.decision_for(candidates[expected], ctx)
+
+
 class TestMemoryPolicyProperties:
     @given(candidate_lists(), st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=80, deadline=None)
@@ -56,7 +134,7 @@ class TestMemoryPolicyProperties:
         policy = MemoryPartitionPolicy(min_free_fraction=min_free)
         ctx = EvaluationContext(heap_capacity=10**6)
         try:
-            decision = policy.evaluate(candidates, ctx)
+            decision = policy.evaluate_chain(chain_of(candidates), ctx)
         except NoBeneficialPartitionError:
             # Then genuinely nothing was eligible.
             assert all(
@@ -73,7 +151,7 @@ class TestMemoryPolicyProperties:
         policy = MemoryPartitionPolicy(min_free_fraction=0.10)
         ctx = EvaluationContext(heap_capacity=10**6)
         try:
-            decision = policy.evaluate(candidates, ctx)
+            decision = policy.evaluate_chain(chain_of(candidates), ctx)
         except NoBeneficialPartitionError:
             return
         eligible = [
@@ -91,8 +169,8 @@ class TestMemoryPolicyProperties:
         freed = []
         for min_free in (0.05, 0.25, 0.50):
             try:
-                decision = MemoryPartitionPolicy(min_free).evaluate(
-                    candidates, ctx
+                decision = MemoryPartitionPolicy(min_free).evaluate_chain(
+                    chain_of(candidates), ctx
                 )
                 freed.append(decision.freed_bytes)
             except NoBeneficialPartitionError:

@@ -12,8 +12,13 @@ import dataclasses
 
 import pytest
 
+from repro.core.energy import EnergyPartitionPolicy
 from repro.emulator import Emulator
-from repro.experiments import cached_trace, memory_emulator_config
+from repro.experiments import (
+    cached_trace,
+    cpu_emulator_config,
+    memory_emulator_config,
+)
 from repro.experiments.exp_overhead import MEMORY_WORKLOADS
 
 
@@ -88,3 +93,16 @@ def test_single_shot_replay_reports_one_epoch():
     result = Emulator(trace).replay(memory_emulator_config())
     assert result.reeval is not None
     assert result.reeval.epochs == len(result.offloads)
+
+
+def test_energy_policy_reevaluation_replays_memoised_winners():
+    """A memo hit rebuilds the energy policy's winner via decision_for."""
+    trace = cached_trace("dia", MEMORY_WORKLOADS["dia"])
+    config = dataclasses.replace(
+        cpu_emulator_config(offload_at_event=len(trace) // 4),
+        partition_policy=EnergyPartitionPolicy(),
+        reevaluate_every=5.0,
+    )
+    result = Emulator(trace).replay(config)
+    assert result.reeval.epochs > 1
+    assert result.reeval.cache_hits > 0

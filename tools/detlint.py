@@ -42,8 +42,10 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: partitioner core: candidate chains and their policy decisions must be
 #: bit-identical across runs (the flat/legacy parity suite depends on
 #: it), so the same no-wall-clock / no-set-iteration / seeded-random
-#: rules apply there.  The platform module builds the report the
-#: prototype workload's goldens hash.
+#: rules apply there.  The energy policy runs in the same memoised
+#: re-evaluation path, and the engine drives it on the live platform.
+#: The platform module builds the report the prototype workload's
+#: goldens hash.
 DEFAULT_TARGETS = (
     "src/repro/emulator/fleet.py",
     "src/repro/emulator/parallel.py",
@@ -55,6 +57,8 @@ DEFAULT_TARGETS = (
     "src/repro/core/flatgraph.py",
     "src/repro/core/partitioner.py",
     "src/repro/core/policy.py",
+    "src/repro/core/energy.py",
+    "src/repro/core/engine.py",
     "src/repro/net/mobility.py",
     "src/repro/platform/migration.py",
     "src/repro/platform/platform.py",
