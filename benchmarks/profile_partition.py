@@ -2,10 +2,13 @@
 
 Runs the flat-CSR partitioning hot path under :mod:`cProfile` on the
 same synthetic graph the bench report uses and prints the top-20
-functions by cumulative time.  Meant for quick "where did the
-milliseconds go" triage after touching ``core/flatgraph.py`` or
-``core/mincut.py`` — the CI bench-smoke job uploads the output as an
-artifact so a regression report always ships with its hotspot profile.
+functions by cumulative time.  The cold rounds are followed by one
+incremental session over a few growth epochs that append nodes, so the
+snapshot ``sync`` path shows up in the profile too.  Meant for quick
+"where did the milliseconds go" triage after touching
+``core/flatgraph.py`` or ``core/mincut.py`` — the CI bench-smoke job
+uploads the output as an artifact so a regression report always ships
+with its hotspot profile.
 
 Examples::
 
@@ -20,14 +23,17 @@ import argparse
 import cProfile
 import io
 import pstats
+import random
 import sys
 
 from benchmarks.test_perf_components import synthetic_graph
 
-from repro.core.partitioner import Partitioner
+from repro.core.partitioner import IncrementalPartitioner, Partitioner
 from repro.core.policy import EvaluationContext, MemoryPartitionPolicy
 
 TOP_FUNCTIONS = 20
+#: Epochs of the profiled incremental session after the cold rounds.
+GROWTH_EPOCHS = 5
 
 
 def profile_partition(node_count: int, rounds: int = 5,
@@ -38,16 +44,34 @@ def profile_partition(node_count: int, rounds: int = 5,
     cumulative time).  Each round uses a fresh :class:`Partitioner` so
     the flat-snapshot compile cost shows up in the profile alongside
     the per-partition kernel cost instead of being hidden by the
-    module-level snapshot cache.
+    module-level snapshot cache.  Then one
+    :class:`IncrementalPartitioner` session runs ``GROWTH_EPOCHS``
+    epochs on a second copy of the graph, each after appending about
+    1% new nodes, the way object-granularity replays grow their graph.
     """
     graph = synthetic_graph(node_count)
     pinned = [f"c{i:04d}" for i in range(0, node_count, 10)]
     ctx = EvaluationContext(heap_capacity=graph.total_memory())
+    growing = graph.copy()
+    rng = random.Random(11)
+    per_epoch = max(1, node_count // 100)
 
     def run() -> None:
         for _ in range(rounds):
             partitioner = Partitioner(MemoryPartitionPolicy(0.20))
             partitioner.partition(graph, pinned, ctx)
+        session = IncrementalPartitioner(
+            Partitioner(MemoryPartitionPolicy(0.20)))
+        session.partition(growing, pinned, ctx)
+        for epoch in range(GROWTH_EPOCHS):
+            for i in range(per_epoch):
+                node = f"g{epoch}-{i:04d}"
+                growing.add_memory(node, rng.randrange(1024, 65536))
+                growing.record_interaction(
+                    node, f"c{rng.randrange(node_count):04d}",
+                    rng.randrange(16, 4096))
+            session.partition(growing, pinned, EvaluationContext(
+                heap_capacity=growing.total_memory()))
 
     profiler = cProfile.Profile()
     profiler.runcall(run)
@@ -56,7 +80,8 @@ def profile_partition(node_count: int, rounds: int = 5,
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(top)
     header = (f"profile_partition: {node_count} nodes, {rounds} rounds, "
-              f"flat-CSR kernel, top {top} by cumulative time\n")
+              f"then {GROWTH_EPOCHS} growth epochs, flat-CSR kernel, "
+              f"top {top} by cumulative time\n")
     return header + buffer.getvalue()
 
 

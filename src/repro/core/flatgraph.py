@@ -10,8 +10,9 @@ heap keys.  This module compiles the graph into the same stdlib-``array``
 SoA style the emulator's columnar replay core uses:
 
 * a **node interning table** (``names``/``idx``/``rank``) mapping node
-  ids to dense integer indices, reused across epochs — an index assigned
-  at compile time stays valid until the node set itself changes;
+  ids to dense integer indices, reused across epochs — the graph never
+  removes a node, so new nodes are appended and an interned index stays
+  valid for the snapshot's lifetime (``rank`` is re-derived on append);
 * **CSR adjacency** (``indptr``/``adj``/``eidx``) plus per-node
   memory/CPU columns and per-edge byte/count columns;
 * a derived **kernel cache**: per-node rows of ``(neighbor, inc)`` pairs
@@ -62,8 +63,10 @@ falls back cold only when
 * a recorded winner's connectivity *shrank* below its recorded value
   (untracked dominance can no longer be certified cheaply),
 * the repair region exceeds its budget (total promoted adjacency over
-  ``REPAIR_BUDGET_FRACTION`` of the half-edge count), or
-* the node set or seed changed (index interning must be rebuilt).
+  ``REPAIR_BUDGET_FRACTION`` of the half-edge count),
+* nodes were appended since the recorded run (it has no position for
+  them; the cold rerun re-records at the new size), or
+* the seed changed.
 
 Each fallback is reported with a reason so the session can expose a
 fallback taxonomy in its :class:`~repro.core.partitioner.ReevalStats`.
@@ -73,6 +76,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 from weakref import WeakKeyDictionary
 
@@ -107,8 +111,9 @@ class FlatDelta(NamedTuple):
     ``edge_changes`` holds ``(a_idx, b_idx, dbytes, dcount)`` per changed
     (or newly appeared) edge; ``node_changes`` holds
     ``(idx, dmemory, dcpu)``.  ``rebased`` is True when the packed-key
-    basis had to be doubled (recorded packed selections must be
-    re-encoded before reuse).
+    basis grew — the count field doubled or appended nodes widened the
+    rank field — so recorded packed selections must be re-encoded
+    before reuse.
     """
 
     edge_changes: List[Tuple[int, int, int, int]]
@@ -338,9 +343,9 @@ class FlatGraph:
 
     Compile once, then feed each epoch's :class:`GraphDelta` through
     :meth:`sync` — weight changes patch the columns and packed
-    increments in O(dirty); only node churn (a changed node set) forces
-    a recompile, because the interning table must stay stable for the
-    warm state's index-space bookkeeping to survive.
+    increments in O(dirty), and new nodes are appended to the interning
+    table (re-ranking the names in O(V log V)).  Only a delta the
+    snapshot cannot explain forces a recompile.
     """
 
     __slots__ = (
@@ -394,14 +399,6 @@ class FlatGraph:
             i = idx[name]
             node_mem[i] = stats.memory_bytes
             node_cpu[i] = stats.cpu_seconds
-        # Lexicographic interning rank: packed keys tie-break exactly
-        # like the reference (bytes, count, node-id) max selection.
-        by_name = sorted(range(n), key=names.__getitem__)
-        rank = [0] * n
-        r2i = [0] * n
-        for r, i in enumerate(by_name):
-            rank[i] = r
-            r2i[r] = i
         edge_a: List[int] = []
         edge_b: List[int] = []
         edge_bytes: List[int] = []
@@ -418,8 +415,7 @@ class FlatGraph:
         self.names = names
         self.idx = idx
         self.n = n
-        self.rank = rank
-        self.r2i = r2i
+        self._rank_names()
         self.node_mem = node_mem
         self.node_cpu = node_cpu
         self.edge_a = edge_a
@@ -498,14 +494,27 @@ class FlatGraph:
         Reads the *current* values of every dirty node/edge from the
         graph (the delta names what changed; the graph is the source of
         truth), so it works across copy-on-write graph replacement as
-        long as the delta covers the gap.  Returns None on node churn,
-        on an edge whose endpoints are unknown, or when the post-sync
-        link count disagrees with the graph (a sign the delta did not
-        cover every mutation).
+        long as the delta covers the gap.  Nodes that appeared since the
+        last sync are appended to the interning table (the graph never
+        removes a node, so interned indices only grow).  Returns None
+        when the node count shrank, on a name that is appended twice or
+        missing from the delta, on an edge whose endpoints are unknown,
+        or when the post-sync link count disagrees with the graph (a
+        sign the delta did not cover every mutation).
         """
         idx = self.idx
-        if graph.node_count != self.n:
+        if graph.node_count < self.n:
             return None
+        rebased = False
+        if graph.node_count > self.n:
+            if not self._append_nodes(graph, delta):
+                return None
+            # A node count past the rank field's power of two widens
+            # ``nb``, which every packed increment carries: the rows are
+            # re-derived below, after the edge columns are patched.
+            nb = _pow2_at_least(self.n)
+            rebased = nb != self.nb
+            self.nb = nb
         for name in delta.nodes:
             if name not in idx:
                 return None
@@ -556,14 +565,14 @@ class FlatGraph:
                 node_changes.append((i, dmem, dcpu))
         if graph.link_count != len(self.edge_a):
             return None
-        rebased = False
         if self.total_count >= self.cb:
             # Counts outgrew the packed basis: double it and re-derive
             # every increment (amortised O(1) per epoch).
             self.cb = _pow2_at_least(2 * (self.total_count + 1))
+            rebased = True
+        if rebased:
             self.cbnb = self.cb * self.nb
             self._build_rows()
-            rebased = True
         else:
             cb = self.cb
             nb = self.nb
@@ -580,6 +589,43 @@ class FlatGraph:
                 self.rowtot[b] += dinc
         self.synced_version = graph.version
         return FlatDelta(edge_changes, node_changes, rebased)
+
+    def _append_nodes(self, graph: ExecutionGraph, delta: GraphDelta) -> bool:
+        """Intern the nodes past ``n``; False when the delta cannot explain them.
+
+        New names are taken in ``graph.nodes()`` order, so index order
+        stays graph order and ``sum(node_cpu)`` adds its floats in the
+        order the reference generator does.  Their statistics start at
+        zero; the delta names every new node, so the node pass of
+        :meth:`sync` fills them in.
+        """
+        names = self.names
+        idx = self.idx
+        dirty = delta.nodes
+        for name in islice(graph.nodes(), self.n, None):
+            if name in idx or name not in dirty:
+                return False
+            idx[name] = len(names)
+            names.append(name)
+            self.node_mem.append(0)
+            self.node_cpu.append(0.0)
+            self.rows.append([])
+            self.rowtot.append(0)
+        self.n = len(names)
+        self._rank_names()
+        self._csr_stale = True
+        return True
+
+    def _rank_names(self) -> None:
+        """Lexicographic interning rank: packed keys tie-break exactly
+        like the reference (bytes, count, node-id) max selection."""
+        names = self.names
+        rank = [0] * self.n
+        r2i = sorted(range(self.n), key=names.__getitem__)
+        for r, i in enumerate(r2i):
+            rank[i] = r
+        self.rank = rank
+        self.r2i = r2i
 
     # -- cut / connectivity queries ----------------------------------------
 
@@ -653,6 +699,9 @@ class FlatGraph:
         if warm is not None:
             warm.ready = False
             warm.seed_key = seed_key
+            # Sized to this run even when there is nothing to record, so
+            # a short ``pos`` always means nodes appended since.
+            warm.pos = [0] * n
         if k == 0:
             return FlatChain(self, seed_key, [], [], [], [],
                              self.cb, self.nb, total_mem, total_cpu)
@@ -776,6 +825,11 @@ class FlatGraph:
         untracked hypothesis winners can reuse their recorded packed
         selections verbatim.
         """
+        if len(warm.pos) != self.n:
+            # Nodes were appended since the recorded run: it has no
+            # position for them, so the session reruns cold (and the
+            # cold run re-records the warm state at the new size).
+            return None, COLD_NODE_CHURN, 0, 0
         k = len(warm.order)
         if not warm.ready or k < 2:
             return None, COLD_NOT_READY, 0, 0

@@ -176,13 +176,14 @@ class ReevalStats:
     Every cold epoch also increments exactly one fallback-taxonomy
     counter naming *why* it ran cold: ``not_ready`` (no usable warm
     state — first epoch, oversized delta, changed pinned set, or a
-    freshly compiled snapshot), ``node_churn`` (the node set changed,
-    so the interning table was rebuilt), ``seed_change`` (same nodes,
-    different effective seed), ``shrunk_winner`` (a
-    recorded winner's connectivity shrank below its recorded value, so
-    local repair could not certify the order), ``budget`` (the repair
-    region outgrew its adjacency budget), and ``forced`` (``force_cold``
-    sessions and hint-contraction epochs).  ``repair_epochs`` counts
+    freshly compiled snapshot), ``node_churn`` (nodes appeared since
+    the recorded run, or the snapshot refused a delta and was
+    recompiled), ``seed_change`` (same nodes, different effective
+    seed), ``shrunk_winner`` (a recorded winner's connectivity shrank
+    below its recorded value, so local repair could not certify the
+    order), ``budget`` (the repair region outgrew its adjacency
+    budget), and ``forced`` (``force_cold`` sessions and
+    hint-contraction epochs).  ``repair_epochs`` counts
     warm hits that actually had to repair the move log (with
     ``repair_splices``/``repair_promotions`` accumulating how much);
     warm hits beyond those merely revalidated the recorded order.
@@ -328,14 +329,17 @@ class IncrementalPartitioner:
             fg = flatgraph.FlatGraph.try_compile(graph)
             self._fg = fg
             self._fwarm = flatgraph.FlatWarmState()
-        warm_viable = (
+        # Nodes appended by the sync outrank every other fallback
+        # reason: repair_chain's churn guard names the epoch.
+        churned = fdelta is not None and len(self._fwarm.pos) != fg.n
+        attempt_repair = churned or (
             fdelta is not None
             and self._fwarm.ready
             and not delta.empty
             and dirty_fraction <= self.warm_threshold
             and pinned_key == self._last_pinned_key
         )
-        if warm_viable:
+        if attempt_repair:
             chain, fail, splices, promotions = fg.repair_chain(
                 self._fwarm, fdelta, pinned
             )

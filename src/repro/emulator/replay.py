@@ -1261,8 +1261,8 @@ class TraceReplayer:
             if (
                 reevaluate_every is not None
                 and offload_enabled
-                and result.offload_count > 0
                 and now - last_reeval >= reevaluate_every
+                and result.offload_count > 0
             ):
                 last_reeval = now
                 self._columnar_spill(

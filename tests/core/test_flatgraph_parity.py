@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import flatgraph
 from repro.core.energy import EnergyPartitionPolicy
-from repro.core.graph import ExecutionGraph
+from repro.core.graph import ExecutionGraph, GraphDelta
 from repro.core.mincut import generate_candidates
 from repro.core.partitioner import (
     IncrementalPartitioner,
@@ -227,15 +227,46 @@ class TestFlatGraphStructure:
         assert_chain_matches(fg.generate_chain(["a"]),
                              generate_candidates(graph, ["a"]))
 
-    def test_sync_refuses_node_churn_and_unknown_names(self):
+    def test_sync_appends_new_nodes_in_graph_order(self):
+        graph = ExecutionGraph()
+        for name in ("a", "b", "d", "e"):
+            graph.add_memory(name, 100)
+            graph.add_cpu(name, 0.1)
+        graph.record_interaction("a", "b", 10)
+        graph.record_interaction("d", "e", 20)
+        graph.drain_dirty()
+        fg = flatgraph.FlatGraph.try_compile(graph)
+        old_idx = dict(fg.idx)
+        # 4 -> 5 nodes crosses a power of two: the rank field widens.
+        graph.record_interaction("b", "c", 30)  # "c" sorts mid-table
+        graph.add_cpu("c", 0.7)
+        fdelta = fg.sync(graph, graph.drain_dirty())
+        assert fdelta is not None and fdelta.rebased
+        assert fg.n == 5 and fg.names == list(graph.nodes())
+        assert all(fg.idx[name] == i for name, i in old_idx.items())
+        assert [fg.names[i] for i in fg.r2i] == sorted(fg.names)
+        assert_chain_matches(fg.generate_chain(["a"]),
+                             generate_candidates(graph, ["a"]))
+        # 5 -> 6 stays under the power of two: a plain patch.
+        graph.record_interaction("e", "aa", 5)
+        fdelta = fg.sync(graph, graph.drain_dirty())
+        assert fdelta is not None and not fdelta.rebased
+        assert fg.names == list(graph.nodes())
+        assert_chain_matches(fg.generate_chain(["a"]),
+                             generate_candidates(graph, ["a"]))
+
+    def test_sync_refuses_a_delta_that_misses_a_mutation(self):
         graph = ExecutionGraph()
         graph.add_memory("a", 100)
         graph.add_memory("b", 100)
         graph.record_interaction("a", "b", 10)
         graph.drain_dirty()
         fg = flatgraph.FlatGraph.try_compile(graph)
-        graph.record_interaction("a", "z", 10)  # new node appears
-        assert fg.sync(graph, graph.drain_dirty()) is None
+        graph.record_interaction("a", "z", 10)  # new node and edge
+        full = graph.drain_dirty()
+        missed = GraphDelta(nodes=full.nodes, edges=frozenset(),
+                            version=full.version)
+        assert fg.sync(graph, missed) is None
 
     def test_fingerprint_packs_columns_and_overflow_falls_back(self):
         graph = ExecutionGraph()
@@ -368,14 +399,29 @@ class TestFallbackTaxonomy:
             Partitioner(policy or MemoryPartitionPolicy(0.20)))
         return graph, names, session
 
-    def test_node_churn_is_counted_and_recompiles(self):
+    def test_node_churn_is_counted_and_patches_the_snapshot(self):
         graph, names, session = self._session()
         pinned = [names[0]]
         ctx = make_context(graph)
         session.partition(graph, pinned, ctx)
+        snapshot = session._fg
         graph.record_interaction(names[1], "brand-new", 256)
         decision = session.partition(graph, pinned, make_context(graph))
         assert session.stats.fallback_node_churn == 1
+        assert session._fg is snapshot
+        fresh = Partitioner(MemoryPartitionPolicy(0.20)).partition(
+            graph, pinned, make_context(graph))
+        assert_decisions_match(decision, fresh)
+        # Churn outranks the other reasons: a delta too large to repair
+        # (dirty fraction over the warm threshold) is still churn.
+        not_ready = session.stats.fallback_not_ready
+        for i in range(20):
+            graph.record_interaction(names[i], f"late{i:02d}", 64)
+        decision = session.partition(graph, pinned, make_context(graph))
+        assert session.stats.last_dirty_fraction > session.warm_threshold
+        assert session.stats.fallback_node_churn == 2
+        assert session.stats.fallback_not_ready == not_ready
+        assert session._fg is snapshot
         fresh = Partitioner(MemoryPartitionPolicy(0.20)).partition(
             graph, pinned, make_context(graph))
         assert_decisions_match(decision, fresh)

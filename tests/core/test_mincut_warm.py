@@ -41,17 +41,28 @@ def random_graph(rng, node_count, edge_factor=2.0):
     return graph, nodes
 
 
+def append_node(rng, graph, nodes):
+    """A new node whose name sorts between existing names ("n007.31"
+    lands between "n007" and "n008"), with float CPU and one edge."""
+    node = f"{rng.choice(nodes)}.{len(nodes)}"
+    graph.add_cpu(node, rng.random())
+    graph.record_interaction(node, rng.choice(nodes), rng.randrange(1, 512))
+    nodes.append(node)
+
+
 def mutate(rng, graph, nodes, rounds):
     """A small burst of growth-only mutations through the entry points."""
     for _ in range(rounds):
-        kind = rng.randrange(3)
+        kind = rng.randrange(4)
         if kind == 0:
             a, b = rng.sample(nodes, 2)
             graph.record_interaction(a, b, rng.randrange(1, 64))
         elif kind == 1:
             graph.add_memory(rng.choice(nodes), rng.randrange(1, 512))
-        else:
+        elif kind == 2:
             graph.add_cpu(rng.choice(nodes), rng.random() * 0.1)
+        else:
+            append_node(rng, graph, nodes)
 
 
 class WarmKernel:
@@ -63,9 +74,14 @@ class WarmKernel:
         self.warm = FlatWarmState()
         self.fg.generate_chain(pinned, warm=self.warm)
 
-    def step(self, graph, pinned):
-        """Returns ``(chain, reason)``; ``reason`` is None when warm."""
-        fdelta = self.fg.sync(graph, graph.drain_dirty())
+    def step(self, graph, pinned, delta=None):
+        """Returns ``(chain, reason)``; ``reason`` is None when warm.
+
+        ``delta`` defaults to draining ``graph``'s own dirty sets.
+        """
+        if delta is None:
+            delta = graph.drain_dirty()
+        fdelta = self.fg.sync(graph, delta)
         if fdelta is None:
             self.fg = FlatGraph.try_compile(graph)
             self.warm = FlatWarmState()
@@ -159,3 +175,41 @@ def test_warm_state_recovers_after_fallback():
     chain, reason = kernel.step(graph, pinned)
     assert reason is None
     assert_candidate_chains_match(chain, generate_candidates(graph, pinned))
+
+
+def test_copy_reusing_snapshots_keep_float_parity():
+    """Snapshots append new nodes in ``frozenset`` order, not insertion
+    order; the snapshot must follow each graph's own order, or the float
+    ``surrogate_cpu`` column (a sum in node order) drifts."""
+    rng = random.Random(31)
+    live, nodes = random_graph(rng, 24)
+    pinned = nodes[:3]
+    live.drain_dirty()
+    snap = live.copy()
+    kernel = WarmKernel(snap, pinned)
+    reordered = 0
+    for _ in range(20):
+        for _ in range(rng.randrange(3, 6)):
+            append_node(rng, live, nodes)
+        mutate(rng, live, nodes, rounds=rng.randrange(1, 4))
+        delta = live.drain_dirty()
+        snap = live.copy_reusing(snap, delta)
+        reordered += list(snap.nodes()) != list(live.nodes())
+        chain, _ = kernel.step(snap, pinned, delta)
+        assert kernel.fg.names == list(snap.nodes())
+        assert_candidate_chains_match(chain, generate_candidates(snap, pinned))
+    assert reordered > 0
+
+
+def test_chain_built_before_an_append_still_materialises():
+    rng = random.Random(17)
+    graph, nodes = random_graph(rng, 30)
+    pinned = nodes[:2]
+    kernel = WarmKernel(graph, pinned)
+    before = kernel.fg.generate_chain(pinned)
+    reference = generate_candidates(graph, pinned)
+    for _ in range(10):  # 30 -> 40 nodes widens the rank field
+        append_node(rng, graph, nodes)
+    fdelta = kernel.fg.sync(graph, graph.drain_dirty())
+    assert fdelta is not None and fdelta.rebased
+    assert_candidate_chains_match(before, reference)

@@ -12,7 +12,9 @@ import dataclasses
 
 import pytest
 
+from repro.config import EnhancementFlags
 from repro.core.energy import EnergyPartitionPolicy
+from repro.core.flatgraph import FlatGraph
 from repro.emulator import Emulator
 from repro.experiments import (
     cached_trace,
@@ -106,3 +108,22 @@ def test_energy_policy_reevaluation_replays_memoised_winners():
     result = Emulator(trace).replay(config)
     assert result.reeval.epochs > 1
     assert result.reeval.cache_hits > 0
+
+
+def test_node_churn_patches_the_snapshot_without_recompiling(monkeypatch):
+    """Array granularity adds object nodes every epoch; each epoch's
+    sync appends them, so a replay compiles its snapshot exactly once."""
+    compiles = []
+    compile_snapshot = FlatGraph.try_compile.__func__
+
+    def counting(cls, graph):
+        compiles.append(graph.node_count)
+        return compile_snapshot(cls, graph)
+
+    monkeypatch.setattr(FlatGraph, "try_compile", classmethod(counting))
+    trace = cached_trace("dia", MEMORY_WORKLOADS["dia"])
+    result = Emulator(trace).replay(reeval_config(
+        flags=EnhancementFlags(arrays_object_granularity=True),
+    ))
+    assert result.reeval.fallback_node_churn > 0
+    assert len(compiles) == 1
