@@ -55,18 +55,6 @@ class RemoteCounters:
     #: bytes on the wire, so they are excluded from ``remote_accesses``
     #: and ``remote_bytes``.
     cached_reads: int = 0
-    #: Reliability counters (all zero on a fault-free link): exchanges
-    #: retransmitted after a loss, retransmission timeouts charged, and
-    #: coalesced batches dropped un-applied when the surrogate died.
-    retries: int = 0
-    timeouts: int = 0
-    dropped_batches: int = 0
-    #: Retransmissions recognised by sequence number and acknowledged
-    #: without re-applying (the ack, not the request, was lost).
-    duplicates_suppressed: int = 0
-    #: Emulated seconds the retry machinery charged (timeouts, backoff,
-    #: partition waits, latency spikes).
-    fault_time_s: float = 0.0
 
     @property
     def total_remote(self) -> int:

@@ -16,11 +16,11 @@ with Chai's trigger conditions.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..config import DeviceProfile, EnhancementFlags, GCConfig, JORNADA, PC_SURROGATE
+from ..core.control import ControlPlane
 from ..core.graph import ExecutionGraph, object_node_id
 from ..core.hints import ColdStartSeed
 from ..core.partitioner import (
@@ -30,7 +30,6 @@ from ..core.partitioner import (
     ReevalStats,
 )
 from ..core.policy import (
-    BandwidthTrendTrigger,
     EvaluationContext,
     MemoryTrigger,
     OffloadPolicy,
@@ -329,25 +328,13 @@ class TraceReplayer:
         self._link: LinkModel = (
             profile.link_at(0.0) if profile is not None else config.link
         )
-        self._epoch_start = 0.0
-        self._next_link_change = (
-            profile.next_change_after(0.0) if profile is not None
-            else math.inf
+        # Loss, rediscovery and roaming decisions: the state machine the
+        # prototype drives too, with this replayer as its host.
+        spec = config.faults
+        self._control = control = ControlPlane(
+            self, self._link, faults=spec, link_profile=profile,
+            mobility=config.mobility,
         )
-        self._pending_reoffload: Optional[FrozenSet[str]] = None
-        self._mobility_report: Optional[MobilityReport] = (
-            MobilityReport(profile=profile.name)
-            if profile is not None else None
-        )
-        self._trend: Optional[BandwidthTrendTrigger] = None
-        if profile is not None and config.mobility is not None:
-            mob = config.mobility
-            self._trend = BandwidthTrendTrigger(
-                mob.threshold_bps,
-                horizon_s=mob.horizon_s,
-                window=mob.window,
-                restore_bps=mob.restore_bps,
-            )
         dp = config.data_plane
         self._dp_stats = DataPlaneStats() if dp.any_enabled else None
         self._cache = RemoteReadCache() if dp.read_cache else None
@@ -360,28 +347,18 @@ class TraceReplayer:
         )
         # Fault injection: a fresh seeded schedule per replayer, so two
         # replays of one config draw identical fault streams.
-        spec = config.faults
-        self._fault_report = FaultReport(
-            spec=spec.canonical() if spec is not None else ""
-        )
-        self._schedule = (
-            FaultSchedule(spec)
-            if spec is not None and spec.any_faults else None
-        )
-        self._delivery = (
+        self._delivery = control.delivery = (
             ReliableDelivery(
                 config.retry,
-                schedule=self._schedule,
+                schedule=FaultSchedule(spec),
                 charge=self._charge_fault,
-                counters=self._fault_report,
+                counters=control.faults,
                 now=lambda: self._now,
                 events=lambda: self.result.events_processed,
-                on_peer_lost=self._declare_surrogate_dead,
+                on_peer_lost=control.lose_surrogate,
             )
-            if self._schedule is not None else None
+            if spec is not None and spec.any_faults else None
         )
-        self._lost_at: Optional[float] = None
-        self._reattach_at: Optional[float] = None
         granular = config.flags.arrays_object_granularity
         self._granular_classes: Set[str] = {INT_ARRAY} if granular else set()
         # Run-length buffer for graph edge updates: consecutive
@@ -480,28 +457,20 @@ class TraceReplayer:
             return
         self._charge_comm(self._link.one_way(nbytes))
 
-    # -- surrogate death and rediscovery -------------------------------------
+    # -- control-plane ports (see repro.core.control) ------------------------
 
-    @property
-    def _surrogate_dead(self) -> bool:
-        return self._delivery is not None and self._delivery.peer_dead
+    def now(self) -> float:
+        return self._now
 
-    def _declare_surrogate_dead(self, reason: str) -> None:
-        """Graceful degradation, invoked from inside the failed exchange.
-
-        Drains the in-flight coalesced batch, drops the read cache, and
-        reconstructs every surrogate-resident object client-side from
-        the replayer's own bookkeeping — zero wire charge, the wire is
-        gone.  Afterwards the run is a client-only monolith until (and
-        unless) the surrogate is rediscovered.
-        """
-        report = self._fault_report
-        report.recoveries += 1
-        self._lost_at = self._now
+    def drop_traffic(self) -> None:
         if self._coalescer is not None:
             self._coalescer.drop_pending()
         if self._cache is not None:
             self._cache.invalidate_all()
+
+    def repatriate_unreachable(self) -> Tuple[int, int]:
+        """Reconstruct every surrogate-resident object client-side from
+        the replayer's own bookkeeping: zero wire charge."""
         repatriated = 0
         repatriated_bytes = 0
         for oid, site in self._site.items():
@@ -512,142 +481,52 @@ class TraceReplayer:
                 self._surrogate_live -= size
                 repatriated += 1
                 repatriated_bytes += size
-        report.objects_repatriated += repatriated
-        report.repatriated_bytes += repatriated_bytes
         self._offloaded = frozenset()
         self._class_on_surrogate = set()
         if self._client_live > self.result.peak_client_bytes:
             self.result.peak_client_bytes = self._client_live
-        if reason == "partition":
-            # A partition-caused death heals when the window ends:
-            # model rediscovery of the (unchanged) surrogate then.
-            until = self._schedule.partition_until(self._now)
-            if until is not None:
-                self._reattach_at = until
+        return repatriated, repatriated_bytes
 
-    def _rediscover(self) -> None:
-        """The surrogate is reachable again: leave degraded mode.
+    def flush_traffic(self) -> None:
+        if self._coalescer is not None:
+            self._coalescer.flush()
 
-        Closes the downtime window, revives the delivery layer, and
-        warm-starts a fresh partitioning epoch from the incremental
-        session — the graph kept growing while degraded, so the new
-        MINCUT starts warm, not cold.
-        """
-        report = self._fault_report
-        if self._lost_at is not None:
-            report.downtime_s += self._now - self._lost_at
-            self._lost_at = None
-        self._reattach_at = None
-        self._delivery.revive()
-        report.rediscoveries += 1
-        if self.config.offload_enabled:
-            self._attempt_offload()
+    def set_link(self, link: LinkModel) -> None:
+        self._link = link
+        if self._coalescer is not None:
+            self._coalescer.link = link
 
-    # -- mobility: the scheduled link and the reactions to its decay ----------
+    def placement(self) -> FrozenSet[str]:
+        return self._offloaded
 
-    def _poll_mobility(self) -> None:
-        """The clock crossed a profile change point: re-resolve the link.
-
-        Bandwidth/latency segments resolve relative to the attachment
-        epoch (a handoff resets it — the client is adjacent to the new
-        surrogate again); disconnection windows live in the fault spec
-        and are the retry layer's problem, not this method's.
-        """
-        profile = self.config.link_profile
-        report = self._mobility_report
-        new_link = profile.link_at(self._now - self._epoch_start)
-        if new_link != self._link:
-            if self._coalescer is not None:
-                # Buffered traffic was produced under the old link;
-                # charge it at old-link prices before switching.
-                self._coalescer.flush()
-            self._link = new_link
-            if self._coalescer is not None:
-                self._coalescer.link = new_link
-            report.link_changes += 1
-        self._next_link_change = self._epoch_start + profile.next_change_after(
-            self._now - self._epoch_start
-        )
-        if self._trend is None:
-            return
-        action = self._trend.observe(self._now, self._link.bandwidth_bps)
-        if action == "fire":
-            report.trend_fires += 1
-            if self.config.mobility.mode == "handoff":
-                self._roam_handoff()
-            else:
-                self._proactive_repatriation()
-        elif action == "recover":
-            self._reoffload_after_recovery()
-
-    def _roam_handoff(self) -> None:
-        """Hand the offloaded partition to a better-placed surrogate.
-
-        The state streams surrogate-to-surrogate over the mobility
-        backhaul; residency does not change (the new surrogate replaces
-        the old transparently) and nothing transits the client's
-        wireless hop.  The attachment epoch restarts: the profile's
-        decay schedule runs again from its t=0 link.
-        """
+    def roam(self) -> bool:
+        """Stream the partition surrogate-to-surrogate over the mobility
+        backhaul; residency does not change and nothing transits the
+        client's wireless hop.  ``False`` when the old surrogate died
+        under the stream (recovery has repatriated everything)."""
         if not self._exchange():
-            # The old surrogate died under the handoff stream; recovery
-            # has already repatriated everything.
-            return
-        report = self._mobility_report
+            return False
         total_bytes = 0
         count = 0
         for oid, site in self._site.items():
             if site == SURROGATE:
                 total_bytes += self._size[oid]
                 count += 1
+        wire = 0
+        duration = 0.0
         if count:
             wire = migration_payload(total_bytes, count)
-            backhaul = self.config.mobility.backhaul
-            duration = migration_cost(backhaul, total_bytes, count)
+            duration = migration_cost(self.config.mobility.backhaul,
+                                      total_bytes, count)
             self.result.migration_bytes += wire
             self.result.migration_time += duration
             self._now += duration
-            report.handoff_bytes += wire
-            report.handoff_time_s += duration
-        report.handoffs += 1
-        self._epoch_start = self._now
-        profile = self.config.link_profile
-        new_link = profile.link_at(0.0)
-        if new_link != self._link:
-            if self._coalescer is not None:
-                self._coalescer.flush()
-            self._link = new_link
-            if self._coalescer is not None:
-                self._coalescer.link = new_link
-            report.link_changes += 1
-        self._next_link_change = (
-            self._now + profile.next_change_after(0.0)
-        )
-        if self._trend is not None:
-            # The new attachment starts clean: old decay samples would
-            # otherwise project the previous cell's slope onto it.
-            self._trend.reset()
+        self._control.handed_off(wire, duration, self._link)
+        return True
 
-    def _proactive_repatriation(self) -> None:
-        """Pull the offloaded partition home while the link still works,
-        remembering it for re-offload when the trend recovers."""
-        if not self._offloaded:
-            return
-        placement = self._offloaded
-        moved_bytes, _ = self._apply_placement(frozenset())
-        self._pending_reoffload = placement
-        report = self._mobility_report
-        report.proactive_repatriations += 1
-        report.proactively_repatriated_bytes += moved_bytes
-
-    def _reoffload_after_recovery(self) -> None:
-        """The link came back: re-apply the remembered placement."""
-        placement = self._pending_reoffload
-        if placement is None or self._surrogate_dead:
-            return
-        self._pending_reoffload = None
-        self._apply_placement(placement)
-        self._mobility_report.reoffloads += 1
+    def resume_offloading(self, attempt: bool) -> None:
+        if attempt:
+            self._attempt_offload()
 
     # -- the replay loop ------------------------------------------------------
 
@@ -656,15 +535,13 @@ class TraceReplayer:
         self._flush_interactions()
         if self._coalescer is not None:
             self._coalescer.flush()
-        if self._lost_at is not None:
-            # The run ended in degraded mode: close the downtime window.
-            self._fault_report.downtime_s += self._now - self._lost_at
-            self._lost_at = None
+        control = self._control
+        # A run that ended in degraded mode closes its downtime window.
+        control.close_downtime()
         if self.config.faults is not None:
-            self._fault_report.epochs_survived = self.result.offload_count
-            self.result.faults = self._fault_report
-        if self._mobility_report is not None:
-            self.result.mobility = self._mobility_report
+            control.faults.epochs_survived = self.result.offload_count
+            self.result.faults = control.faults
+        self.result.mobility = control.mobility
         self.result.completed = not self.result.oom
         self.result.total_time = self._now
         self.result.final_offload_nodes = self._offloaded
@@ -706,8 +583,9 @@ class TraceReplayer:
         allocs_per_cycle = config.gc.allocations_per_cycle
         bytes_per_cycle = config.gc.bytes_per_cycle
         monitoring_cost = config.monitoring_event_cost
+        control = self._control
         link = self._link
-        next_roam = self._next_link_change
+        next_roam = control.next_change
         offload_at = config.offload_at_event
         reevaluate_every = config.reevaluate_every
         offload_enabled = config.offload_enabled
@@ -784,7 +662,7 @@ class TraceReplayer:
         remote_accesses = result.remote_accesses
         remote_bytes = result.remote_bytes
         peak_client = result.peak_client_bytes
-        reattach_at = self._reattach_at
+        reattach_at = control.reattach_at
         ep = 0
         oom = False
 
@@ -1211,19 +1089,19 @@ class TraceReplayer:
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
                 )
-                self._poll_mobility()
+                control.poll_mobility()
                 (now, client_live, surrogate_live, allocs_since_gc,
                  bytes_since_gc, last_reeval, class_on_surrogate,
                  pend_pair, pend_bytes, pend_count, comm_time,
                  peak_client, reattach_at) = self._columnar_reload()
                 link = self._link
-                next_roam = self._next_link_change
+                next_roam = control.next_change
                 access_cost_memo.clear()
                 invoke_cost_memo.clear()
             if (
                 reattach_at is not None
                 and now >= reattach_at
-                and self._surrogate_dead
+                and control.surrogate_lost
             ):
                 # The partition that killed the surrogate has healed:
                 # rediscovery may start a fresh offload epoch.
@@ -1235,7 +1113,7 @@ class TraceReplayer:
                     monitoring_time, remote_invocations, remote_native,
                     remote_accesses, remote_bytes, peak_client,
                 )
-                self._rediscover()
+                control.rediscover(offload_enabled)
                 (now, client_live, surrogate_live, allocs_since_gc,
                  bytes_since_gc, last_reeval, class_on_surrogate,
                  pend_pair, pend_bytes, pend_count, comm_time,
@@ -1300,8 +1178,8 @@ class TraceReplayer:
 
         The batched loop keeps replayer state in locals; this helper
         writes it back so a cold call (:meth:`_gc_cycle`,
-        :meth:`_attempt_offload`, :meth:`_poll_mobility`,
-        :meth:`_rediscover`, and everything they reach) observes the
+        :meth:`_attempt_offload`, the control plane's mobility poll and
+        rediscovery, and everything they reach) observes the
         replay's exact state, then the caller takes
         :meth:`_columnar_reload` back into its locals.
         """
@@ -1336,7 +1214,7 @@ class TraceReplayer:
                 self._last_reevaluation, self._class_on_surrogate,
                 self._pending_edge, self._pending_edge_bytes,
                 self._pending_edge_count, result.comm_time,
-                result.peak_client_bytes, self._reattach_at)
+                result.peak_client_bytes, self._control.reattach_at)
 
     def _exchange_spill(self, ep, now, client_live, surrogate_live,
                         peak_client) -> None:
@@ -1361,7 +1239,7 @@ class TraceReplayer:
         exchange that may have declared the surrogate dead."""
         return (self._client_live, self._surrogate_live,
                 self._class_on_surrogate, self.result.peak_client_bytes,
-                self._reattach_at)
+                self._control.reattach_at)
 
     # -- allocation and the emulated collector -------------------------------------
 
@@ -1455,7 +1333,7 @@ class TraceReplayer:
         )
 
     def _attempt_offload(self, reevaluation: bool = False) -> None:
-        if self._surrogate_dead:
+        if self._control.surrogate_lost:
             # Client-only degraded mode: nothing to offload to.  The
             # graph keeps growing, so the post-rediscovery epoch starts
             # warm.
@@ -1466,10 +1344,10 @@ class TraceReplayer:
             # observe buffered, un-charged operations.
             self._coalescer.migration_barrier()
         if self.config.forced_offload_nodes is not None:
-            moved_bytes, moved_objects = self._apply_placement(
+            moved_bytes, moved_objects = self.apply_placement(
                 self.config.forced_offload_nodes
             )
-            if self._surrogate_dead and moved_objects == 0:
+            if self._control.surrogate_lost and moved_objects == 0:
                 # The placement died on its opening exchange: nothing
                 # moved, so no offload was performed.
                 return
@@ -1500,17 +1378,17 @@ class TraceReplayer:
             if reevaluation:
                 # No partitioning is currently beneficial: revert to
                 # the all-local placement (reverse migration).
-                moved_bytes, moved_objects = self._apply_placement(
+                moved_bytes, moved_objects = self.apply_placement(
                     frozenset()
                 )
                 offload.migrated_bytes = moved_bytes
                 offload.migrated_objects = moved_objects
             self.result.offloads.append(offload)
             return
-        moved_bytes, moved_objects = self._apply_placement(
+        moved_bytes, moved_objects = self.apply_placement(
             decision.offload_nodes
         )
-        if self._surrogate_dead and moved_objects == 0:
+        if self._control.surrogate_lost and moved_objects == 0:
             # The placement died on its opening exchange: nothing
             # moved, so no offload was performed.
             return
@@ -1518,7 +1396,7 @@ class TraceReplayer:
         offload.migrated_objects = moved_objects
         self.result.offloads.append(offload)
 
-    def _apply_placement(
+    def apply_placement(
         self, offload_nodes: FrozenSet[str]
     ) -> Tuple[int, int]:
         self._offloaded = offload_nodes

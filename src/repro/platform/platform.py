@@ -16,18 +16,14 @@ across them and a full surrogate's allocations spill to a sibling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import EnhancementFlags, JORNADA, PC_SURROGATE, VMConfig
+from ..core.control import ControlPlane
 from ..core.engine import MigrationOutcome, OffloadEvent, OffloadingEngine
 from ..core.monitor import ExecutionMonitor, ResourceMonitor
 from ..core.partitioner import Partitioner
-from ..core.policy import (
-    BandwidthTrendTrigger,
-    EvaluationContext,
-    OffloadPolicy,
-    PartitionPolicy,
-)
+from ..core.policy import EvaluationContext, OffloadPolicy, PartitionPolicy
 from ..errors import (
     ConfigurationError,
     MigrationError,
@@ -35,9 +31,9 @@ from ..errors import (
     PlatformError,
     SurrogateUnavailableError,
 )
-from ..net.faults import FaultReport, FaultSchedule, FaultSpec
+from ..net.faults import FaultSchedule, FaultSpec
 from ..net.link import LinkModel
-from ..net.mobility import LinkProfile, MobilityConfig, MobilityReport
+from ..net.mobility import LinkProfile, MobilityConfig
 from ..net.stats import TrafficStats
 from ..net.wavelan import WAVELAN_11MBPS
 from ..rpc.batch import DataPlane, DataPlaneConfig
@@ -279,47 +275,33 @@ class DistributedPlatform:
             self.client.vm, [node.vm for node in nodes],
             {spec.name: spec.link for spec in surrogates}, self.traffic,
         )
+        # Loss, rediscovery and roaming decisions: the state machine the
+        # emulator drives too, with this platform as its host.  A link
+        # profile schedules the primary's link; ``mobility`` adds the
+        # trend trigger that turns decay into proactive action.
+        self.control = control = ControlPlane(
+            self, self.link, faults=faults, link_profile=link_profile,
+            mobility=mobility,
+        )
+        self.fault_report = control.faults
+        self.mobility_report = control.mobility
+        self.directory = directory
+        self._current_offer_name = ""
         # Fault injection and the recovery ladder.  With a spec, every
         # cross-site exchange runs through ReliableDelivery: seeded
         # drops/spikes/partitions, bounded retransmission, and — on a
         # declared surrogate death — the graceful-degradation callback.
-        self.fault_report = FaultReport(
-            spec=faults.canonical() if faults is not None else ""
-        )
         self.delivery: Optional[ReliableDelivery] = None
         if faults is not None:
             self.delivery = ReliableDelivery(
                 retry if retry is not None else RetryPolicy(),
                 schedule=FaultSchedule(faults),
                 charge=self.clock.advance,
-                counters=self.fault_report,
+                counters=control.faults,
                 now=lambda: self.clock.now,
-                on_peer_lost=self._on_surrogate_lost,
+                on_peer_lost=control.lose_surrogate,
             )
-        self.runtime.delivery = self.delivery
-        self._lost_at: Optional[float] = None
-        # Mobility: a scheduled link profile plus (optionally) the
-        # trend trigger that turns decay into proactive action.
-        self.link_profile = link_profile
-        self.mobility = mobility
-        self.directory = directory
-        self._epoch_start = 0.0
-        self._current_offer_name = ""
-        self._offloaded_before_repatriation: Optional[frozenset] = None
-        self.mobility_report: Optional[MobilityReport] = (
-            MobilityReport(profile=link_profile.name)
-            if link_profile is not None else None
-        )
-        self._trend: Optional[BandwidthTrendTrigger] = None
-        if mobility is not None:
-            self._trend = BandwidthTrendTrigger(
-                mobility.threshold_bps,
-                horizon_s=mobility.horizon_s,
-                window=mobility.window,
-                restore_bps=mobility.restore_bps,
-            )
-            if self.mobility_report is None:
-                self.mobility_report = MobilityReport()
+        self.runtime.delivery = control.delivery = self.delivery
         dp_config = data_plane if data_plane is not None else DataPlaneConfig()
         #: RPC worker-pool service quantum, threaded into every channel
         #: this platform creates (including post-handoff rebuilds).
@@ -492,62 +474,17 @@ class DistributedPlatform:
 
     # -- failure and recovery (graceful degradation) ---------------------------
 
-    def _on_surrogate_lost(self, reason: str) -> None:
-        """The delivery layer declared the surrogate dead: degrade.
-
-        Runs, in order: drain the in-flight coalesced batch (it died
-        with the peer, un-charged), invalidate the remote read cache,
-        park the offloading engine, reconstruct every unreachable
-        remote object client-side, and clear the now-meaningless export
-        tables.  After this the platform is a client-only monolith;
-        every subsequent "remote" operation resolves locally.
-        """
-        report = self.fault_report
-        report.recoveries += 1
-        self._lost_at = self.clock.now
-        # 1. In-flight batches died with the peer — drop them un-charged
-        #    before anything (a GC barrier, the report) could flush them.
-        if self.data_plane is not None:
-            self.data_plane.drop_pending()
-            # 2. Cached remote reads describe state that no longer exists.
-            self.data_plane.note_migration()
-        # 3. No more placements until a surrogate is reachable again.
-        self.engine.suspend()
-        # 4. Rebuild the unreachable state client-side (zero wire charge).
-        outcome = self.migrator.repatriate_unreachable()
-        report.objects_repatriated += outcome.moved_objects
-        report.repatriated_bytes += outcome.moved_bytes
-        # 5. Neither side can resolve the other's handles any more.
-        for refmap in self.channel.exports.values():
-            refmap.clear()
-
     @property
     def surrogate_lost(self) -> bool:
-        return self.delivery is not None and self.delivery.peer_dead
+        return self.control.surrogate_lost
 
     def rediscover(self, attempt_offload: bool = True):
         """A replacement surrogate was discovered: leave degraded mode.
 
-        Closes the downtime window, revives the delivery layer (the
-        crash latch disarms — the spec described the *old* surrogate's
-        death), resumes the offloading engine, and warm-starts a fresh
-        partitioning epoch from the incremental session, so the new
-        placement comes out of a warm MINCUT instead of a cold one.
-        Returns the warm-start :class:`OffloadEvent` (or ``None`` when
-        ``attempt_offload`` is false).
+        The engine resumes and, when ``attempt_offload``, warm-starts a
+        fresh partitioning epoch and returns its :class:`OffloadEvent`.
         """
-        if not self.surrogate_lost:
-            raise PlatformError("no lost surrogate to rediscover")
-        report = self.fault_report
-        if self._lost_at is not None:
-            report.downtime_s += self.clock.now - self._lost_at
-            self._lost_at = None
-        self.delivery.revive()
-        self.engine.resume()
-        report.rediscoveries += 1
-        if attempt_offload:
-            return self.engine.attempt()
-        return None
+        return self.control.rediscover(attempt_offload)
 
     # -- running applications ------------------------------------------------------
 
@@ -564,23 +501,11 @@ class DistributedPlatform:
         if self.delivery is None:
             return None
         report = self.fault_report
-        # Mirror the reliability counters into the execution monitor's
-        # RemoteCounters, where the rest of the remote-op accounting
-        # lives.
-        remote = self.monitor.remote
-        remote.retries = report.retries
-        remote.timeouts = report.timeouts
-        remote.duplicates_suppressed = report.duplicates_suppressed
-        remote.fault_time_s = report.fault_time_s
         if self.data_plane is not None:
             report.dropped_batches = self.data_plane.stats.dropped_batches
-        remote.dropped_batches = report.dropped_batches
         report.epochs_survived = len(self.engine.performed_events)
         section = report.as_dict()
-        if self._lost_at is not None:
-            # The downtime window is still open: charge it up to "now"
-            # without closing it (report() must stay idempotent).
-            section["downtime_s"] += self.clock.now - self._lost_at
+        section["downtime_s"] = self.control.downtime_s()
         return section
 
     def report(self, app_name: str = "") -> PlatformReport:
@@ -646,8 +571,10 @@ class DistributedPlatform:
         second surrogate?"): every object on the primary surrogate is
         shipped to the new one over a surrogate-to-surrogate backhaul
         link (infrastructure wiring, default fast Ethernet), the client
-        link is switched to the new offer's link, and the AIDE modules
-        re-attach to the new surrogate, which becomes the primary.
+        link is switched to the new offer's link (or, under a link
+        profile, the profile's t=0 link: the attachment epoch restarts),
+        and the AIDE modules re-attach to the new surrogate, which
+        becomes the primary.
         Execution continues transparently — subsequent remote
         interactions route to the new surrogate.
         """
@@ -684,8 +611,7 @@ class DistributedPlatform:
 
         # Re-point the platform at the new surrogate.
         self.surrogate = new_node
-        self._set_link(offer.link)
-        self._epoch_start = self.clock.now
+        self.set_link(offer.link)
         self._current_offer_name = offer.name
         self.channel = RpcChannel(
             self.ctx, self.client.vm.name, new_node.vm.name,
@@ -695,13 +621,48 @@ class DistributedPlatform:
         for peer in (self.client.vm, *self.runtime.surrogates[1:]):
             self._install_root_scanner(peer, new_node.vm)
             self._install_root_scanner(new_node.vm, peer)
-        if self.mobility_report is not None:
-            self.mobility_report.handoffs += 1
-            self.mobility_report.handoff_bytes += outcome.moved_bytes
-            self.mobility_report.handoff_time_s += outcome.seconds
+        self.control.handed_off(outcome.moved_bytes, outcome.seconds,
+                                offer.link)
         return outcome
 
-    def _set_link(self, link: LinkModel) -> None:
+    def poll_mobility(self) -> Optional[str]:
+        """Resolve the link profile against the clock and react.
+
+        Applications (and the platform-backed experiment drivers) call
+        this between operations.  Returns the action taken — ``"fire"``
+        (proactive handoff or repatriation), ``"recover"``
+        (re-offload after the link came back), or ``None``.
+        """
+        return self.control.poll_mobility()
+
+    # -- control-plane ports (see repro.core.control) ------------------------
+
+    def now(self) -> float:
+        return self.clock.now
+
+    def drop_traffic(self) -> None:
+        if self.data_plane is not None:
+            self.data_plane.drop_pending()
+            self.data_plane.note_migration()
+
+    def repatriate_unreachable(self):
+        """Degrade to a client-only monolith: park the engine, rebuild
+        the unreachable objects client-side, clear the export tables."""
+        self.engine.suspend()
+        outcome = self.migrator.repatriate_unreachable()
+        for refmap in self.channel.exports.values():
+            refmap.clear()
+        return outcome.moved_objects, outcome.moved_bytes
+
+    def resume_offloading(self, attempt: bool) -> Optional[OffloadEvent]:
+        self.engine.resume()
+        return self.engine.attempt() if attempt else None
+
+    def flush_traffic(self) -> None:
+        if self.data_plane is not None:
+            self.data_plane.flush()
+
+    def set_link(self, link: LinkModel) -> None:
         """Re-point every link-cost consumer at ``link``.
 
         The runtime's links table, which the migrator shares, holds the
@@ -714,87 +675,27 @@ class DistributedPlatform:
         if self.data_plane is not None and self.data_plane.coalescer is not None:
             self.data_plane.coalescer.link = link
 
-    def poll_mobility(self) -> Optional[str]:
-        """Resolve the link profile against the clock and react.
+    def placement(self) -> frozenset:
+        return self.migrator.resident_nodes()
 
-        Applications (and the platform-backed experiment drivers) call
-        this between operations.  Returns the action taken — ``"fire"``
-        (proactive handoff or repatriation), ``"recover"``
-        (re-offload after the link came back), or ``None``.
-
-        Bandwidth/latency segments resolve relative to the current
-        attachment epoch (a handoff restarts the profile: the client is
-        adjacent to the new surrogate again); disconnection windows are
-        absolute and handled by the fault layer, not here.
-        """
-        if self.link_profile is None:
-            return None
-        now = self.clock.now
-        link = self.link_profile.link_at(now - self._epoch_start)
-        if link != self.link:
-            if self.data_plane is not None:
-                # Buffered traffic was produced under the old link;
-                # charge it at old-link prices before switching.
-                self.data_plane.flush()
-            self._set_link(link)
-            self.mobility_report.link_changes += 1
-        if self._trend is None:
-            return None
-        action = self._trend.observe(now, link.bandwidth_bps)
-        if action == "fire":
-            self.mobility_report.trend_fires += 1
-            self._on_trend_fire()
-        elif action == "recover":
-            self._on_trend_recover()
-        return action
-
-    def _on_trend_fire(self) -> None:
-        """The link is decaying: act before it becomes useless."""
-        mobility = self.mobility
-        if mobility.mode == "handoff" and self.directory is not None:
-            try:
-                offer = self.directory.select(
-                    exclude=(self._current_offer_name,),
-                )
-            except SurrogateUnavailableError:
-                offer = None
-            if offer is not None:
-                self.handoff(offer, backhaul=mobility.backhaul)
-                return
-        # Repatriation mode (or no better surrogate on offer): pull the
-        # offloaded partition home over the still-working link, and
-        # remember its graph nodes for re-offload when the link recovers.
-        offloaded = self.migrator.resident_nodes()
+    def apply_placement(self, offload_nodes) -> Optional[Tuple[int, int]]:
+        """Move residency to ``offload_nodes``; ``None`` when the client
+        cannot host what comes home (a memory-pressure offload is
+        usually exactly that state)."""
         try:
-            outcome = self._migrate(frozenset())
+            outcome = self._migrate(offload_nodes)
         except MigrationError:
-            # The client cannot host the partition — usually exactly why
-            # it was offloaded.  Proactive repatriation is an
-            # optimisation, not a correctness requirement: stay remote
-            # and ride the degraded link (the fault layer still covers
-            # an actual outage).
-            return
-        self._offloaded_before_repatriation = offloaded or None
-        self.mobility_report.proactive_repatriations += 1
-        self.mobility_report.proactively_repatriated_bytes += (
-            outcome.moved_bytes
-        )
+            return None
+        return outcome.moved_bytes, outcome.moved_objects
 
-    def _on_trend_recover(self) -> None:
-        """The link came back: restore the pre-repatriation placement.
-
-        The remembered partition re-applies directly — the policy
-        already chose it once, and the client's situation has only
-        gotten worse for having taken the state back — so recovery is
-        the placement-repair path, not a fresh policy evaluation.
-        """
-        placement = self._offloaded_before_repatriation
-        if placement is None:
-            return
-        self._offloaded_before_repatriation = None
+    def roam(self) -> Optional[MigrationOutcome]:
+        """Hand off to the directory's best other surrogate, if any."""
+        if self.directory is None:
+            return None
         try:
-            outcome = self._migrate(placement)
-        except MigrationError:
-            return
-        if outcome.moved_objects:
-            self.mobility_report.reoffloads += 1
+            offer = self.directory.select(
+                exclude=(self._current_offer_name,),
+            )
+        except SurrogateUnavailableError:
+            return None
+        return self.handoff(offer, backhaul=self.control.config.backhaul)

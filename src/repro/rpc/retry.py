@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..net.faults import FaultSchedule
+from ..net.faults import FaultReport, FaultSchedule
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,11 @@ class RetryPolicy:
 class ReliableDelivery:
     """Sequence-numbered at-most-once delivery over a faulty link.
 
-    ``charge(seconds)`` advances the emulated clock; ``counters`` (any
-    object with ``retries``/``timeouts``/``fault_time_s`` attributes —
-    :class:`~repro.core.monitor.RemoteCounters` on the live platform,
-    :class:`~repro.net.faults.FaultReport` in the emulator) receives
-    the bookkeeping.  ``events`` supplies the caller's event index for
-    ``crash_at_event`` checks; it defaults to this delivery's own
-    exchange counter.
+    ``charge(seconds)`` advances the emulated clock; ``counters``, the
+    run's :class:`~repro.net.faults.FaultReport` (a fresh one when
+    omitted), receives the bookkeeping.  ``events`` supplies the
+    caller's event index for ``crash_at_event`` checks; it defaults to
+    this delivery's own exchange counter.
     """
 
     def __init__(
@@ -96,7 +94,7 @@ class ReliableDelivery:
         policy: RetryPolicy,
         schedule: Optional[FaultSchedule] = None,
         charge: Optional[Callable[[float], None]] = None,
-        counters: Any = None,
+        counters: Optional[FaultReport] = None,
         now: Optional[Callable[[], float]] = None,
         events: Optional[Callable[[], int]] = None,
         on_peer_lost: Optional[Callable[[str], None]] = None,
@@ -104,7 +102,7 @@ class ReliableDelivery:
         self.policy = policy
         self.schedule = schedule
         self._charge = charge if charge is not None else (lambda s: None)
-        self.counters = counters
+        self.counters = counters if counters is not None else FaultReport()
         self._now = now if now is not None else (lambda: 0.0)
         self._events = events if events is not None else (lambda: self.exchanges)
         self._on_peer_lost = on_peer_lost
@@ -115,25 +113,16 @@ class ReliableDelivery:
 
     # -- bookkeeping helpers -----------------------------------------------
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        counters = self.counters
-        if counters is not None and hasattr(counters, name):
-            setattr(counters, name, getattr(counters, name) + amount)
-
     def _charge_fault(self, seconds: float) -> None:
         self._charge(seconds)
-        counters = self.counters
-        if counters is not None and hasattr(counters, "fault_time_s"):
-            counters.fault_time_s += seconds
+        self.counters.fault_time_s += seconds
 
     def _declare_dead(self, reason: str) -> None:
         if self.peer_dead:
             return
         self.peer_dead = True
-        counters = self.counters
-        if counters is not None and hasattr(counters, "surrogate_lost"):
-            counters.surrogate_lost = True
-            counters.lost_reason = reason
+        self.counters.surrogate_lost = True
+        self.counters.lost_reason = reason
         if self._on_peer_lost is not None:
             self._on_peer_lost(reason)
 
@@ -167,7 +156,7 @@ class ReliableDelivery:
                 # The retransmitted request carried an already-applied
                 # sequence number: acknowledge, don't re-apply.
                 self.duplicates_suppressed += 1
-                self._count("duplicates_suppressed")
+                self.counters.duplicates_suppressed += 1
                 return
             applied = True
             if apply is not None:
@@ -186,8 +175,8 @@ class ReliableDelivery:
             # The peer is gone; the sender only learns that by running
             # the full retry ladder against silence.
             self._charge_fault(policy.give_up_s)
-            self._count("timeouts", policy.max_retries + 1)
-            self._count("retries", policy.max_retries)
+            self.counters.timeouts += policy.max_retries + 1
+            self.counters.retries += policy.max_retries
             self._declare_dead("crash")
             return False, None
 
@@ -198,15 +187,15 @@ class ReliableDelivery:
                 # The outage will outlast every retry: the sender
                 # exhausts its ladder and declares the peer dead.
                 self._charge_fault(policy.give_up_s)
-                self._count("timeouts", policy.max_retries + 1)
-                self._count("retries", policy.max_retries)
-                self._count("partition_waits")
+                self.counters.timeouts += policy.max_retries + 1
+                self.counters.retries += policy.max_retries
+                self.counters.partition_waits += 1
                 self._declare_dead("partition")
                 return False, None
             # Short outage: the first retransmission after the window
             # heals gets through; the sender just waits it out.
             self._charge_fault(wait)
-            self._count("partition_waits")
+            self.counters.partition_waits += 1
 
         attempt = 0
         while schedule.drops_message():
@@ -221,14 +210,14 @@ class ReliableDelivery:
             self._charge_fault(
                 policy.timeout_s + policy.backoff(attempt, schedule.rng)
             )
-            self._count("retries")
-            self._count("timeouts")
+            self.counters.retries += 1
+            self.counters.timeouts += 1
             attempt += 1
 
         spike = schedule.latency_spike()
         if spike:
             self._charge_fault(spike)
-            self._count("latency_spikes")
+            self.counters.latency_spikes += 1
         self.exchanges += 1
         apply_once()
         return True, result

@@ -25,9 +25,10 @@ def fresh_offer(name="fresh", speed=3.5):
     )
 
 
-def roaming_platform(profile_spec, mode, directory=None, **kwargs):
+def roaming_platform(profile_spec, mode, directory=None,
+                     client_heap=128 * KB, **kwargs):
     return make_platform(
-        client_heap=128 * KB,
+        client_heap=client_heap,
         gc=pressure_gc(),
         link_profile=LinkProfile.parse(profile_spec),
         mobility=MobilityConfig(mode=mode, window=2),
@@ -79,9 +80,13 @@ class TestTrendHandoff:
         assert platform.mobility_report.handoff_bytes > 0
         # The handoff restarts the attachment epoch: the client is
         # adjacent to the new surrogate, so the profile resolves from
-        # zero again and the trigger recovers on the fresh WaveLAN.
+        # zero again.  The trend starts clean on the fresh attachment:
+        # nothing to report, and the next decay fires afresh.
         assert platform.link is WAVELAN_11MBPS
-        assert platform.poll_mobility() == "recover"
+        assert platform.poll_mobility() is None
+        platform.clock.advance(6.0)
+        assert platform.poll_mobility() == "fire"
+        assert platform.mobility_report.trend_fires == 2
 
     def test_execution_continues_on_the_new_surrogate(self):
         directory = SurrogateDirectory()
@@ -166,6 +171,16 @@ class TestTrendRepatriation:
         assert platform.poll_mobility() == "recover"
         assert platform.mobility_report.reoffloads == 1
         assert all(arr.home == surrogate for arr in arrays)
+
+    def test_nothing_offloaded_counts_no_repatriation(self):
+        platform = roaming_platform(DECAY, mode="repatriate",
+                                    client_heap=4 * MB)
+        report = platform.run(HoarderApp(segments=2))
+        assert report.offload_count == 0
+        platform.clock.advance(6.0)
+        assert platform.poll_mobility() == "fire"
+        assert platform.mobility_report.proactive_repatriations == 0
+        assert platform.mobility_report.proactively_repatriated_bytes == 0
 
     def test_infeasible_repatriation_stays_remote(self):
         platform = roaming_platform(DECAY, mode="repatriate")

@@ -59,6 +59,7 @@ DEFAULT_TARGETS = (
     "src/repro/core/policy.py",
     "src/repro/core/energy.py",
     "src/repro/core/engine.py",
+    "src/repro/core/control.py",
     "src/repro/net/mobility.py",
     "src/repro/platform/migration.py",
     "src/repro/platform/platform.py",
