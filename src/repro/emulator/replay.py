@@ -51,7 +51,6 @@ from .columnar import (
     FLAG_WRITE,
     TAG_ACCESS,
     TAG_ALLOC,
-    TAG_FREE,
     TAG_INVOKE,
     TAG_WORK,
 )
@@ -424,10 +423,6 @@ class TraceReplayer:
 
     # -- time ------------------------------------------------------------
 
-    def _charge_comm(self, seconds: float) -> None:
-        self.result.comm_time += seconds
-        self._now += seconds
-
     def _charge_fault(self, seconds: float) -> None:
         """Clock charge for fault-induced waiting (timeouts, backoff).
 
@@ -443,11 +438,30 @@ class TraceReplayer:
         ``True``: delivered (possibly after charged retries) — charge
         and count the operation as usual.  ``False``: the surrogate was
         declared dead under this exchange and recovery has already run;
-        the operation resolves locally.
+        the operation resolves locally.  An exchange the schedule has
+        already judged clean, inside its horizon, costs one unit of
+        credit and its count; it is the same check the replay loop
+        makes inline.
         """
-        if self._delivery is None:
+        delivery = self._delivery
+        if delivery is None:
             return True
-        return self._delivery.attempt()
+        schedule = delivery.schedule
+        if (schedule.credit and self._now < schedule.horizon_time
+                and self.result.events_processed < schedule.horizon_event):
+            schedule.credit -= 1
+            delivery.exchanges += 1
+            return True
+        return self._gauntlet()
+
+    def _gauntlet(self) -> bool:
+        """The whole fault gauntlet for one exchange, then re-arm the
+        inline path: judge the next exchanges ahead from the clock the
+        gauntlet left."""
+        delivery = self._delivery
+        delivered = delivery.attempt()
+        delivery.look_ahead()
+        return delivered
 
     def _transfer_one_way(self, from_site: str, to_site: str,
                           nbytes: int) -> None:
@@ -455,7 +469,9 @@ class TraceReplayer:
         if not self._exchange():
             # The batch died with the surrogate: its legs never travel.
             return
-        self._charge_comm(self._link.one_way(nbytes))
+        seconds = self._link.one_way(nbytes)
+        self.result.comm_time += seconds
+        self._now += seconds
 
     # -- control-plane ports (see repro.core.control) ------------------------
 
@@ -561,8 +577,10 @@ class TraceReplayer:
         loop; mutable replayer state lives in locals and is spilled to
         (and reloaded from) the instance only around the rare cold
         calls — GC cycles, partitioning attempts, surrogate-side
-        reclaims, coalesced transfers, fault-gauntlet exchanges,
-        roaming and rediscovery.
+        reclaims, coalesced operations that may flush, fault-gauntlet
+        exchanges, roaming and rediscovery.  A coalesced write that
+        only buffers, and an exchange the fault schedule has already
+        judged clean (see ``_exchange``), are taken inline.
         """
         trace = self.trace
         cols = trace.column_lists()
@@ -628,13 +646,17 @@ class TraceReplayer:
         cache_note_read = cache.note_read if cache is not None else None
         static_key = RemoteReadCache.static_key
         coalescer = self._coalescer
+        coalescer_append = coalescer.append if coalescer is not None else None
         # Fault gauntlet: without a coalescer every uncached remote
         # operation is one exchange of its own; with one, the exchanges
         # happen inside its flushes.  Either way an exchange may declare
         # the surrogate dead, and recovery then rewrites the heap
-        # counters and placement under the loop.
+        # counters and placement under the loop.  An exchange the
+        # schedule judged clean ahead of time, inside its horizon, is
+        # taken inline (see ``_exchange``); the rest run the gauntlet.
         delivery = self._delivery
-        attempt = (delivery.attempt
+        schedule = delivery.schedule if delivery is not None else None
+        attempt = (self._gauntlet
                    if delivery is not None and coalescer is None else None)
         graph_record = graph.record_interaction
         graph_add_cpu = graph.add_cpu
@@ -734,28 +756,41 @@ class TraceReplayer:
                         # trip, zero bytes on the wire.
                         pass
                     elif coalescer is not None:
-                        result.comm_time = comm_time
-                        if delivery is None:
-                            self._now = now
-                        else:
-                            self._exchange_spill(ep, now, client_live,
-                                                 surrogate_live, peak_client)
-                        if is_write:
-                            coalescer.write(accessor_site, owner_site,
-                                            nbytes)
-                        else:
-                            coalescer.read(accessor_site, owner_site,
-                                           nbytes)
-                        now = self._now
-                        comm_time = result.comm_time
-                        if delivery is not None:
-                            (client_live, surrogate_live, class_on_surrogate,
-                             peak_client, reattach_at) = self._exchange_reload()
+                        # A write that buffers touches neither the wire
+                        # nor the clock; anything that may flush spills.
+                        if not (is_write and coalescer_append(
+                                accessor_site, owner_site, nbytes, 0)):
+                            result.comm_time = comm_time
+                            if delivery is None:
+                                self._now = now
+                            else:
+                                self._exchange_spill(ep, now, client_live,
+                                                     surrogate_live,
+                                                     peak_client)
+                            if is_write:
+                                coalescer.write(accessor_site, owner_site,
+                                                nbytes)
+                            else:
+                                coalescer.read(accessor_site, owner_site,
+                                               nbytes)
+                            now = self._now
+                            comm_time = result.comm_time
+                            if delivery is not None:
+                                (client_live, surrogate_live,
+                                 class_on_surrogate, peak_client,
+                                 reattach_at) = self._exchange_reload()
                         remote_accesses += 1
                         remote_bytes += nbytes
                     else:
                         delivered = True
-                        if attempt is not None:
+                        if attempt is None:
+                            pass
+                        elif (schedule.credit
+                              and now < schedule.horizon_time
+                              and ep < schedule.horizon_event):
+                            schedule.credit -= 1
+                            delivery.exchanges += 1
+                        else:
                             self._exchange_spill(ep, now, client_live,
                                                  surrogate_live, peak_client)
                             delivered = attempt()
@@ -888,7 +923,13 @@ class TraceReplayer:
                 arg_bytes = n1[i]
                 ret_bytes = n2[i]
                 nbytes = arg_bytes + ret_bytes
-                if attempt is not None and exec_site != caller_site:
+                if attempt is None or exec_site == caller_site:
+                    pass
+                elif (schedule.credit and now < schedule.horizon_time
+                      and ep < schedule.horizon_event):
+                    schedule.credit -= 1
+                    delivery.exchanges += 1
+                else:
                     self._exchange_spill(ep, now, client_live,
                                          surrogate_live, peak_client)
                     delivered = attempt()

@@ -17,7 +17,9 @@ the *fault model* half of that story:
   it, and every verdict is drawn from a ``random.Random(seed)`` stream,
   so identical seed + schedule means bit-identical behaviour.  All cost
   it induces is charged to the *emulated* clock by its callers — the
-  schedule itself never touches wall time.
+  schedule itself never touches wall time.  A caller on a hot path may
+  have it judge upcoming exchanges ahead (:meth:`FaultSchedule.look_ahead`)
+  and take the clean ones without consulting it at all.
 * :class:`FaultReport` — the counters a faulty run surfaces (retries,
   timeouts, dropped batches, downtime, objects repatriated).
 
@@ -28,9 +30,10 @@ retransmission, and the client-only fallback — lives in
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field, fields
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 
@@ -67,6 +70,8 @@ class FaultSpec:
     crash_at_time: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it (every comparison
+        # with NaN is False): outside inputs must fail loudly.
         if not 0.0 <= self.loss_rate < 1.0:
             raise ConfigurationError(
                 f"loss_rate must be in [0, 1), got {self.loss_rate}"
@@ -76,12 +81,15 @@ class FaultSpec:
                 f"latency_spike_rate must be in [0, 1), got "
                 f"{self.latency_spike_rate}"
             )
-        if self.latency_spike_s < 0:
-            raise ConfigurationError("latency_spike_s cannot be negative")
+        if not 0.0 <= self.latency_spike_s < math.inf:
+            raise ConfigurationError(
+                f"latency_spike_s must be finite and non-negative, got "
+                f"{self.latency_spike_s}"
+            )
         windows = tuple(sorted(tuple(w) for w in self.partition_windows))
         last_end = None
         for start, end in windows:
-            if end <= start or start < 0:
+            if not 0 <= start < end:
                 raise ConfigurationError(
                     f"malformed partition window {start}:{end}"
                 )
@@ -91,8 +99,10 @@ class FaultSpec:
         object.__setattr__(self, "partition_windows", windows)
         if self.crash_at_event is not None and self.crash_at_event < 0:
             raise ConfigurationError("crash_at_event cannot be negative")
-        if self.crash_at_time is not None and self.crash_at_time < 0:
-            raise ConfigurationError("crash_at_time cannot be negative")
+        if self.crash_at_time is not None and not self.crash_at_time >= 0:
+            raise ConfigurationError(
+                f"crash_at_time must be non-negative, got {self.crash_at_time}"
+            )
 
     @property
     def any_faults(self) -> bool:
@@ -207,6 +217,12 @@ class FaultReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+#: Most clean exchanges one :meth:`FaultSchedule.look_ahead` judges: it
+#: bounds the draws taken ahead at tiny fault rates, and is the whole
+#: credit when no rate is set (every exchange is clean, nothing is drawn).
+LOOK_AHEAD_LIMIT = 4096
+
+
 class FaultSchedule:
     """Seeded, stateful fault verdicts for one run.
 
@@ -214,19 +230,36 @@ class FaultSchedule:
     same seeded stream, in caller order, so two runs that replay the
     same operation sequence under equal specs see identical faults.
     Construct a fresh schedule (or call :meth:`reset`) per run.
+
+    **Looking ahead.**  An exchange consults :meth:`drops_message` until
+    it is delivered (a lost one draws :meth:`lost_leg_is_ack` and its
+    backoff jitter in between) and then :meth:`latency_spike`.  A
+    *clean* exchange, delivered first time with no spike, therefore
+    consumes exactly its loss draw and its spike draw.
+    :meth:`look_ahead` takes those draws early, in the same order: it
+    counts the clean exchanges ahead as :attr:`credit` and stashes the
+    leading draws of the first exchange that is not clean.  The
+    verdict methods serve the credit and then the stash before drawing
+    again, so the verdicts every caller sees are unchanged.  A caller
+    may instead spend a unit of credit itself, for an exchange it knows
+    is clean, while it stays inside the :attr:`horizon_event` /
+    :attr:`horizon_time` bounds the same call reported.
     """
 
     def __init__(self, spec: FaultSpec) -> None:
         self.spec = spec
-        self.rng = random.Random(spec.seed)
-        self._crashed = False
-        self._crash_armed = True
+        self.reset()
 
     def reset(self) -> None:
         """Rewind to the start of the fault stream (a fresh run)."""
         self.rng = random.Random(self.spec.seed)
         self._crashed = False
         self._crash_armed = True
+        #: Clean exchanges already judged (their draws are taken).
+        self.credit = 0
+        #: Leading draws of the first exchange past the credit.
+        self._stash: List[float] = []
+        self.clear_horizon()
 
     # -- hard crash ---------------------------------------------------------
 
@@ -254,6 +287,7 @@ class FaultSchedule:
         Disarms the crash condition too — the spec describes the *old*
         surrogate's death, and ``events >= crash_at_event`` stays true
         forever, so the replacement must not immediately re-crash.
+        (Credit and stash stay valid: reviving draws nothing.)
         """
         self._crashed = False
         self._crash_armed = False
@@ -267,11 +301,17 @@ class FaultSchedule:
                 return end
         return None
 
+    def _draw(self) -> float:
+        stash = self._stash
+        return stash.pop(0) if stash else self.rng.random()
+
     def drops_message(self) -> bool:
         """One delivery attempt: lost?  (One draw per call.)"""
+        if self.credit:
+            return False
         if not self.spec.loss_rate:
             return False
-        return self.rng.random() < self.spec.loss_rate
+        return self._draw() < self.spec.loss_rate
 
     def lost_leg_is_ack(self) -> bool:
         """A lost exchange: did the *response* leg vanish?
@@ -281,15 +321,82 @@ class FaultSchedule:
         be recognised as a duplicate, not applied again.  (One draw per
         call; only drawn for exchanges already judged lost.)
         """
-        return self.rng.random() < 0.5
+        return self._draw() < 0.5
 
     def latency_spike(self) -> float:
-        """Extra one-way delay for this delivery (0.0 when no spike)."""
+        """Extra one-way delay for this delivery (0.0 when no spike).
+
+        The last verdict of every delivered exchange, so a clean
+        exchange's unit of credit is spent here.
+        """
+        if self.credit:
+            self.credit -= 1
+            return 0.0
         if not self.spec.latency_spike_rate:
             return 0.0
-        if self.rng.random() < self.spec.latency_spike_rate:
+        if self._draw() < self.spec.latency_spike_rate:
             return self.spec.latency_spike_s
         return 0.0
+
+    # -- looking ahead ------------------------------------------------------
+
+    def look_ahead(self, now: float) -> None:
+        """Judge upcoming exchanges once credit and stash are spent (at
+        most :data:`LOOK_AHEAD_LIMIT` clean ones), then recompute the
+        horizon from ``now`` (see :meth:`clear_horizon`).  A crashed
+        schedule has no horizon and judges nothing."""
+        if self._crashed:
+            self.clear_horizon()
+            return
+        if not self.credit and not self._stash:
+            self._judge_ahead()
+        spec = self.spec
+        horizon_time = math.inf
+        horizon_event = math.inf
+        if self._crash_armed:
+            if spec.crash_at_time is not None:
+                horizon_time = spec.crash_at_time
+            if spec.crash_at_event is not None:
+                horizon_event = spec.crash_at_event
+        for start, end in spec.partition_windows:
+            if end > now:
+                horizon_time = min(horizon_time, start)
+                break
+        self.horizon_time = horizon_time
+        self.horizon_event = horizon_event
+
+    def _judge_ahead(self) -> None:
+        loss = self.spec.loss_rate
+        spike = self.spec.latency_spike_rate
+        if not loss and not spike:
+            self.credit = LOOK_AHEAD_LIMIT
+            return
+        draw = self.rng.random
+        credit = 0
+        while credit < LOOK_AHEAD_LIMIT:
+            if loss:
+                first = draw()
+                if first < loss:
+                    self._stash = [first]
+                    break
+            if spike:
+                second = draw()
+                if second < spike:
+                    self._stash = [first, second] if loss else [second]
+                    break
+            credit += 1
+        self.credit = credit
+
+    def clear_horizon(self) -> None:
+        """Nothing may skip the gauntlet until the next :meth:`look_ahead`.
+
+        The horizon is the earliest event index (:attr:`horizon_event`)
+        and virtual time (:attr:`horizon_time`) at which a crash or a
+        partition window could apply; -1 for both means "already", as
+        once the schedule has crashed.
+        """
+        self.horizon_event = -1
+        self.horizon_time = -1.0
 
 
 #: A ready-made lossy-link scenario used by docs and smoke tests.
@@ -299,5 +406,6 @@ __all__ = [
     "FaultReport",
     "FaultSchedule",
     "FaultSpec",
+    "LOOK_AHEAD_LIMIT",
     "LOSSY_5PCT",
 ]

@@ -9,6 +9,7 @@ and reusable for other link technologies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
@@ -35,10 +36,17 @@ class LinkModel:
     latency_s: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ConfigurationError("bandwidth must be positive")
-        if self.latency_s < 0:
-            raise ConfigurationError("latency cannot be negative")
+        # Written so NaN fails each check: every comparison with NaN is
+        # False.
+        if not self.bandwidth_bps > 0:
+            raise ConfigurationError(
+                f"bandwidth must be positive, got {self.bandwidth_bps}"
+            )
+        if not 0 <= self.latency_s < math.inf:
+            raise ConfigurationError(
+                f"latency must be finite and non-negative, got "
+                f"{self.latency_s}"
+            )
 
     @property
     def rtt(self) -> float:

@@ -159,6 +159,8 @@ class RpcCoalescer:
     (clock advance plus traffic recording) — the live platform passes
     its runtime's transfer, the emulator a comm-time charger — so the
     coalescer owns only the batching discipline and its accounting.
+    :meth:`append` is the one way an operation joins a batch;
+    :meth:`write`, :meth:`read` and :meth:`invoke` flush around it.
     """
 
     def __init__(
@@ -174,11 +176,30 @@ class RpcCoalescer:
         self._pending_ops = 0
         self._out_bytes = 0
         self._back_bytes = 0
-        #: Sequence number of the last batch put on the wire.  Batches
-        #: are numbered so the retransmission layer
-        #: (:class:`~repro.rpc.retry.ReliableDelivery`) can recognise a
-        #: retried batch and apply it exactly once.
-        self.last_seq = 0
+
+    @property
+    def link(self) -> LinkModel:
+        return self._link
+
+    @link.setter
+    def link(self, link: LinkModel) -> None:
+        """Switch links (a new attachment epoch): costs are re-priced."""
+        self._link = link
+        #: Seconds of one headered request/response exchange, keyed by
+        #: its ``(out, back)`` payload bytes: an op's naive cost and a
+        #: batch's actual cost alike.  Traces reuse a handful of sizes,
+        #: and the memoised float is the one the link returned, so the
+        #: accounting stays bit-identical.
+        self._exchange_cost: Dict[Tuple[int, int], float] = {}
+
+    def _price(self, out: int, back: int) -> float:
+        """Price an exchange the memo has not seen (callers look first)."""
+        link = self._link
+        cost = self._exchange_cost[(out, back)] = (
+            link.one_way(MESSAGE_HEADER_BYTES + out)
+            + link.one_way(MESSAGE_HEADER_BYTES + back)
+        )
+        return cost
 
     # -- the operation stream ---------------------------------------------
 
@@ -186,27 +207,18 @@ class RpcCoalescer:
     def pending_ops(self) -> int:
         return self._pending_ops
 
-    def write(self, initiator: str, responder: str, nbytes: int) -> None:
-        """A remote write: value out, ack back, no result — buffers."""
-        self._append(initiator, responder, out=nbytes, back=0)
+    def append(self, initiator: str, responder: str, out: int,
+               back: int) -> bool:
+        """Buffer one operation, ``out`` bytes out and ``back`` back.
 
-    def read(self, initiator: str, responder: str, nbytes: int) -> None:
-        """A remote read: empty request out, value back — closes."""
-        self._append(initiator, responder, out=0, back=nbytes)
-        self.flush(FLUSH_RESULT)
-
-    def invoke(self, initiator: str, responder: str, arg_bytes: int,
-               ret_bytes: int) -> None:
-        """A remote invocation: control transfers, so it closes."""
-        self._append(initiator, responder, out=arg_bytes, back=ret_bytes)
-        self.flush(FLUSH_RESULT)
-
-    def _append(self, initiator: str, responder: str, out: int,
-                back: int) -> None:
+        Refuses (returns ``False`` and changes nothing) when the
+        pending batch runs the other way: that batch must flush first.
+        """
         direction = (initiator, responder)
-        if self._pending_ops and direction != self._direction:
-            self.flush(FLUSH_DIRECTION)
-        self._direction = direction
+        if not self._pending_ops:
+            self._direction = direction
+        elif direction != self._direction:
+            return False
         self._pending_ops += 1
         self._out_bytes += out
         self._back_bytes += back
@@ -215,12 +227,33 @@ class RpcCoalescer:
         stats = self.stats
         stats.ops += 1
         stats.naive_messages += 2
-        request = MESSAGE_HEADER_BYTES + out
-        response = MESSAGE_HEADER_BYTES + back
-        stats.naive_bytes += request + response
-        stats.naive_seconds += (
-            self.link.one_way(request) + self.link.one_way(response)
-        )
+        stats.naive_bytes += 2 * MESSAGE_HEADER_BYTES + out + back
+        cost = self._exchange_cost.get((out, back))
+        if cost is None:
+            cost = self._price(out, back)
+        stats.naive_seconds += cost
+        return True
+
+    def _push(self, initiator: str, responder: str, out: int,
+              back: int) -> None:
+        if not self.append(initiator, responder, out, back):
+            self.flush(FLUSH_DIRECTION)
+            self.append(initiator, responder, out, back)
+
+    def write(self, initiator: str, responder: str, nbytes: int) -> None:
+        """A remote write: value out, ack back, no result — buffers."""
+        self._push(initiator, responder, nbytes, 0)
+
+    def read(self, initiator: str, responder: str, nbytes: int) -> None:
+        """A remote read: empty request out, value back — closes."""
+        self._push(initiator, responder, 0, nbytes)
+        self.flush(FLUSH_RESULT)
+
+    def invoke(self, initiator: str, responder: str, arg_bytes: int,
+               ret_bytes: int) -> None:
+        """A remote invocation: control transfers, so it closes."""
+        self._push(initiator, responder, arg_bytes, ret_bytes)
+        self.flush(FLUSH_RESULT)
 
     # -- flushing ----------------------------------------------------------
 
@@ -229,21 +262,23 @@ class RpcCoalescer:
         if not self._pending_ops:
             return
         initiator, responder = self._direction
-        request = MESSAGE_HEADER_BYTES + self._out_bytes
-        response = MESSAGE_HEADER_BYTES + self._back_bytes
+        out = self._out_bytes
+        back = self._back_bytes
+        request = MESSAGE_HEADER_BYTES + out
+        response = MESSAGE_HEADER_BYTES + back
         stats = self.stats
         stats.batches += 1
         stats.wire_messages += 2
         stats.wire_bytes += request + response
-        stats.actual_seconds += (
-            self.link.one_way(request) + self.link.one_way(response)
-        )
+        cost = self._exchange_cost.get((out, back))
+        if cost is None:
+            cost = self._price(out, back)
+        stats.actual_seconds += cost
         stats.note_flush(reason)
         self._pending_ops = 0
         self._out_bytes = 0
         self._back_bytes = 0
         self._direction = None
-        self.last_seq += 1
         self._transfer(initiator, responder, request)
         self._transfer(responder, initiator, response)
 

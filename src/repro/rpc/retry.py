@@ -8,16 +8,24 @@ cross-site exchange with the classic RPC discipline:
   response before trying again;
 * retries back off **exponentially with jitter**, the jitter drawn from
   the fault schedule's seeded RNG so a retried run replays identically;
-* every exchange carries a **sequence number**, and the apply callback
-  runs **exactly once** per sequence number — a retransmission whose
+* retransmissions of one exchange are the same request, and the apply
+  callback runs **exactly once** per exchange — a retransmission whose
   original *request* got through (only the acknowledgement was lost) is
   recognised as a duplicate and acknowledged without re-applying;
+  ``exchanges`` counts the delivered exchanges, and is the sequence
+  number a migration stream records;
 * after ``max_retries`` consecutive losses the peer is **declared
   dead** and the ``on_peer_lost`` callback runs (the platform's cue to
   drain in-flight batches and fall back to client-only execution).
 
 All waiting is charged to the emulated clock through the ``charge``
 callback; nothing here sleeps or reads wall time.
+
+A hot caller need not run the gauntlet for every exchange:
+:meth:`ReliableDelivery.look_ahead` has the schedule judge upcoming
+exchanges ahead, and while the schedule holds credit and the caller is
+inside its horizon, the caller spends one unit of credit and counts
+the exchange itself (see :mod:`repro.emulator.replay`).
 """
 
 from __future__ import annotations
@@ -80,7 +88,7 @@ class RetryPolicy:
 
 
 class ReliableDelivery:
-    """Sequence-numbered at-most-once delivery over a faulty link.
+    """Exactly-once application of exchanges over a faulty link.
 
     ``charge(seconds)`` advances the emulated clock; ``counters``, the
     run's :class:`~repro.net.faults.FaultReport` (a fresh one when
@@ -109,13 +117,18 @@ class ReliableDelivery:
         self.exchanges = 0
         self.peer_dead = False
         self.duplicates_suppressed = 0
-        self._next_seq = 1
 
     # -- bookkeeping helpers -----------------------------------------------
 
     def _charge_fault(self, seconds: float) -> None:
         self._charge(seconds)
         self.counters.fault_time_s += seconds
+
+    def _suppress_duplicate(self) -> None:
+        # The retransmitted request was already applied: acknowledge,
+        # don't re-apply.
+        self.duplicates_suppressed += 1
+        self.counters.duplicates_suppressed += 1
 
     def _declare_dead(self, reason: str) -> None:
         if self.peer_dead:
@@ -132,6 +145,19 @@ class ReliableDelivery:
         if self.schedule is not None:
             self.schedule.revive()
 
+    def look_ahead(self) -> None:
+        """Re-arm a hot caller's inline path (see the module docstring).
+
+        The schedule judges upcoming exchanges and bounds them by its
+        horizon; a dead peer gets no horizon, so nothing skips the
+        gauntlet until the next exchange after a revive.
+        """
+        schedule = self.schedule
+        if self.peer_dead:
+            schedule.clear_horizon()
+        else:
+            schedule.look_ahead(self._now())
+
     # -- the exchange ------------------------------------------------------
 
     def exchange(
@@ -141,85 +167,74 @@ class ReliableDelivery:
 
         Returns ``(delivered, result)``.  ``apply`` is the exchange's
         effect (charging the wire, running the serving-side operation);
-        it runs exactly once per sequence number even when the exchange
-        is retransmitted, and not at all when the peer is declared dead
+        it runs exactly once per exchange even when the exchange is
+        retransmitted, and not at all when the peer is declared dead
         before the *request* ever arrives.
         """
-        seq = self._next_seq
-        self._next_seq += 1
-        applied = False
-        result = None
-
-        def apply_once():
-            nonlocal applied, result
-            if applied:
-                # The retransmitted request carried an already-applied
-                # sequence number: acknowledge, don't re-apply.
-                self.duplicates_suppressed += 1
-                self.counters.duplicates_suppressed += 1
-                return
-            applied = True
-            if apply is not None:
-                result = apply()
-
         if self.peer_dead:
             return False, None
+        applied = False
+        result = None
         schedule = self.schedule
-        policy = self.policy
-        if schedule is None:
-            self.exchanges += 1
-            apply_once()
-            return True, result
-
-        if schedule.crashed(self._events(), self._now()):
-            # The peer is gone; the sender only learns that by running
-            # the full retry ladder against silence.
-            self._charge_fault(policy.give_up_s)
-            self.counters.timeouts += policy.max_retries + 1
-            self.counters.retries += policy.max_retries
-            self._declare_dead("crash")
-            return False, None
-
-        until = schedule.partition_until(self._now())
-        if until is not None:
-            wait = until - self._now()
-            if wait > policy.give_up_s:
-                # The outage will outlast every retry: the sender
-                # exhausts its ladder and declares the peer dead.
+        if schedule is not None:
+            policy = self.policy
+            if schedule.crashed(self._events(), self._now()):
+                # The peer is gone; the sender only learns that by
+                # running the full retry ladder against silence.
                 self._charge_fault(policy.give_up_s)
                 self.counters.timeouts += policy.max_retries + 1
                 self.counters.retries += policy.max_retries
+                self._declare_dead("crash")
+                return False, None
+
+            until = schedule.partition_until(self._now())
+            if until is not None:
+                wait = until - self._now()
+                if wait > policy.give_up_s:
+                    # The outage will outlast every retry: the sender
+                    # exhausts its ladder and declares the peer dead.
+                    self._charge_fault(policy.give_up_s)
+                    self.counters.timeouts += policy.max_retries + 1
+                    self.counters.retries += policy.max_retries
+                    self.counters.partition_waits += 1
+                    self._declare_dead("partition")
+                    return False, None
+                # Short outage: the first retransmission after the
+                # window heals gets through; the sender just waits.
+                self._charge_fault(wait)
                 self.counters.partition_waits += 1
-                self._declare_dead("partition")
-                return False, None
-            # Short outage: the first retransmission after the window
-            # heals gets through; the sender just waits it out.
-            self._charge_fault(wait)
-            self.counters.partition_waits += 1
 
-        attempt = 0
-        while schedule.drops_message():
-            if schedule.lost_leg_is_ack():
-                # The request arrived and was applied; only the
-                # acknowledgement vanished.  The retransmission below
-                # must be deduplicated, not re-applied.
-                apply_once()
-            if attempt >= policy.max_retries:
-                self._declare_dead("loss")
-                return False, None
-            self._charge_fault(
-                policy.timeout_s + policy.backoff(attempt, schedule.rng)
-            )
-            self.counters.retries += 1
-            self.counters.timeouts += 1
-            attempt += 1
+            attempt = 0
+            while schedule.drops_message():
+                if schedule.lost_leg_is_ack():
+                    # The request arrived and was applied; only the
+                    # acknowledgement vanished.  The retransmission
+                    # below must be deduplicated, not re-applied.
+                    if applied:
+                        self._suppress_duplicate()
+                    else:
+                        applied = True
+                        if apply is not None:
+                            result = apply()
+                if attempt >= policy.max_retries:
+                    self._declare_dead("loss")
+                    return False, None
+                self._charge_fault(
+                    policy.timeout_s + policy.backoff(attempt, schedule.rng)
+                )
+                self.counters.retries += 1
+                self.counters.timeouts += 1
+                attempt += 1
 
-        spike = schedule.latency_spike()
-        if spike:
-            self._charge_fault(spike)
-            self.counters.latency_spikes += 1
+            spike = schedule.latency_spike()
+            if spike:
+                self._charge_fault(spike)
+                self.counters.latency_spikes += 1
         self.exchanges += 1
-        apply_once()
+        if applied:
+            self._suppress_duplicate()
+        elif apply is not None:
+            result = apply()
         return True, result
 
     def attempt(self) -> bool:

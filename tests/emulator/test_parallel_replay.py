@@ -27,9 +27,10 @@ from repro.emulator.replay import TraceReplayer
 from repro.experiments import cached_trace, memory_emulator_config
 from repro.experiments.common import cpu_emulator_config
 from repro.experiments.exp_overhead import MEMORY_WORKLOADS
+from repro.net import faults
 from repro.net.faults import FaultSpec
 from repro.rpc.batch import DataPlaneConfig
-from repro.rpc.retry import RetryPolicy
+from repro.rpc.retry import ReliableDelivery, RetryPolicy
 
 from .replay_goldens import digest, golden
 
@@ -164,6 +165,42 @@ class TestFaultParity:
             replicate(columnar, config, clients=2), workers=2).run()
         assert [digest(c.result) for c in aggregate.clients] \
             == [golden(f"fault/{app_name}/{case}")] * 2
+
+
+def count_gauntlet_runs(monkeypatch):
+    """Count the exchanges that run the whole fault gauntlet."""
+    calls = []
+    attempt = ReliableDelivery.attempt
+
+    def counted(self):
+        calls.append(None)
+        return attempt(self)
+
+    monkeypatch.setattr(ReliableDelivery, "attempt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("app_name", APPS)
+@pytest.mark.parametrize("case", FAULT_CASES)
+class TestInlineExchangeParity:
+    def test_gauntlet_for_every_exchange_matches_inline(
+            self, fault_replays, monkeypatch, app_name, case):
+        # With no credit, no exchange is judged ahead of time, so every
+        # one runs the whole gauntlet: the inline path taken for clean
+        # exchanges must not move a single fingerprint, at the golden
+        # fault seed or at another one.
+        config = fault_replays[(app_name, case)][2]
+        other = config.with_faults(
+            dataclasses.replace(config.faults, seed=config.faults.seed + 1000))
+        trace = ColumnarTrace.from_trace(trace_for(app_name))
+        calls = count_gauntlet_runs(monkeypatch)
+        inline_other = digest(TraceReplayer(trace, other).run())
+        inline_calls = len(calls)
+        monkeypatch.setattr(faults, "LOOK_AHEAD_LIMIT", 0)
+        assert digest(TraceReplayer(trace, other).run()) == inline_other
+        assert len(calls) - inline_calls > inline_calls
+        assert (digest(TraceReplayer(trace, config).run())
+                == golden(f"fault/{app_name}/{case}"))
 
 
 class TestFaultyColumnarStaysBatched:

@@ -1,9 +1,12 @@
 """Unit tests for the link model and profiles."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.link import MIN_BANDWIDTH_BPS, LinkModel
+from repro.net.mobility import LinkProfile
 from repro.net.wavelan import (
     ALL_PROFILES,
     ETHERNET_100MBPS,
@@ -44,6 +47,27 @@ class TestLinkModel:
             LinkModel("t", bandwidth_bps=1, latency_s=-0.1)
         with pytest.raises(ConfigurationError):
             WAVELAN_11MBPS.one_way(-1)
+
+    @pytest.mark.parametrize("bandwidth, latency", [
+        (math.nan, 0.001),
+        (8_000_000, math.nan),
+        (8_000_000, math.inf),
+        (8_000_000, -math.inf),
+    ])
+    def test_non_finite_parameters_rejected(self, bandwidth, latency):
+        # NaN fails no ``<=`` check, so both fields reject it
+        # explicitly; every cost is computed from them.
+        with pytest.raises(ConfigurationError):
+            LinkModel("t", bandwidth_bps=bandwidth, latency_s=latency)
+
+    @pytest.mark.parametrize("text", [
+        "link=0:x:nan:0.001",
+        "link=0:x:1000000:nan",
+        "link=0:x:1000000:inf",
+    ])
+    def test_profile_with_non_finite_link_rejected(self, text):
+        with pytest.raises(ConfigurationError):
+            LinkProfile.parse(text)
 
     def test_zero_bandwidth_is_a_disconnection_not_a_link(self):
         # The documented floor: interpolating ramps clamp here instead

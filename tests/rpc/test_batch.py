@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.link import LinkModel
 from repro.net.wavelan import WAVELAN_11MBPS
 from repro.rpc.batch import (
     FLUSH_DIRECTION,
@@ -84,6 +85,31 @@ class TestCoalescing:
         assert len(transfers) == 4
         assert coalescer.stats.flushes == {FLUSH_GC: 1, FLUSH_MIGRATION: 1}
 
+    def test_append_buffers_same_direction_ops(self, wire):
+        coalescer, transfers = wire
+        assert coalescer.append("client", "surrogate", 16, 0)
+        assert coalescer.append("client", "surrogate", 8, 4)
+        assert transfers == []
+        assert coalescer.pending_ops == 2
+        assert coalescer.stats.ops == 2
+
+    def test_refused_append_changes_nothing(self, wire):
+        coalescer, transfers = wire
+        coalescer.write("client", "surrogate", 16)
+        stats_before = coalescer.stats.as_dict()
+        naive_seconds = coalescer.stats.naive_seconds
+        assert not coalescer.append("surrogate", "client", 4, 0)
+        assert transfers == []
+        assert coalescer.pending_ops == 1
+        assert coalescer.stats.as_dict() == stats_before
+        assert coalescer.stats.naive_seconds == naive_seconds
+        # The pending batch still runs client -> surrogate: a same-way
+        # op joins it, and its flush goes out that way.
+        assert coalescer.append("client", "surrogate", 8, 0)
+        coalescer.flush()
+        assert transfers[0] == ("client", "surrogate",
+                                MESSAGE_HEADER_BYTES + 24)
+
     def test_empty_flush_is_a_no_op(self, wire):
         coalescer, transfers = wire
         coalescer.flush()
@@ -118,6 +144,23 @@ class TestAccounting:
         # 9 ops' worth of per-message headers never hit the wire.
         assert stats.bytes_saved == 9 * 2 * MESSAGE_HEADER_BYTES
         assert stats.seconds_saved > 0
+
+    def test_new_link_reprices_the_next_batch(self, wire, link):
+        # The exchange costs are memoised per link: assigning a slower
+        # link must drop the memo, or the old prices leak through.
+        coalescer, _ = wire
+        coalescer.read("client", "surrogate", 100)
+        fast = coalescer.stats.actual_seconds
+        assert fast == link.round_trip(MESSAGE_HEADER_BYTES,
+                                       MESSAGE_HEADER_BYTES + 100)
+        slower = LinkModel("slower", bandwidth_bps=link.bandwidth_bps / 10,
+                           latency_s=link.latency_s * 10)
+        coalescer.link = slower
+        coalescer.read("client", "surrogate", 100)
+        expected = slower.round_trip(MESSAGE_HEADER_BYTES,
+                                     MESSAGE_HEADER_BYTES + 100)
+        assert coalescer.stats.actual_seconds - fast == pytest.approx(expected)
+        assert coalescer.stats.naive_seconds - fast == pytest.approx(expected)
 
     def test_as_dict_is_json_shaped(self, wire):
         coalescer, _ = wire

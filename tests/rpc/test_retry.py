@@ -234,3 +234,57 @@ class TestDeterminism:
             return clock.now, report.as_dict()
 
         assert run() == run()
+
+
+class TestLookAhead:
+    def test_dead_peer_gets_no_horizon_until_revived(self):
+        spec = FaultSpec(seed=0, loss_rate=0.99)
+        sent, _ = delivery(FaultSchedule(spec),
+                           policy=RetryPolicy(max_retries=0))
+        assert not sent.attempt()
+        assert sent.peer_dead
+        sent.look_ahead()
+        schedule = sent.schedule
+        assert (schedule.horizon_event, schedule.horizon_time) == (-1, -1)
+        sent.revive()
+        sent.look_ahead()
+        assert schedule.horizon_time > 0
+
+    @pytest.mark.parametrize("spec", [
+        FaultSpec(seed=42, loss_rate=0.2, latency_spike_rate=0.1,
+                  partition_windows=((1.0, 1.02), (2.0, 9.0)),
+                  crash_at_time=12.0),
+        FaultSpec(seed=5, crash_at_event=150),
+        FaultSpec(seed=6, loss_rate=0.6, latency_spike_rate=0.5),
+    ])
+    def test_spending_credit_inline_charges_what_the_gauntlet_does(
+            self, spec):
+        # The replay loop's discipline: spend credit for an exchange
+        # judged clean inside the horizon, else run the gauntlet and
+        # re-arm.  Clock, counters and exchange count must match a
+        # caller that runs the gauntlet every time.
+        def run(inline):
+            clock = Clock()
+            report = FaultReport()
+            sent = ReliableDelivery(RetryPolicy(), FaultSchedule(spec),
+                                    charge=clock.charge, counters=report,
+                                    now=lambda: clock.now)
+            schedule = sent.schedule
+            outcomes = []
+            for i in range(400):
+                clock.charge(0.01)
+                if i == 300:
+                    sent.revive()
+                if (inline and schedule.credit
+                        and clock.now < schedule.horizon_time
+                        and sent.exchanges < schedule.horizon_event):
+                    schedule.credit -= 1
+                    sent.exchanges += 1
+                    outcomes.append(True)
+                    continue
+                outcomes.append(sent.attempt())
+                if inline:
+                    sent.look_ahead()
+            return outcomes, clock.now, report.as_dict(), sent.exchanges
+
+        assert run(inline=True) == run(inline=False)

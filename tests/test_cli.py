@@ -246,6 +246,17 @@ class TestFaultInjectionCli:
         err = capsys.readouterr().err
         assert "bad --faults spec" in err
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--faults", "seed=1,spike=0.1:nan"),
+        ("--faults", "seed=1,partition=nan:5"),
+        ("--link-profile", "link=0:x:nan:0.001"),
+    ])
+    def test_nan_spec_is_a_usage_error(self, capsys, flag, text):
+        assert main(["replay", "dia", flag, text]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"bad {flag} spec" in err
+
     def test_clean_replay_prints_no_fault_line(self, tmp_path, capsys):
         path = str(tmp_path / "dia.trace")
         main(["record", "dia", path])
