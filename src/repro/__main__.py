@@ -114,31 +114,33 @@ def _load_trace(source: str):
 
 
 def _load_columnar(source: str):
-    """Load or record ``source`` and convert it to columnar form once.
-
-    A missing source or a malformed trace (from loading or from the
-    conversion) is reported as one stderr line; returns ``None`` then.
-    """
+    """Load or record ``source``, convert it to columnar form once, and
+    decode (and so check) its columns."""
     from .emulator import ColumnarTrace
+
+    trace = ColumnarTrace.from_trace(_load_trace(source))
+    trace.column_lists()
+    return trace
+
+
+def _trace_command(command: Callable[..., int], *args, **kwargs) -> int:
+    """Run a command that loads or replays a trace.  A missing source or
+    a malformed trace is one stderr line and exit 2, whether loading,
+    decoding or replaying found it."""
     from .errors import TraceFormatError
 
     try:
-        return ColumnarTrace.from_trace(_load_trace(source))
+        return command(*args, **kwargs)
     except (FileNotFoundError, TraceFormatError) as exc:
         print(exc, file=sys.stderr)
-        return None
+        return 2
 
 
 def _convert(src: str, dst: str) -> int:
     """``trace convert``: JSONL <-> columnar, by destination suffix."""
     from .emulator import ColumnarTrace, write_ctrace
-    from .errors import TraceFormatError
 
-    try:
-        trace = _load_trace(src)
-    except (FileNotFoundError, TraceFormatError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    trace = _load_trace(src)
     if dst.endswith(".ctrace"):
         write_ctrace(trace, dst)
         kind = "columnar"
@@ -165,8 +167,6 @@ def _replay(source: str, heap_mb: float, offload: bool,
     from .units import MB
 
     trace = _load_columnar(source)
-    if trace is None:
-        return 2
     config = EmulatorConfig(
         client=DeviceProfile("client-dev", cpu_speed=1.0,
                              heap_capacity=int(heap_mb * MB)),
@@ -252,8 +252,6 @@ def _fleet_run(source: str, clients: int, surrogates: int,
     from .units import MB
 
     trace = _load_columnar(source)
-    if trace is None:
-        return 2
     config = EmulatorConfig(
         client=DeviceProfile("client-dev", cpu_speed=1.0,
                              heap_capacity=int(heap_mb * MB)),
@@ -405,11 +403,11 @@ def main(argv=None) -> int:
                   "[--link-profile SPEC] [--mobility MODE]",
                   file=sys.stderr)
             return 2
-        return _replay(targets[1], args.heap_mb, not args.no_offload,
-                       args.faults, workers=args.workers,
-                       clients=args.clients,
-                       link_profile=args.link_profile,
-                       mobility=args.mobility)
+        return _trace_command(_replay, targets[1], args.heap_mb,
+                              not args.no_offload, args.faults,
+                              workers=args.workers, clients=args.clients,
+                              link_profile=args.link_profile,
+                              mobility=args.mobility)
     if targets[0] == "fleet":
         if len(targets) < 2 or targets[1] != "run" or len(targets) > 3:
             print("usage: python -m repro fleet run [<path|app>] "
@@ -419,9 +417,10 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         source = targets[2] if len(targets) == 3 else "dia"
-        return _fleet_run(source, args.clients, args.surrogates,
-                          args.heap_mb, args.workers, args.admission_cap,
-                          args.admission_policy, args.surrogate_heap_mb)
+        return _trace_command(_fleet_run, source, args.clients,
+                              args.surrogates, args.heap_mb, args.workers,
+                              args.admission_cap, args.admission_policy,
+                              args.surrogate_heap_mb)
     if targets[0] == "trace":
         if len(targets) != 4 or targets[1] != "convert":
             print("usage: python -m repro trace convert <in> <out> "
@@ -429,7 +428,7 @@ def main(argv=None) -> int:
                   "anything else = JSONL, .gz = gzipped)",
                   file=sys.stderr)
             return 2
-        return _convert(targets[2], targets[3])
+        return _trace_command(_convert, targets[2], targets[3])
     if targets[0] == "analyze":
         if len(targets) != 2:
             print("usage: python -m repro analyze <app> [--json [PATH]] "

@@ -55,10 +55,12 @@ O(events).
 from __future__ import annotations
 
 import json
+import math
 import mmap as mmap_module
 import struct
 import sys
 from array import array
+from itertools import compress
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
@@ -103,6 +105,49 @@ COLUMN_SPECS = (
 )
 
 _FIXED_HEADER = struct.Struct("<4sHHI")
+
+#: String-id columns and the tags whose events need a string there.
+_STRING_COLUMNS = (
+    ("a_cls", frozenset((TAG_ALLOC, TAG_INVOKE, TAG_ACCESS, TAG_WORK))),
+    ("b_cls", frozenset((TAG_ALLOC, TAG_INVOKE, TAG_ACCESS))),
+    ("m_id", frozenset((TAG_INVOKE,))),
+    ("k_id", frozenset((TAG_INVOKE,))),
+)
+
+
+def _reject(column: str, values: list, bad, why: str):
+    """Raise for the first cell of ``column`` that ``bad`` accepts."""
+    for index, value in enumerate(values):
+        if bad(index, value):
+            raise TraceFormatError(
+                f"trace column {column!r}, event {index}: {why} "
+                f"({value!r})")
+
+
+def check_columns(cols: Dict[str, list], strings: int) -> None:
+    """Reject decoded columns the replay cannot trust: an unknown tag, a
+    string id out of range (or ``-1`` where the tag needs a string), a
+    negative size, or a negative or non-finite work time."""
+    tags = cols["tags"]
+    if tags and max(tags) > TAG_WORK:
+        _reject("tags", tags, lambda i, tag: tag > TAG_WORK, "unknown tag")
+    for name, needed in _STRING_COLUMNS:
+        column = cols[name]
+        if column and (min(column) < -1 or max(column) >= strings):
+            _reject(name, column, lambda i, sid: not -1 <= sid < strings,
+                    f"string id outside the {strings}-string table")
+        if min(compress(column, map(needed.__contains__, tags)),
+               default=0) < 0:
+            _reject(name, column,
+                    lambda i, sid: sid < 0 and tags[i] in needed,
+                    "missing string id")
+    for name in ("n1", "n2"):
+        if min(cols[name], default=0) < 0:
+            _reject(name, cols[name], lambda i, n: n < 0, "negative size")
+    f64 = cols["f64"]
+    if not all(map(math.isfinite, f64)) or min(f64, default=0.0) < 0:
+        _reject("f64", f64, lambda i, t: not 0.0 <= t < math.inf,
+                "negative or non-finite time")
 
 
 def _oid_cell(oid: Optional[int], what: str) -> int:
@@ -180,6 +225,8 @@ class ColumnarTrace:
 
         List indexing beats both ``array`` and ``memoryview`` indexing
         in the replay hot loop; the decode is a single C-level pass.
+        The decoded values are checked once here (see
+        :func:`check_columns`), so the replay need not check them.
         """
         if self._lists_cache is None:
             decoded = {}
@@ -189,6 +236,7 @@ class ColumnarTrace:
                     column.tolist() if hasattr(column, "tolist")
                     else list(column)
                 )
+            check_columns(decoded, len(self.strings))
             self._lists_cache = decoded
         return self._lists_cache
 
@@ -354,10 +402,8 @@ class ColumnarTrace:
                     a_oid[i], strings[a_cls[i]], n1[i],
                     strings[b_cls[i]], _oid_value(b_oid[i]),
                 )
-            elif tag == TAG_FREE:
-                yield FreeEvent(a_oid[i])
             else:
-                raise TraceFormatError(f"unknown columnar tag {tag!r}")
+                yield FreeEvent(a_oid[i])
 
     def to_trace(self) -> Trace:
         trace = Trace(

@@ -7,7 +7,8 @@ offload, execution simply moves between the two emulated VMs, and time
 stretches for every interaction that crosses them.
 
 The replayer runs the *same* AIDE modules as the prototype — the
-execution graph is rebuilt incrementally during replay, the real
+execution graph is folded from the trace (see
+:mod:`repro.emulator.graphfold`) whenever a decision reads it, the real
 :class:`~repro.core.partitioner.Partitioner` evaluates the real
 candidate generator, and triggering comes from an emulated collector
 with Chai's trigger conditions.
@@ -35,7 +36,7 @@ from ..core.policy import (
     OffloadPolicy,
     PartitionPolicy,
 )
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, TraceFormatError
 from ..net.faults import FaultReport, FaultSchedule, FaultSpec
 from ..net.link import LinkModel
 from ..net.mobility import LinkProfile, MobilityConfig, MobilityReport
@@ -54,6 +55,7 @@ from .columnar import (
     TAG_INVOKE,
     TAG_WORK,
 )
+from .graphfold import GraphFold
 from .timemodel import (
     migration_cost,
     migration_payload,
@@ -276,7 +278,9 @@ class TraceReplayer:
     trace is used as is), so every replay runs the one batched loop in
     :meth:`run`.  Callers that replay one trace several times convert
     it once themselves.  A trace with a malformed oid raises
-    :class:`~repro.errors.TraceFormatError` here.
+    :class:`~repro.errors.TraceFormatError` here; one with a malformed
+    value, or an object allocated twice or freed while not live, raises
+    it from :meth:`run`.
     """
 
     def __init__(self, trace: Union[Trace, ColumnarTrace],
@@ -286,11 +290,11 @@ class TraceReplayer:
         # Object residency and bookkeeping.
         self._site: Dict[int, str] = {}
         self._size: Dict[int, int] = {}
-        self._class: Dict[int, str] = {}
+        self._node: Dict[int, str] = {}
         self._client_live = 0
         self._surrogate_live = 0
-        self._pending_garbage: List[int] = []
-        self._pending_garbage_bytes = 0
+        # Client garbage awaiting a collection: oid -> size, in free order.
+        self._pending_garbage: Dict[int, int] = {}
         # Emulated collector counters.
         self._allocs_since_gc = 0
         self._bytes_since_gc = 0
@@ -298,8 +302,8 @@ class TraceReplayer:
         # Placement.
         self._offloaded: FrozenSet[str] = frozenset()
         self._class_on_surrogate: Set[str] = set()
-        # AIDE modules.
-        self.graph = ExecutionGraph()
+        # AIDE modules.  The graph is folded on demand (see ``graph``).
+        graph = ExecutionGraph()
         self._trigger: MemoryTrigger = config.policy.make_trigger()
         self._partitioner = Partitioner(
             config.partition_policy
@@ -360,66 +364,35 @@ class TraceReplayer:
         )
         granular = config.flags.arrays_object_granularity
         self._granular_classes: Set[str] = {INT_ARRAY} if granular else set()
-        # Run-length buffer for graph edge updates: consecutive
-        # interactions over the same node pair (tight guest loops are
-        # full of them) collapse into one batched
-        # ``record_interaction(..., count=N)`` call.  Flushed before any
-        # partitioning decision reads the graph.
-        self._pending_edge: Optional[Tuple[str, str]] = None
-        self._pending_edge_bytes = 0
-        self._pending_edge_count = 0
         # The entry point is always a (pinned) graph node, even before
         # any interaction references it.
-        self.graph.ensure_node(MAIN)
+        graph.ensure_node(MAIN)
         if seed is not None and seed.profile is not None:
             # Seed the graph with the predicted interaction structure
             # (edge traffic and CPU only — a profile carries no live
             # memory), so the first MINCUT runs on real shape.
             for node_id in seed.profile.nodes():
                 stats = seed.profile.node(node_id)
-                self.graph.ensure_node(node_id)
+                graph.ensure_node(node_id)
                 if stats.cpu_seconds:
-                    self.graph.add_cpu(node_id, stats.cpu_seconds)
+                    graph.add_cpu(node_id, stats.cpu_seconds)
             for (a, b), edge in seed.profile.edges():
-                self.graph.record_interaction(a, b, edge.bytes,
-                                              count=edge.count)
+                graph.record_interaction(a, b, edge.bytes, count=edge.count)
+        self._fold = GraphFold(trace, graph, self._granular_classes)
+        # The side-log position of the replay's current point: events
+        # before it have happened.  Cold calls out of the loop set it.
+        self._log_at = 0
         # Clock and result.
         self._now = 0.0
         self.result = EmulationResult(
             app_name=trace.app_name, completed=False, total_time=0.0
         )
 
-    # -- naming and placement ------------------------------------------------
-
-    def _node_for(self, class_name: str, oid: Optional[int]) -> str:
-        if oid is not None and class_name in self._granular_classes:
-            return object_node_id(class_name, oid)
-        return class_name
-
-    def _class_site(self, class_name: str) -> str:
-        if class_name in self._class_on_surrogate:
-            return SURROGATE
-        return CLIENT
-
-    def _site_for(self, class_name: str, oid: Optional[int]) -> str:
-        if oid is not None:
-            site = self._site.get(oid)
-            if site is not None:
-                return site
-        return self._class_site(class_name)
-
-    # -- batched graph updates ---------------------------------------------------
-
-    def _flush_interactions(self) -> None:
-        pair = self._pending_edge
-        if pair is not None:
-            self.graph.record_interaction(
-                pair[0], pair[1], self._pending_edge_bytes,
-                count=self._pending_edge_count,
-            )
-            self._pending_edge = None
-            self._pending_edge_bytes = 0
-            self._pending_edge_count = 0
+    @property
+    def graph(self) -> ExecutionGraph:
+        """The execution graph as of the replay's current point (after
+        :meth:`run`: as of the end), folded from the trace on read."""
+        return self._fold.advance(self._log_at)
 
     # -- time ------------------------------------------------------------
 
@@ -548,7 +521,8 @@ class TraceReplayer:
 
     def _finish_run(self) -> EmulationResult:
         """Close out a replay once the loop has spilled its state."""
-        self._flush_interactions()
+        self._log_at = self.result.events_processed
+        self._fold.mark(self._log_at)
         if self._coalescer is not None:
             self._coalescer.flush()
         control = self._control
@@ -580,7 +554,9 @@ class TraceReplayer:
         reclaims, coalesced operations that may flush, fault-gauntlet
         exchanges, roaming and rediscovery.  A coalesced write that
         only buffers, and an exchange the fault schedule has already
-        judged clean (see ``_exchange``), are taken inline.
+        judged clean (see ``_exchange``), are taken inline.  The loop
+        does no graph work: reading :attr:`graph` folds the events
+        replayed so far.
         """
         trace = self.trace
         cols = trace.column_lists()
@@ -593,7 +569,6 @@ class TraceReplayer:
 
         config = self.config
         result = self.result
-        graph = self.graph
         client_speed = config.client.cpu_speed
         surrogate_speed = config.surrogate.cpu_speed
         capacity = config.client.heap_capacity
@@ -601,6 +576,10 @@ class TraceReplayer:
         allocs_per_cycle = config.gc.allocations_per_cycle
         bytes_per_cycle = config.gc.bytes_per_cycle
         monitoring_cost = config.monitoring_event_cost
+        # The monitoring charge per event, by the site that runs it.
+        monitor_wall = ({CLIENT: monitoring_cost / client_speed,
+                         SURROGATE: monitoring_cost / surrogate_speed}
+                        if monitoring_cost else None)
         control = self._control
         link = self._link
         next_roam = control.next_change
@@ -640,7 +619,8 @@ class TraceReplayer:
         site_map = self._site
         site_get = site_map.get
         size_map = self._size
-        class_map = self._class
+        node_map = self._node
+        pending = self._pending_garbage
         cache = self._cache
         cache_invalidate = cache.invalidate if cache is not None else None
         cache_note_read = cache.note_read if cache is not None else None
@@ -658,11 +638,6 @@ class TraceReplayer:
         schedule = delivery.schedule if delivery is not None else None
         attempt = (self._gauntlet
                    if delivery is not None and coalescer is None else None)
-        graph_record = graph.record_interaction
-        graph_add_cpu = graph.add_cpu
-        graph_add_memory = graph.add_memory
-        graph_note_created = graph.note_object_created
-        graph_ensure = graph.ensure_node
 
         # Hoisted mutable state (spilled/reloaded around cold calls).
         now = self._now
@@ -672,9 +647,6 @@ class TraceReplayer:
         bytes_since_gc = self._bytes_since_gc
         last_reeval = self._last_reevaluation
         class_on_surrogate = self._class_on_surrogate
-        pend_pair = self._pending_edge
-        pend_bytes = self._pending_edge_bytes
-        pend_count = self._pending_edge_count
         cpu_client = result.cpu_time_client
         cpu_surrogate = result.cpu_time_surrogate
         comm_time = result.comm_time
@@ -693,18 +665,10 @@ class TraceReplayer:
         for i, tag in enumerate(tags):
             if tag == TAG_ACCESS:
                 # -- access ------------------------------------------------
-                acid = a_cls[i]
-                accessor_class = strings[acid]
+                accessor_class = strings[a_cls[i]]
                 ao = a_oid[i]
-                if ao >= 0:
-                    accessor_site = site_get(ao)
-                    if accessor_site is None:
-                        accessor_site = (
-                            SURROGATE_
-                            if accessor_class in class_on_surrogate
-                            else CLIENT_
-                        )
-                else:
+                accessor_site = site_get(ao) if ao >= 0 else None
+                if accessor_site is None:
                     accessor_site = (
                         SURROGATE_ if accessor_class in class_on_surrogate
                         else CLIENT_
@@ -717,40 +681,28 @@ class TraceReplayer:
                 if fl & FLAG_STATIC:
                     owner_site = CLIENT_
                 else:
-                    if oo >= 0:
-                        owner_site = site_get(oo)
-                        if owner_site is None:
-                            owner_site = (
-                                SURROGATE_
-                                if owner_class in class_on_surrogate
-                                else CLIENT_
-                            )
-                    else:
+                    owner_site = site_get(oo) if oo >= 0 else None
+                    if owner_site is None:
                         owner_site = (
-                            SURROGATE_
-                            if owner_class in class_on_surrogate
+                            SURROGATE_ if owner_class in class_on_surrogate
                             else CLIENT_
                         )
                 nbytes = n1[i]
-                if cache is not None and is_write:
+                cached = False
+                if cache is not None:
                     if fl & FLAG_STATIC:
                         key = static_key(owner_class)
                     elif oo < 0 or bcid in array_ids:
                         key = None
                     else:
                         key = oo
-                    if key is not None:
+                    if key is None:
+                        pass
+                    elif is_write:
                         cache_invalidate(key)
+                    elif owner_site != accessor_site:
+                        cached = cache_note_read(key)
                 if owner_site != accessor_site:
-                    cached = False
-                    if cache is not None and not is_write:
-                        if fl & FLAG_STATIC:
-                            key = static_key(owner_class)
-                        elif oo < 0 or bcid in array_ids:
-                            key = None
-                        else:
-                            key = oo
-                        cached = key is not None and cache_note_read(key)
                     if cached:
                         # Served from the reading site's copy: no round
                         # trip, zero bytes on the wire.
@@ -808,61 +760,21 @@ class TraceReplayer:
                             remote_bytes += nbytes
                         else:
                             # Surrogate lost mid-access: recovery has
-                            # repatriated the owner, so the access
+                            # repatriated everything, so the access
                             # completes locally, uncharged.
                             (client_live, surrogate_live, class_on_surrogate,
                              peak_client, reattach_at) = self._exchange_reload()
-                            owner_site = self._site_for(
-                                owner_class, oo if oo >= 0 else None)
-                if granular_ids:
-                    accessor_node = (
-                        object_node_id(accessor_class, ao)
-                        if ao >= 0 and acid in granular_ids
-                        else accessor_class
-                    )
-                    owner_node = (
-                        object_node_id(owner_class, oo)
-                        if oo >= 0 and bcid in granular_ids
-                        else owner_class
-                    )
-                else:
-                    accessor_node = accessor_class
-                    owner_node = owner_class
-                if accessor_node != owner_node:
-                    pair = (
-                        (accessor_node, owner_node)
-                        if accessor_node <= owner_node
-                        else (owner_node, accessor_node)
-                    )
-                    if pair == pend_pair:
-                        pend_bytes += nbytes
-                        pend_count += 1
-                    else:
-                        if pend_pair is not None:
-                            graph_record(pend_pair[0], pend_pair[1],
-                                         pend_bytes, count=pend_count)
-                        pend_pair = pair
-                        pend_bytes = nbytes
-                        pend_count = 1
-                if monitoring_cost:
-                    wall = monitoring_cost / (
-                        client_speed if owner_site == CLIENT_
-                        else surrogate_speed
-                    )
+                            owner_site = CLIENT_
+                if monitor_wall is not None:
+                    wall = monitor_wall[owner_site]
                     monitoring_time += wall
                     now += wall
             elif tag == TAG_WORK:
                 # -- work --------------------------------------------------
                 class_name = strings[a_cls[i]]
                 ao = a_oid[i]
-                if ao >= 0:
-                    site = site_get(ao)
-                    if site is None:
-                        site = (
-                            SURROGATE_ if class_name in class_on_surrogate
-                            else CLIENT_
-                        )
-                else:
+                site = site_get(ao) if ao >= 0 else None
+                if site is None:
                     site = (
                         SURROGATE_ if class_name in class_on_surrogate
                         else CLIENT_
@@ -875,27 +787,17 @@ class TraceReplayer:
                     wall = seconds / surrogate_speed
                     cpu_surrogate += wall
                 now += wall
-                graph_add_cpu(class_name, seconds)
             elif tag == TAG_INVOKE:
                 # -- invoke ------------------------------------------------
-                acid = a_cls[i]
-                caller_class = strings[acid]
+                caller_class = strings[a_cls[i]]
                 ao = a_oid[i]
-                if ao >= 0:
-                    caller_site = site_get(ao)
-                    if caller_site is None:
-                        caller_site = (
-                            SURROGATE_
-                            if caller_class in class_on_surrogate
-                            else CLIENT_
-                        )
-                else:
+                caller_site = site_get(ao) if ao >= 0 else None
+                if caller_site is None:
                     caller_site = (
                         SURROGATE_ if caller_class in class_on_surrogate
                         else CLIENT_
                     )
-                bcid = b_cls[i]
-                callee_class = strings[bcid]
+                callee_class = strings[b_cls[i]]
                 bo = b_oid[i]
                 kid = k_id[i]
                 if kid == native_id:
@@ -906,18 +808,10 @@ class TraceReplayer:
                 elif kid == static_id:
                     exec_site = caller_site
                 else:
-                    if bo >= 0:
-                        exec_site = site_get(bo)
-                        if exec_site is None:
-                            exec_site = (
-                                SURROGATE_
-                                if callee_class in class_on_surrogate
-                                else CLIENT_
-                            )
-                    else:
+                    exec_site = site_get(bo) if bo >= 0 else None
+                    if exec_site is None:
                         exec_site = (
-                            SURROGATE_
-                            if callee_class in class_on_surrogate
+                            SURROGATE_ if callee_class in class_on_surrogate
                             else CLIENT_
                         )
                 arg_bytes = n1[i]
@@ -940,11 +834,7 @@ class TraceReplayer:
                         # invocation is local now.
                         (client_live, surrogate_live, class_on_surrogate,
                          peak_client, reattach_at) = self._exchange_reload()
-                        caller_site, exec_site = self._invoke_sites(
-                            caller_class, ao if ao >= 0 else None,
-                            callee_class, bo if bo >= 0 else None,
-                            strings[kid], flags[i] & FLAG_STATELESS,
-                        )
+                        caller_site = exec_site = CLIENT_
                 if exec_site != caller_site:
                     if coalescer is not None:
                         result.comm_time = comm_time
@@ -973,67 +863,26 @@ class TraceReplayer:
                     remote_bytes += nbytes
                     if kid == native_id:
                         remote_native += 1
-                if granular_ids:
-                    caller_node = (
-                        object_node_id(caller_class, ao)
-                        if ao >= 0 and acid in granular_ids
-                        else caller_class
-                    )
-                    callee_node = (
-                        object_node_id(callee_class, bo)
-                        if bo >= 0 and bcid in granular_ids
-                        else callee_class
-                    )
-                else:
-                    caller_node = caller_class
-                    callee_node = callee_class
-                if caller_node != callee_node:
-                    pair = (
-                        (caller_node, callee_node)
-                        if caller_node <= callee_node
-                        else (callee_node, caller_node)
-                    )
-                    if pair == pend_pair:
-                        pend_bytes += nbytes
-                        pend_count += 1
-                    else:
-                        if pend_pair is not None:
-                            graph_record(pend_pair[0], pend_pair[1],
-                                         pend_bytes, count=pend_count)
-                        pend_pair = pair
-                        pend_bytes = nbytes
-                        pend_count = 1
-                if monitoring_cost:
-                    wall = monitoring_cost / (
-                        client_speed if exec_site == CLIENT_
-                        else surrogate_speed
-                    )
+                if monitor_wall is not None:
+                    wall = monitor_wall[exec_site]
                     monitoring_time += wall
                     now += wall
             elif tag == TAG_ALLOC:
                 # -- alloc -------------------------------------------------
-                creator_class = strings[b_cls[i]]
-                site = (
-                    SURROGATE_ if creator_class in class_on_surrogate
-                    else CLIENT_
-                )
+                site = (SURROGATE_ if strings[b_cls[i]] in class_on_surrogate
+                        else CLIENT_)
                 size = n1[i]
                 if site == CLIENT_:
                     if client_live + size > capacity:
                         self._columnar_spill(
                             ep, now, client_live, surrogate_live,
                             allocs_since_gc, bytes_since_gc, last_reeval,
-                            pend_pair, pend_bytes, pend_count,
-                            cpu_client, cpu_surrogate, comm_time,
-                            monitoring_time, remote_invocations,
-                            remote_native, remote_accesses, remote_bytes,
-                            peak_client,
-                        )
-                        self._gc_cycle("space-exhausted")
+                            comm_time, peak_client)
+                        self._gc_cycle("space-exhausted", ep)
                         (now, client_live, surrogate_live, allocs_since_gc,
                          bytes_since_gc, last_reeval, class_on_surrogate,
-                         pend_pair, pend_bytes, pend_count, comm_time,
-                         peak_client, reattach_at) = self._columnar_reload()
+                         comm_time, peak_client,
+                         reattach_at) = self._columnar_reload()
                         # Placement may have changed under the GC's
                         # offload trigger, but the allocation keeps its
                         # pre-GC site decision.
@@ -1044,6 +893,7 @@ class TraceReplayer:
                             result.oom = True
                             result.oom_time = now
                             oom = True
+                            self._fold.end = i
                     if not oom:
                         client_live += size
                         if client_live > peak_client:
@@ -1054,25 +904,20 @@ class TraceReplayer:
                     surrogate_live += size
                 if not oom:
                     oid = a_oid[i]
+                    if oid in site_map:
+                        raise TraceFormatError(
+                            f"event {i}: ALLOC of oid {oid}, which is "
+                            f"still live")
                     acid = a_cls[i]
-                    class_name = strings[acid]
                     site_map[oid] = site
                     size_map[oid] = size
-                    class_map[oid] = class_name
-                    if granular_ids and acid in granular_ids:
-                        node = object_node_id(class_name, oid)
-                    else:
-                        node = class_name
-                    graph_add_memory(node, size)
-                    graph_note_created(node)
-                    # The creating class is part of the execution
-                    # picture even if no interaction referenced it yet.
-                    graph_ensure(creator_class)
-                    if monitoring_cost:
-                        wall = monitoring_cost / (
-                            client_speed if site == CLIENT_
-                            else surrogate_speed
-                        )
+                    node_map[oid] = (
+                        object_node_id(strings[acid], oid)
+                        if granular_ids and acid in granular_ids
+                        else strings[acid]
+                    )
+                    if monitor_wall is not None:
+                        wall = monitor_wall[site]
                         monitoring_time += wall
                         now += wall
                     # -- collector triggers -------------------------------
@@ -1087,133 +932,93 @@ class TraceReplayer:
                 else:
                     reason = None
                 if reason is not None:
-                    self._columnar_spill(
-                        ep, now, client_live, surrogate_live,
-                        allocs_since_gc, bytes_since_gc, last_reeval,
-                        pend_pair, pend_bytes, pend_count,
-                        cpu_client, cpu_surrogate, comm_time,
-                        monitoring_time, remote_invocations, remote_native,
-                        remote_accesses, remote_bytes, peak_client,
-                    )
-                    self._gc_cycle(reason)
+                    self._columnar_spill(ep, now, client_live, surrogate_live,
+                                         allocs_since_gc, bytes_since_gc,
+                                         last_reeval, comm_time, peak_client)
+                    self._gc_cycle(reason, ep + 1)
                     (now, client_live, surrogate_live, allocs_since_gc,
                      bytes_since_gc, last_reeval, class_on_surrogate,
-                     pend_pair, pend_bytes, pend_count, comm_time,
-                     peak_client, reattach_at) = self._columnar_reload()
+                     comm_time, peak_client,
+                     reattach_at) = self._columnar_reload()
             else:
                 # -- free (TAG_FREE) ---------------------------------------
                 oid = a_oid[i]
                 site = site_get(oid)
-                if site is None:
-                    pass
-                elif site == CLIENT_:
+                if site == CLIENT_ and oid not in pending:
                     # Client garbage waits for an emulated collection.
-                    self._pending_garbage.append(oid)
-                    self._pending_garbage_bytes += size_map[oid]
-                else:
+                    pending[oid] = size_map[oid]
+                elif site == SURROGATE_:
                     # Surrogate-side garbage reclaims immediately.
                     self._client_live = client_live
                     self._surrogate_live = surrogate_live
-                    self._reclaim(oid)
+                    self._reclaim(oid, ep)
                     client_live = self._client_live
                     surrogate_live = self._surrogate_live
+                else:
+                    raise TraceFormatError(
+                        f"event {i}: FREE of oid {oid}, which is not live")
             # -- post-event checks ----------------------------------------
             ep += 1
-            if now >= next_roam:
-                # The roam may migrate state, charge time, and change
-                # the link — which invalidates the wire-cost memos.
-                self._columnar_spill(
-                    ep, now, client_live, surrogate_live,
-                    allocs_since_gc, bytes_since_gc, last_reeval,
-                    pend_pair, pend_bytes, pend_count,
-                    cpu_client, cpu_surrogate, comm_time,
-                    monitoring_time, remote_invocations, remote_native,
-                    remote_accesses, remote_bytes, peak_client,
-                )
-                control.poll_mobility()
+            if (now >= next_roam
+                    or (reattach_at is not None and now >= reattach_at
+                        and control.surrogate_lost)
+                    or (ep == offload_at and offload_enabled)
+                    or (reevaluate_every is not None and offload_enabled
+                        and now - last_reeval >= reevaluate_every
+                        and result.offload_count > 0)):
+                self._columnar_spill(ep, now, client_live, surrogate_live,
+                                     allocs_since_gc, bytes_since_gc,
+                                     last_reeval, comm_time, peak_client)
+                self._after_event(ep)
                 (now, client_live, surrogate_live, allocs_since_gc,
-                 bytes_since_gc, last_reeval, class_on_surrogate,
-                 pend_pair, pend_bytes, pend_count, comm_time,
+                 bytes_since_gc, last_reeval, class_on_surrogate, comm_time,
                  peak_client, reattach_at) = self._columnar_reload()
+                # A roam may have changed the link, which invalidates
+                # the wire-cost memos.
                 link = self._link
                 next_roam = control.next_change
                 access_cost_memo.clear()
                 invoke_cost_memo.clear()
-            if (
-                reattach_at is not None
-                and now >= reattach_at
-                and control.surrogate_lost
-            ):
-                # The partition that killed the surrogate has healed:
-                # rediscovery may start a fresh offload epoch.
-                self._columnar_spill(
-                    ep, now, client_live, surrogate_live,
-                    allocs_since_gc, bytes_since_gc, last_reeval,
-                    pend_pair, pend_bytes, pend_count,
-                    cpu_client, cpu_surrogate, comm_time,
-                    monitoring_time, remote_invocations, remote_native,
-                    remote_accesses, remote_bytes, peak_client,
-                )
-                control.rediscover(offload_enabled)
-                (now, client_live, surrogate_live, allocs_since_gc,
-                 bytes_since_gc, last_reeval, class_on_surrogate,
-                 pend_pair, pend_bytes, pend_count, comm_time,
-                 peak_client, reattach_at) = self._columnar_reload()
-            if (
-                offload_at is not None
-                and ep == offload_at
-                and offload_enabled
-            ):
-                self._columnar_spill(
-                    ep, now, client_live, surrogate_live,
-                    allocs_since_gc, bytes_since_gc, last_reeval,
-                    pend_pair, pend_bytes, pend_count,
-                    cpu_client, cpu_surrogate, comm_time,
-                    monitoring_time, remote_invocations, remote_native,
-                    remote_accesses, remote_bytes, peak_client,
-                )
-                self._attempt_offload()
-                (now, client_live, surrogate_live, allocs_since_gc,
-                 bytes_since_gc, last_reeval, class_on_surrogate,
-                 pend_pair, pend_bytes, pend_count, comm_time,
-                 peak_client, reattach_at) = self._columnar_reload()
-            if (
-                reevaluate_every is not None
-                and offload_enabled
-                and now - last_reeval >= reevaluate_every
-                and result.offload_count > 0
-            ):
-                last_reeval = now
-                self._columnar_spill(
-                    ep, now, client_live, surrogate_live,
-                    allocs_since_gc, bytes_since_gc, last_reeval,
-                    pend_pair, pend_bytes, pend_count,
-                    cpu_client, cpu_surrogate, comm_time,
-                    monitoring_time, remote_invocations, remote_native,
-                    remote_accesses, remote_bytes, peak_client,
-                )
-                self._attempt_offload(reevaluation=True)
-                (now, client_live, surrogate_live, allocs_since_gc,
-                 bytes_since_gc, last_reeval, class_on_surrogate,
-                 pend_pair, pend_bytes, pend_count, comm_time,
-                 peak_client, reattach_at) = self._columnar_reload()
             if oom:
                 break
-        self._columnar_spill(
-            ep, now, client_live, surrogate_live, allocs_since_gc,
-            bytes_since_gc, last_reeval, pend_pair, pend_bytes, pend_count,
-            cpu_client, cpu_surrogate, comm_time, monitoring_time,
-            remote_invocations, remote_native, remote_accesses,
-            remote_bytes, peak_client,
-        )
+        self._columnar_spill(ep, now, client_live, surrogate_live,
+                             allocs_since_gc, bytes_since_gc, last_reeval,
+                             comm_time, peak_client)
+        # No cold call reads these, so they are written once, here.
+        result.cpu_time_client = cpu_client
+        result.cpu_time_surrogate = cpu_surrogate
+        result.monitoring_time = monitoring_time
+        result.remote_invocations = remote_invocations
+        result.remote_native_invocations = remote_native
+        result.remote_accesses = remote_accesses
+        result.remote_bytes = remote_bytes
         return self._finish_run()
+
+    def _after_event(self, ep: int) -> None:
+        """The post-event checks, in order, once one of them is due."""
+        control = self._control
+        config = self.config
+        if self._now >= control.next_change:
+            # Roaming may migrate state, charge time and change the link.
+            control.poll_mobility()
+        if (control.reattach_at is not None
+                and self._now >= control.reattach_at
+                and control.surrogate_lost):
+            # The partition that killed the surrogate has healed:
+            # rediscovery may start a fresh offload epoch.
+            control.rediscover(config.offload_enabled)
+        if ep == config.offload_at_event and config.offload_enabled:
+            self._attempt_offload()
+        every = config.reevaluate_every
+        if (every is not None and config.offload_enabled
+                and self._now - self._last_reevaluation >= every
+                and self.result.offload_count > 0):
+            self._last_reevaluation = self._now
+            self._attempt_offload(reevaluation=True)
 
     def _columnar_spill(
         self, ep, now, client_live, surrogate_live, allocs_since_gc,
-        bytes_since_gc, last_reeval, pend_pair, pend_bytes, pend_count,
-        cpu_client, cpu_surrogate, comm_time, monitoring_time,
-        remote_invocations, remote_native, remote_accesses, remote_bytes,
-        peak_client,
+        bytes_since_gc, last_reeval, comm_time, peak_client,
     ) -> None:
         """Write the batched loop's hoisted state back to the instance.
 
@@ -1222,26 +1027,18 @@ class TraceReplayer:
         :meth:`_attempt_offload`, the control plane's mobility poll and
         rediscovery, and everything they reach) observes the
         replay's exact state, then the caller takes
-        :meth:`_columnar_reload` back into its locals.
+        :meth:`_columnar_reload` back into its locals.  The event index
+        is also the side-log position of what the cold call logs.
         """
         result = self.result
+        self._log_at = ep
         self._now = now
         self._client_live = client_live
         self._surrogate_live = surrogate_live
         self._allocs_since_gc = allocs_since_gc
         self._bytes_since_gc = bytes_since_gc
         self._last_reevaluation = last_reeval
-        self._pending_edge = pend_pair
-        self._pending_edge_bytes = pend_bytes
-        self._pending_edge_count = pend_count
-        result.cpu_time_client = cpu_client
-        result.cpu_time_surrogate = cpu_surrogate
         result.comm_time = comm_time
-        result.monitoring_time = monitoring_time
-        result.remote_invocations = remote_invocations
-        result.remote_native_invocations = remote_native
-        result.remote_accesses = remote_accesses
-        result.remote_bytes = remote_bytes
         if peak_client > result.peak_client_bytes:
             result.peak_client_bytes = peak_client
         result.events_processed = ep
@@ -1253,9 +1050,8 @@ class TraceReplayer:
         return (self._now, self._client_live, self._surrogate_live,
                 self._allocs_since_gc, self._bytes_since_gc,
                 self._last_reevaluation, self._class_on_surrogate,
-                self._pending_edge, self._pending_edge_bytes,
-                self._pending_edge_count, result.comm_time,
-                result.peak_client_bytes, self._control.reattach_at)
+                result.comm_time, result.peak_client_bytes,
+                self._control.reattach_at)
 
     def _exchange_spill(self, ep, now, client_live, surrogate_live,
                         peak_client) -> None:
@@ -1284,36 +1080,36 @@ class TraceReplayer:
 
     # -- allocation and the emulated collector -------------------------------------
 
-    def _reclaim(self, oid: int) -> None:
-        site = self._site.pop(oid, None)
-        if site is None:
-            return
+    def _reclaim(self, oid: int, at: int) -> None:
+        """Drop one collected object; its graph part goes to the fold's
+        side log at position ``at``."""
+        site = self._site.pop(oid)
         if self._cache is not None:
             # GC of the owner invalidates its cached remote copy.
             self._cache.invalidate(oid)
         size = self._size.pop(oid)
-        class_name = self._class.pop(oid)
         if site == CLIENT:
             self._client_live -= size
         else:
             self._surrogate_live -= size
-        node = self._node_for(class_name, oid)
-        if self.graph.has_node(node):
-            self.graph.add_memory(node, -size)
-            self.graph.note_object_freed(node)
+        self._fold.reclaim(at, self._node.pop(oid), size)
 
-    def _gc_cycle(self, reason: str) -> None:
+    def _gc_cycle(self, reason: str, at: int) -> None:
+        """One emulated collection at side-log position ``at``: the
+        allocation that triggered it is before ``at`` unless the heap
+        was exhausted (then the allocation waits for the collection)."""
+        self._log_at = at
         if self._coalescer is not None:
             # GC barrier: the pause must not overtake un-charged traffic.
             self._coalescer.gc_barrier()
-        freed_bytes = self._pending_garbage_bytes
-        freed_objects = len(self._pending_garbage)
-        for oid in self._pending_garbage:
+        pending = self._pending_garbage
+        freed_bytes = sum(pending.values())
+        freed_objects = len(pending)
+        for oid in pending:
             # Only reclaim garbage still on the client: a migration may
             # not move garbage, so client garbage stays client garbage.
-            self._reclaim(oid)
-        self._pending_garbage = []
-        self._pending_garbage_bytes = 0
+            self._reclaim(oid, at)
+        pending.clear()
         self._allocs_since_gc = 0
         self._bytes_since_gc = 0
         self._gc_cycles += 1
@@ -1379,7 +1175,9 @@ class TraceReplayer:
             # graph keeps growing, so the post-rediscovery epoch starts
             # warm.
             return
-        self._flush_interactions()
+        # The attempt ends the open interaction run, whether or not it
+        # reads the graph.
+        self._fold.mark(self._log_at)
         if self._coalescer is not None:
             # Repartition barrier: decisions and migrations must not
             # observe buffered, un-charged operations.
@@ -1444,15 +1242,13 @@ class TraceReplayer:
         self._class_on_surrogate = {
             node for node in offload_nodes if "#" not in node
         }
-        garbage = set(self._pending_garbage)
+        garbage = self._pending_garbage
         to_surrogate: List[int] = []
         to_client: List[int] = []
         for oid, site in self._site.items():
             if oid in garbage:
                 continue
-            class_name = self._class[oid]
-            node = self._node_for(class_name, oid)
-            wants_surrogate = node in offload_nodes
+            wants_surrogate = self._node[oid] in offload_nodes
             if wants_surrogate and site == CLIENT:
                 to_surrogate.append(oid)
             elif not wants_surrogate and site == SURROGATE:
@@ -1505,22 +1301,3 @@ class TraceReplayer:
             # than chase which owners moved.
             self._cache.invalidate_all()
         return moved_bytes, moved_objects
-
-    # -- interactions ------------------------------------------------------------
-
-    def _invoke_sites(
-        self, caller_class: str, caller_oid: Optional[int],
-        callee_class: str, callee_oid: Optional[int], mkind: str,
-        stateless: bool,
-    ) -> Tuple[str, str]:
-        caller_site = self._site_for(caller_class, caller_oid)
-        if mkind == "native":
-            if stateless and self.config.flags.stateless_natives_local:
-                exec_site = caller_site
-            else:
-                exec_site = CLIENT
-        elif mkind == "static":
-            exec_site = caller_site
-        else:
-            exec_site = self._site_for(callee_class, callee_oid)
-        return caller_site, exec_site

@@ -264,3 +264,97 @@ class TestMalformedFiles:
         path.write_bytes(raw[:12] + patched + raw[12 + header_len:])
         with pytest.raises(TraceFormatError, match="disagree"):
             read_ctrace(path)
+
+
+class TestCheckedValues:
+    """Decoding checks every value the replay would trust."""
+
+    def replay(self, trace):
+        from repro.emulator.replay import EmulatorConfig, TraceReplayer
+
+        return TraceReplayer(trace, EmulatorConfig()).run()
+
+    @pytest.mark.parametrize("column,value,text", [
+        ("tags", 9, "unknown tag"),
+        ("a_cls", 99, "string id outside"),
+        ("a_cls", -1, "missing string id"),
+        ("b_cls", -2, "string id outside"),
+        ("n1", -100, "negative size"),
+    ])
+    def test_bad_cell_names_column_and_event(self, column, value, text):
+        columnar = ColumnarTrace.from_trace(sample_trace())
+        columnar.columns[column][1] = value
+        with pytest.raises(TraceFormatError,
+                           match=rf"'{column}', event 1: {text}"):
+            columnar.column_lists()
+
+    @pytest.mark.parametrize("seconds", [-2.5, float("nan"), float("inf")])
+    def test_bad_work_time_is_rejected(self, seconds):
+        trace = Trace(app_name="t")
+        trace.events = [WorkEvent("app.Model", None, seconds)]
+        with pytest.raises(TraceFormatError, match="'f64', event 0"):
+            self.replay(trace)
+
+    def test_double_free_is_rejected(self):
+        trace = Trace(app_name="t")
+        trace.events = [AllocEvent(1, "app.Model", 1000, "<main>", None),
+                        FreeEvent(1), FreeEvent(1)]
+        with pytest.raises(TraceFormatError, match="FREE of oid 1"):
+            self.replay(trace)
+
+    def test_realloc_of_live_oid_is_rejected(self):
+        trace = Trace(app_name="t")
+        alloc = AllocEvent(1, "app.Model", 1000, "<main>", None)
+        trace.events = [alloc, alloc]
+        with pytest.raises(TraceFormatError, match="ALLOC of oid 1"):
+            self.replay(trace)
+
+
+def _fuzz_source():
+    """The first 3,000 events of the dia trace, as ``.ctrace`` bytes."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.experiments import cached_trace
+    from repro.experiments.exp_overhead import MEMORY_WORKLOADS
+
+    dia = cached_trace("dia", MEMORY_WORKLOADS["dia"])
+    prefix = Trace(app_name=dia.app_name, class_traits=dia.class_traits)
+    prefix.events = dia.events[:3000]
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "dia.ctrace"
+        write_ctrace(prefix, path)
+        return path.read_bytes()
+
+
+class TestCorruptedFiles:
+    """A truncated or byte-flipped ``.ctrace`` either fails with a
+    :class:`TraceFormatError`, at load or at replay, or replays to the
+    end: it never crashes the replay."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_corruption_fails_loudly_or_replays(self, data, tmp_path_factory):
+        from repro.emulator.replay import EmulatorConfig, TraceReplayer
+
+        global _FUZZ_SOURCE
+        if _FUZZ_SOURCE is None:
+            _FUZZ_SOURCE = _fuzz_source()
+        raw = bytearray(_FUZZ_SOURCE)
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="keep")]
+        else:
+            for _ in range(data.draw(st.integers(1, 8), label="flips")):
+                at = data.draw(st.integers(0, len(raw) - 1), label="at")
+                raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+        path = tmp_path_factory.mktemp("fuzz") / "x.ctrace"
+        path.write_bytes(bytes(raw))
+        try:
+            trace = read_ctrace(path, use_mmap=False)
+            result = TraceReplayer(trace, EmulatorConfig()).run()
+        except TraceFormatError:
+            return
+        assert result.events_processed == len(trace) or result.oom
+
+
+_FUZZ_SOURCE = None

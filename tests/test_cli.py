@@ -226,6 +226,55 @@ class TestMalformedTraceCli:
         assert "replayed" not in captured.out
 
 
+class TestMalformedValuesCli:
+    """A value the replay cannot trust is one stderr line and exit 2,
+    whether decoding (bad values) or replaying (a broken object
+    lifecycle) finds it."""
+
+    ALLOC = TestMalformedTraceCli.ALLOC
+
+    @pytest.mark.parametrize("rows,text", [
+        ([["A", 1, "app.Data", -100, "<main>", None]],
+         "column 'n1', event 0: negative size"),
+        ([["W", "app.Data", None, -2.5]],
+         "column 'f64', event 0: negative or non-finite time"),
+        ([["W", "app.Data", None, float("nan")]],
+         "column 'f64', event 0: negative or non-finite time"),
+        ([ALLOC, ["F", 1], ["F", 1]],
+         "event 2: FREE of oid 1, which is not live"),
+        ([ALLOC, ALLOC], "event 1: ALLOC of oid 1, which is still live"),
+    ])
+    @pytest.mark.parametrize("command", [["replay"], ["fleet", "run"]])
+    def test_bad_value_is_one_line_usage_error(
+            self, tmp_path, capsys, command, rows, text):
+        path = write_jsonl(tmp_path / "bad.trace", rows)
+        assert main([*command, path]) == 2
+        captured = capsys.readouterr()
+        assert text in captured.err
+        assert captured.err.count("\n") == 1
+        assert "replayed" not in captured.out
+
+    def test_out_of_range_class_id_is_one_line_usage_error(
+            self, tmp_path, capsys):
+        from repro.emulator.columnar import ColumnarTrace, write_ctrace
+        from repro.emulator.events import AllocEvent
+        from repro.emulator.traces import Trace
+
+        trace = Trace(app_name="tiny")
+        trace.events = [AllocEvent(1, "app.Data", 64, "<main>", None)]
+        columnar = ColumnarTrace.from_trace(trace)
+        columnar.columns["a_cls"][0] = 7
+        path = str(tmp_path / "bad.ctrace")
+        write_ctrace(columnar, path)
+        for command in (["replay", path], ["trace", "convert", path,
+                                           str(tmp_path / "out.trace")]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert ("column 'a_cls', event 0: string id outside the "
+                    "2-string table (7)") in err
+            assert err.count("\n") == 1
+
+
 class TestFaultInjectionCli:
     def test_lossy_replay_prints_fault_counters(self, capsys):
         assert main(["replay", "dia", "--faults", "seed=7,loss=0.05"]) == 0

@@ -64,6 +64,7 @@ DEFAULT_TARGETS = (
     "src/repro/platform/migration.py",
     "src/repro/platform/platform.py",
     "src/repro/emulator/replay.py",
+    "src/repro/emulator/graphfold.py",
     "src/repro/rpc/retry.py",
     "src/repro/net/faults.py",
     "src/repro/rpc/batch.py",
