@@ -73,7 +73,7 @@ RPC_MIN_SPEEDUP = 2.0
 #: absolute target (and the 5x-serial variant) only express themselves
 #: on a multi-core box, so the enforced gate degrades to a
 #: machine-robust pair on small/loaded runners: replaying a trace held
-#: in columnar form must beat a one-shot row-trace replay (conversion
+#: in memory must beat a one-shot replay of a JSONL file (load
 #: included) by ``PARALLEL_COLUMNAR_MIN_SPEEDUP`` and sharding must not
 #: *lose* throughput against single-process columnar replay
 #: (``PARALLEL_RETENTION`` of it, covering pool-spawn noise).
@@ -433,11 +433,11 @@ def chatty_trace(widgets: int = 40, sweeps: int = 60):
     from repro.emulator.events import (
         AccessEvent, AllocEvent, InvokeEvent, WorkEvent,
     )
-    from repro.emulator.traces import Trace
+    from repro.emulator import ColumnarTrace
 
     main = "<main>"
-    trace = Trace(app_name="chatty-ui",
-                  class_traits={"gui.Widget": {}, "gui.Style": {}})
+    trace = ColumnarTrace(app_name="chatty-ui",
+                          class_traits={"gui.Widget": {}, "gui.Style": {}})
     oid = 1
     widget_oids = []
     for _ in range(widgets):
@@ -664,11 +664,11 @@ def roaming_trace(widgets: int = 12, sweeps: int = 80,
     from repro.emulator.events import (
         AccessEvent, AllocEvent, InvokeEvent, WorkEvent,
     )
-    from repro.emulator.traces import Trace
+    from repro.emulator import ColumnarTrace
 
     main = "<main>"
-    trace = Trace(app_name="roaming-ui",
-                  class_traits={"gui.Widget": {}, "gui.Style": {}})
+    trace = ColumnarTrace(app_name="roaming-ui",
+                          class_traits={"gui.Widget": {}, "gui.Style": {}})
     oid = 1
     widget_oids = []
     for _ in range(widgets):
@@ -717,13 +717,11 @@ def bench_mobility(quick: bool = False) -> dict:
       roaming.
 
     Gates: handoff strictly beats both alternatives, stays within
-    ``MOBILITY_MAX_SLOWDOWN`` of static, serial/columnar/sharded
-    replay fingerprints agree on the handoff run, a rerun is
+    ``MOBILITY_MAX_SLOWDOWN`` of static, serial and sharded replay
+    fingerprints agree on the handoff run, a rerun is
     bit-identical, and the disconnection run completes.
     """
-    from repro.emulator import (
-        ColumnarTrace, MobilityConfig, ShardedReplayer, replicate,
-    )
+    from repro.emulator import MobilityConfig, ShardedReplayer, replicate
     from repro.emulator.replay import EmulatorConfig, TraceReplayer
     from repro.net import WAVELAN_WAN_ROAM, LinkProfile
 
@@ -748,17 +746,12 @@ def bench_mobility(quick: bool = False) -> dict:
         base.with_profile(WAVELAN_WAN_ROAM, MobilityConfig(mode="handoff")),
     ).run()
 
-    # Parity: the handoff run must fingerprint identically from the row
-    # trace, from its columnar form, and through a sharded replay.
-    columnar = TraceReplayer(
-        ColumnarTrace.from_trace(trace), handoff_config
-    ).run()
-    shards = replicate(ColumnarTrace.from_trace(trace), handoff_config,
-                       clients=2)
+    # Parity: the handoff run must fingerprint identically through a
+    # sharded replay.
+    shards = replicate(trace, handoff_config, clients=2)
     sharded = ShardedReplayer(shards, workers=1).run()
     sharded_fps = {c.result.fingerprint() for c in sharded.clients}
-    parity = (columnar.fingerprint() == handoff.fingerprint()
-              and sharded_fps == {handoff.fingerprint()})
+    parity = sharded_fps == {handoff.fingerprint()}
     rerun = TraceReplayer(trace, handoff_config).run()
 
     ratio = (handoff.total_time / static.total_time
@@ -1014,10 +1007,10 @@ def bench_replay_parallel(rounds: int, serial_eps: float) -> dict:
     """Columnar + sharded replay throughput, with the floor gate.
 
     Replays dia three ways: "serial" is a one-shot
-    ``TraceReplayer(row_trace, config).run()``, conversion to columnar
-    form included (what ``repro replay file.jsonl`` pays); "columnar"
-    replays a trace already held in columnar form (what every replay
-    after the first pays); "sharded" runs one shard per emulated client
+    ``TraceReplayer(ColumnarTrace.load("dia.jsonl"), config).run()``,
+    the JSONL load included (what ``repro replay file.jsonl`` pays);
+    "columnar" replays a trace already held in memory (what every
+    replay after the first pays); "sharded" runs one shard per emulated client
     on a process pool.  Checks the three fingerprints agree
     bit-for-bit, and evaluates the aggregate-throughput floor:
 
@@ -1030,27 +1023,30 @@ def bench_replay_parallel(rounds: int, serial_eps: float) -> dict:
       ``PARALLEL_RETENTION`` of single-process columnar throughput.
     """
     import os
+    import tempfile
 
     from repro.emulator import (
         ColumnarTrace, ShardedReplayer, TraceReplayer, replicate,
     )
 
-    trace = cached_trace("dia", MEMORY_WORKLOADS["dia"])
-    columnar = ColumnarTrace.from_trace(trace)
+    columnar = cached_trace("dia", MEMORY_WORKLOADS["dia"])
     config = memory_emulator_config()
-    events = len(trace)
-
-    def one_shot():
-        return TraceReplayer(trace, config).run()
-
-    serial_fp = one_shot().fingerprint()
+    events = len(columnar)
     columnar_emulator = Emulator(columnar)
     columnar_fp = columnar_emulator.replay(config).fingerprint()
-    # The serial rate is re-measured here, back-to-back with the
-    # columnar rate, so the speedup compares like with like — the
-    # ``replay`` section's number was taken under a different heap and
-    # load (heavy graph benches run in between).
-    serial_stats = _time(one_shot, rounds)
+    with tempfile.TemporaryDirectory() as workdir:
+        jsonl = Path(workdir) / "dia.jsonl"
+        columnar.save(jsonl)
+
+        def one_shot():
+            return TraceReplayer(ColumnarTrace.load(jsonl), config).run()
+
+        serial_fp = one_shot().fingerprint()
+        # The serial rate is re-measured here, back-to-back with the
+        # columnar rate, so the speedup compares like with like — the
+        # ``replay`` section's number was taken under a different heap
+        # and load (heavy graph benches run in between).
+        serial_stats = _time(one_shot, rounds)
     serial_local_eps = events / serial_stats["mean_s"]
     col_stats = _time(lambda: columnar_emulator.replay(config), rounds)
     columnar_eps = events / col_stats["mean_s"]
@@ -1101,17 +1097,14 @@ def bench_fleet(quick: bool = False) -> dict:
       bit-identical when the drive-side replay runs on one worker and
       on several (virtual time never depends on host parallelism).
     """
-    from repro.emulator import (
-        ColumnarTrace, FleetConfig, FleetEmulator, replicate,
-    )
+    from repro.emulator import FleetConfig, FleetEmulator, replicate
 
     trace = cached_trace("dia", MEMORY_WORKLOADS["dia"])
-    columnar = ColumnarTrace.from_trace(trace)
     config = memory_emulator_config()
     scales = QUICK_FLEET_SCALES if quick else FLEET_SCALES
 
     def run(clients: int, surrogates: int, workers: int):
-        shards = replicate(columnar, config, clients=clients)
+        shards = replicate(trace, config, clients=clients)
         fleet_config = FleetConfig(surrogates=surrogates)
         return FleetEmulator(shards, fleet_config, workers=workers).run()
 

@@ -56,10 +56,10 @@ from .core import (
     policy_sweep,
 )
 from .emulator import (
+    ColumnarTrace,
     EmulationResult,
     Emulator,
     EmulatorConfig,
-    Trace,
     record_application,
 )
 from .errors import (
@@ -89,6 +89,7 @@ __all__ = [
     "BestEffortCpuPolicy",
     "Biomer",
     "ClassRegistry",
+    "ColumnarTrace",
     "CombinedPartitionPolicy",
     "ConfigurationError",
     "CpuPartitionPolicy",
@@ -125,7 +126,6 @@ __all__ = [
     "SurrogateDirectory",
     "SurrogateOffer",
     "SurrogateUnavailableError",
-    "Trace",
     "TraceError",
     "Tracer",
     "TriggerConfig",

@@ -98,10 +98,10 @@ def _load_trace(source: str):
     app by name."""
     import os
 
-    from .emulator import load_any
+    from .emulator import ColumnarTrace
 
     if os.path.exists(source):
-        return load_any(source)
+        return ColumnarTrace.load(source)
     from .apps import ALL_APPLICATIONS
     from .emulator import record_application
 
@@ -113,20 +113,17 @@ def _load_trace(source: str):
         f"(apps: {', '.join(sorted(by_name))})")
 
 
-def _load_columnar(source: str):
-    """Load or record ``source``, convert it to columnar form once, and
-    decode (and so check) its columns."""
-    from .emulator import ColumnarTrace
-
-    trace = ColumnarTrace.from_trace(_load_trace(source))
+def _load_checked(source: str):
+    """Load or record ``source`` and decode (and so check) its columns."""
+    trace = _load_trace(source)
     trace.column_lists()
     return trace
 
 
 def _trace_command(command: Callable[..., int], *args, **kwargs) -> int:
-    """Run a command that loads or replays a trace.  A missing source or
-    a malformed trace is one stderr line and exit 2, whether loading,
-    decoding or replaying found it."""
+    """Run a command that records, loads or replays a trace.  A missing
+    source or a malformed trace is one stderr line and exit 2, whether
+    loading, decoding or replaying found it."""
     from .errors import TraceFormatError
 
     try:
@@ -138,17 +135,9 @@ def _trace_command(command: Callable[..., int], *args, **kwargs) -> int:
 
 def _convert(src: str, dst: str) -> int:
     """``trace convert``: JSONL <-> columnar, by destination suffix."""
-    from .emulator import ColumnarTrace, write_ctrace
-
-    trace = _load_trace(src)
-    if dst.endswith(".ctrace"):
-        write_ctrace(trace, dst)
-        kind = "columnar"
-    else:
-        if isinstance(trace, ColumnarTrace):
-            trace = trace.to_trace()
-        trace.save(dst)
-        kind = "jsonl"
+    trace = _load_checked(src)
+    trace.save(dst)
+    kind = "columnar" if dst.endswith(".ctrace") else "jsonl"
     print(f"converted {len(trace)} events of {trace.app_name!r} "
           f"to {kind} at {dst}")
     return 0
@@ -166,7 +155,7 @@ def _replay(source: str, heap_mb: float, offload: bool,
     from .net.mobility import LinkProfile
     from .units import MB
 
-    trace = _load_columnar(source)
+    trace = _load_checked(source)
     config = EmulatorConfig(
         client=DeviceProfile("client-dev", cpu_speed=1.0,
                              heap_capacity=int(heap_mb * MB)),
@@ -251,7 +240,7 @@ def _fleet_run(source: str, clients: int, surrogates: int,
     from .errors import ConfigurationError
     from .units import MB
 
-    trace = _load_columnar(source)
+    trace = _load_checked(source)
     config = EmulatorConfig(
         client=DeviceProfile("client-dev", cpu_speed=1.0,
                              heap_capacity=int(heap_mb * MB)),
@@ -394,7 +383,7 @@ def main(argv=None) -> int:
             print("usage: python -m repro record <app> <path>",
                   file=sys.stderr)
             return 2
-        return _record(targets[1], targets[2])
+        return _trace_command(_record, targets[1], targets[2])
     if targets[0] == "replay":
         if len(targets) != 2:
             print("usage: python -m repro replay <path|app> [--heap-mb N] "

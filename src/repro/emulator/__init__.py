@@ -8,7 +8,6 @@ from .events import (
     InvokeEvent,
     TraceEvent,
     WorkEvent,
-    event_from_row,
 )
 from ..net.faults import FaultReport, FaultSchedule, FaultSpec
 from ..net.mobility import LinkProfile, MobilityConfig, MobilityReport
@@ -37,7 +36,6 @@ from .timemodel import (
     remote_access_cost,
     remote_invoke_cost,
 )
-from .traces import Trace, load_any
 
 __all__ = [
     "AccessEvent",
@@ -67,15 +65,12 @@ __all__ = [
     "RetryPolicy",
     "ShardedReplayer",
     "SurrogateStats",
-    "Trace",
     "TraceEvent",
     "TraceRecorder",
     "TraceReplayer",
     "UNCONSTRAINED_HEAP",
     "WorkEvent",
     "collect_class_traits",
-    "event_from_row",
-    "load_any",
     "migration_cost",
     "migration_payload",
     "read_ctrace",

@@ -1,17 +1,23 @@
-"""Columnar (struct-of-arrays) trace representation and `.ctrace` files.
+"""The trace: columns in memory, JSONL or `.ctrace` on disk.
 
 A full workload trace holds 10^5-10^6 events.  As Python objects
-(:mod:`repro.emulator.events`) each event costs an allocation, a
-per-field attribute slot, and per-field boxed values; replaying them
-costs a type dispatch and several attribute loads per event.  The
-columnar representation stores the same information as parallel typed
+(:mod:`repro.emulator.events`) each event would cost an allocation, a
+per-field attribute slot, and per-field boxed values.  A trace is
+instead held in one form from recording to disk: parallel typed
 columns (:mod:`array` arrays) plus one interned string table, which
 
-* shrinks a resident trace several-fold,
+* keeps a resident trace small,
 * lets the batched replay loop in :mod:`repro.emulator.replay` read
   plain integers out of decoded columns instead of chasing attributes,
 * and maps directly onto a compact on-disk format (``.ctrace``) whose
   column blobs can be mmap-ed and used without parsing.
+
+The recorder, :meth:`ColumnarTrace.append` and the JSONL loader all
+write the columns through one packing function per event kind
+(:meth:`ColumnarTrace.packers`).  The JSONL format is one header line
+(version, app, notes, class traits, event count) and one row per event,
+``["A", oid, class, size, creator, creator_oid]`` and so on (see
+:data:`ROW_KINDS`); a ``.gz`` suffix gzips it.
 
 Field packing
 =============
@@ -54,15 +60,18 @@ O(events).
 
 from __future__ import annotations
 
+import gzip
 import json
 import math
 import mmap as mmap_module
 import struct
 import sys
+import zlib
 from array import array
+from bisect import bisect_right
 from itertools import compress
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from ..errors import TraceFormatError
 from .events import (
@@ -73,7 +82,6 @@ from .events import (
     TraceEvent,
     WorkEvent,
 )
-from .traces import Trace
 
 CTRACE_MAGIC = b"CTRC"
 CTRACE_VERSION = 1
@@ -106,48 +114,58 @@ COLUMN_SPECS = (
 
 _FIXED_HEADER = struct.Struct("<4sHHI")
 
-#: String-id columns and the tags whose events need a string there.
+def _tag_mask(*tags: int) -> bytes:
+    """A ``bytes.translate`` table taking ``tags`` to 1 and others to 0."""
+    return bytes(tag in tags for tag in range(256))
+
+
+#: String-id columns, each with a mask of the tags whose events need a
+#: string there.
 _STRING_COLUMNS = (
-    ("a_cls", frozenset((TAG_ALLOC, TAG_INVOKE, TAG_ACCESS, TAG_WORK))),
-    ("b_cls", frozenset((TAG_ALLOC, TAG_INVOKE, TAG_ACCESS))),
-    ("m_id", frozenset((TAG_INVOKE,))),
-    ("k_id", frozenset((TAG_INVOKE,))),
+    ("a_cls", _tag_mask(TAG_ALLOC, TAG_INVOKE, TAG_ACCESS, TAG_WORK)),
+    ("b_cls", _tag_mask(TAG_ALLOC, TAG_INVOKE, TAG_ACCESS)),
+    ("m_id", _tag_mask(TAG_INVOKE)),
+    ("k_id", _tag_mask(TAG_INVOKE)),
 )
 
 
-def _reject(column: str, values: list, bad, why: str):
-    """Raise for the first cell of ``column`` that ``bad`` accepts."""
-    for index, value in enumerate(values):
-        if bad(index, value):
-            raise TraceFormatError(
-                f"trace column {column!r}, event {index}: {why} "
-                f"({value!r})")
+def check_columns(cols: Dict[str, list], strings: int,
+                  line_of: Optional[Callable[[int], int]] = None) -> None:
+    """Reject columns the replay cannot trust: an unknown tag, a string
+    id out of range (or ``-1`` where the tag needs a string), a negative
+    size, or a negative or non-finite work time.  ``line_of`` maps an
+    event index to the line the message should name."""
 
+    def reject(column: str, values: list, bad, why: str):
+        for index, value in enumerate(values):
+            if bad(index, value):
+                where = "" if line_of is None else f" (line {line_of(index)})"
+                raise TraceFormatError(
+                    f"trace column {column!r}, event {index}: {why} "
+                    f"({value!r}){where}")
 
-def check_columns(cols: Dict[str, list], strings: int) -> None:
-    """Reject decoded columns the replay cannot trust: an unknown tag, a
-    string id out of range (or ``-1`` where the tag needs a string), a
-    negative size, or a negative or non-finite work time."""
     tags = cols["tags"]
     if tags and max(tags) > TAG_WORK:
-        _reject("tags", tags, lambda i, tag: tag > TAG_WORK, "unknown tag")
-    for name, needed in _STRING_COLUMNS:
+        reject("tags", tags, lambda i, tag: tag > TAG_WORK, "unknown tag")
+    tag_bytes = bytes(tags)
+    for name, mask in _STRING_COLUMNS:
         column = cols[name]
         if column and (min(column) < -1 or max(column) >= strings):
-            _reject(name, column, lambda i, sid: not -1 <= sid < strings,
-                    f"string id outside the {strings}-string table")
-        if min(compress(column, map(needed.__contains__, tags)),
-               default=0) < 0:
-            _reject(name, column,
-                    lambda i, sid: sid < 0 and tags[i] in needed,
-                    "missing string id")
+            reject(name, column, lambda i, sid: not -1 <= sid < strings,
+                   f"string id outside the {strings}-string table")
+        needed = tag_bytes.translate(mask)
+        if min(compress(column, needed), default=0) < 0:
+            reject(name, column, lambda i, sid: sid < 0 and needed[i],
+                   "missing string id")
     for name in ("n1", "n2"):
         if min(cols[name], default=0) < 0:
-            _reject(name, cols[name], lambda i, n: n < 0, "negative size")
+            reject(name, cols[name], lambda i, n: n < 0, "negative size")
     f64 = cols["f64"]
-    if not all(map(math.isfinite, f64)) or min(f64, default=0.0) < 0:
-        _reject("f64", f64, lambda i, t: not 0.0 <= t < math.inf,
-                "negative or non-finite time")
+    # A NaN or an infinity makes the sum non-finite (so may a huge
+    # finite sum, which the exact scan then clears).
+    if not math.isfinite(sum(f64)) or min(f64, default=0.0) < 0:
+        reject("f64", f64, lambda i, t: not 0.0 <= t < math.inf,
+               "negative or non-finite time")
 
 
 def _oid_cell(oid: Optional[int], what: str) -> int:
@@ -161,17 +179,47 @@ def _oid_cell(oid: Optional[int], what: str) -> int:
     return oid
 
 
-def _oid_value(cell: int) -> Optional[int]:
-    return None if cell < 0 else cell
+class _Interner(dict):
+    """Name -> id in a trace's string table; an unseen name is added."""
+
+    def __init__(self, strings: List[str]) -> None:
+        super().__init__((name, sid) for sid, name in enumerate(strings))
+        self.strings = strings
+
+    def __missing__(self, name: str) -> int:
+        if not isinstance(name, str):
+            raise TraceFormatError(f"trace names must be strings; got {name!r}")
+        sid = self[name] = len(self.strings)
+        self.strings.append(name)
+        return sid
+
+
+class _EventView:
+    """A trace's events as a read-only, uncached view: ``len`` is O(1)
+    and each event is rebuilt from the columns as it is read."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "ColumnarTrace") -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return self._trace.iter_events()
 
 
 class ColumnarTrace:
-    """A trace as parallel typed columns plus one interned string table.
+    """An ordered execution/resource trace: parallel typed columns plus
+    one interned string table, and the trace's metadata.
 
-    Semantically equivalent to :class:`~repro.emulator.traces.Trace`
-    (``from_trace``/``to_trace`` round-trip exactly); structurally a
-    struct-of-arrays, so it is cheap to hold, ship to worker processes,
-    and replay through the batched dispatch loop.
+    ``class_traits`` maps each guest class to its placement-relevant
+    properties (``native``, ``stateful_native``) so the replayer can
+    compute pinned sets without the original class registry.  The
+    recorder, the JSONL loader and :meth:`append` all write the columns
+    through :meth:`packers`; :meth:`iter_events` reads them back as
+    :mod:`~repro.emulator.events` records.
     """
 
     def __init__(
@@ -189,8 +237,8 @@ class ColumnarTrace:
         if columns is None:
             columns = {name: array(code) for name, code in COLUMN_SPECS}
         self.columns = columns
-        self._events_cache: Optional[List[TraceEvent]] = None
         self._lists_cache = None
+        self._packers = None
         # Keeps an mmap (and its file) alive for view-backed columns.
         self._mmap = None
         self._views: List[memoryview] = []
@@ -204,11 +252,9 @@ class ColumnarTrace:
         return self.iter_events()
 
     @property
-    def events(self) -> List[TraceEvent]:
-        """Materialised event objects (built lazily, cached)."""
-        if self._events_cache is None:
-            self._events_cache = list(self.iter_events())
-        return self._events_cache
+    def events(self) -> _EventView:
+        """The events as a read-only view (nothing is cached)."""
+        return _EventView(self)
 
     def pinned_classes(self, stateless_natives_ok: bool = False) -> List[str]:
         """Classes that must stay on the client under the given rules."""
@@ -221,208 +267,203 @@ class ColumnarTrace:
     # -- decoded view for the batched replay loop -------------------------------
 
     def column_lists(self) -> Dict[str, list]:
-        """The columns as plain Python lists (decoded once, cached).
+        """The columns as plain Python lists (decoded once, cached until
+        the trace grows).
 
         List indexing beats both ``array`` and ``memoryview`` indexing
         in the replay hot loop; the decode is a single C-level pass.
         The decoded values are checked once here (see
         :func:`check_columns`), so the replay need not check them.
         """
-        if self._lists_cache is None:
-            decoded = {}
-            for name, _ in COLUMN_SPECS:
-                column = self.columns[name]
-                decoded[name] = (
-                    column.tolist() if hasattr(column, "tolist")
-                    else list(column)
-                )
+        cache = self._lists_cache
+        if cache is None or len(cache["tags"]) != len(self):
+            decoded = {name: self.columns[name].tolist()
+                       for name, _ in COLUMN_SPECS}
             check_columns(decoded, len(self.strings))
-            self._lists_cache = decoded
-        return self._lists_cache
+            self._lists_cache = cache = decoded
+        return cache
 
-    # -- conversion --------------------------------------------------------------
+    # -- writing events ----------------------------------------------------------
 
-    @classmethod
-    def from_trace(cls, trace: Union[Trace, "ColumnarTrace"]) -> "ColumnarTrace":
-        """Convert a row trace in one pass; a columnar trace is returned
-        unchanged.
+    def packers(self) -> Dict[type, Callable[..., None]]:
+        """One packing function per event class, each appending one event
+        to the columns from the event's fields in record order (which is
+        also its JSONL row order).
 
-        Raises :class:`TraceFormatError` for an oid that is not a
-        non-negative integer and for a value its column cannot hold.
+        An oid that is not a non-negative integer or ``None`` raises
+        :class:`TraceFormatError`; a value its column cannot hold raises
+        ``TypeError`` or ``OverflowError``.  Either may leave some
+        columns one cell longer than the rest.
         """
-        if isinstance(trace, ColumnarTrace):
-            return trace
-        strings: List[str] = []
-        index: Dict[str, int] = {}
+        if self._packers is not None:
+            return self._packers
+        self.close()  # mapped columns are read-only: copy them first
+        intern = _Interner(self.strings).__getitem__
+        (tags, a_cls, a_oid, b_cls, b_oid, m_id, k_id, flags, n1, n2,
+         f64) = (self.columns[name].append for name, _ in COLUMN_SPECS)
 
-        def intern(name: str) -> int:
-            sid = index.get(name)
-            if sid is None:
-                sid = index[name] = len(strings)
-                strings.append(name)
-            return sid
+        def alloc(oid, class_name, size, creator_class, creator_oid):
+            tags(TAG_ALLOC)
+            a_cls(intern(class_name))
+            a_oid(oid if type(oid) is int and oid >= 0
+                  else _oid_cell(oid, "oid"))
+            b_cls(intern(creator_class))
+            b_oid(creator_oid if type(creator_oid) is int and creator_oid >= 0
+                  else _oid_cell(creator_oid, "creator_oid"))
+            m_id(-1)
+            k_id(-1)
+            flags(0)
+            n1(size)
+            n2(0)
+            f64(0.0)
 
-        lists: Dict[str, list] = {name: [] for name, _ in COLUMN_SPECS}
-        tags, a_cls, a_oid = (lists["tags"].append, lists["a_cls"].append,
-                              lists["a_oid"].append)
-        b_cls, b_oid = lists["b_cls"].append, lists["b_oid"].append
-        m_id, k_id, flags = (lists["m_id"].append, lists["k_id"].append,
-                             lists["flags"].append)
-        n1, n2, f64 = lists["n1"].append, lists["n2"].append, lists["f64"].append
-        for event in trace.events:
-            kind = type(event)
-            if kind is AccessEvent:
-                tags(TAG_ACCESS)
-                a_cls(intern(event.accessor_class))
-                oid = event.accessor_oid
-                a_oid(oid if type(oid) is int and oid >= 0
-                      else _oid_cell(oid, "accessor_oid"))
-                b_cls(intern(event.owner_class))
-                oid = event.owner_oid
-                b_oid(oid if type(oid) is int and oid >= 0
-                      else _oid_cell(oid, "owner_oid"))
-                m_id(-1)
-                k_id(-1)
-                flags((FLAG_WRITE if event.is_write else 0)
-                      | (FLAG_STATIC if event.is_static else 0))
-                n1(event.nbytes)
-                n2(0)
-                f64(0.0)
-            elif kind is InvokeEvent:
-                tags(TAG_INVOKE)
-                a_cls(intern(event.caller_class))
-                oid = event.caller_oid
-                a_oid(oid if type(oid) is int and oid >= 0
-                      else _oid_cell(oid, "caller_oid"))
-                b_cls(intern(event.callee_class))
-                oid = event.callee_oid
-                b_oid(oid if type(oid) is int and oid >= 0
-                      else _oid_cell(oid, "callee_oid"))
-                m_id(intern(event.method))
-                k_id(intern(event.mkind))
-                flags(FLAG_STATELESS if event.stateless else 0)
-                n1(event.arg_bytes)
-                n2(event.ret_bytes)
-                f64(0.0)
-            elif kind is WorkEvent:
-                tags(TAG_WORK)
-                a_cls(intern(event.class_name))
-                oid = event.oid
-                a_oid(oid if type(oid) is int and oid >= 0
-                      else _oid_cell(oid, "work oid"))
-                b_cls(-1)
-                b_oid(-1)
-                m_id(-1)
-                k_id(-1)
-                flags(0)
-                n1(0)
-                n2(0)
-                f64(event.seconds)
-            elif kind is AllocEvent:
-                tags(TAG_ALLOC)
-                a_cls(intern(event.class_name))
-                oid = event.oid
-                a_oid(oid if type(oid) is int and oid >= 0
-                      else _oid_cell(oid, "oid"))
-                b_cls(intern(event.creator_class))
-                oid = event.creator_oid
-                b_oid(oid if type(oid) is int and oid >= 0
-                      else _oid_cell(oid, "creator_oid"))
-                m_id(-1)
-                k_id(-1)
-                flags(0)
-                n1(event.size)
-                n2(0)
-                f64(0.0)
-            elif kind is FreeEvent:
-                tags(TAG_FREE)
-                a_cls(-1)
-                oid = event.oid
-                a_oid(oid if type(oid) is int and oid >= 0
-                      else _oid_cell(oid, "oid"))
-                b_cls(-1)
-                b_oid(-1)
-                m_id(-1)
-                k_id(-1)
-                flags(0)
-                n1(0)
-                n2(0)
-                f64(0.0)
-            else:
-                raise TraceFormatError(
-                    f"unknown trace event type {kind.__name__!r}")
+        def free(oid):
+            tags(TAG_FREE)
+            a_cls(-1)
+            a_oid(oid if type(oid) is int and oid >= 0
+                  else _oid_cell(oid, "oid"))
+            b_cls(-1)
+            b_oid(-1)
+            m_id(-1)
+            k_id(-1)
+            flags(0)
+            n1(0)
+            n2(0)
+            f64(0.0)
+
+        def invoke(caller_class, caller_oid, callee_class, callee_oid,
+                   method, mkind, stateless, arg_bytes, ret_bytes):
+            tags(TAG_INVOKE)
+            a_cls(intern(caller_class))
+            a_oid(caller_oid if type(caller_oid) is int and caller_oid >= 0
+                  else _oid_cell(caller_oid, "caller_oid"))
+            b_cls(intern(callee_class))
+            b_oid(callee_oid if type(callee_oid) is int and callee_oid >= 0
+                  else _oid_cell(callee_oid, "callee_oid"))
+            m_id(intern(method))
+            k_id(intern(mkind))
+            flags(FLAG_STATELESS if stateless else 0)
+            n1(arg_bytes)
+            n2(ret_bytes)
+            f64(0.0)
+
+        def access(accessor_class, accessor_oid, owner_class, owner_oid,
+                   nbytes, is_write, is_static):
+            tags(TAG_ACCESS)
+            a_cls(intern(accessor_class))
+            a_oid(accessor_oid if type(accessor_oid) is int and accessor_oid >= 0
+                  else _oid_cell(accessor_oid, "accessor_oid"))
+            b_cls(intern(owner_class))
+            b_oid(owner_oid if type(owner_oid) is int and owner_oid >= 0
+                  else _oid_cell(owner_oid, "owner_oid"))
+            m_id(-1)
+            k_id(-1)
+            flags((FLAG_WRITE if is_write else 0)
+                  | (FLAG_STATIC if is_static else 0))
+            n1(nbytes)
+            n2(0)
+            f64(0.0)
+
+        def work(class_name, oid, seconds):
+            tags(TAG_WORK)
+            a_cls(intern(class_name))
+            a_oid(oid if type(oid) is int and oid >= 0
+                  else _oid_cell(oid, "work oid"))
+            b_cls(-1)
+            b_oid(-1)
+            m_id(-1)
+            k_id(-1)
+            flags(0)
+            n1(0)
+            n2(0)
+            f64(seconds)
+
+        self._packers = {AllocEvent: alloc, FreeEvent: free,
+                         InvokeEvent: invoke, AccessEvent: access,
+                         WorkEvent: work}
+        return self._packers
+
+    def append(self, event: TraceEvent) -> None:
+        """Pack one event record onto the end of the columns; a bad oid
+        or value raises :class:`TraceFormatError` and leaves the trace
+        as it was."""
+        pack = self.packers().get(type(event))
+        if pack is None:
+            raise TraceFormatError(f"not a trace event: {event!r}")
+        count = len(self)
         try:
-            columns = {name: array(code, lists[name])
-                       for name, code in COLUMN_SPECS}
-        except (TypeError, OverflowError) as exc:
+            pack(*event)
+        except (TraceFormatError, TypeError, OverflowError) as exc:
+            for column in self.columns.values():
+                del column[count:]
             raise TraceFormatError(
-                f"trace {trace.app_name!r} holds a value its column "
-                f"cannot store: {exc}"
+                f"trace {self.app_name!r} cannot store {event!r}: {exc}"
             ) from exc
-        columnar = cls(
-            app_name=trace.app_name,
-            class_traits={k: dict(v) for k, v in trace.class_traits.items()},
-            notes=trace.notes,
-            strings=strings,
-            columns=columns,
-        )
-        return columnar
+
+    # -- reading events ----------------------------------------------------------
+
+    def cells(self) -> Iterator[tuple]:
+        """Each event's cells, as one tuple in :data:`COLUMN_SPECS` order.
+
+        Reads the typed columns directly (checked first, as
+        :meth:`column_lists` checks them), so iterating a trace does not
+        pay for the replay's decoded lists.
+        """
+        columns = self.columns
+        check_columns(columns, len(self.strings))
+        return zip(*(columns[name] for name, _ in COLUMN_SPECS))
 
     def iter_events(self) -> Iterator[TraceEvent]:
-        """Rebuild event objects one at a time (the exact inverse of
-        :meth:`from_trace`)."""
-        cols = self.column_lists()
+        """Rebuild event records one at a time."""
         strings = self.strings
-        tags = cols["tags"]
-        a_cls, a_oid = cols["a_cls"], cols["a_oid"]
-        b_cls, b_oid = cols["b_cls"], cols["b_oid"]
-        m_id, k_id, flags = cols["m_id"], cols["k_id"], cols["flags"]
-        n1, n2, f64 = cols["n1"], cols["n2"], cols["f64"]
-        for i in range(len(tags)):
-            tag = tags[i]
+        new = tuple.__new__  # skips each record class's Python-level __new__
+        for tag, a, a_oid, b, b_oid, m, k, flags, n1, n2, f64 in self.cells():
             if tag == TAG_INVOKE:
-                yield InvokeEvent(
-                    strings[a_cls[i]], _oid_value(a_oid[i]),
-                    strings[b_cls[i]], _oid_value(b_oid[i]),
-                    strings[m_id[i]], strings[k_id[i]],
-                    bool(flags[i] & FLAG_STATELESS), n1[i], n2[i],
-                )
+                yield new(InvokeEvent, (
+                    strings[a], None if a_oid < 0 else a_oid,
+                    strings[b], None if b_oid < 0 else b_oid,
+                    strings[m], strings[k],
+                    bool(flags & FLAG_STATELESS), n1, n2,
+                ))
             elif tag == TAG_ACCESS:
-                yield AccessEvent(
-                    strings[a_cls[i]], _oid_value(a_oid[i]),
-                    strings[b_cls[i]], _oid_value(b_oid[i]),
-                    n1[i], bool(flags[i] & FLAG_WRITE),
-                    bool(flags[i] & FLAG_STATIC),
-                )
+                yield new(AccessEvent, (
+                    strings[a], None if a_oid < 0 else a_oid,
+                    strings[b], None if b_oid < 0 else b_oid,
+                    n1, bool(flags & FLAG_WRITE), bool(flags & FLAG_STATIC),
+                ))
             elif tag == TAG_WORK:
-                yield WorkEvent(strings[a_cls[i]], _oid_value(a_oid[i]),
-                                f64[i])
+                yield new(WorkEvent,
+                          (strings[a], None if a_oid < 0 else a_oid, f64))
             elif tag == TAG_ALLOC:
-                yield AllocEvent(
-                    a_oid[i], strings[a_cls[i]], n1[i],
-                    strings[b_cls[i]], _oid_value(b_oid[i]),
-                )
+                yield new(AllocEvent, (a_oid, strings[a], n1, strings[b],
+                                       None if b_oid < 0 else b_oid))
             else:
-                yield FreeEvent(a_oid[i])
+                yield new(FreeEvent, (a_oid,))
 
-    def to_trace(self) -> Trace:
-        trace = Trace(
-            app_name=self.app_name,
-            class_traits={k: dict(v) for k, v in self.class_traits.items()},
-            notes=self.notes,
-        )
-        trace.events = list(self.iter_events())
+    @staticmethod
+    def from_trace(trace: "ColumnarTrace") -> "ColumnarTrace":
+        """Return ``trace``: every trace is already columnar."""
         return trace
 
     # -- persistence -------------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:
-        write_ctrace(self, path)
+        """Write the trace in the format ``path``'s suffix names:
+        ``.ctrace`` is columnar, anything else JSONL (gzipped when the
+        suffix is ``.gz``)."""
+        if Path(path).suffix == CTRACE_SUFFIX:
+            write_ctrace(self, path)
+        else:
+            write_jsonl(self, path)
 
     @classmethod
     def load(cls, path: Union[str, Path],
              use_mmap: bool = True) -> "ColumnarTrace":
-        return read_ctrace(path, use_mmap=use_mmap)
+        """Read a trace file in the format its suffix names (see
+        :meth:`save`); ``use_mmap`` applies to ``.ctrace`` files."""
+        if Path(path).suffix == CTRACE_SUFFIX:
+            return read_ctrace(path, use_mmap=use_mmap)
+        return read_jsonl(path)
 
     def close(self) -> None:
         """Release mmap-backed column views (no-op for in-memory traces)."""
@@ -458,18 +499,152 @@ class ColumnarTrace:
         self.__init__(**state)
 
 
+# -- JSON lines -----------------------------------------------------------------
+
+JSONL_VERSION = 1
+
+#: JSONL row tag -> (row arity, event class).  Arity is checked up front
+#: so a short or padded row fails with the tag and expected width rather
+#: than surfacing as an opaque downstream exception.
+ROW_KINDS = {
+    "A": (6, AllocEvent),
+    "F": (2, FreeEvent),
+    "I": (10, InvokeEvent),
+    "D": (8, AccessEvent),
+    "W": (4, WorkEvent),
+}
+
+
+def _open_text(path: Path, mode: str):
+    if path.suffix == ".gz":
+        return gzip.open(path, mode + "t", encoding="utf-8", compresslevel=6)
+    return path.open(mode, encoding="utf-8")
+
+
+def write_jsonl(trace: ColumnarTrace, path: Union[str, Path]) -> None:
+    """Write the trace as a JSON-lines file: a header, then one row per
+    event, formatted from the decoded columns.  A ``.gz`` suffix selects
+    gzip compression — full workload traces shrink roughly tenfold."""
+    text = [json.dumps(name) for name in trace.strings]
+
+    def oid(cell: int):
+        return "null" if cell < 0 else cell
+
+    header = {"version": JSONL_VERSION, "app": trace.app_name,
+              "notes": trace.notes, "class_traits": trace.class_traits,
+              "events": len(trace)}
+    with _open_text(Path(path), "w") as stream:
+        stream.write(json.dumps(header) + "\n")
+        for tag, a, a_oid, b, b_oid, m, k, flags, n1, n2, f64 in trace.cells():
+            if tag == TAG_INVOKE:
+                row = (f'"I", {text[a]}, {oid(a_oid)}, {text[b]}, '
+                       f'{oid(b_oid)}, {text[m]}, {text[k]}, '
+                       f'{flags & FLAG_STATELESS}, {n1}, {n2}')
+            elif tag == TAG_ACCESS:
+                row = (f'"D", {text[a]}, {oid(a_oid)}, {text[b]}, '
+                       f'{oid(b_oid)}, {n1}, {flags & FLAG_WRITE}, '
+                       f'{(flags & FLAG_STATIC) >> 1}')
+            elif tag == TAG_WORK:
+                row = f'"W", {text[a]}, {oid(a_oid)}, {f64!r}'
+            elif tag == TAG_ALLOC:
+                row = (f'"A", {oid(a_oid)}, {text[a]}, {n1}, {text[b]}, '
+                       f'{oid(b_oid)}')
+            else:
+                row = f'"F", {oid(a_oid)}'
+            stream.write(f"[{row}]\n")
+
+
+def read_jsonl(path: Union[str, Path]) -> ColumnarTrace:
+    """Load a JSON-lines trace, packing each row straight into columns.
+
+    Every oid and value is checked here, and a :class:`TraceFormatError`
+    names the offending line.
+    """
+    path = Path(path)
+    try:
+        with _open_text(path, "r") as stream:
+            first = stream.readline()
+            if not first:
+                raise TraceFormatError(f"{path}: empty trace file")
+            try:
+                header = json.loads(first)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(f"{path}: bad header") from exc
+            version = (header.get("version") if isinstance(header, dict)
+                       else None)
+            if version != JSONL_VERSION:
+                raise TraceFormatError(
+                    f"{path}: unsupported trace version {version}")
+            trace = ColumnarTrace(app_name=header.get("app", ""),
+                                  class_traits=header.get("class_traits", {}),
+                                  notes=header.get("notes", ""))
+            blanks = _pack_rows(path, stream, trace)
+    except (UnicodeDecodeError, EOFError, zlib.error,
+            gzip.BadGzipFile) as exc:
+        raise TraceFormatError(f"{path}: unreadable trace ({exc})") from exc
+    declared = header.get("events")
+    if isinstance(declared, int) and declared >= 0 and declared != len(trace):
+        raise TraceFormatError(
+            f"{path}: header declares {declared} events, found {len(trace)}")
+    check_columns(trace.columns, len(trace.strings),
+                  lambda event: event + 2 + bisect_right(blanks, event))
+    return trace
+
+
+def _pack_rows(path: Path, stream, trace: ColumnarTrace) -> List[int]:
+    """Pack every event row of ``stream`` into ``trace``; returns the
+    event count at each blank line skipped."""
+    pack = trace.packers()
+    kinds = {tag: (arity, pack[cls]) for tag, (arity, cls) in ROW_KINDS.items()}
+    blanks: List[int] = []
+    for lineno, line in enumerate(stream, start=2):
+        if not line.strip():
+            blanks.append(len(trace))
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(
+                f"{path}: bad event line (line {lineno})") from exc
+        try:
+            arity, pack_row = kinds[row[0]]
+        except (KeyError, IndexError, TypeError):
+            arity = None
+        if arity is None or len(row) != arity:
+            raise _row_error(row, lineno)
+        try:
+            pack_row(*row[1:])
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{exc} (line {lineno})") from None
+        except (TypeError, OverflowError) as exc:
+            raise TraceFormatError(
+                f"trace {trace.app_name!r} holds a value its column "
+                f"cannot store: {exc} (line {lineno})") from None
+    return blanks
+
+
+def _row_error(row, line: int) -> TraceFormatError:
+    """Why ``row`` matches no row kind, or not its kind's arity."""
+    where = f" (line {line})"
+    if not isinstance(row, list) or not row:
+        return TraceFormatError(f"empty trace row{where}: {row!r}")
+    tag = row[0]
+    if not isinstance(tag, str) or tag not in ROW_KINDS:
+        return TraceFormatError(f"unknown trace event tag {tag!r}{where}")
+    return TraceFormatError(
+        f"trace row tagged {tag!r} has {len(row)} fields, "
+        f"expected {ROW_KINDS[tag][0]}{where}: {row!r}")
+
+
+# -- .ctrace ----------------------------------------------------------------------
+
+
 def _pad8(n: int) -> int:
     return (n + 7) & ~7
 
 
-def write_ctrace(trace: Union[Trace, ColumnarTrace],
-                 path: Union[str, Path]) -> ColumnarTrace:
-    """Serialise a trace to the columnar on-disk format.
-
-    Accepts either representation (a row-oriented :class:`Trace` is
-    converted first) and returns the columnar form that was written.
-    """
-    columnar = ColumnarTrace.from_trace(trace)
+def write_ctrace(columnar: ColumnarTrace, path: Union[str, Path]) -> None:
+    """Serialise a trace to the columnar on-disk format."""
     if sys.byteorder != "little":  # pragma: no cover - exotic hosts
         raise TraceFormatError(
             "ctrace files are little-endian; writing from a big-endian "
@@ -521,7 +696,6 @@ def write_ctrace(trace: Union[Trace, ColumnarTrace],
             assert stream.tell() == spec["offset"]
             stream.write(blob)
             stream.write(b"\0" * (_pad8(len(blob)) - len(blob)))
-    return columnar
 
 
 def _parse_fixed_header(path: Path, raw: bytes):

@@ -10,14 +10,13 @@ run against the unconstrained original.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from ..core.policy import OffloadPolicy
 from ..errors import ConfigurationError
 from ..units import MB
 from .columnar import ColumnarTrace
 from .replay import EmulationResult, EmulatorConfig, TraceReplayer
-from .traces import Trace
 
 #: Heap used for "Original" baseline replays: large enough that the
 #: application never feels its memory constraint.
@@ -46,16 +45,13 @@ class OverheadStudy:
 
 
 class Emulator:
-    """Replay engine bound to one recorded trace.
+    """Replay engine bound to one recorded trace; every replay of a
+    sweep reuses the trace's decoded columns."""
 
-    The trace is converted to its columnar form once, here, so every
-    replay of a sweep reuses the decoded columns.
-    """
-
-    def __init__(self, trace: Union[Trace, ColumnarTrace]) -> None:
+    def __init__(self, trace: ColumnarTrace) -> None:
         if len(trace) == 0:
             raise ConfigurationError("cannot emulate an empty trace")
-        self.trace = ColumnarTrace.from_trace(trace)
+        self.trace = trace
 
     def replay(self, config: EmulatorConfig) -> EmulationResult:
         return TraceReplayer(self.trace, config).run()

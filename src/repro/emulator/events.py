@@ -1,8 +1,11 @@
 """Trace event records.
 
 The emulator replays execution and resource traces extracted from a
-run of the prototype (paper section 4).  Events are compact slotted
-records — a full-length application trace holds 10^5–10^6 of them.
+run of the prototype (paper section 4).  A trace is held as columns
+(:class:`~repro.emulator.columnar.ColumnarTrace`); these records are
+the one-event view of it: what ``ColumnarTrace.append`` accepts and
+``ColumnarTrace.iter_events`` yields.  Each is a named tuple whose
+fields are in the order of the event's JSONL row.
 
 Event kinds:
 
@@ -22,59 +25,34 @@ Event kinds:
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
-from ..errors import TraceFormatError
+from typing import NamedTuple, Optional, Union
 
 
-class AllocEvent:
-    __slots__ = ("oid", "class_name", "size", "creator_class", "creator_oid")
+class AllocEvent(NamedTuple):
+    oid: int
+    class_name: str
+    size: int
+    creator_class: str
+    creator_oid: Optional[int]
     kind = "alloc"
 
-    def __init__(self, oid: int, class_name: str, size: int,
-                 creator_class: str, creator_oid: Optional[int]) -> None:
-        self.oid = oid
-        self.class_name = class_name
-        self.size = size
-        self.creator_class = creator_class
-        self.creator_oid = creator_oid
 
-    def to_row(self) -> list:
-        return ["A", self.oid, self.class_name, self.size,
-                self.creator_class, self.creator_oid]
-
-
-class FreeEvent:
-    __slots__ = ("oid",)
+class FreeEvent(NamedTuple):
+    oid: int
     kind = "free"
 
-    def __init__(self, oid: int) -> None:
-        self.oid = oid
 
-    def to_row(self) -> list:
-        return ["F", self.oid]
-
-
-class InvokeEvent:
-    __slots__ = (
-        "caller_class", "caller_oid", "callee_class", "callee_oid",
-        "method", "mkind", "stateless", "arg_bytes", "ret_bytes",
-    )
+class InvokeEvent(NamedTuple):
+    caller_class: str
+    caller_oid: Optional[int]
+    callee_class: str
+    callee_oid: Optional[int]
+    method: str
+    mkind: str
+    stateless: bool
+    arg_bytes: int
+    ret_bytes: int
     kind = "invoke"
-
-    def __init__(self, caller_class: str, caller_oid: Optional[int],
-                 callee_class: str, callee_oid: Optional[int], method: str,
-                 mkind: str, stateless: bool, arg_bytes: int,
-                 ret_bytes: int) -> None:
-        self.caller_class = caller_class
-        self.caller_oid = caller_oid
-        self.callee_class = callee_class
-        self.callee_oid = callee_oid
-        self.method = method
-        self.mkind = mkind
-        self.stateless = stateless
-        self.arg_bytes = arg_bytes
-        self.ret_bytes = ret_bytes
 
     @property
     def is_native(self) -> bool:
@@ -84,103 +62,23 @@ class InvokeEvent:
     def is_static(self) -> bool:
         return self.mkind == "static"
 
-    def to_row(self) -> list:
-        return ["I", self.caller_class, self.caller_oid, self.callee_class,
-                self.callee_oid, self.method, self.mkind,
-                int(self.stateless), self.arg_bytes, self.ret_bytes]
 
-
-class AccessEvent:
-    __slots__ = ("accessor_class", "accessor_oid", "owner_class",
-                 "owner_oid", "nbytes", "is_write", "is_static")
+class AccessEvent(NamedTuple):
+    accessor_class: str
+    accessor_oid: Optional[int]
+    owner_class: str
+    owner_oid: Optional[int]
+    nbytes: int
+    is_write: bool
+    is_static: bool
     kind = "access"
 
-    def __init__(self, accessor_class: str, accessor_oid: Optional[int],
-                 owner_class: str, owner_oid: Optional[int], nbytes: int,
-                 is_write: bool, is_static: bool) -> None:
-        self.accessor_class = accessor_class
-        self.accessor_oid = accessor_oid
-        self.owner_class = owner_class
-        self.owner_oid = owner_oid
-        self.nbytes = nbytes
-        self.is_write = is_write
-        self.is_static = is_static
 
-    def to_row(self) -> list:
-        return ["D", self.accessor_class, self.accessor_oid,
-                self.owner_class, self.owner_oid, self.nbytes,
-                int(self.is_write), int(self.is_static)]
-
-
-class WorkEvent:
-    __slots__ = ("class_name", "oid", "seconds")
+class WorkEvent(NamedTuple):
+    class_name: str
+    oid: Optional[int]
+    seconds: float
     kind = "work"
-
-    def __init__(self, class_name: str, oid: Optional[int],
-                 seconds: float) -> None:
-        self.class_name = class_name
-        self.oid = oid
-        self.seconds = seconds
-
-    def to_row(self) -> list:
-        return ["W", self.class_name, self.oid, self.seconds]
 
 
 TraceEvent = Union[AllocEvent, FreeEvent, InvokeEvent, AccessEvent, WorkEvent]
-
-
-def _alloc_from_row(row: list) -> AllocEvent:
-    return AllocEvent(row[1], row[2], row[3], row[4], row[5])
-
-
-def _free_from_row(row: list) -> FreeEvent:
-    return FreeEvent(row[1])
-
-
-def _invoke_from_row(row: list) -> InvokeEvent:
-    return InvokeEvent(row[1], row[2], row[3], row[4], row[5],
-                       row[6], bool(row[7]), row[8], row[9])
-
-
-def _access_from_row(row: list) -> AccessEvent:
-    return AccessEvent(row[1], row[2], row[3], row[4], row[5],
-                       bool(row[6]), bool(row[7]))
-
-
-def _work_from_row(row: list) -> WorkEvent:
-    return WorkEvent(row[1], row[2], row[3])
-
-
-#: tag -> (expected row arity, constructor).  Arity is validated up
-#: front so a short or padded row fails with the tag and expected width
-#: rather than surfacing as an opaque downstream exception.
-ROW_DECODERS = {
-    "A": (6, _alloc_from_row),
-    "F": (2, _free_from_row),
-    "I": (10, _invoke_from_row),
-    "D": (8, _access_from_row),
-    "W": (4, _work_from_row),
-}
-
-
-def event_from_row(row: list, line: Optional[int] = None) -> TraceEvent:
-    """Inverse of ``to_row``; raises TraceFormatError on bad input.
-
-    ``line`` is the 1-based line number of the row in its source file,
-    included in error messages so a misparsed trace points at the
-    offending line instead of only echoing the row.
-    """
-    where = f" (line {line})" if line is not None else ""
-    if not row:
-        raise TraceFormatError(f"empty trace row{where}")
-    tag = row[0]
-    decoder = ROW_DECODERS.get(tag)
-    if decoder is None:
-        raise TraceFormatError(f"unknown trace event tag {tag!r}{where}")
-    arity, build = decoder
-    if len(row) != arity:
-        raise TraceFormatError(
-            f"trace row tagged {tag!r} has {len(row)} fields, "
-            f"expected {arity}{where}: {row!r}"
-        )
-    return build(row)

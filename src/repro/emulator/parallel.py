@@ -32,9 +32,8 @@ from typing import List, Optional, Sequence, Union
 
 from .columnar import ColumnarTrace
 from .replay import EmulationResult, EmulatorConfig, TraceReplayer
-from .traces import Trace, load_any
 
-TraceSource = Union[Trace, ColumnarTrace, str, Path]
+TraceSource = Union[ColumnarTrace, str, Path]
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def _replay_shard(shard: ReplayShard) -> ClientReplay:
     pickles under the ``spawn`` start method."""
     trace = shard.trace
     if isinstance(trace, (str, Path)):
-        trace = load_any(trace)
+        trace = ColumnarTrace.load(trace)
     result = TraceReplayer(trace, shard.config).run()
     return ClientReplay(client_id=shard.client_id, events=len(trace),
                         result=result)

@@ -3,8 +3,8 @@
 The paper extracts traces "from the prototype while running the
 application to completion on a single PC".  :func:`record_application`
 does the same: it runs a guest application on a single large-heap VM
-with monitoring on and captures every hook event into a
-:class:`~repro.emulator.traces.Trace`.
+with monitoring on and packs every hook event straight into the
+columns of a :class:`~repro.emulator.columnar.ColumnarTrace`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from ..vm.gc import GCReport
 from ..vm.hooks import AccessRecord, ExecutionListener, InvokeRecord
 from ..vm.objectmodel import JObject, MethodDef
 from ..vm.session import LocalSession
+from .columnar import ColumnarTrace
 from .events import (
     AccessEvent,
     AllocEvent,
@@ -25,7 +26,6 @@ from .events import (
     InvokeEvent,
     WorkEvent,
 )
-from .traces import Trace
 
 #: Recording happens on a developer PC with a heap big enough that the
 #: application never hits its memory constraint.
@@ -34,7 +34,7 @@ RECORDING_DEVICE = DeviceProfile("recording-pc", cpu_speed=1.0,
 
 
 class TraceRecorder(ExecutionListener):
-    """Hook listener that appends every event to a trace.
+    """Hook listener that packs every event onto a trace's columns.
 
     The recorder mirrors the context's frame nesting through the
     invoke-enter/invoke-completed hook pair so that allocations can name
@@ -44,17 +44,19 @@ class TraceRecorder(ExecutionListener):
     recordings are of complete, successful runs.)
     """
 
-    def __init__(self, trace: Optional[Trace] = None) -> None:
-        self.trace = trace if trace is not None else Trace()
+    def __init__(self, trace: Optional[ColumnarTrace] = None) -> None:
+        self.trace = trace if trace is not None else ColumnarTrace()
+        pack = self.trace.packers()
+        self._alloc, self._free, self._invoke = (
+            pack[AllocEvent], pack[FreeEvent], pack[InvokeEvent])
+        self._access, self._work = pack[AccessEvent], pack[WorkEvent]
         self._current_class = "<main>"
         self._current_oid: Optional[int] = None
         self._stack: List[Tuple[str, Optional[int]]] = []
 
     def on_alloc(self, obj: JObject, site: str) -> None:
-        self.trace.append(
-            AllocEvent(obj.oid, obj.class_name, obj.size_bytes,
-                       self._current_class, self._current_oid)
-        )
+        self._alloc(obj.oid, obj.class_name, obj.size_bytes,
+                    self._current_class, self._current_oid)
 
     def on_invoke_enter(self, callee_class: str, method: MethodDef,
                         site: str) -> None:
@@ -65,29 +67,21 @@ class TraceRecorder(ExecutionListener):
     def on_invoke(self, record: InvokeRecord) -> None:
         if self._stack:
             self._current_class, self._current_oid = self._stack.pop()
-        self.trace.append(
-            InvokeEvent(
-                record.caller_class, record.caller_oid,
-                record.callee_class, record.callee_oid, record.method,
-                record.kind, record.native_stateless,
-                record.arg_bytes, record.ret_bytes,
-            )
-        )
+        self._invoke(record.caller_class, record.caller_oid,
+                     record.callee_class, record.callee_oid, record.method,
+                     record.kind, record.native_stateless,
+                     record.arg_bytes, record.ret_bytes)
 
     def on_access(self, record: AccessRecord) -> None:
-        self.trace.append(
-            AccessEvent(
-                record.accessor_class, record.accessor_oid,
-                record.owner_class, record.owner_oid, record.value_bytes,
-                record.is_write, record.is_static,
-            )
-        )
+        self._access(record.accessor_class, record.accessor_oid,
+                     record.owner_class, record.owner_oid,
+                     record.value_bytes, record.is_write, record.is_static)
 
     def on_free(self, obj: JObject) -> None:
-        self.trace.append(FreeEvent(obj.oid))
+        self._free(obj.oid)
 
     def on_cpu(self, class_name: str, site: str, seconds: float) -> None:
-        self.trace.append(WorkEvent(class_name, None, seconds))
+        self._work(class_name, None, seconds)
 
     def on_gc_report(self, report: GCReport, site: str) -> None:
         # The recording VM's GC schedule is irrelevant: the replayer
@@ -111,7 +105,7 @@ def record_application(
     device: DeviceProfile = RECORDING_DEVICE,
     gc: Optional[GCConfig] = None,
     notes: str = "",
-) -> Trace:
+) -> ColumnarTrace:
     """Run ``app`` to completion on one big VM, returning its trace."""
     config = VMConfig(
         device=device,
@@ -120,7 +114,7 @@ def record_application(
         monitoring_event_cost=0.0,
     )
     session = LocalSession(config)
-    trace = Trace(app_name=app.name, notes=notes)
+    trace = ColumnarTrace(app_name=app.name, notes=notes)
     recorder = TraceRecorder(trace)
     session.add_listener(recorder)
     app.install(session.registry)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..config import DeviceProfile, EnhancementFlags, GCConfig, JORNADA, PC_SURROGATE
 from ..core.control import ControlPlane
@@ -64,7 +64,6 @@ from .timemodel import (
     remote_access_cost,
     remote_invoke_cost,
 )
-from .traces import Trace
 
 CLIENT = "client"
 SURROGATE = "surrogate"
@@ -272,20 +271,15 @@ class EmulationResult:
 class TraceReplayer:
     """Replays one trace under one configuration.
 
-    Accepts either representation of a trace and converts a row
-    :class:`~repro.emulator.traces.Trace` to a
-    :class:`~repro.emulator.columnar.ColumnarTrace` on entry (a columnar
-    trace is used as is), so every replay runs the one batched loop in
-    :meth:`run`.  Callers that replay one trace several times convert
-    it once themselves.  A trace with a malformed oid raises
-    :class:`~repro.errors.TraceFormatError` here; one with a malformed
-    value, or an object allocated twice or freed while not live, raises
-    it from :meth:`run`.
+    Every replay runs the one batched loop in :meth:`run` over the
+    trace's decoded columns.  A trace with a malformed value, or an
+    object allocated twice or freed while not live, raises
+    :class:`~repro.errors.TraceFormatError` from :meth:`run`.
     """
 
-    def __init__(self, trace: Union[Trace, ColumnarTrace],
+    def __init__(self, trace: ColumnarTrace,
                  config: EmulatorConfig) -> None:
-        self.trace = trace = ColumnarTrace.from_trace(trace)
+        self.trace = trace
         self.config = config
         # Object residency and bookkeeping.
         self._site: Dict[int, str] = {}

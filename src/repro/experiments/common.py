@@ -15,7 +15,7 @@ from typing import Callable, Dict, Optional, Tuple
 from ..apps import Biomer, Dia, JavaNote, Tracer, Voxel
 from ..config import DeviceProfile, GCConfig
 from ..core.policy import OffloadPolicy
-from ..emulator import EmulatorConfig, Trace, record_application
+from ..emulator import ColumnarTrace, EmulatorConfig, record_application
 from ..net.link import LinkModel
 from ..net.wavelan import WAVELAN_11MBPS
 from ..units import MB
@@ -114,11 +114,11 @@ CPU_OFFLOAD_EVENT_FRACTION: Dict[str, float] = {
 
 # -- trace cache -----------------------------------------------------------------
 
-_TRACE_CACHE: Dict[Tuple[str, str], Trace] = {}
+_TRACE_CACHE: Dict[Tuple[str, str], ColumnarTrace] = {}
 
 
 def cached_trace(name: str, factory: Callable[[], object],
-                 variant: str = "default") -> Trace:
+                 variant: str = "default") -> ColumnarTrace:
     """Record (once per process) and reuse an application trace."""
     key = (name, variant)
     trace = _TRACE_CACHE.get(key)

@@ -48,21 +48,19 @@ def _with_granularity(config, granularity):
 
 def graph_runs():
     """``(key, trace, config)`` for every graph-parity config."""
-    from repro.emulator.columnar import ColumnarTrace
     from repro.experiments import memory_emulator_config
 
     from . import test_parallel_replay as parallel
 
     for app in parallel.APPS:
-        row = parallel.trace_for(app)
-        trace = ColumnarTrace.from_trace(row)
+        trace = parallel.trace_for(app)
         memory = memory_emulator_config()
         configs = [
             ("memory", memory),
             ("reeval", dataclasses.replace(
                 memory, single_shot=False, reevaluate_every=5.0)),
         ]
-        configs.extend((case, parallel.fault_config(row, case))
+        configs.extend((case, parallel.fault_config(trace, case))
                        for case in parallel.FAULT_CASES)
         for granularity in GRANULARITIES:
             for label, config in configs:

@@ -2,6 +2,7 @@
 
 import pickle
 import struct
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,8 @@ from repro.emulator.events import (
     InvokeEvent,
     WorkEvent,
 )
-from repro.emulator.traces import Trace
 from repro.errors import TraceFormatError
+from tests.helpers import event_fields, trace_of
 
 CLASS_NAMES = st.sampled_from(
     ["app.Model", "ui.Screen", "util.FastMath", "app.Buffer", "int[]"]
@@ -56,17 +57,13 @@ EVENTS = st.one_of(ALLOCS, FREES, INVOKES, ACCESSES, WORKS)
 
 
 def build_trace(events):
-    trace = Trace(app_name="prop", notes="hypothesis")
-    trace.class_traits = {
-        "ui.Screen": {"native": True, "stateful_native": True},
-        "app.Model": {"native": False, "stateful_native": False},
-    }
-    trace.events = list(events)
-    return trace
-
-
-def rows(trace):
-    return [event.to_row() for event in trace.events]
+    return trace_of(events, app_name="prop", notes="hypothesis",
+                    class_traits={
+                        "ui.Screen": {"native": True,
+                                      "stateful_native": True},
+                        "app.Model": {"native": False,
+                                      "stateful_native": False},
+                    })
 
 
 def sample_trace():
@@ -85,13 +82,9 @@ class TestRoundTrip:
     @given(st.lists(EVENTS, max_size=40))
     def test_trace_columnar_trace(self, events):
         trace = build_trace(events)
-        columnar = ColumnarTrace.from_trace(trace)
-        assert len(columnar) == len(trace)
-        back = columnar.to_trace()
-        assert rows(back) == rows(trace)
-        assert back.app_name == trace.app_name
-        assert back.notes == trace.notes
-        assert back.class_traits == trace.class_traits
+        assert len(trace) == len(trace.events) == len(events)
+        assert event_fields(trace) == event_fields(events)
+        assert event_fields(trace.events) == event_fields(events)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(EVENTS, max_size=40), st.booleans())
@@ -101,7 +94,7 @@ class TestRoundTrip:
         write_ctrace(trace, path)
         loaded = read_ctrace(path, use_mmap=use_mmap)
         try:
-            assert rows(loaded.to_trace()) == rows(trace)
+            assert event_fields(loaded) == event_fields(events)
             assert loaded.class_traits == trace.class_traits
         finally:
             loaded.close()
@@ -111,56 +104,64 @@ class TestRoundTrip:
         for name in ("t.trace", "t.trace.gz"):
             jsonl = tmp_path / name
             trace.save(jsonl)
-            columnar = ColumnarTrace.from_trace(Trace.load(jsonl))
-            assert rows(columnar.to_trace()) == rows(trace)
+            assert event_fields(ColumnarTrace.load(jsonl)) == \
+                event_fields(trace)
         ctrace = tmp_path / "t.ctrace"
-        write_ctrace(trace, ctrace)
-        loaded = read_ctrace(ctrace)
+        trace.save(ctrace)
+        assert ctrace.read_bytes()[:4] == CTRACE_MAGIC
+        loaded = ColumnarTrace.load(ctrace)
         try:
             back = tmp_path / "back.trace.gz"
-            loaded.to_trace().save(back)
-            assert rows(Trace.load(back)) == rows(trace)
+            loaded.save(back)
+            assert event_fields(ColumnarTrace.load(back)) == \
+                event_fields(trace)
         finally:
             loaded.close()
 
     def test_from_trace_is_identity_on_columnar(self):
-        columnar = ColumnarTrace.from_trace(sample_trace())
+        columnar = sample_trace()
         assert ColumnarTrace.from_trace(columnar) is columnar
 
     def test_none_oids_use_sentinel_and_come_back_none(self):
-        columnar = ColumnarTrace.from_trace(build_trace([
+        columnar = build_trace([
             InvokeEvent("<main>", None, "app.Model", None, "run",
                         "static", False, 0, 0),
-        ]))
+        ])
         assert columnar.columns["a_oid"][0] == -1
         assert columnar.columns["b_oid"][0] == -1
         event = next(iter(columnar))
         assert event.caller_oid is None
         assert event.callee_oid is None
 
+    @staticmethod
+    def assert_rejected_and_unchanged(event, text):
+        trace = sample_trace()
+        before = event_fields(trace)
+        with pytest.raises(TraceFormatError, match=text):
+            trace.append(event)
+        assert {len(column) for column in trace.columns.values()} == {
+            len(before)}
+        assert event_fields(trace) == before
+
     def test_negative_oid_rejected(self):
-        with pytest.raises(TraceFormatError, match="non-negative"):
-            ColumnarTrace.from_trace(build_trace([FreeEvent(-3)]))
+        self.assert_rejected_and_unchanged(FreeEvent(-3), "non-negative")
 
     def test_bool_oid_rejected(self):
-        with pytest.raises(TraceFormatError, match="non-negative"):
-            ColumnarTrace.from_trace(build_trace([
-                AllocEvent(True, "app.Model", 16, "<main>", None),
-            ]))
+        self.assert_rejected_and_unchanged(
+            AllocEvent(True, "app.Model", 16, "<main>", None),
+            "non-negative")
 
     @pytest.mark.parametrize("size", ["64", 2 ** 63])
     def test_value_its_column_cannot_hold_rejected(self, size):
-        with pytest.raises(TraceFormatError, match="cannot store"):
-            ColumnarTrace.from_trace(build_trace([
-                AllocEvent(1, "app.Model", size, "<main>", None),
-            ]))
+        self.assert_rejected_and_unchanged(
+            AllocEvent(1, "app.Model", size, "<main>", None),
+            "cannot store")
 
     def test_pinned_classes_match_row_trace(self):
         trace = sample_trace()
-        columnar = ColumnarTrace.from_trace(trace)
-        assert columnar.pinned_classes() == trace.pinned_classes()
-        assert (columnar.pinned_classes(stateless_natives_ok=True)
-                == trace.pinned_classes(stateless_natives_ok=True))
+        assert trace.pinned_classes() == ["ui.Screen"]
+        assert trace.pinned_classes(stateless_natives_ok=True) == [
+            "ui.Screen"]
 
 
 class TestMmapReload:
@@ -172,7 +173,7 @@ class TestMmapReload:
         try:
             assert mapped._mmap is not None
             assert copied._mmap is None
-            assert rows(mapped.to_trace()) == rows(copied.to_trace())
+            assert event_fields(mapped) == event_fields(copied)
             assert mapped.strings == copied.strings
         finally:
             mapped.close()
@@ -181,11 +182,11 @@ class TestMmapReload:
         path = tmp_path / "c.ctrace"
         write_ctrace(sample_trace(), path)
         loaded = read_ctrace(path, use_mmap=True)
-        expected = rows(loaded.to_trace())
+        expected = event_fields(loaded)
         loaded.close()
         assert loaded._mmap is None
         loaded.close()  # idempotent
-        assert rows(loaded.to_trace()) == expected
+        assert event_fields(loaded) == expected
 
     def test_mmap_backed_trace_pickles(self, tmp_path):
         path = tmp_path / "p.ctrace"
@@ -196,7 +197,7 @@ class TestMmapReload:
         finally:
             loaded.close()
         assert clone._mmap is None
-        assert rows(clone.to_trace()) == rows(sample_trace())
+        assert event_fields(clone) == event_fields(sample_trace())
 
 
 class TestMalformedFiles:
@@ -253,7 +254,8 @@ class TestMalformedFiles:
         import json as json_module
 
         path = tmp_path / "n.ctrace"
-        columnar = write_ctrace(sample_trace(), path)
+        columnar = sample_trace()
+        write_ctrace(columnar, path)
         raw = path.read_bytes()
         header_len = struct.unpack_from("<4sHHI", raw)[3]
         header = json_module.loads(raw[12:12 + header_len])
@@ -282,7 +284,7 @@ class TestCheckedValues:
         ("n1", -100, "negative size"),
     ])
     def test_bad_cell_names_column_and_event(self, column, value, text):
-        columnar = ColumnarTrace.from_trace(sample_trace())
+        columnar = sample_trace()
         columnar.columns[column][1] = value
         with pytest.raises(TraceFormatError,
                            match=rf"'{column}', event 1: {text}"):
@@ -290,22 +292,19 @@ class TestCheckedValues:
 
     @pytest.mark.parametrize("seconds", [-2.5, float("nan"), float("inf")])
     def test_bad_work_time_is_rejected(self, seconds):
-        trace = Trace(app_name="t")
-        trace.events = [WorkEvent("app.Model", None, seconds)]
+        trace = trace_of([WorkEvent("app.Model", None, seconds)])
         with pytest.raises(TraceFormatError, match="'f64', event 0"):
             self.replay(trace)
 
     def test_double_free_is_rejected(self):
-        trace = Trace(app_name="t")
-        trace.events = [AllocEvent(1, "app.Model", 1000, "<main>", None),
-                        FreeEvent(1), FreeEvent(1)]
+        trace = trace_of([AllocEvent(1, "app.Model", 1000, "<main>", None),
+                          FreeEvent(1), FreeEvent(1)])
         with pytest.raises(TraceFormatError, match="FREE of oid 1"):
             self.replay(trace)
 
     def test_realloc_of_live_oid_is_rejected(self):
-        trace = Trace(app_name="t")
         alloc = AllocEvent(1, "app.Model", 1000, "<main>", None)
-        trace.events = [alloc, alloc]
+        trace = trace_of([alloc, alloc])
         with pytest.raises(TraceFormatError, match="ALLOC of oid 1"):
             self.replay(trace)
 
@@ -319,8 +318,8 @@ def _fuzz_source():
     from repro.experiments.exp_overhead import MEMORY_WORKLOADS
 
     dia = cached_trace("dia", MEMORY_WORKLOADS["dia"])
-    prefix = Trace(app_name=dia.app_name, class_traits=dia.class_traits)
-    prefix.events = dia.events[:3000]
+    prefix = trace_of(islice(dia, 3000), app_name=dia.app_name,
+                      class_traits=dia.class_traits)
     with tempfile.TemporaryDirectory() as workdir:
         path = Path(workdir) / "dia.ctrace"
         write_ctrace(prefix, path)

@@ -7,9 +7,9 @@ import pytest
 from repro.config import DeviceProfile, EnhancementFlags, GCConfig, VMConfig
 from repro.core.policy import OffloadPolicy, TriggerConfig, policy_sweep
 from repro.emulator import (
+    ColumnarTrace,
     Emulator,
     EmulatorConfig,
-    Trace,
     UNCONSTRAINED_HEAP,
     record_application,
 )
@@ -43,7 +43,7 @@ def emulator_config(client_heap=128 * KB, threshold=0.05, tolerance=1,
 class TestFacade:
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigurationError):
-            Emulator(Trace())
+            Emulator(ColumnarTrace())
 
     def test_original_uses_unconstrained_heap(self, hoarder_trace):
         emulator = Emulator(hoarder_trace)

@@ -11,7 +11,6 @@ import math
 import pytest
 
 from repro.emulator import (
-    ColumnarTrace,
     FleetConfig,
     FleetEmulator,
     replicate,
@@ -240,8 +239,7 @@ class TestConfigValidation:
 @pytest.fixture(scope="module")
 def dia_shards():
     trace = cached_trace("dia", MEMORY_WORKLOADS["dia"])
-    columnar = ColumnarTrace.from_trace(trace)
-    return replicate(columnar, memory_emulator_config(), clients=8)
+    return replicate(trace, memory_emulator_config(), clients=8)
 
 
 class TestEndToEnd:

@@ -10,7 +10,6 @@ from repro.emulator.events import (
     WorkEvent,
 )
 from repro.emulator.replay import EmulatorConfig, TraceReplayer
-from repro.emulator.traces import Trace
 from repro.net.faults import FaultSpec
 from repro.net.mobility import (
     WAVELAN_WAN_ROAM,
@@ -35,8 +34,8 @@ def roaming_trace(widgets=12, sweeps=40, paint_s=0.03):
     before the link ever changes.
     """
     main = "<main>"
-    trace = Trace(app_name="roaming-mini",
-                  class_traits={"gui.Widget": {}, "gui.Style": {}})
+    trace = ColumnarTrace(app_name="roaming-mini",
+                          class_traits={"gui.Widget": {}, "gui.Style": {}})
     oid = 1
     widget_oids = []
     for _ in range(widgets):
@@ -83,16 +82,14 @@ def lossy_roam_config(trace, mode):
 
 
 def assert_matches_golden(key, trace, config):
-    """The row input, the columnar input and three sharded clients all
-    reproduce the checked-in fingerprint digest for ``key``."""
+    """A replay and three sharded clients all reproduce the checked-in
+    fingerprint digest for ``key``."""
     row = TraceReplayer(trace, config).run()
     assert row.completed
-    columnar = TraceReplayer(ColumnarTrace.from_trace(trace), config).run()
-    shards = replicate(ColumnarTrace.from_trace(trace), config, clients=3)
+    shards = replicate(trace, config, clients=3)
     sharded = ShardedReplayer(shards, workers=2).run()
     expected = golden(key)
     assert digest(row) == expected
-    assert digest(columnar) == expected
     assert [digest(c.result) for c in sharded.clients] == [expected] * 3
     return row
 

@@ -1,8 +1,8 @@
 """Sharded multi-core replay: determinism, parity, and the merge rules.
 
-Input form and sharding are performance choices, not semantic ones:
-replaying dia or javanote from a row trace, from a columnar trace, or
-sharded across a process pool must reproduce the fingerprint digests
+Loading and sharding are performance choices, not semantic ones:
+replaying dia or javanote as recorded, reloaded from a ``.ctrace`` file,
+or sharded across a process pool must reproduce the fingerprint digests
 checked into ``replay_goldens.json`` (the "serial" results, recorded
 from the original per-event loop), with the data plane on or off and
 under injected faults (loss, latency spikes, a crash, and a partition
@@ -48,19 +48,23 @@ def config_with_plane(label):
 
 
 @pytest.fixture(scope="module")
-def fingerprints():
-    """Row- and columnar-input digests per (app, plane) — replays
-    dominate test time, so compute each exactly once."""
+def fingerprints(tmp_path_factory):
+    """Digests per (app, plane) of the recorded trace and of its
+    ``.ctrace`` reload — replays dominate test time, so compute each
+    exactly once."""
     table = {}
     for app in APPS:
         trace = trace_for(app)
-        columnar = ColumnarTrace.from_trace(trace)
+        path = tmp_path_factory.mktemp("ctrace") / f"{app}.ctrace"
+        trace.save(path)
+        reloaded = ColumnarTrace.load(path)
         for label in ("off", "on"):
             config = config_with_plane(label)
-            table[(app, label, "row")] = digest(
+            table[(app, label, "recorded")] = digest(
                 TraceReplayer(trace, config).run())
-            table[(app, label, "columnar")] = digest(
-                TraceReplayer(columnar, config).run())
+            table[(app, label, "ctrace")] = digest(
+                TraceReplayer(reloaded, config).run())
+        reloaded.close()
     return table
 
 
@@ -70,8 +74,8 @@ class TestColumnarParity:
     def test_columnar_replay_matches_serial(self, fingerprints,
                                             app_name, plane):
         expected = golden(f"plane/{app_name}/{plane}")
-        assert fingerprints[(app_name, plane, "row")] == expected
-        assert fingerprints[(app_name, plane, "columnar")] == expected
+        assert fingerprints[(app_name, plane, "recorded")] == expected
+        assert fingerprints[(app_name, plane, "ctrace")] == expected
 
 
 FAULT_CASES = ["loss", "loss-dataplane", "crash", "loss-spikes",
@@ -116,19 +120,14 @@ def fault_config(trace, case):
 
 @pytest.fixture(scope="module")
 def fault_replays():
-    """Row- and columnar-input results per (app, fault case), plus the
-    config; the checked-in goldens are the oracle."""
+    """The result per (app, fault case), plus the config; the checked-in
+    goldens are the oracle."""
     table = {}
     for app in APPS:
         trace = trace_for(app)
-        columnar = ColumnarTrace.from_trace(trace)
         for case in FAULT_CASES:
             config = fault_config(trace, case)
-            table[(app, case)] = (
-                TraceReplayer(trace, config).run(),
-                TraceReplayer(columnar, config).run(),
-                config,
-            )
+            table[(app, case)] = (TraceReplayer(trace, config).run(), config)
     return table
 
 
@@ -137,11 +136,9 @@ def fault_replays():
 class TestFaultParity:
     def test_columnar_replay_matches_serial(self, fault_replays,
                                             app_name, case):
-        row, columnar, _ = fault_replays[(app_name, case)]
-        assert row.completed
-        expected = golden(f"fault/{app_name}/{case}")
-        assert digest(row) == expected
-        assert digest(columnar) == expected
+        result, _ = fault_replays[(app_name, case)]
+        assert result.completed
+        assert digest(result) == golden(f"fault/{app_name}/{case}")
 
     def test_scenario_exercises_its_fault(self, fault_replays,
                                           app_name, case):
@@ -159,10 +156,10 @@ class TestFaultParity:
             assert report.rediscoveries == 1
 
     def test_shards_match_serial(self, fault_replays, app_name, case):
-        config = fault_replays[(app_name, case)][2]
-        columnar = ColumnarTrace.from_trace(trace_for(app_name))
+        config = fault_replays[(app_name, case)][1]
         aggregate = ShardedReplayer(
-            replicate(columnar, config, clients=2), workers=2).run()
+            replicate(trace_for(app_name), config, clients=2),
+            workers=2).run()
         assert [digest(c.result) for c in aggregate.clients] \
             == [golden(f"fault/{app_name}/{case}")] * 2
 
@@ -189,10 +186,10 @@ class TestInlineExchangeParity:
         # one runs the whole gauntlet: the inline path taken for clean
         # exchanges must not move a single fingerprint, at the golden
         # fault seed or at another one.
-        config = fault_replays[(app_name, case)][2]
+        config = fault_replays[(app_name, case)][1]
         other = config.with_faults(
             dataclasses.replace(config.faults, seed=config.faults.seed + 1000))
-        trace = ColumnarTrace.from_trace(trace_for(app_name))
+        trace = trace_for(app_name)
         calls = count_gauntlet_runs(monkeypatch)
         inline_other = digest(TraceReplayer(trace, other).run())
         inline_calls = len(calls)
@@ -209,25 +206,22 @@ class TestFaultyColumnarStaysBatched:
         # A faulty config must not fall back to the per-event loop,
         # which would materialise one object per event.
         trace = trace_for("dia")
-        columnar = ColumnarTrace.from_trace(trace)
         config = fault_config(trace, "loss")
 
-        def refuse(self):
+        def refuse(self, indices=None):
             raise AssertionError("faulty replay built event objects")
 
         monkeypatch.setattr(ColumnarTrace, "iter_events", refuse)
-        result = TraceReplayer(columnar, config).run()
+        result = TraceReplayer(trace, config).run()
         assert result.completed
         assert result.faults.retries > 0
-        assert columnar._events_cache is None
 
 
 @pytest.mark.parametrize("app_name", APPS)
 class TestShardedParity:
     def test_shards_match_serial_and_pool_matches_inline(self, app_name):
-        columnar = ColumnarTrace.from_trace(trace_for(app_name))
         config = config_with_plane("off")
-        shards = replicate(columnar, config, clients=2)
+        shards = replicate(trace_for(app_name), config, clients=2)
         inline = ShardedReplayer(shards, workers=1).run()
         pooled = ShardedReplayer(shards, workers=2).run()
         assert inline.workers == 1

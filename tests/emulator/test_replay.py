@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import DeviceProfile, EnhancementFlags, GCConfig
 from repro.core.policy import OffloadPolicy, TriggerConfig
+from repro.emulator.columnar import ColumnarTrace
 from repro.emulator.events import (
     AccessEvent,
     AllocEvent,
@@ -19,14 +20,13 @@ from repro.emulator.timemodel import (
     remote_access_cost,
     remote_invoke_cost,
 )
-from repro.emulator.traces import Trace
 from repro.errors import TraceFormatError
 from repro.net.wavelan import WAVELAN_11MBPS
 from repro.units import KB
 
 
 def make_trace(events, pinned=("ui.Screen",)):
-    trace = Trace(app_name="synthetic")
+    trace = ColumnarTrace(app_name="synthetic")
     trace.class_traits = {
         "ui.Screen": {"native": True, "stateful_native": True},
         "java.lang.Math": {"native": True, "stateful_native": False},
@@ -217,7 +217,7 @@ class TestPlacementRules:
         assert result.remote_accesses == 0
 
     def test_object_granularity_splits_arrays(self):
-        trace = Trace(app_name="arrays")
+        trace = ColumnarTrace(app_name="arrays")
         trace.class_traits = {
             "ui.Screen": {"native": True, "stateful_native": True},
             "app.Engine": {"native": False, "stateful_native": False},
@@ -314,11 +314,10 @@ class TestMonitoringCost:
 
 class TestMalformedTraces:
     def test_negative_oid_is_rejected_on_entry(self):
-        # Every trace replays through the columnar loop, so a row trace
-        # is held to the columnar oid rules before anything runs.
-        trace = make_trace([
-            AllocEvent(1, "app.Data", 64, "app.Engine", None),
-            FreeEvent(-3),
-        ])
+        # A trace checks oids as events enter it, so a bad oid never
+        # reaches a replay.
         with pytest.raises(TraceFormatError, match="non-negative"):
-            TraceReplayer(trace, config())
+            make_trace([
+                AllocEvent(1, "app.Data", 64, "app.Engine", None),
+                FreeEvent(-3),
+            ])

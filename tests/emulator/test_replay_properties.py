@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.config import DeviceProfile, GCConfig
 from repro.core.policy import OffloadPolicy, TriggerConfig
+from repro.emulator.columnar import ColumnarTrace
 from repro.emulator.events import (
     AccessEvent,
     AllocEvent,
@@ -16,7 +17,6 @@ from repro.emulator.events import (
     WorkEvent,
 )
 from repro.emulator.replay import EmulatorConfig, TraceReplayer
-from repro.emulator.traces import Trace
 from repro.units import KB
 
 CLASSES = ("app.A", "app.B", "app.C", "ui.Pinned")
@@ -25,7 +25,7 @@ CLASSES = ("app.A", "app.B", "app.C", "ui.Pinned")
 @st.composite
 def random_traces(draw):
     """Random but structurally valid traces."""
-    trace = Trace(app_name="random")
+    trace = ColumnarTrace(app_name="random")
     trace.class_traits = {
         name: {"native": name.startswith("ui."),
                "stateful_native": name.startswith("ui.")}

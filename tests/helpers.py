@@ -105,3 +105,32 @@ def define_worker_classes(registry):
         .field("store") \
         .method("process", func=process, cpu_cost=1e-6) \
         .register()
+
+
+def trace_of(events, app_name="synthetic", **meta):
+    """A :class:`ColumnarTrace` holding ``events`` in order."""
+    from repro.emulator.columnar import ColumnarTrace
+
+    trace = ColumnarTrace(app_name=app_name, **meta)
+    for event in events:
+        trace.append(event)
+    return trace
+
+
+def write_jsonl_rows(path, rows, app_name="tiny"):
+    """A JSONL trace file holding the given event rows verbatim, under a
+    header that declares their count."""
+    import json
+
+    from repro.emulator.columnar import JSONL_VERSION
+
+    header = {"version": JSONL_VERSION, "app": app_name,
+              "class_traits": {}, "notes": "", "events": len(rows)}
+    path.write_text("\n".join(json.dumps(line)
+                              for line in [header, *rows]) + "\n")
+    return str(path)
+
+
+def event_fields(events):
+    """Each event as ``(class name, field values)``, for comparisons."""
+    return [(type(e).__name__, tuple(e)) for e in events]

@@ -1,8 +1,17 @@
 """Tests for the ``python -m repro`` command line."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import DESCRIPTIONS, EXPERIMENTS, build_parser, main
+from tests.helpers import trace_of, write_jsonl_rows
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCli:
@@ -56,6 +65,25 @@ class TestRecordReplayCli:
         assert "offload=off" in out
         assert "offloads: 0" in out
 
+    def test_record_picks_the_format_by_suffix(self, tmp_path, capsys):
+        outputs = []
+        for name, magic in (("dia.ctrace", b"CTRC"),
+                            ("dia.jsonl.gz", b"\x1f\x8b")):
+            path = str(tmp_path / name)
+            assert main(["record", "dia", path]) == 0
+            capsys.readouterr()
+            assert Path(path).read_bytes()[:len(magic)] == magic
+            assert main(["replay", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "completed: True" in outputs[0]
+        assert outputs[0] == outputs[1]
+
+    def test_record_to_a_missing_directory_is_one_line(self, tmp_path,
+                                                       capsys):
+        path = str(tmp_path / "no-such-dir" / "dia.jsonl")
+        assert main(["record", "dia", path]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_record_unknown_app(self, capsys):
         assert main(["record", "doom", "/tmp/x.trace"]) == 2
         assert "unknown application" in capsys.readouterr().err
@@ -91,11 +119,15 @@ class TestTraceConvertCli:
         assert "to columnar" in capsys.readouterr().out
         assert main(["trace", "convert", ctrace, back]) == 0
         assert "to jsonl" in capsys.readouterr().out
-        from repro.emulator import Trace, load_any
+        from repro.emulator import ColumnarTrace
 
-        original = Trace.load(jsonl)
-        assert len(load_any(ctrace)) == len(original)
-        assert len(Trace.load(back)) == len(original)
+        original = ColumnarTrace.load(jsonl)
+        assert len(ColumnarTrace.load(ctrace)) == len(original)
+        assert len(ColumnarTrace.load(back)) == len(original)
+        # The .ctrace header sorts class traits; the event rows come
+        # back byte for byte.
+        rows = Path(jsonl).read_text().splitlines()[1:]
+        assert Path(back).read_text().splitlines()[1:] == rows
 
     def test_convert_accepts_bundled_app_name(self, tmp_path, capsys):
         ctrace = str(tmp_path / "dia.ctrace")
@@ -190,17 +222,36 @@ class TestShardedReplayCli:
         assert "invalid choice" in capsys.readouterr().err
 
 
-def write_jsonl(path, rows):
-    """A JSONL trace file with the given event rows, verbatim."""
-    import json
+#: sha256 of dia recorded to JSONL, and of that file converted to
+#: ``.ctrace``, each made in a fresh process (oids are unique per
+#: process, so only a fresh process reproduces a file byte for byte).
+DIA_FILE_DIGESTS = {
+    "dia.jsonl":
+        "9bbbf6a2e346da9ce528f5276c27f7294d6d78c1a70274149284b017ff734b96",
+    "dia.ctrace":
+        "7937808177c1ba343c9111254d524722b1772cf034b4f3e724ca16fd60e0152a",
+}
 
-    from repro.emulator.traces import FORMAT_VERSION
 
-    header = {"version": FORMAT_VERSION, "app": "tiny",
-              "class_traits": {}, "notes": "", "events": len(rows)}
-    path.write_text("\n".join(json.dumps(line)
-                              for line in [header, *rows]) + "\n")
-    return str(path)
+class TestFileFormatGoldens:
+    def test_recorded_files_match_their_digests(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"),
+                          os.environ.get("PYTHONPATH")])))
+
+        def repro(*args):
+            subprocess.run([sys.executable, "-m", "repro", *args],
+                           cwd=tmp_path, env=env, check=True,
+                           capture_output=True)
+
+        repro("record", "dia", "dia.jsonl")
+        repro("trace", "convert", "dia.jsonl", "dia.ctrace")
+        repro("record", "dia", "direct.ctrace")
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest() for name in DIA_FILE_DIGESTS}
+        assert digests == DIA_FILE_DIGESTS
+        assert ((tmp_path / "direct.ctrace").read_bytes()
+                == (tmp_path / "dia.ctrace").read_bytes())
 
 
 class TestMalformedTraceCli:
@@ -209,7 +260,7 @@ class TestMalformedTraceCli:
     @pytest.mark.parametrize("command", [["replay"], ["fleet", "run"]])
     def test_unknown_event_tag_is_one_line_usage_error(
             self, tmp_path, capsys, command):
-        path = write_jsonl(tmp_path / "bad.trace", [self.ALLOC, ["Z", 1]])
+        path = write_jsonl_rows(tmp_path / "bad.trace", [self.ALLOC, ["Z", 1]])
         assert main([*command, path]) == 2
         err = capsys.readouterr().err
         assert "unknown trace event tag 'Z'" in err
@@ -218,12 +269,28 @@ class TestMalformedTraceCli:
     @pytest.mark.parametrize("command", [["replay"], ["fleet", "run"]])
     def test_negative_oid_is_one_line_usage_error(
             self, tmp_path, capsys, command):
-        path = write_jsonl(tmp_path / "neg.trace", [self.ALLOC, ["F", -5]])
+        path = write_jsonl_rows(tmp_path / "neg.trace", [self.ALLOC, ["F", -5]])
         assert main([*command, path]) == 2
         captured = capsys.readouterr()
         assert "non-negative" in captured.err
         assert captured.err.count("\n") == 1
         assert "replayed" not in captured.out
+
+    @pytest.mark.parametrize("row,text", [
+        (["F", -5], "non-negative integer oids"),
+        (["A", 2, "app.Data", "64", "<main>", None], "cannot store"),
+    ])
+    @pytest.mark.parametrize("out", ["out.jsonl", "out.ctrace"])
+    def test_convert_rejects_what_replay_rejects(
+            self, tmp_path, capsys, row, text, out):
+        path = write_jsonl_rows(tmp_path / "bad.jsonl", [self.ALLOC, row])
+        dst = tmp_path / out
+        assert main(["trace", "convert", path, str(dst)]) == 2
+        err = capsys.readouterr().err
+        assert text in err
+        assert "(line 3)" in err
+        assert err.count("\n") == 1
+        assert not dst.exists()
 
 
 class TestMalformedValuesCli:
@@ -247,7 +314,7 @@ class TestMalformedValuesCli:
     @pytest.mark.parametrize("command", [["replay"], ["fleet", "run"]])
     def test_bad_value_is_one_line_usage_error(
             self, tmp_path, capsys, command, rows, text):
-        path = write_jsonl(tmp_path / "bad.trace", rows)
+        path = write_jsonl_rows(tmp_path / "bad.trace", rows)
         assert main([*command, path]) == 2
         captured = capsys.readouterr()
         assert text in captured.err
@@ -256,13 +323,11 @@ class TestMalformedValuesCli:
 
     def test_out_of_range_class_id_is_one_line_usage_error(
             self, tmp_path, capsys):
-        from repro.emulator.columnar import ColumnarTrace, write_ctrace
+        from repro.emulator.columnar import write_ctrace
         from repro.emulator.events import AllocEvent
-        from repro.emulator.traces import Trace
 
-        trace = Trace(app_name="tiny")
-        trace.events = [AllocEvent(1, "app.Data", 64, "<main>", None)]
-        columnar = ColumnarTrace.from_trace(trace)
+        columnar = trace_of([AllocEvent(1, "app.Data", 64, "<main>", None)],
+                            app_name="tiny")
         columnar.columns["a_cls"][0] = 7
         path = str(tmp_path / "bad.ctrace")
         write_ctrace(columnar, path)

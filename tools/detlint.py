@@ -70,7 +70,6 @@ DEFAULT_TARGETS = (
     "src/repro/rpc/batch.py",
     "src/repro/rpc/cache.py",
     "src/repro/emulator/emulator.py",
-    "src/repro/emulator/traces.py",
     "src/repro/emulator/events.py",
     "src/repro/emulator/timemodel.py",
 )
