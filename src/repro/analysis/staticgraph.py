@@ -309,7 +309,7 @@ def predict_graph(
     graph.ensure_node(MAIN_CLASS)
     for class_def in program.registry.app_classes():
         graph.ensure_node(class_def.name)
-    for name in resolver.array_classes:
+    for name in sorted(resolver.array_classes):
         graph.ensure_node(name)
 
     for mf in program.iter_methods():
@@ -317,23 +317,23 @@ def predict_graph(
         for fact in mf.facts:
             if isinstance(fact, CallFact):
                 nbytes = INVOKE_BASE_BYTES + ARG_BYTES * fact.nargs
-                for callee in resolver.invoke_candidates(fact.receiver,
-                                                         fact.method):
+                for callee in sorted(resolver.invoke_candidates(
+                        fact.receiver, fact.method)):
                     graph.record_interaction(accessor, callee,
                                              nbytes * fact.weight)
             elif isinstance(fact, FieldAccessFact):
-                for owner in resolver.field_candidates(fact.receiver,
-                                                       fact.field):
+                for owner in sorted(resolver.field_candidates(
+                        fact.receiver, fact.field)):
                     graph.record_interaction(accessor, owner,
                                              ACCESS_BYTES * fact.weight)
             elif isinstance(fact, StaticAccessFact):
-                for owner in resolver.static_candidates(fact.class_name,
-                                                        fact.field):
+                for owner in sorted(resolver.static_candidates(
+                        fact.class_name, fact.field)):
                     graph.record_interaction(accessor, owner,
                                              ACCESS_BYTES * fact.weight)
             elif isinstance(fact, ArrayAccessFact):
                 count = fact.count if fact.count is not None else 8
-                for owner in resolver.array_candidates(fact.array):
+                for owner in sorted(resolver.array_candidates(fact.array)):
                     graph.record_interaction(
                         accessor, owner,
                         ACCESS_BYTES * count * fact.weight,

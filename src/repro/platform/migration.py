@@ -23,6 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.engine import MigrationOutcome
 from ..core.graph import ExecutionGraph, node_class, object_node_id
+from ..core.monitor import ExecutionMonitor
 from ..errors import MigrationError
 from ..net.link import LinkModel
 from ..net.stats import TrafficStats
@@ -99,7 +100,7 @@ class Migrator:
         client: VirtualMachine,
         surrogates: List[VirtualMachine],
         links: Dict[str, LinkModel],
-        graph: ExecutionGraph,
+        monitor: ExecutionMonitor,
         hooks: HookFanout,
         traffic: TrafficStats,
         object_granularity_classes: Set[str] = frozenset(),
@@ -108,7 +109,9 @@ class Migrator:
         self.client = client
         self.surrogates = surrogates
         self.links = links
-        self.graph = graph
+        #: The graph is read through the monitor, which folds its hook
+        #: log on read.
+        self.monitor = monitor
         self.hooks = hooks
         self.traffic = traffic
         self.object_granularity_classes = set(object_granularity_classes)
@@ -144,14 +147,15 @@ class Migrator:
         """Map each offloaded node to the surrogate that should host it."""
         if len(self.surrogates) == 1:
             return dict.fromkeys(offload_nodes, self.surrogates[0].name)
+        graph = self.monitor.graph
         node_memory = {
-            node: (self.graph.node(node).memory_bytes
-                   if self.graph.has_node(node) else 0)
+            node: (graph.node(node).memory_bytes
+                   if graph.has_node(node) else 0)
             for node in offload_nodes
         }
         capacities = {vm.name: vm.heap.free for vm in self.surrogates}
         return assign_offload_nodes(
-            self.graph, offload_nodes, capacities, node_memory,
+            graph, offload_nodes, capacities, node_memory,
             [vm.name for vm in self.surrogates],
         )
 

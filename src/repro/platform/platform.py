@@ -327,7 +327,7 @@ class DistributedPlatform:
             self.client.vm,
             self.runtime.surrogates,
             self.runtime.links,
-            self.monitor.graph,
+            self.monitor,
             self.hooks,
             self.traffic,
             object_granularity_classes=granularity,

@@ -180,6 +180,13 @@ class ExecutionContext:
             return self._frames[-1].oid
         return None
 
+    def _current(self) -> Tuple[str, Optional[int], str]:
+        """The current frame's class, oid and site, read once."""
+        if self._frames:
+            frame = self._frames[-1]
+            return frame.class_name, frame.oid, frame.site
+        return MAIN_CLASS, None, self.runtime.client().name
+
     @property
     def depth(self) -> int:
         return len(self._frames)
@@ -217,14 +224,19 @@ class ExecutionContext:
         """Charge data-dependent CPU time to the current class and site."""
         if reference_seconds == 0:
             return
-        vm = self.runtime.vm(self.current_site)
+        class_name, _, site = self._current()
+        vm = self.runtime.vm(site)
         vm.charge_cpu(reference_seconds)
         if self.monitoring_enabled:
-            self.hooks.on_cpu(self.current_class, vm.name, reference_seconds)
+            self.hooks.on_cpu(class_name, vm.name, reference_seconds)
 
-    def _charge_monitoring_event(self, site: str, events: int = 1) -> None:
-        if self.monitoring_enabled and self._event_cost > 0:
-            self.runtime.vm(site).charge_cpu(self._event_cost * events)
+    def _charge_monitoring_event(self, site: str) -> None:
+        """Charge one monitored event's virtual cost to ``site``.
+
+        Callers test ``_event_cost`` first: with a zero cost, the usual
+        emulation setting, an event makes no call.
+        """
+        self.runtime.vm(site).charge_cpu(self._event_cost)
 
     # -- allocation -------------------------------------------------------------
 
@@ -241,7 +253,8 @@ class ExecutionContext:
         self.retain(obj)
         if self.monitoring_enabled:
             self.hooks.on_alloc(obj, vm.name)
-            self._charge_monitoring_event(vm.name)
+            if self._event_cost:
+                self._charge_monitoring_event(vm.name)
         self._run_gc_if_due(vm)
         return obj
 
@@ -257,7 +270,8 @@ class ExecutionContext:
         self.retain(arr)
         if self.monitoring_enabled:
             self.hooks.on_alloc(arr, vm.name)
-            self._charge_monitoring_event(vm.name)
+            if self._event_cost:
+                self._charge_monitoring_event(vm.name)
         self._run_gc_if_due(vm)
         return arr
 
@@ -306,9 +320,7 @@ class ExecutionContext:
         target: Optional[JObject],
         args: Tuple[Any, ...],
     ) -> Any:
-        caller_class = self.current_class
-        caller_oid = self.current_oid
-        caller_site = self.current_site
+        caller_class, caller_oid, caller_site = self._current()
         exec_site = self._exec_site(mdef, target)
         remote = exec_site != caller_site
         arg_bytes = args_size(args)
@@ -350,23 +362,14 @@ class ExecutionContext:
                     exec_site, caller_site, message_size(ret_bytes)
                 )
         if self.monitoring_enabled:
-            record = InvokeRecord(
-                caller_class=caller_class,
-                caller_oid=caller_oid,
-                callee_class=callee_class,
-                callee_oid=target.oid if target else None,
-                method=mdef.name,
-                kind=mdef.kind.value,
-                native_stateless=mdef.stateless,
-                arg_bytes=arg_bytes,
-                ret_bytes=ret_bytes,
-                cpu_seconds=mdef.cpu_cost,
-                caller_site=caller_site,
-                exec_site=exec_site,
-                remote=remote,
-            )
-            self.hooks.on_invoke(record)
-            self._charge_monitoring_event(exec_site)
+            self.hooks.on_invoke(InvokeRecord(
+                caller_class, caller_oid, callee_class,
+                target.oid if target else None, mdef.name, mdef.kind.value,
+                mdef.stateless, arg_bytes, ret_bytes, mdef.cpu_cost,
+                caller_site, exec_site, remote,
+            ))
+            if self._event_cost:
+                self._charge_monitoring_event(exec_site)
         if isinstance(result, JObject):
             if self._frames:
                 self.retain(result)
@@ -418,7 +421,7 @@ class ExecutionContext:
     def _record_access(
         self, target: JObject, field_name: str, value: Any, is_write: bool
     ) -> None:
-        accessor_site = self.current_site
+        accessor_class, accessor_oid, accessor_site = self._current()
         owner_site = target.home
         remote = owner_site != accessor_site
         nbytes = deep_size(value) if value is not None else SLOT_SIZES["ref"]
@@ -427,23 +430,13 @@ class ExecutionContext:
             cache_key=RemoteReadCache.object_key(target.oid),
         )
         if self.monitoring_enabled:
-            self.hooks.on_access(
-                AccessRecord(
-                    accessor_class=self.current_class,
-                    accessor_oid=self.current_oid,
-                    owner_class=target.cls.name,
-                    owner_oid=target.oid,
-                    field=field_name,
-                    value_bytes=nbytes,
-                    is_write=is_write,
-                    is_static=False,
-                    accessor_site=accessor_site,
-                    exec_site=owner_site,
-                    remote=remote,
-                    cached=cached,
-                )
-            )
-            self._charge_monitoring_event(owner_site)
+            self.hooks.on_access(AccessRecord(
+                accessor_class, accessor_oid, target.cls.name, target.oid,
+                field_name, nbytes, is_write, False, accessor_site,
+                owner_site, remote, cached,
+            ))
+            if self._event_cost:
+                self._charge_monitoring_event(owner_site)
 
     def _remote_transfer(
         self,
@@ -505,7 +498,7 @@ class ExecutionContext:
     def _record_static_access(
         self, class_name: str, field_name: str, value: Any, is_write: bool
     ) -> None:
-        accessor_site = self.current_site
+        accessor_class, accessor_oid, accessor_site = self._current()
         client_site = self.runtime.client().name
         remote = accessor_site != client_site
         nbytes = deep_size(value) if value is not None else SLOT_SIZES["ref"]
@@ -514,23 +507,13 @@ class ExecutionContext:
             cache_key=RemoteReadCache.static_key(class_name),
         )
         if self.monitoring_enabled:
-            self.hooks.on_access(
-                AccessRecord(
-                    accessor_class=self.current_class,
-                    accessor_oid=self.current_oid,
-                    owner_class=class_name,
-                    owner_oid=None,
-                    field=field_name,
-                    value_bytes=nbytes,
-                    is_write=is_write,
-                    is_static=True,
-                    accessor_site=accessor_site,
-                    exec_site=client_site,
-                    remote=remote,
-                    cached=cached,
-                )
-            )
-            self._charge_monitoring_event(client_site)
+            self.hooks.on_access(AccessRecord(
+                accessor_class, accessor_oid, class_name, None, field_name,
+                nbytes, is_write, True, accessor_site, client_site, remote,
+                cached,
+            ))
+            if self._event_cost:
+                self._charge_monitoring_event(client_site)
 
     # -- array element access -----------------------------------------------------
 
@@ -551,7 +534,7 @@ class ExecutionContext:
             raise GuestError(f"negative element count {count}")
         if count == 0:
             return
-        accessor_site = self.current_site
+        accessor_class, accessor_oid, accessor_site = self._current()
         owner_site = arr.home
         remote = owner_site != accessor_site
         nbytes = count * SLOT_SIZES[arr.element_type]
@@ -560,19 +543,9 @@ class ExecutionContext:
         self._remote_transfer(accessor_site, owner_site, remote, nbytes,
                               is_write, cache_key=None)
         if self.monitoring_enabled:
-            self.hooks.on_access(
-                AccessRecord(
-                    accessor_class=self.current_class,
-                    accessor_oid=self.current_oid,
-                    owner_class=arr.cls.name,
-                    owner_oid=arr.oid,
-                    field="[]",
-                    value_bytes=nbytes,
-                    is_write=is_write,
-                    is_static=False,
-                    accessor_site=accessor_site,
-                    exec_site=owner_site,
-                    remote=remote,
-                )
-            )
-            self._charge_monitoring_event(owner_site)
+            self.hooks.on_access(AccessRecord(
+                accessor_class, accessor_oid, arr.cls.name, arr.oid, "[]",
+                nbytes, is_write, False, accessor_site, owner_site, remote,
+            ))
+            if self._event_cost:
+                self._charge_monitoring_event(owner_site)

@@ -7,153 +7,58 @@ Python face of those hooks: the execution monitor, the trace recorder,
 and tests all subscribe through it.
 
 Hook records are created for *every* guest interaction, so they are
-plain ``__slots__`` classes rather than dataclasses: no per-instance
-``__dict__``, and the cheapest constructor Python offers.
+``NamedTuple`` records built positionally: cheaper than a ``__slots__``
+class with a keyword ``__init__``, with no per-instance ``__dict__``,
+and immutable, so a listener may keep a record as it is.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .gc import GCReport
 from .objectmodel import JObject, MethodDef
 
 
-class InvokeRecord:
+class InvokeRecord(NamedTuple):
     """One completed method invocation."""
 
-    __slots__ = (
-        "caller_class",
-        "caller_oid",
-        "callee_class",
-        "callee_oid",
-        "method",
-        "kind",
-        "native_stateless",
-        "arg_bytes",
-        "ret_bytes",
-        "cpu_seconds",
-        "caller_site",
-        "exec_site",
-        "remote",
-    )
-
-    def __init__(
-        self,
-        caller_class: str,
-        caller_oid: Optional[int],
-        callee_class: str,
-        callee_oid: Optional[int],
-        method: str,
-        kind: str,
-        native_stateless: bool,
-        arg_bytes: int,
-        ret_bytes: int,
-        cpu_seconds: float,
-        caller_site: str,
-        exec_site: str,
-        remote: bool,
-    ) -> None:
-        self.caller_class = caller_class
-        self.caller_oid = caller_oid
-        self.callee_class = callee_class
-        self.callee_oid = callee_oid
-        self.method = method
-        self.kind = kind
-        self.native_stateless = native_stateless
-        self.arg_bytes = arg_bytes
-        self.ret_bytes = ret_bytes
-        self.cpu_seconds = cpu_seconds
-        self.caller_site = caller_site
-        self.exec_site = exec_site
-        self.remote = remote
+    caller_class: str
+    caller_oid: Optional[int]
+    callee_class: str
+    callee_oid: Optional[int]
+    method: str
+    kind: str
+    native_stateless: bool
+    arg_bytes: int
+    ret_bytes: int
+    cpu_seconds: float
+    caller_site: str
+    exec_site: str
+    remote: bool
 
     @property
     def is_native(self) -> bool:
         return self.kind == "native"
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InvokeRecord):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__
-        )
-        return f"InvokeRecord({fields})"
-
-
-class AccessRecord:
+class AccessRecord(NamedTuple):
     """One data field access."""
 
-    __slots__ = (
-        "accessor_class",
-        "accessor_oid",
-        "owner_class",
-        "owner_oid",
-        "field",
-        "value_bytes",
-        "is_write",
-        "is_static",
-        "accessor_site",
-        "exec_site",
-        "remote",
-        "cached",
-    )
-
-    def __init__(
-        self,
-        accessor_class: str,
-        accessor_oid: Optional[int],
-        owner_class: str,
-        owner_oid: Optional[int],
-        field: str,
-        value_bytes: int,
-        is_write: bool,
-        is_static: bool,
-        accessor_site: str,
-        exec_site: str,
-        remote: bool,
-        cached: bool = False,
-    ) -> None:
-        self.accessor_class = accessor_class
-        self.accessor_oid = accessor_oid
-        self.owner_class = owner_class
-        self.owner_oid = owner_oid
-        self.field = field
-        self.value_bytes = value_bytes
-        self.is_write = is_write
-        self.is_static = is_static
-        self.accessor_site = accessor_site
-        self.exec_site = exec_site
-        self.remote = remote
-        #: True when a remote read was served from the accessor site's
-        #: remote-read cache: logically remote, zero bytes on the wire.
-        self.cached = cached
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AccessRecord):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__
-        )
-        return f"AccessRecord({fields})"
+    accessor_class: str
+    accessor_oid: Optional[int]
+    owner_class: str
+    owner_oid: Optional[int]
+    field: str
+    value_bytes: int
+    is_write: bool
+    is_static: bool
+    accessor_site: str
+    exec_site: str
+    remote: bool
+    #: True when a remote read was served from the accessor site's
+    #: remote-read cache: logically remote, zero bytes on the wire.
+    cached: bool = False
 
 
 class ExecutionListener:
@@ -191,87 +96,70 @@ class ExecutionListener:
         """A partition of classes was migrated between sites."""
 
 
+#: The hook names :class:`HookFanout` broadcasts.
+HOOKS = ("on_alloc", "on_free", "on_invoke", "on_invoke_enter", "on_access",
+         "on_cpu", "on_gc_report", "on_offload")
+
+
 class HookFanout(ExecutionListener):
     """Broadcasts each hook to an ordered list of listeners.
 
-    The common emulator configuration subscribes exactly one listener,
-    so that case dispatches directly to it instead of looping; ``_solo``
-    caches the listener whenever the list has exactly one entry.
+    Each hook keeps its own tuple of bound methods, holding only the
+    listeners that override it, in the order they were added: a hook no
+    listener implements costs one empty loop.  ``add`` and ``remove``
+    rebuild the tuples, so they take effect on the next event.
     """
 
     def __init__(self) -> None:
         self.listeners: List[ExecutionListener] = []
-        self._solo: Optional[ExecutionListener] = None
+        self._rebuild()
 
     def add(self, listener: ExecutionListener) -> None:
         self.listeners.append(listener)
-        self._solo = listener if len(self.listeners) == 1 else None
+        self._rebuild()
 
     def remove(self, listener: ExecutionListener) -> None:
         self.listeners.remove(listener)
-        self._solo = self.listeners[0] if len(self.listeners) == 1 else None
+        self._rebuild()
+
+    def _rebuild(self) -> None:
+        for name in HOOKS:
+            base = getattr(ExecutionListener, name)
+            methods = (getattr(listener, name) for listener in self.listeners)
+            setattr(self, "_" + name, tuple(
+                method for method in methods
+                if getattr(method, "__func__", None) is not base
+            ))
 
     def on_alloc(self, obj: JObject, site: str) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_alloc(obj, site)
-            return
-        for listener in self.listeners:
-            listener.on_alloc(obj, site)
+        for hook in self._on_alloc:
+            hook(obj, site)
 
     def on_free(self, obj: JObject) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_free(obj)
-            return
-        for listener in self.listeners:
-            listener.on_free(obj)
+        for hook in self._on_free:
+            hook(obj)
 
     def on_invoke(self, record: InvokeRecord) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_invoke(record)
-            return
-        for listener in self.listeners:
-            listener.on_invoke(record)
+        for hook in self._on_invoke:
+            hook(record)
 
     def on_invoke_enter(self, callee_class: str, method: MethodDef, site: str) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_invoke_enter(callee_class, method, site)
-            return
-        for listener in self.listeners:
-            listener.on_invoke_enter(callee_class, method, site)
+        for hook in self._on_invoke_enter:
+            hook(callee_class, method, site)
 
     def on_access(self, record: AccessRecord) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_access(record)
-            return
-        for listener in self.listeners:
-            listener.on_access(record)
+        for hook in self._on_access:
+            hook(record)
 
     def on_cpu(self, class_name: str, site: str, seconds: float) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_cpu(class_name, site, seconds)
-            return
-        for listener in self.listeners:
-            listener.on_cpu(class_name, site, seconds)
+        for hook in self._on_cpu:
+            hook(class_name, site, seconds)
 
     def on_gc_report(self, report: GCReport, site: str) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_gc_report(report, site)
-            return
-        for listener in self.listeners:
-            listener.on_gc_report(report, site)
+        for hook in self._on_gc_report:
+            hook(report, site)
 
     def on_offload(self, class_names: List[str], nbytes: int, site_from: str,
                    site_to: str) -> None:
-        solo = self._solo
-        if solo is not None:
-            solo.on_offload(class_names, nbytes, site_from, site_to)
-            return
-        for listener in self.listeners:
-            listener.on_offload(class_names, nbytes, site_from, site_to)
+        for hook in self._on_offload:
+            hook(class_names, nbytes, site_from, site_to)

@@ -118,3 +118,34 @@ class TestAnalyzerSeed:
         seeded = Emulator(trace).replay(replace(config, cold_start=seed))
         assert seeded.completed and unseeded.completed
         assert seeded.total_time <= unseeded.total_time * 1.0001
+
+
+#: Prints the cold-start profile's node, edge and adjacency order for
+#: the memory-study apps.
+_PROFILE_ORDER_SCRIPT = """
+from repro.analysis import analyze_app
+for app in ("javanote", "dia", "biomer"):
+    profile = analyze_app(app).analysis.seed.profile
+    print(repr((list(profile.nodes()), [key for key, _ in profile.edges()],
+                [list(profile.neighbors(n)) for n in profile.nodes()])))
+"""
+
+
+def test_profile_order_does_not_depend_on_the_hash_seed():
+    """The predicted graph walks its candidate sets in sorted order, so
+    the seed (and every graph seeded from it) is laid out the same way
+    whatever ``PYTHONHASHSEED`` the process drew."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _PROFILE_ORDER_SCRIPT], env=env,
+            check=True, capture_output=True, text=True).stdout)
+    assert outputs[0].count("\n") == 3
+    assert outputs[0] == outputs[1]

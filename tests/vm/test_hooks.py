@@ -139,3 +139,103 @@ class TestSlottedRecords:
         text = repr(sample_invoke())
         assert text.startswith("InvokeRecord(")
         assert "method='m'" in text
+
+
+class CpuOnly(ExecutionListener):
+    def __init__(self, log, name):
+        self.log, self.name = log, name
+
+    def on_cpu(self, class_name, site, seconds):
+        self.log.append((self.name, "cpu", class_name))
+
+
+class AccessOnly(ExecutionListener):
+    def __init__(self, log, name):
+        self.log, self.name = log, name
+
+    def on_access(self, record):
+        self.log.append((self.name, "access", record.field))
+
+
+class TestPerHookFanout:
+    def test_each_hook_holds_only_its_overriders_in_add_order(self):
+        fanout = HookFanout()
+        log = []
+        cpu, access, full = CpuOnly(log, "c"), AccessOnly(log, "a"), Recorder()
+        second_cpu = CpuOnly(log, "c2")
+        for listener in (cpu, access, full, second_cpu):
+            fanout.add(listener)
+        assert fanout._on_cpu == (cpu.on_cpu, full.on_cpu, second_cpu.on_cpu)
+        assert fanout._on_access == (access.on_access, full.on_access)
+        assert fanout._on_alloc == (full.on_alloc,)
+        assert fanout._on_invoke_enter == (full.on_invoke_enter,)
+        fanout.on_cpu("t.A", "client", 1.0)
+        fanout.on_access(sample_access())
+        assert log == [("c", "cpu", "t.A"), ("c2", "cpu", "t.A"),
+                       ("a", "access", "f")]
+        assert full.calls == [("cpu", "t.A", 1.0), ("access", "f")]
+
+    def test_a_hook_nobody_overrides_is_empty(self):
+        fanout = HookFanout()
+        fanout.add(CpuOnly([], "c"))
+        assert fanout._on_invoke_enter == ()
+        fanout.on_invoke_enter("b", MethodDef("m"), "client")
+
+    def test_an_instance_override_counts(self):
+        fanout = HookFanout()
+        listener = ExecutionListener()
+        seen = []
+        listener.on_cpu = lambda class_name, site, seconds: seen.append(
+            class_name)
+        fanout.add(listener)
+        fanout.on_cpu("t.A", "client", 1.0)
+        assert seen == ["t.A"]
+
+    def test_add_and_remove_take_effect_on_the_next_event(self):
+        fanout = HookFanout()
+        log = []
+        first, second = CpuOnly(log, "1"), CpuOnly(log, "2")
+        fanout.add(first)
+        fanout.on_cpu("t.A", "client", 1.0)
+        fanout.add(second)
+        fanout.on_cpu("t.B", "client", 1.0)
+        fanout.remove(first)
+        fanout.on_cpu("t.C", "client", 1.0)
+        fanout.remove(second)
+        fanout.on_cpu("t.D", "client", 1.0)
+        assert log == [("1", "cpu", "t.A"), ("1", "cpu", "t.B"),
+                       ("2", "cpu", "t.B"), ("2", "cpu", "t.C")]
+
+    def test_a_listener_added_inside_a_hook_starts_on_the_next_event(self):
+        fanout = HookFanout()
+        late = Recorder()
+
+        class Adder(ExecutionListener):
+            def on_cpu(self, class_name, site, seconds):
+                if late not in fanout.listeners:
+                    fanout.add(late)
+
+        fanout.add(Adder())
+        fanout.on_cpu("t.A", "client", 1.0)
+        fanout.on_cpu("t.B", "client", 2.0)
+        assert late.calls == [("cpu", "t.B", 2.0)]
+
+    def test_a_listener_added_mid_run_starts_receiving_hooks(self):
+        from repro.config import VMConfig
+        from repro.vm.session import LocalSession
+
+        session = LocalSession(VMConfig(monitoring_event_cost=0.0))
+        session.registry.define("t.Cell").field("x", "int").register()
+        ctx = session.ctx
+        early = Recorder()
+        session.add_listener(early)
+        first = ctx.new("t.Cell")
+        late = Recorder()
+        session.add_listener(late)
+        ctx.set_global("cell", first)
+        second = ctx.new("t.Cell")
+        ctx.set_field(second, "x", 3)
+        ctx.work(1e-3)
+        assert [c[0] for c in late.calls] == ["alloc", "access", "cpu"]
+        assert early.calls[-3:] == late.calls
+        assert early.calls[0] == ("alloc", first.oid, "client")

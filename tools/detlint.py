@@ -72,6 +72,10 @@ DEFAULT_TARGETS = (
     "src/repro/emulator/emulator.py",
     "src/repro/emulator/events.py",
     "src/repro/emulator/timemodel.py",
+    "src/repro/core/monitor.py",
+    "src/repro/vm/hooks.py",
+    "src/repro/vm/context.py",
+    "src/repro/analysis/staticgraph.py",
 )
 
 SUPPRESS_MARKER = "detlint: allow"
