@@ -69,12 +69,8 @@ class OffloadingEngine(ExecutionListener):
         client_site: str = "client",
         single_shot: bool = True,
         reevaluate_every: Optional[float] = None,
-        warm_threshold: float = 0.25,
-        force_cold: bool = False,
     ) -> None:
         self.monitor = monitor
-        self._warm_threshold = warm_threshold
-        self._force_cold = force_cold
         # The ``partitioner`` setter builds the incremental session.
         self.partitioner = partitioner
         self.trigger = trigger
@@ -105,15 +101,10 @@ class OffloadingEngine(ExecutionListener):
     def partitioner(self, partitioner: Partitioner) -> None:
         #: Incremental re-evaluation session: carries warm-start state,
         #: the previous candidate list, and the policy-evaluation memo
-        #: across attempts.  ``force_cold=True`` is the escape hatch
-        #: that makes every attempt a full cold run.  Replacing the
-        #: partitioner starts a fresh session — stale warm state must
-        #: not leak across policies.
-        self.session = IncrementalPartitioner(
-            partitioner,
-            warm_threshold=self._warm_threshold,
-            force_cold=self._force_cold,
-        )
+        #: across attempts, and is the one drainer of the monitor
+        #: graph's dirty sets.  Replacing the partitioner starts a fresh
+        #: session — stale warm state must not leak across policies.
+        self.session = IncrementalPartitioner(partitioner)
 
     # -- cold start ------------------------------------------------------------
 
@@ -131,7 +122,7 @@ class OffloadingEngine(ExecutionListener):
         if seed is None or seed.empty:
             return
         if seed.profile is not None:
-            self.monitor.merge_profile(seed.profile)
+            self.monitor.graph.merge_profile(seed.profile)
         if seed.hints is not None and self.partitioner.hints is None:
             base = self.partitioner
             base.hints = seed.hints
@@ -196,14 +187,10 @@ class OffloadingEngine(ExecutionListener):
         """
         self._attempting = True
         try:
-            # The copy-on-write snapshot drains the graph's dirty sets
-            # and leaves the delta on the monitor for the session.
-            snapshot = self.monitor.snapshot()
             decision = self.session.partition(
-                snapshot,
+                self.monitor.graph,
                 self._pinned_provider(),
                 self._context_provider(),
-                delta=self.monitor.last_snapshot_delta,
             )
             migrated_bytes = 0
             migration_seconds = 0.0

@@ -493,8 +493,8 @@ class FlatGraph:
 
         Reads the *current* values of every dirty node/edge from the
         graph (the delta names what changed; the graph is the source of
-        truth), so it works across copy-on-write graph replacement as
-        long as the delta covers the gap.  Nodes that appeared since the
+        truth), so the delta must cover every mutation since the last
+        sync.  Nodes that appeared since the
         last sync are appended to the interning table (the graph never
         removes a node, so interned indices only grow).  Returns None
         when the node count shrank, on a name that is appended twice or

@@ -78,7 +78,6 @@ _EMPTY_ADJACENCY: Dict[str, EdgeStats] = {}
 class GraphDelta:
     """The set of nodes and edges dirtied since the last drain.
 
-    ``version`` is the graph's monotonic mutation counter at drain time;
     ``nodes`` holds node ids whose :class:`NodeStats` changed (or that
     were created), ``edges`` holds canonical edge keys whose
     :class:`EdgeStats` changed (or that were created).  Nodes and edges
@@ -88,7 +87,6 @@ class GraphDelta:
 
     nodes: FrozenSet[str]
     edges: FrozenSet[Tuple[str, str]]
-    version: int
 
     @property
     def empty(self) -> bool:
@@ -102,10 +100,10 @@ class ExecutionGraph:
     """Weighted interaction graph over classes (or objects).
 
     Every mutation entry point bumps a monotonic ``version`` counter and
-    records the touched node/edge in a dirty set, so consumers that
-    repeatedly re-read the graph (copy-on-write snapshots, warm-started
-    partitioning) can do work proportional to the *change* since their
-    last visit.  Mutations must go through these entry points — writing
+    records the touched node/edge in a dirty set, so a consumer that
+    repeatedly re-reads the graph (the warm-started partitioning
+    session) can do work proportional to the *change* since its last
+    visit.  Mutations must go through these entry points — writing
     to a ``NodeStats``/``EdgeStats`` object directly bypasses tracking.
     """
 
@@ -131,15 +129,13 @@ class ExecutionGraph:
     def drain_dirty(self) -> GraphDelta:
         """Return and clear the accumulated dirty sets.
 
-        Intended for a single standing consumer per graph (the monitor's
-        snapshot, or an incremental partitioning session working on the
-        live graph); that consumer passes the delta on to anyone further
-        downstream.
+        Intended for a single standing consumer per graph: the
+        incremental partitioning session reading the live graph, in the
+        prototype's engine and in the replayer alike.
         """
         delta = GraphDelta(
             nodes=frozenset(self._dirty_nodes),
             edges=frozenset(self._dirty_edges),
-            version=self._version,
         )
         self._dirty_nodes.clear()
         self._dirty_edges.clear()
@@ -364,12 +360,29 @@ class ExecutionGraph:
             )
         return graph
 
+    def merge_profile(self, profile: "ExecutionGraph") -> None:
+        """Fold a predicted or prior interaction profile into this graph.
+
+        Edge traffic and CPU totals are added; live-memory annotations
+        in the profile are ignored (callers should pass
+        :func:`repro.core.hints.interaction_profile` output, where they
+        are zero).  Every touched node and edge lands in the dirty sets,
+        so the next partitioning epoch carries the seed.
+        """
+        for node_id in profile.nodes():
+            stats = profile.node(node_id)
+            self.ensure_node(node_id)
+            if stats.cpu_seconds:
+                self.add_cpu(node_id, stats.cpu_seconds)
+        for (a, b), edge in profile.edges():
+            self.record_interaction(a, b, edge.bytes, count=edge.count)
+
     def copy(self) -> "ExecutionGraph":
         """Deep structural copy, without a serialisation round trip.
 
-        The monitor snapshots the graph on every partitioning decision,
-        so this copies node stats, edge stats, and adjacency directly
-        instead of going through ``to_dict``/``from_dict``.
+        Copies node stats, edge stats, and adjacency directly instead of
+        going through ``to_dict``/``from_dict``.  The copy shares no
+        stats with this graph and starts with empty dirty sets.
         """
         clone = ExecutionGraph.__new__(ExecutionGraph)
         clone._nodes = {
@@ -391,58 +404,8 @@ class ExecutionGraph:
             adjacency[a][b] = copied
             adjacency[b][a] = copied
         clone._adjacency = adjacency
-        # The clone starts as its own clean baseline: same version (so
-        # snapshot lineage checks line up) but nothing dirty.
-        clone._version = self._version
-        clone._dirty_nodes = set()
-        clone._dirty_edges = set()
-        return clone
-
-    def copy_reusing(self, base: "ExecutionGraph",
-                     delta: GraphDelta) -> "ExecutionGraph":
-        """Copy-on-write copy against a previous snapshot of this graph.
-
-        ``base`` must be an earlier copy of *this* graph and ``delta``
-        the exact set of nodes/edges dirtied here since ``base`` was
-        taken.  Unchanged ``NodeStats``/``EdgeStats`` objects and whole
-        adjacency rows are shared with ``base`` (snapshots are read-only
-        by contract), so the cost is proportional to the dirty region —
-        O(V) pointer-copies for the top-level dicts plus O(deg) work per
-        dirty row — instead of a structural copy of every edge.
-        """
-        clone = ExecutionGraph.__new__(ExecutionGraph)
-        nodes = base._nodes.copy()
-        for node_id in delta.nodes:
-            stats = self._nodes[node_id]
-            nodes[node_id] = NodeStats(
-                memory_bytes=stats.memory_bytes,
-                cpu_seconds=stats.cpu_seconds,
-                live_objects=stats.live_objects,
-                created_objects=stats.created_objects,
-            )
-        edges = base._edges.copy()
-        # Rows that must be rebuilt: endpoints of changed edges (their
-        # rows must point at the fresh EdgeStats copies) and brand-new
-        # nodes (absent from the base adjacency altogether).
-        stale_rows: Set[str] = set()
-        for key in delta.edges:
-            edges[key] = EdgeStats(
-                count=self._edges[key].count, bytes=self._edges[key].bytes
-            )
-            stale_rows.add(key[0])
-            stale_rows.add(key[1])
-        adjacency = base._adjacency.copy()
-        for node_id in delta.nodes:
-            if node_id not in adjacency:
-                stale_rows.add(node_id)
-        for node_id in stale_rows:
-            row: Dict[str, EdgeStats] = {}
-            for neighbor in self._adjacency[node_id]:
-                row[neighbor] = edges[edge_key(node_id, neighbor)]
-            adjacency[node_id] = row
-        clone._nodes = nodes
-        clone._edges = edges
-        clone._adjacency = adjacency
+        # The clone starts as its own clean baseline: same version but
+        # nothing dirty.
         clone._version = self._version
         clone._dirty_nodes = set()
         clone._dirty_edges = set()

@@ -62,10 +62,12 @@ class ColdStartSeed:
     (:func:`repro.analysis.staticgraph.analyze_program`) — or assembled
     by hand from a previous run's profile — and consumed by
     :meth:`repro.core.engine.OffloadingEngine.apply_cold_start` and the
-    emulator's ``EmulatorConfig.cold_start``.  The ``profile`` seeds the
-    monitor's execution graph with predicted interaction structure so
-    the very first MINCUT does not run on an empty graph; the ``hints``
-    carry advisory pins and co-location groups into the partitioner.
+    emulator's ``EmulatorConfig.cold_start``.  Both fold the ``profile``
+    into their live execution graph with
+    :meth:`~repro.core.graph.ExecutionGraph.merge_profile`, so the very
+    first MINCUT does not run on an empty graph and the partitioning
+    session's first drain carries the seed; the ``hints`` carry
+    advisory pins and co-location groups into the partitioner.
     """
 
     hints: Optional[PlacementHints] = None

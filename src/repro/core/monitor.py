@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Set
 from ..vm.gc import GCReport
 from ..vm.hooks import AccessRecord, ExecutionListener, InvokeRecord
 from ..vm.objectmodel import JObject
-from .graph import ExecutionGraph, GraphDelta, object_node_id
+from .graph import ExecutionGraph, object_node_id
 
 #: Approximate in-memory cost of one graph node / edge, used for the
 #: "graph occupies a small amount of storage" measurement.
@@ -131,13 +131,6 @@ class ExecutionMonitor(ExecutionListener):
         self.objects_series = SampledSeries()
         self.links_series = SampledSeries()
         self.last_gc_report: Optional[GCReport] = None
-        # Copy-on-write snapshot state: the last snapshot taken, the
-        # graph version it reflects, and the delta that separated it
-        # from the snapshot before (consumed by incremental
-        # partitioning sessions).
-        self._snapshot: Optional[ExecutionGraph] = None
-        self._snapshot_version: int = -1
-        self.last_snapshot_delta: Optional[GraphDelta] = None
 
     # -- folded state ---------------------------------------------------------
 
@@ -158,27 +151,6 @@ class ExecutionMonitor(ExecutionListener):
         if self._log:
             self._fold()
         return self._remote
-
-    def merge_profile(self, profile: ExecutionGraph) -> None:
-        """Fold a predicted or prior interaction profile into the graph.
-
-        The cold-start path (:meth:`repro.core.engine.OffloadingEngine
-        .apply_cold_start`) uses this to seed an already-constructed
-        monitor: edge traffic and CPU totals are added, live-memory
-        annotations in the profile are ignored (callers should pass
-        :func:`repro.core.hints.interaction_profile` output, where they
-        are zero).  Every touched node and edge lands in the graph's
-        dirty sets, so the next snapshot carries the seed into the
-        partitioning session.
-        """
-        graph = self.graph
-        for node_id in profile.nodes():
-            stats = profile.node(node_id)
-            graph.ensure_node(node_id)
-            if stats.cpu_seconds:
-                graph.add_cpu(node_id, stats.cpu_seconds)
-        for (a, b), edge in profile.edges():
-            graph.record_interaction(a, b, edge.bytes, count=edge.count)
 
     # -- hook implementations -----------------------------------------------------
 
@@ -342,49 +314,6 @@ class ExecutionMonitor(ExecutionListener):
             graph.node_count * NODE_STORAGE_BYTES
             + graph.link_count * EDGE_STORAGE_BYTES
         )
-
-    def snapshot(self) -> ExecutionGraph:
-        """Copy of the execution graph for a partitioning decision.
-
-        Snapshots are copy-on-write: the first call structurally copies
-        the graph, later calls reuse the unchanged node stats, edge
-        stats, and whole adjacency rows of the previous snapshot and
-        copy only the rows the graph dirtied in between.  When nothing
-        changed at all the same snapshot object is returned again.
-        Snapshots are read-only by contract; the delta between the two
-        most recent snapshots is left in :attr:`last_snapshot_delta`
-        for incremental partitioning sessions.
-
-        The monitor is the graph's single dirty-set consumer: code that
-        drains ``monitor.graph`` directly must not also use
-        :meth:`snapshot`.
-
-        Unchanged-snapshot reuse matters downstream: returning the same
-        object (same identity, same ``version``) lets the partitioner's
-        flat CSR snapshot cache (``core.flatgraph.snapshot``) skip
-        recompiling, and lets an incremental session hand the delta
-        straight to ``FlatGraph.sync`` instead of diffing graphs.
-        """
-        graph = self.graph
-        delta = graph.drain_dirty()
-        if self._snapshot is not None and delta.empty:
-            self.last_snapshot_delta = delta
-            return self._snapshot
-        if self._snapshot is None:
-            snap = graph.copy()
-            # The baseline snapshot covers the whole graph; report the
-            # delta as such so a session cold-starts from it.
-            delta = GraphDelta(
-                nodes=frozenset(graph.nodes()),
-                edges=frozenset(key for key, _ in graph.edges()),
-                version=graph.version,
-            )
-        else:
-            snap = graph.copy_reusing(self._snapshot, delta)
-        self._snapshot = snap
-        self._snapshot_version = graph.version
-        self.last_snapshot_delta = delta
-        return snap
 
 
 class ResourceMonitor(ExecutionListener):

@@ -225,12 +225,9 @@ class IncrementalPartitioner:
     * a :class:`~repro.core.policy.PolicyEvaluationCache` memoising the
       policy's *selection* across epochs.
 
-    The caller supplies the :class:`~repro.core.graph.GraphDelta`
-    separating this epoch's graph from the previous one (e.g. the
-    monitor's ``last_snapshot_delta``); passing ``delta=None`` makes the
-    session drain the graph's dirty sets itself, which is only valid
-    when no other consumer (such as a copy-on-write snapshotter) drains
-    the same graph.
+    Each epoch is handed the live graph and drains its dirty sets: the
+    session is the graph's one drainer, in the prototype's engine and
+    in the replayer alike.
     """
 
     def __init__(
@@ -374,13 +371,11 @@ class IncrementalPartitioner:
         graph: ExecutionGraph,
         pinned: Iterable[str],
         ctx: EvaluationContext,
-        delta: Optional[GraphDelta] = None,
     ) -> PartitionDecision:
         """One re-evaluation epoch; never raises on policy refusal."""
         started = time.perf_counter()  # detlint: allow - reported epoch cost
         self.stats.epochs += 1
-        if delta is None:
-            delta = graph.drain_dirty()
+        delta = graph.drain_dirty()
         if self.force_cold:
             decision = self.base.partition(graph, pinned, ctx)
             self.stats.cold_runs += 1

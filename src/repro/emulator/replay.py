@@ -307,9 +307,8 @@ class TraceReplayer:
         seed = config.cold_start
         if seed is not None and seed.hints is not None:
             self._partitioner.hints = seed.hints
-        # The incremental session drains the live graph's dirty sets
-        # itself (there is no monitor snapshotting in the emulator, so
-        # the replayer is the graph's single dirty-set consumer).
+        # The incremental session drains the live graph's dirty sets,
+        # as the prototype's engine does with the monitor's graph.
         self._session = IncrementalPartitioner(
             self._partitioner, force_cold=config.force_cold
         )
@@ -362,16 +361,9 @@ class TraceReplayer:
         # any interaction references it.
         graph.ensure_node(MAIN)
         if seed is not None and seed.profile is not None:
-            # Seed the graph with the predicted interaction structure
-            # (edge traffic and CPU only — a profile carries no live
-            # memory), so the first MINCUT runs on real shape.
-            for node_id in seed.profile.nodes():
-                stats = seed.profile.node(node_id)
-                graph.ensure_node(node_id)
-                if stats.cpu_seconds:
-                    graph.add_cpu(node_id, stats.cpu_seconds)
-            for (a, b), edge in seed.profile.edges():
-                graph.record_interaction(a, b, edge.bytes, count=edge.count)
+            # Seed the graph with the predicted interaction structure,
+            # so the first MINCUT runs on real shape.
+            graph.merge_profile(seed.profile)
         self._fold = GraphFold(trace, graph, self._granular_classes)
         # The side-log position of the replay's current point: events
         # before it have happened.  Cold calls out of the loop set it.

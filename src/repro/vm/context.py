@@ -540,8 +540,10 @@ class ExecutionContext:
         nbytes = count * SLOT_SIZES[arr.element_type]
         # cache_key=None: arrays are never cached (bulk element traffic
         # is what migration places), but their transfers still coalesce.
-        self._remote_transfer(accessor_site, owner_site, remote, nbytes,
-                              is_write, cache_key=None)
+        # With no cache key a local access has nothing to charge.
+        if remote:
+            self._remote_transfer(accessor_site, owner_site, remote, nbytes,
+                                  is_write, cache_key=None)
         if self.monitoring_enabled:
             self.hooks.on_access(AccessRecord(
                 accessor_class, accessor_oid, arr.cls.name, arr.oid, "[]",

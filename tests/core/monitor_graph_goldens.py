@@ -7,9 +7,10 @@ class and array granularity to digests of the live
 benchmark's config: a 6 MB client, the static-analysis cold-start seed,
 and the data plane (coalescing plus the read cache).
 
-A digest is taken at every read a decision makes: after every
-``snapshot()``, after every GC report (``on_gc_report`` reads the link
-count), and after the run.  Each covers the graph's ``to_dict()``, node
+A digest is taken at every read a decision makes: at the start of
+every ``OffloadingEngine.attempt`` (which hands ``monitor.graph`` to
+the partitioning session), after every GC report (``on_gc_report``
+reads the link count), and after the run.  Each covers the graph's ``to_dict()``, node
 order, edge order and every adjacency row's order, plus the monitor's
 event and remote counters:
 
@@ -79,6 +80,7 @@ def probe_run(key: str) -> Tuple[dict, List[Tuple[str, int]]]:
     from repro import analysis
     from repro.apps import Biomer, Dia, JavaNote
     from repro.config import EnhancementFlags, VMConfig
+    from repro.core.engine import OffloadingEngine
     from repro.core.monitor import ExecutionMonitor
     from repro.core.policy import OffloadPolicy
     from repro.experiments.common import (
@@ -96,14 +98,14 @@ def probe_run(key: str) -> Tuple[dict, List[Tuple[str, int]]]:
         reads.append((graph_content(monitor.graph), monitor.graph.version))
 
     class ProbeMonitor(ExecutionMonitor):
-        def snapshot(self):
-            snap = super().snapshot()
-            read(self)
-            return snap
-
         def on_gc_report(self, report, site):
             super().on_gc_report(report, site)
             read(self)
+
+    class ProbeEngine(OffloadingEngine):
+        def attempt(self, revert_on_refusal=False):
+            read(self.monitor)
+            return super().attempt(revert_on_refusal)
 
     seed = analysis.analyze_app(app_name).analysis.seed
     app_cls = {"javanote": JavaNote, "dia": Dia, "biomer": Biomer}
@@ -111,6 +113,8 @@ def probe_run(key: str) -> Tuple[dict, List[Tuple[str, int]]]:
     # objects from 1, whatever ran earlier in the process.
     with mock.patch("repro.platform.platform.ExecutionMonitor",
                     ProbeMonitor), \
+            mock.patch("repro.platform.platform.OffloadingEngine",
+                       ProbeEngine), \
             mock.patch("repro.vm.objectmodel._oid_counter", count(1)):
         platform = DistributedPlatform(
             client_config=VMConfig(device=CLIENT_6MB, gc=CHAI_GC,

@@ -1,6 +1,6 @@
 """Unit tests for the offloading engine control loop."""
 
-import pytest
+from dataclasses import replace
 
 from repro.core.engine import MigrationOutcome, OffloadingEngine
 from repro.core.monitor import ExecutionMonitor
@@ -22,6 +22,22 @@ def low_report(cycle=1):
                     free_bytes=10, capacity=1000)
 
 
+def invoke(monitor, caller, callee, nbytes):
+    monitor.on_invoke(InvokeRecord(
+        caller_class=caller, caller_oid=None, callee_class=callee,
+        callee_oid=None, method="m", kind="instance",
+        native_stateless=False, arg_bytes=nbytes, ret_bytes=0,
+        cpu_seconds=0.0, caller_site="client", exec_site="client",
+        remote=False,
+    ))
+
+
+def alloc(monitor, class_name, size):
+    obj = JObject(ClassBuilder(class_name).build(), "client")
+    monitor.on_alloc(obj, "client")
+    monitor.graph.add_memory(class_name, size - obj.size_bytes)
+
+
 def populate(monitor):
     """Two clusters: pinned ui+model on the client, data+cache offloadable."""
     for caller, callee, nbytes in [
@@ -29,18 +45,10 @@ def populate(monitor):
         ("data", "cache", 8_000),
         ("model", "data", 5),
     ]:
-        monitor.on_invoke(InvokeRecord(
-            caller_class=caller, caller_oid=None, callee_class=callee,
-            callee_oid=None, method="m", kind="instance",
-            native_stateless=False, arg_bytes=nbytes, ret_bytes=0,
-            cpu_seconds=0.0, caller_site="client", exec_site="client",
-            remote=False,
-        ))
+        invoke(monitor, caller, callee, nbytes)
     for class_name, size in [("ui", 100), ("model", 100),
                              ("data", 500), ("cache", 300)]:
-        obj = JObject(ClassBuilder(class_name).build(), "client")
-        monitor.on_alloc(obj, "client")
-        monitor.graph.add_memory(class_name, size - obj.size_bytes)
+        alloc(monitor, class_name, size)
 
 
 def make_engine(min_free=0.20, tolerance=1, single_shot=True,
@@ -160,12 +168,28 @@ class TestIncrementalSession:
         assert engine.reeval_stats is not old_stats
         assert engine.reeval_stats.epochs == 0
 
-    def test_force_cold_engine_never_reuses(self):
+    def test_session_drains_the_live_monitor_graph(self):
         engine, _ = make_engine(single_shot=False)
-        engine._force_cold = True
-        engine.partitioner = Partitioner(MemoryPartitionPolicy(0.20))
-        engine.on_gc_report(low_report(1), "client")
-        engine.on_gc_report(low_report(2), "client")
+        monitor = engine.monitor
+        engine.attempt()
+        # Between epochs the hooks grow an edge, add a node and move
+        # memory; the session must see all of it through its own drain.
+        invoke(monitor, "data", "cache", 2_000)
+        invoke(monitor, "cache", "index", 3_000)
+        alloc(monitor, "index", 200)
+        decision = engine.attempt().decision
+        assert engine.session._fg.synced_version == monitor.graph.version
+        # The flat snapshot was patched with the drained delta (the new
+        # node names the epoch), not recompiled: a recompile would mean
+        # someone else drained the graph and the session lost the delta.
         stats = engine.reeval_stats
-        assert stats.cold_runs == stats.epochs == 2
-        assert stats.reuse_hits == 0
+        assert stats.fallback_not_ready == 1
+        assert stats.fallback_node_churn == 1
+        fresh = Partitioner(MemoryPartitionPolicy(0.20)).partition(
+            monitor.graph.copy(), ["ui"],
+            EvaluationContext(heap_capacity=1000, elapsed=10.0))
+        assert decision.beneficial
+        assert "index" in decision.offload_nodes
+        assert replace(decision, compute_seconds=0.0, warm_start=False,
+                       policy_cache_hit=False) == \
+            replace(fresh, compute_seconds=0.0)

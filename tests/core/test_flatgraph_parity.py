@@ -264,8 +264,7 @@ class TestFlatGraphStructure:
         fg = flatgraph.FlatGraph.try_compile(graph)
         graph.record_interaction("a", "z", 10)  # new node and edge
         full = graph.drain_dirty()
-        missed = GraphDelta(nodes=full.nodes, edges=frozenset(),
-                            version=full.version)
+        missed = GraphDelta(nodes=full.nodes, edges=frozenset())
         assert fg.sync(graph, missed) is None
 
     def test_fingerprint_packs_columns_and_overflow_falls_back(self):

@@ -1,17 +1,6 @@
-"""Dirty tracking, graph deltas, and copy-on-write snapshots."""
-
-import pytest
+"""Dirty tracking and graph deltas."""
 
 from repro.core.graph import ExecutionGraph, edge_key
-from repro.core.monitor import ExecutionMonitor
-from repro.vm.objectmodel import ClassBuilder, JObject
-
-
-def make_obj(class_name, size_field_count=8):
-    builder = ClassBuilder(class_name)
-    for i in range(size_field_count):
-        builder.field(f"f{i}", "int")
-    return JObject(builder.build(), "client")
 
 
 def small_graph():
@@ -48,7 +37,6 @@ class TestDirtyTracking:
         delta = graph.drain_dirty()
         assert delta.nodes == {"a", "b", "c"}
         assert delta.edges == {("a", "b"), ("b", "c")}
-        assert delta.version == graph.version
         assert not delta.empty
         assert delta.size() == 5
         second = graph.drain_dirty()
@@ -69,77 +57,3 @@ class TestDirtyTracking:
         clone = graph.copy()
         assert clone.version == graph.version
         assert clone.drain_dirty().empty
-
-
-class TestCopyReusing:
-    def test_matches_a_structural_copy(self):
-        graph = small_graph()
-        graph.drain_dirty()
-        base = graph.copy()
-        graph.record_interaction("a", "b", 7)
-        graph.add_memory("c", 50)
-        graph.record_interaction("c", "d", 9)
-        delta = graph.drain_dirty()
-        snap = graph.copy_reusing(base, delta)
-        full = graph.copy()
-        assert sorted(snap.nodes()) == sorted(full.nodes())
-        for node in full.nodes():
-            assert snap.node(node).memory_bytes == full.node(node).memory_bytes
-        for key, stats in full.edges():
-            assert snap.edge(*key).bytes == stats.bytes
-            assert snap.edge(*key).count == stats.count
-        for node in full.nodes():
-            assert snap.neighbors(node) == full.neighbors(node)
-
-    def test_shares_untouched_stats_with_the_base(self):
-        graph = small_graph()
-        graph.drain_dirty()
-        base = graph.copy()
-        graph.record_interaction("b", "c", 3)
-        snap = graph.copy_reusing(base, graph.drain_dirty())
-        # Node "a" and edge (a, b) were untouched: shared with the base.
-        assert snap.node("a") is base.node("a")
-        assert snap.edge("a", "b") is base.edge("a", "b")
-        # The dirtied edge gets fresh stats.
-        assert snap.edge("b", "c") is not base.edge("b", "c")
-        assert snap.edge("b", "c").bytes == base.edge("b", "c").bytes + 3
-
-    def test_base_is_isolated_from_later_mutations(self):
-        graph = small_graph()
-        graph.drain_dirty()
-        base = graph.copy()
-        before = base.edge("a", "b").bytes
-        graph.record_interaction("a", "b", 1000)
-        graph.copy_reusing(base, graph.drain_dirty())
-        assert base.edge("a", "b").bytes == before
-
-
-class TestMonitorCowSnapshot:
-    def test_unchanged_graph_returns_the_same_snapshot_object(self):
-        monitor = ExecutionMonitor()
-        monitor.on_alloc(make_obj("A"), "client")
-        first = monitor.snapshot()
-        second = monitor.snapshot()
-        assert second is first
-        assert monitor.last_snapshot_delta is not None
-        assert monitor.last_snapshot_delta.empty
-
-    def test_first_snapshot_reports_the_whole_graph_as_delta(self):
-        monitor = ExecutionMonitor()
-        monitor.on_alloc(make_obj("A"), "client")
-        monitor.on_alloc(make_obj("B"), "client")
-        monitor.snapshot()
-        assert monitor.last_snapshot_delta.nodes == {"A", "B"}
-
-    def test_snapshot_tracks_new_data_and_stays_independent(self):
-        monitor = ExecutionMonitor()
-        monitor.on_alloc(make_obj("A"), "client")
-        first = monitor.snapshot()
-        monitor.on_alloc(make_obj("B"), "client")
-        second = monitor.snapshot()
-        assert second is not first
-        assert second.has_node("B")
-        assert not first.has_node("B")
-        assert monitor.last_snapshot_delta.nodes == {"B"}
-        # The older snapshot still reflects its point in time.
-        assert first.node("A").memory_bytes > 0

@@ -192,14 +192,6 @@ class TestObjectGranularity:
         assert monitor.graph.has_node("t.A")
         assert not monitor.graph.has_node(f"t.A#{obj.oid}")
 
-    def test_snapshot_is_independent_copy(self):
-        monitor = ExecutionMonitor()
-        monitor.on_invoke(invoke_record())
-        snap = monitor.snapshot()
-        monitor.on_invoke(invoke_record())
-        assert snap.edge("t.A", "t.B").count == 1
-        assert monitor.graph.edge("t.A", "t.B").count == 2
-
 
 class TestResourceMonitor:
     def test_latest_and_series(self):
