@@ -46,9 +46,9 @@ def run_oracle():
     class GraphProbe(TraceReplayer):
         def _attempt_offload(self):
             seen["candidates"] = generate_candidates(
-                self.graph, self._pinned_nodes()
+                self.graph, self.pinned_nodes()
             )
-            seen["ctx"] = self._evaluation_context()
+            seen["ctx"] = self.evaluation_context()
 
     GraphProbe(trace, base).run()
     candidates = seen["candidates"]

@@ -11,15 +11,18 @@ duck-typed ports:
 * ``drop_traffic()``: drop in-flight coalesced traffic and the read
   cache, both of which died with the surrogate;
 * ``repatriate_unreachable() -> (objects, bytes)``: rebuild the remote
-  state client-side, uncharged, and park offloading;
+  state client-side, uncharged (the host's ``surrogate_lost`` now
+  holds, which parks offloading);
 * ``flush_traffic()`` and ``set_link(link)``: charge buffered traffic;
   re-point every link-cost consumer;
 * ``placement()``: the offloaded graph nodes;
-* ``apply_placement(nodes) -> (bytes, objects)`` moved, ``None`` if
-  infeasible;
+* ``migrate(nodes) -> (bytes, objects)`` moved; raises
+  :class:`~repro.errors.MigrationError` when infeasible (the port the
+  offloading engine migrates through);
 * ``roam()``: hand off, ``None`` with no target; a completed handoff
   reports back through :meth:`ControlPlane.handed_off`;
-* ``resume_offloading(attempt)``: resume, and maybe start an epoch.
+* ``resume_offloading(attempt)``: start a fresh offload epoch when
+  ``attempt``.
 
 None of it is on the replay loop's per-event path: the loop reads
 :attr:`~ControlPlane.reattach_at` and :attr:`~ControlPlane.next_change`
@@ -32,7 +35,7 @@ import math
 import weakref
 from typing import Any, FrozenSet, Optional
 
-from ..errors import PlatformError
+from ..errors import MigrationError, PlatformError
 from ..net.faults import FaultReport, FaultSpec
 from ..net.link import LinkModel
 from ..net.mobility import LinkProfile, MobilityConfig, MobilityReport
@@ -217,8 +220,9 @@ class ControlPlane:
         placement = self.host.placement()
         if not placement:
             return
-        moved = self.host.apply_placement(frozenset())
-        if moved is None:
+        try:
+            moved = self.host.migrate(frozenset())
+        except MigrationError:
             return
         self.remembered = placement
         self.mobility.proactive_repatriations += 1
@@ -235,8 +239,11 @@ class ControlPlane:
         if placement is None or self.surrogate_lost:
             return
         self.remembered = None
-        if self.host.apply_placement(placement) is not None:
-            self.mobility.reoffloads += 1
+        try:
+            self.host.migrate(placement)
+        except MigrationError:
+            return
+        self.mobility.reoffloads += 1
 
 
 __all__ = ["ControlPlane"]

@@ -5,35 +5,56 @@ execution and resources; when a trigger event occurs it analyses the
 collected execution graph, decides whether offloading would be
 beneficial, and if so migrates the selected components to the surrogate.
 Execution then continues and monitoring resumes.
+
+The prototype (:class:`~repro.platform.platform.DistributedPlatform`)
+and the emulator (:class:`~repro.emulator.replay.TraceReplayer`) run
+this one loop.  Each passes itself in as the *host* and supplies the
+mechanics through duck-typed ports:
+
+* ``graph``: the execution graph as of now;
+* ``pinned_nodes()``: graph nodes that must stay on the client;
+* ``evaluation_context()``: devices, link and history for the policy;
+* ``now()``: the host's virtual clock;
+* ``migrate(nodes) -> (bytes, objects)``: make ``nodes`` the offloaded
+  set and report what moved; raises
+  :class:`~repro.errors.MigrationError` when infeasible;
+* ``surrogate_lost``: degraded mode, with no surrogate to offload to.
+
+The gating is two calls: :meth:`OffloadingEngine.observe` feeds a GC
+report to the memory trigger, and
+:meth:`OffloadingEngine.reevaluation_due` reads the re-evaluation
+clock.  The prototype's collector hook calls both; the replayer calls
+the first from its emulated collector and the second after an event.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional
+from typing import Any, List, Optional
 
 from ..errors import MigrationError
 from ..vm.gc import GCReport
 from ..vm.hooks import ExecutionListener
 from .hints import ColdStartSeed
-from .monitor import ExecutionMonitor
 from .partitioner import (
     IncrementalPartitioner,
     PartitionDecision,
     Partitioner,
     ReevalStats,
 )
-from .policy import EvaluationContext, MemoryTrigger
+from .policy import MemoryTrigger
 
 
 @dataclass(frozen=True)
 class OffloadEvent:
-    """One completed or refused offloading attempt."""
+    """One completed or refused offloading attempt, stamped with the
+    time of its decision."""
 
     time: float
     decision: PartitionDecision
     migrated_bytes: int = 0
-    migration_seconds: float = 0.0
+    migrated_objects: int = 0
 
     @property
     def performed(self) -> bool:
@@ -42,42 +63,30 @@ class OffloadEvent:
 
 @dataclass
 class MigrationOutcome:
-    """What the platform reports back after applying a placement."""
+    """What the platform's migrator reports after applying a placement."""
 
     moved_bytes: int = 0
     moved_objects: int = 0
     seconds: float = 0.0
 
 
-#: Callback through which the engine asks the platform to realise a
-#: placement.  Receives the set of graph nodes to host on the surrogate.
-MigrateFn = Callable[[FrozenSet[str]], MigrationOutcome]
-
-
 class OffloadingEngine(ExecutionListener):
-    """Watches GC reports on the client and orchestrates offloading."""
+    """Gates and runs offloading attempts for one host."""
 
     def __init__(
         self,
-        monitor: ExecutionMonitor,
+        host: Any,
         partitioner: Partitioner,
         trigger: MemoryTrigger,
-        pinned_provider: Callable[[], List[str]],
-        context_provider: Callable[[], EvaluationContext],
-        migrate: MigrateFn,
-        now: Callable[[], float],
         client_site: str = "client",
         single_shot: bool = True,
         reevaluate_every: Optional[float] = None,
     ) -> None:
-        self.monitor = monitor
+        # Weak: the host owns the engine (see ControlPlane).
+        self.host = weakref.proxy(host)
         # The ``partitioner`` setter builds the incremental session.
         self.partitioner = partitioner
         self.trigger = trigger
-        self._pinned_provider = pinned_provider
-        self._context_provider = context_provider
-        self._migrate = migrate
-        self._now = now
         self.client_site = client_site
         self.single_shot = single_shot
         #: Global-placement mode (paper section 8): once the first
@@ -86,12 +95,11 @@ class OffloadingEngine(ExecutionListener):
         #: applies the *whole* placement, so classes whose coupling has
         #: shifted towards the client migrate back (reverse migration).
         self.reevaluate_every = reevaluate_every
-        self._last_reevaluation = 0.0
+        self.last_reevaluation = 0.0
         self.events: List[OffloadEvent] = []
         self.offload_count = 0
         self.refusal_count = 0
         self._attempting = False
-        self._suspended = False
 
     @property
     def partitioner(self) -> Partitioner:
@@ -101,8 +109,8 @@ class OffloadingEngine(ExecutionListener):
     def partitioner(self, partitioner: Partitioner) -> None:
         #: Incremental re-evaluation session: carries warm-start state,
         #: the previous candidate list, and the policy-evaluation memo
-        #: across attempts, and is the one drainer of the monitor
-        #: graph's dirty sets.  Replacing the partitioner starts a fresh
+        #: across attempts, and is the one drainer of the host graph's
+        #: dirty sets.  Replacing the partitioner starts a fresh
         #: session — stale warm state must not leak across policies.
         self.session = IncrementalPartitioner(partitioner)
 
@@ -122,7 +130,7 @@ class OffloadingEngine(ExecutionListener):
         if seed is None or seed.empty:
             return
         if seed.profile is not None:
-            self.monitor.graph.merge_profile(seed.profile)
+            self.host.graph.merge_profile(seed.profile)
         if seed.hints is not None and self.partitioner.hints is None:
             base = self.partitioner
             base.hints = seed.hints
@@ -130,53 +138,51 @@ class OffloadingEngine(ExecutionListener):
             # state predating the hints survives.
             self.partitioner = base
 
-    # -- hook ------------------------------------------------------------
+    # -- gating ------------------------------------------------------------
 
-    def suspend(self) -> None:
-        """Surrogate lost: stop proposing placements until rediscovery.
+    def observe(self, report: GCReport) -> bool:
+        """Feed one client GC report; ``True`` when an attempt is due.
 
-        Monitoring continues (the graph keeps growing, which is what
-        makes the post-rediscovery warm start useful); only the control
-        loop's trigger path is parked.
+        After the first offload the memory trigger stays out: a
+        single-shot engine is done, and in global-placement mode the
+        clock (:meth:`reevaluation_due`) owns every later attempt.
         """
-        self._suspended = True
+        if self.offload_count > 0 and (
+                self.single_shot or self.reevaluate_every is not None):
+            return False
+        if not self.trigger.observe(report):
+            return False
+        self.last_reevaluation = self.host.now()
+        return True
 
-    def resume(self) -> None:
-        """A (replacement) surrogate is reachable again."""
-        self._suspended = False
-
-    @property
-    def suspended(self) -> bool:
-        return self._suspended
+    def reevaluation_due(self) -> bool:
+        """``True`` when a global-placement re-evaluation is due; the
+        clock restarts from now."""
+        if self.offload_count == 0 or self.reevaluate_every is None:
+            return False
+        now = self.host.now()
+        if now - self.last_reevaluation < self.reevaluate_every:
+            return False
+        self.last_reevaluation = now
+        return True
 
     def on_gc_report(self, report: GCReport, site: str) -> None:
-        if self._attempting:
-            # GC cycles caused by the migration itself must not re-enter.
+        if self._attempting or self.host.surrogate_lost:
+            # GC cycles caused by the migration itself must not
+            # re-enter; in client-only degraded mode there is no
+            # surrogate to offload to.
             return
-        if self._suspended:
-            # Client-only degraded mode: there is no surrogate to
-            # offload to, so trigger events are observed but not acted on.
-            return
-        if self.offload_count > 0 and self.reevaluate_every is not None:
-            # Periodic re-evaluation is clock-driven and fires off any
-            # site's collection activity — after an offload, allocation
-            # (and hence GC) may be happening only on the surrogate.
-            if self._now() - self._last_reevaluation >= self.reevaluate_every:
-                self._last_reevaluation = self._now()
-                self.attempt(revert_on_refusal=True)
-            return
-        if site != self.client_site:
-            return
-        if self.single_shot and self.offload_count > 0:
-            return
-        if self.trigger.observe(report):
-            if self.offload_count == 0:
-                self._last_reevaluation = self._now()
+        if site == self.client_site and self.observe(report):
             self.attempt()
+        elif self.reevaluation_due():
+            # The clock fires off any site's collection activity: after
+            # an offload, allocation (and hence GC) may be happening
+            # only on the surrogate.
+            self.attempt(revert_on_refusal=True)
 
     # -- the control loop body ------------------------------------------------
 
-    def attempt(self, revert_on_refusal: bool = False) -> OffloadEvent:
+    def attempt(self, revert_on_refusal: bool = False) -> Optional[OffloadEvent]:
         """Run one partitioning attempt and apply it if beneficial.
 
         In global-placement mode (``revert_on_refusal``), a refusal
@@ -184,44 +190,44 @@ class OffloadingEngine(ExecutionListener):
         reverts to the all-local placement, pulling offloaded objects
         back to the client when they fit (the paper's section 8
         "moving objects from the surrogate to the client device").
+
+        Returns ``None`` when the placement died on its opening
+        exchange: nothing moved, so no offload happened.
         """
         self._attempting = True
         try:
+            host = self.host
             decision = self.session.partition(
-                self.monitor.graph,
-                self._pinned_provider(),
-                self._context_provider(),
+                host.graph, host.pinned_nodes(), host.evaluation_context()
             )
-            migrated_bytes = 0
-            migration_seconds = 0.0
+            now = host.now()
+            moved = (0, 0)
             if decision.beneficial:
-                outcome = self._migrate(decision.offload_nodes)
-                migrated_bytes = outcome.moved_bytes
-                migration_seconds = outcome.seconds
-                self.offload_count += 1
+                moved = host.migrate(decision.offload_nodes)
+                if host.surrogate_lost and moved[1] == 0:
+                    return None
             else:
-                self.refusal_count += 1
                 self.trigger.reset()
                 if revert_on_refusal:
                     try:
-                        outcome = self._migrate(frozenset())
+                        moved = host.migrate(frozenset())
                     except MigrationError:
                         # The client cannot host the state right now;
                         # keep the current placement and try again at
                         # the next re-evaluation.
-                        outcome = MigrationOutcome()
-                    migrated_bytes = outcome.moved_bytes
-                    migration_seconds = outcome.seconds
-            event = OffloadEvent(
-                time=self._now(),
-                decision=decision,
-                migrated_bytes=migrated_bytes,
-                migration_seconds=migration_seconds,
-            )
-            self.events.append(event)
-            return event
+                        pass
+            return self.record(OffloadEvent(now, decision, *moved))
         finally:
             self._attempting = False
+
+    def record(self, event: OffloadEvent) -> OffloadEvent:
+        """Log one attempt and count it as an offload or a refusal."""
+        self.events.append(event)
+        if event.performed:
+            self.offload_count += 1
+        else:
+            self.refusal_count += 1
+        return event
 
     # -- reporting ------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from .parallel import (
     replicate,
 )
 from .recorder import TraceRecorder, collect_class_traits, record_application
-from .replay import EmulationResult, EmulatorConfig, ReplayOffload, TraceReplayer
+from .replay import EmulationResult, EmulatorConfig, TraceReplayer
 from .timemodel import (
     migration_cost,
     migration_payload,
@@ -60,7 +60,6 @@ __all__ = [
     "MobilityConfig",
     "MobilityReport",
     "OverheadStudy",
-    "ReplayOffload",
     "ReplayShard",
     "RetryPolicy",
     "ShardedReplayer",

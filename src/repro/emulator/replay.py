@@ -8,10 +8,11 @@ stretches for every interaction that crosses them.
 
 The replayer runs the *same* AIDE modules as the prototype — the
 execution graph is folded from the trace (see
-:mod:`repro.emulator.graphfold`) whenever a decision reads it, the real
-:class:`~repro.core.partitioner.Partitioner` evaluates the real
-candidate generator, and triggering comes from an emulated collector
-with Chai's trigger conditions.
+:mod:`repro.emulator.graphfold`) whenever a decision reads it, the
+prototype's :class:`~repro.core.engine.OffloadingEngine` gates,
+partitions and records every attempt with this replayer as its host,
+and triggering comes from an emulated collector with Chai's trigger
+conditions.
 """
 
 from __future__ import annotations
@@ -22,20 +23,11 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..config import DeviceProfile, EnhancementFlags, GCConfig, JORNADA, PC_SURROGATE
 from ..core.control import ControlPlane
+from ..core.engine import OffloadEvent, OffloadingEngine
 from ..core.graph import ExecutionGraph, object_node_id
 from ..core.hints import ColdStartSeed
-from ..core.partitioner import (
-    IncrementalPartitioner,
-    PartitionDecision,
-    Partitioner,
-    ReevalStats,
-)
-from ..core.policy import (
-    EvaluationContext,
-    MemoryTrigger,
-    OffloadPolicy,
-    PartitionPolicy,
-)
+from ..core.partitioner import PartitionDecision, Partitioner, ReevalStats
+from ..core.policy import EvaluationContext, OffloadPolicy, PartitionPolicy
 from ..errors import ConfigurationError, TraceFormatError
 from ..net.faults import FaultReport, FaultSchedule, FaultSpec
 from ..net.link import LinkModel
@@ -167,16 +159,6 @@ class EmulatorConfig:
 
 
 @dataclass
-class ReplayOffload:
-    """One offload (or refusal) that occurred during replay."""
-
-    time: float
-    decision: PartitionDecision
-    migrated_bytes: int = 0
-    migrated_objects: int = 0
-
-
-@dataclass
 class EmulationResult:
     """Outcome of one replay."""
 
@@ -198,7 +180,7 @@ class EmulationResult:
     events_processed: int = 0
     oom: bool = False
     oom_time: Optional[float] = None
-    offloads: List[ReplayOffload] = field(default_factory=list)
+    offloads: List[OffloadEvent] = field(default_factory=list)
     refusals: int = 0
     final_offload_nodes: FrozenSet[str] = frozenset()
     peak_client_bytes: int = 0
@@ -296,24 +278,7 @@ class TraceReplayer:
         # Placement.
         self._offloaded: FrozenSet[str] = frozenset()
         self._class_on_surrogate: Set[str] = set()
-        # AIDE modules.  The graph is folded on demand (see ``graph``).
-        graph = ExecutionGraph()
-        self._trigger: MemoryTrigger = config.policy.make_trigger()
-        self._partitioner = Partitioner(
-            config.partition_policy
-            if config.partition_policy is not None
-            else config.policy.make_partition_policy()
-        )
-        seed = config.cold_start
-        if seed is not None and seed.hints is not None:
-            self._partitioner.hints = seed.hints
-        # The incremental session drains the live graph's dirty sets,
-        # as the prototype's engine does with the monitor's graph.
-        self._session = IncrementalPartitioner(
-            self._partitioner, force_cold=config.force_cold
-        )
         self._pinned_cache: Optional[List[str]] = None
-        self._last_reevaluation = 0.0
         # Cross-site data plane: coalescer and remote-read cache are
         # created only when enabled, so the naive path stays on the
         # exact pre-optimisation code (bit-identical accounting).
@@ -357,21 +322,36 @@ class TraceReplayer:
         )
         granular = config.flags.arrays_object_granularity
         self._granular_classes: Set[str] = {INT_ARRAY} if granular else set()
-        # The entry point is always a (pinned) graph node, even before
-        # any interaction references it.
+        # The graph is folded on demand (see ``graph``).  The entry
+        # point is always a (pinned) graph node, even before any
+        # interaction references it.
+        graph = ExecutionGraph()
         graph.ensure_node(MAIN)
-        if seed is not None and seed.profile is not None:
-            # Seed the graph with the predicted interaction structure,
-            # so the first MINCUT runs on real shape.
-            graph.merge_profile(seed.profile)
         self._fold = GraphFold(trace, graph, self._granular_classes)
         # The side-log position of the replay's current point: events
         # before it have happened.  Cold calls out of the loop set it.
         self._log_at = 0
-        # Clock and result.
         self._now = 0.0
+        # Trigger, partitioning session and offload record: the
+        # prototype's engine, with this replayer as its host.
+        self.engine = engine = OffloadingEngine(
+            self,
+            Partitioner(config.partition_policy
+                        if config.partition_policy is not None
+                        else config.policy.make_partition_policy()),
+            config.policy.make_trigger(),
+            client_site=CLIENT,
+            single_shot=config.single_shot,
+            reevaluate_every=config.reevaluate_every,
+        )
+        # The seed's profile pre-shapes the graph, so the first MINCUT
+        # runs on real shape.  Seeding rebuilds the session, so the
+        # escape hatch is set after it.
+        engine.apply_cold_start(config.cold_start)
+        engine.session.force_cold = config.force_cold
         self.result = EmulationResult(
-            app_name=trace.app_name, completed=False, total_time=0.0
+            app_name=trace.app_name, completed=False, total_time=0.0,
+            offloads=engine.events,
         )
 
     @property
@@ -432,10 +412,15 @@ class TraceReplayer:
         self.result.comm_time += seconds
         self._now += seconds
 
-    # -- control-plane ports (see repro.core.control) ------------------------
+    # -- control-plane and engine ports (see repro.core.control and
+    # -- repro.core.engine) ---------------------------------------------------
 
     def now(self) -> float:
         return self._now
+
+    @property
+    def surrogate_lost(self) -> bool:
+        return self._control.surrogate_lost
 
     def drop_traffic(self) -> None:
         if self._coalescer is not None:
@@ -514,14 +499,16 @@ class TraceReplayer:
         control = self._control
         # A run that ended in degraded mode closes its downtime window.
         control.close_downtime()
+        engine = self.engine
         if self.config.faults is not None:
-            control.faults.epochs_survived = self.result.offload_count
+            control.faults.epochs_survived = engine.offload_count
             self.result.faults = control.faults
         self.result.mobility = control.mobility
         self.result.completed = not self.result.oom
         self.result.total_time = self._now
         self.result.final_offload_nodes = self._offloaded
-        self.result.reeval = self._session.stats
+        self.result.refusals = engine.refusal_count
+        self.result.reeval = engine.reeval_stats
         self.result.data_plane = self._dp_stats
         return self.result
 
@@ -567,6 +554,7 @@ class TraceReplayer:
                          SURROGATE: monitoring_cost / surrogate_speed}
                         if monitoring_cost else None)
         control = self._control
+        engine = self.engine
         link = self._link
         next_roam = control.next_change
         offload_at = config.offload_at_event
@@ -631,7 +619,7 @@ class TraceReplayer:
         surrogate_live = self._surrogate_live
         allocs_since_gc = self._allocs_since_gc
         bytes_since_gc = self._bytes_since_gc
-        last_reeval = self._last_reevaluation
+        last_reeval = engine.last_reevaluation
         class_on_surrogate = self._class_on_surrogate
         cpu_client = result.cpu_time_client
         cpu_surrogate = result.cpu_time_surrogate
@@ -951,7 +939,7 @@ class TraceReplayer:
                     or (ep == offload_at and offload_enabled)
                     or (reevaluate_every is not None and offload_enabled
                         and now - last_reeval >= reevaluate_every
-                        and result.offload_count > 0)):
+                        and engine.offload_count > 0)):
                 self._columnar_spill(ep, now, client_live, surrogate_live,
                                      allocs_since_gc, bytes_since_gc,
                                      last_reeval, comm_time, peak_client)
@@ -995,11 +983,7 @@ class TraceReplayer:
             control.rediscover(config.offload_enabled)
         if ep == config.offload_at_event and config.offload_enabled:
             self._attempt_offload()
-        every = config.reevaluate_every
-        if (every is not None and config.offload_enabled
-                and self._now - self._last_reevaluation >= every
-                and self.result.offload_count > 0):
-            self._last_reevaluation = self._now
+        if config.offload_enabled and self.engine.reevaluation_due():
             self._attempt_offload(reevaluation=True)
 
     def _columnar_spill(
@@ -1023,7 +1007,7 @@ class TraceReplayer:
         self._surrogate_live = surrogate_live
         self._allocs_since_gc = allocs_since_gc
         self._bytes_since_gc = bytes_since_gc
-        self._last_reevaluation = last_reeval
+        self.engine.last_reevaluation = last_reeval
         result.comm_time = comm_time
         if peak_client > result.peak_client_bytes:
             result.peak_client_bytes = peak_client
@@ -1035,7 +1019,7 @@ class TraceReplayer:
         result = self.result
         return (self._now, self._client_live, self._surrogate_live,
                 self._allocs_since_gc, self._bytes_since_gc,
-                self._last_reevaluation, self._class_on_surrogate,
+                self.engine.last_reevaluation, self._class_on_surrogate,
                 result.comm_time, result.peak_client_bytes,
                 self._control.reattach_at)
 
@@ -1115,25 +1099,12 @@ class TraceReplayer:
             free_bytes=capacity - self._client_live,
             capacity=capacity,
         )
-        if not self.config.offload_enabled:
-            return
-        if (
-            self.result.offload_count > 0
-            and self.config.reevaluate_every is not None
-        ):
-            # In global-placement mode the replay loop's clock check
-            # owns every attempt after the first offload; the memory
-            # trigger stays out of it.
-            return
-        if self.config.single_shot and self.result.offload_count > 0:
-            return
-        if self._trigger.observe(report):
-            self._last_reevaluation = self._now
+        if self.config.offload_enabled and self.engine.observe(report):
             self._attempt_offload()
 
     # -- partitioning and migration -----------------------------------------------
 
-    def _pinned_nodes(self) -> List[str]:
+    def pinned_nodes(self) -> List[str]:
         # The pinned set depends only on the trace's class traits and a
         # static enhancement flag, so it is computed once and reused
         # across re-evaluation epochs.
@@ -1145,7 +1116,7 @@ class TraceReplayer:
             self._pinned_cache = pinned
         return self._pinned_cache
 
-    def _evaluation_context(self) -> EvaluationContext:
+    def evaluation_context(self) -> EvaluationContext:
         return EvaluationContext(
             heap_capacity=self.config.client.heap_capacity,
             client_speed=self.config.client.cpu_speed,
@@ -1156,6 +1127,7 @@ class TraceReplayer:
         )
 
     def _attempt_offload(self, reevaluation: bool = False) -> None:
+        """The host's half of an attempt; the engine runs the rest."""
         if self._control.surrogate_lost:
             # Client-only degraded mode: nothing to offload to.  The
             # graph keeps growing, so the post-rediscovery epoch starts
@@ -1168,62 +1140,33 @@ class TraceReplayer:
             # Repartition barrier: decisions and migrations must not
             # observe buffered, un-charged operations.
             self._coalescer.migration_barrier()
-        if self.config.forced_offload_nodes is not None:
-            moved_bytes, moved_objects = self.apply_placement(
-                self.config.forced_offload_nodes
-            )
-            if self._control.surrogate_lost and moved_objects == 0:
-                # The placement died on its opening exchange: nothing
-                # moved, so no offload was performed.
-                return
-            self.result.offloads.append(ReplayOffload(
-                time=self._now,
-                decision=PartitionDecision(
-                    beneficial=True,
-                    offload_nodes=self.config.forced_offload_nodes,
-                    client_nodes=frozenset(),
-                    cut_bytes=0, cut_count=0,
-                    freed_bytes=moved_bytes,
-                    predicted_bandwidth=0.0,
-                    candidates_evaluated=0,
-                    compute_seconds=0.0,
-                    policy_name="forced-placement",
-                ),
-                migrated_bytes=moved_bytes,
-                migrated_objects=moved_objects,
-            ))
+        forced = self.config.forced_offload_nodes
+        if forced is None:
+            self.engine.attempt(revert_on_refusal=reevaluation)
             return
-        decision = self._session.partition(
-            self.graph, self._pinned_nodes(), self._evaluation_context()
-        )
-        offload = ReplayOffload(time=self._now, decision=decision)
-        if not decision.beneficial:
-            self.result.refusals += 1
-            self._trigger.reset()
-            if reevaluation:
-                # No partitioning is currently beneficial: revert to
-                # the all-local placement (reverse migration).
-                moved_bytes, moved_objects = self.apply_placement(
-                    frozenset()
-                )
-                offload.migrated_bytes = moved_bytes
-                offload.migrated_objects = moved_objects
-            self.result.offloads.append(offload)
-            return
-        moved_bytes, moved_objects = self.apply_placement(
-            decision.offload_nodes
-        )
+        moved_bytes, moved_objects = self.migrate(forced)
         if self._control.surrogate_lost and moved_objects == 0:
             # The placement died on its opening exchange: nothing
             # moved, so no offload was performed.
             return
-        offload.migrated_bytes = moved_bytes
-        offload.migrated_objects = moved_objects
-        self.result.offloads.append(offload)
+        self.engine.record(OffloadEvent(
+            time=self._now,
+            decision=PartitionDecision(
+                beneficial=True,
+                offload_nodes=forced,
+                client_nodes=frozenset(),
+                cut_bytes=0, cut_count=0,
+                freed_bytes=moved_bytes,
+                predicted_bandwidth=0.0,
+                candidates_evaluated=0,
+                compute_seconds=0.0,
+                policy_name="forced-placement",
+            ),
+            migrated_bytes=moved_bytes,
+            migrated_objects=moved_objects,
+        ))
 
-    def apply_placement(
-        self, offload_nodes: FrozenSet[str]
-    ) -> Tuple[int, int]:
+    def migrate(self, offload_nodes: FrozenSet[str]) -> Tuple[int, int]:
         self._offloaded = offload_nodes
         self._class_on_surrogate = {
             node for node in offload_nodes if "#" not in node

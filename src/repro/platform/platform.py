@@ -26,7 +26,6 @@ from ..core.partitioner import Partitioner
 from ..core.policy import EvaluationContext, OffloadPolicy, PartitionPolicy
 from ..errors import (
     ConfigurationError,
-    MigrationError,
     OutOfMemoryError,
     PlatformError,
     SurrogateUnavailableError,
@@ -338,13 +337,9 @@ class DistributedPlatform:
             hints=hints,
         )
         self.engine = OffloadingEngine(
-            monitor=self.monitor,
-            partitioner=self.partitioner,
-            trigger=offload_policy.make_trigger(),
-            pinned_provider=self.pinned_nodes,
-            context_provider=self.evaluation_context,
-            migrate=self._migrate,
-            now=lambda: self.clock.now,
+            self,
+            self.partitioner,
+            offload_policy.make_trigger(),
             client_site=self.client.vm.name,
             single_shot=single_shot,
             reevaluate_every=reevaluate_every,
@@ -429,7 +424,11 @@ class DistributedPlatform:
             **kwargs,
         )
 
-    # -- engine plumbing ------------------------------------------------------
+    # -- engine ports (see repro.core.engine) ---------------------------------
+
+    @property
+    def graph(self):
+        return self.monitor.graph
 
     def pinned_nodes(self) -> List[str]:
         """Graph nodes that must stay on the client.
@@ -472,6 +471,14 @@ class DistributedPlatform:
         self.client.vm.collect_garbage("post-offload")
         return outcome
 
+    def migrate(self, offload_nodes) -> Tuple[int, int]:
+        """Move residency to ``offload_nodes``; raises
+        :class:`~repro.errors.MigrationError` when the client cannot
+        host what comes home (a memory-pressure offload is usually
+        exactly that state)."""
+        outcome = self._migrate(offload_nodes)
+        return outcome.moved_bytes, outcome.moved_objects
+
     # -- failure and recovery (graceful degradation) ---------------------------
 
     @property
@@ -481,8 +488,9 @@ class DistributedPlatform:
     def rediscover(self, attempt_offload: bool = True):
         """A replacement surrogate was discovered: leave degraded mode.
 
-        The engine resumes and, when ``attempt_offload``, warm-starts a
-        fresh partitioning epoch and returns its :class:`OffloadEvent`.
+        When ``attempt_offload``, warm-starts a fresh partitioning epoch
+        and returns its :class:`OffloadEvent` (``None`` when the
+        placement died on its opening exchange).
         """
         return self.control.rediscover(attempt_offload)
 
@@ -541,10 +549,6 @@ class DistributedPlatform:
     def link(self) -> LinkModel:
         """The primary surrogate's client link."""
         return self.runtime.links[self.surrogate.vm.name]
-
-    @property
-    def offload_events(self) -> List[OffloadEvent]:
-        return self.engine.events
 
     @property
     def elapsed(self) -> float:
@@ -646,16 +650,14 @@ class DistributedPlatform:
             self.data_plane.note_migration()
 
     def repatriate_unreachable(self):
-        """Degrade to a client-only monolith: park the engine, rebuild
-        the unreachable objects client-side, clear the export tables."""
-        self.engine.suspend()
+        """Degrade to a client-only monolith: rebuild the unreachable
+        objects client-side, clear the export tables."""
         outcome = self.migrator.repatriate_unreachable()
         for refmap in self.channel.exports.values():
             refmap.clear()
         return outcome.moved_objects, outcome.moved_bytes
 
     def resume_offloading(self, attempt: bool) -> Optional[OffloadEvent]:
-        self.engine.resume()
         return self.engine.attempt() if attempt else None
 
     def flush_traffic(self) -> None:
@@ -677,16 +679,6 @@ class DistributedPlatform:
 
     def placement(self) -> frozenset:
         return self.migrator.resident_nodes()
-
-    def apply_placement(self, offload_nodes) -> Optional[Tuple[int, int]]:
-        """Move residency to ``offload_nodes``; ``None`` when the client
-        cannot host what comes home (a memory-pressure offload is
-        usually exactly that state)."""
-        try:
-            outcome = self._migrate(offload_nodes)
-        except MigrationError:
-            return None
-        return outcome.moved_bytes, outcome.moved_objects
 
     def roam(self) -> Optional[MigrationOutcome]:
         """Hand off to the directory's best other surrogate, if any."""

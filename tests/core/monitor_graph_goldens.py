@@ -104,7 +104,7 @@ def probe_run(key: str) -> Tuple[dict, List[Tuple[str, int]]]:
 
     class ProbeEngine(OffloadingEngine):
         def attempt(self, revert_on_refusal=False):
-            read(self.monitor)
+            read(self.host.monitor)
             return super().attempt(revert_on_refusal)
 
     seed = analysis.analyze_app(app_name).analysis.seed

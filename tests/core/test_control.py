@@ -8,7 +8,7 @@ counters come out.
 import pytest
 
 from repro.core.control import ControlPlane
-from repro.errors import PlatformError
+from repro.errors import MigrationError, PlatformError
 from repro.net.mobility import LinkProfile, MobilityConfig
 
 PROFILE = LinkProfile.parse("step=0:wavelan,step=5:wan,step=10:wavelan")
@@ -69,9 +69,11 @@ class FakeHost:
     def placement(self):
         return self._placement
 
-    def apply_placement(self, nodes):
+    def migrate(self, nodes):
         self.calls.append(("apply", nodes))
-        return None if self._applied is None else (self._applied, 1)
+        if self._applied is None:
+            raise MigrationError("the client cannot host it")
+        return self._applied, 1
 
     def roam(self):
         self.calls.append("roam")

