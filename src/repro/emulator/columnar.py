@@ -43,6 +43,9 @@ n2      i64     invoke ret_bytes
 f64     f64     work seconds
 ======  ======  =====================================================
 
+An allocation or a free always names its object: its ``a_oid`` is never
+``-1``.
+
 On-disk layout (versioned, little-endian)::
 
     magic   b"CTRC"
@@ -128,13 +131,18 @@ _STRING_COLUMNS = (
     ("k_id", _tag_mask(TAG_INVOKE)),
 )
 
+#: Tags whose events name their object in ``a_oid``: an allocation
+#: or a free without an oid would be a phantom object.
+_OBJECT_TAGS = _tag_mask(TAG_ALLOC, TAG_FREE)
+
 
 def check_columns(cols: Dict[str, list], strings: int,
                   line_of: Optional[Callable[[int], int]] = None) -> None:
     """Reject columns the replay cannot trust: an unknown tag, a string
-    id out of range (or ``-1`` where the tag needs a string), a negative
-    size, or a negative or non-finite work time.  ``line_of`` maps an
-    event index to the line the message should name."""
+    id out of range (or ``-1`` where the tag needs a string), an oid
+    below the ``-1`` sentinel, an allocation or free without an oid, a
+    negative size, or a negative or non-finite work time.  ``line_of`` maps an event index to the
+    line the message should name."""
 
     def reject(column: str, values: list, bad, why: str):
         for index, value in enumerate(values):
@@ -157,6 +165,14 @@ def check_columns(cols: Dict[str, list], strings: int,
         if min(compress(column, needed), default=0) < 0:
             reject(name, column, lambda i, sid: sid < 0 and needed[i],
                    "missing string id")
+    for name in ("a_oid", "b_oid"):
+        if min(cols[name], default=-1) < -1:
+            reject(name, cols[name], lambda i, oid: oid < -1, "negative oid")
+    a_oid = cols["a_oid"]
+    needed = tag_bytes.translate(_OBJECT_TAGS)
+    if min(compress(a_oid, needed), default=0) < 0:
+        reject("a_oid", a_oid, lambda i, oid: oid < 0 and needed[i],
+               "allocation or free without an oid")
     for name in ("n1", "n2"):
         if min(cols[name], default=0) < 0:
             reject(name, cols[name], lambda i, n: n < 0, "negative size")
@@ -177,6 +193,14 @@ def _oid_cell(oid: Optional[int], what: str) -> int:
             f"got {oid!r} for {what}"
         )
     return oid
+
+
+def _object_oid_cell(oid: Optional[int], kind: str) -> int:
+    """The cell of an allocated or freed object's oid, which must name
+    the object: ``None`` is refused too."""
+    if oid is None:
+        raise TraceFormatError(f"every {kind} needs an oid; got None")
+    return _oid_cell(oid, "oid")
 
 
 class _Interner(dict):
@@ -290,7 +314,8 @@ class ColumnarTrace:
         to the columns from the event's fields in record order (which is
         also its JSONL row order).
 
-        An oid that is not a non-negative integer or ``None`` raises
+        An oid that is not a non-negative integer or ``None``, or an
+        allocation or free without an oid, raises
         :class:`TraceFormatError`; a value its column cannot hold raises
         ``TypeError`` or ``OverflowError``.  Either may leave some
         columns one cell longer than the rest.
@@ -306,7 +331,7 @@ class ColumnarTrace:
             tags(TAG_ALLOC)
             a_cls(intern(class_name))
             a_oid(oid if type(oid) is int and oid >= 0
-                  else _oid_cell(oid, "oid"))
+                  else _object_oid_cell(oid, "allocation"))
             b_cls(intern(creator_class))
             b_oid(creator_oid if type(creator_oid) is int and creator_oid >= 0
                   else _oid_cell(creator_oid, "creator_oid"))
@@ -321,7 +346,7 @@ class ColumnarTrace:
             tags(TAG_FREE)
             a_cls(-1)
             a_oid(oid if type(oid) is int and oid >= 0
-                  else _oid_cell(oid, "oid"))
+                  else _object_oid_cell(oid, "free"))
             b_cls(-1)
             b_oid(-1)
             m_id(-1)

@@ -18,7 +18,7 @@ conditions.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..config import DeviceProfile, EnhancementFlags, GCConfig, JORNADA, PC_SURROGATE
@@ -33,8 +33,14 @@ from ..net.faults import FaultReport, FaultSchedule, FaultSpec
 from ..net.link import LinkModel
 from ..net.mobility import LinkProfile, MobilityConfig, MobilityReport
 from ..net.wavelan import WAVELAN_11MBPS
-from ..rpc.batch import DataPlaneConfig, DataPlaneStats, RpcCoalescer
+from ..rpc.batch import (
+    FLUSH_RESULT,
+    DataPlaneConfig,
+    DataPlaneStats,
+    RpcCoalescer,
+)
 from ..rpc.cache import RemoteReadCache
+from ..rpc.marshal import MESSAGE_HEADER_BYTES
 from ..rpc.retry import ReliableDelivery, RetryPolicy
 from ..vm.gc import GCReport, default_pause_model
 from .columnar import (
@@ -228,14 +234,12 @@ class EmulationResult:
         the fault spec's seed) must produce identical fingerprints —
         the determinism gate the benchmark suite enforces.
         """
-        def encode(value):
-            if isinstance(value, frozenset):
-                return sorted(value)
+        def refuse(value):
             raise TypeError(
                 f"unfingerprintable value of type {type(value).__name__}"
             )
 
-        data = asdict(self)
+        data = _plain(self)
         # The partitioner's compute latencies are the only *wall-clock*
         # numbers in a result; everything else is emulated.  Strip them
         # so the fingerprint captures emulated behaviour alone.
@@ -247,7 +251,35 @@ class EmulationResult:
             decision = offload.get("decision")
             if decision is not None:
                 decision.pop("compute_seconds", None)
-        return json.dumps(data, sort_keys=True, default=encode)
+        return json.dumps(data, sort_keys=True, default=refuse)
+
+
+#: Field names per class seen by :func:`_plain` (``None``: not a
+#: dataclass).
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _plain(value):
+    """``value`` as fresh JSON data, as ``dataclasses.asdict`` would
+    give it but without deep-copying the leaves: dataclasses become
+    dicts, and lists, tuples and dicts are rebuilt, all recursively;
+    a frozenset becomes a sorted list.  Any other value is returned
+    as it is, for ``json.dumps`` to render or refuse."""
+    cls = type(value)
+    if cls is list or cls is tuple:
+        return [_plain(item) for item in value]
+    if cls is dict:
+        return {key: _plain(item) for key, item in value.items()}
+    if cls is frozenset:
+        return sorted(value)
+    try:
+        names = _FIELD_NAMES[cls]
+    except KeyError:
+        names = _FIELD_NAMES[cls] = (
+            tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None)
+    if names is None:
+        return value
+    return {name: _plain(getattr(value, name)) for name in names}
 
 
 class TraceReplayer:
@@ -278,6 +310,9 @@ class TraceReplayer:
         # Placement.
         self._offloaded: FrozenSet[str] = frozenset()
         self._class_on_surrogate: Set[str] = set()
+        # The loop's form of the class set (see _surrogate_class_ids).
+        self._class_ids_of: Optional[Set[str]] = None
+        self._class_ids: Set[int] = set()
         self._pinned_cache: Optional[List[str]] = None
         # Cross-site data plane: coalescer and remote-read cache are
         # created only when enabled, so the naive path stays on the
@@ -524,11 +559,15 @@ class TraceReplayer:
         loop; mutable replayer state lives in locals and is spilled to
         (and reloaded from) the instance only around the rare cold
         calls — GC cycles, partitioning attempts, surrogate-side
-        reclaims, coalesced operations that may flush, fault-gauntlet
-        exchanges, roaming and rediscovery.  A coalesced write that
-        only buffers, and an exchange the fault schedule has already
-        judged clean (see ``_exchange``), are taken inline.  The loop
-        does no graph work: reading :attr:`graph` folds the events
+        reclaims, fault-gauntlet exchanges, roaming and rediscovery.
+        An exchange the fault schedule has already judged clean (see
+        ``_exchange``) is taken inline.  So is the coalesced data plane:
+        the loop holds the pending batch and its stats counters in
+        locals, a buffered write is local arithmetic, and a read or an
+        invoke closes the batch inline.  The loop lends the batch back
+        to the coalescer (see ``_batch_spill``) around every cold call
+        and on a direction change, whose flush the coalescer runs.  The
+        loop does no graph work: reading :attr:`graph` folds the events
         replayed so far.
         """
         trace = self.trace
@@ -562,9 +601,9 @@ class TraceReplayer:
         offload_enabled = config.offload_enabled
         stateless_local = config.flags.stateless_natives_local
 
-        # String-id tables: mkind comparisons and node naming become
-        # integer work.  Ids that cannot occur compare unequal to every
-        # column cell.
+        # String-id tables: mkind comparisons, class placement and node
+        # naming become integer work.  Ids that cannot occur compare
+        # unequal to every column cell.
         native_id = static_id = -2
         for sid, name in enumerate(strings):
             if name == "native":
@@ -589,6 +628,10 @@ class TraceReplayer:
         access_memo_get = access_cost_memo.get
         invoke_cost_memo: Dict[Tuple[int, int], float] = {}
         invoke_memo_get = invoke_cost_memo.get
+        # One message leg, by its headered size (a coalesced batch's
+        # request and response).
+        leg_cost_memo: Dict[int, float] = {}
+        leg_memo_get = leg_cost_memo.get
 
         site_map = self._site
         site_get = site_map.get
@@ -600,14 +643,13 @@ class TraceReplayer:
         cache_note_read = cache.note_read if cache is not None else None
         static_key = RemoteReadCache.static_key
         coalescer = self._coalescer
-        coalescer_append = coalescer.append if coalescer is not None else None
         # Fault gauntlet: without a coalescer every uncached remote
-        # operation is one exchange of its own; with one, the exchanges
-        # happen inside its flushes.  Either way an exchange may declare
-        # the surrogate dead, and recovery then rewrites the heap
-        # counters and placement under the loop.  An exchange the
-        # schedule judged clean ahead of time, inside its horizon, is
-        # taken inline (see ``_exchange``); the rest run the gauntlet.
+        # operation is one exchange of its own; with one, each leg of a
+        # closing batch is.  Either way an exchange may declare the
+        # surrogate dead, and recovery then rewrites the heap counters
+        # and placement under the loop.  An exchange the schedule judged
+        # clean ahead of time, inside its horizon, is taken inline (see
+        # ``_exchange``); the rest run the gauntlet.
         delivery = self._delivery
         schedule = delivery.schedule if delivery is not None else None
         attempt = (self._gauntlet
@@ -620,7 +662,7 @@ class TraceReplayer:
         allocs_since_gc = self._allocs_since_gc
         bytes_since_gc = self._bytes_since_gc
         last_reeval = engine.last_reevaluation
-        class_on_surrogate = self._class_on_surrogate
+        surrogate_cids = self._surrogate_class_ids()
         cpu_client = result.cpu_time_client
         cpu_surrogate = result.cpu_time_surrogate
         comm_time = result.comm_time
@@ -633,39 +675,41 @@ class TraceReplayer:
         reattach_at = control.reattach_at
         ep = 0
         oom = False
+        # The coalescer's pending batch (the initiating site, ops and
+        # payload bytes each way) and the stats counters it touches.
+        if coalescer is not None:
+            exchange_cost = coalescer.exchange_costs
+            (batch_from, batch_ops, batch_out, batch_back, dp_ops,
+             dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
+             dp_actual_s, dp_results) = self._batch_reload()
+        headers = MESSAGE_HEADER_BYTES
+        two_headers = 2 * MESSAGE_HEADER_BYTES
 
         CLIENT_ = CLIENT
         SURROGATE_ = SURROGATE
         for i, tag in enumerate(tags):
             if tag == TAG_ACCESS:
                 # -- access ------------------------------------------------
-                accessor_class = strings[a_cls[i]]
-                ao = a_oid[i]
-                accessor_site = site_get(ao) if ao >= 0 else None
+                accessor_site = site_get(a_oid[i])
                 if accessor_site is None:
-                    accessor_site = (
-                        SURROGATE_ if accessor_class in class_on_surrogate
-                        else CLIENT_
-                    )
+                    accessor_site = (SURROGATE_ if a_cls[i] in surrogate_cids
+                                     else CLIENT_)
                 bcid = b_cls[i]
-                owner_class = strings[bcid]
                 oo = b_oid[i]
                 fl = flags[i]
                 is_write = fl & FLAG_WRITE
                 if fl & FLAG_STATIC:
                     owner_site = CLIENT_
                 else:
-                    owner_site = site_get(oo) if oo >= 0 else None
+                    owner_site = site_get(oo)
                     if owner_site is None:
-                        owner_site = (
-                            SURROGATE_ if owner_class in class_on_surrogate
-                            else CLIENT_
-                        )
+                        owner_site = (SURROGATE_ if bcid in surrogate_cids
+                                      else CLIENT_)
                 nbytes = n1[i]
                 cached = False
                 if cache is not None:
                     if fl & FLAG_STATIC:
-                        key = static_key(owner_class)
+                        key = static_key(strings[bcid])
                     elif oo < 0 or bcid in array_ids:
                         key = None
                     else:
@@ -681,33 +725,7 @@ class TraceReplayer:
                         # Served from the reading site's copy: no round
                         # trip, zero bytes on the wire.
                         pass
-                    elif coalescer is not None:
-                        # A write that buffers touches neither the wire
-                        # nor the clock; anything that may flush spills.
-                        if not (is_write and coalescer_append(
-                                accessor_site, owner_site, nbytes, 0)):
-                            result.comm_time = comm_time
-                            if delivery is None:
-                                self._now = now
-                            else:
-                                self._exchange_spill(ep, now, client_live,
-                                                     surrogate_live,
-                                                     peak_client)
-                            if is_write:
-                                coalescer.write(accessor_site, owner_site,
-                                                nbytes)
-                            else:
-                                coalescer.read(accessor_site, owner_site,
-                                               nbytes)
-                            now = self._now
-                            comm_time = result.comm_time
-                            if delivery is not None:
-                                (client_live, surrogate_live,
-                                 class_on_surrogate, peak_client,
-                                 reattach_at) = self._exchange_reload()
-                        remote_accesses += 1
-                        remote_bytes += nbytes
-                    else:
+                    elif coalescer is None:
                         delivered = True
                         if attempt is None:
                             pass
@@ -736,23 +754,98 @@ class TraceReplayer:
                             # Surrogate lost mid-access: recovery has
                             # repatriated everything, so the access
                             # completes locally, uncharged.
-                            (client_live, surrogate_live, class_on_surrogate,
+                            (client_live, surrogate_live, surrogate_cids,
                              peak_client, reattach_at) = self._exchange_reload()
                             owner_site = CLIENT_
+                    else:
+                        if batch_ops and batch_from != accessor_site:
+                            # The pending batch runs the other way: the
+                            # coalescer flushes it and takes this op.
+                            result.comm_time = comm_time
+                            self._exchange_spill(ep, now, client_live,
+                                                 surrogate_live, peak_client)
+                            self._batch_spill(
+                                batch_from, batch_ops, batch_out, batch_back,
+                                dp_ops, dp_naive_bytes, dp_naive_s,
+                                dp_batches, dp_wire_bytes, dp_actual_s,
+                                dp_results)
+                            if is_write:
+                                coalescer.write(accessor_site, owner_site,
+                                                nbytes)
+                            else:
+                                coalescer.read(accessor_site, owner_site,
+                                               nbytes)
+                            now = self._now
+                            comm_time = result.comm_time
+                            (client_live, surrogate_live, surrogate_cids,
+                             peak_client, reattach_at) = self._exchange_reload()
+                            (batch_from, batch_ops, batch_out, batch_back,
+                             dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                             dp_wire_bytes, dp_actual_s,
+                             dp_results) = self._batch_reload()
+                        else:
+                            # The op joins the batch: a write, value out
+                            # and ack back, only buffers; a read, empty
+                            # request and value back, closes it.
+                            if is_write:
+                                ck = (nbytes, 0)
+                                batch_out += nbytes
+                            else:
+                                ck = (0, nbytes)
+                                batch_back += nbytes
+                            batch_from = accessor_site
+                            batch_ops += 1
+                            dp_ops += 1
+                            dp_naive_bytes += two_headers + nbytes
+                            dp_naive_s += exchange_cost[ck]
+                            if not is_write:
+                                # -- close the batch: one exchange ---------
+                                request = headers + batch_out
+                                response = headers + batch_back
+                                dp_batches += 1
+                                dp_wire_bytes += request + response
+                                dp_actual_s += exchange_cost[
+                                    (batch_out, batch_back)]
+                                dp_results += 1
+                                batch_ops = batch_out = batch_back = 0
+                                for leg in (request, response):
+                                    if delivery is None:
+                                        pass
+                                    elif (schedule.credit
+                                          and now < schedule.horizon_time
+                                          and ep < schedule.horizon_event):
+                                        schedule.credit -= 1
+                                        delivery.exchanges += 1
+                                    else:
+                                        self._exchange_spill(
+                                            ep, now, client_live,
+                                            surrogate_live, peak_client)
+                                        delivered = self._gauntlet()
+                                        now = self._now
+                                        (client_live, surrogate_live,
+                                         surrogate_cids, peak_client,
+                                         reattach_at) = self._exchange_reload()
+                                        if not delivered:
+                                            # The leg died with the
+                                            # surrogate: it never travels.
+                                            continue
+                                    seconds = leg_memo_get(leg)
+                                    if seconds is None:
+                                        seconds = link.one_way(leg)
+                                        leg_cost_memo[leg] = seconds
+                                    comm_time += seconds
+                                    now += seconds
+                        remote_accesses += 1
+                        remote_bytes += nbytes
                 if monitor_wall is not None:
                     wall = monitor_wall[owner_site]
                     monitoring_time += wall
                     now += wall
             elif tag == TAG_WORK:
                 # -- work --------------------------------------------------
-                class_name = strings[a_cls[i]]
-                ao = a_oid[i]
-                site = site_get(ao) if ao >= 0 else None
+                site = site_get(a_oid[i])
                 if site is None:
-                    site = (
-                        SURROGATE_ if class_name in class_on_surrogate
-                        else CLIENT_
-                    )
+                    site = SURROGATE_ if a_cls[i] in surrogate_cids else CLIENT_
                 seconds = f64[i]
                 if site == CLIENT_:
                     wall = seconds / client_speed
@@ -763,16 +856,10 @@ class TraceReplayer:
                 now += wall
             elif tag == TAG_INVOKE:
                 # -- invoke ------------------------------------------------
-                caller_class = strings[a_cls[i]]
-                ao = a_oid[i]
-                caller_site = site_get(ao) if ao >= 0 else None
+                caller_site = site_get(a_oid[i])
                 if caller_site is None:
-                    caller_site = (
-                        SURROGATE_ if caller_class in class_on_surrogate
-                        else CLIENT_
-                    )
-                callee_class = strings[b_cls[i]]
-                bo = b_oid[i]
+                    caller_site = (SURROGATE_ if a_cls[i] in surrogate_cids
+                                   else CLIENT_)
                 kid = k_id[i]
                 if kid == native_id:
                     if flags[i] & FLAG_STATELESS and stateless_local:
@@ -782,12 +869,10 @@ class TraceReplayer:
                 elif kid == static_id:
                     exec_site = caller_site
                 else:
-                    exec_site = site_get(bo) if bo >= 0 else None
+                    exec_site = site_get(b_oid[i])
                     if exec_site is None:
-                        exec_site = (
-                            SURROGATE_ if callee_class in class_on_surrogate
-                            else CLIENT_
-                        )
+                        exec_site = (SURROGATE_ if b_cls[i] in surrogate_cids
+                                     else CLIENT_)
                 arg_bytes = n1[i]
                 ret_bytes = n2[i]
                 nbytes = arg_bytes + ret_bytes
@@ -806,25 +891,11 @@ class TraceReplayer:
                         # The surrogate died under this round trip:
                         # recovery has repatriated everything, so the
                         # invocation is local now.
-                        (client_live, surrogate_live, class_on_surrogate,
+                        (client_live, surrogate_live, surrogate_cids,
                          peak_client, reattach_at) = self._exchange_reload()
                         caller_site = exec_site = CLIENT_
                 if exec_site != caller_site:
-                    if coalescer is not None:
-                        result.comm_time = comm_time
-                        if delivery is None:
-                            self._now = now
-                        else:
-                            self._exchange_spill(ep, now, client_live,
-                                                 surrogate_live, peak_client)
-                        coalescer.invoke(caller_site, exec_site,
-                                         arg_bytes, ret_bytes)
-                        now = self._now
-                        comm_time = result.comm_time
-                        if delivery is not None:
-                            (client_live, surrogate_live, class_on_surrogate,
-                             peak_client, reattach_at) = self._exchange_reload()
-                    else:
+                    if coalescer is None:
                         ck = (arg_bytes, ret_bytes)
                         cost = invoke_memo_get(ck)
                         if cost is None:
@@ -833,6 +904,69 @@ class TraceReplayer:
                             invoke_cost_memo[ck] = cost
                         comm_time += cost
                         now += cost
+                    elif batch_ops and batch_from != caller_site:
+                        # The pending batch runs the other way: the
+                        # coalescer flushes it and takes this call.
+                        result.comm_time = comm_time
+                        self._exchange_spill(ep, now, client_live,
+                                             surrogate_live, peak_client)
+                        self._batch_spill(
+                            batch_from, batch_ops, batch_out, batch_back,
+                            dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                            dp_wire_bytes, dp_actual_s, dp_results)
+                        coalescer.invoke(caller_site, exec_site,
+                                         arg_bytes, ret_bytes)
+                        now = self._now
+                        comm_time = result.comm_time
+                        (client_live, surrogate_live, surrogate_cids,
+                         peak_client, reattach_at) = self._exchange_reload()
+                        (batch_from, batch_ops, batch_out, batch_back,
+                         dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                         dp_wire_bytes, dp_actual_s,
+                         dp_results) = self._batch_reload()
+                    else:
+                        # Control transfers, so the call joins the batch
+                        # and closes it.
+                        batch_out += arg_bytes
+                        batch_back += ret_bytes
+                        dp_ops += 1
+                        dp_naive_bytes += two_headers + nbytes
+                        dp_naive_s += exchange_cost[(arg_bytes, ret_bytes)]
+                        # -- close the batch: one exchange -----------------
+                        request = headers + batch_out
+                        response = headers + batch_back
+                        dp_batches += 1
+                        dp_wire_bytes += request + response
+                        dp_actual_s += exchange_cost[(batch_out, batch_back)]
+                        dp_results += 1
+                        batch_ops = batch_out = batch_back = 0
+                        for leg in (request, response):
+                            if delivery is None:
+                                pass
+                            elif (schedule.credit
+                                  and now < schedule.horizon_time
+                                  and ep < schedule.horizon_event):
+                                schedule.credit -= 1
+                                delivery.exchanges += 1
+                            else:
+                                self._exchange_spill(ep, now, client_live,
+                                                     surrogate_live,
+                                                     peak_client)
+                                delivered = self._gauntlet()
+                                now = self._now
+                                (client_live, surrogate_live, surrogate_cids,
+                                 peak_client,
+                                 reattach_at) = self._exchange_reload()
+                                if not delivered:
+                                    # The leg died with the surrogate: it
+                                    # never travels.
+                                    continue
+                            seconds = leg_memo_get(leg)
+                            if seconds is None:
+                                seconds = link.one_way(leg)
+                                leg_cost_memo[leg] = seconds
+                            comm_time += seconds
+                            now += seconds
                     remote_invocations += 1
                     remote_bytes += nbytes
                     if kid == native_id:
@@ -843,8 +977,7 @@ class TraceReplayer:
                     now += wall
             elif tag == TAG_ALLOC:
                 # -- alloc -------------------------------------------------
-                site = (SURROGATE_ if strings[b_cls[i]] in class_on_surrogate
-                        else CLIENT_)
+                site = SURROGATE_ if b_cls[i] in surrogate_cids else CLIENT_
                 size = n1[i]
                 if site == CLIENT_:
                     if client_live + size > capacity:
@@ -852,11 +985,22 @@ class TraceReplayer:
                             ep, now, client_live, surrogate_live,
                             allocs_since_gc, bytes_since_gc, last_reeval,
                             comm_time, peak_client)
+                        if coalescer is not None:
+                            self._batch_spill(
+                                batch_from, batch_ops, batch_out, batch_back,
+                                dp_ops, dp_naive_bytes, dp_naive_s,
+                                dp_batches, dp_wire_bytes, dp_actual_s,
+                                dp_results)
                         self._gc_cycle("space-exhausted", ep)
                         (now, client_live, surrogate_live, allocs_since_gc,
-                         bytes_since_gc, last_reeval, class_on_surrogate,
+                         bytes_since_gc, last_reeval, surrogate_cids,
                          comm_time, peak_client,
                          reattach_at) = self._columnar_reload()
+                        if coalescer is not None:
+                            (batch_from, batch_ops, batch_out, batch_back,
+                             dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                             dp_wire_bytes, dp_actual_s,
+                             dp_results) = self._batch_reload()
                         # Placement may have changed under the GC's
                         # offload trigger, but the allocation keeps its
                         # pre-GC site decision.
@@ -909,11 +1053,21 @@ class TraceReplayer:
                     self._columnar_spill(ep, now, client_live, surrogate_live,
                                          allocs_since_gc, bytes_since_gc,
                                          last_reeval, comm_time, peak_client)
+                    if coalescer is not None:
+                        self._batch_spill(
+                            batch_from, batch_ops, batch_out, batch_back,
+                            dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                            dp_wire_bytes, dp_actual_s, dp_results)
                     self._gc_cycle(reason, ep + 1)
                     (now, client_live, surrogate_live, allocs_since_gc,
-                     bytes_since_gc, last_reeval, class_on_surrogate,
+                     bytes_since_gc, last_reeval, surrogate_cids,
                      comm_time, peak_client,
                      reattach_at) = self._columnar_reload()
+                    if coalescer is not None:
+                        (batch_from, batch_ops, batch_out, batch_back,
+                         dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                         dp_wire_bytes, dp_actual_s,
+                         dp_results) = self._batch_reload()
             else:
                 # -- free (TAG_FREE) ---------------------------------------
                 oid = a_oid[i]
@@ -943,9 +1097,14 @@ class TraceReplayer:
                 self._columnar_spill(ep, now, client_live, surrogate_live,
                                      allocs_since_gc, bytes_since_gc,
                                      last_reeval, comm_time, peak_client)
+                if coalescer is not None:
+                    self._batch_spill(
+                        batch_from, batch_ops, batch_out, batch_back, dp_ops,
+                        dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
+                        dp_actual_s, dp_results)
                 self._after_event(ep)
                 (now, client_live, surrogate_live, allocs_since_gc,
-                 bytes_since_gc, last_reeval, class_on_surrogate, comm_time,
+                 bytes_since_gc, last_reeval, surrogate_cids, comm_time,
                  peak_client, reattach_at) = self._columnar_reload()
                 # A roam may have changed the link, which invalidates
                 # the wire-cost memos.
@@ -953,11 +1112,22 @@ class TraceReplayer:
                 next_roam = control.next_change
                 access_cost_memo.clear()
                 invoke_cost_memo.clear()
+                leg_cost_memo.clear()
+                if coalescer is not None:
+                    exchange_cost = coalescer.exchange_costs
+                    (batch_from, batch_ops, batch_out, batch_back, dp_ops,
+                     dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
+                     dp_actual_s, dp_results) = self._batch_reload()
             if oom:
                 break
         self._columnar_spill(ep, now, client_live, surrogate_live,
                              allocs_since_gc, bytes_since_gc, last_reeval,
                              comm_time, peak_client)
+        if coalescer is not None:
+            self._batch_spill(
+                batch_from, batch_ops, batch_out, batch_back, dp_ops,
+                dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
+                dp_actual_s, dp_results)
         # No cold call reads these, so they are written once, here.
         result.cpu_time_client = cpu_client
         result.cpu_time_surrogate = cpu_surrogate
@@ -1019,9 +1189,61 @@ class TraceReplayer:
         result = self.result
         return (self._now, self._client_live, self._surrogate_live,
                 self._allocs_since_gc, self._bytes_since_gc,
-                self.engine.last_reevaluation, self._class_on_surrogate,
+                self.engine.last_reevaluation, self._surrogate_class_ids(),
                 result.comm_time, result.peak_client_bytes,
                 self._control.reattach_at)
+
+    def _surrogate_class_ids(self) -> Set[int]:
+        """The trace's string ids of the classes placed on the
+        surrogate, rebuilt after a placement change replaces the class
+        set (a name the table holds twice maps to both ids)."""
+        classes = self._class_on_surrogate
+        if classes is not self._class_ids_of:
+            self._class_ids_of = classes
+            self._class_ids = {
+                sid for sid, name in enumerate(self.trace.strings)
+                if name in classes
+            }
+        return self._class_ids
+
+    def _batch_spill(self, batch_from, ops, out_bytes, back_bytes, dp_ops,
+                     naive_bytes, naive_seconds, batches, wire_bytes,
+                     actual_seconds, result_flushes) -> None:
+        """Lend the loop's pending batch back to the coalescer, and its
+        counters back to the stats block, before anything that may
+        flush, drop or re-price the batch: a direction change, a cold
+        call (GC and migration barriers, roaming, the crash path's
+        ``drop_pending``) and the end of the run.
+
+        The loop adds two naive messages per op and two wire messages
+        per batch, so the message counts follow the op and batch counts.
+        """
+        stats = self._dp_stats
+        stats.naive_messages += 2 * (dp_ops - stats.ops)
+        stats.wire_messages += 2 * (batches - stats.batches)
+        stats.ops = dp_ops
+        stats.naive_bytes = naive_bytes
+        stats.naive_seconds = naive_seconds
+        stats.batches = batches
+        stats.wire_bytes = wire_bytes
+        stats.actual_seconds = actual_seconds
+        if result_flushes:
+            stats.flushes[FLUSH_RESULT] = result_flushes
+        direction = None
+        if ops:
+            direction = (batch_from,
+                         CLIENT if batch_from == SURROGATE else SURROGATE)
+        self._coalescer.adopt(direction, ops, out_bytes, back_bytes)
+
+    def _batch_reload(self):
+        """Take the pending batch and the counters back from the
+        coalescer, in the order the loop unpacks them."""
+        direction, ops, out_bytes, back_bytes = self._coalescer.release()
+        stats = self._dp_stats
+        return (direction[0] if direction is not None else None, ops,
+                out_bytes, back_bytes, stats.ops, stats.naive_bytes,
+                stats.naive_seconds, stats.batches, stats.wire_bytes,
+                stats.actual_seconds, stats.flushes.get(FLUSH_RESULT, 0))
 
     def _exchange_spill(self, ep, now, client_live, surrogate_live,
                         peak_client) -> None:
@@ -1045,7 +1267,7 @@ class TraceReplayer:
         """Heap counters, placement, peak and reattach time after an
         exchange that may have declared the surrogate dead."""
         return (self._client_live, self._surrogate_live,
-                self._class_on_surrogate, self.result.peak_client_bytes,
+                self._surrogate_class_ids(), self.result.peak_client_bytes,
                 self._control.reattach_at)
 
     # -- allocation and the emulated collector -------------------------------------

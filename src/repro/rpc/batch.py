@@ -152,6 +152,30 @@ class DataPlaneStats:
         }
 
 
+class ExchangeCosts(dict):
+    """Seconds of one headered request/response exchange on one link,
+    keyed by its ``(out, back)`` payload bytes: an op's naive cost and
+    a batch's actual cost alike.
+
+    A missing key is priced and stored on first read.  Traces reuse a
+    handful of sizes, and the stored float is the one the link
+    returned, so the accounting stays bit-identical.
+    """
+
+    __slots__ = ("link",)
+
+    def __init__(self, link: LinkModel) -> None:
+        super().__init__()
+        self.link = link
+
+    def __missing__(self, key: Tuple[int, int]) -> float:
+        out, back = key
+        link = self.link
+        cost = self[key] = (link.one_way(MESSAGE_HEADER_BYTES + out)
+                            + link.one_way(MESSAGE_HEADER_BYTES + back))
+        return cost
+
+
 class RpcCoalescer:
     """Aggregates same-direction remote operations into wire batches.
 
@@ -185,21 +209,13 @@ class RpcCoalescer:
     def link(self, link: LinkModel) -> None:
         """Switch links (a new attachment epoch): costs are re-priced."""
         self._link = link
-        #: Seconds of one headered request/response exchange, keyed by
-        #: its ``(out, back)`` payload bytes: an op's naive cost and a
-        #: batch's actual cost alike.  Traces reuse a handful of sizes,
-        #: and the memoised float is the one the link returned, so the
-        #: accounting stays bit-identical.
-        self._exchange_cost: Dict[Tuple[int, int], float] = {}
+        self._exchange_cost = ExchangeCosts(link)
 
-    def _price(self, out: int, back: int) -> float:
-        """Price an exchange the memo has not seen (callers look first)."""
-        link = self._link
-        cost = self._exchange_cost[(out, back)] = (
-            link.one_way(MESSAGE_HEADER_BYTES + out)
-            + link.one_way(MESSAGE_HEADER_BYTES + back)
-        )
-        return cost
+    @property
+    def exchange_costs(self) -> ExchangeCosts:
+        """The current link's exchange prices; a new link brings a new
+        table."""
+        return self._exchange_cost
 
     # -- the operation stream ---------------------------------------------
 
@@ -228,10 +244,7 @@ class RpcCoalescer:
         stats.ops += 1
         stats.naive_messages += 2
         stats.naive_bytes += 2 * MESSAGE_HEADER_BYTES + out + back
-        cost = self._exchange_cost.get((out, back))
-        if cost is None:
-            cost = self._price(out, back)
-        stats.naive_seconds += cost
+        stats.naive_seconds += self._exchange_cost[(out, back)]
         return True
 
     def _push(self, initiator: str, responder: str, out: int,
@@ -270,10 +283,7 @@ class RpcCoalescer:
         stats.batches += 1
         stats.wire_messages += 2
         stats.wire_bytes += request + response
-        cost = self._exchange_cost.get((out, back))
-        if cost is None:
-            cost = self._price(out, back)
-        stats.actual_seconds += cost
+        stats.actual_seconds += self._exchange_cost[(out, back)]
         stats.note_flush(reason)
         self._pending_ops = 0
         self._out_bytes = 0
@@ -301,6 +311,33 @@ class RpcCoalescer:
         self._back_bytes = 0
         self._direction = None
         return dropped
+
+    # -- lending the batch to an inline caller --------------------------
+
+    def release(self) -> Tuple[Optional[Tuple[str, str]], int, int, int]:
+        """Hand the pending batch over and forget it: ``(direction, ops,
+        out bytes, back bytes)``, the direction ``None`` when empty.
+
+        A caller that batches inline (the replay loop) holds the batch
+        between barriers, keeping this coalescer's discipline and stats
+        block, and gives it back with :meth:`adopt` before anything that
+        may flush, drop or re-price it.
+        """
+        batch = (self._direction, self._pending_ops, self._out_bytes,
+                 self._back_bytes)
+        self._direction = None
+        self._pending_ops = 0
+        self._out_bytes = 0
+        self._back_bytes = 0
+        return batch
+
+    def adopt(self, direction: Optional[Tuple[str, str]], ops: int,
+              out_bytes: int, back_bytes: int) -> None:
+        """Take back a batch handed over by :meth:`release`."""
+        self._direction = direction if ops else None
+        self._pending_ops = ops
+        self._out_bytes = out_bytes
+        self._back_bytes = back_bytes
 
     def gc_barrier(self) -> None:
         """Flush before a collection cycle's pause accounting."""

@@ -13,6 +13,7 @@ from repro.emulator.columnar import (
     CTRACE_VERSION,
     ColumnarTrace,
     read_ctrace,
+    read_jsonl,
     write_ctrace,
 )
 from repro.emulator.events import (
@@ -23,7 +24,7 @@ from repro.emulator.events import (
     WorkEvent,
 )
 from repro.errors import TraceFormatError
-from tests.helpers import event_fields, trace_of
+from tests.helpers import event_fields, trace_of, write_jsonl_rows
 
 CLASS_NAMES = st.sampled_from(
     ["app.Model", "ui.Screen", "util.FastMath", "app.Buffer", "int[]"]
@@ -281,6 +282,7 @@ class TestCheckedValues:
         ("a_cls", 99, "string id outside"),
         ("a_cls", -1, "missing string id"),
         ("b_cls", -2, "string id outside"),
+        ("b_oid", -5, "negative oid"),
         ("n1", -100, "negative size"),
     ])
     def test_bad_cell_names_column_and_event(self, column, value, text):
@@ -307,6 +309,46 @@ class TestCheckedValues:
         trace = trace_of([alloc, alloc])
         with pytest.raises(TraceFormatError, match="ALLOC of oid 1"):
             self.replay(trace)
+
+
+class TestOidlessObjects:
+    """An allocation or a free must name its object, whichever way the
+    trace comes in; oid-less ones would replay as a phantom object."""
+
+    @pytest.mark.parametrize("row,kind", [
+        (["A", None, "app.A", 16, "<main>", None], "allocation"),
+        (["F", None], "free"),
+    ])
+    def test_jsonl_row_is_rejected_with_its_line(self, tmp_path, row, kind):
+        alloc = ["A", 9, "app.Data", 8, "<main>", None]
+        path = write_jsonl_rows(tmp_path / "o.trace", [alloc, row])
+        with pytest.raises(TraceFormatError,
+                           match=rf"every {kind} needs an oid; got None "
+                                 rf"\(line 3\)"):
+            read_jsonl(path)
+
+    @pytest.mark.parametrize("event", [
+        AllocEvent(None, "app.Model", 16, "<main>", None),
+        FreeEvent(None),
+    ])
+    def test_append_rejects_and_leaves_the_trace_unchanged(self, event):
+        TestRoundTrip.assert_rejected_and_unchanged(event, "needs an oid")
+
+    def test_ctrace_cells_are_rejected_before_replay(self, tmp_path):
+        from repro.emulator.replay import EmulatorConfig, TraceReplayer
+
+        trace = trace_of([AllocEvent(1, "app.Model", 16, "<main>", None),
+                          FreeEvent(1)])
+        trace.columns["a_oid"][0] = -1
+        trace.columns["a_oid"][1] = -1
+        path = tmp_path / "oidless.ctrace"
+        write_ctrace(trace, path)
+        loaded = read_ctrace(path)
+        with pytest.raises(TraceFormatError,
+                           match=r"'a_oid', event 0: allocation or free "
+                                 r"without an oid"):
+            TraceReplayer(loaded, EmulatorConfig()).run()
+        loaded.close()
 
 
 def _fuzz_source():

@@ -17,6 +17,8 @@ from repro.emulator.events import (
     WorkEvent,
 )
 from repro.emulator.replay import EmulatorConfig, TraceReplayer
+from repro.rpc.batch import DROP_RECOVERY, DataPlaneConfig
+from repro.rpc.marshal import MESSAGE_HEADER_BYTES
 from repro.units import KB
 
 CLASSES = ("app.A", "app.B", "app.C", "ui.Pinned")
@@ -140,3 +142,36 @@ class TestReplayProperties:
             assert result.events_processed == len(trace)
         else:
             assert result.events_processed <= len(trace)
+
+    @given(random_traces(), st.integers(1, 10), st.booleans(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_data_plane_accounting(self, trace, offload_at, cache, pipelined):
+        # Offload two of the three allocating classes early, so remote
+        # reads, writes and invokes run both ways through the coalescer,
+        # across GC and migration barriers.
+        cfg = dataclasses.replace(
+            config(), offload_at_event=offload_at,
+            forced_offload_nodes=frozenset({"app.A", "app.B"}),
+            data_plane=DataPlaneConfig(coalescing=True, read_cache=cache,
+                                       pipelined_migration=pipelined),
+        )
+        result = TraceReplayer(trace, cfg).run()
+        dp = result.data_plane
+        assert dp.wire_messages == 2 * dp.batches
+        assert dp.naive_messages == 2 * dp.ops
+        assert dp.ops == result.remote_accesses + result.remote_invocations
+        assert (dp.naive_bytes - dp.wire_bytes
+                == 2 * MESSAGE_HEADER_BYTES * (dp.ops - dp.batches))
+        assert sum(count for reason, count in dp.flushes.items()
+                   if reason != DROP_RECOVERY) == dp.batches
+        assert all(dp.flushes.values())
+        assert dp.actual_seconds <= dp.naive_seconds
+        parts = (
+            result.cpu_time_client
+            + result.cpu_time_surrogate
+            + result.comm_time
+            + result.migration_time
+            + result.gc_pause_time
+            + result.monitoring_time
+        )
+        assert result.total_time == pytest.approx(parts)

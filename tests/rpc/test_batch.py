@@ -110,6 +110,34 @@ class TestCoalescing:
         assert transfers[0] == ("client", "surrogate",
                                 MESSAGE_HEADER_BYTES + 24)
 
+    def test_a_lent_batch_flushes_as_if_never_lent(self, wire):
+        coalescer, transfers = wire
+        coalescer.write("client", "surrogate", 16)
+        coalescer.write("client", "surrogate", 8)
+        batch = coalescer.release()
+        assert batch == (("client", "surrogate"), 2, 24, 0)
+        assert coalescer.pending_ops == 0
+        coalescer.flush()
+        assert transfers == []
+        assert coalescer.release() == (None, 0, 0, 0)
+        coalescer.adopt(*batch)
+        coalescer.gc_barrier()
+        assert transfers == [
+            ("client", "surrogate", MESSAGE_HEADER_BYTES + 24),
+            ("surrogate", "client", MESSAGE_HEADER_BYTES),
+        ]
+        assert coalescer.stats.flushes == {FLUSH_GC: 1}
+
+    def test_exchange_costs_price_on_first_read(self, wire, link):
+        coalescer, _ = wire
+        costs = coalescer.exchange_costs
+        assert costs[(16, 4)] == (link.one_way(MESSAGE_HEADER_BYTES + 16)
+                                  + link.one_way(MESSAGE_HEADER_BYTES + 4))
+        assert (16, 4) in costs
+        coalescer.link = LinkModel("slow", 1e6, 0.01)
+        assert coalescer.exchange_costs is not costs
+        assert not coalescer.exchange_costs
+
     def test_empty_flush_is_a_no_op(self, wire):
         coalescer, transfers = wire
         coalescer.flush()

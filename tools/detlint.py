@@ -76,6 +76,12 @@ DEFAULT_TARGETS = (
     "src/repro/vm/hooks.py",
     "src/repro/vm/context.py",
     "src/repro/analysis/staticgraph.py",
+    "src/repro/net/link.py",
+    "src/repro/emulator/recorder.py",
+    "src/repro/vm/gc.py",
+    "src/repro/vm/vm.py",
+    "src/repro/vm/heap.py",
+    "src/repro/rpc/channel.py",
 )
 
 SUPPRESS_MARKER = "detlint: allow"
