@@ -6,7 +6,7 @@ functions by cumulative time.  The cold rounds are followed by one
 incremental session over a few growth epochs that append nodes, so the
 snapshot ``sync`` path shows up in the profile too.  Meant for quick
 "where did the milliseconds go" triage after touching
-``core/flatgraph.py`` or ``core/mincut.py`` — the CI bench-smoke job
+``core/flatgraph.py`` or ``core/graph.py`` — the CI bench-smoke job
 uploads the output as an artifact so a regression report always ships
 with its hotspot profile.
 

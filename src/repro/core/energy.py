@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError, NoBeneficialPartitionError
-from .mincut import CandidatePartition
+from .flatgraph import CandidatePartition
 from .policy import (
     EvaluationContext,
     PartitionPolicy,

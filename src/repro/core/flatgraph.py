@@ -1,23 +1,19 @@
-"""Flat integer-indexed CSR snapshot of the execution graph.
+"""The partitioner's MINCUT kernel over the graph's interned columns.
 
-This is the partitioner's production MINCUT kernel; the string-keyed
-generator in :mod:`repro.core.mincut` is its reference implementation.
-The dict-of-dicts :class:`~repro.core.graph.ExecutionGraph` shape is
-right for the monitor (incremental point updates, stable node
-identities) but wrong for the control-plane hot path: one candidate
-chain walks every edge several times through hash lookups and tuple
-heap keys.  This module compiles the graph into the same stdlib-``array``
-SoA style the emulator's columnar replay core uses:
+This is the partitioner's only candidate generator; the string-keyed
+reference generator it is tested against lives with the tests
+(``tests/core/mincut_oracle.py``).  The graph itself is already flat:
+:class:`~repro.core.graph.ExecutionGraph` stores interned node indices,
+per-node memory/CPU lists and per-edge endpoint/weight lists, which
+both the replay's fold and the monitor write.  A :class:`FlatGraph`
+reads those lists in place and adds only what the kernel needs on top:
 
-* a **node interning table** (``names``/``idx``/``rank``) mapping node
-  ids to dense integer indices, reused across epochs — the graph never
-  removes a node, so new nodes are appended and an interned index stays
-  valid for the snapshot's lifetime (``rank`` is re-derived on append);
-* **CSR adjacency** (``indptr``/``adj``/``eidx``) plus per-node
-  memory/CPU columns and per-edge byte/count columns;
-* a derived **kernel cache**: per-node rows of ``(neighbor, inc)`` pairs
-  where ``inc`` is the edge's packed connectivity increment (below), and
-  ``rowtot`` — the per-node sum of its packed increments.
+* the node names' lexicographic ``rank`` (and its inverse ``r2i``),
+  re-derived when nodes are appended;
+* a **kernel cache**: per-node rows of ``(neighbor, inc)`` pairs where
+  ``inc`` is the edge's packed connectivity increment (below), each
+  edge's ``edge_slot`` in the two rows, and ``rowtot`` — the per-node
+  sum of its packed increments.
 
 Packed connectivity keys
 ------------------------
@@ -76,13 +72,11 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from itertools import islice
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from ..errors import PartitioningError
 from .graph import ExecutionGraph, GraphDelta
-from .mincut import CandidatePartition, _MoveLog
 
 #: Repair gives up (and the session falls back cold) once the adjacency
 #: it has re-examined exceeds this fraction of the half-edge count...
@@ -105,19 +99,153 @@ def _pow2_at_least(value: int) -> int:
     return 1 << max(1, (value - 1).bit_length())
 
 
+class _MoveLog:
+    """Shared move history behind one chain of lazy candidates.
+
+    ``seed`` is the initial client partition; ``order`` lists every
+    initially-surrogate node in the order it was moved to the client,
+    with the never-moved remainder appended at the end.  Candidate ``i``
+    of the chain is then ``client = seed | order[:i]``,
+    ``surrogate = order[i:]`` — O(V) storage for the whole chain instead
+    of O(V^2) worth of per-candidate frozensets.
+    """
+
+    __slots__ = ("seed", "order")
+
+    def __init__(self, seed: FrozenSet[str]) -> None:
+        self.seed = seed
+        self.order: List[str] = []
+
+
+class CandidatePartition:
+    """One intermediate partitioning produced by the heuristic.
+
+    ``client_nodes`` stay on the device; ``surrogate_nodes`` would be
+    offloaded.  The cut statistics are the historical interactions that
+    would become remote under this placement.
+
+    Node sets of candidates a :class:`FlatChain` hands out are
+    materialised lazily on first access (most candidates are only ever
+    judged by their scalar cut statistics); explicitly constructed
+    instances behave like the plain record they always were.
+    """
+
+    __slots__ = (
+        "cut_count",
+        "cut_bytes",
+        "surrogate_memory",
+        "surrogate_cpu",
+        "client_cpu",
+        "_client_nodes",
+        "_surrogate_nodes",
+        "_log",
+        "_moves_applied",
+    )
+
+    def __init__(
+        self,
+        client_nodes: Iterable[str],
+        surrogate_nodes: Iterable[str],
+        cut_count: int,
+        cut_bytes: int,
+        surrogate_memory: int,
+        surrogate_cpu: float,
+        client_cpu: float,
+    ) -> None:
+        self._client_nodes: Optional[FrozenSet[str]] = frozenset(client_nodes)
+        self._surrogate_nodes: Optional[FrozenSet[str]] = frozenset(
+            surrogate_nodes
+        )
+        self._log: Optional[_MoveLog] = None
+        self._moves_applied = 0
+        self.cut_count = cut_count
+        self.cut_bytes = cut_bytes
+        self.surrogate_memory = surrogate_memory
+        self.surrogate_cpu = surrogate_cpu
+        self.client_cpu = client_cpu
+
+    @classmethod
+    def _deferred(
+        cls,
+        log: _MoveLog,
+        moves_applied: int,
+        cut_count: int,
+        cut_bytes: int,
+        surrogate_memory: int,
+        surrogate_cpu: float,
+        client_cpu: float,
+    ) -> "CandidatePartition":
+        self = cls.__new__(cls)
+        self._client_nodes = None
+        self._surrogate_nodes = None
+        self._log = log
+        self._moves_applied = moves_applied
+        self.cut_count = cut_count
+        self.cut_bytes = cut_bytes
+        self.surrogate_memory = surrogate_memory
+        self.surrogate_cpu = surrogate_cpu
+        self.client_cpu = client_cpu
+        return self
+
+    @property
+    def client_nodes(self) -> FrozenSet[str]:
+        nodes = self._client_nodes
+        if nodes is None:
+            log = self._log
+            nodes = log.seed.union(log.order[: self._moves_applied])
+            self._client_nodes = nodes
+        return nodes
+
+    @property
+    def surrogate_nodes(self) -> FrozenSet[str]:
+        nodes = self._surrogate_nodes
+        if nodes is None:
+            nodes = frozenset(self._log.order[self._moves_applied:])
+            self._surrogate_nodes = nodes
+        return nodes
+
+    def _fields(self) -> tuple:
+        return (
+            self.client_nodes,
+            self.surrogate_nodes,
+            self.cut_count,
+            self.cut_bytes,
+            self.surrogate_memory,
+            self.surrogate_cpu,
+            self.client_cpu,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CandidatePartition):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            "CandidatePartition("
+            f"client_nodes={set(self.client_nodes)!r}, "
+            f"surrogate_nodes={set(self.surrogate_nodes)!r}, "
+            f"cut_count={self.cut_count}, cut_bytes={self.cut_bytes}, "
+            f"surrogate_memory={self.surrogate_memory}, "
+            f"surrogate_cpu={self.surrogate_cpu}, "
+            f"client_cpu={self.client_cpu})"
+        )
+
+
 class FlatDelta(NamedTuple):
-    """One epoch's graph delta, lowered onto the flat snapshot.
+    """One epoch's edge changes, as the warm repair reads them.
 
     ``edge_changes`` holds ``(a_idx, b_idx, dbytes, dcount)`` per changed
-    (or newly appeared) edge; ``node_changes`` holds
-    ``(idx, dmemory, dcpu)``.  ``rebased`` is True when the packed-key
+    (or newly appeared) edge.  ``rebased`` is True when the packed-key
     basis grew — the count field doubled or appended nodes widened the
     rank field — so recorded packed selections must be re-encoded
     before reuse.
     """
 
     edge_changes: List[Tuple[int, int, int, int]]
-    node_changes: List[Tuple[int, int, float]]
     rebased: bool
 
 
@@ -174,7 +302,7 @@ class FlatChain:
     cut bytes never pays for decoding CPU or cut-count columns.
     Candidate objects — with their O(V) frozenset node sets — are only
     materialised on demand, through the same
-    shared-:class:`~repro.core.mincut._MoveLog` lazy mechanism the
+    shared-:class:`_MoveLog` lazy mechanism the
     reference generator uses, so a chain whose winner is picked by a
     policy scan materialises exactly one candidate.
 
@@ -339,28 +467,35 @@ class FlatChain:
 
 
 class FlatGraph:
-    """CSR + columns compiled from an :class:`ExecutionGraph`.
+    """The partitioner's kernel cache over an :class:`ExecutionGraph`'s
+    columns.
 
-    Compile once, then feed each epoch's :class:`GraphDelta` through
-    :meth:`sync` — weight changes patch the columns and packed
-    increments in O(dirty), and new nodes are appended to the interning
-    table (re-ranking the names in O(V log V)).  Only a delta the
-    snapshot cannot explain forces a recompile.
+    The graph's interned columns (names, per-node memory and CPU,
+    per-edge endpoints and weights) are read in place: the snapshot
+    holds references to the graph's lists, never a copy, and covers
+    the first ``n`` nodes and ``m`` edges.  What it adds is derived:
+    the lexicographic ``rank``/``r2i``, the packed ``rows`` with their
+    ``edge_slot`` back-pointers, ``rowtot`` and the packing basis
+    ``cb``/``nb``.  Compile once, then feed each epoch's
+    :class:`GraphDelta` through :meth:`sync`, which patches the packed
+    rows of the dirty edges in O(dirty) and appends rows for new nodes
+    and edges (re-ranking the names in O(V log V) when nodes appeared).
+    Only a delta the snapshot cannot explain forces a recompile.
     """
 
     __slots__ = (
         "names",
         "idx",
         "n",
+        "m",
         "rank",
         "r2i",
         "node_mem",
         "node_cpu",
         "edge_a",
         "edge_b",
-        "edge_bytes",
-        "edge_count",
-        "edge_pos",
+        "edge_nbytes",
+        "edge_ncount",
         "edge_slot",
         "rows",
         "rowtot",
@@ -381,53 +516,29 @@ class FlatGraph:
 
     @classmethod
     def try_compile(cls, graph: ExecutionGraph) -> "FlatGraph":
-        """Compile a snapshot of ``graph``.
+        """Build the kernel cache over ``graph``'s columns.
 
         Every graph compiles: ``ExecutionGraph.record_interaction``
         refuses to leave an edge weight negative, which keeps the
         packed-key sign convention sound.
         """
         self = cls.__new__(cls)
-        names = list(graph.nodes())
-        n = len(names)
-        idx: Dict[str, int] = {}
-        for i, name in enumerate(names):
-            idx[name] = i
-        node_mem: List[int] = [0] * n
-        node_cpu: List[float] = [0.0] * n
-        for name, stats in graph.node_items():
-            i = idx[name]
-            node_mem[i] = stats.memory_bytes
-            node_cpu[i] = stats.cpu_seconds
-        edge_a: List[int] = []
-        edge_b: List[int] = []
-        edge_bytes: List[int] = []
-        edge_count: List[int] = []
-        edge_pos: Dict[Tuple[str, str], int] = {}
-        total_count = 0
-        for key, edge in graph.edges():
-            edge_pos[key] = len(edge_a)
-            edge_a.append(idx[key[0]])
-            edge_b.append(idx[key[1]])
-            edge_bytes.append(edge.bytes)
-            edge_count.append(edge.count)
-            total_count += edge.count
-        self.names = names
-        self.idx = idx
-        self.n = n
+        self.names = graph.names
+        self.idx = graph.index
+        self.node_mem = graph.node_mem
+        self.node_cpu = graph.node_cpu
+        self.edge_a = graph.edge_a
+        self.edge_b = graph.edge_b
+        self.edge_nbytes = graph.edge_nbytes
+        self.edge_ncount = graph.edge_ncount
+        self.n = n = len(graph.names)
+        self.m = len(graph.edge_a)
         self._rank_names()
-        self.node_mem = node_mem
-        self.node_cpu = node_cpu
-        self.edge_a = edge_a
-        self.edge_b = edge_b
-        self.edge_bytes = edge_bytes
-        self.edge_count = edge_count
-        self.edge_pos = edge_pos
-        self.total_count = total_count
-        self.total_mem = sum(node_mem)
-        self.half_edges = 2 * len(edge_a)
+        self.total_count = sum(graph.edge_ncount)
+        self.total_mem = sum(graph.node_mem)
+        self.half_edges = 2 * self.m
         self.nb = _pow2_at_least(max(2, n))
-        self.cb = _pow2_at_least(2 * (total_count + 1))
+        self.cb = _pow2_at_least(2 * (self.total_count + 1))
         self.cbnb = self.cb * self.nb
         self._build_rows()
         self._csr_stale = True
@@ -445,10 +556,9 @@ class FlatGraph:
         rows: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
         edge_slot: List[Tuple[int, int]] = []
         rowtot = [0] * self.n
-        for e in range(len(self.edge_a)):
-            a = self.edge_a[e]
-            b = self.edge_b[e]
-            inc = (self.edge_bytes[e] * cb + self.edge_count[e]) * nb
+        for a, b, nbytes, count in zip(self.edge_a, self.edge_b,
+                                       self.edge_nbytes, self.edge_ncount):
+            inc = (nbytes * cb + count) * nb
             edge_slot.append((len(rows[a]), len(rows[b])))
             rows[a].append((b, inc))
             rows[b].append((a, inc))
@@ -469,7 +579,7 @@ class FlatGraph:
             adj = array("q", bytes(8 * total))
             eidx = array("q", bytes(8 * total))
             cursor = list(indptr[:-1])
-            for e in range(len(self.edge_a)):
+            for e in range(self.m):
                 a = self.edge_a[e]
                 b = self.edge_b[e]
                 adj[cursor[a]] = b
@@ -489,132 +599,97 @@ class FlatGraph:
     def sync(
         self, graph: ExecutionGraph, delta: GraphDelta
     ) -> Optional[FlatDelta]:
-        """Patch the snapshot with one epoch's delta; None => recompile.
+        """Bring the cache up to one epoch's delta; None => recompile.
 
-        Reads the *current* values of every dirty node/edge from the
-        graph (the delta names what changed; the graph is the source of
-        truth), so the delta must cover every mutation since the last
-        sync.  Nodes that appeared since the
-        last sync are appended to the interning table (the graph never
-        removes a node, so interned indices only grow).  Returns None
-        when the node count shrank, on a name that is appended twice or
-        missing from the delta, on an edge whose endpoints are unknown,
-        or when the post-sync link count disagrees with the graph (a
-        sign the delta did not cover every mutation).
+        The graph's columns already hold the current weights; the delta
+        names the edges whose packed rows are stale.  An edge's previous
+        weights are decoded from its packed increment, so no copy of the
+        columns is kept.  Nodes and edges past ``n``/``m`` get rows (the
+        graph never removes either, so indices only grow).  Returns None
+        when ``graph`` is not the graph this cache was compiled over, or
+        when a node or edge appended since the last sync is missing from
+        the delta (a sign it did not cover every mutation).
         """
-        idx = self.idx
-        if graph.node_count < self.n:
+        if graph.names is not self.names:
             return None
-        rebased = False
-        if graph.node_count > self.n:
-            if not self._append_nodes(graph, delta):
-                return None
-            # A node count past the rank field's power of two widens
-            # ``nb``, which every packed increment carries: the rows are
-            # re-derived below, after the edge columns are patched.
-            nb = _pow2_at_least(self.n)
-            rebased = nb != self.nb
-            self.nb = nb
-        for name in delta.nodes:
-            if name not in idx:
-                return None
-        for a, b in delta.edges:
-            if a not in idx or b not in idx:
-                return None
+        rows = self.rows
+        n = len(self.names)
+        if n > self.n:
+            dirty = delta.nodes
+            for i in range(self.n, n):
+                if i not in dirty:
+                    return None
+        m = len(self.edge_a)
+        if m > self.m:
+            dirty = delta.edges
+            for e in range(self.m, m):
+                if e not in dirty:
+                    return None
+        edge_a = self.edge_a
+        edge_b = self.edge_b
+        if n > self.n:
+            rows.extend([] for _ in range(n - self.n))
+            self.rowtot.extend([0] * (n - self.n))
+            self.n = n
+            self._rank_names()
+            self._csr_stale = True
+        if m > self.m:
+            edge_slot = self.edge_slot
+            for e in range(self.m, m):
+                a = edge_a[e]
+                b = edge_b[e]
+                edge_slot.append((len(rows[a]), len(rows[b])))
+                rows[a].append((b, 0))
+                rows[b].append((a, 0))
+            self.half_edges += 2 * (m - self.m)
+            self.m = m
+            self._csr_stale = True
+        # Previous weights, decoded under the basis the rows carry.
+        cb = self.cb
+        nb = self.nb
+        edge_slot = self.edge_slot
+        edge_nbytes = self.edge_nbytes
+        edge_ncount = self.edge_ncount
         edge_changes: List[Tuple[int, int, int, int]] = []
-        changed_pos: List[int] = []
-        for key in sorted(delta.edges):
-            edge = graph.edge(*key)
-            if edge is None:
-                return None
-            pos = self.edge_pos.get(key)
-            if pos is None:
-                pos = len(self.edge_a)
-                self.edge_pos[key] = pos
-                a = idx[key[0]]
-                b = idx[key[1]]
-                self.edge_a.append(a)
-                self.edge_b.append(b)
-                self.edge_bytes.append(0)
-                self.edge_count.append(0)
-                self.edge_slot.append((len(self.rows[a]), len(self.rows[b])))
-                self.rows[a].append((b, 0))
-                self.rows[b].append((a, 0))
-                self.half_edges += 2
-                self._csr_stale = True
-            dbytes = edge.bytes - self.edge_bytes[pos]
-            dcount = edge.count - self.edge_count[pos]
+        changed: List[int] = []
+        total_count = self.total_count
+        for e in delta.edges:
+            a = edge_a[e]
+            old_bytes, old_count = divmod(rows[a][edge_slot[e][0]][1] // nb,
+                                          cb)
+            dbytes = edge_nbytes[e] - old_bytes
+            dcount = edge_ncount[e] - old_count
             if dbytes or dcount:
-                self.edge_bytes[pos] = edge.bytes
-                self.edge_count[pos] = edge.count
-                self.total_count += dcount
-                edge_changes.append(
-                    (self.edge_a[pos], self.edge_b[pos], dbytes, dcount)
-                )
-                changed_pos.append(pos)
-        node_changes: List[Tuple[int, int, float]] = []
-        for name in sorted(delta.nodes):
-            i = idx[name]
-            stats = graph.node(name)
-            dmem = stats.memory_bytes - self.node_mem[i]
-            dcpu = stats.cpu_seconds - self.node_cpu[i]
-            if dmem or dcpu:
-                self.node_mem[i] = stats.memory_bytes
-                self.node_cpu[i] = stats.cpu_seconds
-                self.total_mem += dmem
-                node_changes.append((i, dmem, dcpu))
-        if graph.link_count != len(self.edge_a):
-            return None
-        if self.total_count >= self.cb:
-            # Counts outgrew the packed basis: double it and re-derive
-            # every increment (amortised O(1) per epoch).
-            self.cb = _pow2_at_least(2 * (self.total_count + 1))
+                total_count += dcount
+                edge_changes.append((a, edge_b[e], dbytes, dcount))
+                changed.append(e)
+        self.total_count = total_count
+        self.total_mem = sum(self.node_mem)
+        # A node count past the rank field's power of two widens ``nb``,
+        # and counts past ``cb`` double it (amortised O(1) per epoch):
+        # either moves every packed increment, so the rows are rebuilt.
+        self.nb = _pow2_at_least(n)
+        rebased = self.nb != nb
+        if total_count >= cb:
+            self.cb = _pow2_at_least(2 * (total_count + 1))
             rebased = True
         if rebased:
             self.cbnb = self.cb * self.nb
             self._build_rows()
         else:
-            cb = self.cb
-            nb = self.nb
-            for pos in changed_pos:
-                inc = (self.edge_bytes[pos] * cb + self.edge_count[pos]) * nb
-                a = self.edge_a[pos]
-                b = self.edge_b[pos]
-                slot_a, slot_b = self.edge_slot[pos]
-                old = self.rows[a][slot_a][1]
-                dinc = inc - old
-                self.rows[a][slot_a] = (b, inc)
-                self.rows[b][slot_b] = (a, inc)
-                self.rowtot[a] += dinc
-                self.rowtot[b] += dinc
+            rowtot = self.rowtot
+            for e in changed:
+                inc = (edge_nbytes[e] * cb + edge_ncount[e]) * nb
+                a = edge_a[e]
+                b = edge_b[e]
+                slot_a, slot_b = edge_slot[e]
+                dinc = inc - rows[a][slot_a][1]
+                rows[a][slot_a] = (b, inc)
+                rows[b][slot_b] = (a, inc)
+                rowtot[a] += dinc
+                rowtot[b] += dinc
         self.synced_version = graph.version
-        return FlatDelta(edge_changes, node_changes, rebased)
-
-    def _append_nodes(self, graph: ExecutionGraph, delta: GraphDelta) -> bool:
-        """Intern the nodes past ``n``; False when the delta cannot explain them.
-
-        New names are taken in ``graph.nodes()`` order, so index order
-        stays graph order and ``sum(node_cpu)`` adds its floats in the
-        order the reference generator does.  Their statistics start at
-        zero; the delta names every new node, so the node pass of
-        :meth:`sync` fills them in.
-        """
-        names = self.names
-        idx = self.idx
-        dirty = delta.nodes
-        for name in islice(graph.nodes(), self.n, None):
-            if name in idx or name not in dirty:
-                return False
-            idx[name] = len(names)
-            names.append(name)
-            self.node_mem.append(0)
-            self.node_cpu.append(0.0)
-            self.rows.append([])
-            self.rowtot.append(0)
-        self.n = len(names)
-        self._rank_names()
-        self._csr_stale = True
-        return True
+        return FlatDelta(edge_changes, rebased)
 
     def _rank_names(self) -> None:
         """Lexicographic interning rank: packed keys tie-break exactly
@@ -636,10 +711,10 @@ class FlatGraph:
             inside[i] = 1
         count = 0
         nbytes = 0
-        for e in range(len(self.edge_a)):
+        for e in range(self.m):
             if inside[self.edge_a[e]] != inside[self.edge_b[e]]:
-                count += self.edge_count[e]
-                nbytes += self.edge_bytes[e]
+                count += self.edge_ncount[e]
+                nbytes += self.edge_nbytes[e]
         return count, nbytes
 
     def connectivity(self, node: int, group: Iterable[int]) -> int:
@@ -655,7 +730,7 @@ class FlatGraph:
     # -- cold candidate generation -----------------------------------------
 
     def _seed_set(self, pinned: Iterable[str]) -> set:
-        """Mirror of ``mincut._seed_nodes`` on the interned snapshot."""
+        """The reference generator's seed rule on the interned snapshot."""
         idx = self.idx
         seed = {name for name in pinned if name in idx}
         if seed:

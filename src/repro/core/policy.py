@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 from ..net.link import LinkModel
 from ..net.wavelan import WAVELAN_11MBPS
 from ..vm.gc import GCReport
-from .mincut import CandidatePartition
+from .flatgraph import CandidatePartition
 
 # --------------------------------------------------------------------------
 # Triggering

@@ -50,6 +50,10 @@ def _fnum(x: float) -> str:
     return compact if float(compact) == x else repr(x)
 
 
+#: Extra one-way delay of a latency spike unless a spec says otherwise.
+DEFAULT_SPIKE_S = 0.050
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """A deterministic description of link and surrogate failures.
@@ -64,7 +68,7 @@ class FaultSpec:
     seed: int = 0
     loss_rate: float = 0.0
     latency_spike_rate: float = 0.0
-    latency_spike_s: float = 0.050
+    latency_spike_s: float = DEFAULT_SPIKE_S
     partition_windows: Tuple[Tuple[float, float], ...] = ()
     crash_at_event: Optional[int] = None
     crash_at_time: Optional[float] = None
@@ -121,7 +125,7 @@ class FaultSpec:
         parts = [f"seed={self.seed}"]
         if self.loss_rate:
             parts.append(f"loss={_fnum(self.loss_rate)}")
-        if self.latency_spike_rate:
+        if self.latency_spike_rate or self.latency_spike_s != DEFAULT_SPIKE_S:
             parts.append(
                 f"spike={_fnum(self.latency_spike_rate)}"
                 f":{_fnum(self.latency_spike_s)}"

@@ -163,6 +163,12 @@ class LinkProfile:
     def __post_init__(self) -> None:
         if not self.points:
             raise ConfigurationError("a profile needs at least one point")
+        for start, _ in self.points:
+            # Written so NaN fails it, as it would fail to sort.
+            if not start >= 0.0:
+                raise ConfigurationError(
+                    f"profile point times must be non-negative, got {start}"
+                )
         points = tuple(sorted(self.points, key=lambda p: p[0]))
         if points[0][0] != 0.0:
             raise ConfigurationError(
@@ -176,7 +182,7 @@ class LinkProfile:
         windows = tuple(sorted(tuple(w) for w in self.disconnections))
         last_end = None
         for start, end in windows:
-            if end <= start or start < 0:
+            if not 0 <= start < end:
                 raise ConfigurationError(
                     f"malformed disconnection window {start}:{end}"
                 )

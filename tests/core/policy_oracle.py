@@ -17,7 +17,7 @@ from repro.core.energy import (
     local_energy,
     predict_client_energy,
 )
-from repro.core.mincut import CandidatePartition
+from repro.core.flatgraph import CandidatePartition
 from repro.core.policy import (
     BestEffortCpuPolicy,
     CombinedPartitionPolicy,

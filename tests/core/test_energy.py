@@ -10,7 +10,7 @@ from repro.core.energy import (
     predict_client_energy,
     realized_client_energy,
 )
-from repro.core.mincut import CandidatePartition
+from repro.core.flatgraph import CandidatePartition
 from repro.core.policy import EvaluationContext
 from repro.errors import ConfigurationError, NoBeneficialPartitionError
 from repro.net.wavelan import WAVELAN_11MBPS

@@ -1,7 +1,7 @@
 """Flat-CSR partitioner core vs the string-keyed reference kernel.
 
 The flat path (``core.flatgraph``) must be *bit-identical* to the
-reference MINCUT kernel (``core.mincut.generate_candidates``) — same
+reference MINCUT kernel (``mincut_oracle.generate_candidates``) — same
 candidates, same statistics (including the float CPU columns), same
 policy selections, same refusal messages — across cold runs,
 warm-started sessions, and every repair/fallback branch.  These tests
@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core import flatgraph
 from repro.core.energy import EnergyPartitionPolicy
 from repro.core.graph import ExecutionGraph, GraphDelta
-from repro.core.mincut import generate_candidates
 from repro.core.partitioner import (
     IncrementalPartitioner,
     PartitionDecision,
@@ -35,6 +34,7 @@ from repro.core.policy import (
 )
 from repro.errors import NoBeneficialPartitionError, PartitioningError
 
+from .mincut_oracle import generate_candidates
 from .policy_oracle import oracle_select
 
 POLICIES = (

@@ -1,6 +1,7 @@
 """Dirty tracking and graph deltas."""
 
 from repro.core.graph import ExecutionGraph, edge_key
+from tests.helpers import delta_names
 
 
 def small_graph():
@@ -35,8 +36,9 @@ class TestDirtyTracking:
     def test_drain_returns_dirty_sets_and_clears_them(self):
         graph = small_graph()
         delta = graph.drain_dirty()
-        assert delta.nodes == {"a", "b", "c"}
-        assert delta.edges == {("a", "b"), ("b", "c")}
+        nodes, edges = delta_names(graph, delta)
+        assert nodes == {"a", "b", "c"}
+        assert edges == {("a", "b"), ("b", "c")}
         assert not delta.empty
         assert delta.size() == 5
         second = graph.drain_dirty()
@@ -48,9 +50,9 @@ class TestDirtyTracking:
         graph.drain_dirty()
         graph.record_interaction("a", "b", 5)
         graph.add_cpu("c", 1.0)
-        delta = graph.drain_dirty()
-        assert delta.edges == {edge_key("a", "b")}
-        assert delta.nodes == {"c"}
+        nodes, edges = delta_names(graph, graph.drain_dirty())
+        assert edges == {edge_key("a", "b")}
+        assert nodes == {"c"}
 
     def test_copy_starts_clean_at_the_same_version(self):
         graph = small_graph()

@@ -5,12 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import (
+from repro.errors import PartitioningError
+
+from .mincut_oracle import (
     generate_candidates,
     min_bandwidth_candidate,
     stoer_wagner,
 )
-from repro.errors import PartitioningError
 
 
 def clustered_graph():

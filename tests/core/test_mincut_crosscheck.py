@@ -12,7 +12,8 @@ import random
 import pytest
 
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import (
+
+from .mincut_oracle import (
     generate_candidates,
     min_bandwidth_candidate,
     stoer_wagner,

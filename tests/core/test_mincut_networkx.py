@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import generate_candidates, stoer_wagner
+
+from .mincut_oracle import generate_candidates, stoer_wagner
 
 
 @st.composite

@@ -12,7 +12,8 @@ import random
 import pytest
 
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import generate_candidates
+
+from .mincut_oracle import generate_candidates
 
 
 def oracle_generate_candidates(graph, pinned):

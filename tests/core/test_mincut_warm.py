@@ -20,10 +20,10 @@ from repro.core.flatgraph import (
     FlatWarmState,
 )
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import generate_candidates
 from repro.core.policy import EvaluationContext, MemoryPartitionPolicy
 from repro.errors import NoBeneficialPartitionError
 
+from .mincut_oracle import generate_candidates
 from .policy_oracle import oracle_select
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.mincut import CandidatePartition
+from repro.core.flatgraph import CandidatePartition
 from repro.core.policy import (
     BandwidthTrendTrigger,
     CombinedPartitionPolicy,

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.energy import EnergyPartitionPolicy
+from repro.core.flatgraph import CandidatePartition
 from repro.core.graph import ExecutionGraph
-from repro.core.mincut import CandidatePartition, generate_candidates
 from repro.core.policy import (
     BestEffortCpuPolicy,
     CombinedPartitionPolicy,
@@ -18,6 +18,7 @@ from repro.core.policy import (
 from repro.errors import NoBeneficialPartitionError
 from repro.net.wavelan import WAVELAN_11MBPS
 
+from .mincut_oracle import generate_candidates
 from .policy_oracle import chain_of, oracle_select
 
 

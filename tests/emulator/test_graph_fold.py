@@ -4,14 +4,25 @@
 the graph on every event.  The folded graph must match them after every
 offload attempt and after ``run``; reading it at other points must not
 change it; and a forced placement, which never reads it, folds nothing.
+The fold writes the graph's columns by index; on random traces it must
+leave the store exactly as the string mutators leave it under the same
+rules, dirty sets and version included.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.graph import ExecutionGraph, object_node_id
+from repro.emulator.events import (
+    AccessEvent, AllocEvent, InvokeEvent, WorkEvent,
+)
 from repro.emulator.graphfold import GraphFold
 from repro.emulator.replay import TraceReplayer
+from tests.helpers import delta_names
 
 from .graph_goldens import goldens, graph_digest, graph_runs, probe_replay
+from .test_replay_properties import random_traces
 
 RUNS = {key: (trace, config) for key, trace, config in graph_runs()}
 
@@ -69,3 +80,126 @@ def test_forced_placement_folds_nothing_until_read():
     assert replayer._fold.folded == 0
     assert graph_digest(replayer.graph) == goldens()["dia/class/loss"]["final"]
     assert replayer._fold.folded == len(trace)
+
+
+# -- the two writers of the one store ------------------------------------------
+
+class NameFold:
+    """The fold's rules through the graph's string mutators, one event at
+    a time: the reference for :class:`GraphFold`'s index writes."""
+
+    def __init__(self, graph, granular):
+        self.graph = graph
+        self.granular = granular
+        self.run = None
+        self.run_bytes = self.run_count = 0
+        self.creators = set()
+
+    def node(self, cls, oid):
+        if cls in self.granular and oid is not None:
+            return object_node_id(cls, oid)
+        return cls
+
+    def close_run(self):
+        if self.run is not None:
+            self.graph.record_interaction(*self.run, self.run_bytes,
+                                          count=self.run_count)
+            self.run = None
+
+    def entry(self, entry):
+        if entry[1] == "mark":
+            self.close_run()
+        else:
+            _, _, node, nbytes = entry
+            self.graph.add_memory(node, -nbytes)
+            self.graph.note_object_freed(node)
+
+    def event(self, event):
+        graph = self.graph
+        if isinstance(event, AllocEvent):
+            node = self.node(event.class_name, event.oid)
+            graph.add_memory(node, event.size)
+            graph.note_object_created(node)
+            if event.creator_class not in self.creators:
+                self.creators.add(event.creator_class)
+                graph.ensure_node(event.creator_class)
+        elif isinstance(event, WorkEvent):
+            graph.add_cpu(event.class_name, event.seconds)
+        elif isinstance(event, (AccessEvent, InvokeEvent)):
+            if isinstance(event, AccessEvent):
+                a = self.node(event.accessor_class, event.accessor_oid)
+                b = self.node(event.owner_class, event.owner_oid)
+                nbytes = event.nbytes
+            else:
+                a = self.node(event.caller_class, event.caller_oid)
+                b = self.node(event.callee_class, event.callee_oid)
+                nbytes = event.arg_bytes + event.ret_bytes
+            if a == b:
+                return
+            pair = (a, b) if a <= b else (b, a)
+            if pair == self.run:
+                self.run_bytes += nbytes
+                self.run_count += 1
+                return
+            self.close_run()
+            self.run, self.run_bytes, self.run_count = pair, nbytes, 1
+
+
+def store_state(graph):
+    """Everything a reader of the store can see, dirty sets drained."""
+    return (graph.to_dict(), list(graph.nodes()),
+            [key for key, _ in graph.edges()],
+            [(node, list(graph.neighbors(node))) for node in graph.nodes()],
+            graph.version, delta_names(graph, graph.drain_dirty()))
+
+
+@st.composite
+def fold_cases(draw):
+    """A trace, a granularity, a side log of marks and reclaims, and the
+    positions at which the graph is read and drained."""
+    trace = draw(random_traces(object_refs=True))
+    granular = draw(st.sampled_from((set(), {"app.A"})))
+    n = len(trace)
+    entries = [(at, "mark") for at in draw(
+        st.lists(st.integers(0, n), max_size=8))]
+    for i, event in enumerate(trace.events):
+        if isinstance(event, AllocEvent) and draw(st.booleans()):
+            node = (object_node_id(event.class_name, event.oid)
+                    if event.class_name in granular else event.class_name)
+            at = draw(st.integers(i + 1, n))
+            entries.append((at, "reclaim", node, event.size))
+    entries.sort(key=lambda entry: entry[0])
+    reads = sorted(set(draw(st.lists(st.integers(0, n), max_size=6))) | {n})
+    return trace, granular, entries, reads
+
+
+@given(fold_cases())
+@settings(max_examples=150, deadline=None)
+def test_index_fold_and_string_mutators_write_the_same_store(case):
+    trace, granular, entries, reads = case
+    by_index = ExecutionGraph()
+    by_index.ensure_node("<main>")
+    fold = GraphFold(trace, by_index, granular)
+    by_name = ExecutionGraph()
+    by_name.ensure_node("<main>")
+    reference = NameFold(by_name, granular)
+    events = list(trace.events)
+    logged = applied = done = 0
+    for upto in reads:
+        while logged < len(entries) and entries[logged][0] <= upto:
+            entry = entries[logged]
+            if entry[1] == "mark":
+                fold.mark(entry[0])
+            else:
+                fold.reclaim(entry[0], *entry[2:])
+            logged += 1
+        fold.advance(upto)
+        while done < upto or (applied < len(entries)
+                              and entries[applied][0] <= upto):
+            if applied < len(entries) and entries[applied][0] <= done:
+                reference.entry(entries[applied])
+                applied += 1
+            else:
+                reference.event(events[done])
+                done += 1
+        assert store_state(by_index) == store_state(by_name)

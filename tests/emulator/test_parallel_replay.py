@@ -316,6 +316,19 @@ class TestShardMechanics:
         assert aggregate.requested_workers == 1000
         assert aggregate.warnings == replayer.warnings
 
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="needs a second worker process")
+    def test_a_failing_worker_shard_raises_and_leaves_no_child(
+            self, tmp_path):
+        import multiprocessing
+
+        config = config_with_plane("off")
+        shards = [ReplayShard("a", trace_for("dia"), config),
+                  ReplayShard("b", str(tmp_path / "missing.ctrace"), config)]
+        with pytest.raises(OSError):
+            ShardedReplayer(shards, workers=2).run()
+        assert multiprocessing.active_children() == []
+
     def test_unclamped_run_carries_no_warnings(self):
         trace = trace_for("dia")
         config = config_with_plane("off")

@@ -25,8 +25,12 @@ CLASSES = ("app.A", "app.B", "app.C", "ui.Pinned")
 
 
 @st.composite
-def random_traces(draw):
-    """Random but structurally valid traces."""
+def random_traces(draw, object_refs=False):
+    """Random but structurally valid traces.
+
+    With ``object_refs``, either end of an interaction may name a live
+    object (its class and oid), as object-granular replays see them.
+    """
     trace = ColumnarTrace(app_name="random")
     trace.class_traits = {
         name: {"native": name.startswith("ui."),
@@ -37,7 +41,15 @@ def random_traces(draw):
         "native": True, "stateful_native": False
     }
     live = []
+    class_of = {}
     next_oid = [1]
+
+    def end(classes):
+        if object_refs and live and draw(st.booleans()):
+            oid = draw(st.sampled_from(live))
+            return class_of[oid], oid
+        return draw(st.sampled_from(classes)), None
+
     for _ in range(draw(st.integers(5, 60))):
         kind = draw(st.sampled_from(
             ("alloc", "free", "invoke", "access", "work")
@@ -45,8 +57,9 @@ def random_traces(draw):
         if kind == "alloc":
             oid = next_oid[0]
             next_oid[0] += 1
+            class_of[oid] = draw(st.sampled_from(CLASSES[:3]))
             trace.append(AllocEvent(
-                oid, draw(st.sampled_from(CLASSES[:3])),
+                oid, class_of[oid],
                 draw(st.integers(16, 4 * KB)),
                 draw(st.sampled_from(CLASSES + ("<main>",))), None,
             ))
@@ -55,15 +68,13 @@ def random_traces(draw):
             trace.append(FreeEvent(live.pop(0)))
         elif kind == "invoke":
             trace.append(InvokeEvent(
-                draw(st.sampled_from(CLASSES + ("<main>",))), None,
-                draw(st.sampled_from(CLASSES)), None, "m",
+                *end(CLASSES + ("<main>",)), *end(CLASSES), "m",
                 draw(st.sampled_from(("instance", "static", "native"))),
                 False, draw(st.integers(0, 256)), draw(st.integers(0, 256)),
             ))
         elif kind == "access":
             trace.append(AccessEvent(
-                draw(st.sampled_from(CLASSES + ("<main>",))), None,
-                draw(st.sampled_from(CLASSES)), None,
+                *end(CLASSES + ("<main>",)), *end(CLASSES),
                 draw(st.integers(1, 1024)), draw(st.booleans()),
                 draw(st.booleans()),
             ))

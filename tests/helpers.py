@@ -134,3 +134,12 @@ def write_jsonl_rows(path, rows, app_name="tiny"):
 def event_fields(events):
     """Each event as ``(class name, field values)``, for comparisons."""
     return [(type(e).__name__, tuple(e)) for e in events]
+
+
+def delta_names(graph, delta):
+    """A graph delta read through the graph's name table: the node ids
+    and the canonical edge keys it names."""
+    names = graph.names
+    return (frozenset(names[i] for i in delta.nodes),
+            frozenset((names[graph.edge_a[e]], names[graph.edge_b[e]])
+                      for e in delta.edges))
