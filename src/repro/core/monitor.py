@@ -9,13 +9,18 @@ remote-invocation statistics behind Figure 8.
 CPU self-time attribution follows Figure 9: time is charged to the class
 whose method frame is current, so a method's node receives its gross
 time *minus* the time spent in nested calls to other classes.
+
+The monitor sits on every guest interaction, so its hooks only log;
+the graph is written when read, by index into the graph's interned
+columns (see :class:`ExecutionMonitor`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
+from ..errors import PartitioningError
 from ..vm.gc import GCReport
 from ..vm.hooks import AccessRecord, ExecutionListener, InvokeRecord
 from ..vm.objectmodel import JObject
@@ -98,10 +103,23 @@ class ExecutionMonitor(ExecutionListener):
 
     The hooks only append to a log; :attr:`graph`, :attr:`counters` and
     :attr:`remote` fold the log when read (and the log folds itself at
-    :data:`FOLD_AT` entries).  The fold makes the same graph calls, in
-    the same order, as a monitor that updated the graph on every hook,
-    except that consecutive interactions over one node pair become one
-    ``record_interaction(count=N)``; any other entry ends such a run.
+    :data:`FOLD_AT` entries).  The fold leaves the graph as a monitor
+    that updated it on every hook through the string mutators would,
+    under the same rules:
+
+    * consecutive interactions over one node pair are one update of
+      ``count=N``, and every other entry ends such a run;
+    * an allocation does not create its creator's node;
+    * a free touches the graph only if it has the node.
+
+    It writes the graph's columns by index: a node's index is the
+    graph's ``index``; a run's edge index is remembered per node pair
+    and created as ``record_interaction`` creates it (the run's first
+    end interned first); and each write moves ``version`` and the
+    dirty sets as :meth:`ExecutionGraph.add_to_edge` and the node
+    mutators do, except that a run of ``N`` bumps ``version`` once.
+    The sizes the VM reports are non-negative, so interactions need
+    no sign check; CPU charges and frees keep theirs.
     """
 
     def __init__(
@@ -119,6 +137,10 @@ class ExecutionMonitor(ExecutionListener):
         #: Hook entries not yet folded: the records themselves, and
         #: tagged tuples for allocations, frees and CPU charges.
         self._log: List[tuple] = []
+        #: The graph's edge index of each run's ``(a, b)`` node pair,
+        #: in both orders.  Nodes and edges are never removed, so an
+        #: index, once known, stays valid.
+        self._edges: Dict[Tuple[str, str], int] = {}
         #: Classes whose instances get their own graph node (the
         #: section 5.2 "Array" enhancement uses this for primitive
         #: arrays).
@@ -191,13 +213,30 @@ class ExecutionMonitor(ExecutionListener):
     # -- the fold ---------------------------------------------------------------
 
     def _fold(self) -> None:
-        """Apply the logged hooks to the graph and counters, in order."""
+        """Apply the logged hooks to the graph and counters, in order,
+        writing the graph's columns by index (see the class docstring)."""
         log, self._log = self._log, []
         graph = self._graph
-        record = graph.record_interaction
+        index_get = graph.index.get
+        intern = graph.intern
+        node_mem = graph.node_mem
+        node_cpu = graph.node_cpu
+        node_live = graph.node_live
+        node_created = graph.node_created
+        edge_nbytes = graph.edge_nbytes
+        edge_ncount = graph.edge_ncount
+        dirty_node = graph.dirty_nodes.add
+        dirty_edge = graph.dirty_edges.add
+        edges_get = self._edges.get
+        edge_of = self._edge
         granular = self.object_granularity_classes
-        invocations = accesses = 0
+        live_classes = self._live_classes
+        live_objects = self._live_objects
+        invocations = accesses = created = freed = created_bytes = 0
         remote_calls = native_calls = remote_reads = cached = wire = 0
+        # Version bumps of the index writes (node and edge creation
+        # count their own).
+        bumps = 0
         # The open run of interactions over one node pair.
         run_a = run_b = None
         run_bytes = run_count = 0
@@ -224,15 +263,67 @@ class ExecutionMonitor(ExecutionListener):
                         native_calls += 1
             else:
                 if run_a is not None:
-                    record(run_a, run_b, run_bytes, run_count)
+                    e = edges_get((run_a, run_b))
+                    if e is None:
+                        e = edge_of(run_a, run_b)
+                    # ``graph.add_to_edge``, inlined.
+                    edge_nbytes[e] += run_bytes
+                    edge_ncount[e] += run_count
+                    bumps += 1
+                    dirty_edge(e)
                     run_a = None
-                tag = entry[0]
+                tag, class_name = entry[0], entry[1]
                 if tag == _CPU:
-                    graph.add_cpu(entry[1], entry[2])
-                elif tag == _ALLOC:
-                    self._apply_alloc(*entry[1:])
+                    seconds = entry[2]
+                    if seconds < 0:
+                        raise PartitioningError(
+                            "cpu seconds cannot be negative")
+                    n = index_get(class_name)
+                    if n is None:
+                        n = intern(class_name)
+                    node_cpu[n] += seconds
+                    bumps += 1
+                    dirty_node(n)
+                    continue
+                size = entry[3]
+                node = (object_node_id(class_name, entry[2])
+                        if class_name in granular else class_name)
+                n = index_get(node)
+                if tag == _ALLOC:
+                    if n is None:
+                        n = intern(node)
+                    node_mem[n] += size
+                    node_live[n] += 1
+                    node_created[n] += 1
+                    bumps += 2
+                    dirty_node(n)
+                    created += 1
+                    created_bytes += size
+                    live_objects += 1
+                    live_classes[class_name] = (
+                        live_classes.get(class_name, 0) + 1)
+                    continue
+                # A free of a node the graph lacks (e.g. a warm-start
+                # profile that never saw this class allocate) only skips
+                # the graph update; the counters must stay consistent
+                # with the event stream.
+                if n is not None:
+                    memory = node_mem[n] - size
+                    if memory < 0:
+                        raise PartitioningError(
+                            f"node {node!r} memory went negative ({memory})")
+                    node_mem[n] = memory
+                    node_live[n] -= 1
+                    bumps += 2
+                    dirty_node(n)
+                freed += 1
+                if live_objects > 0:
+                    live_objects -= 1
+                remaining = live_classes.get(class_name, 0) - 1
+                if remaining <= 0:
+                    live_classes.pop(class_name, None)
                 else:
-                    self._apply_free(*entry[1:])
+                    live_classes[class_name] = remaining
                 continue
             if granular:
                 if a_oid is not None and a in granular:
@@ -246,13 +337,30 @@ class ExecutionMonitor(ExecutionListener):
                     run_bytes += nbytes
                     run_count += 1
                     continue
-                record(run_a, run_b, run_bytes, run_count)
+                e = edges_get((run_a, run_b))
+                if e is None:
+                    e = edge_of(run_a, run_b)
+                edge_nbytes[e] += run_bytes
+                edge_ncount[e] += run_count
+                bumps += 1
+                dirty_edge(e)
             run_a, run_b, run_bytes, run_count = a, b, nbytes, 1
         if run_a is not None:
-            record(run_a, run_b, run_bytes, run_count)
+            e = edges_get((run_a, run_b))
+            if e is None:
+                e = edge_of(run_a, run_b)
+            edge_nbytes[e] += run_bytes
+            edge_ncount[e] += run_count
+            bumps += 1
+            dirty_edge(e)
+        graph.version += bumps
+        self._live_objects = live_objects
         counters = self._counters
         counters.invocation_events += invocations
         counters.access_events += accesses
+        counters.objects_created += created
+        counters.objects_freed += freed
+        counters.allocations_bytes += created_bytes
         remote_counters = self._remote
         remote_counters.remote_invocations += remote_calls
         remote_counters.remote_native_invocations += native_calls
@@ -260,38 +368,23 @@ class ExecutionMonitor(ExecutionListener):
         remote_counters.remote_bytes += wire
         remote_counters.cached_reads += cached
 
-    def _node(self, class_name: str, oid: int) -> str:
-        if class_name in self.object_granularity_classes:
-            return object_node_id(class_name, oid)
-        return class_name
-
-    def _apply_alloc(self, class_name: str, oid: int, size: int) -> None:
-        node = self._node(class_name, oid)
-        self._graph.add_memory(node, size)
-        self._graph.note_object_created(node)
-        self._counters.objects_created += 1
-        self._counters.allocations_bytes += size
-        self._live_objects += 1
-        self._live_classes[class_name] = (
-            self._live_classes.get(class_name, 0) + 1
-        )
-
-    def _apply_free(self, class_name: str, oid: int, size: int) -> None:
-        node = self._node(class_name, oid)
-        # A missing node (e.g. a warm-start profile that never saw this
-        # class allocate) only skips the graph update; the aggregate
-        # counters must stay consistent with the event stream.
-        if self._graph.has_node(node):
-            self._graph.add_memory(node, -size)
-            self._graph.note_object_freed(node)
-        self._counters.objects_freed += 1
-        if self._live_objects > 0:
-            self._live_objects -= 1
-        remaining = self._live_classes.get(class_name, 0) - 1
-        if remaining <= 0:
-            self._live_classes.pop(class_name, None)
-        else:
-            self._live_classes[class_name] = remaining
+    def _edge(self, a: str, b: str) -> int:
+        """The edge of a run from ``a`` to ``b``, created with any
+        missing end (``a`` first) if new, as ``record_interaction``
+        does; remembered for both orders."""
+        graph = self._graph
+        index = graph.index
+        i = index.get(a)
+        j = index.get(b)
+        e = None if i is None or j is None else graph.adj[i].get(j)
+        if e is None:
+            if i is None:
+                i = graph.intern(a)
+            if j is None:
+                j = graph.intern(b)
+            e = graph.new_edge(i, j) if a < b else graph.new_edge(j, i)
+        self._edges[a, b] = self._edges[b, a] = e
+        return e
 
     # -- derived metrics ----------------------------------------------------------
 

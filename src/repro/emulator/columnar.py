@@ -751,9 +751,9 @@ def _column_window(path: Path, spec: dict, total: int):
         code = spec["typecode"]
         offset = spec["offset"]
         count = spec["count"]
-    except (TypeError, KeyError) as exc:
+        itemsize = array(code).itemsize
+    except (TypeError, KeyError, ValueError) as exc:
         raise TraceFormatError(f"{path}: malformed column spec {spec!r}") from exc
-    itemsize = array(code).itemsize
     end = offset + count * itemsize
     if offset < 0 or end > total:
         raise TraceFormatError(

@@ -375,7 +375,8 @@ class DistributedPlatform:
         vm.collector.subscribe(
             lambda report, site=vm.name: self.hooks.on_gc_report(report, site)
         )
-        vm.collector.subscribe_free(self.hooks.on_free)
+        # Looked up per free: the fanout rebinds its hooks on ``add``.
+        vm.collector.subscribe_free(lambda obj: self.hooks.on_free(obj))
         if self.data_plane is not None:
             vm.collector.subscribe_free(
                 lambda obj: self.data_plane.note_free(obj.oid)

@@ -30,7 +30,7 @@ from ..rpc.cache import RemoteReadCache
 from ..rpc.marshal import args_size, deep_size, message_size
 from .classloader import ClassRegistry
 from .clock import VirtualClock
-from .hooks import AccessRecord, HookFanout, InvokeRecord
+from .hooks import HookFanout, make_access_record, make_invoke_record
 from .objectmodel import (
     JArray,
     JObject,
@@ -42,6 +42,10 @@ from .vm import VirtualMachine
 
 #: Class name used to attribute top-level (entry point) activity.
 MAIN_CLASS = "<main>"
+
+_INSTANCE = MethodKind.INSTANCE
+#: Bytes charged for a null field value.
+_REF_BYTES = SLOT_SIZES["ref"]
 
 
 class Runtime:
@@ -180,13 +184,6 @@ class ExecutionContext:
             return self._frames[-1].oid
         return None
 
-    def _current(self) -> Tuple[str, Optional[int], str]:
-        """The current frame's class, oid and site, read once."""
-        if self._frames:
-            frame = self._frames[-1]
-            return frame.class_name, frame.oid, frame.site
-        return MAIN_CLASS, None, self.runtime.client().name
-
     @property
     def depth(self) -> int:
         return len(self._frames)
@@ -224,7 +221,12 @@ class ExecutionContext:
         """Charge data-dependent CPU time to the current class and site."""
         if reference_seconds == 0:
             return
-        class_name, _, site = self._current()
+        frames = self._frames
+        if frames:
+            top = frames[-1]
+            class_name, site = top.class_name, top.site
+        else:
+            class_name, site = MAIN_CLASS, self.runtime.client().name
         vm = self.runtime.vm(site)
         vm.charge_cpu(reference_seconds)
         if self.monitoring_enabled:
@@ -241,15 +243,24 @@ class ExecutionContext:
     # -- allocation -------------------------------------------------------------
 
     def new(self, class_name: str, **field_values: Any) -> JObject:
-        """Create an instance of ``class_name`` on the current site."""
+        """Create an instance of ``class_name`` on the current site.
+
+        ``field_values`` initialise instance fields; a static field has
+        no slot in the instance, so naming one is an error.
+        """
         cls = self.registry.lookup(class_name)
+        for name in field_values:
+            if cls.field(name).static:
+                raise GuestError(
+                    f"{class_name}.{name} is a static field: new() sets "
+                    "instance fields only (use set_static)"
+                )
         obj = self.runtime.new_instance(self.current_site, cls)
         vm = self.runtime.vm(obj.home)
         if not self._frames:
             self._last_alloc = obj
-        for name, value in field_values.items():
-            cls.field(name)
-            obj.values[name] = value
+        if field_values:
+            obj.values.update(field_values)
         self.retain(obj)
         if self.monitoring_enabled:
             self.hooks.on_alloc(obj, vm.name)
@@ -320,8 +331,20 @@ class ExecutionContext:
         target: Optional[JObject],
         args: Tuple[Any, ...],
     ) -> Any:
-        caller_class, caller_oid, caller_site = self._current()
-        exec_site = self._exec_site(mdef, target)
+        frames = self._frames
+        if frames:
+            top = frames[-1]
+            caller_class, caller_oid, caller_site = (
+                top.class_name, top.oid, top.site)
+        else:
+            caller_class, caller_oid = MAIN_CLASS, None
+            caller_site = self.runtime.client().name
+        # An instance method runs where its receiver lives (``invoke``
+        # has checked the receiver).
+        if mdef.kind is _INSTANCE:
+            exec_site = target.home
+        else:
+            exec_site = self._exec_site(mdef, target)
         remote = exec_site != caller_site
         arg_bytes = args_size(args)
         coalescer = (
@@ -335,11 +358,15 @@ class ExecutionContext:
                 exec_site = self._exec_site(mdef, target)
                 remote = exec_site != caller_site
 
-        frame = Frame(exec_site, callee_class, target.oid if target else None)
+        callee_oid = None if target is None else target.oid
+        frame = Frame(exec_site, callee_class, callee_oid)
+        refs = frame.refs
         if target is not None:
-            frame.refs.append(target)
-        frame.refs.extend(a for a in args if isinstance(a, JObject))
-        self._frames.append(frame)
+            refs.append(target)
+        for arg in args:
+            if isinstance(arg, JObject):
+                refs.append(arg)
+        frames.append(frame)
         if self.monitoring_enabled:
             self.hooks.on_invoke_enter(callee_class, mdef, exec_site)
         try:
@@ -347,7 +374,7 @@ class ExecutionContext:
                 self.work(mdef.cpu_cost)
             result = mdef.func(self, target, *args) if mdef.func else None
         finally:
-            self._frames.pop()
+            frames.pop()
 
         ret_bytes = deep_size(result) if result is not None else 0
         if remote:
@@ -362,17 +389,18 @@ class ExecutionContext:
                     exec_site, caller_site, message_size(ret_bytes)
                 )
         if self.monitoring_enabled:
-            self.hooks.on_invoke(InvokeRecord(
-                caller_class, caller_oid, callee_class,
-                target.oid if target else None, mdef.name, mdef.kind.value,
-                mdef.stateless, arg_bytes, ret_bytes, mdef.cpu_cost,
-                caller_site, exec_site, remote,
-            ))
+            # ``_value_`` is the member's value as stored; ``.value``
+            # reads it through a Python-level descriptor.
+            self.hooks.on_invoke(make_invoke_record((
+                caller_class, caller_oid, callee_class, callee_oid,
+                mdef.name, mdef.kind._value_, mdef.stateless, arg_bytes,
+                ret_bytes, mdef.cpu_cost, caller_site, exec_site, remote,
+            )))
             if self._event_cost:
                 self._charge_monitoring_event(exec_site)
         if isinstance(result, JObject):
-            if self._frames:
-                self.retain(result)
+            if frames:
+                frames[-1].refs.append(result)
             else:
                 self._last_alloc = result
         return result
@@ -421,20 +449,32 @@ class ExecutionContext:
     def _record_access(
         self, target: JObject, field_name: str, value: Any, is_write: bool
     ) -> None:
-        accessor_class, accessor_oid, accessor_site = self._current()
+        frames = self._frames
+        if frames:
+            top = frames[-1]
+            accessor_class, accessor_oid, accessor_site = (
+                top.class_name, top.oid, top.site)
+        else:
+            accessor_class, accessor_oid = MAIN_CLASS, None
+            accessor_site = self.runtime.client().name
         owner_site = target.home
         remote = owner_site != accessor_site
-        nbytes = deep_size(value) if value is not None else SLOT_SIZES["ref"]
-        cached = self._remote_transfer(
-            accessor_site, owner_site, remote, nbytes, is_write,
-            cache_key=RemoteReadCache.object_key(target.oid),
-        )
+        nbytes = deep_size(value) if value is not None else _REF_BYTES
+        # A local read charges nothing, nor does a local write without
+        # a data plane (whose read cache a local write invalidates).
+        if remote or (is_write and self.data_plane is not None):
+            cached = self._remote_transfer(
+                accessor_site, owner_site, remote, nbytes, is_write,
+                cache_key=RemoteReadCache.object_key(target.oid),
+            )
+        else:
+            cached = False
         if self.monitoring_enabled:
-            self.hooks.on_access(AccessRecord(
+            self.hooks.on_access(make_access_record((
                 accessor_class, accessor_oid, target.cls.name, target.oid,
                 field_name, nbytes, is_write, False, accessor_site,
                 owner_site, remote, cached,
-            ))
+            )))
             if self._event_cost:
                 self._charge_monitoring_event(owner_site)
 
@@ -498,20 +538,30 @@ class ExecutionContext:
     def _record_static_access(
         self, class_name: str, field_name: str, value: Any, is_write: bool
     ) -> None:
-        accessor_class, accessor_oid, accessor_site = self._current()
         client_site = self.runtime.client().name
+        frames = self._frames
+        if frames:
+            top = frames[-1]
+            accessor_class, accessor_oid, accessor_site = (
+                top.class_name, top.oid, top.site)
+        else:
+            accessor_class, accessor_oid = MAIN_CLASS, None
+            accessor_site = client_site
         remote = accessor_site != client_site
-        nbytes = deep_size(value) if value is not None else SLOT_SIZES["ref"]
-        cached = self._remote_transfer(
-            accessor_site, client_site, remote, nbytes, is_write,
-            cache_key=RemoteReadCache.static_key(class_name),
-        )
+        nbytes = deep_size(value) if value is not None else _REF_BYTES
+        if remote or (is_write and self.data_plane is not None):
+            cached = self._remote_transfer(
+                accessor_site, client_site, remote, nbytes, is_write,
+                cache_key=RemoteReadCache.static_key(class_name),
+            )
+        else:
+            cached = False
         if self.monitoring_enabled:
-            self.hooks.on_access(AccessRecord(
+            self.hooks.on_access(make_access_record((
                 accessor_class, accessor_oid, class_name, None, field_name,
                 nbytes, is_write, True, accessor_site, client_site, remote,
                 cached,
-            ))
+            )))
             if self._event_cost:
                 self._charge_monitoring_event(client_site)
 
@@ -534,7 +584,14 @@ class ExecutionContext:
             raise GuestError(f"negative element count {count}")
         if count == 0:
             return
-        accessor_class, accessor_oid, accessor_site = self._current()
+        frames = self._frames
+        if frames:
+            top = frames[-1]
+            accessor_class, accessor_oid, accessor_site = (
+                top.class_name, top.oid, top.site)
+        else:
+            accessor_class, accessor_oid = MAIN_CLASS, None
+            accessor_site = self.runtime.client().name
         owner_site = arr.home
         remote = owner_site != accessor_site
         nbytes = count * SLOT_SIZES[arr.element_type]
@@ -545,9 +602,10 @@ class ExecutionContext:
             self._remote_transfer(accessor_site, owner_site, remote, nbytes,
                                   is_write, cache_key=None)
         if self.monitoring_enabled:
-            self.hooks.on_access(AccessRecord(
+            self.hooks.on_access(make_access_record((
                 accessor_class, accessor_oid, arr.cls.name, arr.oid, "[]",
                 nbytes, is_write, False, accessor_site, owner_site, remote,
-            ))
+                False,
+            )))
             if self._event_cost:
                 self._charge_monitoring_event(owner_site)

@@ -10,10 +10,16 @@ Hook records are created for *every* guest interaction, so they are
 ``NamedTuple`` records built positionally: cheaper than a ``__slots__``
 class with a keyword ``__init__``, with no per-instance ``__dict__``,
 and immutable, so a listener may keep a record as it is.
+
+:class:`HookFanout` is what the execution context calls.  A hook with a
+single listener is bound straight to that listener's method, so in the
+usual platform run (the execution monitor alone on the interaction
+hooks) a guest interaction costs one call into the monitor.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, NamedTuple, Optional
 
 from .gc import GCReport
@@ -61,6 +67,15 @@ class AccessRecord(NamedTuple):
     cached: bool = False
 
 
+#: Build a record from one tuple of *all* its fields, in order (an
+#: access record's ``cached`` included), as ``Record._make`` does but
+#: without the Python-level ``__new__`` frame that ``NamedTuple``
+#: generates: the execution context builds one record per guest
+#: interaction this way.
+make_invoke_record = partial(tuple.__new__, InvokeRecord)
+make_access_record = partial(tuple.__new__, AccessRecord)
+
+
 class ExecutionListener:
     """Base class with no-op hook methods; subclass and override."""
 
@@ -102,12 +117,17 @@ HOOKS = ("on_alloc", "on_free", "on_invoke", "on_invoke_enter", "on_access",
 
 
 class HookFanout(ExecutionListener):
-    """Broadcasts each hook to an ordered list of listeners.
+    """Delivers each hook to an ordered list of listeners.
 
     Each hook keeps its own tuple of bound methods, holding only the
-    listeners that override it, in the order they were added: a hook no
-    listener implements costs one empty loop.  ``add`` and ``remove``
-    rebuild the tuples, so they take effect on the next event.
+    listeners that override it, in the order they were added.  A hook
+    with exactly one such listener *is* that listener's bound method (an
+    instance attribute shadowing the broadcast below), so the event
+    reaches it with no frame in between; a hook no listener implements
+    is the base class's no-op; with two or more, the class method
+    broadcasts in add order.  ``add`` and ``remove`` rebind every hook,
+    so they take effect on the next event: callers must look a hook up
+    on the fanout for each event rather than keep the callable.
     """
 
     def __init__(self) -> None:
@@ -123,13 +143,21 @@ class HookFanout(ExecutionListener):
         self._rebuild()
 
     def _rebuild(self) -> None:
+        bound = vars(self)
         for name in HOOKS:
             base = getattr(ExecutionListener, name)
             methods = (getattr(listener, name) for listener in self.listeners)
-            setattr(self, "_" + name, tuple(
+            hooks = tuple(
                 method for method in methods
                 if getattr(method, "__func__", None) is not base
-            ))
+            )
+            bound["_" + name] = hooks
+            if len(hooks) == 1:
+                bound[name] = hooks[0]
+            elif hooks:
+                bound.pop(name, None)
+            else:
+                bound[name] = base.__get__(self)
 
     def on_alloc(self, obj: JObject, site: str) -> None:
         for hook in self._on_alloc:

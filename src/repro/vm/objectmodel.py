@@ -193,6 +193,19 @@ class ClassDef:
         self.static_values: Dict[str, Any] = {
             f.name: f.default for f in self._fields.values() if f.static
         }
+        # The instance layout, fixed once built: every allocation copies
+        # the defaults and charges the size.
+        self._instance_defaults: Dict[str, Any] = {
+            f.name: f.default for f in self._fields.values() if not f.static
+        }
+        #: Bytes of one instance's non-static field slots.
+        self.instance_fields_size: int = sum(
+            f.slot_size for f in self._fields.values() if not f.static
+        )
+        #: Heap footprint of one instance (header + field slots).
+        self.instance_size: int = (
+            OBJECT_HEADER_BYTES + self.instance_fields_size
+        )
 
     # -- lookup -----------------------------------------------------------
 
@@ -255,15 +268,6 @@ class ClassDef:
         """
         return not self.has_native_methods
 
-    @property
-    def instance_fields_size(self) -> int:
-        return sum(f.slot_size for f in self._fields.values() if not f.static)
-
-    @property
-    def instance_size(self) -> int:
-        """Heap footprint of one instance (header + field slots)."""
-        return OBJECT_HEADER_BYTES + self.instance_fields_size
-
     def __repr__(self) -> str:
         return f"ClassDef({self.name!r})"
 
@@ -281,9 +285,7 @@ class JObject:
     def __init__(self, cls: ClassDef, home: str) -> None:
         self.cls = cls
         self.oid = next_oid()
-        self.values: Dict[str, Any] = {
-            f.name: f.default for f in cls.fields() if not f.static
-        }
+        self.values: Dict[str, Any] = cls._instance_defaults.copy()
         self.home = home
         self.alive = True
         #: Pinned objects survive GC even when locally unreachable;

@@ -50,7 +50,8 @@ class LocalSession:
         self.vm.collector.subscribe(
             lambda report: self.hooks.on_gc_report(report, CLIENT_SITE)
         )
-        self.vm.collector.subscribe_free(self.hooks.on_free)
+        # Looked up per free: the fanout rebinds its hooks on ``add``.
+        self.vm.collector.subscribe_free(lambda obj: self.hooks.on_free(obj))
 
     def add_listener(self, listener: ExecutionListener) -> None:
         self.hooks.add(listener)

@@ -251,6 +251,20 @@ class TestMalformedFiles:
         with pytest.raises(TraceFormatError, match="outside"):
             read_ctrace(path)
 
+    def test_unknown_column_typecode_rejected(self, tmp_path):
+        path = tmp_path / "tc.ctrace"
+        write_ctrace(sample_trace(), path)
+        raw = path.read_bytes()
+        header_len = struct.unpack_from("<4sHHI", raw)[3]
+        # One flipped bit turns typecode "q" into "p", which ``array``
+        # does not know.
+        header = raw[12:12 + header_len].replace(
+            b'"typecode": "q"', b'"typecode": "p"', 1)
+        assert header != raw[12:12 + header_len]
+        path.write_bytes(raw[:12] + header + raw[12 + header_len:])
+        with pytest.raises(TraceFormatError, match="malformed column spec"):
+            read_ctrace(path)
+
     def test_count_mismatch_rejected(self, tmp_path):
         import json as json_module
 

@@ -196,6 +196,20 @@ class TestFieldAccess:
         session.ctx.set_field(obj, "shared", 6)
         assert session.ctx.get_static("t.Mixed", "shared") == 6
 
+    def test_new_rejects_a_static_field_initialiser(self):
+        session, listener = make_session()
+        session.registry.define("t.C") \
+            .field("x", "int", default=0) \
+            .field("S", "int", static=True) \
+            .register()
+        with pytest.raises(GuestError, match=r"t\.C\.S is a static field"):
+            session.ctx.new("t.C", x=1, S=5)
+        # Nothing was allocated, and the static keeps its value.
+        assert listener.allocs == []
+        assert session.ctx.get_static("t.C", "S") is None
+        obj = session.ctx.new("t.C", x=1)
+        assert obj.values == {"x": 1}
+
 
 class TestArrays:
     def test_array_bulk_access_records_bytes(self):

@@ -239,3 +239,67 @@ class TestPerHookFanout:
         assert [c[0] for c in late.calls] == ["alloc", "access", "cpu"]
         assert early.calls[-3:] == late.calls
         assert early.calls[0] == ("alloc", first.oid, "client")
+
+
+class TestDirectDelivery:
+    """A hook with one overrider is that listener's bound method; with
+    none it is the base no-op; with several the fanout broadcasts."""
+
+    def test_a_single_overrider_is_bound_directly(self):
+        fanout = HookFanout()
+        listener = CpuOnly([], "c")
+        fanout.add(listener)
+        assert fanout.on_cpu == listener.on_cpu
+        assert fanout.on_cpu.__self__ is listener
+
+    def test_a_hook_with_no_overrider_delivers_nothing(self):
+        fanout = HookFanout()
+        log = []
+        fanout.add(CpuOnly(log, "c"))
+        assert fanout.on_access.__func__ is ExecutionListener.on_access
+        fanout.on_access(sample_access())
+        assert log == []
+
+    def test_two_overriders_broadcast_in_add_order(self):
+        fanout = HookFanout()
+        log = []
+        fanout.add(CpuOnly(log, "1"))
+        fanout.add(CpuOnly(log, "2"))
+        assert fanout.on_cpu.__func__ is HookFanout.on_cpu
+        fanout.on_cpu("t.A", "client", 1.0)
+        assert log == [("1", "cpu", "t.A"), ("2", "cpu", "t.A")]
+
+    def test_binding_follows_add_and_remove(self):
+        fanout = HookFanout()
+        first, second = CpuOnly([], "1"), CpuOnly([], "2")
+        fanout.add(first)
+        fanout.add(second)
+        fanout.remove(first)
+        assert fanout.on_cpu.__self__ is second
+        fanout.remove(second)
+        assert fanout.on_cpu.__func__ is ExecutionListener.on_cpu
+
+    def test_a_fanout_nested_in_a_fanout(self):
+        outer, inner = HookFanout(), HookFanout()
+        log = []
+        outer.add(inner)
+        outer.on_cpu("t.A", "client", 1.0)  # inner has no listener yet
+        inner.add(CpuOnly(log, "1"))
+        inner.add(CpuOnly(log, "2"))
+        outer.remove(inner)
+        outer.add(inner)
+        outer.on_cpu("t.B", "client", 1.0)
+        assert log == [("1", "cpu", "t.B"), ("2", "cpu", "t.B")]
+
+    def test_a_listener_added_after_the_session_receives_frees(self):
+        from repro.config import VMConfig
+        from repro.vm.session import LocalSession
+
+        session = LocalSession(VMConfig(monitoring_event_cost=0.0))
+        session.registry.define("t.Cell").field("x", "int").register()
+        garbage = session.ctx.new("t.Cell")
+        session.ctx.new("t.Cell")  # no longer the last allocation
+        listener = Recorder()
+        session.add_listener(listener)
+        session.vm.collect_garbage()
+        assert ("free", garbage.oid) in listener.calls

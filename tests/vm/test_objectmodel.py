@@ -197,3 +197,32 @@ class TestJArray:
 def test_array_class_name():
     assert array_class_name("int") == "int[]"
     assert array_class_name("char") == "char[]"
+
+
+class TestClassLayout:
+    """The instance layout is computed once, when the class is built."""
+
+    def test_instance_size_counts_inherited_non_static_slots(self):
+        base = (ClassBuilder("a.Base").field("id", "int")
+                .field("flag", "bool").field("count", "int", static=True)
+                .build())
+        derived = (ClassBuilder("a.Derived").extends(base)
+                   .field("c", "char").field("shared", "ref", static=True)
+                   .build())
+        expected = OBJECT_HEADER_BYTES + sum(
+            f.slot_size for f in derived.fields() if not f.static)
+        assert derived.instance_size == expected == OBJECT_HEADER_BYTES + 11
+        assert derived.instance_fields_size == 11
+
+    def test_each_object_gets_its_own_values(self):
+        cls = ClassBuilder("a.B").field("x", "int", default=3).field("r").build()
+        first, second = JObject(cls, "client"), JObject(cls, "client")
+        assert first.values is not second.values
+        first.values["x"] = 9
+        assert second.values == {"x": 3, "r": None}
+        assert JObject(cls, "client").values == {"x": 3, "r": None}
+
+    def test_static_fields_have_no_instance_slot(self):
+        cls = (ClassBuilder("a.S").field("x", "int")
+               .field("shared", "int", static=True, default=4).build())
+        assert JObject(cls, "client").values == {"x": None}

@@ -83,6 +83,10 @@ DEFAULT_TARGETS = (
     "src/repro/vm/vm.py",
     "src/repro/vm/heap.py",
     "src/repro/rpc/channel.py",
+    "src/repro/vm/objectmodel.py",
+    "src/repro/vm/classloader.py",
+    "src/repro/vm/clock.py",
+    "src/repro/vm/session.py",
 )
 
 SUPPRESS_MARKER = "detlint: allow"
