@@ -38,21 +38,17 @@ from ..core.graph import ExecutionGraph, edge_key
 from ..vm.objectmodel import SLOT_SIZES
 from .facts import (
     MAIN_CLASS,
-    ArrayAccessFact,
     ArrayData,
     CallFact,
     ElemOf,
-    FieldAccessFact,
     FieldOf,
     NumConst,
     ParamRef,
     ProgramFacts,
     ReturnOf,
-    StaticAccessFact,
     UnionRef,
     Unknown,
     ValueRef,
-    WorkFact,
     union_of,
 )
 from .staticgraph import (
@@ -143,11 +139,6 @@ def substitute(
             *[substitute(part, binding, _depth + 1) for part in ref.parts]
         )
     return ref
-
-
-def _strip_params(ref: Optional[ValueRef]) -> Optional[ValueRef]:
-    """Degrade any remaining :class:`ParamRef` to :class:`Unknown`."""
-    return substitute(ref, {})
 
 
 class _Site:
@@ -263,18 +254,6 @@ class EscapeReport:
         default_factory=dict
     )
 
-    def cross_partition_fields(self) -> List[Tuple[str, str]]:
-        return sorted(
-            key for key, state in self.fields.items()
-            if state.classification == "cross-partition"
-        )
-
-    def cross_partition_arrays(self) -> List[str]:
-        return sorted(
-            name for name, state in self.arrays.items()
-            if state.classification == "cross-partition"
-        )
-
 
 # -- the prediction -----------------------------------------------------------
 
@@ -312,22 +291,6 @@ class TrafficPrediction:
 
     def binding_for(self, key: MethodKey) -> Dict[int, ValueRef]:
         return self.bindings.get(key, {})
-
-    def resolve_count(self, key: MethodKey, fact: ArrayAccessFact) -> int:
-        """Concrete element count of an array access, best effort."""
-        if fact.count is not None:
-            return fact.count
-        ref = substitute(fact.count_ref, self.binding_for(key))
-        counts = _numeric_options(ref)
-        if counts:
-            return max(1, int(max(counts)))
-        if fact.count_ref is None:
-            # ctx.array_read(arr) defaults to one element at runtime.
-            return 1
-        return self.config.default_array_count
-
-    def side_of(self, node: str) -> str:
-        return "client" if node in self.pinned else "offload"
 
 
 def _numeric_options(ref: Optional[ValueRef]) -> List[float]:

@@ -414,12 +414,6 @@ class NameTables:
         }
         return tables
 
-    def classes_with_method(self, name: str) -> FrozenSet[str]:
-        return self.method_owners.get(name, frozenset())
-
-    def classes_with_field(self, name: str) -> FrozenSet[str]:
-        return self.field_owners.get(name, frozenset())
-
 
 @dataclass
 class ProgramFacts:
@@ -429,9 +423,6 @@ class ProgramFacts:
     registry: ClassRegistry
     name_tables: NameTables
     methods: Dict[Tuple[str, str], MethodFacts] = field(default_factory=dict)
-
-    def method_facts(self, class_name: str, method_name: str) -> Optional[MethodFacts]:
-        return self.methods.get((class_name, method_name))
 
     def iter_methods(self) -> Iterator[MethodFacts]:
         return iter(self.methods.values())

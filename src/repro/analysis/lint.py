@@ -679,11 +679,5 @@ def lint_program(analysis: StaticAnalysis) -> List[Diagnostic]:
     return Linter(analysis).run()
 
 
-def max_severity(diagnostics: List[Diagnostic]) -> Optional[str]:
-    if not diagnostics:
-        return None
-    return min(diagnostics, key=lambda d: _SEVERITY_ORDER[d.severity]).severity
-
-
 def has_errors(diagnostics: List[Diagnostic]) -> bool:
     return any(d.severity == ERROR for d in diagnostics)

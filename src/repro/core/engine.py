@@ -18,7 +18,8 @@ mechanics through duck-typed ports:
 * ``migrate(nodes) -> (bytes, objects)``: make ``nodes`` the offloaded
   set and report what moved; raises
   :class:`~repro.errors.MigrationError` when infeasible;
-* ``surrogate_lost``: degraded mode, with no surrogate to offload to.
+* ``surrogate_lost``: degraded mode, with no surrogate to offload to;
+  :meth:`OffloadingEngine.attempt` does nothing while it holds.
 
 The gating is two calls: :meth:`OffloadingEngine.observe` feeds a GC
 report to the memory trigger, and
@@ -167,10 +168,9 @@ class OffloadingEngine(ExecutionListener):
         return True
 
     def on_gc_report(self, report: GCReport, site: str) -> None:
-        if self._attempting or self.host.surrogate_lost:
+        if self._attempting:
             # GC cycles caused by the migration itself must not
-            # re-enter; in client-only degraded mode there is no
-            # surrogate to offload to.
+            # re-enter.
             return
         if site == self.client_site and self.observe(report):
             self.attempt()
@@ -191,9 +191,12 @@ class OffloadingEngine(ExecutionListener):
         back to the client when they fit (the paper's section 8
         "moving objects from the surrogate to the client device").
 
-        Returns ``None`` when the placement died on its opening
-        exchange: nothing moved, so no offload happened.
+        Returns ``None`` in client-only degraded mode, where there is no
+        surrogate to offload to, and when the placement died on its
+        opening exchange: nothing moved, so no offload happened.
         """
+        if self.host.surrogate_lost:
+            return None
         self._attempting = True
         try:
             host = self.host

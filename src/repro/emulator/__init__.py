@@ -30,12 +30,7 @@ from .parallel import (
 )
 from .recorder import TraceRecorder, collect_class_traits, record_application
 from .replay import EmulationResult, EmulatorConfig, TraceReplayer
-from .timemodel import (
-    migration_cost,
-    migration_payload,
-    remote_access_cost,
-    remote_invoke_cost,
-)
+from .timemodel import migration_cost, migration_payload
 
 __all__ = [
     "AccessEvent",
@@ -74,8 +69,6 @@ __all__ = [
     "migration_payload",
     "read_ctrace",
     "record_application",
-    "remote_access_cost",
-    "remote_invoke_cost",
     "replicate",
     "write_ctrace",
 ]

@@ -35,9 +35,10 @@ from ..net.mobility import LinkProfile, MobilityConfig, MobilityReport
 from ..net.wavelan import WAVELAN_11MBPS
 from ..rpc.batch import (
     FLUSH_RESULT,
+    DataPlane,
     DataPlaneConfig,
     DataPlaneStats,
-    RpcCoalescer,
+    ExchangeCosts,
 )
 from ..rpc.cache import RemoteReadCache
 from ..rpc.marshal import MESSAGE_HEADER_BYTES
@@ -59,14 +60,15 @@ from .timemodel import (
     migration_payload,
     pipelined_migration_cost,
     pipelined_migration_payload,
-    remote_access_cost,
-    remote_invoke_cost,
 )
 
 CLIENT = "client"
 SURROGATE = "surrogate"
 MAIN = "<main>"
 INT_ARRAY = "int[]"
+#: The coalesced-batch part of :meth:`TraceReplayer._reload` when there
+#: is no coalescer: no pending batch, zero counters.
+_NO_BATCH = (None, 0, 0, 0, 0, 0, 0.0, 0, 0, 0.0, 0)
 
 
 @dataclass(frozen=True)
@@ -314,9 +316,6 @@ class TraceReplayer:
         self._class_ids_of: Optional[Set[str]] = None
         self._class_ids: Set[int] = set()
         self._pinned_cache: Optional[List[str]] = None
-        # Cross-site data plane: coalescer and remote-read cache are
-        # created only when enabled, so the naive path stays on the
-        # exact pre-optimisation code (bit-identical accounting).
         # The link in force *now*.  Static runs never reassign it; under
         # a link profile it tracks the schedule (every cost site reads
         # this attribute, never ``config.link``).
@@ -331,16 +330,12 @@ class TraceReplayer:
             self, self._link, faults=spec, link_profile=profile,
             mobility=config.mobility,
         )
-        dp = config.data_plane
-        self._dp_stats = DataPlaneStats() if dp.any_enabled else None
-        self._cache = RemoteReadCache() if dp.read_cache else None
-        if self._cache is not None:
-            self._dp_stats.cache = self._cache.stats
-        self._coalescer = (
-            RpcCoalescer(self._link, self._transfer_one_way,
-                         stats=self._dp_stats)
-            if dp.coalescing else None
-        )
+        # Cross-site data plane: the prototype's bundle.  Its coalescer
+        # and remote-read cache exist only when enabled, so the naive
+        # path stays on the exact pre-optimisation code (bit-identical
+        # accounting).
+        self._data_plane = DataPlane(config.data_plane, self._link,
+                                     self._transfer_one_way)
         # Fault injection: a fresh seeded schedule per replayer, so two
         # replays of one config draw identical fault streams.
         self._delivery = control.delivery = (
@@ -458,10 +453,8 @@ class TraceReplayer:
         return self._control.surrogate_lost
 
     def drop_traffic(self) -> None:
-        if self._coalescer is not None:
-            self._coalescer.drop_pending()
-        if self._cache is not None:
-            self._cache.invalidate_all()
+        self._data_plane.drop_pending()
+        self._data_plane.note_migration()
 
     def repatriate_unreachable(self) -> Tuple[int, int]:
         """Reconstruct every surrogate-resident object client-side from
@@ -483,13 +476,11 @@ class TraceReplayer:
         return repatriated, repatriated_bytes
 
     def flush_traffic(self) -> None:
-        if self._coalescer is not None:
-            self._coalescer.flush()
+        self._data_plane.flush()
 
     def set_link(self, link: LinkModel) -> None:
         self._link = link
-        if self._coalescer is not None:
-            self._coalescer.link = link
+        self._data_plane.set_link(link)
 
     def placement(self) -> FrozenSet[str]:
         return self._offloaded
@@ -529,8 +520,7 @@ class TraceReplayer:
         """Close out a replay once the loop has spilled its state."""
         self._log_at = self.result.events_processed
         self._fold.mark(self._log_at)
-        if self._coalescer is not None:
-            self._coalescer.flush()
+        self._data_plane.flush()
         control = self._control
         # A run that ended in degraded mode closes its downtime window.
         control.close_downtime()
@@ -544,7 +534,9 @@ class TraceReplayer:
         self.result.final_offload_nodes = self._offloaded
         self.result.refusals = engine.refusal_count
         self.result.reeval = engine.reeval_stats
-        self.result.data_plane = self._dp_stats
+        self.result.data_plane = (self._data_plane.stats
+                                  if self.config.data_plane.any_enabled
+                                  else None)
         return self.result
 
     def run(self) -> EmulationResult:
@@ -564,11 +556,14 @@ class TraceReplayer:
         ``_exchange``) is taken inline.  So is the coalesced data plane:
         the loop holds the pending batch and its stats counters in
         locals, a buffered write is local arithmetic, and a read or an
-        invoke closes the batch inline.  The loop lends the batch back
-        to the coalescer (see ``_batch_spill``) around every cold call
-        and on a direction change, whose flush the coalescer runs.  The
-        loop does no graph work: reading :attr:`graph` folds the events
-        replayed so far.
+        invoke closes the batch inline.  Naive ops and batches are priced
+        from one :class:`~repro.rpc.batch.ExchangeCosts` table.  Every
+        cold call but a surrogate-side reclaim (which writes back only
+        the heap counters), a direction change (whose flush the
+        coalescer runs) included, goes through one
+        :meth:`_spill`/:meth:`_reload` pair, which also lends the batch
+        back to the coalescer.  The loop does no graph work: reading
+        :attr:`graph` folds the events replayed so far.
         """
         trace = self.trace
         cols = trace.column_lists()
@@ -619,30 +614,25 @@ class TraceReplayer:
             if name.endswith("[]")
         }
 
-        # Wire-cost memo tables: the cost helpers are pure in
-        # (link, payload, direction) and traces reuse a handful of
-        # payload sizes, so each distinct size is priced exactly once —
-        # the cached float is the same object the helper returned,
-        # keeping accounting bit-identical.
-        access_cost_memo: Dict[Tuple[int, int], float] = {}
-        access_memo_get = access_cost_memo.get
-        invoke_cost_memo: Dict[Tuple[int, int], float] = {}
-        invoke_memo_get = invoke_cost_memo.get
-        # One message leg, by its headered size (a coalesced batch's
-        # request and response).
-        leg_cost_memo: Dict[int, float] = {}
-        leg_memo_get = leg_cost_memo.get
-
         site_map = self._site
         site_get = site_map.get
         size_map = self._size
         node_map = self._node
         pending = self._pending_garbage
-        cache = self._cache
+        data_plane = self._data_plane
+        cache = data_plane.cache
         cache_invalidate = cache.invalidate if cache is not None else None
         cache_note_read = cache.note_read if cache is not None else None
         static_key = RemoteReadCache.static_key
-        coalescer = self._coalescer
+        coalescer = data_plane.coalescer
+        # One price table for every exchange: a naive op's cost and a
+        # batch's alike, the coalescer's when there is one.  A new link
+        # brings a new table.  The naive path reads it through ``get``
+        # (a dict subclass's ``[]`` is slower) and prices a miss by
+        # ``[]``.
+        exchange_cost = (coalescer.exchange_costs if coalescer is not None
+                         else ExchangeCosts(link))
+        cost_get = exchange_cost.get
         # Fault gauntlet: without a coalescer every uncached remote
         # operation is one exchange of its own; with one, each leg of a
         # closing batch is.  Either way an exchange may declare the
@@ -655,33 +645,23 @@ class TraceReplayer:
         attempt = (self._gauntlet
                    if delivery is not None and coalescer is None else None)
 
-        # Hoisted mutable state (spilled/reloaded around cold calls).
-        now = self._now
-        client_live = self._client_live
-        surrogate_live = self._surrogate_live
-        allocs_since_gc = self._allocs_since_gc
-        bytes_since_gc = self._bytes_since_gc
-        last_reeval = engine.last_reevaluation
-        surrogate_cids = self._surrogate_class_ids()
+        # Hoisted mutable state, spilled and reloaded around cold calls;
+        # with a coalescer, its pending batch (the initiating site, ops
+        # and payload bytes each way) and the stats counters it touches.
+        (now, client_live, surrogate_live, allocs_since_gc, bytes_since_gc,
+         last_reeval, surrogate_cids, comm_time, peak_client, reattach_at,
+         batch_from, batch_ops, batch_out, batch_back, dp_ops,
+         dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes, dp_actual_s,
+         dp_results) = self._reload()
         cpu_client = result.cpu_time_client
         cpu_surrogate = result.cpu_time_surrogate
-        comm_time = result.comm_time
         monitoring_time = result.monitoring_time
         remote_invocations = result.remote_invocations
         remote_native = result.remote_native_invocations
         remote_accesses = result.remote_accesses
         remote_bytes = result.remote_bytes
-        peak_client = result.peak_client_bytes
-        reattach_at = control.reattach_at
         ep = 0
         oom = False
-        # The coalescer's pending batch (the initiating site, ops and
-        # payload bytes each way) and the stats counters it touches.
-        if coalescer is not None:
-            exchange_cost = coalescer.exchange_costs
-            (batch_from, batch_ops, batch_out, batch_back, dp_ops,
-             dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
-             dp_actual_s, dp_results) = self._batch_reload()
         headers = MESSAGE_HEADER_BYTES
         two_headers = 2 * MESSAGE_HEADER_BYTES
 
@@ -735,17 +715,29 @@ class TraceReplayer:
                             schedule.credit -= 1
                             delivery.exchanges += 1
                         else:
-                            self._exchange_spill(ep, now, client_live,
-                                                 surrogate_live, peak_client)
+                            self._spill(
+                                ep, now, client_live, surrogate_live,
+                                allocs_since_gc, bytes_since_gc, last_reeval,
+                                comm_time, peak_client, batch_from, batch_ops,
+                                batch_out, batch_back, dp_ops, dp_naive_bytes,
+                                dp_naive_s, dp_batches, dp_wire_bytes,
+                                dp_actual_s, dp_results)
                             delivered = attempt()
-                            now = self._now
+                            (now, client_live, surrogate_live,
+                             allocs_since_gc, bytes_since_gc, last_reeval,
+                             surrogate_cids, comm_time, peak_client,
+                             reattach_at, batch_from, batch_ops, batch_out,
+                             batch_back, dp_ops, dp_naive_bytes, dp_naive_s,
+                             dp_batches, dp_wire_bytes, dp_actual_s,
+                             dp_results) = self._reload()
                         if delivered:
-                            ck = (nbytes, is_write)
-                            cost = access_memo_get(ck)
+                            # A write carries the value out and an empty
+                            # ack back; a read, an empty request out and
+                            # the value back.
+                            ck = (nbytes, 0) if is_write else (0, nbytes)
+                            cost = cost_get(ck)
                             if cost is None:
-                                cost = remote_access_cost(link, nbytes,
-                                                          bool(is_write))
-                                access_cost_memo[ck] = cost
+                                cost = exchange_cost[ck]
                             comm_time += cost
                             now += cost
                             remote_accesses += 1
@@ -754,35 +746,31 @@ class TraceReplayer:
                             # Surrogate lost mid-access: recovery has
                             # repatriated everything, so the access
                             # completes locally, uncharged.
-                            (client_live, surrogate_live, surrogate_cids,
-                             peak_client, reattach_at) = self._exchange_reload()
                             owner_site = CLIENT_
                     else:
                         if batch_ops and batch_from != accessor_site:
                             # The pending batch runs the other way: the
                             # coalescer flushes it and takes this op.
-                            result.comm_time = comm_time
-                            self._exchange_spill(ep, now, client_live,
-                                                 surrogate_live, peak_client)
-                            self._batch_spill(
-                                batch_from, batch_ops, batch_out, batch_back,
-                                dp_ops, dp_naive_bytes, dp_naive_s,
-                                dp_batches, dp_wire_bytes, dp_actual_s,
-                                dp_results)
+                            self._spill(
+                                ep, now, client_live, surrogate_live,
+                                allocs_since_gc, bytes_since_gc, last_reeval,
+                                comm_time, peak_client, batch_from, batch_ops,
+                                batch_out, batch_back, dp_ops, dp_naive_bytes,
+                                dp_naive_s, dp_batches, dp_wire_bytes,
+                                dp_actual_s, dp_results)
                             if is_write:
                                 coalescer.write(accessor_site, owner_site,
                                                 nbytes)
                             else:
                                 coalescer.read(accessor_site, owner_site,
                                                nbytes)
-                            now = self._now
-                            comm_time = result.comm_time
-                            (client_live, surrogate_live, surrogate_cids,
-                             peak_client, reattach_at) = self._exchange_reload()
-                            (batch_from, batch_ops, batch_out, batch_back,
-                             dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
-                             dp_wire_bytes, dp_actual_s,
-                             dp_results) = self._batch_reload()
+                            (now, client_live, surrogate_live,
+                             allocs_since_gc, bytes_since_gc, last_reeval,
+                             surrogate_cids, comm_time, peak_client,
+                             reattach_at, batch_from, batch_ops, batch_out,
+                             batch_back, dp_ops, dp_naive_bytes, dp_naive_s,
+                             dp_batches, dp_wire_bytes, dp_actual_s,
+                             dp_results) = self._reload()
                         else:
                             # The op joins the batch: a write, value out
                             # and ack back, only buffers; a read, empty
@@ -817,22 +805,31 @@ class TraceReplayer:
                                         schedule.credit -= 1
                                         delivery.exchanges += 1
                                     else:
-                                        self._exchange_spill(
+                                        self._spill(
                                             ep, now, client_live,
-                                            surrogate_live, peak_client)
+                                            surrogate_live, allocs_since_gc,
+                                            bytes_since_gc, last_reeval,
+                                            comm_time, peak_client,
+                                            batch_from, batch_ops, batch_out,
+                                            batch_back, dp_ops,
+                                            dp_naive_bytes, dp_naive_s,
+                                            dp_batches, dp_wire_bytes,
+                                            dp_actual_s, dp_results)
                                         delivered = self._gauntlet()
-                                        now = self._now
-                                        (client_live, surrogate_live,
-                                         surrogate_cids, peak_client,
-                                         reattach_at) = self._exchange_reload()
+                                        (now, client_live, surrogate_live,
+                                         allocs_since_gc, bytes_since_gc,
+                                         last_reeval, surrogate_cids,
+                                         comm_time, peak_client, reattach_at,
+                                         batch_from, batch_ops, batch_out,
+                                         batch_back, dp_ops, dp_naive_bytes,
+                                         dp_naive_s, dp_batches,
+                                         dp_wire_bytes, dp_actual_s,
+                                         dp_results) = self._reload()
                                         if not delivered:
                                             # The leg died with the
                                             # surrogate: it never travels.
                                             continue
-                                    seconds = leg_memo_get(leg)
-                                    if seconds is None:
-                                        seconds = link.one_way(leg)
-                                        leg_cost_memo[leg] = seconds
+                                    seconds = link.one_way(leg)
                                     comm_time += seconds
                                     now += seconds
                         remote_accesses += 1
@@ -883,47 +880,51 @@ class TraceReplayer:
                     schedule.credit -= 1
                     delivery.exchanges += 1
                 else:
-                    self._exchange_spill(ep, now, client_live,
-                                         surrogate_live, peak_client)
+                    self._spill(
+                        ep, now, client_live, surrogate_live, allocs_since_gc,
+                        bytes_since_gc, last_reeval, comm_time, peak_client,
+                        batch_from, batch_ops, batch_out, batch_back, dp_ops,
+                        dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
+                        dp_actual_s, dp_results)
                     delivered = attempt()
-                    now = self._now
+                    (now, client_live, surrogate_live, allocs_since_gc,
+                     bytes_since_gc, last_reeval, surrogate_cids, comm_time,
+                     peak_client, reattach_at, batch_from, batch_ops,
+                     batch_out, batch_back, dp_ops, dp_naive_bytes,
+                     dp_naive_s, dp_batches, dp_wire_bytes, dp_actual_s,
+                     dp_results) = self._reload()
                     if not delivered:
                         # The surrogate died under this round trip:
                         # recovery has repatriated everything, so the
                         # invocation is local now.
-                        (client_live, surrogate_live, surrogate_cids,
-                         peak_client, reattach_at) = self._exchange_reload()
                         caller_site = exec_site = CLIENT_
                 if exec_site != caller_site:
                     if coalescer is None:
                         ck = (arg_bytes, ret_bytes)
-                        cost = invoke_memo_get(ck)
+                        cost = cost_get(ck)
                         if cost is None:
-                            cost = remote_invoke_cost(link, arg_bytes,
-                                                      ret_bytes)
-                            invoke_cost_memo[ck] = cost
+                            cost = exchange_cost[ck]
                         comm_time += cost
                         now += cost
                     elif batch_ops and batch_from != caller_site:
                         # The pending batch runs the other way: the
                         # coalescer flushes it and takes this call.
-                        result.comm_time = comm_time
-                        self._exchange_spill(ep, now, client_live,
-                                             surrogate_live, peak_client)
-                        self._batch_spill(
-                            batch_from, batch_ops, batch_out, batch_back,
-                            dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
-                            dp_wire_bytes, dp_actual_s, dp_results)
+                        self._spill(
+                            ep, now, client_live, surrogate_live,
+                            allocs_since_gc, bytes_since_gc, last_reeval,
+                            comm_time, peak_client, batch_from, batch_ops,
+                            batch_out, batch_back, dp_ops, dp_naive_bytes,
+                            dp_naive_s, dp_batches, dp_wire_bytes,
+                            dp_actual_s, dp_results)
                         coalescer.invoke(caller_site, exec_site,
                                          arg_bytes, ret_bytes)
-                        now = self._now
-                        comm_time = result.comm_time
-                        (client_live, surrogate_live, surrogate_cids,
-                         peak_client, reattach_at) = self._exchange_reload()
-                        (batch_from, batch_ops, batch_out, batch_back,
-                         dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                        (now, client_live, surrogate_live, allocs_since_gc,
+                         bytes_since_gc, last_reeval, surrogate_cids,
+                         comm_time, peak_client, reattach_at, batch_from,
+                         batch_ops, batch_out, batch_back, dp_ops,
+                         dp_naive_bytes, dp_naive_s, dp_batches,
                          dp_wire_bytes, dp_actual_s,
-                         dp_results) = self._batch_reload()
+                         dp_results) = self._reload()
                     else:
                         # Control transfers, so the call joins the batch
                         # and closes it.
@@ -949,22 +950,28 @@ class TraceReplayer:
                                 schedule.credit -= 1
                                 delivery.exchanges += 1
                             else:
-                                self._exchange_spill(ep, now, client_live,
-                                                     surrogate_live,
-                                                     peak_client)
+                                self._spill(
+                                    ep, now, client_live, surrogate_live,
+                                    allocs_since_gc, bytes_since_gc,
+                                    last_reeval, comm_time, peak_client,
+                                    batch_from, batch_ops, batch_out,
+                                    batch_back, dp_ops, dp_naive_bytes,
+                                    dp_naive_s, dp_batches, dp_wire_bytes,
+                                    dp_actual_s, dp_results)
                                 delivered = self._gauntlet()
-                                now = self._now
-                                (client_live, surrogate_live, surrogate_cids,
-                                 peak_client,
-                                 reattach_at) = self._exchange_reload()
+                                (now, client_live, surrogate_live,
+                                 allocs_since_gc, bytes_since_gc, last_reeval,
+                                 surrogate_cids, comm_time, peak_client,
+                                 reattach_at, batch_from, batch_ops,
+                                 batch_out, batch_back, dp_ops,
+                                 dp_naive_bytes, dp_naive_s, dp_batches,
+                                 dp_wire_bytes, dp_actual_s,
+                                 dp_results) = self._reload()
                                 if not delivered:
                                     # The leg died with the surrogate: it
                                     # never travels.
                                     continue
-                            seconds = leg_memo_get(leg)
-                            if seconds is None:
-                                seconds = link.one_way(leg)
-                                leg_cost_memo[leg] = seconds
+                            seconds = link.one_way(leg)
                             comm_time += seconds
                             now += seconds
                     remote_invocations += 1
@@ -981,26 +988,21 @@ class TraceReplayer:
                 size = n1[i]
                 if site == CLIENT_:
                     if client_live + size > capacity:
-                        self._columnar_spill(
+                        self._spill(
                             ep, now, client_live, surrogate_live,
                             allocs_since_gc, bytes_since_gc, last_reeval,
-                            comm_time, peak_client)
-                        if coalescer is not None:
-                            self._batch_spill(
-                                batch_from, batch_ops, batch_out, batch_back,
-                                dp_ops, dp_naive_bytes, dp_naive_s,
-                                dp_batches, dp_wire_bytes, dp_actual_s,
-                                dp_results)
+                            comm_time, peak_client, batch_from, batch_ops,
+                            batch_out, batch_back, dp_ops, dp_naive_bytes,
+                            dp_naive_s, dp_batches, dp_wire_bytes,
+                            dp_actual_s, dp_results)
                         self._gc_cycle("space-exhausted", ep)
                         (now, client_live, surrogate_live, allocs_since_gc,
                          bytes_since_gc, last_reeval, surrogate_cids,
-                         comm_time, peak_client,
-                         reattach_at) = self._columnar_reload()
-                        if coalescer is not None:
-                            (batch_from, batch_ops, batch_out, batch_back,
-                             dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
-                             dp_wire_bytes, dp_actual_s,
-                             dp_results) = self._batch_reload()
+                         comm_time, peak_client, reattach_at, batch_from,
+                         batch_ops, batch_out, batch_back, dp_ops,
+                         dp_naive_bytes, dp_naive_s, dp_batches,
+                         dp_wire_bytes, dp_actual_s,
+                         dp_results) = self._reload()
                         # Placement may have changed under the GC's
                         # offload trigger, but the allocation keeps its
                         # pre-GC site decision.
@@ -1050,24 +1052,19 @@ class TraceReplayer:
                 else:
                     reason = None
                 if reason is not None:
-                    self._columnar_spill(ep, now, client_live, surrogate_live,
-                                         allocs_since_gc, bytes_since_gc,
-                                         last_reeval, comm_time, peak_client)
-                    if coalescer is not None:
-                        self._batch_spill(
-                            batch_from, batch_ops, batch_out, batch_back,
-                            dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
-                            dp_wire_bytes, dp_actual_s, dp_results)
+                    self._spill(
+                        ep, now, client_live, surrogate_live, allocs_since_gc,
+                        bytes_since_gc, last_reeval, comm_time, peak_client,
+                        batch_from, batch_ops, batch_out, batch_back, dp_ops,
+                        dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
+                        dp_actual_s, dp_results)
                     self._gc_cycle(reason, ep + 1)
                     (now, client_live, surrogate_live, allocs_since_gc,
-                     bytes_since_gc, last_reeval, surrogate_cids,
-                     comm_time, peak_client,
-                     reattach_at) = self._columnar_reload()
-                    if coalescer is not None:
-                        (batch_from, batch_ops, batch_out, batch_back,
-                         dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
-                         dp_wire_bytes, dp_actual_s,
-                         dp_results) = self._batch_reload()
+                     bytes_since_gc, last_reeval, surrogate_cids, comm_time,
+                     peak_client, reattach_at, batch_from, batch_ops,
+                     batch_out, batch_back, dp_ops, dp_naive_bytes,
+                     dp_naive_s, dp_batches, dp_wire_bytes, dp_actual_s,
+                     dp_results) = self._reload()
             else:
                 # -- free (TAG_FREE) ---------------------------------------
                 oid = a_oid[i]
@@ -1094,40 +1091,34 @@ class TraceReplayer:
                     or (reevaluate_every is not None and offload_enabled
                         and now - last_reeval >= reevaluate_every
                         and engine.offload_count > 0)):
-                self._columnar_spill(ep, now, client_live, surrogate_live,
-                                     allocs_since_gc, bytes_since_gc,
-                                     last_reeval, comm_time, peak_client)
-                if coalescer is not None:
-                    self._batch_spill(
-                        batch_from, batch_ops, batch_out, batch_back, dp_ops,
-                        dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
-                        dp_actual_s, dp_results)
+                self._spill(
+                    ep, now, client_live, surrogate_live, allocs_since_gc,
+                    bytes_since_gc, last_reeval, comm_time, peak_client,
+                    batch_from, batch_ops, batch_out, batch_back, dp_ops,
+                    dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
+                    dp_actual_s, dp_results)
                 self._after_event(ep)
                 (now, client_live, surrogate_live, allocs_since_gc,
                  bytes_since_gc, last_reeval, surrogate_cids, comm_time,
-                 peak_client, reattach_at) = self._columnar_reload()
-                # A roam may have changed the link, which invalidates
-                # the wire-cost memos.
-                link = self._link
+                 peak_client, reattach_at, batch_from, batch_ops, batch_out,
+                 batch_back, dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                 dp_wire_bytes, dp_actual_s, dp_results) = self._reload()
+                # A roam may have changed the link, and the link the
+                # price table.
                 next_roam = control.next_change
-                access_cost_memo.clear()
-                invoke_cost_memo.clear()
-                leg_cost_memo.clear()
+                link = self._link
                 if coalescer is not None:
                     exchange_cost = coalescer.exchange_costs
-                    (batch_from, batch_ops, batch_out, batch_back, dp_ops,
-                     dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
-                     dp_actual_s, dp_results) = self._batch_reload()
+                elif exchange_cost.link is not link:
+                    exchange_cost = ExchangeCosts(link)
+                cost_get = exchange_cost.get
             if oom:
                 break
-        self._columnar_spill(ep, now, client_live, surrogate_live,
-                             allocs_since_gc, bytes_since_gc, last_reeval,
-                             comm_time, peak_client)
-        if coalescer is not None:
-            self._batch_spill(
-                batch_from, batch_ops, batch_out, batch_back, dp_ops,
-                dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
-                dp_actual_s, dp_results)
+        self._spill(ep, now, client_live, surrogate_live, allocs_since_gc,
+                    bytes_since_gc, last_reeval, comm_time, peak_client,
+                    batch_from, batch_ops, batch_out, batch_back, dp_ops,
+                    dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
+                    dp_actual_s, dp_results)
         # No cold call reads these, so they are written once, here.
         result.cpu_time_client = cpu_client
         result.cpu_time_surrogate = cpu_surrogate
@@ -1156,22 +1147,30 @@ class TraceReplayer:
         if config.offload_enabled and self.engine.reevaluation_due():
             self._attempt_offload(reevaluation=True)
 
-    def _columnar_spill(
+    def _spill(
         self, ep, now, client_live, surrogate_live, allocs_since_gc,
-        bytes_since_gc, last_reeval, comm_time, peak_client,
+        bytes_since_gc, last_reeval, comm_time, peak_client, batch_from,
+        batch_ops, batch_out, batch_back, dp_ops, naive_bytes, naive_seconds,
+        batches, wire_bytes, actual_seconds, result_flushes,
     ) -> None:
         """Write the batched loop's hoisted state back to the instance.
 
-        The batched loop keeps replayer state in locals; this helper
-        writes it back so a cold call (:meth:`_gc_cycle`,
-        :meth:`_attempt_offload`, the control plane's mobility poll and
-        rediscovery, and everything they reach) observes the
-        replay's exact state, then the caller takes
-        :meth:`_columnar_reload` back into its locals.  The event index
-        is also the side-log position of what the cold call logs.
+        The loop keeps replayer state in locals; this writes it back so
+        a cold call (a GC cycle, the post-event checks, a fault-gauntlet
+        exchange, a direction-change flush, the end of the run, and
+        everything they reach) observes the replay's exact state, then
+        the loop takes :meth:`_reload` back into its locals.  The event
+        index is also the side-log position of what the cold call logs.
+
+        With a coalescer, the pending batch goes back to it and the
+        counters back to the stats block, so the call may flush, drop
+        or re-price the batch.  The loop adds two naive messages per op
+        and two wire messages per batch, so the message counts follow
+        the op and batch counts.
         """
         result = self.result
         self._log_at = ep
+        result.events_processed = ep
         self._now = now
         self._client_live = client_live
         self._surrogate_live = surrogate_live
@@ -1181,17 +1180,46 @@ class TraceReplayer:
         result.comm_time = comm_time
         if peak_client > result.peak_client_bytes:
             result.peak_client_bytes = peak_client
-        result.events_processed = ep
+        coalescer = self._data_plane.coalescer
+        if coalescer is None:
+            return
+        stats = self._data_plane.stats
+        stats.naive_messages += 2 * (dp_ops - stats.ops)
+        stats.wire_messages += 2 * (batches - stats.batches)
+        stats.ops = dp_ops
+        stats.naive_bytes = naive_bytes
+        stats.naive_seconds = naive_seconds
+        stats.batches = batches
+        stats.wire_bytes = wire_bytes
+        stats.actual_seconds = actual_seconds
+        if result_flushes:
+            stats.flushes[FLUSH_RESULT] = result_flushes
+        direction = None
+        if batch_ops:
+            direction = (batch_from,
+                         CLIENT if batch_from == SURROGATE else SURROGATE)
+        coalescer.adopt(direction, batch_ops, batch_out, batch_back)
 
-    def _columnar_reload(self):
-        """The hoisted loop state a cold call may have changed, in the
-        order the loop unpacks it."""
+    def _reload(self):
+        """The hoisted loop state a cold call may have changed and the
+        coalescer's pending batch and counters (placeholders without a
+        coalescer), in the order the loop unpacks them."""
         result = self.result
-        return (self._now, self._client_live, self._surrogate_live,
-                self._allocs_since_gc, self._bytes_since_gc,
-                self.engine.last_reevaluation, self._surrogate_class_ids(),
-                result.comm_time, result.peak_client_bytes,
-                self._control.reattach_at)
+        state = (self._now, self._client_live, self._surrogate_live,
+                 self._allocs_since_gc, self._bytes_since_gc,
+                 self.engine.last_reevaluation, self._surrogate_class_ids(),
+                 result.comm_time, result.peak_client_bytes,
+                 self._control.reattach_at)
+        coalescer = self._data_plane.coalescer
+        if coalescer is None:
+            return state + _NO_BATCH
+        direction, ops, out_bytes, back_bytes = coalescer.release()
+        stats = self._data_plane.stats
+        return state + (
+            direction[0] if direction is not None else None, ops, out_bytes,
+            back_bytes, stats.ops, stats.naive_bytes, stats.naive_seconds,
+            stats.batches, stats.wire_bytes, stats.actual_seconds,
+            stats.flushes.get(FLUSH_RESULT, 0))
 
     def _surrogate_class_ids(self) -> Set[int]:
         """The trace's string ids of the classes placed on the
@@ -1206,79 +1234,14 @@ class TraceReplayer:
             }
         return self._class_ids
 
-    def _batch_spill(self, batch_from, ops, out_bytes, back_bytes, dp_ops,
-                     naive_bytes, naive_seconds, batches, wire_bytes,
-                     actual_seconds, result_flushes) -> None:
-        """Lend the loop's pending batch back to the coalescer, and its
-        counters back to the stats block, before anything that may
-        flush, drop or re-price the batch: a direction change, a cold
-        call (GC and migration barriers, roaming, the crash path's
-        ``drop_pending``) and the end of the run.
-
-        The loop adds two naive messages per op and two wire messages
-        per batch, so the message counts follow the op and batch counts.
-        """
-        stats = self._dp_stats
-        stats.naive_messages += 2 * (dp_ops - stats.ops)
-        stats.wire_messages += 2 * (batches - stats.batches)
-        stats.ops = dp_ops
-        stats.naive_bytes = naive_bytes
-        stats.naive_seconds = naive_seconds
-        stats.batches = batches
-        stats.wire_bytes = wire_bytes
-        stats.actual_seconds = actual_seconds
-        if result_flushes:
-            stats.flushes[FLUSH_RESULT] = result_flushes
-        direction = None
-        if ops:
-            direction = (batch_from,
-                         CLIENT if batch_from == SURROGATE else SURROGATE)
-        self._coalescer.adopt(direction, ops, out_bytes, back_bytes)
-
-    def _batch_reload(self):
-        """Take the pending batch and the counters back from the
-        coalescer, in the order the loop unpacks them."""
-        direction, ops, out_bytes, back_bytes = self._coalescer.release()
-        stats = self._dp_stats
-        return (direction[0] if direction is not None else None, ops,
-                out_bytes, back_bytes, stats.ops, stats.naive_bytes,
-                stats.naive_seconds, stats.batches, stats.wire_bytes,
-                stats.actual_seconds, stats.flushes.get(FLUSH_RESULT, 0))
-
-    def _exchange_spill(self, ep, now, client_live, surrogate_live,
-                        peak_client) -> None:
-        """Spill the batched loop's state around a fault-gauntlet exchange.
-
-        The exchange reads the clock and the event index (for
-        ``crash_at_event``); recovery from a dead surrogate rewrites the
-        heap counters and may raise the peak.  The caller always reloads
-        the clock afterwards, and :meth:`_exchange_reload` when recovery
-        may have run.
-        """
-        result = self.result
-        self._now = now
-        result.events_processed = ep
-        self._client_live = client_live
-        self._surrogate_live = surrogate_live
-        if peak_client > result.peak_client_bytes:
-            result.peak_client_bytes = peak_client
-
-    def _exchange_reload(self):
-        """Heap counters, placement, peak and reattach time after an
-        exchange that may have declared the surrogate dead."""
-        return (self._client_live, self._surrogate_live,
-                self._surrogate_class_ids(), self.result.peak_client_bytes,
-                self._control.reattach_at)
-
     # -- allocation and the emulated collector -------------------------------------
 
     def _reclaim(self, oid: int, at: int) -> None:
         """Drop one collected object; its graph part goes to the fold's
         side log at position ``at``."""
         site = self._site.pop(oid)
-        if self._cache is not None:
-            # GC of the owner invalidates its cached remote copy.
-            self._cache.invalidate(oid)
+        # GC of the owner invalidates its cached remote copy.
+        self._data_plane.note_free(oid)
         size = self._size.pop(oid)
         if site == CLIENT:
             self._client_live -= size
@@ -1291,9 +1254,8 @@ class TraceReplayer:
         allocation that triggered it is before ``at`` unless the heap
         was exhausted (then the allocation waits for the collection)."""
         self._log_at = at
-        if self._coalescer is not None:
-            # GC barrier: the pause must not overtake un-charged traffic.
-            self._coalescer.gc_barrier()
+        # GC barrier: the pause must not overtake un-charged traffic.
+        self._data_plane.gc_barrier()
         pending = self._pending_garbage
         freed_bytes = sum(pending.values())
         freed_objects = len(pending)
@@ -1358,10 +1320,9 @@ class TraceReplayer:
         # The attempt ends the open interaction run, whether or not it
         # reads the graph.
         self._fold.mark(self._log_at)
-        if self._coalescer is not None:
-            # Repartition barrier: decisions and migrations must not
-            # observe buffered, un-charged operations.
-            self._coalescer.migration_barrier()
+        # Repartition barrier: decisions and migrations must not observe
+        # buffered, un-charged operations.
+        self._data_plane.migration_barrier()
         forced = self.config.forced_offload_nodes
         if forced is None:
             self.engine.attempt(revert_on_refusal=reevaluation)
@@ -1447,8 +1408,8 @@ class TraceReplayer:
             self.result.migration_time += duration
             self._now += duration
             moved_bytes = wire
-        if self._cache is not None and (to_surrogate or to_client):
+        if to_surrogate or to_client:
             # Residency changed under the cache: drop everything rather
             # than chase which owners moved.
-            self._cache.invalidate_all()
+            self._data_plane.note_migration()
         return moved_bytes, moved_objects

@@ -1,10 +1,12 @@
-"""Remote-communication time model shared with the live platform.
+"""Migration time model shared with the live platform.
 
 The emulator "stretches simulated execution time to account for remote
-invocations and data accesses" (paper section 4).  These helpers mirror
-the live execution context's accounting *exactly*, so an emulated run
-and a prototype run of the same schedule agree on time: one message per
-direction, each charged one link latency plus serialisation time.
+invocations and data accesses" (paper section 4).  A remote operation
+is one headered request/response exchange, priced by
+:class:`repro.rpc.batch.ExchangeCosts` like a coalesced batch; these
+helpers price the state a migration streams, with the live migrator's
+payload rule (:func:`repro.platform.migration.migration_payload`), so an
+emulated run and a prototype run of the same schedule agree on time.
 """
 
 from __future__ import annotations
@@ -12,44 +14,14 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..net.link import LinkModel
-from ..platform.migration import PER_OBJECT_OVERHEAD_BYTES
-from ..rpc.marshal import MESSAGE_HEADER_BYTES, message_size
+from ..platform.migration import migration_payload
+from ..rpc.marshal import MESSAGE_HEADER_BYTES
 
 #: Per-object framing inside a *pipelined* migration stream.  The
 #: stream ships one interned class-name table up front, so each object
 #: needs only a 2-byte class id plus a 2-byte length instead of the
 #: 16-byte self-describing handle the per-batch format charges.
 PIPELINE_OBJECT_FRAME_BYTES = 4
-
-
-def remote_invoke_cost(link: LinkModel, arg_bytes: int, ret_bytes: int) -> float:
-    """Time for one remote method invocation (request + response)."""
-    return (
-        link.one_way(message_size(arg_bytes))
-        + link.one_way(message_size(ret_bytes))
-    )
-
-
-def remote_access_cost(link: LinkModel, nbytes: int, is_write: bool) -> float:
-    """Time for one remote data access.
-
-    Reads send an empty request and carry the value back; writes carry
-    the value out and return an empty acknowledgement.
-    """
-    if is_write:
-        return link.one_way(message_size(nbytes)) + link.one_way(message_size(0))
-    return link.one_way(message_size(0)) + link.one_way(message_size(nbytes))
-
-
-def migration_payload(total_object_bytes: int, object_count: int) -> int:
-    """On-wire size of a migration batch."""
-    if object_count < 0 or total_object_bytes < 0:
-        raise ValueError("migration payload cannot be negative")
-    return (
-        total_object_bytes
-        + object_count * PER_OBJECT_OVERHEAD_BYTES
-        + MESSAGE_HEADER_BYTES
-    )
 
 
 def migration_cost(link: LinkModel, total_object_bytes: int,

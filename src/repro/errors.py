@@ -104,15 +104,6 @@ class SurrogateUnavailableError(PlatformError):
     """No surrogate matching the requested constraints could be found."""
 
 
-class SurrogateLostError(PlatformError):
-    """The surrogate stopped responding mid-run (crash or partition).
-
-    Raised only when graceful degradation is impossible (e.g. the
-    client cannot host the repatriated state); the normal path recovers
-    transparently into client-only monolithic execution.
-    """
-
-
 class TraceError(AideError):
     """An execution trace is malformed or incompatible with the replayer."""
 

@@ -38,6 +38,18 @@ from ..vm.vm import VirtualMachine
 PER_OBJECT_OVERHEAD_BYTES = 16
 
 
+def migration_payload(total_object_bytes: int, object_count: int) -> int:
+    """On-wire size of a migration batch: the objects' bytes, their
+    per-object overhead and one message header."""
+    if object_count < 0 or total_object_bytes < 0:
+        raise ValueError("migration payload cannot be negative")
+    return (
+        total_object_bytes
+        + object_count * PER_OBJECT_OVERHEAD_BYTES
+        + MESSAGE_HEADER_BYTES
+    )
+
+
 def assign_offload_nodes(
     graph: ExecutionGraph,
     offload_nodes: FrozenSet[str],
@@ -235,13 +247,10 @@ class Migrator:
     ) -> MigrationOutcome:
         if not self._open_stream():
             return MigrationOutcome()
-        payload = sum(
-            obj.size_bytes + PER_OBJECT_OVERHEAD_BYTES for obj in objects
-        )
-        total = payload + MESSAGE_HEADER_BYTES
+        incoming = sum(obj.size_bytes for obj in objects)
+        total = migration_payload(incoming, len(objects))
         # Capacity check before touching either heap, so a failed
         # migration leaves residency unchanged.
-        incoming = sum(obj.size_bytes for obj in objects)
         if destination.heap.free < incoming:
             destination.collect_garbage("pre-migration")
             if destination.heap.free < incoming:

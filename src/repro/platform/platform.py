@@ -675,8 +675,8 @@ class DistributedPlatform:
         charging old-link costs.
         """
         self.runtime.links[self.surrogate.vm.name] = link
-        if self.data_plane is not None and self.data_plane.coalescer is not None:
-            self.data_plane.coalescer.link = link
+        if self.data_plane is not None:
+            self.data_plane.set_link(link)
 
     def placement(self) -> frozenset:
         return self.migrator.resident_nodes()

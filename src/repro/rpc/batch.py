@@ -349,10 +349,11 @@ class RpcCoalescer:
 
 
 class DataPlane:
-    """The live platform's bundle of data-plane optimisations.
+    """A host's bundle of data-plane optimisations.
 
-    One per :class:`~repro.platform.platform.DistributedPlatform` run:
-    the coalescer and cache share a single stats block, and the members
+    One per :class:`~repro.platform.platform.DistributedPlatform` run
+    and per :class:`~repro.emulator.replay.TraceReplayer` replay: the
+    coalescer and cache share a single stats block, and the members
     are ``None`` for whichever optimisations the config leaves off, so
     callers can gate on attribute presence instead of re-reading flags.
     """
@@ -374,6 +375,11 @@ class DataPlane:
             RpcCoalescer(link, transfer, stats=self.stats)
             if config.coalescing else None
         )
+
+    def set_link(self, link: LinkModel) -> None:
+        """A new attachment epoch: the coalescer re-prices on ``link``."""
+        if self.coalescer is not None:
+            self.coalescer.link = link
 
     def flush(self, reason: str = FLUSH_SHUTDOWN) -> None:
         if self.coalescer is not None:

@@ -173,18 +173,6 @@ class ExecutionContext:
         return self.runtime.client().name
 
     @property
-    def current_class(self) -> str:
-        if self._frames:
-            return self._frames[-1].class_name
-        return MAIN_CLASS
-
-    @property
-    def current_oid(self) -> Optional[int]:
-        if self._frames:
-            return self._frames[-1].oid
-        return None
-
-    @property
     def depth(self) -> int:
         return len(self._frames)
 

@@ -15,13 +15,10 @@ from repro.emulator.events import (
     WorkEvent,
 )
 from repro.emulator.replay import EmulatorConfig, TraceReplayer
-from repro.emulator.timemodel import (
-    migration_cost,
-    remote_access_cost,
-    remote_invoke_cost,
-)
+from repro.emulator.timemodel import migration_cost
 from repro.errors import TraceFormatError
 from repro.net.wavelan import WAVELAN_11MBPS
+from repro.rpc.marshal import MESSAGE_HEADER_BYTES
 from repro.units import KB
 
 
@@ -129,8 +126,10 @@ class TestRemoteCosts:
         trace = make_trace(events)
         result = TraceReplayer(trace, config(tolerance=1)).run()
         assert result.remote_invocations == 1
-        expected = remote_invoke_cost(WAVELAN_11MBPS, 16, 8)
-        assert result.comm_time == pytest.approx(expected)
+        # Two headered legs: the arguments out, the return value back.
+        expected = (WAVELAN_11MBPS.one_way(MESSAGE_HEADER_BYTES + 16)
+                    + WAVELAN_11MBPS.one_way(MESSAGE_HEADER_BYTES + 8))
+        assert result.comm_time == expected
 
     def test_remote_access_cost_matches_model(self):
         events = [
@@ -141,8 +140,10 @@ class TestRemoteCosts:
         trace = make_trace(events)
         result = TraceReplayer(trace, config(tolerance=1)).run()
         assert result.remote_accesses == 1
-        expected = remote_access_cost(WAVELAN_11MBPS, 256, is_write=False)
-        assert result.comm_time == pytest.approx(expected)
+        # A read: an empty request out, the value back.
+        expected = (WAVELAN_11MBPS.one_way(MESSAGE_HEADER_BYTES)
+                    + WAVELAN_11MBPS.one_way(MESSAGE_HEADER_BYTES + 256))
+        assert result.comm_time == expected
 
     def test_local_interactions_cost_nothing(self):
         events = [

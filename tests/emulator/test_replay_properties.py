@@ -17,6 +17,7 @@ from repro.emulator.events import (
     WorkEvent,
 )
 from repro.emulator.replay import EmulatorConfig, TraceReplayer
+from repro.net.faults import FaultSpec
 from repro.rpc.batch import DROP_RECOVERY, DataPlaneConfig
 from repro.rpc.marshal import MESSAGE_HEADER_BYTES
 from repro.units import KB
@@ -96,6 +97,17 @@ def config(heap=64 * KB):
     )
 
 
+#: No faults, a lossy link (heavy loss may exhaust the retries and lose
+#: the surrogate) or a crash after a few exchanges.
+fault_specs = st.one_of(
+    st.none(),
+    st.builds(lambda seed, rate: FaultSpec(seed=seed, loss_rate=rate),
+              st.integers(0, 99), st.floats(0.05, 0.6)),
+    st.builds(lambda seed, at: FaultSpec(seed=seed, crash_at_event=at),
+              st.integers(0, 99), st.integers(0, 6)),
+)
+
+
 # Invokes with kind 'native' on classes whose traits say otherwise are
 # routed by the event's own mkind field, which is what the recorder
 # writes; the trait table only drives pinning.
@@ -112,10 +124,20 @@ class TestReplayProperties:
         assert first.remote_interactions == second.remote_interactions
         assert first.oom == second.oom
 
-    @given(random_traces())
+    @given(random_traces(), st.integers(1, 10), fault_specs, st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_total_time_decomposes(self, trace):
-        result = TraceReplayer(trace, config()).run()
+    def test_total_time_decomposes(self, trace, offload_at, faults, plane):
+        # Two of the three allocating classes are offloaded early, so
+        # remote traffic crosses the faulty link and a lost surrogate is
+        # recovered from.
+        cfg = dataclasses.replace(
+            config(), offload_at_event=offload_at,
+            forced_offload_nodes=frozenset({"app.A", "app.B"}),
+            faults=faults,
+            data_plane=(DataPlaneConfig.enabled() if plane
+                        else DataPlaneConfig.off()),
+        )
+        result = TraceReplayer(trace, cfg).run()
         parts = (
             result.cpu_time_client
             + result.cpu_time_surrogate
@@ -123,6 +145,7 @@ class TestReplayProperties:
             + result.migration_time
             + result.gc_pause_time
             + result.monitoring_time
+            + result.fault_time
         )
         assert result.total_time == pytest.approx(parts)
 

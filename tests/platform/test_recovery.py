@@ -149,6 +149,38 @@ class TestCrashRecovery:
         platform, _ = run_crashed()
         assert platform.surrogate_lost
 
+    def test_the_trigger_observes_while_degraded_but_nothing_is_attempted(
+            self):
+        # One degraded-mode rule in both hosts: while the surrogate is
+        # lost the client's GC reports still reach the trigger, and only
+        # the attempt refuses, so no partitioning runs and nothing is
+        # recorded.
+        platform = faulty_platform(FaultSpec(seed=5, crash_at_event=0))
+        engine = platform.engine
+        observe = engine.trigger.observe
+        partition = engine.session.partition
+        fired_while_lost = []
+        partitioned_while_lost = []
+
+        def observing(report):
+            fired = observe(report)
+            if platform.surrogate_lost:
+                fired_while_lost.append(fired)
+            return fired
+
+        def partitioning(*args, **kwargs):
+            if platform.surrogate_lost:
+                partitioned_while_lost.append(args)
+            return partition(*args, **kwargs)
+
+        engine.trigger.observe = observing
+        engine.session.partition = partitioning
+        platform.run(HoarderApp())
+        assert platform.surrogate_lost
+        assert any(fired_while_lost)
+        assert partitioned_while_lost == []
+        assert engine.events == []
+
     def test_pending_batches_die_with_the_peer(self):
         from repro.rpc.batch import DataPlaneConfig
 
