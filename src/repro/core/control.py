@@ -8,8 +8,9 @@ passes itself in as the *host* and supplies the mechanics through
 duck-typed ports:
 
 * ``now()``: the host's virtual clock;
-* ``drop_traffic()``: drop in-flight coalesced traffic and the read
-  cache, both of which died with the surrogate;
+* ``drop_traffic() -> ops``: drop in-flight coalesced traffic and the
+  read cache, both of which died with the surrogate, returning how
+  many buffered ops were dropped;
 * ``repatriate_unreachable() -> (objects, bytes)``: rebuild the remote
   state client-side, uncharged (the host's ``surrogate_lost`` now
   holds, which parks offloading);
@@ -113,7 +114,8 @@ class ControlPlane:
         report = self.faults
         report.recoveries += 1
         self.lost_at = self.host.now()
-        self.host.drop_traffic()
+        if self.host.drop_traffic():
+            report.dropped_batches += 1
         objects, nbytes = self.host.repatriate_unreachable()
         report.objects_repatriated += objects
         report.repatriated_bytes += nbytes

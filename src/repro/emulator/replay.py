@@ -51,7 +51,7 @@ from .columnar import (
     FLAG_WRITE,
     TAG_ACCESS,
     TAG_ALLOC,
-    TAG_INVOKE,
+    TAG_FREE,
     TAG_WORK,
 )
 from .graphfold import GraphFold
@@ -308,7 +308,6 @@ class TraceReplayer:
         # Emulated collector counters.
         self._allocs_since_gc = 0
         self._bytes_since_gc = 0
-        self._gc_cycles = 0
         # Placement.
         self._offloaded: FrozenSet[str] = frozenset()
         self._class_on_surrogate: Set[str] = set()
@@ -452,9 +451,10 @@ class TraceReplayer:
     def surrogate_lost(self) -> bool:
         return self._control.surrogate_lost
 
-    def drop_traffic(self) -> None:
-        self._data_plane.drop_pending()
+    def drop_traffic(self) -> int:
+        dropped = self._data_plane.drop_pending()
         self._data_plane.note_migration()
+        return dropped
 
     def repatriate_unreachable(self) -> Tuple[int, int]:
         """Reconstruct every surrogate-resident object client-side from
@@ -552,12 +552,15 @@ class TraceReplayer:
         (and reloaded from) the instance only around the rare cold
         calls — GC cycles, partitioning attempts, surrogate-side
         reclaims, fault-gauntlet exchanges, roaming and rediscovery.
-        An exchange the fault schedule has already judged clean (see
-        ``_exchange``) is taken inline.  So is the coalesced data plane:
-        the loop holds the pending batch and its stats counters in
-        locals, a buffered write is local arithmetic, and a read or an
-        invoke closes the batch inline.  Naive ops and batches are priced
-        from one :class:`~repro.rpc.batch.ExchangeCosts` table.  Every
+        A remote access and a remote invoke share one tail: an op of
+        ``out`` bytes there and ``back`` bytes back, which a write
+        buffers and a read or an invoke closes.  An exchange the fault
+        schedule has already judged clean (see ``_exchange``) is taken
+        inline.  So is the coalesced data plane: the loop holds the
+        pending batch and its stats counters in locals, a buffered write
+        is local arithmetic, and a read or an invoke closes the batch
+        inline.  Naive ops and batches are priced from one
+        :class:`~repro.rpc.batch.ExchangeCosts` table.  Every
         cold call but a surrogate-side reclaim (which writes back only
         the heap counters), a direction change (whose flush the
         coalescer runs) included, goes through one
@@ -627,14 +630,13 @@ class TraceReplayer:
         coalescer = data_plane.coalescer
         # One price table for every exchange: a naive op's cost and a
         # batch's alike, the coalescer's when there is one.  A new link
-        # brings a new table.  The naive path reads it through ``get``
-        # (a dict subclass's ``[]`` is slower) and prices a miss by
-        # ``[]``.
+        # brings a new table.  The loop reads it through ``get`` (a dict
+        # subclass's ``[]`` is slower) and prices a miss by ``[]``.
         exchange_cost = (coalescer.exchange_costs if coalescer is not None
                          else ExchangeCosts(link))
         cost_get = exchange_cost.get
         # Fault gauntlet: without a coalescer every uncached remote
-        # operation is one exchange of its own; with one, each leg of a
+        # op is one exchange of its own; with one, each leg of a
         # closing batch is.  Either way an exchange may declare the
         # surrogate dead, and recovery then rewrites the heap counters
         # and placement under the loop.  An exchange the schedule judged
@@ -668,89 +670,127 @@ class TraceReplayer:
         CLIENT_ = CLIENT
         SURROGATE_ = SURROGATE
         for i, tag in enumerate(tags):
-            if tag == TAG_ACCESS:
-                # -- access ------------------------------------------------
-                accessor_site = site_get(a_oid[i])
-                if accessor_site is None:
-                    accessor_site = (SURROGATE_ if a_cls[i] in surrogate_cids
-                                     else CLIENT_)
-                bcid = b_cls[i]
-                oo = b_oid[i]
-                fl = flags[i]
-                is_write = fl & FLAG_WRITE
-                if fl & FLAG_STATIC:
-                    owner_site = CLIENT_
+            if tag > TAG_FREE:
+                # -- invoke, access or work: src is the site running it -
+                src = site_get(a_oid[i])
+                if src is None:
+                    src = SURROGATE_ if a_cls[i] in surrogate_cids else CLIENT_
+                if tag == TAG_WORK:
+                    # -- work ----------------------------------------------
+                    seconds = f64[i]
+                    if src == CLIENT_:
+                        wall = seconds / client_speed
+                        cpu_client += wall
+                    else:
+                        wall = seconds / surrogate_speed
+                        cpu_surrogate += wall
+                    now += wall
                 else:
-                    owner_site = site_get(oo)
-                    if owner_site is None:
-                        owner_site = (SURROGATE_ if bcid in surrogate_cids
-                                      else CLIENT_)
-                nbytes = n1[i]
-                cached = False
-                if cache is not None:
-                    if fl & FLAG_STATIC:
-                        key = static_key(strings[bcid])
-                    elif oo < 0 or bcid in array_ids:
-                        key = None
-                    else:
-                        key = oo
-                    if key is None:
-                        pass
-                    elif is_write:
-                        cache_invalidate(key)
-                    elif owner_site != accessor_site:
-                        cached = cache_note_read(key)
-                if owner_site != accessor_site:
-                    if cached:
-                        # Served from the reading site's copy: no round
-                        # trip, zero bytes on the wire.
-                        pass
-                    elif coalescer is None:
-                        delivered = True
-                        if attempt is None:
-                            pass
-                        elif (schedule.credit
-                              and now < schedule.horizon_time
-                              and ep < schedule.horizon_event):
-                            schedule.credit -= 1
-                            delivery.exchanges += 1
+                    # An interaction from src to dst (the accessed
+                    # field's owner, the callee's site) of out bytes
+                    # there and back bytes back.  A write buffers; a
+                    # read or an invoke needs its answer.
+                    if tag == TAG_ACCESS:
+                        # -- access ----------------------------------------
+                        oo = b_oid[i]
+                        fl = flags[i]
+                        is_write = fl & FLAG_WRITE
+                        if fl & FLAG_STATIC:
+                            dst = CLIENT_
                         else:
-                            self._spill(
-                                ep, now, client_live, surrogate_live,
-                                allocs_since_gc, bytes_since_gc, last_reeval,
-                                comm_time, peak_client, batch_from, batch_ops,
-                                batch_out, batch_back, dp_ops, dp_naive_bytes,
-                                dp_naive_s, dp_batches, dp_wire_bytes,
-                                dp_actual_s, dp_results)
-                            delivered = attempt()
-                            (now, client_live, surrogate_live,
-                             allocs_since_gc, bytes_since_gc, last_reeval,
-                             surrogate_cids, comm_time, peak_client,
-                             reattach_at, batch_from, batch_ops, batch_out,
-                             batch_back, dp_ops, dp_naive_bytes, dp_naive_s,
-                             dp_batches, dp_wire_bytes, dp_actual_s,
-                             dp_results) = self._reload()
-                        if delivered:
-                            # A write carries the value out and an empty
-                            # ack back; a read, an empty request out and
-                            # the value back.
-                            ck = (nbytes, 0) if is_write else (0, nbytes)
-                            cost = cost_get(ck)
-                            if cost is None:
-                                cost = exchange_cost[ck]
-                            comm_time += cost
-                            now += cost
-                            remote_accesses += 1
-                            remote_bytes += nbytes
+                            dst = site_get(oo)
+                            if dst is None:
+                                dst = (SURROGATE_ if b_cls[i] in surrogate_cids
+                                       else CLIENT_)
+                        # A write carries the value out and an empty ack
+                        # back; a read, an empty request out and the
+                        # value back.
+                        if is_write:
+                            out = n1[i]
+                            back = 0
                         else:
-                            # Surrogate lost mid-access: recovery has
-                            # repatriated everything, so the access
-                            # completes locally, uncharged.
-                            owner_site = CLIENT_
+                            out = 0
+                            back = n1[i]
+                        if cache is not None:
+                            if fl & FLAG_STATIC:
+                                key = static_key(strings[b_cls[i]])
+                            elif oo < 0 or b_cls[i] in array_ids:
+                                key = None
+                            else:
+                                key = oo
+                            if key is None:
+                                pass
+                            elif is_write:
+                                cache_invalidate(key)
+                            elif dst != src and cache_note_read(key):
+                                # Served from the reading site's copy: no
+                                # round trip, zero bytes on the wire.
+                                src = dst
                     else:
-                        if batch_ops and batch_from != accessor_site:
+                        # -- invoke ----------------------------------------
+                        kid = k_id[i]
+                        if kid == native_id:
+                            if flags[i] & FLAG_STATELESS and stateless_local:
+                                dst = src
+                            else:
+                                dst = CLIENT_
+                        elif kid == static_id:
+                            dst = src
+                        else:
+                            dst = site_get(b_oid[i])
+                            if dst is None:
+                                dst = (SURROGATE_ if b_cls[i] in surrogate_cids
+                                       else CLIENT_)
+                        is_write = False
+                        out = n1[i]
+                        back = n2[i]
+                    if dst != src:
+                        # -- the remote tail -------------------------------
+                        # What the op costs as one exchange of its own.
+                        ck = (out, back)
+                        cost = cost_get(ck)
+                        if cost is None:
+                            cost = exchange_cost[ck]
+                        if coalescer is None:
+                            # One exchange through the fault gauntlet.
+                            if attempt is None:
+                                pass
+                            elif (schedule.credit
+                                  and now < schedule.horizon_time
+                                  and ep < schedule.horizon_event):
+                                schedule.credit -= 1
+                                delivery.exchanges += 1
+                            else:
+                                self._spill(
+                                    ep, now, client_live, surrogate_live,
+                                    allocs_since_gc, bytes_since_gc,
+                                    last_reeval, comm_time, peak_client,
+                                    batch_from, batch_ops, batch_out,
+                                    batch_back, dp_ops, dp_naive_bytes,
+                                    dp_naive_s, dp_batches, dp_wire_bytes,
+                                    dp_actual_s, dp_results)
+                                delivered = attempt()
+                                (now, client_live, surrogate_live,
+                                 allocs_since_gc, bytes_since_gc, last_reeval,
+                                 surrogate_cids, comm_time, peak_client,
+                                 reattach_at, batch_from, batch_ops,
+                                 batch_out, batch_back, dp_ops,
+                                 dp_naive_bytes, dp_naive_s, dp_batches,
+                                 dp_wire_bytes, dp_actual_s,
+                                 dp_results) = self._reload()
+                                if not delivered:
+                                    # The surrogate died under this
+                                    # exchange: recovery has repatriated
+                                    # everything, so the op completes on
+                                    # the client, uncharged and uncounted.
+                                    src = dst = CLIENT_
+                            if dst != src:
+                                comm_time += cost
+                                now += cost
+                        elif batch_ops and batch_from != src:
                             # The pending batch runs the other way: the
-                            # coalescer flushes it and takes this op.
+                            # coalescer flushes it and takes this op (a
+                            # read closes its batch as an invoke does).
                             self._spill(
                                 ep, now, client_live, surrogate_live,
                                 allocs_since_gc, bytes_since_gc, last_reeval,
@@ -759,11 +799,9 @@ class TraceReplayer:
                                 dp_naive_s, dp_batches, dp_wire_bytes,
                                 dp_actual_s, dp_results)
                             if is_write:
-                                coalescer.write(accessor_site, owner_site,
-                                                nbytes)
+                                coalescer.write(src, dst, out)
                             else:
-                                coalescer.read(accessor_site, owner_site,
-                                               nbytes)
+                                coalescer.invoke(src, dst, out, back)
                             (now, client_live, surrogate_live,
                              allocs_since_gc, bytes_since_gc, last_reeval,
                              surrogate_cids, comm_time, peak_client,
@@ -772,28 +810,26 @@ class TraceReplayer:
                              dp_batches, dp_wire_bytes, dp_actual_s,
                              dp_results) = self._reload()
                         else:
-                            # The op joins the batch: a write, value out
-                            # and ack back, only buffers; a read, empty
-                            # request and value back, closes it.
-                            if is_write:
-                                ck = (nbytes, 0)
-                                batch_out += nbytes
-                            else:
-                                ck = (0, nbytes)
-                                batch_back += nbytes
-                            batch_from = accessor_site
+                            # The op joins the batch; a read or an invoke
+                            # closes it.
+                            batch_from = src
                             batch_ops += 1
+                            batch_out += out
+                            batch_back += back
                             dp_ops += 1
-                            dp_naive_bytes += two_headers + nbytes
-                            dp_naive_s += exchange_cost[ck]
+                            dp_naive_bytes += two_headers + out + back
+                            dp_naive_s += cost
                             if not is_write:
                                 # -- close the batch: one exchange ---------
                                 request = headers + batch_out
                                 response = headers + batch_back
                                 dp_batches += 1
                                 dp_wire_bytes += request + response
-                                dp_actual_s += exchange_cost[
-                                    (batch_out, batch_back)]
+                                ck = (batch_out, batch_back)
+                                cost = cost_get(ck)
+                                if cost is None:
+                                    cost = exchange_cost[ck]
+                                dp_actual_s += cost
                                 dp_results += 1
                                 batch_ops = batch_out = batch_back = 0
                                 for leg in (request, response):
@@ -832,156 +868,18 @@ class TraceReplayer:
                                     seconds = link.one_way(leg)
                                     comm_time += seconds
                                     now += seconds
-                        remote_accesses += 1
-                        remote_bytes += nbytes
-                if monitor_wall is not None:
-                    wall = monitor_wall[owner_site]
-                    monitoring_time += wall
-                    now += wall
-            elif tag == TAG_WORK:
-                # -- work --------------------------------------------------
-                site = site_get(a_oid[i])
-                if site is None:
-                    site = SURROGATE_ if a_cls[i] in surrogate_cids else CLIENT_
-                seconds = f64[i]
-                if site == CLIENT_:
-                    wall = seconds / client_speed
-                    cpu_client += wall
-                else:
-                    wall = seconds / surrogate_speed
-                    cpu_surrogate += wall
-                now += wall
-            elif tag == TAG_INVOKE:
-                # -- invoke ------------------------------------------------
-                caller_site = site_get(a_oid[i])
-                if caller_site is None:
-                    caller_site = (SURROGATE_ if a_cls[i] in surrogate_cids
-                                   else CLIENT_)
-                kid = k_id[i]
-                if kid == native_id:
-                    if flags[i] & FLAG_STATELESS and stateless_local:
-                        exec_site = caller_site
-                    else:
-                        exec_site = CLIENT_
-                elif kid == static_id:
-                    exec_site = caller_site
-                else:
-                    exec_site = site_get(b_oid[i])
-                    if exec_site is None:
-                        exec_site = (SURROGATE_ if b_cls[i] in surrogate_cids
-                                     else CLIENT_)
-                arg_bytes = n1[i]
-                ret_bytes = n2[i]
-                nbytes = arg_bytes + ret_bytes
-                if attempt is None or exec_site == caller_site:
-                    pass
-                elif (schedule.credit and now < schedule.horizon_time
-                      and ep < schedule.horizon_event):
-                    schedule.credit -= 1
-                    delivery.exchanges += 1
-                else:
-                    self._spill(
-                        ep, now, client_live, surrogate_live, allocs_since_gc,
-                        bytes_since_gc, last_reeval, comm_time, peak_client,
-                        batch_from, batch_ops, batch_out, batch_back, dp_ops,
-                        dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
-                        dp_actual_s, dp_results)
-                    delivered = attempt()
-                    (now, client_live, surrogate_live, allocs_since_gc,
-                     bytes_since_gc, last_reeval, surrogate_cids, comm_time,
-                     peak_client, reattach_at, batch_from, batch_ops,
-                     batch_out, batch_back, dp_ops, dp_naive_bytes,
-                     dp_naive_s, dp_batches, dp_wire_bytes, dp_actual_s,
-                     dp_results) = self._reload()
-                    if not delivered:
-                        # The surrogate died under this round trip:
-                        # recovery has repatriated everything, so the
-                        # invocation is local now.
-                        caller_site = exec_site = CLIENT_
-                if exec_site != caller_site:
-                    if coalescer is None:
-                        ck = (arg_bytes, ret_bytes)
-                        cost = cost_get(ck)
-                        if cost is None:
-                            cost = exchange_cost[ck]
-                        comm_time += cost
-                        now += cost
-                    elif batch_ops and batch_from != caller_site:
-                        # The pending batch runs the other way: the
-                        # coalescer flushes it and takes this call.
-                        self._spill(
-                            ep, now, client_live, surrogate_live,
-                            allocs_since_gc, bytes_since_gc, last_reeval,
-                            comm_time, peak_client, batch_from, batch_ops,
-                            batch_out, batch_back, dp_ops, dp_naive_bytes,
-                            dp_naive_s, dp_batches, dp_wire_bytes,
-                            dp_actual_s, dp_results)
-                        coalescer.invoke(caller_site, exec_site,
-                                         arg_bytes, ret_bytes)
-                        (now, client_live, surrogate_live, allocs_since_gc,
-                         bytes_since_gc, last_reeval, surrogate_cids,
-                         comm_time, peak_client, reattach_at, batch_from,
-                         batch_ops, batch_out, batch_back, dp_ops,
-                         dp_naive_bytes, dp_naive_s, dp_batches,
-                         dp_wire_bytes, dp_actual_s,
-                         dp_results) = self._reload()
-                    else:
-                        # Control transfers, so the call joins the batch
-                        # and closes it.
-                        batch_out += arg_bytes
-                        batch_back += ret_bytes
-                        dp_ops += 1
-                        dp_naive_bytes += two_headers + nbytes
-                        dp_naive_s += exchange_cost[(arg_bytes, ret_bytes)]
-                        # -- close the batch: one exchange -----------------
-                        request = headers + batch_out
-                        response = headers + batch_back
-                        dp_batches += 1
-                        dp_wire_bytes += request + response
-                        dp_actual_s += exchange_cost[(batch_out, batch_back)]
-                        dp_results += 1
-                        batch_ops = batch_out = batch_back = 0
-                        for leg in (request, response):
-                            if delivery is None:
-                                pass
-                            elif (schedule.credit
-                                  and now < schedule.horizon_time
-                                  and ep < schedule.horizon_event):
-                                schedule.credit -= 1
-                                delivery.exchanges += 1
+                        if dst != src:
+                            remote_bytes += out + back
+                            if tag == TAG_ACCESS:
+                                remote_accesses += 1
                             else:
-                                self._spill(
-                                    ep, now, client_live, surrogate_live,
-                                    allocs_since_gc, bytes_since_gc,
-                                    last_reeval, comm_time, peak_client,
-                                    batch_from, batch_ops, batch_out,
-                                    batch_back, dp_ops, dp_naive_bytes,
-                                    dp_naive_s, dp_batches, dp_wire_bytes,
-                                    dp_actual_s, dp_results)
-                                delivered = self._gauntlet()
-                                (now, client_live, surrogate_live,
-                                 allocs_since_gc, bytes_since_gc, last_reeval,
-                                 surrogate_cids, comm_time, peak_client,
-                                 reattach_at, batch_from, batch_ops,
-                                 batch_out, batch_back, dp_ops,
-                                 dp_naive_bytes, dp_naive_s, dp_batches,
-                                 dp_wire_bytes, dp_actual_s,
-                                 dp_results) = self._reload()
-                                if not delivered:
-                                    # The leg died with the surrogate: it
-                                    # never travels.
-                                    continue
-                            seconds = link.one_way(leg)
-                            comm_time += seconds
-                            now += seconds
-                    remote_invocations += 1
-                    remote_bytes += nbytes
-                    if kid == native_id:
-                        remote_native += 1
-                if monitor_wall is not None:
-                    wall = monitor_wall[exec_site]
-                    monitoring_time += wall
-                    now += wall
+                                remote_invocations += 1
+                                if kid == native_id:
+                                    remote_native += 1
+                    if monitor_wall is not None:
+                        wall = monitor_wall[dst]
+                        monitoring_time += wall
+                        now += wall
             elif tag == TAG_ALLOC:
                 # -- alloc -------------------------------------------------
                 site = SURROGATE_ if b_cls[i] in surrogate_cids else CLIENT_
@@ -1266,7 +1164,6 @@ class TraceReplayer:
         pending.clear()
         self._allocs_since_gc = 0
         self._bytes_since_gc = 0
-        self._gc_cycles += 1
         self.result.gc_cycles += 1
         pause = (default_pause_model(len(self._site), freed_objects)
                  / self.config.client.cpu_speed)
@@ -1274,7 +1171,7 @@ class TraceReplayer:
         self._now += pause
         capacity = self.config.client.heap_capacity
         report = GCReport(
-            cycle=self._gc_cycles,
+            cycle=self.result.gc_cycles,
             reason=reason,
             live_objects=len(self._site),
             freed_objects=freed_objects,

@@ -301,14 +301,14 @@ class DistributedPlatform:
                 on_peer_lost=control.lose_surrogate,
             )
         self.runtime.delivery = control.delivery = self.delivery
-        dp_config = data_plane if data_plane is not None else DataPlaneConfig()
+        dp_config = data_plane or DataPlaneConfig()
         #: RPC worker-pool service quantum, threaded into every channel
         #: this platform creates (including post-handoff rebuilds).
         self._service_quantum_s = dp_config.service_quantum_s
-        self.data_plane = (
-            DataPlane(dp_config, self.link, self.runtime.transfer)
-            if dp_config.any_enabled else None
-        )
+        # The data plane's coalescer and read cache are ``None`` when
+        # off, and the context gates on them.
+        self.data_plane = DataPlane(dp_config, self.link,
+                                    self.runtime.transfer)
         self.ctx = ExecutionContext(
             self.runtime, registry, hooks=self.hooks, flags=flags,
             data_plane=self.data_plane,
@@ -377,14 +377,12 @@ class DistributedPlatform:
         )
         # Looked up per free: the fanout rebinds its hooks on ``add``.
         vm.collector.subscribe_free(lambda obj: self.hooks.on_free(obj))
-        if self.data_plane is not None:
-            vm.collector.subscribe_free(
-                lambda obj: self.data_plane.note_free(obj.oid)
-            )
+        vm.collector.subscribe_free(
+            lambda obj: self.data_plane.note_free(obj.oid)
+        )
 
     def _gc_barrier(self, site: str) -> None:
-        if self.data_plane is not None:
-            self.data_plane.gc_barrier()
+        self.data_plane.gc_barrier()
         # After a handoff the departed surrogate keeps collecting but is
         # no longer a channel endpoint; only current endpoints prune.
         if site in self.channel.exports:
@@ -459,14 +457,12 @@ class DistributedPlatform:
         )
 
     def _migrate(self, offload_nodes) -> MigrationOutcome:
-        if self.data_plane is not None:
-            # Migration barrier: pending coalesced traffic must be
-            # charged before residency changes under it...
-            self.data_plane.migration_barrier()
+        # Migration barrier: pending coalesced traffic must be charged
+        # before residency changes under it...
+        self.data_plane.migration_barrier()
         outcome = self.migrator.apply_placement(offload_nodes)
-        if self.data_plane is not None:
-            # ...and the read cache cannot outlive the old placement.
-            self.data_plane.note_migration()
+        # ...and the read cache cannot outlive the old placement.
+        self.data_plane.note_migration()
         # A post-offload cycle refreshes the free-memory picture so the
         # trigger policy sees the relief immediately.
         self.client.vm.collect_garbage("post-offload")
@@ -510,19 +506,16 @@ class DistributedPlatform:
         if self.delivery is None:
             return None
         report = self.fault_report
-        if self.data_plane is not None:
-            report.dropped_batches = self.data_plane.stats.dropped_batches
         report.epochs_survived = len(self.engine.performed_events)
         section = report.as_dict()
         section["downtime_s"] = self.control.downtime_s()
         return section
 
     def report(self, app_name: str = "") -> PlatformReport:
-        if self.data_plane is not None:
-            # Charge whatever is still buffered before summarising.
-            self.data_plane.flush()
+        # Charge whatever is still buffered before summarising.
+        self.data_plane.flush()
         rpc = self.traffic.category("rpc")
-        dp_stats = self.data_plane.stats if self.data_plane is not None else None
+        dp_stats = self.data_plane.stats
         return PlatformReport(
             app_name=app_name,
             elapsed=self.clock.now,
@@ -536,8 +529,8 @@ class DistributedPlatform:
             client_heap_used=self.client.vm.heap.used,
             surrogate_heap_used=sum(self.surrogate_usage().values()),
             cached_remote_reads=self.monitor.remote.cached_reads,
-            rpc_rtts_saved=dp_stats.rtts_saved if dp_stats else 0,
-            rpc_bytes_saved=dp_stats.bytes_saved if dp_stats else 0,
+            rpc_rtts_saved=dp_stats.rtts_saved,
+            rpc_bytes_saved=dp_stats.bytes_saved,
             pruned_handles=self.channel.pruned_handles,
             faults=self._faults_section(),
         )
@@ -557,11 +550,9 @@ class DistributedPlatform:
 
     def teardown(self) -> MigrationOutcome:
         """Dissolve the ad-hoc platform, returning all state to the client."""
-        if self.data_plane is not None:
-            self.data_plane.migration_barrier()
+        self.data_plane.migration_barrier()
         outcome = self.migrator.return_everything()
-        if self.data_plane is not None:
-            self.data_plane.note_migration()
+        self.data_plane.note_migration()
         self._torn_down = True
         return outcome
 
@@ -587,9 +578,8 @@ class DistributedPlatform:
 
         if self._torn_down:
             raise PlatformError("platform has been torn down")
-        if self.data_plane is not None:
-            self.data_plane.migration_barrier()
-            self.data_plane.note_migration()
+        self.data_plane.migration_barrier()
+        self.data_plane.note_migration()
         backhaul = backhaul if backhaul is not None else ETHERNET_100MBPS
         taken = {vm.name for vm in self.runtime.vms()}
         suffix = len(taken)
@@ -645,10 +635,10 @@ class DistributedPlatform:
     def now(self) -> float:
         return self.clock.now
 
-    def drop_traffic(self) -> None:
-        if self.data_plane is not None:
-            self.data_plane.drop_pending()
-            self.data_plane.note_migration()
+    def drop_traffic(self) -> int:
+        dropped = self.data_plane.drop_pending()
+        self.data_plane.note_migration()
+        return dropped
 
     def repatriate_unreachable(self):
         """Degrade to a client-only monolith: rebuild the unreachable
@@ -662,8 +652,7 @@ class DistributedPlatform:
         return self.engine.attempt() if attempt else None
 
     def flush_traffic(self) -> None:
-        if self.data_plane is not None:
-            self.data_plane.flush()
+        self.data_plane.flush()
 
     def set_link(self, link: LinkModel) -> None:
         """Re-point every link-cost consumer at ``link``.
@@ -675,8 +664,7 @@ class DistributedPlatform:
         charging old-link costs.
         """
         self.runtime.links[self.surrogate.vm.name] = link
-        if self.data_plane is not None:
-            self.data_plane.set_link(link)
+        self.data_plane.set_link(link)
 
     def placement(self) -> frozenset:
         return self.migrator.resident_nodes()

@@ -141,12 +141,16 @@ class ExecutionContext:
         self.registry = registry
         self.hooks = hooks if hooks is not None else HookFanout()
         self.flags = flags
-        #: Optional :class:`repro.rpc.batch.DataPlane`: when present,
-        #: remote operations route through its coalescer and read cache
-        #: instead of charging one transfer pair per operation.  Absent
-        #: (the default), the per-operation accounting below is used —
-        #: byte-for-byte the unoptimised platform.
+        #: Optional :class:`repro.rpc.batch.DataPlane`: remote operations
+        #: route through its coalescer and read cache where those exist.
+        #: Without them (no data plane, or one with both off) every
+        #: operation is charged one transfer pair — byte-for-byte the
+        #: unoptimised platform.
         self.data_plane = data_plane
+        self._cache = data_plane.cache if data_plane is not None else None
+        self._coalescer = (
+            data_plane.coalescer if data_plane is not None else None
+        )
         self._frames: List[Frame] = []
         #: The most recent object handed to *top-level* code is a GC
         #: root: it models the register holding a freshly produced
@@ -275,17 +279,16 @@ class ExecutionContext:
         return arr
 
     def _run_gc_if_due(self, vm: VirtualMachine) -> None:
-        dp = self.data_plane
+        coalescer = self._coalescer
         if (
-            dp is not None
-            and dp.coalescer is not None
-            and dp.coalescer.pending_ops
+            coalescer is not None
+            and coalescer.pending_ops
             and vm.collector.should_collect() is not None
         ):
             # GC barrier: buffered cross-site writes must be charged
             # before the cycle, so the pause and any offload decision it
             # triggers never observe un-charged traffic.
-            dp.coalescer.gc_barrier()
+            coalescer.gc_barrier()
         report = vm.maybe_collect()
         if report is not None:
             self.hooks.on_gc_report(report, vm.name)
@@ -335,9 +338,7 @@ class ExecutionContext:
             exec_site = self._exec_site(mdef, target)
         remote = exec_site != caller_site
         arg_bytes = args_size(args)
-        coalescer = (
-            self.data_plane.coalescer if self.data_plane is not None else None
-        )
+        coalescer = self._coalescer
         if remote and coalescer is None:
             if not self.runtime.transfer(caller_site, exec_site,
                                          message_size(arg_bytes)):
@@ -413,7 +414,8 @@ class ExecutionContext:
         if fdef.static:
             return self.get_static(target.cls.name, field_name)
         value = target.values[field_name]
-        self._record_access(target, field_name, value, is_write=False)
+        self._access(target.home, target.cls.name, target.oid, field_name,
+                     value, False, target.oid)
         if isinstance(value, JObject):
             self.retain(value)
         return value
@@ -426,7 +428,8 @@ class ExecutionContext:
             self.set_static(target.cls.name, field_name, value)
             return
         target.values[field_name] = value
-        self._record_access(target, field_name, value, is_write=True)
+        self._access(target.home, target.cls.name, target.oid, field_name,
+                     value, True, target.oid)
 
     def _check_target(self, target: JObject, field_name: str) -> None:
         if target is None:
@@ -434,9 +437,25 @@ class ExecutionContext:
         if not target.alive:
             raise StaleObjectError(f"field access on collected object {target!r}")
 
-    def _record_access(
-        self, target: JObject, field_name: str, value: Any, is_write: bool
+    def _access(
+        self,
+        owner_site: str,
+        class_name: str,
+        oid: Optional[int],
+        field_name: str,
+        value: Any,
+        is_write: bool,
+        cache_key,
+        nbytes: Optional[int] = None,
     ) -> None:
+        """Route and record one data access from the current frame.
+
+        ``oid`` is ``None`` for a static field (owned by its class, on
+        the client).  ``nbytes`` is the payload, by default ``value``'s
+        size (a null costs a reference slot).  ``cache_key`` is the
+        read cache's key for the owner (an object's is its oid), ``None``
+        for data the cache never holds (arrays).
+        """
         frames = self._frames
         if frames:
             top = frames[-1]
@@ -445,75 +464,53 @@ class ExecutionContext:
         else:
             accessor_class, accessor_oid = MAIN_CLASS, None
             accessor_site = self.runtime.client().name
-        owner_site = target.home
         remote = owner_site != accessor_site
-        nbytes = deep_size(value) if value is not None else _REF_BYTES
-        # A local read charges nothing, nor does a local write without
-        # a data plane (whose read cache a local write invalidates).
-        if remote or (is_write and self.data_plane is not None):
-            cached = self._remote_transfer(
-                accessor_site, owner_site, remote, nbytes, is_write,
-                cache_key=RemoteReadCache.object_key(target.oid),
-            )
-        else:
-            cached = False
+        if nbytes is None:
+            nbytes = deep_size(value) if value is not None else _REF_BYTES
+        cached = False
+        cache = self._cache
+        if cache is not None and cache_key is not None:
+            if is_write:
+                # Write-invalidate, local writes included: the owner
+                # mutating its own state makes the peer's copy stale.
+                cache.invalidate(cache_key)
+            elif remote:
+                cached = cache.note_read(cache_key)
+        if remote and not cached:
+            coalescer = self._coalescer
+            if coalescer is not None:
+                if is_write:
+                    coalescer.write(accessor_site, owner_site, nbytes)
+                else:
+                    coalescer.read(accessor_site, owner_site, nbytes)
+            else:
+                # One exchange: a write carries the value out and an
+                # empty ack back, a read an empty request out and the
+                # value back.  The answer only travels if the request
+                # was delivered; a dead peer means recovery already made
+                # the access local.
+                out, back = (nbytes, 0) if is_write else (0, nbytes)
+                runtime = self.runtime
+                if runtime.transfer(accessor_site, owner_site,
+                                    message_size(out)):
+                    runtime.transfer(owner_site, accessor_site,
+                                     message_size(back))
         if self.monitoring_enabled:
             self.hooks.on_access(make_access_record((
-                accessor_class, accessor_oid, target.cls.name, target.oid,
-                field_name, nbytes, is_write, False, accessor_site,
-                owner_site, remote, cached,
+                accessor_class, accessor_oid, class_name, oid, field_name,
+                nbytes, is_write, oid is None, accessor_site, owner_site,
+                remote, cached,
             )))
             if self._event_cost:
                 self._charge_monitoring_event(owner_site)
-
-    def _remote_transfer(
-        self,
-        accessor_site: str,
-        owner_site: str,
-        remote: bool,
-        nbytes: int,
-        is_write: bool,
-        cache_key=None,
-    ) -> bool:
-        """Charge one data access; True when served from the read cache.
-
-        Write invalidation runs even for *local* writes — the owner
-        mutating its own state makes the peer's cached copy stale.
-        """
-        dp = self.data_plane
-        cached = False
-        if dp is not None and dp.cache is not None and cache_key is not None:
-            if is_write:
-                dp.cache.invalidate(cache_key)
-            elif remote:
-                cached = dp.cache.note_read(cache_key)
-        if not remote or cached:
-            return cached
-        if dp is not None and dp.coalescer is not None:
-            if is_write:
-                dp.coalescer.write(accessor_site, owner_site, nbytes)
-            else:
-                dp.coalescer.read(accessor_site, owner_site, nbytes)
-        elif is_write:
-            # The ack leg only travels if the request was delivered; a
-            # dead peer means recovery already made the write local.
-            if self.runtime.transfer(accessor_site, owner_site,
-                                     message_size(nbytes)):
-                self.runtime.transfer(owner_site, accessor_site,
-                                      message_size(0))
-        else:
-            if self.runtime.transfer(accessor_site, owner_site,
-                                     message_size(0)):
-                self.runtime.transfer(owner_site, accessor_site,
-                                      message_size(nbytes))
-        return False
 
     # -- static data (always on the client) ----------------------------------------
 
     def get_static(self, class_name: str, field_name: str) -> Any:
         client = self.runtime.client()
         value = client.get_static(class_name, field_name)
-        self._record_static_access(class_name, field_name, value, is_write=False)
+        self._access(client.name, class_name, None, field_name, value, False,
+                     RemoteReadCache.static_key(class_name))
         if isinstance(value, JObject):
             self.retain(value)
         return value
@@ -521,37 +518,8 @@ class ExecutionContext:
     def set_static(self, class_name: str, field_name: str, value: Any) -> None:
         client = self.runtime.client()
         client.set_static(class_name, field_name, value)
-        self._record_static_access(class_name, field_name, value, is_write=True)
-
-    def _record_static_access(
-        self, class_name: str, field_name: str, value: Any, is_write: bool
-    ) -> None:
-        client_site = self.runtime.client().name
-        frames = self._frames
-        if frames:
-            top = frames[-1]
-            accessor_class, accessor_oid, accessor_site = (
-                top.class_name, top.oid, top.site)
-        else:
-            accessor_class, accessor_oid = MAIN_CLASS, None
-            accessor_site = client_site
-        remote = accessor_site != client_site
-        nbytes = deep_size(value) if value is not None else _REF_BYTES
-        if remote or (is_write and self.data_plane is not None):
-            cached = self._remote_transfer(
-                accessor_site, client_site, remote, nbytes, is_write,
-                cache_key=RemoteReadCache.static_key(class_name),
-            )
-        else:
-            cached = False
-        if self.monitoring_enabled:
-            self.hooks.on_access(make_access_record((
-                accessor_class, accessor_oid, class_name, None, field_name,
-                nbytes, is_write, True, accessor_site, client_site, remote,
-                cached,
-            )))
-            if self._event_cost:
-                self._charge_monitoring_event(client_site)
+        self._access(client.name, class_name, None, field_name, value, True,
+                     RemoteReadCache.static_key(class_name))
 
     # -- array element access -----------------------------------------------------
 
@@ -572,28 +540,7 @@ class ExecutionContext:
             raise GuestError(f"negative element count {count}")
         if count == 0:
             return
-        frames = self._frames
-        if frames:
-            top = frames[-1]
-            accessor_class, accessor_oid, accessor_site = (
-                top.class_name, top.oid, top.site)
-        else:
-            accessor_class, accessor_oid = MAIN_CLASS, None
-            accessor_site = self.runtime.client().name
-        owner_site = arr.home
-        remote = owner_site != accessor_site
-        nbytes = count * SLOT_SIZES[arr.element_type]
-        # cache_key=None: arrays are never cached (bulk element traffic
-        # is what migration places), but their transfers still coalesce.
-        # With no cache key a local access has nothing to charge.
-        if remote:
-            self._remote_transfer(accessor_site, owner_site, remote, nbytes,
-                                  is_write, cache_key=None)
-        if self.monitoring_enabled:
-            self.hooks.on_access(make_access_record((
-                accessor_class, accessor_oid, arr.cls.name, arr.oid, "[]",
-                nbytes, is_write, False, accessor_site, owner_site, remote,
-                False,
-            )))
-            if self._event_cost:
-                self._charge_monitoring_event(owner_site)
+        # No cache key: arrays are never cached (bulk element traffic is
+        # what migration places), but their transfers still coalesce.
+        self._access(arr.home, arr.cls.name, arr.oid, "[]", None, is_write,
+                     None, count * SLOT_SIZES[arr.element_type])

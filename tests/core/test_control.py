@@ -37,9 +37,10 @@ class FakeHost:
     """
 
     def __init__(self, placement=frozenset(), applied=0, roam="done",
-                 partition_until=None, mode="repatriate"):
+                 partition_until=None, mode="repatriate", dropped=0):
         self.clock = 0.0
         self.calls = []
+        self._dropped = dropped
         self._placement = placement
         self._applied = applied
         self._roam = roam
@@ -55,6 +56,7 @@ class FakeHost:
 
     def drop_traffic(self):
         self.calls.append("drop")
+        return self._dropped
 
     def repatriate_unreachable(self):
         self.calls.append("repatriate")
@@ -185,6 +187,16 @@ def test_surrogate_loss(reason, until, reattach_at):
             report.repatriated_bytes) == (1, 3, 300)
     assert host.control.lost_at == 1.0
     assert host.control.reattach_at == reattach_at
+
+
+@pytest.mark.parametrize("dropped,batches", [(0, 0), (3, 1)])
+def test_a_loss_counts_the_batch_it_dropped(dropped, batches):
+    # The ops buffered when the surrogate died are one batch that never
+    # lands: both hosts count it here, not from their own stats.
+    host = FakeHost(dropped=dropped)
+    host.delivery.peer_dead = True
+    host.control.lose_surrogate("crash")
+    assert host.control.faults.dropped_batches == batches
 
 
 def test_downtime_window_closes_once():

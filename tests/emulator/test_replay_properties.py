@@ -177,15 +177,19 @@ class TestReplayProperties:
         else:
             assert result.events_processed <= len(trace)
 
-    @given(random_traces(), st.integers(1, 10), st.booleans(), st.booleans())
+    @given(random_traces(), st.integers(1, 10), st.booleans(), st.booleans(),
+           fault_specs)
     @settings(max_examples=60, deadline=None)
-    def test_data_plane_accounting(self, trace, offload_at, cache, pipelined):
+    def test_data_plane_accounting(self, trace, offload_at, cache, pipelined,
+                                   faults):
         # Offload two of the three allocating classes early, so remote
         # reads, writes and invokes run both ways through the coalescer,
-        # across GC and migration barriers.
+        # across GC and migration barriers; under faults each leg of a
+        # closing batch runs the gauntlet, and may lose the surrogate.
         cfg = dataclasses.replace(
             config(), offload_at_event=offload_at,
             forced_offload_nodes=frozenset({"app.A", "app.B"}),
+            faults=faults,
             data_plane=DataPlaneConfig(coalescing=True, read_cache=cache,
                                        pipelined_migration=pipelined),
         )
@@ -207,5 +211,6 @@ class TestReplayProperties:
             + result.migration_time
             + result.gc_pause_time
             + result.monitoring_time
+            + result.fault_time
         )
         assert result.total_time == pytest.approx(parts)

@@ -1,4 +1,4 @@
-"""Byte accounting in ``ExecutionContext._record_static_access``.
+"""Byte accounting of static field accesses in ``ExecutionContext``.
 
 Static fields always live on the client (section 3.2), so a static
 access from an offloaded method crosses the link.  These tests pin the
