@@ -44,7 +44,9 @@ f64     f64     work seconds
 ======  ======  =====================================================
 
 An allocation or a free always names its object: its ``a_oid`` is never
-``-1``.
+``-1``.  The decoded lists (:meth:`ColumnarTrace.column_lists`) also
+carry dense object indices derived from the two oid columns
+(:func:`object_indices`); no file stores them.
 
 On-disk layout (versioned, little-endian)::
 
@@ -72,7 +74,7 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_right
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
@@ -184,6 +186,23 @@ def check_columns(cols: Dict[str, list], strings: int,
                "negative or non-finite time")
 
 
+def object_indices(a_oid: List[int], b_oid: List[int]) -> Dict[str, list]:
+    """Dense per-trace object indices, derived from the oid columns.
+
+    ``oid_of`` lists the ``-1`` sentinel, then every oid the trace
+    names, once each (first the ``a`` column's, then the ``b``
+    column's), and ``a_ix[i]``/``b_ix[i]`` index it:
+    ``oid_of[a_ix[i]] == a_oid[i]``, and index 0 stands for ``-1``.
+    Oids come from a process-wide counter; the indices let the replay
+    keep its per-object tables in lists.  They are derived, never
+    stored, so neither file format carries them.
+    """
+    oid_of = list(dict.fromkeys(chain((-1,), a_oid, b_oid)))
+    index = dict(zip(oid_of, range(len(oid_of)))).__getitem__
+    return {"a_ix": list(map(index, a_oid)), "b_ix": list(map(index, b_oid)),
+            "oid_of": oid_of}
+
+
 def _oid_cell(oid: Optional[int], what: str) -> int:
     if oid is None:
         return -1
@@ -292,7 +311,8 @@ class ColumnarTrace:
 
     def column_lists(self) -> Dict[str, list]:
         """The columns as plain Python lists (decoded once, cached until
-        the trace grows).
+        the trace grows), with the trace's dense object indices (see
+        :func:`object_indices`) derived from them.
 
         List indexing beats both ``array`` and ``memoryview`` indexing
         in the replay hot loop; the decode is a single C-level pass.
@@ -304,6 +324,7 @@ class ColumnarTrace:
             decoded = {name: self.columns[name].tolist()
                        for name, _ in COLUMN_SPECS}
             check_columns(decoded, len(self.strings))
+            decoded.update(object_indices(decoded["a_oid"], decoded["b_oid"]))
             self._lists_cache = cache = decoded
         return cache
 

@@ -18,6 +18,7 @@ conditions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -51,7 +52,7 @@ from .columnar import (
     FLAG_WRITE,
     TAG_ACCESS,
     TAG_ALLOC,
-    TAG_FREE,
+    TAG_INVOKE,
     TAG_WORK,
 )
 from .graphfold import GraphFold
@@ -69,6 +70,39 @@ INT_ARRAY = "int[]"
 #: The coalesced-batch part of :meth:`TraceReplayer._reload` when there
 #: is no coalescer: no pending batch, zero counters.
 _NO_BATCH = (None, 0, 0, 0, 0, 0, 0.0, 0, 0, 0.0, 0)
+#: The fault part of :meth:`TraceReplayer._reload` without faults: no
+#: credit (so no exchange is taken inline), no horizon, no exchanges.
+_NO_FAULTS = (0, -1.0, -1, 0)
+#: Just under one.  :func:`post_event_threshold` scales the
+#: re-evaluation threshold by it, so rounding cannot lift the threshold
+#: past a clock reading at which ``now - last >= every`` already holds.
+_JUST_UNDER_ONE = 1.0 - 2.0 ** -40
+
+
+def post_event_threshold(next_change: float, reattach_at: Optional[float],
+                         surrogate_lost: bool, last_reevaluation: float,
+                         reevaluate_every: Optional[float],
+                         offload_count: int) -> float:
+    """The clock reading from which one of the replay loop's post-event
+    checks may be due.
+
+    For a non-negative clock ``now``, each of ``now >= next_change``,
+    the reattach test (``now >= reattach_at`` while the surrogate is
+    lost) and the re-evaluation test (``now - last_reevaluation >=
+    reevaluate_every`` after at least one offload; ``reevaluate_every``
+    is ``None`` when re-evaluation is off) implies ``now >=`` the
+    result, so the loop's one compare against it can open the exact
+    checks early but never skips one.  The offload event is an event
+    index, which the loop compares on its own.
+    """
+    at = next_change
+    if reattach_at is not None and surrogate_lost and reattach_at < at:
+        at = reattach_at
+    if reevaluate_every is not None and offload_count > 0:
+        due = (last_reevaluation + reevaluate_every) * _JUST_UNDER_ONE
+        if due < at:
+            at = due
+    return at
 
 
 @dataclass(frozen=True)
@@ -297,13 +331,18 @@ class TraceReplayer:
                  config: EmulatorConfig) -> None:
         self.trace = trace
         self.config = config
-        # Object residency and bookkeeping.
-        self._site: Dict[int, str] = {}
-        self._size: Dict[int, int] = {}
-        self._node: Dict[int, str] = {}
+        # Object residency and bookkeeping, by the trace's object index
+        # (``run`` sizes the tables): site (None when not live), size
+        # and node name, and the live objects in allocation order.
+        self._oid_of: List[int] = [-1]
+        self._site: List[Optional[str]] = []
+        self._size: List[int] = []
+        self._node: List[Optional[str]] = []
+        self._live: Dict[int, None] = {}
         self._client_live = 0
         self._surrogate_live = 0
-        # Client garbage awaiting a collection: oid -> size, in free order.
+        # Client garbage awaiting a collection: index -> size, in free
+        # order.
         self._pending_garbage: Dict[int, int] = {}
         # Emulated collector counters.
         self._allocs_since_gc = 0
@@ -311,9 +350,9 @@ class TraceReplayer:
         # Placement.
         self._offloaded: FrozenSet[str] = frozenset()
         self._class_on_surrogate: Set[str] = set()
-        # The loop's form of the class set (see _surrogate_class_ids).
-        self._class_ids_of: Optional[Set[str]] = None
-        self._class_ids: Set[int] = set()
+        # The loop's form of the class set (see _class_sites).
+        self._class_sites_of: Optional[Set[str]] = None
+        self._class_site: List[str] = []
         self._pinned_cache: Optional[List[str]] = None
         # The link in force *now*.  Static runs never reassign it; under
         # a link profile it tracks the schedule (every cost site reads
@@ -461,10 +500,11 @@ class TraceReplayer:
         the replayer's own bookkeeping: zero wire charge."""
         repatriated = 0
         repatriated_bytes = 0
-        for oid, site in self._site.items():
-            if site == SURROGATE:
-                size = self._size[oid]
-                self._site[oid] = CLIENT
+        site_of = self._site
+        for ix in self._live:
+            if site_of[ix] == SURROGATE:
+                size = self._size[ix]
+                site_of[ix] = CLIENT
                 self._client_live += size
                 self._surrogate_live -= size
                 repatriated += 1
@@ -494,9 +534,10 @@ class TraceReplayer:
             return False
         total_bytes = 0
         count = 0
-        for oid, site in self._site.items():
-            if site == SURROGATE:
-                total_bytes += self._size[oid]
+        site_of = self._site
+        for ix in self._live:
+            if site_of[ix] == SURROGATE:
+                total_bytes += self._size[ix]
                 count += 1
         wire = 0
         duration = 0.0
@@ -548,34 +589,43 @@ class TraceReplayer:
         ``tests/emulator/replay_goldens.json`` pin them.  The speed
         comes from batch-decoding the columns into plain lists once and
         hoisting every per-event attribute/config lookup out of the
-        loop; mutable replayer state lives in locals and is spilled to
-        (and reloaded from) the instance only around the rare cold
-        calls — GC cycles, partitioning attempts, surrogate-side
-        reclaims, fault-gauntlet exchanges, roaming and rediscovery.
-        A remote access and a remote invoke share one tail: an op of
-        ``out`` bytes there and ``back`` bytes back, which a write
-        buffers and a read or an invoke closes.  An exchange the fault
-        schedule has already judged clean (see ``_exchange``) is taken
-        inline.  So is the coalesced data plane: the loop holds the
-        pending batch and its stats counters in locals, a buffered write
-        is local arithmetic, and a read or an invoke closes the batch
-        inline.  Naive ops and batches are priced from one
-        :class:`~repro.rpc.batch.ExchangeCosts` table.  Every
-        cold call but a surrogate-side reclaim (which writes back only
-        the heap counters), a direction change (whose flush the
-        coalescer runs) included, goes through one
-        :meth:`_spill`/:meth:`_reload` pair, which also lends the batch
-        back to the coalescer.  The loop does no graph work: reading
-        :attr:`graph` folds the events replayed so far.
+        loop.  Per-object state (site, size, node) sits in lists indexed
+        by the trace's dense object indices (see
+        :func:`~repro.emulator.columnar.object_indices`) and the
+        fallback site of a class in a list indexed by string id, so an
+        event's lookups are list indexing.  Mutable replayer state lives
+        in locals and is spilled to (and reloaded from) the instance
+        only around the rare cold calls — GC cycles, partitioning
+        attempts, surrogate-side reclaims, fault-gauntlet exchanges,
+        roaming and rediscovery.  One compare gates the post-event
+        checks: :func:`post_event_threshold` is never later than the
+        clock reading at which one of them comes due.  An access is
+        dispatched first.  A remote access and a remote invoke share one
+        tail: an op of ``out`` bytes there and ``back`` bytes back,
+        which a write buffers and a read or an invoke closes.  An
+        exchange the fault schedule has already judged clean (see
+        ``_exchange``) is taken inline, against the schedule's credit
+        and horizon held in locals.  So is the coalesced data plane: the
+        loop holds the pending batch and its stats counters in locals, a
+        buffered write is local arithmetic, and a read or an invoke
+        closes the batch inline.  Naive ops and batches are priced from
+        one :class:`~repro.rpc.batch.ExchangeCosts` table.  Every cold
+        call but a surrogate-side reclaim (which writes back only the
+        heap counters), a direction change (whose flush the coalescer
+        runs) included, goes through one :meth:`_spill`/:meth:`_reload`
+        pair, which also lends the batch back to the coalescer and the
+        credit back to the schedule.  The loop does no graph work:
+        reading :attr:`graph` folds the events replayed so far.
         """
         trace = self.trace
         cols = trace.column_lists()
         strings = trace.strings
         tags = cols["tags"]
-        a_cls, a_oid = cols["a_cls"], cols["a_oid"]
-        b_cls, b_oid = cols["b_cls"], cols["b_oid"]
+        a_cls, a_ix = cols["a_cls"], cols["a_ix"]
+        b_cls, b_ix, b_oid = cols["b_cls"], cols["b_ix"], cols["b_oid"]
         k_id, flags = cols["k_id"], cols["flags"]
         n1, n2, f64 = cols["n1"], cols["n2"], cols["f64"]
+        oid_of = cols["oid_of"]
 
         config = self.config
         result = self.result
@@ -593,8 +643,9 @@ class TraceReplayer:
         control = self._control
         engine = self.engine
         link = self._link
-        next_roam = control.next_change
-        offload_at = config.offload_at_event
+        # No event index is -1, so an unset offload event never matches.
+        offload_at = (-1 if config.offload_at_event is None
+                      else config.offload_at_event)
         reevaluate_every = config.reevaluate_every
         offload_enabled = config.offload_enabled
         stateless_local = config.flags.stateless_natives_local
@@ -617,10 +668,14 @@ class TraceReplayer:
             if name.endswith("[]")
         }
 
-        site_map = self._site
-        site_get = site_map.get
-        size_map = self._size
-        node_map = self._node
+        # Per-object tables, indexed by the trace's object indices; a
+        # site of None is an object that is not live (index 0, the
+        # ``-1`` sentinel, never is).
+        self._oid_of = oid_of
+        self._site = site_of = [None] * len(oid_of)
+        self._size = size_of = [0] * len(oid_of)
+        self._node = node_of = [None] * len(oid_of)
+        live = self._live
         pending = self._pending_garbage
         data_plane = self._data_plane
         cache = data_plane.cache
@@ -641,20 +696,21 @@ class TraceReplayer:
         # surrogate dead, and recovery then rewrites the heap counters
         # and placement under the loop.  An exchange the schedule judged
         # clean ahead of time, inside its horizon, is taken inline (see
-        # ``_exchange``); the rest run the gauntlet.
+        # ``_exchange``); the rest run the gauntlet.  Without faults the
+        # credit is zero.
         delivery = self._delivery
-        schedule = delivery.schedule if delivery is not None else None
         attempt = (self._gauntlet
                    if delivery is not None and coalescer is None else None)
 
         # Hoisted mutable state, spilled and reloaded around cold calls;
-        # with a coalescer, its pending batch (the initiating site, ops
-        # and payload bytes each way) and the stats counters it touches.
+        # the schedule's credit and horizon; with a coalescer, its
+        # pending batch (the initiating site, ops and payload bytes each
+        # way) and the stats counters it touches.
         (now, client_live, surrogate_live, allocs_since_gc, bytes_since_gc,
-         last_reeval, surrogate_cids, comm_time, peak_client, reattach_at,
-         batch_from, batch_ops, batch_out, batch_back, dp_ops,
-         dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes, dp_actual_s,
-         dp_results) = self._reload()
+         class_site, comm_time, peak_client, check_at, credit, horizon_time,
+         horizon_event, exchanges, batch_from, batch_ops, batch_out,
+         batch_back, dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+         dp_wire_bytes, dp_actual_s, dp_results) = self._reload()
         cpu_client = result.cpu_time_client
         cpu_surrogate = result.cpu_time_surrogate
         monitoring_time = result.monitoring_time
@@ -667,250 +723,249 @@ class TraceReplayer:
         headers = MESSAGE_HEADER_BYTES
         two_headers = 2 * MESSAGE_HEADER_BYTES
 
-        CLIENT_ = CLIENT
-        SURROGATE_ = SURROGATE
+        # The module constants the loop reads, as locals (cheaper to
+        # load than globals).
+        CLIENT_, SURROGATE_ = CLIENT, SURROGATE
+        TAG_ACCESS_, TAG_INVOKE_ = TAG_ACCESS, TAG_INVOKE
+        TAG_WORK_, TAG_ALLOC_ = TAG_WORK, TAG_ALLOC
+        FLAG_STATIC_, FLAG_WRITE_ = FLAG_STATIC, FLAG_WRITE
+        FLAG_STATELESS_ = FLAG_STATELESS
         for i, tag in enumerate(tags):
-            if tag > TAG_FREE:
-                # -- invoke, access or work: src is the site running it -
-                src = site_get(a_oid[i])
+            if tag == TAG_ACCESS_ or tag == TAG_INVOKE_:
+                # An interaction from src (the site running it) to dst
+                # (the accessed field's owner, the callee's site).
+                src = site_of[a_ix[i]]
                 if src is None:
-                    src = SURROGATE_ if a_cls[i] in surrogate_cids else CLIENT_
-                if tag == TAG_WORK:
-                    # -- work ----------------------------------------------
-                    seconds = f64[i]
-                    if src == CLIENT_:
-                        wall = seconds / client_speed
-                        cpu_client += wall
+                    src = class_site[a_cls[i]]
+                if tag == TAG_ACCESS_:
+                    # -- access --------------------------------------------
+                    fl = flags[i]
+                    if fl & FLAG_STATIC_:
+                        dst = CLIENT_
                     else:
-                        wall = seconds / surrogate_speed
-                        cpu_surrogate += wall
-                    now += wall
-                else:
-                    # An interaction from src to dst (the accessed
-                    # field's owner, the callee's site) of out bytes
-                    # there and back bytes back.  A write buffers; a
-                    # read or an invoke needs its answer.
-                    if tag == TAG_ACCESS:
-                        # -- access ----------------------------------------
-                        oo = b_oid[i]
-                        fl = flags[i]
-                        is_write = fl & FLAG_WRITE
-                        if fl & FLAG_STATIC:
-                            dst = CLIENT_
+                        dst = site_of[b_ix[i]]
+                        if dst is None:
+                            dst = class_site[b_cls[i]]
+                    if cache is not None:
+                        if fl & FLAG_STATIC_:
+                            key = static_key(strings[b_cls[i]])
+                        elif b_ix[i] == 0 or b_cls[i] in array_ids:
+                            key = None
                         else:
-                            dst = site_get(oo)
-                            if dst is None:
-                                dst = (SURROGATE_ if b_cls[i] in surrogate_cids
-                                       else CLIENT_)
-                        # A write carries the value out and an empty ack
-                        # back; a read, an empty request out and the
-                        # value back.
+                            key = b_oid[i]
+                        if key is None:
+                            pass
+                        elif fl & FLAG_WRITE_:
+                            cache_invalidate(key)
+                        elif dst != src and cache_note_read(key):
+                            # Served from the reading site's copy: no
+                            # round trip, zero bytes on the wire.
+                            src = dst
+                else:
+                    # -- invoke --------------------------------------------
+                    kid = k_id[i]
+                    if kid == native_id:
+                        if flags[i] & FLAG_STATELESS_ and stateless_local:
+                            dst = src
+                        else:
+                            dst = CLIENT_
+                    elif kid == static_id:
+                        dst = src
+                    else:
+                        dst = site_of[b_ix[i]]
+                        if dst is None:
+                            dst = class_site[b_cls[i]]
+                if dst != src:
+                    # -- the remote tail -----------------------------------
+                    # An op of out bytes there and back bytes back.  A
+                    # write carries the value out and an empty ack back,
+                    # and buffers; a read, an empty request out and the
+                    # value back; an invoke, its arguments and result.
+                    # A read or an invoke needs its answer.
+                    if tag == TAG_ACCESS_:
+                        is_write = fl & FLAG_WRITE_
                         if is_write:
                             out = n1[i]
                             back = 0
                         else:
                             out = 0
                             back = n1[i]
-                        if cache is not None:
-                            if fl & FLAG_STATIC:
-                                key = static_key(strings[b_cls[i]])
-                            elif oo < 0 or b_cls[i] in array_ids:
-                                key = None
-                            else:
-                                key = oo
-                            if key is None:
-                                pass
-                            elif is_write:
-                                cache_invalidate(key)
-                            elif dst != src and cache_note_read(key):
-                                # Served from the reading site's copy: no
-                                # round trip, zero bytes on the wire.
-                                src = dst
                     else:
-                        # -- invoke ----------------------------------------
-                        kid = k_id[i]
-                        if kid == native_id:
-                            if flags[i] & FLAG_STATELESS and stateless_local:
-                                dst = src
-                            else:
-                                dst = CLIENT_
-                        elif kid == static_id:
-                            dst = src
-                        else:
-                            dst = site_get(b_oid[i])
-                            if dst is None:
-                                dst = (SURROGATE_ if b_cls[i] in surrogate_cids
-                                       else CLIENT_)
                         is_write = False
                         out = n1[i]
                         back = n2[i]
-                    if dst != src:
-                        # -- the remote tail -------------------------------
-                        # What the op costs as one exchange of its own.
-                        ck = (out, back)
-                        cost = cost_get(ck)
-                        if cost is None:
-                            cost = exchange_cost[ck]
-                        if coalescer is None:
-                            # One exchange through the fault gauntlet.
-                            if attempt is None:
-                                pass
-                            elif (schedule.credit
-                                  and now < schedule.horizon_time
-                                  and ep < schedule.horizon_event):
-                                schedule.credit -= 1
-                                delivery.exchanges += 1
-                            else:
-                                self._spill(
-                                    ep, now, client_live, surrogate_live,
-                                    allocs_since_gc, bytes_since_gc,
-                                    last_reeval, comm_time, peak_client,
-                                    batch_from, batch_ops, batch_out,
-                                    batch_back, dp_ops, dp_naive_bytes,
-                                    dp_naive_s, dp_batches, dp_wire_bytes,
-                                    dp_actual_s, dp_results)
-                                delivered = attempt()
-                                (now, client_live, surrogate_live,
-                                 allocs_since_gc, bytes_since_gc, last_reeval,
-                                 surrogate_cids, comm_time, peak_client,
-                                 reattach_at, batch_from, batch_ops,
-                                 batch_out, batch_back, dp_ops,
-                                 dp_naive_bytes, dp_naive_s, dp_batches,
-                                 dp_wire_bytes, dp_actual_s,
-                                 dp_results) = self._reload()
-                                if not delivered:
-                                    # The surrogate died under this
-                                    # exchange: recovery has repatriated
-                                    # everything, so the op completes on
-                                    # the client, uncharged and uncounted.
-                                    src = dst = CLIENT_
-                            if dst != src:
-                                comm_time += cost
-                                now += cost
-                        elif batch_ops and batch_from != src:
-                            # The pending batch runs the other way: the
-                            # coalescer flushes it and takes this op (a
-                            # read closes its batch as an invoke does).
+                    # What the op costs as one exchange of its own.
+                    ck = (out, back)
+                    cost = cost_get(ck)
+                    if cost is None:
+                        cost = exchange_cost[ck]
+                    if coalescer is None:
+                        # One exchange through the fault gauntlet.
+                        if (credit and now < horizon_time
+                                and ep < horizon_event):
+                            credit -= 1
+                            exchanges += 1
+                        elif attempt is not None:
                             self._spill(
                                 ep, now, client_live, surrogate_live,
-                                allocs_since_gc, bytes_since_gc, last_reeval,
-                                comm_time, peak_client, batch_from, batch_ops,
-                                batch_out, batch_back, dp_ops, dp_naive_bytes,
-                                dp_naive_s, dp_batches, dp_wire_bytes,
-                                dp_actual_s, dp_results)
-                            if is_write:
-                                coalescer.write(src, dst, out)
-                            else:
-                                coalescer.invoke(src, dst, out, back)
+                                allocs_since_gc, bytes_since_gc, comm_time,
+                                peak_client, credit, exchanges, batch_from,
+                                batch_ops, batch_out, batch_back, dp_ops,
+                                dp_naive_bytes, dp_naive_s, dp_batches,
+                                dp_wire_bytes, dp_actual_s, dp_results)
+                            delivered = attempt()
                             (now, client_live, surrogate_live,
-                             allocs_since_gc, bytes_since_gc, last_reeval,
-                             surrogate_cids, comm_time, peak_client,
-                             reattach_at, batch_from, batch_ops, batch_out,
-                             batch_back, dp_ops, dp_naive_bytes, dp_naive_s,
-                             dp_batches, dp_wire_bytes, dp_actual_s,
+                             allocs_since_gc, bytes_since_gc, class_site,
+                             comm_time, peak_client, check_at, credit,
+                             horizon_time, horizon_event, exchanges,
+                             batch_from, batch_ops, batch_out, batch_back,
+                             dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                             dp_wire_bytes, dp_actual_s,
                              dp_results) = self._reload()
-                        else:
-                            # The op joins the batch; a read or an invoke
-                            # closes it.
-                            batch_from = src
-                            batch_ops += 1
-                            batch_out += out
-                            batch_back += back
-                            dp_ops += 1
-                            dp_naive_bytes += two_headers + out + back
-                            dp_naive_s += cost
-                            if not is_write:
-                                # -- close the batch: one exchange ---------
-                                request = headers + batch_out
-                                response = headers + batch_back
-                                dp_batches += 1
-                                dp_wire_bytes += request + response
-                                ck = (batch_out, batch_back)
-                                cost = cost_get(ck)
-                                if cost is None:
-                                    cost = exchange_cost[ck]
-                                dp_actual_s += cost
-                                dp_results += 1
-                                batch_ops = batch_out = batch_back = 0
-                                for leg in (request, response):
-                                    if delivery is None:
-                                        pass
-                                    elif (schedule.credit
-                                          and now < schedule.horizon_time
-                                          and ep < schedule.horizon_event):
-                                        schedule.credit -= 1
-                                        delivery.exchanges += 1
-                                    else:
-                                        self._spill(
-                                            ep, now, client_live,
-                                            surrogate_live, allocs_since_gc,
-                                            bytes_since_gc, last_reeval,
-                                            comm_time, peak_client,
-                                            batch_from, batch_ops, batch_out,
-                                            batch_back, dp_ops,
-                                            dp_naive_bytes, dp_naive_s,
-                                            dp_batches, dp_wire_bytes,
-                                            dp_actual_s, dp_results)
-                                        delivered = self._gauntlet()
-                                        (now, client_live, surrogate_live,
-                                         allocs_since_gc, bytes_since_gc,
-                                         last_reeval, surrogate_cids,
-                                         comm_time, peak_client, reattach_at,
-                                         batch_from, batch_ops, batch_out,
-                                         batch_back, dp_ops, dp_naive_bytes,
-                                         dp_naive_s, dp_batches,
-                                         dp_wire_bytes, dp_actual_s,
-                                         dp_results) = self._reload()
-                                        if not delivered:
-                                            # The leg died with the
-                                            # surrogate: it never travels.
-                                            continue
-                                    seconds = link.one_way(leg)
-                                    comm_time += seconds
-                                    now += seconds
+                            if not delivered:
+                                # The surrogate died under this exchange:
+                                # recovery has repatriated everything, so
+                                # the op completes on the client,
+                                # uncharged and uncounted.
+                                src = dst = CLIENT_
                         if dst != src:
-                            remote_bytes += out + back
-                            if tag == TAG_ACCESS:
-                                remote_accesses += 1
-                            else:
-                                remote_invocations += 1
-                                if kid == native_id:
-                                    remote_native += 1
-                    if monitor_wall is not None:
-                        wall = monitor_wall[dst]
-                        monitoring_time += wall
-                        now += wall
-            elif tag == TAG_ALLOC:
+                            comm_time += cost
+                            now += cost
+                    elif batch_ops and batch_from != src:
+                        # The pending batch runs the other way: the
+                        # coalescer flushes it and takes this op (a read
+                        # closes its batch as an invoke does).
+                        self._spill(
+                            ep, now, client_live, surrogate_live,
+                            allocs_since_gc, bytes_since_gc, comm_time,
+                            peak_client, credit, exchanges, batch_from,
+                            batch_ops, batch_out, batch_back, dp_ops,
+                            dp_naive_bytes, dp_naive_s, dp_batches,
+                            dp_wire_bytes, dp_actual_s, dp_results)
+                        if is_write:
+                            coalescer.write(src, dst, out)
+                        else:
+                            coalescer.invoke(src, dst, out, back)
+                        (now, client_live, surrogate_live, allocs_since_gc,
+                         bytes_since_gc, class_site, comm_time, peak_client,
+                         check_at, credit, horizon_time, horizon_event,
+                         exchanges, batch_from, batch_ops, batch_out,
+                         batch_back, dp_ops, dp_naive_bytes, dp_naive_s,
+                         dp_batches, dp_wire_bytes, dp_actual_s,
+                         dp_results) = self._reload()
+                    else:
+                        # The op joins the batch; a read or an invoke
+                        # closes it.
+                        batch_from = src
+                        batch_ops += 1
+                        batch_out += out
+                        batch_back += back
+                        dp_ops += 1
+                        dp_naive_bytes += two_headers + out + back
+                        dp_naive_s += cost
+                        if not is_write:
+                            # -- close the batch: one exchange -------------
+                            request = headers + batch_out
+                            response = headers + batch_back
+                            dp_batches += 1
+                            dp_wire_bytes += request + response
+                            ck = (batch_out, batch_back)
+                            cost = cost_get(ck)
+                            if cost is None:
+                                cost = exchange_cost[ck]
+                            dp_actual_s += cost
+                            dp_results += 1
+                            batch_ops = batch_out = batch_back = 0
+                            for leg in (request, response):
+                                if (credit and now < horizon_time
+                                        and ep < horizon_event):
+                                    credit -= 1
+                                    exchanges += 1
+                                elif delivery is not None:
+                                    self._spill(
+                                        ep, now, client_live, surrogate_live,
+                                        allocs_since_gc, bytes_since_gc,
+                                        comm_time, peak_client, credit,
+                                        exchanges, batch_from, batch_ops,
+                                        batch_out, batch_back, dp_ops,
+                                        dp_naive_bytes, dp_naive_s,
+                                        dp_batches, dp_wire_bytes,
+                                        dp_actual_s, dp_results)
+                                    delivered = self._gauntlet()
+                                    (now, client_live, surrogate_live,
+                                     allocs_since_gc, bytes_since_gc,
+                                     class_site, comm_time, peak_client,
+                                     check_at, credit, horizon_time,
+                                     horizon_event, exchanges, batch_from,
+                                     batch_ops, batch_out, batch_back, dp_ops,
+                                     dp_naive_bytes, dp_naive_s, dp_batches,
+                                     dp_wire_bytes, dp_actual_s,
+                                     dp_results) = self._reload()
+                                    if not delivered:
+                                        # The leg died with the surrogate:
+                                        # it never travels.
+                                        continue
+                                seconds = link.one_way(leg)
+                                comm_time += seconds
+                                now += seconds
+                    if dst != src:
+                        remote_bytes += out + back
+                        if tag == TAG_ACCESS_:
+                            remote_accesses += 1
+                        else:
+                            remote_invocations += 1
+                            if kid == native_id:
+                                remote_native += 1
+                if monitor_wall is not None:
+                    wall = monitor_wall[dst]
+                    monitoring_time += wall
+                    now += wall
+            elif tag == TAG_WORK_:
+                # -- work --------------------------------------------------
+                src = site_of[a_ix[i]]
+                if src is None:
+                    src = class_site[a_cls[i]]
+                seconds = f64[i]
+                if src == CLIENT_:
+                    wall = seconds / client_speed
+                    cpu_client += wall
+                else:
+                    wall = seconds / surrogate_speed
+                    cpu_surrogate += wall
+                now += wall
+            elif tag == TAG_ALLOC_:
                 # -- alloc -------------------------------------------------
-                site = SURROGATE_ if b_cls[i] in surrogate_cids else CLIENT_
+                site = class_site[b_cls[i]]
                 size = n1[i]
                 if site == CLIENT_:
                     if client_live + size > capacity:
                         self._spill(
                             ep, now, client_live, surrogate_live,
-                            allocs_since_gc, bytes_since_gc, last_reeval,
-                            comm_time, peak_client, batch_from, batch_ops,
-                            batch_out, batch_back, dp_ops, dp_naive_bytes,
-                            dp_naive_s, dp_batches, dp_wire_bytes,
-                            dp_actual_s, dp_results)
+                            allocs_since_gc, bytes_since_gc, comm_time,
+                            peak_client, credit, exchanges, batch_from,
+                            batch_ops, batch_out, batch_back, dp_ops,
+                            dp_naive_bytes, dp_naive_s, dp_batches,
+                            dp_wire_bytes, dp_actual_s, dp_results)
                         self._gc_cycle("space-exhausted", ep)
                         (now, client_live, surrogate_live, allocs_since_gc,
-                         bytes_since_gc, last_reeval, surrogate_cids,
-                         comm_time, peak_client, reattach_at, batch_from,
-                         batch_ops, batch_out, batch_back, dp_ops,
-                         dp_naive_bytes, dp_naive_s, dp_batches,
-                         dp_wire_bytes, dp_actual_s,
+                         bytes_since_gc, class_site, comm_time, peak_client,
+                         check_at, credit, horizon_time, horizon_event,
+                         exchanges, batch_from, batch_ops, batch_out,
+                         batch_back, dp_ops, dp_naive_bytes, dp_naive_s,
+                         dp_batches, dp_wire_bytes, dp_actual_s,
                          dp_results) = self._reload()
                         # Placement may have changed under the GC's
                         # offload trigger, but the allocation keeps its
                         # pre-GC site decision.
                         if client_live + size > capacity:
                             # OOM: the rest of the allocation is
-                            # skipped; the common post-event checks
-                            # below still run before the loop breaks.
+                            # skipped; the post-event gate opens, so the
+                            # common checks still run before the loop
+                            # breaks.
                             result.oom = True
                             result.oom_time = now
                             oom = True
+                            check_at = -math.inf
                             self._fold.end = i
                     if not oom:
                         client_live += size
@@ -921,19 +976,20 @@ class TraceReplayer:
                 else:
                     surrogate_live += size
                 if not oom:
-                    oid = a_oid[i]
-                    if oid in site_map:
+                    ix = a_ix[i]
+                    if site_of[ix] is not None:
                         raise TraceFormatError(
-                            f"event {i}: ALLOC of oid {oid}, which is "
-                            f"still live")
+                            f"event {i}: ALLOC of oid {oid_of[ix]}, which "
+                            f"is still live")
                     acid = a_cls[i]
-                    site_map[oid] = site
-                    size_map[oid] = size
-                    node_map[oid] = (
-                        object_node_id(strings[acid], oid)
+                    site_of[ix] = site
+                    size_of[ix] = size
+                    node_of[ix] = (
+                        object_node_id(strings[acid], oid_of[ix])
                         if granular_ids and acid in granular_ids
                         else strings[acid]
                     )
+                    live[ix] = None
                     if monitor_wall is not None:
                         wall = monitor_wall[site]
                         monitoring_time += wall
@@ -952,68 +1008,72 @@ class TraceReplayer:
                 if reason is not None:
                     self._spill(
                         ep, now, client_live, surrogate_live, allocs_since_gc,
-                        bytes_since_gc, last_reeval, comm_time, peak_client,
-                        batch_from, batch_ops, batch_out, batch_back, dp_ops,
-                        dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
-                        dp_actual_s, dp_results)
+                        bytes_since_gc, comm_time, peak_client, credit,
+                        exchanges, batch_from, batch_ops, batch_out,
+                        batch_back, dp_ops, dp_naive_bytes, dp_naive_s,
+                        dp_batches, dp_wire_bytes, dp_actual_s, dp_results)
                     self._gc_cycle(reason, ep + 1)
                     (now, client_live, surrogate_live, allocs_since_gc,
-                     bytes_since_gc, last_reeval, surrogate_cids, comm_time,
-                     peak_client, reattach_at, batch_from, batch_ops,
-                     batch_out, batch_back, dp_ops, dp_naive_bytes,
-                     dp_naive_s, dp_batches, dp_wire_bytes, dp_actual_s,
-                     dp_results) = self._reload()
+                     bytes_since_gc, class_site, comm_time, peak_client,
+                     check_at, credit, horizon_time, horizon_event,
+                     exchanges, batch_from, batch_ops, batch_out, batch_back,
+                     dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                     dp_wire_bytes, dp_actual_s, dp_results) = self._reload()
             else:
                 # -- free (TAG_FREE) ---------------------------------------
-                oid = a_oid[i]
-                site = site_get(oid)
-                if site == CLIENT_ and oid not in pending:
+                ix = a_ix[i]
+                site = site_of[ix]
+                if site == CLIENT_ and ix not in pending:
                     # Client garbage waits for an emulated collection.
-                    pending[oid] = size_map[oid]
+                    pending[ix] = size_of[ix]
                 elif site == SURROGATE_:
                     # Surrogate-side garbage reclaims immediately.
                     self._client_live = client_live
                     self._surrogate_live = surrogate_live
-                    self._reclaim(oid, ep)
+                    self._reclaim(ix, ep)
                     client_live = self._client_live
                     surrogate_live = self._surrogate_live
                 else:
                     raise TraceFormatError(
-                        f"event {i}: FREE of oid {oid}, which is not live")
+                        f"event {i}: FREE of oid {oid_of[ix]}, which is "
+                        f"not live")
             # -- post-event checks ----------------------------------------
             ep += 1
-            if (now >= next_roam
-                    or (reattach_at is not None and now >= reattach_at
-                        and control.surrogate_lost)
-                    or (ep == offload_at and offload_enabled)
-                    or (reevaluate_every is not None and offload_enabled
-                        and now - last_reeval >= reevaluate_every
-                        and engine.offload_count > 0)):
-                self._spill(
-                    ep, now, client_live, surrogate_live, allocs_since_gc,
-                    bytes_since_gc, last_reeval, comm_time, peak_client,
-                    batch_from, batch_ops, batch_out, batch_back, dp_ops,
-                    dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
-                    dp_actual_s, dp_results)
-                self._after_event(ep)
-                (now, client_live, surrogate_live, allocs_since_gc,
-                 bytes_since_gc, last_reeval, surrogate_cids, comm_time,
-                 peak_client, reattach_at, batch_from, batch_ops, batch_out,
-                 batch_back, dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
-                 dp_wire_bytes, dp_actual_s, dp_results) = self._reload()
-                # A roam may have changed the link, and the link the
-                # price table.
-                next_roam = control.next_change
-                link = self._link
-                if coalescer is not None:
-                    exchange_cost = coalescer.exchange_costs
-                elif exchange_cost.link is not link:
-                    exchange_cost = ExchangeCosts(link)
-                cost_get = exchange_cost.get
-            if oom:
-                break
+            if now >= check_at or ep == offload_at:
+                if (now >= control.next_change
+                        or (control.reattach_at is not None
+                            and now >= control.reattach_at
+                            and control.surrogate_lost)
+                        or (ep == offload_at and offload_enabled)
+                        or (reevaluate_every is not None and offload_enabled
+                            and now - engine.last_reevaluation
+                            >= reevaluate_every
+                            and engine.offload_count > 0)):
+                    self._spill(
+                        ep, now, client_live, surrogate_live, allocs_since_gc,
+                        bytes_since_gc, comm_time, peak_client, credit,
+                        exchanges, batch_from, batch_ops, batch_out,
+                        batch_back, dp_ops, dp_naive_bytes, dp_naive_s,
+                        dp_batches, dp_wire_bytes, dp_actual_s, dp_results)
+                    self._after_event(ep)
+                    (now, client_live, surrogate_live, allocs_since_gc,
+                     bytes_since_gc, class_site, comm_time, peak_client,
+                     check_at, credit, horizon_time, horizon_event,
+                     exchanges, batch_from, batch_ops, batch_out, batch_back,
+                     dp_ops, dp_naive_bytes, dp_naive_s, dp_batches,
+                     dp_wire_bytes, dp_actual_s, dp_results) = self._reload()
+                    # A roam may have changed the link, and the link the
+                    # price table.
+                    link = self._link
+                    if coalescer is not None:
+                        exchange_cost = coalescer.exchange_costs
+                    elif exchange_cost.link is not link:
+                        exchange_cost = ExchangeCosts(link)
+                    cost_get = exchange_cost.get
+                if oom:
+                    break
         self._spill(ep, now, client_live, surrogate_live, allocs_since_gc,
-                    bytes_since_gc, last_reeval, comm_time, peak_client,
+                    bytes_since_gc, comm_time, peak_client, credit, exchanges,
                     batch_from, batch_ops, batch_out, batch_back, dp_ops,
                     dp_naive_bytes, dp_naive_s, dp_batches, dp_wire_bytes,
                     dp_actual_s, dp_results)
@@ -1047,9 +1107,9 @@ class TraceReplayer:
 
     def _spill(
         self, ep, now, client_live, surrogate_live, allocs_since_gc,
-        bytes_since_gc, last_reeval, comm_time, peak_client, batch_from,
-        batch_ops, batch_out, batch_back, dp_ops, naive_bytes, naive_seconds,
-        batches, wire_bytes, actual_seconds, result_flushes,
+        bytes_since_gc, comm_time, peak_client, credit, exchanges,
+        batch_from, batch_ops, batch_out, batch_back, dp_ops, naive_bytes,
+        naive_seconds, batches, wire_bytes, actual_seconds, result_flushes,
     ) -> None:
         """Write the batched loop's hoisted state back to the instance.
 
@@ -1059,6 +1119,8 @@ class TraceReplayer:
         everything they reach) observes the replay's exact state, then
         the loop takes :meth:`_reload` back into its locals.  The event
         index is also the side-log position of what the cold call logs.
+        Under faults, the credit the loop has left and the exchanges it
+        counted go back to the schedule and the delivery layer.
 
         With a coalescer, the pending batch goes back to it and the
         counters back to the stats block, so the call may flush, drop
@@ -1074,10 +1136,13 @@ class TraceReplayer:
         self._surrogate_live = surrogate_live
         self._allocs_since_gc = allocs_since_gc
         self._bytes_since_gc = bytes_since_gc
-        self.engine.last_reevaluation = last_reeval
         result.comm_time = comm_time
         if peak_client > result.peak_client_bytes:
             result.peak_client_bytes = peak_client
+        delivery = self._delivery
+        if delivery is not None:
+            delivery.schedule.credit = credit
+            delivery.exchanges = exchanges
         coalescer = self._data_plane.coalescer
         if coalescer is None:
             return
@@ -1099,15 +1164,33 @@ class TraceReplayer:
         coalescer.adopt(direction, batch_ops, batch_out, batch_back)
 
     def _reload(self):
-        """The hoisted loop state a cold call may have changed and the
-        coalescer's pending batch and counters (placeholders without a
-        coalescer), in the order the loop unpacks them."""
+        """The hoisted loop state a cold call may have changed, the
+        post-event gate's threshold, the fault schedule's credit and
+        horizon and the exchange count (:data:`_NO_FAULTS` without
+        faults), and the coalescer's pending batch and counters
+        (:data:`_NO_BATCH` without a coalescer), in the order the loop
+        unpacks them."""
         result = self.result
+        control = self._control
+        engine = self.engine
+        config = self.config
         state = (self._now, self._client_live, self._surrogate_live,
                  self._allocs_since_gc, self._bytes_since_gc,
-                 self.engine.last_reevaluation, self._surrogate_class_ids(),
-                 result.comm_time, result.peak_client_bytes,
-                 self._control.reattach_at)
+                 self._class_sites(), result.comm_time,
+                 result.peak_client_bytes,
+                 post_event_threshold(
+                     control.next_change, control.reattach_at,
+                     control.surrogate_lost, engine.last_reevaluation,
+                     config.reevaluate_every if config.offload_enabled
+                     else None,
+                     engine.offload_count))
+        delivery = self._delivery
+        if delivery is None:
+            state += _NO_FAULTS
+        else:
+            schedule = delivery.schedule
+            state += (schedule.credit, schedule.horizon_time,
+                      schedule.horizon_event, delivery.exchanges)
         coalescer = self._data_plane.coalescer
         if coalescer is None:
             return state + _NO_BATCH
@@ -1119,33 +1202,43 @@ class TraceReplayer:
             stats.batches, stats.wire_bytes, stats.actual_seconds,
             stats.flushes.get(FLUSH_RESULT, 0))
 
-    def _surrogate_class_ids(self) -> Set[int]:
-        """The trace's string ids of the classes placed on the
-        surrogate, rebuilt after a placement change replaces the class
-        set (a name the table holds twice maps to both ids)."""
+    def _class_sites(self) -> List[str]:
+        """Each trace string's site as a class with no live object to
+        go by, by string id: the surrogate for the classes placed there,
+        else the client.  Rebuilt after a placement change replaces the
+        class set (a name the table holds twice has both ids)."""
         classes = self._class_on_surrogate
-        if classes is not self._class_ids_of:
-            self._class_ids_of = classes
-            self._class_ids = {
-                sid for sid, name in enumerate(self.trace.strings)
-                if name in classes
-            }
-        return self._class_ids
+        if classes is not self._class_sites_of:
+            self._class_sites_of = classes
+            self._class_site = [
+                SURROGATE if name in classes else CLIENT
+                for name in self.trace.strings
+            ]
+        return self._class_site
+
+    def residency(self) -> Dict[int, str]:
+        """Each live object's site by oid, in allocation order (freed
+        client objects stay live until a collection reclaims them)."""
+        oid_of = self._oid_of
+        site_of = self._site
+        return {oid_of[ix]: site_of[ix] for ix in self._live}
 
     # -- allocation and the emulated collector -------------------------------------
 
-    def _reclaim(self, oid: int, at: int) -> None:
-        """Drop one collected object; its graph part goes to the fold's
-        side log at position ``at``."""
-        site = self._site.pop(oid)
+    def _reclaim(self, ix: int, at: int) -> None:
+        """Drop one collected object (by object index); its graph part
+        goes to the fold's side log at position ``at``."""
+        site = self._site[ix]
+        self._site[ix] = None
+        del self._live[ix]
         # GC of the owner invalidates its cached remote copy.
-        self._data_plane.note_free(oid)
-        size = self._size.pop(oid)
+        self._data_plane.note_free(self._oid_of[ix])
+        size = self._size[ix]
         if site == CLIENT:
             self._client_live -= size
         else:
             self._surrogate_live -= size
-        self._fold.reclaim(at, self._node.pop(oid), size)
+        self._fold.reclaim(at, self._node[ix], size)
 
     def _gc_cycle(self, reason: str, at: int) -> None:
         """One emulated collection at side-log position ``at``: the
@@ -1157,15 +1250,15 @@ class TraceReplayer:
         pending = self._pending_garbage
         freed_bytes = sum(pending.values())
         freed_objects = len(pending)
-        for oid in pending:
+        for ix in pending:
             # Only reclaim garbage still on the client: a migration may
             # not move garbage, so client garbage stays client garbage.
-            self._reclaim(oid, at)
+            self._reclaim(ix, at)
         pending.clear()
         self._allocs_since_gc = 0
         self._bytes_since_gc = 0
         self.result.gc_cycles += 1
-        pause = (default_pause_model(len(self._site), freed_objects)
+        pause = (default_pause_model(len(self._live), freed_objects)
                  / self.config.client.cpu_speed)
         self.result.gc_pause_time += pause
         self._now += pause
@@ -1173,7 +1266,7 @@ class TraceReplayer:
         report = GCReport(
             cycle=self.result.gc_cycles,
             reason=reason,
-            live_objects=len(self._site),
+            live_objects=len(self._live),
             freed_objects=freed_objects,
             freed_bytes=freed_bytes,
             used_bytes=self._client_live,
@@ -1254,14 +1347,17 @@ class TraceReplayer:
         garbage = self._pending_garbage
         to_surrogate: List[int] = []
         to_client: List[int] = []
-        for oid, site in self._site.items():
-            if oid in garbage:
+        site_of = self._site
+        node_of = self._node
+        for ix in self._live:
+            if ix in garbage:
                 continue
-            wants_surrogate = self._node[oid] in offload_nodes
+            site = site_of[ix]
+            wants_surrogate = node_of[ix] in offload_nodes
             if wants_surrogate and site == CLIENT:
-                to_surrogate.append(oid)
+                to_surrogate.append(ix)
             elif not wants_surrogate and site == SURROGATE:
-                to_client.append(oid)
+                to_client.append(ix)
         moved_bytes = 0
         moved_objects = 0
         if (to_surrogate or to_client) and not self._exchange():
@@ -1276,9 +1372,9 @@ class TraceReplayer:
                                   (to_client, CLIENT)):
             if not oids:
                 continue
-            batch_bytes = sum(self._size[oid] for oid in oids)
-            for oid in oids:
-                self._site[oid] = destination
+            batch_bytes = sum(self._size[ix] for ix in oids)
+            for ix in oids:
+                site_of[ix] = destination
             if destination == SURROGATE:
                 self._client_live -= batch_bytes
                 self._surrogate_live += batch_bytes

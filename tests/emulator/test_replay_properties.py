@@ -1,9 +1,10 @@
 """Property and consistency tests for the replayer."""
 
 import dataclasses
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import DeviceProfile, GCConfig
@@ -16,11 +17,16 @@ from repro.emulator.events import (
     InvokeEvent,
     WorkEvent,
 )
-from repro.emulator.replay import EmulatorConfig, TraceReplayer
+from repro.emulator.replay import (
+    EmulatorConfig,
+    TraceReplayer,
+    post_event_threshold,
+)
 from repro.net.faults import FaultSpec
 from repro.rpc.batch import DROP_RECOVERY, DataPlaneConfig
 from repro.rpc.marshal import MESSAGE_HEADER_BYTES
 from repro.units import KB
+from tests.helpers import trace_of
 
 CLASSES = ("app.A", "app.B", "app.C", "ui.Pinned")
 
@@ -106,6 +112,31 @@ fault_specs = st.one_of(
     st.builds(lambda seed, at: FaultSpec(seed=seed, crash_at_event=at),
               st.integers(0, 99), st.integers(0, 6)),
 )
+
+
+def remap_oids(trace, rename):
+    """``trace`` with every oid renamed by ``rename`` (``None`` stays)."""
+    def new(oid):
+        return None if oid is None else rename[oid]
+
+    events = []
+    for event in trace.events:
+        if isinstance(event, AllocEvent):
+            event = event._replace(oid=new(event.oid),
+                                   creator_oid=new(event.creator_oid))
+        elif isinstance(event, FreeEvent):
+            event = event._replace(oid=new(event.oid))
+        elif isinstance(event, InvokeEvent):
+            event = event._replace(caller_oid=new(event.caller_oid),
+                                   callee_oid=new(event.callee_oid))
+        elif isinstance(event, AccessEvent):
+            event = event._replace(accessor_oid=new(event.accessor_oid),
+                                   owner_oid=new(event.owner_oid))
+        else:
+            event = event._replace(oid=new(event.oid))
+        events.append(event)
+    return trace_of(events, app_name=trace.app_name,
+                    class_traits=trace.class_traits)
 
 
 # Invokes with kind 'native' on classes whose traits say otherwise are
@@ -214,3 +245,82 @@ class TestReplayProperties:
             + result.fault_time
         )
         assert result.total_time == pytest.approx(parts)
+
+    @given(st.data(), st.integers(1, 10), fault_specs, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_replay_does_not_depend_on_oid_numbering(self, data, offload_at,
+                                                     faults, plane):
+        # The replayer's object tables are indexed by the trace's own
+        # dense indices, so renaming every oid through an injective,
+        # order-scrambling map to values past 2**40 changes nothing at
+        # class granularity.
+        trace = data.draw(random_traces(object_refs=True))
+        cols = trace.column_lists()
+        oids = sorted({*cols["a_oid"], *cols["b_oid"]} - {-1})
+        targets = data.draw(st.lists(st.integers(2**40, 2**62), unique=True,
+                                     min_size=len(oids), max_size=len(oids)))
+        targets = data.draw(st.permutations(sorted(targets, reverse=True)))
+        renamed = remap_oids(trace, dict(zip(oids, targets)))
+        cfg = dataclasses.replace(
+            config(), offload_at_event=offload_at,
+            forced_offload_nodes=frozenset({"app.A", "app.B"}),
+            faults=faults,
+            data_plane=(DataPlaneConfig.enabled() if plane
+                        else DataPlaneConfig.off()),
+        )
+        assert (TraceReplayer(renamed, cfg).run().fingerprint()
+                == TraceReplayer(trace, cfg).run().fingerprint())
+
+
+#: Clock readings and periods: non-negative, subnormals included.
+TIMES = st.floats(0.0, 1e9)
+
+
+def checks_due(now, next_change, reattach_at, lost, last, every, offloads):
+    """The replay loop's exact post-event clock tests."""
+    return (now >= next_change
+            or (reattach_at is not None and now >= reattach_at and lost)
+            or (every is not None and now - last >= every and offloads > 0))
+
+
+class TestPostEventGate:
+    """The loop opens its post-event checks on ``now >= threshold``; the
+    threshold may open them early but must never skip one."""
+
+    @given(TIMES, TIMES | st.just(math.inf), st.none() | TIMES,
+           st.booleans(), TIMES, st.none() | TIMES, st.integers(0, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_threshold_never_skips_a_due_check(self, now, next_change,
+                                               reattach_at, lost, last,
+                                               every, offloads):
+        args = (next_change, reattach_at, lost, last, every, offloads)
+        if checks_due(now, *args):
+            assert now >= post_event_threshold(*args)
+
+    @given(TIMES, TIMES)
+    # Here ``now - last >= every`` already holds one float below the
+    # rounded ``last + every``.
+    @example(5.093901979039841, 8.032342721659742)
+    @settings(max_examples=300, deadline=None)
+    def test_threshold_holds_at_the_rounding_boundary(self, last, every):
+        # Readings a few floats either side of last + every, where
+        # ``now - last >= every`` flips.
+        args = (math.inf, None, False, last, every, 1)
+        threshold = post_event_threshold(*args)
+        below = above = last + every
+        for _ in range(4):
+            for now in (below, above):
+                if checks_due(now, *args):
+                    assert now >= threshold
+            below = math.nextafter(below, -math.inf)
+            above = math.nextafter(above, math.inf)
+
+    def test_threshold_is_the_earliest_armed_check(self):
+        assert post_event_threshold(5.0, 3.0, True, 0.0, None, 0) == 3.0
+        # A reattach time counts only while the surrogate is lost, and
+        # re-evaluation only after an offload.
+        assert post_event_threshold(5.0, 3.0, False, 0.0, 1.0, 0) == 5.0
+        assert 0.99 < post_event_threshold(5.0, None, False, 0.0, 1.0,
+                                           1) <= 1.0
+        assert post_event_threshold(math.inf, None, False, 0.0, None,
+                                    4) == math.inf
