@@ -630,8 +630,9 @@ class FlatGraph:
         if n > self.n:
             rows.extend([] for _ in range(n - self.n))
             self.rowtot.extend([0] * (n - self.n))
+            appended = self.n
             self.n = n
-            self._rank_names()
+            self._rank_names(appended)
             self._csr_stale = True
         if m > self.m:
             edge_slot = self.edge_slot
@@ -691,12 +692,19 @@ class FlatGraph:
         self.synced_version = graph.version
         return FlatDelta(edge_changes, rebased)
 
-    def _rank_names(self) -> None:
+    def _rank_names(self, appended: int = 0) -> None:
         """Lexicographic interning rank: packed keys tie-break exactly
-        like the reference (bytes, count, node-id) max selection."""
-        names = self.names
+        like the reference (bytes, count, node-id) max selection.
+
+        Node names are append-only and distinct, so after a sync only the
+        nodes from index ``appended`` on are sorted; ``sorted`` merges
+        that run with the previous ``r2i`` in linear time.
+        """
+        key = self.names.__getitem__
         rank = [0] * self.n
-        r2i = sorted(range(self.n), key=names.__getitem__)
+        r2i = sorted(range(appended, self.n), key=key)
+        if appended:
+            r2i = sorted(self.r2i + r2i, key=key)
         for r, i in enumerate(r2i):
             rank[i] = r
         self.rank = rank

@@ -76,7 +76,7 @@ from array import array
 from bisect import bisect_right
 from itertools import chain, compress
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, TypeVar, Union
 
 from ..errors import TraceFormatError
 from .events import (
@@ -87,6 +87,8 @@ from .events import (
     TraceEvent,
     WorkEvent,
 )
+
+T = TypeVar("T")
 
 CTRACE_MAGIC = b"CTRC"
 CTRACE_VERSION = 1
@@ -203,6 +205,15 @@ def object_indices(a_oid: List[int], b_oid: List[int]) -> Dict[str, list]:
             "oid_of": oid_of}
 
 
+def _decoded_lists(trace: "ColumnarTrace") -> Dict[str, list]:
+    """The trace's columns decoded to lists and checked, with its dense
+    object indices."""
+    decoded = {name: trace.columns[name].tolist() for name, _ in COLUMN_SPECS}
+    check_columns(decoded, len(trace.strings))
+    decoded.update(object_indices(decoded["a_oid"], decoded["b_oid"]))
+    return decoded
+
+
 def _oid_cell(oid: Optional[int], what: str) -> int:
     if oid is None:
         return -1
@@ -280,7 +291,10 @@ class ColumnarTrace:
         if columns is None:
             columns = {name: array(code) for name, code in COLUMN_SPECS}
         self.columns = columns
-        self._lists_cache = None
+        # Values derived from the columns (see ``derived``), and the
+        # length they were derived at.
+        self._derived: Dict[tuple, object] = {}
+        self._derived_len = 0
         self._packers = None
         # Keeps an mmap (and its file) alive for view-backed columns.
         self._mmap = None
@@ -319,14 +333,25 @@ class ColumnarTrace:
         The decoded values are checked once here (see
         :func:`check_columns`), so the replay need not check them.
         """
-        cache = self._lists_cache
-        if cache is None or len(cache["tags"]) != len(self):
-            decoded = {name: self.columns[name].tolist()
-                       for name, _ in COLUMN_SPECS}
-            check_columns(decoded, len(self.strings))
-            decoded.update(object_indices(decoded["a_oid"], decoded["b_oid"]))
-            self._lists_cache = cache = decoded
-        return cache
+        return self.derived(("column-lists",), _decoded_lists)
+
+    def derived(self, key: tuple, build: Callable[["ColumnarTrace"], T]) -> T:
+        """``build(self)``, built once under ``key`` and cached until the
+        trace grows.
+
+        For tables derived from the columns that every replay of the
+        trace reads: the decoded lists (:meth:`column_lists`) and the
+        graph fold's plan (:class:`~repro.emulator.graphfold.FoldPlan`).
+        No file stores them and pickling drops them.
+        """
+        if self._derived_len != len(self):
+            self._derived = {}
+            self._derived_len = len(self)
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
 
     # -- writing events ----------------------------------------------------------
 

@@ -339,6 +339,10 @@ class TraceReplayer:
         self._size: List[int] = []
         self._node: List[Optional[str]] = []
         self._live: Dict[int, None] = {}
+        # The live objects of each node, in allocation order, as of the
+        # last migration: ``migrate`` files the objects born since then
+        # (see ``_moves``).
+        self._objects_of: Dict[str, Dict[int, None]] = {}
         self._client_live = 0
         self._surrogate_live = 0
         # Client garbage awaiting a collection: index -> size, in free
@@ -1231,6 +1235,9 @@ class TraceReplayer:
         site = self._site[ix]
         self._site[ix] = None
         del self._live[ix]
+        filed = self._objects_of.get(self._node[ix])
+        if filed is not None:
+            filed.pop(ix, None)
         # GC of the owner invalidates its cached remote copy.
         self._data_plane.note_free(self._oid_of[ix])
         size = self._size[ix]
@@ -1339,25 +1346,67 @@ class TraceReplayer:
             migrated_objects=moved_objects,
         ))
 
-    def migrate(self, offload_nodes: FrozenSet[str]) -> Tuple[int, int]:
-        self._offloaded = offload_nodes
-        self._class_on_surrogate = {
-            node for node in offload_nodes if "#" not in node
-        }
+    def _moves(self, offload_nodes: FrozenSet[str], changed: FrozenSet[str]
+               ) -> Tuple[List[int], List[int]]:
+        """The live objects that a change of placement to
+        ``offload_nodes`` moves, to the surrogate and to the client;
+        ``changed`` is the nodes whose membership changes.
+
+        An object filed under its node sits where the last placement put
+        it (a recovery that repatriates everything also clears the
+        placement), so only the filed objects of the ``changed`` nodes
+        are visited, and the objects born since the last migration,
+        which land on their creator's site.  Those are the tail of
+        ``_live``, which is in allocation order; they are filed here.
+        Client garbage awaiting a collection never moves.
+        """
+        site_of = self._site
+        node_of = self._node
+        objects_of = self._objects_of
         garbage = self._pending_garbage
         to_surrogate: List[int] = []
         to_client: List[int] = []
-        site_of = self._site
-        node_of = self._node
-        for ix in self._live:
+        # Visiting order cannot change the moves: each object's site is
+        # written once, and the byte and object sums are integers.
+        for node in changed:
+            wanted = SURROGATE if node in offload_nodes else CLIENT
+            moves = to_surrogate if wanted == SURROGATE else to_client
+            for ix in objects_of.get(node, ()):
+                if site_of[ix] != wanted and ix not in garbage:
+                    moves.append(ix)
+        newborns: List[int] = []
+        for ix in reversed(self._live):
+            filed = objects_of.get(node_of[ix])
+            if filed is not None and ix in filed:
+                break
+            newborns.append(ix)
+        for ix in reversed(newborns):
+            node = node_of[ix]
+            filed = objects_of.get(node)
+            if filed is None:
+                filed = objects_of[node] = {}
+            filed[ix] = None
             if ix in garbage:
                 continue
-            site = site_of[ix]
-            wants_surrogate = node_of[ix] in offload_nodes
-            if wants_surrogate and site == CLIENT:
-                to_surrogate.append(ix)
-            elif not wants_surrogate and site == SURROGATE:
+            if node in offload_nodes:
+                if site_of[ix] == CLIENT:
+                    to_surrogate.append(ix)
+            elif site_of[ix] == SURROGATE:
                 to_client.append(ix)
+        return to_surrogate, to_client
+
+    def migrate(self, offload_nodes: FrozenSet[str]) -> Tuple[int, int]:
+        changed = self._offloaded.symmetric_difference(offload_nodes)
+        to_surrogate, to_client = self._moves(offload_nodes, changed)
+        self._offloaded = offload_nodes
+        # The placed classes follow the changed class nodes; an
+        # unchanged set keeps its identity, and with it the loop's
+        # class-site table (see _class_sites).
+        classes = [node for node in changed if "#" not in node]
+        if classes:
+            self._class_on_surrogate = (
+                self._class_on_surrogate.symmetric_difference(classes))
+        site_of = self._site
         moved_bytes = 0
         moved_objects = 0
         if (to_surrogate or to_client) and not self._exchange():

@@ -255,6 +255,23 @@ class TestFlatGraphStructure:
         assert_chain_matches(fg.generate_chain(["a"]),
                              generate_candidates(graph, ["a"]))
 
+    @given(st.lists(st.lists(st.text("abc#", max_size=4), max_size=6),
+                    max_size=6),
+           st.lists(st.text("abc#", max_size=4), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_ranks_after_appends_match_a_full_sort(self, rounds, first):
+        graph = ExecutionGraph()
+        for name in first:
+            graph.add_memory(name, 1)
+        fg = flatgraph.FlatGraph.try_compile(graph)
+        for names in rounds:
+            for name in names:
+                graph.add_memory(name, 1)
+            assert fg.sync(graph, graph.drain_dirty()) is not None
+            full = sorted(range(fg.n), key=fg.names.__getitem__)
+            assert fg.r2i == full
+            assert fg.rank == [full.index(i) for i in range(fg.n)]
+
     def test_sync_refuses_a_delta_that_misses_a_mutation(self):
         graph = ExecutionGraph()
         graph.add_memory("a", 100)

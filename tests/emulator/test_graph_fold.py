@@ -6,7 +6,8 @@ offload attempt and after ``run``; reading it at other points must not
 change it; and a forced placement, which never reads it, folds nothing.
 The fold writes the graph's columns by index; on random traces it must
 leave the store exactly as the string mutators leave it under the same
-rules, dirty sets and version included.
+rules, dirty sets and version included, also when a second fold reads
+the plan the first cached on the trace, and after the trace grows.
 """
 
 import pytest
@@ -14,15 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import ExecutionGraph, object_node_id
+from repro.emulator.columnar import ColumnarTrace
 from repro.emulator.events import (
     AccessEvent, AllocEvent, InvokeEvent, WorkEvent,
 )
-from repro.emulator.graphfold import GraphFold
+from repro.emulator.graphfold import GraphFold, fold_plan
 from repro.emulator.replay import TraceReplayer
+from repro.errors import PartitioningError
 from tests.helpers import delta_names
 
 from .graph_goldens import goldens, graph_digest, graph_runs, probe_replay
-from .test_replay_properties import random_traces
+from .test_replay_properties import config, random_traces
 
 RUNS = {key: (trace, config) for key, trace, config in graph_runs()}
 
@@ -154,11 +157,9 @@ def store_state(graph):
 
 
 @st.composite
-def fold_cases(draw):
-    """A trace, a granularity, a side log of marks and reclaims, and the
-    positions at which the graph is read and drained."""
-    trace = draw(random_traces(object_refs=True))
-    granular = draw(st.sampled_from((set(), {"app.A"})))
+def side_logs(draw, trace, granular):
+    """A side log of marks and reclaims for ``trace`` at ``granular``,
+    and the positions at which the graph is read and drained."""
     n = len(trace)
     entries = [(at, "mark") for at in draw(
         st.lists(st.integers(0, n), max_size=8))]
@@ -170,13 +171,19 @@ def fold_cases(draw):
             entries.append((at, "reclaim", node, event.size))
     entries.sort(key=lambda entry: entry[0])
     reads = sorted(set(draw(st.lists(st.integers(0, n), max_size=6))) | {n})
-    return trace, granular, entries, reads
+    return entries, reads
 
 
-@given(fold_cases())
-@settings(max_examples=150, deadline=None)
-def test_index_fold_and_string_mutators_write_the_same_store(case):
-    trace, granular, entries, reads = case
+@st.composite
+def fold_cases(draw):
+    """A trace, a granularity, a side log of marks and reclaims, and the
+    positions at which the graph is read and drained."""
+    trace = draw(random_traces(object_refs=True))
+    granular = draw(st.sampled_from((set(), {"app.A"})))
+    return (trace, granular, *draw(side_logs(trace, granular)))
+
+
+def assert_folds_like_the_string_mutators(trace, granular, entries, reads):
     by_index = ExecutionGraph()
     by_index.ensure_node("<main>")
     fold = GraphFold(trace, by_index, granular)
@@ -203,3 +210,58 @@ def test_index_fold_and_string_mutators_write_the_same_store(case):
                 reference.event(events[done])
                 done += 1
         assert store_state(by_index) == store_state(by_name)
+
+
+@given(fold_cases())
+@settings(max_examples=150, deadline=None)
+def test_index_fold_and_string_mutators_write_the_same_store(case):
+    assert_folds_like_the_string_mutators(*case)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_replays_of_one_trace_share_its_plan(data):
+    # The second fold at each granular set reads the plan the first one
+    # built and cached on the trace object, under another side log.
+    trace = data.draw(random_traces(object_refs=True))
+    for granular in (set(), {"app.A"}):
+        for _ in range(2):
+            entries, reads = data.draw(side_logs(trace, granular))
+            assert_folds_like_the_string_mutators(trace, granular, entries,
+                                                  reads)
+        assert fold_plan(trace, granular) is fold_plan(trace, set(granular))
+
+
+@given(random_traces(object_refs=True))
+@settings(max_examples=40, deadline=None)
+def test_a_trace_that_grows_after_a_replay_is_planned_again(trace):
+    cfg = config()
+    first = TraceReplayer(trace, cfg)
+    first.run()
+    # Fold it all, so the plan is built at the trace's first length.
+    first._fold.advance(len(trace))
+    for event in (WorkEvent("app.C", None, 0.25),
+                  InvokeEvent("app.B", None, "app.C", None, "m", "instance",
+                              False, 16, 8),
+                  AllocEvent(10**6, "app.B", 64, "app.C", None)):
+        trace.append(event)
+    fresh = ColumnarTrace(app_name=trace.app_name,
+                          class_traits=trace.class_traits)
+    for event in trace.events:
+        fresh.append(event)
+    grown = TraceReplayer(trace, cfg)
+    grown.run()
+    replayed = TraceReplayer(fresh, cfg)
+    replayed.run()
+    assert store_state(grown.graph) == store_state(replayed.graph)
+
+
+def test_a_reclaim_of_more_than_its_node_holds_raises():
+    trace = ColumnarTrace(app_name="t")
+    trace.append(AllocEvent(1, "app.A", 64, "<main>", None))
+    trace.append(WorkEvent("app.A", None, 0.5))
+    fold = GraphFold(trace, ExecutionGraph(), set())
+    fold.reclaim(1, "app.A", 65)
+    with pytest.raises(PartitioningError,
+                       match=r"'app.A' memory went negative \(-1\)"):
+        fold.advance(2)
