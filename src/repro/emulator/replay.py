@@ -684,6 +684,7 @@ class TraceReplayer:
         data_plane = self._data_plane
         cache = data_plane.cache
         cache_invalidate = cache.invalidate if cache is not None else None
+        cache_valid = cache.valid if cache is not None else None
         cache_note_read = cache.note_read if cache is not None else None
         static_key = RemoteReadCache.static_key
         coalescer = data_plane.coalescer
@@ -760,7 +761,10 @@ class TraceReplayer:
                         if key is None:
                             pass
                         elif fl & FLAG_WRITE_:
-                            cache_invalidate(key)
+                            # Most writes find no entry, and a miss
+                            # counts nothing: test before the call.
+                            if key in cache_valid:
+                                cache_invalidate(key)
                         elif dst != src and cache_note_read(key):
                             # Served from the reading site's copy: no
                             # round trip, zero bytes on the wire.

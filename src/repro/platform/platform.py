@@ -90,8 +90,8 @@ class DistributedRuntime(Runtime):
         traffic: TrafficStats,
     ) -> None:
         self._client = client_vm
-        self._vms = {client_vm.name: client_vm}
-        self._vms.update((vm.name, vm) for vm in surrogates)
+        self.sites = {client_vm.name: client_vm}
+        self.sites.update((vm.name, vm) for vm in surrogates)
         self.surrogates: List[VirtualMachine] = list(surrogates)
         self.links = links
         self.traffic = traffic
@@ -106,24 +106,26 @@ class DistributedRuntime(Runtime):
 
     def vm(self, name: str) -> VirtualMachine:
         try:
-            return self._vms[name]
+            return self.sites[name]
         except KeyError:
             raise PlatformError(f"unknown site {name!r}") from None
 
     def vms(self) -> Iterable[VirtualMachine]:
-        return self._vms.values()
+        return self.sites.values()
 
     def register(self, vm: VirtualMachine) -> None:
         """Attach another site (used by surrogate handoff)."""
-        if vm.name in self._vms:
+        if vm.name in self.sites:
             raise PlatformError(f"site {vm.name!r} already registered")
-        self._vms[vm.name] = vm
+        self.sites[vm.name] = vm
 
     def transfer(self, from_site: str, to_site: str, nbytes: int) -> bool:
         if from_site == to_site:
             return True
-        self.vm(from_site)  # validate both endpoints
-        self.vm(to_site)
+        sites = self.sites
+        if from_site not in sites or to_site not in sites:
+            unknown = to_site if from_site in sites else from_site
+            raise PlatformError(f"unknown site {unknown!r}")
         if self.delivery is not None and not self.delivery.attempt():
             # The peer was declared dead under this exchange; recovery
             # has already run (via ``on_peer_lost``) and the caller must

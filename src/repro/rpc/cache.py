@@ -79,8 +79,11 @@ class RemoteReadCache:
             raise ConfigurationError("cache capacity must be at least 1")
         self.capacity = capacity
         self.stats = CacheStats()
-        # Insertion-ordered dict used as a FIFO set: key -> True.
-        self._valid: Dict[Hashable, bool] = {}
+        #: Insertion-ordered dict used as a FIFO set: key -> True.  Hot
+        #: callers test a key's membership here before they call
+        #: :meth:`invalidate` (most writes find no entry); every change
+        #: goes through the methods.
+        self.valid: Dict[Hashable, bool] = {}
 
     # -- keys -------------------------------------------------------------
 
@@ -100,35 +103,35 @@ class RemoteReadCache:
         A miss installs the entry (the read that is about to be charged
         faults the state across), evicting the oldest entry at capacity.
         """
-        if key in self._valid:
+        if key in self.valid:
             self.stats.hits += 1
             return True
         self.stats.misses += 1
-        if len(self._valid) >= self.capacity:
-            self._valid.pop(next(iter(self._valid)))
+        if len(self.valid) >= self.capacity:
+            self.valid.pop(next(iter(self.valid)))
             self.stats.evictions += 1
-        self._valid[key] = True
+        self.valid[key] = True
         return False
 
     def holds(self, key: Hashable) -> bool:
         """Whether a fresh copy of ``key`` is cached (no counters)."""
-        return key in self._valid
+        return key in self.valid
 
     # -- invalidation -----------------------------------------------------
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry (a write or GC of the owner); True if present."""
-        if self._valid.pop(key, None) is not None:
+        if self.valid.pop(key, None) is not None:
             self.stats.invalidations += 1
             return True
         return False
 
     def invalidate_all(self) -> int:
         """Drop everything (migration barrier); returns entries dropped."""
-        dropped = len(self._valid)
-        self._valid.clear()
+        dropped = len(self.valid)
+        self.valid.clear()
         self.stats.invalidations += dropped
         return dropped
 
     def __len__(self) -> int:
-        return len(self._valid)
+        return len(self.valid)

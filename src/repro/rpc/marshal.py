@@ -20,7 +20,7 @@ import struct
 from typing import Any, Dict, List, Tuple, Union
 
 from ..errors import RemoteInvocationError
-from ..vm.objectmodel import JObject
+from ..vm.objectmodel import JArray, JObject
 
 #: Wire overhead charged per RPC message (headers, opcode, request id).
 MESSAGE_HEADER_BYTES = 32
@@ -34,11 +34,15 @@ STRING_HEADER_BYTES = 24
 #: Per-character size (UTF-16, as in Java).
 CHAR_BYTES = 2
 
-_SCALAR_SIZES = {
+#: Fixed sizes by exact type: scalars, and guest objects and arrays,
+#: which travel as a reference handle.
+_FIXED_SIZES = {
     bool: 1,
     int: 8,
     float: 8,
     type(None): 8,
+    JObject: REFERENCE_BYTES,
+    JArray: REFERENCE_BYTES,
 }
 
 #: Memoised sizes for short strings (method names, field names, class
@@ -64,9 +68,9 @@ def reset_size_cache() -> None:
 def deep_size(value: Any) -> int:
     """Measure the marshalled size of one guest value in bytes.
 
-    Scalars and strings — the overwhelming majority of marshalled
-    values — resolve through an exact-type fast path before any
-    ``isinstance`` dispatch; short strings are memoised.
+    Scalars, guest references and strings — the overwhelming majority
+    of marshalled values — resolve through an exact-type fast path
+    before any ``isinstance`` dispatch; short strings are memoised.
 
     >>> deep_size(42)
     8
@@ -76,7 +80,7 @@ def deep_size(value: Any) -> int:
     40
     """
     value_type = type(value)
-    size = _SCALAR_SIZES.get(value_type)
+    size = _FIXED_SIZES.get(value_type)
     if size is not None:
         return size
     if value_type is str:
@@ -108,8 +112,17 @@ def deep_size(value: Any) -> int:
 
 
 def args_size(args: Tuple[Any, ...]) -> int:
-    """Total marshalled size of a parameter tuple (without the header)."""
-    return sum(deep_size(arg) for arg in args)
+    """Total marshalled size of a parameter tuple (without the header).
+
+    Runs once per guest invocation: a fixed-size argument (most are
+    references or scalars) is sized here without a :func:`deep_size`
+    call.
+    """
+    total = 0
+    for arg in args:
+        size = _FIXED_SIZES.get(type(arg))
+        total += deep_size(arg) if size is None else size
+    return total
 
 
 # -- wire encoding ----------------------------------------------------------

@@ -67,6 +67,13 @@ class Heap:
     def contains(self, obj: JObject) -> bool:
         return obj.oid in self._objects
 
+    @property
+    def resident(self) -> Dict[int, JObject]:
+        """The live objects by oid, for hot membership tests (the
+        collector's mark).  Read it only; change it through
+        :meth:`allocate` and :meth:`release`."""
+        return self._objects
+
     def objects(self) -> Iterator[JObject]:
         """Snapshot iterator over live objects (safe to mutate during)."""
         return iter(list(self._objects.values()))
@@ -82,8 +89,9 @@ class Heap:
 
     # -- mutation -----------------------------------------------------------
 
-    def allocate(self, obj: JObject) -> None:
-        """Charge ``obj`` against the heap, or signal exhaustion.
+    def allocate(self, obj: JObject) -> int:
+        """Charge ``obj`` against the heap and return its size, or
+        signal exhaustion.
 
         Raises :class:`HeapSpaceExhausted` when the object does not fit;
         the VM catches that, collects, and retries.
@@ -99,6 +107,7 @@ class Heap:
         self.stats.bytes_allocated += size
         if self.used > self.stats.peak_used:
             self.stats.peak_used = self.used
+        return size
 
     def release(self, obj: JObject) -> int:
         """Remove ``obj`` from the heap, returning the bytes reclaimed.

@@ -133,3 +133,17 @@ class TestScanner:
         # store is client-homed, so it is not a root *for the surrogate*.
         assert store not in scanner.roots()
         assert worker not in scanner.roots()
+
+    @pytest.mark.parametrize("element_type,traced", [("ref", True),
+                                                     ("int", False)])
+    def test_scanner_reads_arrays_as_references_defines_them(
+            self, platform, element_type, traced):
+        """A reference array on the peer heap keeps its elements alive;
+        a primitive array's ``data`` is never read as references."""
+        store = platform.ctx.new("data.Store")
+        holder = platform.surrogate.vm.new_array(
+            element_type, 3, data=[None, 7, store])
+        scanner = CrossHeapRootScanner(platform.client.vm,
+                                       platform.surrogate.vm)
+        assert (store in scanner.roots()) is traced
+        assert (store in holder.references()) is traced
