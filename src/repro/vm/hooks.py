@@ -19,7 +19,6 @@ hooks) a guest interaction costs one call into the monitor.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import List, NamedTuple, Optional
 
 from .gc import GCReport
@@ -70,10 +69,10 @@ class AccessRecord(NamedTuple):
 #: Build a record from one tuple of *all* its fields, in order (an
 #: access record's ``cached`` included), as ``Record._make`` does but
 #: without the Python-level ``__new__`` frame that ``NamedTuple``
-#: generates: the execution context builds one record per guest
-#: interaction this way.
-make_invoke_record = partial(tuple.__new__, InvokeRecord)
-make_access_record = partial(tuple.__new__, AccessRecord)
+#: generates: ``new_record(AccessRecord, fields)``.  The execution
+#: context builds one record per guest interaction this way (called
+#: directly, it is cheaper than a ``partial`` bound to the type).
+new_record = tuple.__new__
 
 
 class ExecutionListener:
