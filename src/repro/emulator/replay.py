@@ -695,6 +695,11 @@ class TraceReplayer:
         exchange_cost = (coalescer.exchange_costs if coalescer is not None
                          else ExchangeCosts(link))
         cost_get = exchange_cost.get
+        # A closing batch charges its two legs one at a time (a leg can
+        # die alone), each priced from the coalescer's per-size table
+        # for the same link, read the same way.
+        leg_cost = coalescer.leg_costs if coalescer is not None else None
+        leg_get = leg_cost.get if leg_cost is not None else None
         # Fault gauntlet: without a coalescer every uncached remote
         # op is one exchange of its own; with one, each leg of a
         # closing batch is.  Either way an exchange may declare the
@@ -913,7 +918,9 @@ class TraceReplayer:
                                         # The leg died with the surrogate:
                                         # it never travels.
                                         continue
-                                seconds = link.one_way(leg)
+                                seconds = leg_get(leg)
+                                if seconds is None:
+                                    seconds = leg_cost[leg]
                                 comm_time += seconds
                                 now += seconds
                     if dst != src:
@@ -1075,6 +1082,8 @@ class TraceReplayer:
                     link = self._link
                     if coalescer is not None:
                         exchange_cost = coalescer.exchange_costs
+                        leg_cost = coalescer.leg_costs
+                        leg_get = leg_cost.get
                     elif exchange_cost.link is not link:
                         exchange_cost = ExchangeCosts(link)
                     cost_get = exchange_cost.get

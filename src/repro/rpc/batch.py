@@ -176,6 +176,25 @@ class ExchangeCosts(dict):
         return cost
 
 
+class LegCosts(dict):
+    """Seconds of one message one way on one link, keyed by its wire
+    bytes: the request and response legs of a closing batch.
+
+    Priced on first read, as :class:`ExchangeCosts` prices exchanges,
+    and the stored float is the one ``link.one_way`` returned.
+    """
+
+    __slots__ = ("link",)
+
+    def __init__(self, link: LinkModel) -> None:
+        super().__init__()
+        self.link = link
+
+    def __missing__(self, nbytes: int) -> float:
+        cost = self[nbytes] = self.link.one_way(nbytes)
+        return cost
+
+
 class RpcCoalescer:
     """Aggregates same-direction remote operations into wire batches.
 
@@ -210,12 +229,19 @@ class RpcCoalescer:
         """Switch links (a new attachment epoch): costs are re-priced."""
         self._link = link
         self._exchange_cost = ExchangeCosts(link)
+        self._leg_cost = LegCosts(link)
 
     @property
     def exchange_costs(self) -> ExchangeCosts:
         """The current link's exchange prices; a new link brings a new
         table."""
         return self._exchange_cost
+
+    @property
+    def leg_costs(self) -> LegCosts:
+        """The current link's one-way prices by message size; a new link
+        brings a new table."""
+        return self._leg_cost
 
     # -- the operation stream ---------------------------------------------
 

@@ -393,7 +393,9 @@ class ExecutionContext:
                 refs.append(arg)
         frames.append((exec_site, callee_class, callee_oid, refs))
         monitoring = self.monitoring_enabled
-        if monitoring:
+        if monitoring and "on_invoke_enter" in self.hooks.live:
+            # No platform listener implements this hook; a recording
+            # run's frame mirror does.
             self.hooks.on_invoke_enter(callee_class, mdef, exec_site)
         cpu_cost = mdef.cpu_cost
         try:

@@ -127,6 +127,9 @@ class HookFanout(ExecutionListener):
     broadcasts in add order.  ``add`` and ``remove`` rebind every hook,
     so they take effect on the next event: callers must look a hook up
     on the fanout for each event rather than keep the callable.
+    ``live`` names the hooks at least one listener implements, rebuilt
+    with them, so a caller may skip building a hook's arguments (or
+    calling it at all) when nobody listens.
     """
 
     def __init__(self) -> None:
@@ -143,6 +146,7 @@ class HookFanout(ExecutionListener):
 
     def _rebuild(self) -> None:
         bound = vars(self)
+        live = []
         for name in HOOKS:
             base = getattr(ExecutionListener, name)
             methods = (getattr(listener, name) for listener in self.listeners)
@@ -157,6 +161,9 @@ class HookFanout(ExecutionListener):
                 bound.pop(name, None)
             else:
                 bound[name] = base.__get__(self)
+            if hooks:
+                live.append(name)
+        self.live = frozenset(live)
 
     def on_alloc(self, obj: JObject, site: str) -> None:
         for hook in self._on_alloc:

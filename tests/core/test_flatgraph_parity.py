@@ -12,9 +12,10 @@ greedy-order flips) and compare exhaustively.
 
 import random
 import time
+from typing import List, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import flatgraph
@@ -171,6 +172,186 @@ class TestColdParity:
         chain = flatgraph.snapshot(graph).generate_chain(["a", "b"])
         assert chain.k == 0
         assert chain.candidates() == []
+
+
+@st.composite
+def pendant_cases(draw):
+    """A graph shaped like an object-granularity trace, plus every
+    pendant corner the cold kernel's runs must get right.
+
+    Core nodes are hubs owning many single-edge objects (pendants).
+    Beside them: pendant pairs joined only to each other, isolated
+    nodes, and detached hubs whose pendants have no connectivity until
+    the rank pointer takes one of them.  Edge weights come from a short
+    list with repeats, so equal-weight pendants (the rank tie-break)
+    and zero-byte, zero-count edges are common.  Names are drawn as a
+    random permutation, so ranks are unrelated to roles.
+    """
+    weights = st.tuples(st.sampled_from([0, 0, 1, 64, 64, 64, 4096]),
+                        st.sampled_from([0, 1, 1, 2]))
+    roles: List[str] = []
+    edges: List[Tuple[int, int, Tuple[int, int]]] = []
+
+    def node(role: str) -> int:
+        roles.append(role)
+        return len(roles) - 1
+
+    core = [node("core") for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2 * len(core)))):
+        a, b = draw(st.sampled_from(core)), draw(st.sampled_from(core))
+        if a != b:
+            edges.append((a, b, draw(weights)))
+    hubs = core + [node("detached") for _ in range(draw(st.integers(0, 2)))]
+    for hub in hubs:
+        for _ in range(draw(st.integers(0 if hub in core else 1, 7))):
+            edges.append((hub, node("pendant"), draw(weights)))
+    for _ in range(draw(st.integers(0, 2))):
+        edges.append((node("pair"), node("pair"), draw(weights)))
+    for _ in range(draw(st.integers(0, 2))):
+        node("isolated")
+    labels = draw(st.permutations(range(len(roles))))
+    names = [f"v{label:02d}" for label in labels]
+    graph = ExecutionGraph()
+    for name in names:
+        graph.add_memory(name, draw(st.integers(0, 10_000)))
+        if draw(st.booleans()):
+            graph.add_cpu(name, draw(st.integers(0, 6400)) / 64)
+    for a, b, (nbytes, count) in edges:
+        graph.record_interaction(names[a], names[b], nbytes, count=count)
+    # Pinned hubs put their pendants on the seed; an empty pin list
+    # takes the most-connected fallback seed.
+    pinned = [names[i] for i in draw(st.lists(st.sampled_from(core),
+                                              unique=True))]
+    if draw(st.booleans()):
+        pinned.append(names[draw(st.integers(0, len(names) - 1))])
+    return graph, pinned
+
+
+def expected_selections(fg, graph, chain):
+    """Each move's packed key, recomputed from the graph: its bytes and
+    count towards the client side at that step, then its rank."""
+    client = set(chain.seed)
+    keys = []
+    for v in chain.order[:-1]:
+        name = fg.names[v]
+        nbytes = count = 0
+        for neighbor, edge in graph.adjacent_edges(name):
+            if neighbor in client:
+                nbytes += edge.bytes
+                count += edge.count
+        keys.append((nbytes * fg.cb + count) * fg.nb + fg.rank[v])
+        client.add(name)
+    return keys
+
+
+def assert_warm_record(fg, graph, chain, warm) -> None:
+    """What the cold run leaves for repair: selections and positions."""
+    assert warm.sel_packed == expected_selections(fg, graph, chain)
+    pos = [0] * fg.n
+    for j, v in enumerate(chain.order):
+        pos[v] = j + 1
+    assert warm.pos == pos
+    assert warm.ready == (chain.k >= 2)
+
+
+class TestPendantRuns:
+    """The cold kernel moves pendants in runs; the oracle moves one node
+    at a time.  Every column, the order and the warm record must agree."""
+
+    @given(pendant_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_cold_chain_matches_oracle(self, case):
+        graph, pinned = case
+        fg = flatgraph.FlatGraph.try_compile(graph)
+        warm = flatgraph.FlatWarmState()
+        chain = fg.generate_chain(pinned, warm)
+        reference = generate_candidates(graph, pinned)
+        assert_chain_matches(chain, reference)
+        if reference:
+            assert ([fg.names[v] for v in chain.order]
+                    == reference[0]._log.order)
+        assert_warm_record(fg, graph, chain, warm)
+
+    @given(pendant_cases(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_repair_after_a_cold_run_matches_the_reference(self, case,
+                                                           data):
+        graph, pinned = case
+        edge_keys = [key for key, _ in graph.edges()]
+        assume(edge_keys)
+        graph.drain_dirty()
+        fg = flatgraph.FlatGraph.try_compile(graph)
+        warm = flatgraph.FlatWarmState()
+        fg.generate_chain(pinned, warm)
+        for _ in range(data.draw(st.integers(1, 3))):
+            a, b = data.draw(st.sampled_from(edge_keys))
+            graph.record_interaction(a, b, data.draw(st.integers(0, 128)),
+                                     count=data.draw(st.integers(0, 2)))
+        fdelta = fg.sync(graph, graph.drain_dirty())
+        assert fdelta is not None
+        chain, fail, _, _ = fg.repair_chain(warm, fdelta, pinned)
+        if chain is None:
+            # No node was appended; the fallback seed may move.
+            assert fail in (flatgraph.COLD_NOT_READY,
+                            flatgraph.COLD_SEED_CHANGE,
+                            flatgraph.COLD_SHRUNK_WINNER,
+                            flatgraph.COLD_BUDGET)
+            chain = fg.generate_chain(pinned, warm)
+        reference = generate_candidates(graph, pinned)
+        assert_chain_matches(chain, reference)
+        assert_warm_record(fg, graph, chain, warm)
+
+    @staticmethod
+    def _hub_graph(pendants, hub_weight=64, pendant_bytes=None):
+        graph = ExecutionGraph()
+        graph.add_memory("hub", 100)
+        for i in range(pendants):
+            name = f"p{i}"
+            graph.add_memory(name, 10 * (i + 1))
+            graph.add_cpu(name, (i + 1) / 64)
+            nbytes = hub_weight if pendant_bytes is None else pendant_bytes[i]
+            graph.record_interaction("hub", name, nbytes)
+        return graph
+
+    def test_a_run_stops_one_short_of_the_last_node(self):
+        # Every surrogate waits on the seed: one run moves k - 1 of them
+        # and the last waiting pendant is the never-moved remainder.
+        graph = self._hub_graph(4, pendant_bytes=[5, 9, 9, 1])
+        chain = flatgraph.snapshot(graph).generate_chain(["hub"])
+        assert chain.k == 4
+        assert_chain_matches(chain, generate_candidates(graph, ["hub"]))
+        assert [chain.fg.names[v] for v in chain.order] == [
+            "p2", "p1", "p0", "p3"]  # equal weights: larger id first
+
+    def test_a_pendant_hub_with_no_connectivity_is_taken_by_rank(self):
+        # "u" and its pendants never touch the seed: the rank pointer
+        # takes the highest-ranked of them, which releases the rest.
+        graph = self._hub_graph(2)
+        graph.record_interaction("u", "u1", 7)
+        graph.record_interaction("u", "u2", 7, count=3)
+        graph.record_interaction("w", "x", 0, count=0)  # a zero pendant pair
+        graph.add_memory("zz", 1)  # isolated
+        for pinned in (["hub"], ["u"], ["w"], []):
+            fg = flatgraph.FlatGraph.try_compile(graph)
+            warm = flatgraph.FlatWarmState()
+            chain = fg.generate_chain(pinned, warm)
+            assert_chain_matches(chain, generate_candidates(graph, pinned))
+            assert_warm_record(fg, graph, chain, warm)
+
+    def test_repair_after_a_run_goes_warm(self):
+        graph = self._hub_graph(6, pendant_bytes=[10, 20, 30, 40, 50, 60])
+        graph.record_interaction("hub", "core", 500)
+        graph.record_interaction("core", "q", 5)
+        graph.drain_dirty()
+        fg = flatgraph.FlatGraph.try_compile(graph)
+        warm = flatgraph.FlatWarmState()
+        fg.generate_chain(["hub"], warm)
+        graph.record_interaction("hub", "p0", 45)  # p0 overtakes p3
+        fdelta = fg.sync(graph, graph.drain_dirty())
+        chain, fail, splices, _ = fg.repair_chain(warm, fdelta, ["hub"])
+        assert fail is None and splices == 1
+        assert_chain_matches(chain, generate_candidates(graph, ["hub"]))
+        assert_warm_record(fg, graph, chain, warm)
 
 
 class TestFlatGraphStructure:

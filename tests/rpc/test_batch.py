@@ -138,6 +138,18 @@ class TestCoalescing:
         assert coalescer.exchange_costs is not costs
         assert not coalescer.exchange_costs
 
+    def test_leg_costs_price_on_first_read(self, wire, link):
+        coalescer, _ = wire
+        legs = coalescer.leg_costs
+        assert legs.get(70) is None
+        assert legs[70] == link.one_way(70)
+        assert legs.get(70) == link.one_way(70)
+        slow = LinkModel("slow", 1e6, 0.01)
+        coalescer.link = slow
+        assert coalescer.leg_costs is not legs
+        assert coalescer.leg_costs.link is slow
+        assert not coalescer.leg_costs
+
     def test_empty_flush_is_a_no_op(self, wire):
         coalescer, transfers = wire
         coalescer.flush()

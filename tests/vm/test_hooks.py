@@ -2,6 +2,7 @@
 
 from repro.vm.gc import GCReport
 from repro.vm.hooks import (
+    HOOKS,
     AccessRecord,
     ExecutionListener,
     HookFanout,
@@ -278,6 +279,38 @@ class TestDirectDelivery:
         assert fanout.on_cpu.__self__ is second
         fanout.remove(second)
         assert fanout.on_cpu.__func__ is ExecutionListener.on_cpu
+
+    def test_live_names_the_hooks_someone_implements(self):
+        fanout = HookFanout()
+        assert fanout.live == frozenset()
+        cpu, full = CpuOnly([], "c"), Recorder()
+        fanout.add(cpu)
+        assert fanout.live == {"on_cpu"}
+        fanout.add(full)
+        assert fanout.live == set(HOOKS)
+        fanout.remove(full)
+        assert fanout.live == {"on_cpu"}
+
+    def test_the_context_skips_the_enter_hook_when_nobody_listens(self):
+        from repro.config import VMConfig
+        from repro.vm.session import LocalSession
+
+        session = LocalSession(VMConfig(monitoring_event_cost=0.0))
+        session.registry.define("t.Cell").method(
+            "touch", func=lambda ctx, self_obj: None).register()
+        log = []
+        session.add_listener(CpuOnly(log, "c"))
+        entered = []
+        # Shadow the base no-op: a hook outside ``live`` is not called.
+        session.hooks.on_invoke_enter = (
+            lambda callee_class, method, site: entered.append(callee_class))
+        cell = session.ctx.new("t.Cell")
+        session.ctx.invoke(cell, "touch")
+        assert entered == []
+        full = Recorder()
+        session.add_listener(full)
+        session.ctx.invoke(cell, "touch")
+        assert ("enter", "t.Cell") in full.calls
 
     def test_a_fanout_nested_in_a_fanout(self):
         outer, inner = HookFanout(), HookFanout()
