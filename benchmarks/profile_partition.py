@@ -8,12 +8,14 @@ is mostly pendants: javanote's is a core of classes plus ~1,600
 single-edge array objects on a few hubs, and the cold kernel moves
 those in runs.  So one more cold round partitions that shape, the same
 core plus as many single-edge objects spread over a few hubs.  The cold
-rounds are followed by one incremental session over a few growth
-epochs that append nodes, so the snapshot ``sync`` path shows up in the
-profile too.  Meant for quick "where did the milliseconds go" triage
-after touching ``core/flatgraph.py`` or ``core/graph.py`` — the CI
-bench-smoke job uploads the output as an artifact so a regression
-report always ships with its hotspot profile.
+rounds are followed by one incremental session on that shape over a few
+growth epochs, each appending single-edge objects on the same hubs (the
+shape of javanote's churn epochs), so a churn epoch's ``sync``, re-rank,
+cold rerun and policy memo show up in the profile too.  Meant for quick
+"where did the milliseconds go" triage after touching
+``core/flatgraph.py`` or ``core/graph.py`` — the CI bench-smoke job
+uploads the output as an artifact so a regression report always ships
+with its hotspot profile.
 
 Examples::
 
@@ -30,6 +32,7 @@ import io
 import pstats
 import random
 import sys
+from typing import List
 
 from benchmarks.test_perf_components import synthetic_graph
 
@@ -44,19 +47,28 @@ GROWTH_EPOCHS = 5
 OBJECT_HUBS = 4
 
 
+def object_hubs(node_count: int, rng: random.Random) -> List[str]:
+    """The :data:`OBJECT_HUBS` core nodes that own the objects."""
+    return [f"c{i:04d}" for i in rng.sample(range(node_count),
+                                             min(OBJECT_HUBS, node_count))]
+
+
+def add_object(graph: ExecutionGraph, hubs: List[str], obj: str,
+               rng: random.Random) -> None:
+    """One single-edge object node owned by one of ``hubs``."""
+    graph.add_memory(obj, rng.randrange(16, 4096))
+    graph.record_interaction(rng.choice(hubs), obj, rng.randrange(16, 4096))
+
+
 def with_objects(graph: ExecutionGraph, node_count: int) -> ExecutionGraph:
     """A copy of ``graph`` plus ``node_count`` single-edge object nodes
     spread over :data:`OBJECT_HUBS` of its nodes: the shape object
     granularity gives javanote's graph."""
     shaped = graph.copy()
     rng = random.Random(13)
-    hubs = [f"c{i:04d}" for i in rng.sample(range(node_count),
-                                             min(OBJECT_HUBS, node_count))]
+    hubs = object_hubs(node_count, rng)
     for i in range(node_count):
-        obj = f"o{i:05d}"
-        shaped.add_memory(obj, rng.randrange(16, 4096))
-        shaped.record_interaction(rng.choice(hubs), obj,
-                                  rng.randrange(16, 4096))
+        add_object(shaped, hubs, f"o{i:05d}", rng)
     return shaped
 
 
@@ -71,15 +83,17 @@ def profile_partition(node_count: int, rounds: int = 5,
     module-level snapshot cache.  One more cold round partitions the
     graph with as many single-edge objects added (:func:`with_objects`).
     Then one :class:`IncrementalPartitioner` session runs ``GROWTH_EPOCHS``
-    epochs on a second copy of the graph, each after appending about
-    1% new nodes, the way object-granularity replays grow their graph.
+    epochs on a copy of that graph, each after appending single-edge
+    objects (1% of ``node_count``) on the same hubs, named to sort
+    among the existing nodes: javanote's churn epochs, which rerun cold.
     """
     graph = synthetic_graph(node_count)
     pinned = [f"c{i:04d}" for i in range(0, node_count, 10)]
     ctx = EvaluationContext(heap_capacity=graph.total_memory())
     shaped = with_objects(graph, node_count)
     shaped_ctx = EvaluationContext(heap_capacity=shaped.total_memory())
-    growing = graph.copy()
+    growing = shaped.copy()
+    hubs = object_hubs(node_count, random.Random(13))
     rng = random.Random(11)
     per_epoch = max(1, node_count // 100)
 
@@ -91,14 +105,10 @@ def profile_partition(node_count: int, rounds: int = 5,
             shaped, pinned, shaped_ctx)
         session = IncrementalPartitioner(
             Partitioner(MemoryPartitionPolicy(0.20)))
-        session.partition(growing, pinned, ctx)
+        session.partition(growing, pinned, shaped_ctx)
         for epoch in range(GROWTH_EPOCHS):
             for i in range(per_epoch):
-                node = f"g{epoch}-{i:04d}"
-                growing.add_memory(node, rng.randrange(1024, 65536))
-                growing.record_interaction(
-                    node, f"c{rng.randrange(node_count):04d}",
-                    rng.randrange(16, 4096))
+                add_object(growing, hubs, f"g{epoch}-{i:04d}", rng)
             session.partition(growing, pinned, EvaluationContext(
                 heap_capacity=growing.total_memory()))
 
@@ -110,7 +120,8 @@ def profile_partition(node_count: int, rounds: int = 5,
     stats.sort_stats("cumulative").print_stats(top)
     header = (f"profile_partition: {node_count} nodes, {rounds} rounds, "
               f"one round with {node_count} single-edge objects on "
-              f"{OBJECT_HUBS} hubs, then {GROWTH_EPOCHS} growth epochs, "
+              f"{OBJECT_HUBS} hubs, then {GROWTH_EPOCHS} growth epochs "
+              f"adding {max(1, node_count // 100)} of them each, "
               f"flat-CSR kernel, top {top} by cumulative time\n")
     return header + buffer.getvalue()
 

@@ -8,8 +8,9 @@ per-node memory/CPU lists and per-edge endpoint/weight lists, which
 both the replay's fold and the monitor write.  A :class:`FlatGraph`
 reads those lists in place and adds only what the kernel needs on top:
 
-* the node names' lexicographic ``rank`` (and its inverse ``r2i``),
-  re-derived when nodes are appended;
+* the node names' lexicographic rank, kept negated as ``negrank`` (the
+  cold kernel's initial keys, copied per call) beside its inverse
+  ``r2i``, and re-derived at C speed when nodes are appended;
 * a **kernel cache**: per-node rows of ``(neighbor, inc)`` pairs where
   ``inc`` is the edge's packed connectivity increment (below), each
   edge's ``edge_slot`` in the two rows, and ``rowtot`` — the per-node
@@ -58,6 +59,18 @@ in descending rank through a pointer into ``r2i`` rather than sifted
 through the heap.  A pendant is a node whose row has one entry, read on
 each call, so ``sync`` and the kernel cache know nothing of pendants.
 
+Set-up from the seed
+--------------------
+
+A cold run starts from the seed, not from all V nodes: the keys are a
+C-speed copy of ``negrank``, the heap is heapified from the seed's
+relaxed non-pendant neighbours alone, and the pendants that hang off
+the seed are parked.  A bytearray indexed by rank marks the nodes the
+rank pointer may still take; parking a pendant clears its mark, so
+the pointer skips parked (and later moved) pendants with one
+``rfind`` instead of stepping over them, and steps one at a time only
+past seeds and nodes the heap relaxed or took.
+
 Bounded local repair
 --------------------
 
@@ -83,6 +96,11 @@ falls back cold only when
   them; the cold rerun re-records at the new size), or
 * the seed changed.
 
+Recording a run for repair costs O(1): :class:`FlatWarmState` keeps
+the order, the selections and the node count, and derives the
+per-node positions only when they are read.  Repair needs only the
+seed's membership, which it marks from the seed itself.
+
 Each fallback is reported with a reason so the session can expose a
 fallback taxonomy in its :class:`~repro.core.partitioner.ReevalStats`.
 """
@@ -93,8 +111,10 @@ import heapq
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
-from operator import sub
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from operator import neg, sub
+from typing import (
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union,
+)
 from weakref import WeakKeyDictionary
 
 from ..errors import PartitioningError
@@ -277,14 +297,17 @@ class FlatWarmState:
     What :meth:`FlatGraph.repair_chain` needs to warm-start the next
     epoch: everything is keyed by interned node index, and selections
     are stored as packed keys (with the basis they were packed under,
-    so a basis doubling can re-encode them in O(k)).
+    so a basis doubling can re-encode them in O(k)).  Recording a run
+    costs O(1): the node positions are derived from the order only when
+    :attr:`pos` is read, and appended nodes are detected from ``n``.
     """
 
     __slots__ = (
         "ready",
         "seed_key",
+        "n",
         "order",
-        "pos",
+        "_pos",
         "sel_packed",
         "cb",
         "nb",
@@ -295,12 +318,13 @@ class FlatWarmState:
     def __init__(self) -> None:
         self.ready = False
         self.seed_key: FrozenSet[str] = frozenset()
+        #: Node count of the recorded run (set even when there was
+        #: nothing to record), so a larger snapshot means appended nodes.
+        self.n = 0
         #: Move order over node indices; ``order[j]`` joined the client
         #: at candidate index ``j + 1`` (the final entry never moved).
         self.order: List[int] = []
-        #: idx -> candidate index from which the node is client-side
-        #: (0 for seed members, ``len(order)`` for the never-moved tail).
-        self.pos: List[int] = []
+        self._pos: Optional[List[int]] = None
         #: Packed connectivity of the selection at each of the
         #: ``len(order) - 1`` steps, under the (cb, nb) basis below.
         self.sel_packed: List[int] = []
@@ -313,86 +337,97 @@ class FlatWarmState:
         self.cut_bytes0 = 0
         self.cut_count0 = 0
 
+    @property
+    def pos(self) -> List[int]:
+        """idx -> candidate index from which the node is client-side
+        (0 for seed members, ``len(order)`` for the never-moved tail),
+        built from ``order`` on first read."""
+        pos = self._pos
+        if pos is None:
+            pos = [0] * self.n
+            for j, v in enumerate(self.order, 1):
+                pos[v] = j
+            self._pos = pos
+        return pos
 
-class FlatChain:
-    """One candidate chain in columnar form.
 
-    Stores the seed, the move order (as interned indices) and the raw
-    accumulator arrays from the generation kernel; the five
+def _compact(typecode: str, values) -> Union[array, tuple]:
+    """``values`` in a typed array, or in a tuple past the type's range."""
+    try:
+        return array(typecode, values)
+    except OverflowError:
+        return tuple(values)
+
+
+class ChainColumns:
+    """A candidate chain's statistics, as raw columns plus their basis.
+
+    The generation kernels record three raw accumulators per candidate:
+    the packed cut, the client memory and the client CPU.  The five
     per-candidate statistics columns are decoded from them lazily, one
-    cached property each, so a policy that scans only (say) memory and
-    cut bytes never pays for decoding CPU or cut-count columns.
-    Candidate objects — with their O(V) frozenset node sets — are only
-    materialised on demand, through the same
-    shared-:class:`_MoveLog` lazy mechanism the
-    reference generator uses, so a chain whose winner is picked by a
-    policy scan materialises exactly one candidate.
+    cached property each, so a policy that scans only memory and cut
+    bytes never pays for decoding CPU or cut-count columns.  ``cb`` and
+    ``nb`` are powers of two and a cut's rank field is zero, so a packed
+    cut decodes by a shift (its bytes) and a shift and mask (its count).
 
     The packed basis (``cb``, ``nb``) and resource totals are captured
     at construction: a later ``sync`` may rebasis or retotal the parent
     graph, and a deferred decode must still use the values the raw
-    arrays were packed under.
+    arrays were packed under.  :meth:`compact` copies the raw columns
+    into typed arrays; that is how the policy memo keeps a chain it has
+    evaluated.
     """
 
     __slots__ = (
-        "fg",
-        "seed",
-        "order",
         "k",
         "_raw_cut",
         "_raw_cmem",
         "_ccpus",
-        "_cb",
-        "_nb",
-        "_cbnb",
+        "_basis",
+        "_byte_shift",
+        "_count_shift",
+        "_count_mask",
         "_total_mem",
         "_total_cpu",
         "_cut_bytes",
         "_cut_count",
         "_smem",
         "_scpu",
-        "_log",
         "_fingerprint",
     )
 
     def __init__(
         self,
-        fg: "FlatGraph",
-        seed: FrozenSet[str],
-        order: List[int],
-        raw_cut: List[int],
-        raw_cmem: List[int],
-        ccpus: List[float],
+        raw_cut,
+        raw_cmem,
+        ccpus,
         cb: int,
         nb: int,
         total_mem: int,
         total_cpu: float,
     ) -> None:
-        self.fg = fg
-        self.seed = seed
-        self.order = order
-        self.k = len(order)
+        self.k = len(raw_cut)
         self._raw_cut = raw_cut
         self._raw_cmem = raw_cmem
         self._ccpus = ccpus
-        self._cb = cb
-        self._nb = nb
-        self._cbnb = cb * nb
+        self._basis = (cb, nb)
+        self._byte_shift = (cb * nb).bit_length() - 1
+        self._count_shift = nb.bit_length() - 1
+        self._count_mask = cb - 1
         self._total_mem = total_mem
         self._total_cpu = total_cpu
         self._cut_bytes: Optional[List[int]] = None
         self._cut_count: Optional[List[int]] = None
         self._smem: Optional[List[int]] = None
         self._scpu: Optional[List[float]] = None
-        self._log: Optional[_MoveLog] = None
         self._fingerprint = None
 
     @property
     def cut_bytes(self) -> List[int]:
         col = self._cut_bytes
         if col is None:
-            cbnb = self._cbnb
-            col = [c // cbnb for c in self._raw_cut]
+            shift = self._byte_shift
+            col = [c >> shift for c in self._raw_cut]
             self._cut_bytes = col
         return col
 
@@ -400,9 +435,9 @@ class FlatChain:
     def cut_count(self) -> List[int]:
         col = self._cut_count
         if col is None:
-            nb = self._nb
-            cb = self._cb
-            col = [(c // nb) % cb for c in self._raw_cut]
+            shift = self._count_shift
+            mask = self._count_mask
+            col = [(c >> shift) & mask for c in self._raw_cut]
             self._cut_count = col
         return col
 
@@ -428,43 +463,39 @@ class FlatChain:
     def client_cpu(self) -> List[float]:
         return self._ccpus
 
-    def _move_log(self) -> _MoveLog:
-        log = self._log
-        if log is None:
-            names = self.fg.names
-            log = _MoveLog(self.seed)
-            log.order = [names[i] for i in self.order]
-            self._log = log
-        return log
-
-    def candidate(self, index: int) -> CandidatePartition:
-        """Materialise one candidate (index ``i``: client = seed + i moves)."""
-        # Single-element decode (same expressions as the column
-        # properties, so the values are bit-identical): picking one
-        # winner must not force whole-column decoding.
+    def statistics(self, index: int) -> Tuple[int, int, int, float, float]:
+        """Candidate ``index``'s ``(cut_bytes, cut_count,
+        surrogate_memory, surrogate_cpu, client_cpu)``, decoded alone
+        by the column properties' expressions (so bit-identical)."""
         raw = self._raw_cut[index]
         ccpu = self._ccpus[index]
-        return CandidatePartition._deferred(
-            log=self._move_log(),
-            moves_applied=index,
-            cut_count=(raw // self._nb) % self._cb,
-            cut_bytes=raw // self._cbnb,
-            surrogate_memory=self._total_mem - self._raw_cmem[index],
-            surrogate_cpu=self._total_cpu - ccpu,
-            client_cpu=ccpu,
+        return (
+            raw >> self._byte_shift,
+            (raw >> self._count_shift) & self._count_mask,
+            self._total_mem - self._raw_cmem[index],
+            self._total_cpu - ccpu,
+            ccpu,
         )
 
-    def candidates(self) -> List[CandidatePartition]:
-        """Every candidate, each materialised through :meth:`candidate`."""
-        return [self.candidate(index) for index in range(self.k)]
+    def ends(self) -> tuple:
+        """``k`` and the first and last candidates' statistics.
+
+        Equal statistics columns always have equal ends, so the policy
+        memo hashes these and compares whole columns only on a match.
+        """
+        k = self.k
+        if not k:
+            return (0,)
+        return (k, *self.statistics(0), *self.statistics(k - 1))
 
     def fingerprint(self):
         """Hashable digest of the statistics columns (C-speed hashing).
 
-        Part of the policy-evaluation memo's key: node sets are
-        excluded (no policy selects on them), and the columns are
-        packed through ``array.tobytes`` so the memo hashes five byte
-        strings instead of k tuples.
+        Node sets are excluded (no policy selects on them), and the
+        columns are packed through ``array.tobytes``, so two digests
+        are equal exactly when the decoded columns are, the CPU floats
+        bit for bit.  The policy memo compares digests only for chains
+        whose :meth:`ends` already match.
         """
         fp = self._fingerprint
         if fp is None:
@@ -487,6 +518,77 @@ class FlatChain:
             self._fingerprint = fp
         return fp
 
+    def compact(self) -> "ChainColumns":
+        """The same columns over typed-array copies of the raw ones:
+        24 bytes a candidate (a tuple when a column overflows its type)."""
+        cb, nb = self._basis
+        return ChainColumns(
+            _compact("q", self._raw_cut),
+            _compact("q", self._raw_cmem),
+            _compact("d", self._ccpus),
+            cb, nb, self._total_mem, self._total_cpu,
+        )
+
+
+class FlatChain(ChainColumns):
+    """One candidate chain in columnar form.
+
+    Adds to its :class:`ChainColumns` the seed and the move order (as
+    interned indices).  Candidate objects — with their O(V) frozenset
+    node sets — are only materialised on demand, through the same
+    shared-:class:`_MoveLog` lazy mechanism the reference generator
+    uses, so a chain whose winner is picked by a policy scan
+    materialises exactly one candidate.
+    """
+
+    __slots__ = ("fg", "seed", "order", "_log")
+
+    def __init__(
+        self,
+        fg: "FlatGraph",
+        seed: FrozenSet[str],
+        order: List[int],
+        raw_cut: List[int],
+        raw_cmem: List[int],
+        ccpus: List[float],
+        cb: int,
+        nb: int,
+        total_mem: int,
+        total_cpu: float,
+    ) -> None:
+        super().__init__(raw_cut, raw_cmem, ccpus, cb, nb, total_mem,
+                         total_cpu)
+        self.fg = fg
+        self.seed = seed
+        self.order = order
+        self._log: Optional[_MoveLog] = None
+
+    def _move_log(self) -> _MoveLog:
+        log = self._log
+        if log is None:
+            log = _MoveLog(self.seed)
+            log.order = list(map(self.fg.names.__getitem__, self.order))
+            self._log = log
+        return log
+
+    def candidate(self, index: int) -> CandidatePartition:
+        """Materialise one candidate (index ``i``: client = seed + i moves)."""
+        # Picking one winner must not force whole-column decoding.
+        cut_bytes, cut_count, smem, scpu, ccpu = self.statistics(index)
+        return CandidatePartition._deferred(
+            log=self._move_log(),
+            moves_applied=index,
+            cut_count=cut_count,
+            cut_bytes=cut_bytes,
+            surrogate_memory=smem,
+            surrogate_cpu=scpu,
+            client_cpu=ccpu,
+        )
+
+    def candidates(self) -> List[CandidatePartition]:
+        """Every candidate, each materialised through :meth:`candidate`."""
+        return [self.candidate(index) for index in range(self.k)]
+
 
 class FlatGraph:
     """The partitioner's kernel cache over an :class:`ExecutionGraph`'s
@@ -496,12 +598,13 @@ class FlatGraph:
     per-edge endpoints and weights) are read in place: the snapshot
     holds references to the graph's lists, never a copy, and covers
     the first ``n`` nodes and ``m`` edges.  What it adds is derived:
-    the lexicographic ``rank``/``r2i``, the packed ``rows`` with their
+    the lexicographic ``negrank``/``r2i``, the packed ``rows`` with their
     ``edge_slot`` back-pointers, ``rowtot`` and the packing basis
     ``cb``/``nb``.  Compile once, then feed each epoch's
     :class:`GraphDelta` through :meth:`sync`, which patches the packed
     rows of the dirty edges in O(dirty) and appends rows for new nodes
-    and edges (re-ranking the names in O(V log V) when nodes appeared).
+    and edges (bisecting the new names into the ranking and re-reading
+    the old ranks at C speed when nodes appeared).
     Only a delta the snapshot cannot explain forces a recompile.
     """
 
@@ -510,8 +613,10 @@ class FlatGraph:
         "idx",
         "n",
         "m",
-        "rank",
+        "_rank",
+        "negrank",
         "r2i",
+        "_ranked_names",
         "node_mem",
         "node_cpu",
         "edge_a",
@@ -718,19 +823,68 @@ class FlatGraph:
         """Lexicographic interning rank: packed keys tie-break exactly
         like the reference (bytes, count, node-id) max selection.
 
-        Node names are append-only and distinct, so after a sync only the
-        nodes from index ``appended`` on are sorted; ``sorted`` merges
-        that run with the previous ``r2i`` in linear time.
+        ``r2i`` lists node indices in name order and ``_ranked_names``
+        the names themselves; ``negrank`` is the negated inverse, the
+        cold kernel's initial keys.  Node names are append-only and
+        distinct, so after a sync only the nodes from index
+        ``appended`` on are sorted and bisected into place, and the
+        old nodes' new ranks are read through a table in one C-speed
+        ``map``: no per-node Python loop.
         """
-        key = self.names.__getitem__
-        rank = [0] * self.n
-        r2i = sorted(range(appended, self.n), key=key)
-        if appended:
-            r2i = sorted(self.r2i + r2i, key=key)
-        for r, i in enumerate(r2i):
-            rank[i] = r
-        self.rank = rank
+        names = self.names
+        n = self.n
+        fresh = sorted(range(appended, n), key=names.__getitem__)
+        self._rank = None
+        if not appended:
+            self.r2i = fresh
+            self._ranked_names = list(map(names.__getitem__, fresh))
+            negrank = [0] * n
+            for r, i in enumerate(fresh):
+                negrank[i] = -r
+            self.negrank = negrank
+            return
+        old_names = self._ranked_names
+        old_r2i = self.r2i
+        ranked: List[str] = []
+        r2i: List[int] = []
+        # moved[r]: the negated final rank of old rank r.
+        moved: List[int] = []
+        new_ranks: List[int] = []
+        start = 0
+        for i in fresh:
+            name = names[i]
+            at = bisect_left(old_names, name, start)
+            ranked += old_names[start:at]
+            r2i += old_r2i[start:at]
+            shift = len(new_ranks)
+            moved.extend(range(-start - shift, -at - shift, -1))
+            new_ranks.append(at + shift)
+            ranked.append(name)
+            r2i.append(i)
+            start = at
+        ranked += old_names[start:]
+        r2i += old_r2i[start:]
+        moved.extend(range(-start - len(new_ranks), -n, -1))
+        # Old node i holds -r in ``negrank``, and a list read at -r
+        # reads its entry r from the end: reversed, behind entry 0.
+        table = moved[:1] + moved[:0:-1]
+        negrank = list(map(table.__getitem__, self.negrank))
+        tail = [0] * (n - appended)
+        for i, r in zip(fresh, new_ranks):
+            tail[i - appended] = -r
+        negrank += tail
+        self.negrank = negrank
         self.r2i = r2i
+        self._ranked_names = ranked
+
+    @property
+    def rank(self) -> List[int]:
+        """Each node's lexicographic rank (derived from ``negrank`` on
+        first read after a re-rank; the kernels read ``negrank``)."""
+        rank = self._rank
+        if rank is None:
+            rank = self._rank = list(map(neg, self.negrank))
+        return rank
 
     # -- cut / connectivity queries ----------------------------------------
 
@@ -807,8 +961,11 @@ class FlatGraph:
             warm.ready = False
             warm.seed_key = seed_key
             # Sized to this run even when there is nothing to record, so
-            # a short ``pos`` always means nodes appended since.
-            warm.pos = [0] * n
+            # a smaller ``n`` always means nodes appended since.
+            warm.n = n
+            warm.order = []
+            warm._pos = None
+            warm.sel_packed = []
         if k == 0:
             return FlatChain(self, seed_key, [], [], [], [],
                              self.cb, self.nb, total_mem, total_cpu)
@@ -822,35 +979,42 @@ class FlatGraph:
         # surrogate (<= 0) so relaxations push heap entries without a
         # per-push negation; ``client`` marks a client-side node and
         # ``waiting`` a parked pendant (no surrogate value is positive,
-        # so neither sentinel can collide).
+        # so neither sentinel can collide).  Every node starts with no
+        # connectivity: a C-speed copy of the cached negated ranks.
         client = 1
         waiting = 2
-        cur = [-r for r in self.rank]
+        cur = self.negrank[:]
         for s in seed_idx:
             cur[s] = client
         # A pendant's key is final once its one neighbour is client-side:
         # it waits in ``leaves`` (negated keys, sorted, best first)
-        # rather than in the heap.
+        # rather than in the heap.  ``free`` marks by rank the nodes the
+        # rank pointer may still take; parking a pendant clears its mark.
         leaves: List[int] = []
         park = leaves.append
+        free = bytearray(b"\x01") * n
+        # The heap holds only relaxed non-pendant nodes (key >= nb), so
+        # it starts as the seed's relaxations; a node next to two seeds
+        # leaves one stale entry, which lazy deletion skips.
+        heap: List[int] = []
         cut_pk = 0
         for s in seed_idx:
             for w, inc in rows[s]:
                 pk = cur[w]
                 if pk <= 0:
                     cut_pk += inc
-                    pk -= inc
                     if len(rows[w]) == 1:
                         cur[w] = waiting
-                        park(pk)
-                    else:
+                        free[-pk] = 0
+                        park(pk - inc)
+                    elif inc:
+                        pk -= inc
                         cur[w] = pk
+                        heap.append(pk)
         leaves.sort()
-        # The heap holds only relaxed non-pendant nodes (key >= nb);
-        # nodes with no connectivity yet (key == rank) are taken in
+        # Nodes with no connectivity yet (key == rank) are taken in
         # descending rank through the pointer ``rp`` into ``r2i``.
         heapify = heapq.heapify
-        heap = [c for c in cur if c <= -nb]
         heapify(heap)
         rp = n - 1
         order = [0] * k
@@ -894,8 +1058,11 @@ class FlatGraph:
                     # outranks this sentinel.
                     negpk = client
                 else:
+                    # Parked pendants are skipped at C speed; a moved or
+                    # relaxed node fails the check and is stepped past.
+                    rp = free.rfind(1, 0, rp + 1)
                     while cur[r2i[rp]] != -rp:
-                        rp -= 1
+                        rp = free.rfind(1, 0, rp)
                     v = r2i[rp]
                     negpk = -rp
                     rk = rp
@@ -944,6 +1111,7 @@ class FlatGraph:
                         # Its only neighbour is client-side now: the
                         # pendant's key is final.
                         cur[w] = waiting
+                        free[-pk] = 0
                         park(pk - inc)
                         unsorted = True
                     elif inc:
@@ -958,14 +1126,12 @@ class FlatGraph:
             raw_cmem[step] = client_mem
             ccpus[step] = client_cpu
         # The never-moved remainder closes the order (exactly one node):
-        # a waiting pendant, else the one node still unmoved.
+        # a waiting pendant, else the one index neither seeded nor moved.
         if leaves:
             order[last] = r2i[-leaves[0] % nb]
         else:
-            for v in range(n):
-                if cur[v] <= 0:
-                    order[last] = v
-                    break
+            order[last] = (n * (n - 1) // 2 - sum(seed_idx)
+                           - sum(order[:last]))
         chain = FlatChain(self, seed_key, order, raw_cut, raw_cmem,
                           ccpus, cb, nb, total_mem, total_cpu)
         if record:
@@ -976,20 +1142,18 @@ class FlatGraph:
         self, warm: FlatWarmState, chain: FlatChain,
         sel_packed: List[int],
     ) -> None:
-        pos = [0] * self.n
-        for j, v in enumerate(chain.order):
-            pos[v] = j + 1
+        """Record ``chain`` for the next repair in O(1): positions are
+        derived only if :attr:`FlatWarmState.pos` is read."""
         warm.seed_key = chain.seed
+        warm.n = self.n
         warm.order = chain.order
-        warm.pos = pos
+        warm._pos = None
         warm.sel_packed = sel_packed
         warm.cb = self.cb
         warm.nb = self.nb
         # Repair only ever reads the candidate-0 cut; decode just that
         # element rather than forcing the chain's full columns.
-        raw0 = chain._raw_cut[0]
-        warm.cut_bytes0 = raw0 // chain._cbnb
-        warm.cut_count0 = (raw0 // chain._nb) % chain._cb
+        warm.cut_bytes0, warm.cut_count0 = chain.statistics(0)[:2]
         warm.ready = chain.k >= 2
 
     # -- bounded local repair ----------------------------------------------
@@ -1010,7 +1174,7 @@ class FlatGraph:
         untracked hypothesis winners can reuse their recorded packed
         selections verbatim.
         """
-        if len(warm.pos) != self.n:
+        if warm.n != self.n:
             # Nodes were appended since the recorded run: it has no
             # position for them, so the session reruns cold (and the
             # cold run re-records the warm state at the new size).
@@ -1038,16 +1202,19 @@ class FlatGraph:
             ]
             warm.cb = cb
             warm.nb = nb
-        pos = warm.pos
         old_order = warm.order
         osel = warm.sel_packed
-        rank = self.rank
+        negrank = self.negrank
         r2i = self.r2i
         rows = self.rows
         rowtot = self.rowtot
         node_mem = self.node_mem
         node_cpu = self.node_cpu
 
+        seed_idx = [idx[name] for name in seed_set]
+        onclient = bytearray(self.n)
+        for s in seed_idx:
+            onclient[s] = 1
         # Candidate-0 baseline: patch the recorded seed cut with the
         # deltas of seed-crossing edges; memory/CPU come fresh from the
         # columns (same accumulation order as the cold kernel, so a
@@ -1055,18 +1222,14 @@ class FlatGraph:
         cut_b0 = warm.cut_bytes0
         cut_c0 = warm.cut_count0
         for a, b, dbytes, dcount in fdelta.edge_changes:
-            if (pos[a] == 0) != (pos[b] == 0):
+            if onclient[a] != onclient[b]:
                 cut_b0 += dbytes
                 cut_c0 += dcount
-        seed_idx = [idx[name] for name in seed_set]
         client_mem = sum(node_mem[i] for i in seed_idx)
         client_cpu = sum(node_cpu[i] for i in seed_idx)
         total_mem = self.total_mem
         total_cpu = sum(node_cpu)
 
-        onclient = bytearray(self.n)
-        for s in seed_idx:
-            onclient[s] = 1
         budget = max(REPAIR_BUDGET_MIN,
                      int(self.half_edges * REPAIR_BUDGET_FRACTION))
         work = 0
@@ -1075,16 +1238,17 @@ class FlatGraph:
         tracked: Dict[int, int] = {}
         for a, b, _, _ in fdelta.edge_changes:
             for v in (a, b):
-                if pos[v] > 0 and v not in tracked:
+                if not onclient[v] and v not in tracked:
                     row = rows[v]
                     work += len(row)
-                    val = rank[v]
+                    if work > budget:
+                        # Known before the row is read: bail now.
+                        return None, COLD_BUDGET, 0, 0
+                    val = -negrank[v]
                     for w, inc in row:
                         if onclient[w]:
                             val += inc
                     tracked[v] = val
-        if work > budget:
-            return None, COLD_BUDGET, 0, 0
         # touch: future mover -> [(tracked node, packed inc)] updates.
         touch: Dict[int, List[Tuple[int, int]]] = {}
         for v in tracked:
@@ -1162,7 +1326,7 @@ class FlatGraph:
                         work += len(row)
                         if work > budget:
                             return None, COLD_BUDGET, splices, promotions
-                        val = rank[nbr]
+                        val = -negrank[nbr]
                         for w2, inc2 in row:
                             if onclient[w2]:
                                 val += inc2

@@ -328,7 +328,7 @@ class IncrementalPartitioner:
             self._fwarm = flatgraph.FlatWarmState()
         # Nodes appended by the sync outrank every other fallback
         # reason: repair_chain's churn guard names the epoch.
-        churned = fdelta is not None and len(self._fwarm.pos) != fg.n
+        churned = fdelta is not None and self._fwarm.n != fg.n
         attempt_repair = churned or (
             fdelta is not None
             and self._fwarm.ready

@@ -18,6 +18,7 @@ Two policy families drive offloading:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, List, Optional, Tuple, Union
@@ -274,14 +275,15 @@ _REFUSED = "refused"
 class PolicyEvaluationCache:
     """Bounded LRU memo of policy selections.
 
-    Keys combine the policy instance, a fingerprint of the candidate
-    chain, and the context fields the selection depends on; values are
-    either the winning candidate's index or a memoised refusal reason.
-    Storing the *index* (rather than the decision) keeps candidate node
-    sets lazy and lets a hit rebuild its decision against the current
-    chain, so a collision between two graphs with identical
-    scalar statistics is still answered correctly — every policy
-    selects purely on those scalars.
+    Keys are :class:`ChainKey` objects (any hashable works): the policy
+    instance, the candidate chain's statistics columns and the context
+    fields the selection depends on.  Values are either the winning
+    candidate's index or a memoised refusal reason.  Storing the
+    *index* (rather than the decision) keeps candidate node sets lazy
+    and lets a hit rebuild its decision against the current chain, so a
+    collision between two graphs with identical scalar statistics is
+    still answered correctly — every policy selects purely on those
+    scalars.
     """
 
     def __init__(self, maxsize: int = 256) -> None:
@@ -332,6 +334,52 @@ def context_key(ctx: EvaluationContext) -> Tuple:
     )
 
 
+class ChainKey:
+    """A memo key that hashes cheaply and compares whole columns lazily.
+
+    The hit rule is "same policy, equal context, equal decoded
+    statistics columns".  Hashing all ``k`` candidates' columns costs
+    O(k) per epoch for a memo that rarely hits, so a key hashes only a
+    signature: the policy's identity, :func:`context_key` and the
+    chain's :meth:`~repro.core.flatgraph.ChainColumns.ends` (``k`` and
+    the first and last candidates' statistics, decoded by the column
+    properties' own expressions).  Equal columns always have equal
+    signatures, so only keys whose signatures match compare their
+    columns' fingerprints — equal exactly when the decoded columns are
+    (the CPU floats bit for bit), whatever basis or totals the raw
+    columns were packed under.  :meth:`stored` swaps the chain for a
+    :meth:`~repro.core.flatgraph.ChainColumns.compact` copy of its raw
+    columns (typed arrays plus basis and totals, 24 bytes a candidate),
+    which is what the memo keeps.
+    """
+
+    __slots__ = ("signature", "columns", "_hash")
+
+    def __init__(self, signature: Tuple, columns) -> None:
+        self.signature = signature
+        self.columns = columns
+        self._hash = hash(signature)
+
+    @classmethod
+    def of(cls, policy: "PartitionPolicy", chain: "FlatChain",
+           ctx: EvaluationContext) -> "ChainKey":
+        return cls((id(policy), context_key(ctx), chain.ends()), chain)
+
+    def stored(self) -> "ChainKey":
+        """An equal key over a compact copy of the chain's columns."""
+        return ChainKey(self.signature, self.columns.compact())
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChainKey):
+            return NotImplemented
+        return (self.signature == other.signature
+                and self.columns.fingerprint()
+                == other.columns.fingerprint())
+
+
 def evaluate_chain_with_cache(
     policy: PartitionPolicy,
     chain: "FlatChain",
@@ -343,13 +391,11 @@ def evaluate_chain_with_cache(
     ``outcome`` is the policy's decision, or the refusal reason
     ``policy.evaluate_chain`` raised — refusals are memoised too, since
     a refused epoch is the steady state of the re-evaluation loop.  The
-    key is the chain's scalar fingerprint
-    (:meth:`~repro.core.flatgraph.FlatChain.fingerprint`) plus
-    :func:`context_key`, and the value is the winner's chain index:
-    ``chain.candidate(i)`` records ``i`` as ``_moves_applied``, and a
-    hit replays ``decision_for`` on ``chain.candidate(i)``.
+    key is a :class:`ChainKey`, and the value is the winner's chain
+    index: ``chain.candidate(i)`` records ``i`` as ``_moves_applied``,
+    and a hit replays ``decision_for`` on ``chain.candidate(i)``.
     """
-    key = (id(policy), chain.fingerprint(), context_key(ctx))
+    key = ChainKey.of(policy, chain, ctx)
     entry = cache.get(key)
     if entry is not None:
         kind, payload = entry
@@ -360,9 +406,9 @@ def evaluate_chain_with_cache(
         decision = policy.evaluate_chain(chain, ctx)
     except NoBeneficialPartitionError as refusal:
         reason = str(refusal)
-        cache.put(key, (_REFUSED, reason))
+        cache.put(key.stored(), (_REFUSED, reason))
         return reason, False
-    cache.put(key, ("selected", decision.candidate._moves_applied))
+    cache.put(key.stored(), ("selected", decision.candidate._moves_applied))
     return decision, False
 
 
@@ -371,9 +417,19 @@ class MemoryPartitionPolicy(PartitionPolicy):
 
     Any acceptable candidate must move at least ``min_free_fraction`` of
     the heap off the client; among those, the candidate with the lowest
-    historical cut bytes wins (ties broken towards freeing more).  This
-    is why the paper's JavaNote run offloaded ~90% of the heap when only
-    20% was required: the bandwidth minimum happened to be there.
+    historical cut bytes wins (ties broken towards freeing more, then
+    towards the earliest).  This is why the paper's JavaNote run
+    offloaded ~90% of the heap when only 20% was required: the
+    bandwidth minimum happened to be there.
+
+    The scan runs at C speed.  Moving a node to the client never adds
+    surrogate memory (node memory is never negative), so along a chain
+    the memory column never increases and the acceptable candidates
+    are a prefix, found by bisection.  Within that prefix an earlier
+    candidate frees at least as much as a later one, so the first
+    candidate with the least cut bytes is the one the tie-breaks pick.
+    One C-speed sort confirms the column never increases; a hand-built
+    chain whose memory column does increase is scanned the plain way.
     """
 
     name = "memory-min-bandwidth"
@@ -391,20 +447,16 @@ class MemoryPartitionPolicy(PartitionPolicy):
         required = self.min_free_fraction * ctx.heap_capacity
         memory = chain.surrogate_memory
         cut_bytes = chain.cut_bytes
-        best = -1
-        best_bytes = 0
-        best_memory = 0
-        for i in range(chain.k):
-            freed = memory[i]
-            if freed >= required:
-                nbytes = cut_bytes[i]
-                # Strict improvement only: ties keep the earliest
-                # candidate, exactly like min() over the list.
-                if (best < 0 or nbytes < best_bytes
-                        or (nbytes == best_bytes and freed > best_memory)):
-                    best = i
-                    best_bytes = nbytes
-                    best_memory = freed
+        k = chain.k
+        if memory == sorted(memory, reverse=True):
+            # The candidates freeing ``required`` are ``memory[:end]``.
+            end = k - bisect_left(memory[::-1], required)
+            best = cut_bytes.index(min(cut_bytes[:end])) if end else -1
+        else:
+            # A hand-built chain whose memory column increases somewhere.
+            best = min((i for i in range(k) if memory[i] >= required),
+                       key=lambda i: (cut_bytes[i], -memory[i]),
+                       default=-1)
         if best < 0:
             raise NoBeneficialPartitionError(
                 f"no candidate frees the required {required:.0f} bytes"

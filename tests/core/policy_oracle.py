@@ -134,3 +134,35 @@ def oracle_select(
     refusal message when it should refuse every candidate.
     """
     return _RULES[type(policy)](policy, candidates, ctx)
+
+
+def memory_loop_select(policy: MemoryPartitionPolicy, chain,
+                       ctx: EvaluationContext) -> int:
+    """The memory policy's former scan, one Python step per candidate.
+
+    ``MemoryPartitionPolicy`` now picks the first least-cut candidate
+    of a chain's freeing prefix at C speed; this loop is the rule it
+    replaced, kept as the oracle for that prefix rule.
+    """
+    required = policy.min_free_fraction * ctx.heap_capacity
+    memory = chain.surrogate_memory
+    cut_bytes = chain.cut_bytes
+    best = -1
+    best_bytes = 0
+    best_memory = 0
+    for i in range(chain.k):
+        freed = memory[i]
+        if freed >= required:
+            nbytes = cut_bytes[i]
+            # Strict improvement only: ties keep the earliest
+            # candidate, exactly like min() over the list.
+            if (best < 0 or nbytes < best_bytes
+                    or (nbytes == best_bytes and freed > best_memory)):
+                best = i
+                best_bytes = nbytes
+                best_memory = freed
+    if best < 0:
+        raise NoBeneficialPartitionError(
+            f"no candidate frees the required {required:.0f} bytes"
+        )
+    return best

@@ -254,6 +254,20 @@ def assert_warm_record(fg, graph, chain, warm) -> None:
     assert warm.ready == (chain.k >= 2)
 
 
+def assert_cold_run_matches_oracle(graph, pinned) -> None:
+    """One recorded cold run against the oracle: every column, the
+    order, and the warm record's selections and positions."""
+    fg = flatgraph.FlatGraph.try_compile(graph)
+    warm = flatgraph.FlatWarmState()
+    chain = fg.generate_chain(pinned, warm)
+    reference = generate_candidates(graph, pinned)
+    assert_chain_matches(chain, reference)
+    if reference:
+        assert ([fg.names[v] for v in chain.order]
+                == reference[0]._log.order)
+    assert_warm_record(fg, graph, chain, warm)
+
+
 class TestPendantRuns:
     """The cold kernel moves pendants in runs; the oracle moves one node
     at a time.  Every column, the order and the warm record must agree."""
@@ -262,15 +276,7 @@ class TestPendantRuns:
     @settings(max_examples=150, deadline=None)
     def test_cold_chain_matches_oracle(self, case):
         graph, pinned = case
-        fg = flatgraph.FlatGraph.try_compile(graph)
-        warm = flatgraph.FlatWarmState()
-        chain = fg.generate_chain(pinned, warm)
-        reference = generate_candidates(graph, pinned)
-        assert_chain_matches(chain, reference)
-        if reference:
-            assert ([fg.names[v] for v in chain.order]
-                    == reference[0]._log.order)
-        assert_warm_record(fg, graph, chain, warm)
+        assert_cold_run_matches_oracle(graph, pinned)
 
     @given(pendant_cases(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -351,6 +357,122 @@ class TestPendantRuns:
         chain, fail, splices, _ = fg.repair_chain(warm, fdelta, ["hub"])
         assert fail is None and splices == 1
         assert_chain_matches(chain, generate_candidates(graph, ["hub"]))
+        assert_warm_record(fg, graph, chain, warm)
+
+
+@st.composite
+def seed_cases(draw):
+    """A graph whose seed relaxes the awkward way, plus its pin list.
+
+    Several pinned nodes share neighbours (a node next to two seeds is
+    relaxed twice), seeds are joined to each other, edges may weigh
+    nothing (a zero-weight seed edge relaxes nobody), pendants hang off
+    seeds, and a pinned node may itself be a pendant.  An empty pin
+    list takes the most-connected fallback seed.
+    """
+    weights = st.tuples(st.sampled_from([0, 0, 1, 64, 64, 4096]),
+                        st.sampled_from([0, 1, 1, 3]))
+    count = draw(st.integers(3, 12))
+    labels = draw(st.permutations(range(count)))
+    names = [f"s{label:02d}" for label in labels]
+    graph = ExecutionGraph()
+    for name in names:
+        graph.add_memory(name, draw(st.integers(0, 4096)))
+        if draw(st.booleans()):
+            graph.add_cpu(name, draw(st.integers(0, 640)) / 64)
+    seeds = names[:draw(st.integers(1, min(4, count - 1)))]
+    for _ in range(draw(st.integers(0, 3 * count))):
+        a = draw(st.sampled_from(seeds + names))
+        b = draw(st.sampled_from(names))
+        nbytes, ncount = draw(weights)
+        graph.record_interaction(a, b, nbytes, count=ncount)
+    for seed in draw(st.lists(st.sampled_from(seeds), max_size=3)):
+        # A pendant owned by a seed.
+        nbytes, ncount = draw(weights)
+        graph.record_interaction(seed, f"p{len(graph.names):02d}", nbytes,
+                                 count=ncount)
+    if draw(st.booleans()):
+        # A pinned pendant: pinned, with one neighbour.
+        pendant = f"q{len(graph.names):02d}"
+        graph.record_interaction(pendant, draw(st.sampled_from(names)),
+                                 draw(st.sampled_from([0, 64])))
+        seeds = seeds + [pendant]
+    pinned = [] if draw(st.integers(0, 4)) == 0 else seeds
+    return graph, pinned
+
+
+class TestSeedRelaxation:
+    """The cold kernel's set-up relaxes only the seed's neighbours and
+    heapifies the relaxed non-pendants; the oracle relaxes one edge at
+    a time.  Columns, order and the warm record must agree."""
+
+    @given(seed_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_seed_relaxation_matches_oracle(self, case):
+        graph, pinned = case
+        assert_cold_run_matches_oracle(graph, pinned)
+
+    @staticmethod
+    def _graph():
+        graph = ExecutionGraph()
+        for name, memory in (("a", 10), ("b", 20), ("c", 30), ("d", 40),
+                             ("e", 50), ("f", 60), ("g", 70)):
+            graph.add_memory(name, memory)
+            graph.add_cpu(name, memory / 64)
+        graph.record_interaction("a", "c", 64)           # c: two seeds
+        graph.record_interaction("b", "c", 64, count=2)
+        graph.record_interaction("a", "b", 4096)          # seed to seed
+        graph.record_interaction("a", "d", 0, count=0)    # zero weight
+        graph.record_interaction("d", "e", 8)
+        graph.record_interaction("b", "f", 16)            # seed's pendant
+        graph.record_interaction("g", "e", 1)             # g: a pendant
+        return graph
+
+    @pytest.mark.parametrize("pinned", [
+        ["a", "b"],          # a node adjacent to two seeds
+        ["a", "b", "g"],     # plus a pinned pendant
+        ["a"],               # a zero-weight seed edge
+        [],                  # the most-connected fallback seed
+    ], ids=["two-seeds", "pinned-pendant", "zero-weight", "fallback"])
+    def test_fixed_seed_shapes(self, pinned):
+        assert_cold_run_matches_oracle(self._graph(), pinned)
+
+
+class TestWarmPositionsOnDemand:
+    """A recorded run derives ``pos`` only when it is read."""
+
+    def test_repair_after_a_run_whose_pos_was_never_read(self):
+        graph = TestSeedRelaxation._graph()
+        graph.drain_dirty()
+        fg = flatgraph.FlatGraph.try_compile(graph)
+        warm = flatgraph.FlatWarmState()
+        fg.generate_chain(["a"], warm)
+        assert warm._pos is None and warm.n == fg.n
+        graph.record_interaction("d", "e", 100)
+        graph.record_interaction("a", "c", 1)
+        fdelta = fg.sync(graph, graph.drain_dirty())
+        chain, fail, _, _ = fg.repair_chain(warm, fdelta, ["a"])
+        assert fail is None
+        assert warm._pos is None
+        assert_chain_matches(chain, generate_candidates(graph, ["a"]))
+        assert_warm_record(fg, graph, chain, warm)
+
+    def test_an_appending_sync_fails_repair_with_node_churn(self):
+        graph = TestSeedRelaxation._graph()
+        graph.drain_dirty()
+        fg = flatgraph.FlatGraph.try_compile(graph)
+        warm = flatgraph.FlatWarmState()
+        fg.generate_chain(["a"], warm)
+        recorded = warm.n
+        graph.record_interaction("c", "cc", 5)   # sorts mid-table
+        fdelta = fg.sync(graph, graph.drain_dirty())
+        assert fdelta is not None and fg.n == recorded + 1
+        chain, fail, _, _ = fg.repair_chain(warm, fdelta, ["a"])
+        assert chain is None and fail == flatgraph.COLD_NODE_CHURN
+        # The cold rerun re-records at the new size.
+        chain = fg.generate_chain(["a"], warm)
+        assert warm.n == fg.n
+        assert_chain_matches(chain, generate_candidates(graph, ["a"]))
         assert_warm_record(fg, graph, chain, warm)
 
 
@@ -452,6 +574,7 @@ class TestFlatGraphStructure:
             full = sorted(range(fg.n), key=fg.names.__getitem__)
             assert fg.r2i == full
             assert fg.rank == [full.index(i) for i in range(fg.n)]
+            assert fg.negrank == [-r for r in fg.rank]
 
     def test_sync_refuses_a_delta_that_misses_a_mutation(self):
         graph = ExecutionGraph()

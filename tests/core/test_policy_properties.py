@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.energy import EnergyPartitionPolicy
-from repro.core.flatgraph import CandidatePartition
+from repro.core.flatgraph import CandidatePartition, FlatGraph
 from repro.core.graph import ExecutionGraph
 from repro.core.policy import (
     BestEffortCpuPolicy,
@@ -19,7 +19,7 @@ from repro.errors import NoBeneficialPartitionError
 from repro.net.wavelan import WAVELAN_11MBPS
 
 from .mincut_oracle import generate_candidates
-from .policy_oracle import chain_of, oracle_select
+from .policy_oracle import chain_of, memory_loop_select, oracle_select
 
 
 @st.composite
@@ -126,6 +126,78 @@ class TestScanMatchesOracle:
         decision = policy.evaluate_chain(chain_of(candidates), ctx)
         assert decision.candidate is candidates[expected]
         assert decision == policy.decision_for(candidates[expected], ctx)
+
+
+@st.composite
+def memory_chain_cases(draw):
+    """A real chain for the memory policy, plus a context and threshold.
+
+    Zero-memory nodes give runs of equal surrogate memory, edge bytes
+    from a short list give equal cut bytes, a heap larger than the
+    graph's memory leaves nothing feasible, and two-node graphs with
+    one pinned node give ``k == 1``.
+    """
+    node_count = draw(st.integers(min_value=2, max_value=10))
+    names = [f"n{i}" for i in range(node_count)]
+    graph = ExecutionGraph()
+    for name in names:
+        graph.add_memory(name, draw(st.sampled_from([0, 0, 0, 64, 64, 512])))
+    for _ in range(draw(st.integers(0, 2 * node_count))):
+        a, b = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        graph.record_interaction(a, b, draw(st.sampled_from([0, 8, 8, 64])),
+                                 count=draw(st.integers(0, 2)))
+    pinned = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+    chain = FlatGraph.try_compile(graph).generate_chain(pinned)
+    heap = max(1, graph.total_memory()) * draw(st.sampled_from([1, 1, 2]))
+    return (chain, EvaluationContext(heap_capacity=heap, elapsed=1.0),
+            MemoryPartitionPolicy(draw(st.floats(0.01, 1.0))))
+
+
+class TestMemoryPrefixRule:
+    """The memory policy's prefix rule picks what its old loop picked."""
+
+    @staticmethod
+    def assert_same_pick(policy, chain, ctx):
+        try:
+            expected = memory_loop_select(policy, chain, ctx)
+        except NoBeneficialPartitionError as refusal:
+            with pytest.raises(NoBeneficialPartitionError) as scanned:
+                policy.evaluate_chain(chain, ctx)
+            assert str(scanned.value) == str(refusal)
+            return
+        decision = policy.evaluate_chain(chain, ctx)
+        assert decision.candidate._moves_applied == expected
+        assert decision == policy.decision_for(chain.candidate(expected),
+                                               ctx)
+
+    @given(memory_chain_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_rule_matches_the_loop(self, case):
+        chain, ctx, policy = case
+        assert chain.surrogate_memory == sorted(chain.surrogate_memory,
+                                                reverse=True)
+        self.assert_same_pick(policy, chain, ctx)
+
+    def test_ties_and_single_candidate_chains(self):
+        graph = ExecutionGraph()
+        for name, memory in (("a", 100), ("b", 0), ("c", 0), ("d", 300)):
+            graph.add_memory(name, memory)
+        graph.record_interaction("a", "b", 8)
+        graph.record_interaction("b", "c", 8)
+        graph.record_interaction("c", "d", 8)
+        chain = FlatGraph.try_compile(graph).generate_chain(["a"])
+        # Candidates 1 and 2 free the same memory at the same cut bytes.
+        assert chain.surrogate_memory[1:3] == [300, 300]
+        assert chain.cut_bytes[1:3] == [8, 8]
+        ctx = EvaluationContext(heap_capacity=400, elapsed=1.0)
+        for fraction in (0.1, 0.75, 0.76, 1.0):
+            self.assert_same_pick(MemoryPartitionPolicy(fraction), chain,
+                                  ctx)
+        single = FlatGraph.try_compile(graph).generate_chain(["a", "b", "c"])
+        assert single.k == 1
+        for fraction in (0.5, 1.0):
+            self.assert_same_pick(MemoryPartitionPolicy(fraction), single,
+                                  ctx)
 
 
 class TestMemoryPolicyProperties:
