@@ -11,7 +11,7 @@ core plus as many single-edge objects spread over a few hubs.  The cold
 rounds are followed by one incremental session on that shape over a few
 growth epochs, each appending single-edge objects on the same hubs (the
 shape of javanote's churn epochs), so a churn epoch's ``sync``, re-rank,
-cold rerun and policy memo show up in the profile too.  Meant for quick
+cold rerun and policy scan show up in the profile too.  Meant for quick
 "where did the milliseconds go" triage after touching
 ``core/flatgraph.py`` or ``core/graph.py`` — the CI bench-smoke job
 uploads the output as an artifact so a regression report always ships

@@ -150,7 +150,7 @@ def bench_reeval_size(node_count: int, epochs: int = 20) -> dict:
     Runs one cold epoch, then ``epochs`` epochs each preceded by a
     small mutation burst (~1% of the graph's nodes, touching existing
     edges only), then a few no-change epochs that exercise outright
-    candidate reuse plus the policy-evaluation memo.
+    candidate reuse (the policy reruns on the reused chain).
     """
     graph = synthetic_graph(node_count)
     pinned = [f"c{i:04d}" for i in range(0, node_count, 10)]

@@ -109,7 +109,7 @@ class OffloadingEngine(ExecutionListener):
     @partitioner.setter
     def partitioner(self, partitioner: Partitioner) -> None:
         #: Incremental re-evaluation session: carries warm-start state,
-        #: the previous candidate list, and the policy-evaluation memo
+        #: the previous candidate list, and the last attempt's context key
         #: across attempts, and is the one drainer of the host graph's
         #: dirty sets.  Replacing the partitioner starts a fresh
         #: session — stale warm state must not leak across policies.

@@ -113,7 +113,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from operator import neg, sub
 from typing import (
-    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union,
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple,
 )
 from weakref import WeakKeyDictionary
 
@@ -351,16 +351,8 @@ class FlatWarmState:
         return pos
 
 
-def _compact(typecode: str, values) -> Union[array, tuple]:
-    """``values`` in a typed array, or in a tuple past the type's range."""
-    try:
-        return array(typecode, values)
-    except OverflowError:
-        return tuple(values)
-
-
-class ChainColumns:
-    """A candidate chain's statistics, as raw columns plus their basis.
+class FlatChain:
+    """One candidate chain in columnar form.
 
     The generation kernels record three raw accumulators per candidate:
     the packed cut, the client memory and the client CPU.  The five
@@ -373,17 +365,25 @@ class ChainColumns:
     The packed basis (``cb``, ``nb``) and resource totals are captured
     at construction: a later ``sync`` may rebasis or retotal the parent
     graph, and a deferred decode must still use the values the raw
-    arrays were packed under.  :meth:`compact` copies the raw columns
-    into typed arrays; that is how the policy memo keeps a chain it has
-    evaluated.
+    arrays were packed under.
+
+    The chain also keeps the seed and the move order (as interned
+    indices).  Candidate objects — with their O(V) frozenset node sets
+    — are only materialised on demand, through the same
+    shared-:class:`_MoveLog` lazy mechanism the reference generator
+    uses, so a chain whose winner is picked by a policy scan
+    materialises exactly one candidate.
     """
 
     __slots__ = (
+        "fg",
+        "seed",
+        "order",
         "k",
+        "_log",
         "_raw_cut",
         "_raw_cmem",
         "_ccpus",
-        "_basis",
         "_byte_shift",
         "_count_shift",
         "_count_mask",
@@ -393,24 +393,29 @@ class ChainColumns:
         "_cut_count",
         "_smem",
         "_scpu",
-        "_fingerprint",
     )
 
     def __init__(
         self,
-        raw_cut,
-        raw_cmem,
-        ccpus,
+        fg: "FlatGraph",
+        seed: FrozenSet[str],
+        order: List[int],
+        raw_cut: List[int],
+        raw_cmem: List[int],
+        ccpus: List[float],
         cb: int,
         nb: int,
         total_mem: int,
         total_cpu: float,
     ) -> None:
+        self.fg = fg
+        self.seed = seed
+        self.order = order
         self.k = len(raw_cut)
+        self._log: Optional[_MoveLog] = None
         self._raw_cut = raw_cut
         self._raw_cmem = raw_cmem
         self._ccpus = ccpus
-        self._basis = (cb, nb)
         self._byte_shift = (cb * nb).bit_length() - 1
         self._count_shift = nb.bit_length() - 1
         self._count_mask = cb - 1
@@ -420,7 +425,6 @@ class ChainColumns:
         self._cut_count: Optional[List[int]] = None
         self._smem: Optional[List[int]] = None
         self._scpu: Optional[List[float]] = None
-        self._fingerprint = None
 
     @property
     def cut_bytes(self) -> List[int]:
@@ -476,92 +480,6 @@ class ChainColumns:
             self._total_cpu - ccpu,
             ccpu,
         )
-
-    def ends(self) -> tuple:
-        """``k`` and the first and last candidates' statistics.
-
-        Equal statistics columns always have equal ends, so the policy
-        memo hashes these and compares whole columns only on a match.
-        """
-        k = self.k
-        if not k:
-            return (0,)
-        return (k, *self.statistics(0), *self.statistics(k - 1))
-
-    def fingerprint(self):
-        """Hashable digest of the statistics columns (C-speed hashing).
-
-        Node sets are excluded (no policy selects on them), and the
-        columns are packed through ``array.tobytes``, so two digests
-        are equal exactly when the decoded columns are, the CPU floats
-        bit for bit.  The policy memo compares digests only for chains
-        whose :meth:`ends` already match.
-        """
-        fp = self._fingerprint
-        if fp is None:
-            try:
-                fp = (
-                    array("q", self.cut_bytes).tobytes(),
-                    array("q", self.cut_count).tobytes(),
-                    array("q", self.surrogate_memory).tobytes(),
-                    array("d", self.surrogate_cpu).tobytes(),
-                    array("d", self.client_cpu).tobytes(),
-                )
-            except OverflowError:
-                # Statistics beyond int64 (pathological byte totals):
-                # fall back to one tuple per candidate.
-                fp = tuple(
-                    zip(self.cut_bytes, self.cut_count,
-                        self.surrogate_memory, self.surrogate_cpu,
-                        self.client_cpu)
-                )
-            self._fingerprint = fp
-        return fp
-
-    def compact(self) -> "ChainColumns":
-        """The same columns over typed-array copies of the raw ones:
-        24 bytes a candidate (a tuple when a column overflows its type)."""
-        cb, nb = self._basis
-        return ChainColumns(
-            _compact("q", self._raw_cut),
-            _compact("q", self._raw_cmem),
-            _compact("d", self._ccpus),
-            cb, nb, self._total_mem, self._total_cpu,
-        )
-
-
-class FlatChain(ChainColumns):
-    """One candidate chain in columnar form.
-
-    Adds to its :class:`ChainColumns` the seed and the move order (as
-    interned indices).  Candidate objects — with their O(V) frozenset
-    node sets — are only materialised on demand, through the same
-    shared-:class:`_MoveLog` lazy mechanism the reference generator
-    uses, so a chain whose winner is picked by a policy scan
-    materialises exactly one candidate.
-    """
-
-    __slots__ = ("fg", "seed", "order", "_log")
-
-    def __init__(
-        self,
-        fg: "FlatGraph",
-        seed: FrozenSet[str],
-        order: List[int],
-        raw_cut: List[int],
-        raw_cmem: List[int],
-        ccpus: List[float],
-        cb: int,
-        nb: int,
-        total_mem: int,
-        total_cpu: float,
-    ) -> None:
-        super().__init__(raw_cut, raw_cmem, ccpus, cb, nb, total_mem,
-                         total_cpu)
-        self.fg = fg
-        self.seed = seed
-        self.order = order
-        self._log: Optional[_MoveLog] = None
 
     def _move_log(self) -> _MoveLog:
         log = self._log

@@ -21,8 +21,7 @@ from .policy import (
     EvaluationContext,
     PartitionPolicy,
     PolicyDecision,
-    PolicyEvaluationCache,
-    evaluate_chain_with_cache,
+    context_key,
 )
 
 
@@ -32,9 +31,11 @@ class PartitionDecision:
 
     ``beneficial`` is False when the policy refused every candidate (the
     platform then continues running locally — the paper's Biomer case).
-    ``warm_start`` and ``policy_cache_hit`` record whether an
-    incremental session served this attempt from its warm-started
-    candidate generator and its policy-evaluation memo respectively.
+    ``warm_start`` records whether an incremental session served this
+    attempt from its warm-started candidate generator;
+    ``policy_cache_hit`` whether it was a reuse epoch under the previous
+    epoch's :func:`~repro.core.policy.context_key`, so that the policy's
+    selection repeats the previous one.
     """
 
     beneficial: bool
@@ -116,11 +117,17 @@ class Partitioner:
         started = time.perf_counter()  # detlint: allow - reported compute cost
         graph, pinned, expansion = self._prepare(graph, list(pinned))
         chain = flatgraph.snapshot(graph).generate_chain(pinned)
+        return self._decide(self._evaluate(chain, ctx), chain.k, expansion,
+                            started)
+
+    def _evaluate(
+        self, chain: flatgraph.FlatChain, ctx: EvaluationContext
+    ) -> Union[PolicyDecision, str]:
+        """The policy's decision on ``chain``, or its refusal reason."""
         try:
-            outcome = self.policy.evaluate_chain(chain, ctx)
+            return self.policy.evaluate_chain(chain, ctx)
         except NoBeneficialPartitionError as refusal:
-            outcome = str(refusal)
-        return self._decide(outcome, chain.k, expansion, started)
+            return str(refusal)
 
     def _decide(
         self,
@@ -169,9 +176,14 @@ class ReevalStats:
     """Counters for one incremental re-evaluation session.
 
     ``reuse_hits`` counts epochs where the graph was untouched since the
-    previous attempt and the prior candidate chain was reused outright;
-    ``warm_hits`` counts epochs served by repairing the previous chain;
-    ``cold_runs`` counts full cold candidate generations.
+    previous attempt and the prior candidate chain was reused outright
+    (``contraction_reuses`` counts those among them whose chain was
+    built over a hint-contracted graph); ``cache_hits`` counts reuse
+    epochs whose :func:`~repro.core.policy.context_key` equals the
+    previous epoch's, so the policy, run afresh, repeats its previous
+    selection; ``warm_hits`` counts epochs served by repairing the
+    previous chain; ``cold_runs`` counts full cold candidate
+    generations.
 
     Every cold epoch also increments exactly one fallback-taxonomy
     counter naming *why* it ran cold: ``not_ready`` (no usable warm
@@ -222,8 +234,13 @@ class IncrementalPartitioner:
       delta is small (dirty fraction at most ``warm_threshold``),
     * the previous :class:`~repro.core.flatgraph.FlatChain`, reused
       outright when the graph, pinned set, and hints are all unchanged,
-    * a :class:`~repro.core.policy.PolicyEvaluationCache` memoising the
-      policy's *selection* across epochs.
+    * the :func:`~repro.core.policy.context_key` of the last evaluated
+      epoch, which names a reuse epoch's repeated selection.
+
+    The policy runs on every epoch, a reuse epoch too.  Reuse epochs
+    are rare (two in a 278-epoch ``reeval`` pass), so storing the
+    policy's selection would save little and be a second path to keep
+    in step.
 
     Each epoch is handed the live graph and drains its dirty sets: the
     session is the graph's one drainer, in the prototype's engine and
@@ -235,7 +252,6 @@ class IncrementalPartitioner:
         partitioner: Partitioner,
         *,
         warm_threshold: float = 0.25,
-        cache_size: int = 256,
         force_cold: bool = False,
     ) -> None:
         self.base = partitioner
@@ -244,7 +260,7 @@ class IncrementalPartitioner:
         self.stats = ReevalStats()
         self._fg: Optional[flatgraph.FlatGraph] = None
         self._fwarm = flatgraph.FlatWarmState()
-        self._cache = PolicyEvaluationCache(maxsize=cache_size)
+        self._last_context_key: Optional[Tuple] = None
         self._last_graph: Optional[ExecutionGraph] = None
         self._last_version: int = -1
         self._last_pinned_key: Optional[FrozenSet[str]] = None
@@ -260,10 +276,10 @@ class IncrementalPartitioner:
         graph: ExecutionGraph,
         pinned: List[str],
         delta: GraphDelta,
-    ) -> Tuple[flatgraph.FlatChain, Dict[str, FrozenSet[str]], bool]:
+    ) -> Tuple[flatgraph.FlatChain, Dict[str, FrozenSet[str]], bool, bool]:
         """Produce the chain, via reuse, warm repair, or a cold run.
 
-        Returns ``(chain, expansion, warm_used)``.
+        Returns ``(chain, expansion, warm_used, reused)``.
         """
         pinned_key = frozenset(pinned)
         hints = self.base.hints
@@ -277,7 +293,7 @@ class IncrementalPartitioner:
             self.stats.reuse_hits += 1
             if contracted:
                 self.stats.contraction_reuses += 1
-            return self._last_chain, self._last_expansion, False
+            return self._last_chain, self._last_expansion, False, True
         work_graph, eff_pinned, expansion = self.base._prepare(graph, pinned)
         if contracted:
             # Contraction rebuilds the graph wholesale; warm-start
@@ -295,7 +311,7 @@ class IncrementalPartitioner:
         self._last_pinned_key = pinned_key
         self._last_chain = chain
         self._last_expansion = expansion
-        return chain, expansion, warm_used
+        return chain, expansion, warm_used, False
 
     def _repair_or_cold(
         self,
@@ -382,14 +398,15 @@ class IncrementalPartitioner:
             self.stats.fallback_forced += 1
             self._record_epoch(started)
             return decision
-        chain, expansion, warm_used = self._generate(
+        chain, expansion, warm_used, reused = self._generate(
             graph, list(pinned), delta
         )
-        outcome, cache_hit = evaluate_chain_with_cache(
-            self.base.policy, chain, ctx, self._cache
-        )
+        key = context_key(ctx)
+        cache_hit = reused and key == self._last_context_key
         if cache_hit:
             self.stats.cache_hits += 1
+        self._last_context_key = key
+        outcome = self.base._evaluate(chain, ctx)
         decision = self.base._decide(outcome, chain.k, expansion, started)
         self._record_epoch(started)
         return replace(

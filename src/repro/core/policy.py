@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..errors import ConfigurationError, NoBeneficialPartitionError
 
@@ -236,8 +235,9 @@ class PartitionPolicy(ABC):
     picks the winner — the first candidate with the best key, like
     ``min()`` — and returns ``decision_for(chain.candidate(i), ctx)``,
     or raises :class:`NoBeneficialPartitionError` with the refusal
-    reason.  :meth:`decision_for` rebuilds the decision for a winner;
-    the evaluation memo calls it on a hit.
+    reason.  :meth:`decision_for` builds the decision for the winner.
+    Every epoch of a partitioning session runs :meth:`evaluate_chain`
+    afresh, a reuse epoch too (see :func:`context_key`).
     """
 
     name = "abstract"
@@ -252,78 +252,25 @@ class PartitionPolicy(ABC):
     def decision_for(
         self, candidate: CandidatePartition, ctx: EvaluationContext
     ) -> PolicyDecision:
-        """Rebuild the full decision for an already-selected winner.
+        """The full decision for the selected winner.
 
         The *selection* (which candidate wins, or that every candidate
         is refused) is a pure function of the candidates' scalar
-        statistics and the cached context fields, so the memo can
-        replay it — but the derived predictions (bandwidth, completion
-        times) are recomputed fresh against the current context so a
-        cache hit is indistinguishable from a full evaluation.
+        statistics and the :func:`context_key` fields; the derived
+        predictions (bandwidth, completion times) are computed here
+        against the whole context, ``elapsed`` included.
         """
-
-
-# --------------------------------------------------------------------------
-# Policy-evaluation memoisation
-# --------------------------------------------------------------------------
-
-
-#: Cache sentinel distinguishing a memoised refusal from a winner index.
-_REFUSED = "refused"
-
-
-class PolicyEvaluationCache:
-    """Bounded LRU memo of policy selections.
-
-    Keys are :class:`ChainKey` objects (any hashable works): the policy
-    instance, the candidate chain's statistics columns and the context
-    fields the selection depends on.  Values are either the winning
-    candidate's index or a memoised refusal reason.  Storing the
-    *index* (rather than the decision) keeps candidate node sets lazy
-    and lets a hit rebuild its decision against the current chain, so a
-    collision between two graphs with identical scalar statistics is
-    still answered correctly — every policy selects purely on those
-    scalars.
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        if maxsize < 1:
-            raise ConfigurationError("cache maxsize must be at least 1")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[Hashable, Tuple[str, object]]" = (
-            OrderedDict()
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable):
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-        else:
-            self.misses += 1
-        return entry
-
-    def put(self, key: Hashable, value: Tuple[str, object]) -> None:
-        entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-        entries[key] = value
-        while len(entries) > self.maxsize:
-            entries.popitem(last=False)
 
 
 def context_key(ctx: EvaluationContext) -> Tuple:
     """The context fields a policy selection can depend on.
 
     ``elapsed`` is excluded — it only scales the predicted bandwidth,
-    which is recomputed fresh on every cache hit.  ``total_cpu`` is
-    rounded (it is a float accumulation) so equivalent histories key
-    identically.
+    which :meth:`PartitionPolicy.decision_for` computes afresh.
+    ``total_cpu`` is rounded (it is a float accumulation) so equivalent
+    histories key identically.  A session's reuse epoch (same chain)
+    under the previous epoch's key repeats that epoch's selection, and
+    the session reports it as ``policy_cache_hit``.
     """
     return (
         ctx.heap_capacity,
@@ -332,84 +279,6 @@ def context_key(ctx: EvaluationContext) -> Tuple:
         ctx.link,
         round(ctx.total_cpu, 9),
     )
-
-
-class ChainKey:
-    """A memo key that hashes cheaply and compares whole columns lazily.
-
-    The hit rule is "same policy, equal context, equal decoded
-    statistics columns".  Hashing all ``k`` candidates' columns costs
-    O(k) per epoch for a memo that rarely hits, so a key hashes only a
-    signature: the policy's identity, :func:`context_key` and the
-    chain's :meth:`~repro.core.flatgraph.ChainColumns.ends` (``k`` and
-    the first and last candidates' statistics, decoded by the column
-    properties' own expressions).  Equal columns always have equal
-    signatures, so only keys whose signatures match compare their
-    columns' fingerprints — equal exactly when the decoded columns are
-    (the CPU floats bit for bit), whatever basis or totals the raw
-    columns were packed under.  :meth:`stored` swaps the chain for a
-    :meth:`~repro.core.flatgraph.ChainColumns.compact` copy of its raw
-    columns (typed arrays plus basis and totals, 24 bytes a candidate),
-    which is what the memo keeps.
-    """
-
-    __slots__ = ("signature", "columns", "_hash")
-
-    def __init__(self, signature: Tuple, columns) -> None:
-        self.signature = signature
-        self.columns = columns
-        self._hash = hash(signature)
-
-    @classmethod
-    def of(cls, policy: "PartitionPolicy", chain: "FlatChain",
-           ctx: EvaluationContext) -> "ChainKey":
-        return cls((id(policy), context_key(ctx), chain.ends()), chain)
-
-    def stored(self) -> "ChainKey":
-        """An equal key over a compact copy of the chain's columns."""
-        return ChainKey(self.signature, self.columns.compact())
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChainKey):
-            return NotImplemented
-        return (self.signature == other.signature
-                and self.columns.fingerprint()
-                == other.columns.fingerprint())
-
-
-def evaluate_chain_with_cache(
-    policy: PartitionPolicy,
-    chain: "FlatChain",
-    ctx: EvaluationContext,
-    cache: PolicyEvaluationCache,
-) -> Tuple[Union[PolicyDecision, str], bool]:
-    """Evaluate through the memo; returns ``(outcome, was_cache_hit)``.
-
-    ``outcome`` is the policy's decision, or the refusal reason
-    ``policy.evaluate_chain`` raised — refusals are memoised too, since
-    a refused epoch is the steady state of the re-evaluation loop.  The
-    key is a :class:`ChainKey`, and the value is the winner's chain
-    index: ``chain.candidate(i)`` records ``i`` as ``_moves_applied``,
-    and a hit replays ``decision_for`` on ``chain.candidate(i)``.
-    """
-    key = ChainKey.of(policy, chain, ctx)
-    entry = cache.get(key)
-    if entry is not None:
-        kind, payload = entry
-        if kind == _REFUSED:
-            return payload, True
-        return policy.decision_for(chain.candidate(payload), ctx), True
-    try:
-        decision = policy.evaluate_chain(chain, ctx)
-    except NoBeneficialPartitionError as refusal:
-        reason = str(refusal)
-        cache.put(key.stored(), (_REFUSED, reason))
-        return reason, False
-    cache.put(key.stored(), ("selected", decision.candidate._moves_applied))
-    return decision, False
 
 
 class MemoryPartitionPolicy(PartitionPolicy):

@@ -139,7 +139,7 @@ class EmulatorConfig:
     #: ``single_shot=False`` to be meaningful.
     reevaluate_every: Optional[float] = None
     #: Escape hatch: run every partitioning attempt cold, bypassing the
-    #: warm-started candidate generator and the policy-evaluation memo.
+    #: warm-started candidate generator and outright chain reuse.
     #: Used by parity tests to prove the incremental path is exact.
     force_cold: bool = False
     #: Ahead-of-time placement knowledge (a

@@ -175,7 +175,7 @@ class TestIncrementalSession:
         assert stats.epochs == len(engine.events)
         assert stats.last_epoch_seconds > 0
         # Nothing changed between the two attempts: the second reuses
-        # the candidate list and hits the policy memo.
+        # the candidate list under the same context key.
         assert stats.reuse_hits == 1
         assert engine.events[-1].decision.policy_cache_hit
 

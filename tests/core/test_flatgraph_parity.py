@@ -12,6 +12,7 @@ greedy-order flips) and compare exhaustively.
 
 import random
 import time
+from dataclasses import replace
 from typing import List, Tuple
 
 import pytest
@@ -32,6 +33,7 @@ from repro.core.policy import (
     CpuPartitionPolicy,
     EvaluationContext,
     MemoryPartitionPolicy,
+    context_key,
 )
 from repro.errors import NoBeneficialPartitionError, PartitioningError
 
@@ -91,6 +93,7 @@ def assert_chain_matches(chain, reference) -> None:
 def assert_decisions_match(flat, reference) -> None:
     """PartitionDecision parity (warm_start/cache flags may differ)."""
     assert flat.beneficial == reference.beneficial
+    assert flat.predicted_bandwidth == reference.predicted_bandwidth
     assert flat.refusal_reason == reference.refusal_reason
     assert flat.offload_nodes == reference.offload_nodes
     assert flat.client_nodes == reference.client_nodes
@@ -588,24 +591,15 @@ class TestFlatGraphStructure:
         missed = GraphDelta(nodes=full.nodes, edges=frozenset())
         assert fg.sync(graph, missed) is None
 
-    def test_fingerprint_packs_columns_and_overflow_falls_back(self):
-        graph = ExecutionGraph()
-        graph.add_memory("a", 100)
-        graph.add_memory("b", 100)
-        graph.record_interaction("a", "b", 64)
-        chain = flatgraph.snapshot(graph).generate_chain(["a"])
-        fp = chain.fingerprint()
-        assert fp is chain.fingerprint()  # memoised
-        assert all(isinstance(part, bytes) for part in fp)
-
+    def test_statistics_beyond_int64_decode_exactly(self):
         huge = ExecutionGraph()
         huge.add_memory("a", 100)
         huge.add_memory("b", 100)
         huge.record_interaction("a", "b", 2 ** 70)  # beyond int64
-        overflow = flatgraph.snapshot(huge).generate_chain(["a"])
-        fp2 = overflow.fingerprint()
-        assert all(isinstance(part, tuple) for part in fp2)
-        assert overflow.candidates()[0].cut_bytes == 2 ** 70
+        chain = flatgraph.snapshot(huge).generate_chain(["a"])
+        assert chain.cut_bytes == [2 ** 70]
+        assert chain.candidates()[0].cut_bytes == 2 ** 70
+        assert chain.statistics(0)[0] == 2 ** 70
 
 
 class TestSessionParity:
@@ -642,10 +636,17 @@ class TestSessionParity:
         elif kind == "cpu":
             graph.add_cpu(rng.choice(names), rng.randrange(0, 640) / 64)
 
+    #: Per-epoch context changes: scale the heap, keep the context, or
+    #: change only ``elapsed`` (which no selection reads).
+    CONTEXTS = ("heap", "same", "elapsed")
+
     @given(
         st.integers(min_value=0, max_value=2 ** 32 - 1),
         st.lists(
-            st.lists(st.sampled_from(KINDS), min_size=0, max_size=4),
+            st.tuples(
+                st.lists(st.sampled_from(KINDS), min_size=0, max_size=4),
+                st.sampled_from(CONTEXTS),
+            ),
             min_size=1, max_size=8,
         ),
         st.integers(0, len(POLICIES) - 1),
@@ -653,7 +654,11 @@ class TestSessionParity:
     @settings(max_examples=30, deadline=None)
     def test_session_matches_legacy_session(self, seed, epochs,
                                             policy_index):
-        """Every epoch of a warm session against a cold reference."""
+        """Every epoch of a warm session against a cold reference.
+
+        The cache flag is set exactly on reuse epochs whose
+        ``context_key`` equals the previous epoch's.
+        """
         policy = POLICIES[policy_index]
         graph = ExecutionGraph()
         names = [f"n{i:02d}" for i in range(10)]
@@ -667,13 +672,27 @@ class TestSessionParity:
 
         session = IncrementalPartitioner(Partitioner(policy))
         pinned = [names[0], names[3]]
-        for epoch in epochs:
-            for kind in epoch:
+        heap_scale = 1
+        last_key = None
+        for kinds, change in epochs:
+            for kind in kinds:
                 self._apply(graph, names, kind, rng)
+            if change == "heap":
+                heap_scale *= 2
             ctx = make_context(graph)
+            ctx = replace(
+                ctx, heap_capacity=ctx.heap_capacity * heap_scale,
+                elapsed=ctx.elapsed + (rng.randrange(1, 100)
+                                       if change == "elapsed" else 0),
+            )
+            reuses = session.stats.reuse_hits
+            decision = session.partition(graph, pinned, ctx)
+            reused = session.stats.reuse_hits > reuses
+            assert decision.policy_cache_hit == (
+                reused and context_key(ctx) == last_key)
+            last_key = context_key(ctx)
             assert_decisions_match(
-                session.partition(graph, pinned, ctx),
-                reference_decision(policy, graph, pinned, ctx),
+                decision, reference_decision(policy, graph, pinned, ctx),
             )
 
     def test_warm_session_matches_forced_cold_session(self):

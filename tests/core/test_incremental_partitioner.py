@@ -1,11 +1,22 @@
 """The incremental re-evaluation session around the partitioner."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.energy import EnergyPartitionPolicy
 from repro.core.graph import ExecutionGraph
 from repro.core.hints import PlacementHints
 from repro.core.partitioner import IncrementalPartitioner, Partitioner
-from repro.core.policy import EvaluationContext, MemoryPartitionPolicy
+from repro.core.policy import (
+    BestEffortCpuPolicy,
+    CombinedPartitionPolicy,
+    CpuPartitionPolicy,
+    EvaluationContext,
+    MemoryPartitionPolicy,
+    context_key,
+)
+from repro.net.wavelan import GPRS_50KBPS
 
 
 def build_graph(node_count=40, seed_edges=True):
@@ -154,3 +165,111 @@ class TestHints:
         actual = session.partition(graph.copy(), nodes[:3], ctx)
         assert actual.offload_nodes == expected.offload_nodes
         assert actual.cut_bytes == expected.cut_bytes
+
+
+def cpu_graph():
+    """:func:`build_graph` with CPU on every node."""
+    graph, nodes = build_graph()
+    for i, node in enumerate(nodes):
+        graph.add_cpu(node, 0.5 + (i % 7) / 4)
+    return graph, nodes
+
+
+def cpu_ctx_for(graph, **changes):
+    ctx = EvaluationContext(heap_capacity=graph.total_memory(),
+                            total_cpu=graph.total_cpu(), elapsed=10.0,
+                            surrogate_speed=10.0)
+    return replace(ctx, **changes)
+
+
+def fresh_decision(policy, graph, pinned, ctx):
+    """A one-shot partitioning of a copy of ``graph``."""
+    return Partitioner(policy).partition(graph.copy(), pinned, ctx)
+
+
+def without_timing(decision):
+    return replace(decision, compute_seconds=0.0, warm_start=False,
+                   policy_cache_hit=False)
+
+
+class TestReuseEpochs:
+    """A reuse epoch (same graph, same pinned set) reruns the policy.
+
+    Its flag is set only when the context key also repeats, and its
+    decision equals a fresh one-shot partitioning under its own
+    context either way.
+    """
+
+    def test_context_key_ignores_elapsed(self):
+        base = EvaluationContext(heap_capacity=1000, elapsed=10.0)
+        later = EvaluationContext(heap_capacity=1000, elapsed=99.0)
+        assert context_key(base) == context_key(later)
+        bigger = EvaluationContext(heap_capacity=2000, elapsed=10.0)
+        assert context_key(base) != context_key(bigger)
+
+    @pytest.mark.parametrize("policy", [
+        MemoryPartitionPolicy(0.20),
+        CpuPartitionPolicy(),
+        BestEffortCpuPolicy(),
+        CombinedPartitionPolicy(0.20),
+        EnergyPartitionPolicy(),
+    ], ids=lambda policy: policy.name)
+    def test_reuse_matches_fresh(self, policy):
+        graph, nodes = cpu_graph()
+        ctx = cpu_ctx_for(graph)
+        session = IncrementalPartitioner(Partitioner(policy))
+        first = session.partition(graph, nodes[:3], ctx)
+        second = session.partition(graph, nodes[:3], ctx)
+        assert session.stats.reuse_hits == session.stats.cache_hits == 1
+        assert (first.policy_cache_hit, second.policy_cache_hit) == \
+            (False, True)
+        expected = without_timing(
+            fresh_decision(policy, graph, nodes[:3], ctx))
+        assert without_timing(first) == expected
+        assert without_timing(second) == expected
+
+    @pytest.mark.parametrize("policy, change", [
+        (MemoryPartitionPolicy(0.20), "heap"),
+        (CpuPartitionPolicy(), "link"),
+    ], ids=["heap", "link"])
+    def test_changed_context_clears_the_flag(self, policy, change):
+        graph, nodes = cpu_graph()
+        ctx = cpu_ctx_for(graph)
+        # A heap five times the graph's memory refuses every candidate;
+        # a slow link predicts a longer completion time.
+        changed = (replace(ctx, heap_capacity=5 * ctx.heap_capacity)
+                   if change == "heap" else replace(ctx, link=GPRS_50KBPS))
+        session = IncrementalPartitioner(Partitioner(policy))
+        first = session.partition(graph, nodes[:3], ctx)
+        decision = session.partition(graph, nodes[:3], changed)
+        assert session.stats.reuse_hits == 1
+        assert session.stats.cache_hits == 0
+        assert not decision.policy_cache_hit
+        assert without_timing(decision) != without_timing(first)
+        assert without_timing(decision) == without_timing(
+            fresh_decision(policy, graph, nodes[:3], changed))
+
+    def test_elapsed_alone_keeps_the_flag_and_moves_the_bandwidth(self):
+        graph, nodes = cpu_graph()
+        policy = MemoryPartitionPolicy(0.20)
+        session = IncrementalPartitioner(Partitioner(policy))
+        first = session.partition(graph, nodes[:3], cpu_ctx_for(graph))
+        later = cpu_ctx_for(graph, elapsed=25.0)
+        second = session.partition(graph, nodes[:3], later)
+        assert second.policy_cache_hit
+        assert second.offload_nodes == first.offload_nodes
+        assert second.predicted_bandwidth == fresh_decision(
+            policy, graph, nodes[:3], later).predicted_bandwidth
+        assert second.predicted_bandwidth != first.predicted_bandwidth
+
+    def test_refused_reuse_epoch_returns_the_same_reason(self):
+        graph, nodes = build_graph()
+        policy = MemoryPartitionPolicy(0.99)
+        session = IncrementalPartitioner(Partitioner(policy))
+        ctx = ctx_for(graph)
+        first = session.partition(graph, nodes[:3], ctx)
+        second = session.partition(graph, nodes[:3], ctx)
+        assert second.policy_cache_hit
+        assert not second.beneficial
+        assert second.refusal_reason == first.refusal_reason == \
+            fresh_decision(policy, graph, nodes[:3], ctx).refusal_reason

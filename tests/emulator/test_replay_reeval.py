@@ -2,7 +2,7 @@
 
 Replaying a real trace with periodic re-evaluation enabled must produce
 the *identical* offload-event sequence whether the partitioning runs
-through the incremental session (warm starts + policy memo) or through
+through the incremental session (warm starts + chain reuse) or through
 full cold runs every epoch.  Timing fields that measure the partitioner
 itself (``compute_seconds``) and the incremental bookkeeping flags are
 excluded — they are the only places the two paths may differ.
@@ -98,7 +98,8 @@ def test_single_shot_replay_reports_one_epoch():
 
 
 def test_energy_policy_reevaluation_replays_memoised_winners():
-    """A memo hit rebuilds the energy policy's winner via decision_for."""
+    """Reuse epochs under an unchanged context rerun the energy policy
+    on the reused chain, and the session counts them as cache hits."""
     trace = cached_trace("dia", MEMORY_WORKLOADS["dia"])
     config = dataclasses.replace(
         cpu_emulator_config(offload_at_event=len(trace) // 4),
