@@ -24,14 +24,16 @@ valid for the graph's lifetime.  Per node: ``node_mem``, ``node_cpu``,
 ``edge_nbytes`` and ``edge_ncount``.  ``adj[i]`` maps each neighbor of
 node ``i`` to the index of their edge, in the order the edges appeared.
 
-These columns are the one store of the decision path.  The replay's
-fold (:mod:`repro.emulator.graphfold`) writes them by index; the
-partitioner's kernel cache (:mod:`repro.core.flatgraph`) reads them in
-place; and the string-keyed API below is a view over the same lists for
-the monitor, static analysis, hints, migration and serialisation.  A
-writer by index must move ``version`` and the dirty sets exactly as the
-string mutators do; :meth:`ExecutionGraph.add_to_edge` is that rule for
-one edge's weights.
+These columns are the one store of the decision path.  The monitor's
+and the replay's folds (:mod:`repro.core.monitor`,
+:mod:`repro.emulator.graphfold`) write them by index; the partitioner's
+kernel cache (:mod:`repro.core.flatgraph`) reads them in place; and the
+string-keyed API below is a view over the same lists for static
+analysis, hints, migration and serialisation.  A writer by index must
+move ``version`` and the dirty sets exactly as the string mutators do;
+:meth:`ExecutionGraph.link` (a new edge's ends), :meth:`add_to_edge`
+(one edge's weights) and :meth:`free_object` (a reclaimed object) are
+those rules, shared by both folds.
 
 Change tracking
 ---------------
@@ -234,16 +236,27 @@ class ExecutionGraph:
             self.dirty_nodes.add(i)
         return i
 
-    def new_edge(self, i: int, j: int) -> int:
-        """Append an edge of zero weight between nodes ``i`` and ``j``
-        (``names[i] < names[j]``); the caller's weight update tracks it."""
-        e = len(self.edge_a)
-        self.edge_a.append(i)
-        self.edge_b.append(j)
-        self.edge_nbytes.append(0)
-        self.edge_ncount.append(0)
-        self.adj[i][j] = e
-        self.adj[j][i] = e
+    def link(self, a: str, b: str) -> int:
+        """The index of the edge between nodes ``a`` and ``b`` (``a != b``).
+
+        A new edge has zero weight and creates its missing ends, the
+        smaller name first: the one edge rule of
+        :meth:`record_interaction` and of the monitor's and the replay's
+        folds.  The caller's weight update tracks it.
+        """
+        if b < a:
+            a, b = b, a
+        i = self.intern(a)
+        j = self.intern(b)
+        e = self.adj[i].get(j)
+        if e is None:
+            e = len(self.edge_a)
+            self.edge_a.append(i)
+            self.edge_b.append(j)
+            self.edge_nbytes.append(0)
+            self.edge_ncount.append(0)
+            self.adj[i][j] = e
+            self.adj[j][i] = e
         return e
 
     def add_to_edge(self, e: int, nbytes: int, count: int) -> None:
@@ -253,6 +266,28 @@ class ExecutionGraph:
         self.edge_ncount[e] += count
         self.version += 1
         self.dirty_edges.add(e)
+
+    def free_object(self, node_id: str, nbytes: int) -> None:
+        """One reclaimed object of ``nbytes`` on ``node_id``: the node's
+        memory and live count go down (two version bumps, one dirty
+        mark).
+
+        The one free rule of the monitor's and the replay's folds: a
+        node the graph lacks is left alone (a warm-start profile may
+        never have seen the class allocate).  A free that would leave
+        the node's memory negative raises before anything is written.
+        """
+        i = self.index.get(node_id)
+        if i is None:
+            return
+        memory = self.node_mem[i] - nbytes
+        if memory < 0:
+            raise PartitioningError(
+                f"node {node_id!r} memory went negative ({memory})")
+        self.node_mem[i] = memory
+        self.node_live[i] -= 1
+        self.version += 2
+        self.dirty_nodes.add(i)
 
     # -- construction by id --------------------------------------------------------
 
@@ -296,17 +331,14 @@ class ExecutionGraph:
 
         Same-node interactions are ignored, as in the paper ("information
         is recorded only for interactions between two different classes").
-        A new edge creates its missing ends, ``a`` first.  A negative
-        delta may shrink an edge, but never below zero: that raises
-        before anything is mutated.
+        A new edge is created by :meth:`link`.  A negative delta may
+        shrink an edge, but never below zero: that raises before
+        anything is mutated.
         """
         if a == b:
             return
-        index = self.index
-        i = index.get(a)
-        j = index.get(b)
-        e = None if i is None or j is None else self.adj[i].get(j)
         if nbytes < 0 or count < 0:
+            e = self._edge_at(a, b)
             old_bytes, old_count = (0, 0) if e is None else (
                 self.edge_nbytes[e], self.edge_ncount[e])
             if old_bytes + nbytes < 0 or old_count + count < 0:
@@ -315,13 +347,7 @@ class ExecutionGraph:
                     f"weights negative ({old_bytes + nbytes} bytes, "
                     f"{old_count + count} interactions)"
                 )
-        if e is None:
-            if i is None:
-                i = self.intern(a)
-            if j is None:
-                j = self.intern(b)
-            e = self.new_edge(i, j) if a < b else self.new_edge(j, i)
-        self.add_to_edge(e, nbytes, count)
+        self.add_to_edge(self.link(a, b), nbytes, count)
 
     # -- queries ------------------------------------------------------------
 

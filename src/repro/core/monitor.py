@@ -91,11 +91,14 @@ class SampledSeries:
 #: long stretch with no reader cannot grow the log, and the logged
 #: records are released before the cyclic collector's youngest
 #: generation fills (700 allocations by default): a log of thousands
-#: tripled the collections of a ``prototype`` pass.
+#: tripled the collections of a ``prototype`` pass.  Folding on its own
+#: is not a mark: it does not shape the graph.
 FOLD_AT = 256
 
 # Tags of the log entries that are not hook records.
 _ALLOC, _FREE, _CPU = 0, 1, 2
+#: The open run when there is none: ``(a, b, bytes, count)``.
+_NO_RUN = (None, None, 0, 0)
 
 
 class ExecutionMonitor(ExecutionListener):
@@ -103,21 +106,25 @@ class ExecutionMonitor(ExecutionListener):
 
     The hooks only append to a log; :attr:`graph`, :attr:`counters` and
     :attr:`remote` fold the log when read (and the log folds itself at
-    :data:`FOLD_AT` entries).  The fold leaves the graph as a monitor
-    that updated it on every hook through the string mutators would,
-    under the same rules:
+    :data:`FOLD_AT` entries).  The fold applies the rules of the
+    replay's :class:`~repro.emulator.graphfold.GraphFold`, so a
+    prototype run and a replay of its trace build the graph alike:
 
     * consecutive interactions over one node pair are one update of
-      ``count=N``, and every other entry ends such a run;
-    * an allocation does not create its creator's node;
-    * a free touches the graph only if it has the node.
+      ``count=N``, and only an interaction over another pair or a
+      *mark* ends such a run.  Every read of :attr:`graph` is a mark,
+      as an offload attempt is in the replay; the self-fold, the
+      counter reads and :meth:`on_gc_report`'s link count are not;
+    * an allocation adds to its object's node, then ensures its
+      creator's node;
+    * a free of a node the graph lacks changes only the counters
+      (:meth:`ExecutionGraph.free_object`).
 
     It writes the graph's columns by index: a node's index is the
     graph's ``index``; a run's edge index is remembered per node pair
-    and created as ``record_interaction`` creates it (the run's first
-    end interned first); and each write moves ``version`` and the
-    dirty sets as :meth:`ExecutionGraph.add_to_edge` and the node
-    mutators do, except that a run of ``N`` bumps ``version`` once.
+    and created by :meth:`ExecutionGraph.link`; and each write moves
+    ``version`` and the dirty sets as :meth:`ExecutionGraph.add_to_edge`
+    and the node mutators do, so a run of ``N`` bumps ``version`` once.
     The sizes the VM reports are non-negative, so interactions need
     no sign check; CPU charges and frees keep theirs.
     """
@@ -137,6 +144,9 @@ class ExecutionMonitor(ExecutionListener):
         #: Hook entries not yet folded: the records themselves, and
         #: tagged tuples for allocations, frees and CPU charges.
         self._log: List[tuple] = []
+        #: The open run of interactions over one node pair, folded but
+        #: not yet written: ``(a, b, bytes, count)``.
+        self._run: tuple = _NO_RUN
         #: The graph's edge index of each run's ``(a, b)`` node pair,
         #: in both orders.  Nodes and edges are never removed, so an
         #: index, once known, stays valid.
@@ -158,8 +168,13 @@ class ExecutionMonitor(ExecutionListener):
 
     @property
     def graph(self) -> ExecutionGraph:
+        """The graph, folded and with the open run written: a mark."""
         if self._log:
             self._fold()
+        a, b, nbytes, count = self._run
+        if a is not None:
+            self._run = _NO_RUN
+            self._graph.add_to_edge(self._edge(a, b), nbytes, count)
         return self._graph
 
     @property
@@ -176,9 +191,9 @@ class ExecutionMonitor(ExecutionListener):
 
     # -- hook implementations -----------------------------------------------------
 
-    def on_alloc(self, obj: JObject, site: str) -> None:
+    def on_alloc(self, obj: JObject, site: str, creator: str) -> None:
         log = self._log
-        log.append((_ALLOC, obj.class_name, obj.oid, obj.size_bytes))
+        log.append((_ALLOC, obj.class_name, obj.oid, obj.size_bytes, creator))
         if len(log) >= FOLD_AT:
             self._fold()
 
@@ -205,16 +220,18 @@ class ExecutionMonitor(ExecutionListener):
 
     def on_gc_report(self, report: GCReport, site: str) -> None:
         self.last_gc_report = report
-        link_count = self.graph.link_count
+        if self._log:
+            self._fold()
         self.classes_series.observe(len(self._live_classes))
         self.objects_series.observe(self._live_objects)
-        self.links_series.observe(link_count)
+        self.links_series.observe(self._graph.link_count)
 
     # -- the fold ---------------------------------------------------------------
 
     def _fold(self) -> None:
         """Apply the logged hooks to the graph and counters, in order,
-        writing the graph's columns by index (see the class docstring)."""
+        writing the graph's columns by index (see the class docstring).
+        The run still open at the end stays open."""
         log, self._log = self._log, []
         graph = self._graph
         index_get = graph.index.get
@@ -234,12 +251,10 @@ class ExecutionMonitor(ExecutionListener):
         live_objects = self._live_objects
         invocations = accesses = created = freed = created_bytes = 0
         remote_calls = native_calls = remote_reads = cached = wire = 0
-        # Version bumps of the index writes (node and edge creation
-        # count their own).
+        # Version bumps of the index writes (node and edge creation and
+        # frees count their own).
         bumps = 0
-        # The open run of interactions over one node pair.
-        run_a = run_b = None
-        run_bytes = run_count = 0
+        run_a, run_b, run_bytes, run_count = self._run
         for entry in log:
             kind = type(entry)
             if kind is AccessRecord:
@@ -262,16 +277,6 @@ class ExecutionMonitor(ExecutionListener):
                     if call_kind == "native":
                         native_calls += 1
             else:
-                if run_a is not None:
-                    e = edges_get((run_a, run_b))
-                    if e is None:
-                        e = edge_of(run_a, run_b)
-                    # ``graph.add_to_edge``, inlined.
-                    edge_nbytes[e] += run_bytes
-                    edge_ncount[e] += run_count
-                    bumps += 1
-                    dirty_edge(e)
-                    run_a = None
                 tag, class_name = entry[0], entry[1]
                 if tag == _CPU:
                     seconds = entry[2]
@@ -288,8 +293,8 @@ class ExecutionMonitor(ExecutionListener):
                 size = entry[3]
                 node = (object_node_id(class_name, entry[2])
                         if class_name in granular else class_name)
-                n = index_get(node)
                 if tag == _ALLOC:
+                    n = index_get(node)
                     if n is None:
                         n = intern(node)
                     node_mem[n] += size
@@ -297,25 +302,15 @@ class ExecutionMonitor(ExecutionListener):
                     node_created[n] += 1
                     bumps += 2
                     dirty_node(n)
+                    if index_get(entry[4]) is None:
+                        intern(entry[4])
                     created += 1
                     created_bytes += size
                     live_objects += 1
                     live_classes[class_name] = (
                         live_classes.get(class_name, 0) + 1)
                     continue
-                # A free of a node the graph lacks (e.g. a warm-start
-                # profile that never saw this class allocate) only skips
-                # the graph update; the counters must stay consistent
-                # with the event stream.
-                if n is not None:
-                    memory = node_mem[n] - size
-                    if memory < 0:
-                        raise PartitioningError(
-                            f"node {node!r} memory went negative ({memory})")
-                    node_mem[n] = memory
-                    node_live[n] -= 1
-                    bumps += 2
-                    dirty_node(n)
+                graph.free_object(node, size)
                 freed += 1
                 if live_objects > 0:
                     live_objects -= 1
@@ -340,19 +335,13 @@ class ExecutionMonitor(ExecutionListener):
                 e = edges_get((run_a, run_b))
                 if e is None:
                     e = edge_of(run_a, run_b)
+                # ``graph.add_to_edge``, inlined.
                 edge_nbytes[e] += run_bytes
                 edge_ncount[e] += run_count
                 bumps += 1
                 dirty_edge(e)
             run_a, run_b, run_bytes, run_count = a, b, nbytes, 1
-        if run_a is not None:
-            e = edges_get((run_a, run_b))
-            if e is None:
-                e = edge_of(run_a, run_b)
-            edge_nbytes[e] += run_bytes
-            edge_ncount[e] += run_count
-            bumps += 1
-            dirty_edge(e)
+        self._run = (run_a, run_b, run_bytes, run_count)
         graph.version += bumps
         self._live_objects = live_objects
         counters = self._counters
@@ -369,21 +358,10 @@ class ExecutionMonitor(ExecutionListener):
         remote_counters.cached_reads += cached
 
     def _edge(self, a: str, b: str) -> int:
-        """The edge of a run from ``a`` to ``b``, created with any
-        missing end (``a`` first) if new, as ``record_interaction``
-        does; remembered for both orders."""
-        graph = self._graph
-        index = graph.index
-        i = index.get(a)
-        j = index.get(b)
-        e = None if i is None or j is None else graph.adj[i].get(j)
-        if e is None:
-            if i is None:
-                i = graph.intern(a)
-            if j is None:
-                j = graph.intern(b)
-            e = graph.new_edge(i, j) if a < b else graph.new_edge(j, i)
-        self._edges[a, b] = self._edges[b, a] = e
+        """The edge of a run over ``a`` and ``b`` (created by
+        :meth:`ExecutionGraph.link` if new), remembered for both
+        orders."""
+        e = self._edges[a, b] = self._edges[b, a] = self._graph.link(a, b)
         return e
 
     # -- derived metrics ----------------------------------------------------------

@@ -11,10 +11,16 @@ a *position* (fold the first ``at`` events, then apply the entry):
 :meth:`GraphFold.advance` catches the graph up to a position by the
 same rules, in the same order, as a loop that updated the graph through
 its string mutators on every event: consecutive interactions over one
-node pair collapse into one ``record_interaction(count=N)``, whose
-missing nodes are created (the smaller id first) when the run ends; an
-allocation adds memory, counts the object and ensures its creator; work
-adds CPU.
+node pair collapse into one ``record_interaction(count=N)`` when an
+interaction over another pair or a mark ends the run (its missing nodes
+created by :meth:`~repro.core.graph.ExecutionGraph.link`, the smaller
+name first); an allocation adds memory, counts the object and then
+ensures its creator; work adds CPU; a reclaim is
+:meth:`~repro.core.graph.ExecutionGraph.free_object`, which leaves a
+node the graph lacks alone (the replay never reclaims one: a reclaimed
+object's allocation created its node).  The prototype's
+:class:`~repro.core.monitor.ExecutionMonitor` folds its hooks by the
+same rules, with each read of its graph as a mark.
 
 The events' part does not depend on placement, so it is planned once
 per trace and granular set (:class:`FoldPlan`, cached on the trace by
@@ -38,10 +44,9 @@ The fold writes the graph's columns by index rather than through the
 string mutators, moving ``version`` and the dirty sets exactly as they
 would.  Each plan endpoint — a trace name, or one object of a granular
 class (an ``int[]#oid`` node) — gets a graph index once, and each run's
-pair its edge index once.  A reclaim resolves its node's index when the
-fold reaches its position and is applied by index there, with the
-string mutators' "memory went negative" check.  The sizes and times
-were checked non-negative when the trace's columns were decoded
+pair its edge index once.  A reclaim is applied when the fold reaches
+its position, with the "memory went negative" check.  The sizes and
+times were checked non-negative when the trace's columns were decoded
 (:meth:`~repro.emulator.columnar.ColumnarTrace.column_lists`), so the
 other writes need no sign checks.
 """
@@ -53,7 +58,6 @@ from bisect import bisect_left
 from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from ..core.graph import ExecutionGraph, object_node_id
-from ..errors import PartitioningError
 from .columnar import (
     ColumnarTrace, TAG_ACCESS, TAG_ALLOC, TAG_INVOKE, TAG_WORK,
 )
@@ -264,18 +268,7 @@ class GraphFold:
             if node is None:
                 self._split()
             else:
-                # ``add_memory(node, -nbytes)`` and
-                # ``note_object_freed(node)``, by index.
-                n = graph.intern(node)
-                memory = graph.node_mem[n] - nbytes
-                graph.node_mem[n] = memory
-                graph.version += 1
-                graph.dirty_nodes.add(n)
-                if memory < 0:
-                    raise PartitioningError(
-                        f"node {node!r} memory went negative ({memory})")
-                graph.node_live[n] -= 1
-                graph.version += 1
+                graph.free_object(node, nbytes)
             k += 1
         del log[:k]
         self._fold(upto)
@@ -291,20 +284,11 @@ class GraphFold:
         return i
 
     def _edge(self, rid: int) -> int:
-        """The edge of run id ``rid``, created with any missing end (the
-        smaller id first) if new, as ``record_interaction`` does."""
-        graph = self.graph
+        """The edge of run id ``rid`` (created by
+        :meth:`ExecutionGraph.link` if new)."""
         plan = self._plan
-        names = plan.names
-        lo, hi = plan.pair_lo[rid], plan.pair_hi[rid]
-        i = graph.index.get(names[lo])
-        j = graph.index.get(names[hi])
-        e = None if i is None or j is None else graph.adj[i].get(j)
-        if e is None:
-            if names[hi] < names[lo]:
-                lo, hi = hi, lo
-            e = graph.new_edge(self._node(lo), self._node(hi))
-        self._edge_of[rid] = e
+        e = self._edge_of[rid] = self.graph.link(
+            plan.names[plan.pair_lo[rid]], plan.names[plan.pair_hi[rid]])
         return e
 
     # -- the fold -------------------------------------------------------------

@@ -9,14 +9,14 @@ columns of a :class:`~repro.emulator.columnar.ColumnarTrace`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..config import DeviceProfile, GCConfig, VMConfig
 from ..units import MB
 from ..vm.classloader import ClassRegistry
 from ..vm.gc import GCReport
 from ..vm.hooks import AccessRecord, ExecutionListener, InvokeRecord
-from ..vm.objectmodel import JObject, MethodDef
+from ..vm.objectmodel import JObject
 from ..vm.session import LocalSession
 from .columnar import ColumnarTrace
 from .events import (
@@ -36,12 +36,10 @@ RECORDING_DEVICE = DeviceProfile("recording-pc", cpu_speed=1.0,
 class TraceRecorder(ExecutionListener):
     """Hook listener that packs every event onto a trace's columns.
 
-    The recorder mirrors the context's frame nesting through the
-    invoke-enter/invoke-completed hook pair so that allocations can name
-    their *creator* class — new objects are placed on the VM performing
-    the creation, so the replayer needs this attribution.  (A guest
-    exception unwinding through frames would desynchronise the mirror;
-    recordings are of complete, successful runs.)
+    An allocation names its *creator*, the class the context passes to
+    the alloc hook (the class of the frame performing the creation):
+    new objects are placed on the VM performing the creation, so the
+    replayer needs this attribution.  The creator's oid is not recorded.
     """
 
     def __init__(self, trace: Optional[ColumnarTrace] = None) -> None:
@@ -50,23 +48,11 @@ class TraceRecorder(ExecutionListener):
         self._alloc, self._free, self._invoke = (
             pack[AllocEvent], pack[FreeEvent], pack[InvokeEvent])
         self._access, self._work = pack[AccessEvent], pack[WorkEvent]
-        self._current_class = "<main>"
-        self._current_oid: Optional[int] = None
-        self._stack: List[Tuple[str, Optional[int]]] = []
 
-    def on_alloc(self, obj: JObject, site: str) -> None:
-        self._alloc(obj.oid, obj.class_name, obj.size_bytes,
-                    self._current_class, self._current_oid)
-
-    def on_invoke_enter(self, callee_class: str, method: MethodDef,
-                        site: str) -> None:
-        self._stack.append((self._current_class, self._current_oid))
-        self._current_class = callee_class
-        self._current_oid = None
+    def on_alloc(self, obj: JObject, site: str, creator: str) -> None:
+        self._alloc(obj.oid, obj.class_name, obj.size_bytes, creator, None)
 
     def on_invoke(self, record: InvokeRecord) -> None:
-        if self._stack:
-            self._current_class, self._current_oid = self._stack.pop()
         self._invoke(record.caller_class, record.caller_oid,
                      record.callee_class, record.callee_oid, record.method,
                      record.kind, record.native_stateless,

@@ -3,8 +3,7 @@
 Given a placement (the set of graph nodes the partitioner wants off the
 client), the migrator moves the corresponding live objects: whole
 classes at class granularity, individual arrays at object granularity.
-It charges the transfer against the link, keeps traffic statistics, and
-notifies the hooks so the monitor and experiments can see offloads.
+It charges the transfer against the link and keeps traffic statistics.
 
 Migration is bidirectional: applying a placement also returns to the
 client any object whose node is *not* in the offload set, which gives
@@ -29,7 +28,6 @@ from ..net.link import LinkModel
 from ..net.stats import TrafficStats
 from ..rpc.marshal import MESSAGE_HEADER_BYTES
 from ..rpc.retry import ReliableDelivery
-from ..vm.hooks import HookFanout
 from ..vm.objectmodel import JObject
 from ..vm.vm import VirtualMachine
 
@@ -113,7 +111,6 @@ class Migrator:
         surrogates: List[VirtualMachine],
         links: Dict[str, LinkModel],
         monitor: ExecutionMonitor,
-        hooks: HookFanout,
         traffic: TrafficStats,
         object_granularity_classes: Set[str] = frozenset(),
         delivery: Optional[ReliableDelivery] = None,
@@ -124,7 +121,6 @@ class Migrator:
         #: The graph is read through the monitor, which folds its hook
         #: log on read.
         self.monitor = monitor
-        self.hooks = hooks
         self.traffic = traffic
         self.object_granularity_classes = set(object_granularity_classes)
         #: Optional reliability layer: when present, every migration
@@ -264,10 +260,6 @@ class Migrator:
         duration = sum(link.bulk_transfer(total) for link in hops)
         source.clock.advance(duration)
         self.traffic.record(total, category="migration")
-        class_names = sorted({obj.class_name for obj in objects})
-        self.hooks.on_offload(
-            class_names, total, source.name, destination.name
-        )
         return MigrationOutcome(
             moved_bytes=total, moved_objects=len(objects), seconds=duration
         )
@@ -341,10 +333,6 @@ class Migrator:
                 vm.evict(obj)
                 self.client.adopt(obj)
             moved_objects += len(objects)
-            self.hooks.on_offload(
-                sorted({obj.class_name for obj in objects}),
-                0, vm.name, self.client.name,
-            )
         return MigrationOutcome(
             moved_bytes=incoming,
             moved_objects=moved_objects,

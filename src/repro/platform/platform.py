@@ -329,7 +329,6 @@ class DistributedPlatform:
             self.runtime.surrogates,
             self.runtime.links,
             self.monitor,
-            self.hooks,
             self.traffic,
             object_granularity_classes=granularity,
             delivery=self.delivery,

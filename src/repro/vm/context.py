@@ -127,7 +127,7 @@ class SingleVMRuntime(Runtime):
 #: site, class and oid with one unpacking.
 Frame = Tuple[str, str, Optional[int], List[JObject]]
 #: Positions in a :data:`Frame`.
-_SITE, _REFS = 0, 3
+_SITE, _CLASS, _REFS = 0, 1, 3
 
 
 
@@ -278,7 +278,8 @@ class ExecutionContext:
         if field_values:
             obj.values.update(field_values)
         if self.monitoring_enabled:
-            self.hooks.on_alloc(obj, site)
+            self.hooks.on_alloc(
+                obj, site, frames[-1][_CLASS] if frames else MAIN_CLASS)
             if self._event_cost:
                 self._charge_monitoring_event(site)
         self._run_gc_if_due(vm)
@@ -299,7 +300,8 @@ class ExecutionContext:
         else:
             self._last_alloc = arr
         if self.monitoring_enabled:
-            self.hooks.on_alloc(arr, site)
+            self.hooks.on_alloc(
+                arr, site, frames[-1][_CLASS] if frames else MAIN_CLASS)
             if self._event_cost:
                 self._charge_monitoring_event(site)
         self._run_gc_if_due(vm)
@@ -393,10 +395,6 @@ class ExecutionContext:
                 refs.append(arg)
         frames.append((exec_site, callee_class, callee_oid, refs))
         monitoring = self.monitoring_enabled
-        if monitoring and "on_invoke_enter" in self.hooks.live:
-            # No platform listener implements this hook; a recording
-            # run's frame mirror does.
-            self.hooks.on_invoke_enter(callee_class, mdef, exec_site)
         cpu_cost = mdef.cpu_cost
         try:
             if cpu_cost:

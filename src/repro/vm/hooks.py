@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional
 
 from .gc import GCReport
-from .objectmodel import JObject, MethodDef
+from .objectmodel import JObject
 
 
 class InvokeRecord(NamedTuple):
@@ -78,17 +78,16 @@ new_record = tuple.__new__
 class ExecutionListener:
     """Base class with no-op hook methods; subclass and override."""
 
-    def on_alloc(self, obj: JObject, site: str) -> None:
-        """An object or array was created on ``site``."""
+    def on_alloc(self, obj: JObject, site: str, creator: str) -> None:
+        """An object or array was created on ``site`` by code of class
+        ``creator``: the class of the context's top frame, or
+        ``<main>`` outside any frame."""
 
     def on_free(self, obj: JObject) -> None:
         """An object was reclaimed by the collector."""
 
     def on_invoke(self, record: InvokeRecord) -> None:
         """A method invocation completed."""
-
-    def on_invoke_enter(self, callee_class: str, method: MethodDef, site: str) -> None:
-        """A method invocation is about to run its body."""
 
     def on_access(self, record: AccessRecord) -> None:
         """A field read or write completed."""
@@ -105,14 +104,10 @@ class ExecutionListener:
     def on_gc_report(self, report: GCReport, site: str) -> None:
         """The collector on ``site`` finished a cycle."""
 
-    def on_offload(self, class_names: List[str], nbytes: int, site_from: str,
-                   site_to: str) -> None:
-        """A partition of classes was migrated between sites."""
-
 
 #: The hook names :class:`HookFanout` broadcasts.
-HOOKS = ("on_alloc", "on_free", "on_invoke", "on_invoke_enter", "on_access",
-         "on_cpu", "on_gc_report", "on_offload")
+HOOKS = ("on_alloc", "on_free", "on_invoke", "on_access", "on_cpu",
+         "on_gc_report")
 
 
 class HookFanout(ExecutionListener):
@@ -127,9 +122,6 @@ class HookFanout(ExecutionListener):
     broadcasts in add order.  ``add`` and ``remove`` rebind every hook,
     so they take effect on the next event: callers must look a hook up
     on the fanout for each event rather than keep the callable.
-    ``live`` names the hooks at least one listener implements, rebuilt
-    with them, so a caller may skip building a hook's arguments (or
-    calling it at all) when nobody listens.
     """
 
     def __init__(self) -> None:
@@ -146,7 +138,6 @@ class HookFanout(ExecutionListener):
 
     def _rebuild(self) -> None:
         bound = vars(self)
-        live = []
         for name in HOOKS:
             base = getattr(ExecutionListener, name)
             methods = (getattr(listener, name) for listener in self.listeners)
@@ -161,13 +152,10 @@ class HookFanout(ExecutionListener):
                 bound.pop(name, None)
             else:
                 bound[name] = base.__get__(self)
-            if hooks:
-                live.append(name)
-        self.live = frozenset(live)
 
-    def on_alloc(self, obj: JObject, site: str) -> None:
+    def on_alloc(self, obj: JObject, site: str, creator: str) -> None:
         for hook in self._on_alloc:
-            hook(obj, site)
+            hook(obj, site, creator)
 
     def on_free(self, obj: JObject) -> None:
         for hook in self._on_free:
@@ -176,10 +164,6 @@ class HookFanout(ExecutionListener):
     def on_invoke(self, record: InvokeRecord) -> None:
         for hook in self._on_invoke:
             hook(record)
-
-    def on_invoke_enter(self, callee_class: str, method: MethodDef, site: str) -> None:
-        for hook in self._on_invoke_enter:
-            hook(callee_class, method, site)
 
     def on_access(self, record: AccessRecord) -> None:
         for hook in self._on_access:
@@ -192,8 +176,3 @@ class HookFanout(ExecutionListener):
     def on_gc_report(self, report: GCReport, site: str) -> None:
         for hook in self._on_gc_report:
             hook(report, site)
-
-    def on_offload(self, class_names: List[str], nbytes: int, site_from: str,
-                   site_to: str) -> None:
-        for hook in self._on_offload:
-            hook(class_names, nbytes, site_from, site_to)

@@ -8,11 +8,12 @@ benchmark's config: a 6 MB client, the static-analysis cold-start seed,
 and the data plane (coalescing plus the read cache).
 
 A digest is taken at every read a decision makes: at the start of
-every ``OffloadingEngine.attempt`` (which hands ``monitor.graph`` to
-the partitioning session), after every GC report (``on_gc_report``
-reads the link count), and after the run.  Each covers the graph's ``to_dict()``, node
-order, edge order and every adjacency row's order, plus the monitor's
-event and remote counters:
+every ``OffloadingEngine.attempt`` that hands ``monitor.graph`` to the
+partitioning session (a mark), after every GC report (``on_gc_report``
+reads the folded graph's link count, which is not a mark, so the probe
+digests that graph without marking either), and after the run.  Each
+covers the graph's ``to_dict()``, node order, edge order and every
+adjacency row's order, plus the monitor's event and remote counters:
 
 * ``trail`` chains the digests of every read, in order;
 * ``final`` is the digest after the run;
@@ -23,9 +24,9 @@ per event.  :func:`probe_run` also returns each read's ``(content
 digest, version)`` so a test can check that the version moves exactly
 when the graph does.
 
-The digests were recorded from the monitor that updated its graph
-eagerly on every hook.  Re-record (only when a change is *meant* to
-alter the monitor's graph)::
+The digests were recorded from the monitor folding by the replay's
+rules (see :class:`~repro.core.monitor.ExecutionMonitor`).  Re-record
+(only when a change is *meant* to alter the monitor's graph)::
 
     PYTHONPATH=src python -m tests.core.monitor_graph_goldens
 """
@@ -61,10 +62,10 @@ def graph_content(graph) -> str:
     )))
 
 
-def monitor_digest(monitor) -> str:
-    """The graph's content digest plus the monitor's counters."""
-    return _sha(repr((graph_content(monitor.graph),
-                      asdict(monitor.counters), asdict(monitor.remote))))
+def monitor_digest(monitor, graph) -> str:
+    """``graph``'s content digest plus the monitor's counters."""
+    return _sha(repr((graph_content(graph), asdict(monitor.counters),
+                      asdict(monitor.remote))))
 
 
 def goldens() -> dict:
@@ -93,18 +94,20 @@ def probe_run(key: str) -> Tuple[dict, List[Tuple[str, int]]]:
     trail = hashlib.sha256()
     reads: List[Tuple[str, int]] = []
 
-    def read(monitor) -> None:
-        trail.update(monitor_digest(monitor).encode())
-        reads.append((graph_content(monitor.graph), monitor.graph.version))
+    def read(monitor, graph) -> None:
+        trail.update(monitor_digest(monitor, graph).encode())
+        reads.append((graph_content(graph), graph.version))
 
     class ProbeMonitor(ExecutionMonitor):
         def on_gc_report(self, report, site):
             super().on_gc_report(report, site)
-            read(self)
+            read(self, self._graph)
 
     class ProbeEngine(OffloadingEngine):
         def attempt(self, revert_on_refusal=False):
-            read(self.host.monitor)
+            if not self.host.surrogate_lost:
+                monitor = self.host.monitor
+                read(monitor, monitor.graph)
             return super().attempt(revert_on_refusal)
 
     seed = analysis.analyze_app(app_name).analysis.seed
@@ -129,7 +132,8 @@ def probe_run(key: str) -> Tuple[dict, List[Tuple[str, int]]]:
         )
         platform.run(app_cls[app_name]())
     entry = {"reads": len(reads), "trail": trail.hexdigest(),
-             "final": monitor_digest(platform.monitor)}
+             "final": monitor_digest(platform.monitor,
+                                     platform.monitor.graph)}
     return entry, reads
 
 

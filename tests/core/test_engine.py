@@ -11,6 +11,7 @@ from repro.core.policy import (
     MemoryTrigger,
     TriggerConfig,
 )
+from repro.vm.context import MAIN_CLASS
 from repro.vm.gc import GCReport
 from repro.vm.hooks import InvokeRecord
 from repro.vm.objectmodel import ClassBuilder, JObject
@@ -34,7 +35,7 @@ def invoke(monitor, caller, callee, nbytes):
 
 def alloc(monitor, class_name, size):
     obj = JObject(ClassBuilder(class_name).build(), "client")
-    monitor.on_alloc(obj, "client")
+    monitor.on_alloc(obj, "client", MAIN_CLASS)
     monitor.graph.add_memory(class_name, size - obj.size_bytes)
 
 
@@ -66,7 +67,9 @@ class FakeHost:
         return self.monitor.graph
 
     def pinned_nodes(self):
-        return ["ui"]
+        # Both hosts pin the top level, the creator of every allocation
+        # made outside a frame.
+        return ["ui", MAIN_CLASS]
 
     def evaluation_context(self):
         return EvaluationContext(heap_capacity=1000, elapsed=10.0)
@@ -205,10 +208,24 @@ class TestIncrementalSession:
         assert stats.fallback_not_ready == 1
         assert stats.fallback_node_churn == 1
         fresh = Partitioner(MemoryPartitionPolicy(0.20)).partition(
-            monitor.graph.copy(), ["ui"],
+            monitor.graph.copy(), engine.fake_host.pinned_nodes(),
             EvaluationContext(heap_capacity=1000, elapsed=10.0))
         assert decision.beneficial
         assert "index" in decision.offload_nodes
         assert replace(decision, compute_seconds=0.0, warm_start=False,
                        policy_cache_hit=False) == \
             replace(fresh, compute_seconds=0.0)
+
+
+def test_both_hosts_pin_the_top_level():
+    """An allocation outside any frame names ``MAIN_CLASS`` as its
+    creator, so the graph holds that node; both hosts pin it, so it is
+    never offloaded."""
+    from repro.emulator.columnar import ColumnarTrace
+    from repro.emulator.replay import TraceReplayer
+    from tests.emulator.test_replay_properties import config
+    from tests.helpers import make_platform
+
+    assert MAIN_CLASS in make_platform().pinned_nodes()
+    replayer = TraceReplayer(ColumnarTrace(app_name="t"), config())
+    assert MAIN_CLASS in replayer.pinned_nodes()

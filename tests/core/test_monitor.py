@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.monitor import ExecutionMonitor, ResourceMonitor
+from repro.vm.context import MAIN_CLASS
 from repro.vm.gc import GCReport
 from repro.vm.hooks import AccessRecord, InvokeRecord
 from repro.vm.objectmodel import ClassBuilder, ClassDef, JArray, JObject
@@ -48,7 +49,7 @@ class TestGraphBuilding:
     def test_alloc_and_free_update_class_memory(self):
         monitor = ExecutionMonitor()
         obj = make_obj()
-        monitor.on_alloc(obj, "client")
+        monitor.on_alloc(obj, "client", MAIN_CLASS)
         assert monitor.graph.node("t.A").memory_bytes == obj.size_bytes
         monitor.on_free(obj)
         assert monitor.graph.node("t.A").memory_bytes == 0
@@ -67,7 +68,7 @@ class TestGraphBuilding:
         stay consistent with the event stream.
         """
         monitor = ExecutionMonitor()
-        monitor.on_alloc(make_obj("t.A"), "client")
+        monitor.on_alloc(make_obj("t.A"), "client", MAIN_CLASS)
         monitor.on_free(make_obj("t.Ghost"))
         assert not monitor.graph.has_node("t.Ghost")
         assert monitor.counters.objects_freed == 1
@@ -80,7 +81,7 @@ class TestGraphBuilding:
     def test_free_with_node_keeps_counters_and_graph_in_step(self):
         monitor = ExecutionMonitor()
         obj = make_obj("t.A")
-        monitor.on_alloc(obj, "client")
+        monitor.on_alloc(obj, "client", MAIN_CLASS)
         monitor.on_free(obj)
         assert monitor.counters.objects_created == 1
         assert monitor.counters.objects_freed == 1
@@ -127,8 +128,8 @@ class TestCounters:
     def test_object_population(self):
         monitor = ExecutionMonitor()
         a, b = make_obj("t.A"), make_obj("t.B")
-        monitor.on_alloc(a, "client")
-        monitor.on_alloc(b, "client")
+        monitor.on_alloc(a, "client", MAIN_CLASS)
+        monitor.on_alloc(b, "client", MAIN_CLASS)
         assert monitor.live_objects == 2
         assert monitor.live_classes == 2
         monitor.on_free(a)
@@ -137,10 +138,10 @@ class TestCounters:
 
     def test_sampled_series_on_gc(self):
         monitor = ExecutionMonitor()
-        monitor.on_alloc(make_obj(), "client")
+        monitor.on_alloc(make_obj(), "client", MAIN_CLASS)
         monitor.on_gc_report(gc_report(1), "client")
-        monitor.on_alloc(make_obj(), "client")
-        monitor.on_alloc(make_obj("t.B"), "client")
+        monitor.on_alloc(make_obj(), "client", MAIN_CLASS)
+        monitor.on_alloc(make_obj("t.B"), "client", MAIN_CLASS)
         monitor.on_gc_report(gc_report(2), "client")
         assert monitor.objects_series.maximum == 3
         assert monitor.objects_series.average == pytest.approx(2.0)
@@ -174,7 +175,7 @@ class TestObjectGranularity:
     def test_array_objects_get_individual_nodes(self):
         monitor = ExecutionMonitor(object_granularity_classes={"int[]"})
         arr = make_array()
-        monitor.on_alloc(arr, "client")
+        monitor.on_alloc(arr, "client", MAIN_CLASS)
         node = f"int[]#{arr.oid}"
         assert monitor.graph.has_node(node)
         assert monitor.graph.node(node).memory_bytes == arr.size_bytes
@@ -188,7 +189,7 @@ class TestObjectGranularity:
     def test_untracked_classes_stay_at_class_granularity(self):
         monitor = ExecutionMonitor(object_granularity_classes={"int[]"})
         obj = make_obj()
-        monitor.on_alloc(obj, "client")
+        monitor.on_alloc(obj, "client", MAIN_CLASS)
         assert monitor.graph.has_node("t.A")
         assert not monitor.graph.has_node(f"t.A#{obj.oid}")
 

@@ -113,9 +113,11 @@ class NameFold:
         if entry[1] == "mark":
             self.close_run()
         else:
+            # The one free rule: a node the graph lacks is left alone.
             _, _, node, nbytes = entry
-            self.graph.add_memory(node, -nbytes)
-            self.graph.note_object_freed(node)
+            if self.graph.has_node(node):
+                self.graph.add_memory(node, -nbytes)
+                self.graph.note_object_freed(node)
 
     def event(self, event):
         graph = self.graph

@@ -10,6 +10,7 @@ from repro.emulator.events import (
     WorkEvent,
 )
 from repro.emulator.recorder import record_application
+from repro.errors import GuestError
 from repro.vm.natives import MATH_CLASS
 
 
@@ -106,3 +107,43 @@ class TestRecording:
         second = record_application(TinyApp())
         assert len(first) == len(second)
         assert [e.kind for e in first] == [e.kind for e in second]
+
+
+class ThrowingApp:
+    """A guest method allocates and then raises; ``main`` catches the
+    error and allocates again."""
+
+    name = "thrower"
+
+    def install(self, registry):
+        if registry.has_class("t.Thrower"):
+            return
+
+        def explode(ctx, self_obj):
+            ctx.new("t.Temp")
+            raise GuestError("boom")
+
+        registry.define("t.Thrower").method("explode", func=explode) \
+            .register()
+        registry.define("t.Temp").register()
+        registry.define("t.After").register()
+
+    def main(self, ctx):
+        thrower = ctx.new("t.Thrower")
+        ctx.set_global("thrower", thrower)
+        try:
+            ctx.invoke(thrower, "explode")
+        except GuestError:
+            pass
+        ctx.new("t.After")
+
+
+def test_the_creator_after_a_caught_guest_error_is_the_catcher():
+    trace = record_application(ThrowingApp())
+    creators = {
+        e.class_name: e.creator_class
+        for e in trace if isinstance(e, AllocEvent)
+    }
+    assert creators["t.Temp"] == "t.Thrower"
+    # The unwound frame no longer creates anything.
+    assert creators["t.After"] == "<main>"

@@ -18,7 +18,7 @@ class RecordingListener(ExecutionListener):
         self.gc_reports = []
         self.frees = []
 
-    def on_alloc(self, obj, site):
+    def on_alloc(self, obj, site, creator):
         self.allocs.append((obj.class_name, site))
 
     def on_invoke(self, record):

@@ -8,24 +8,21 @@ from repro.vm.hooks import (
     HookFanout,
     InvokeRecord,
 )
-from repro.vm.objectmodel import ClassBuilder, JObject, MethodDef
+from repro.vm.objectmodel import ClassBuilder, JObject
 
 
 class Recorder(ExecutionListener):
     def __init__(self):
         self.calls = []
 
-    def on_alloc(self, obj, site):
-        self.calls.append(("alloc", obj.oid, site))
+    def on_alloc(self, obj, site, creator):
+        self.calls.append(("alloc", obj.oid, site, creator))
 
     def on_free(self, obj):
         self.calls.append(("free", obj.oid))
 
     def on_invoke(self, record):
         self.calls.append(("invoke", record.method))
-
-    def on_invoke_enter(self, callee_class, method, site):
-        self.calls.append(("enter", callee_class))
 
     def on_access(self, record):
         self.calls.append(("access", record.field))
@@ -35,9 +32,6 @@ class Recorder(ExecutionListener):
 
     def on_gc_report(self, report, site):
         self.calls.append(("gc", report.cycle))
-
-    def on_offload(self, class_names, nbytes, site_from, site_to):
-        self.calls.append(("offload", tuple(class_names), site_from, site_to))
 
 
 def sample_invoke():
@@ -66,22 +60,20 @@ class TestHookFanout:
         fanout.add(first)
         fanout.add(second)
         obj = JObject(ClassBuilder("t.A").build(), "client")
-        fanout.on_alloc(obj, "client")
+        fanout.on_alloc(obj, "client", "<main>")
         fanout.on_free(obj)
         fanout.on_invoke(sample_invoke())
-        fanout.on_invoke_enter("b", MethodDef("m"), "client")
         fanout.on_access(sample_access())
         fanout.on_cpu("t.A", "client", 0.5)
         fanout.on_gc_report(
             GCReport(cycle=1, reason="t", live_objects=0,
                      freed_objects=0, freed_bytes=0, used_bytes=0,
                      free_bytes=1, capacity=1), "client")
-        fanout.on_offload(["t.A"], 100, "client", "surrogate")
         assert first.calls == second.calls
         assert [c[0] for c in first.calls] == [
-            "alloc", "free", "invoke", "enter", "access", "cpu", "gc",
-            "offload",
+            "alloc", "free", "invoke", "access", "cpu", "gc",
         ]
+        assert len(first.calls) == len(HOOKS)
 
     def test_remove_stops_delivery(self):
         fanout = HookFanout()
@@ -96,7 +88,8 @@ class TestHookFanout:
         listener.on_cpu("x", "client", 1.0)
         listener.on_invoke(sample_invoke())
         listener.on_access(sample_access())
-        listener.on_offload([], 0, "a", "b")
+        listener.on_alloc(JObject(ClassBuilder("t.A").build(), "client"),
+                          "client", "<main>")
 
     def test_invoke_record_native_flag(self):
         record = sample_invoke()
@@ -169,7 +162,7 @@ class TestPerHookFanout:
         assert fanout._on_cpu == (cpu.on_cpu, full.on_cpu, second_cpu.on_cpu)
         assert fanout._on_access == (access.on_access, full.on_access)
         assert fanout._on_alloc == (full.on_alloc,)
-        assert fanout._on_invoke_enter == (full.on_invoke_enter,)
+        assert fanout._on_free == (full.on_free,)
         fanout.on_cpu("t.A", "client", 1.0)
         fanout.on_access(sample_access())
         assert log == [("c", "cpu", "t.A"), ("c2", "cpu", "t.A"),
@@ -179,8 +172,8 @@ class TestPerHookFanout:
     def test_a_hook_nobody_overrides_is_empty(self):
         fanout = HookFanout()
         fanout.add(CpuOnly([], "c"))
-        assert fanout._on_invoke_enter == ()
-        fanout.on_invoke_enter("b", MethodDef("m"), "client")
+        assert fanout._on_free == ()
+        fanout.on_free(JObject(ClassBuilder("t.A").build(), "client"))
 
     def test_an_instance_override_counts(self):
         fanout = HookFanout()
@@ -239,7 +232,7 @@ class TestPerHookFanout:
         ctx.work(1e-3)
         assert [c[0] for c in late.calls] == ["alloc", "access", "cpu"]
         assert early.calls[-3:] == late.calls
-        assert early.calls[0] == ("alloc", first.oid, "client")
+        assert early.calls[0] == ("alloc", first.oid, "client", "<main>")
 
 
 class TestDirectDelivery:
@@ -279,38 +272,6 @@ class TestDirectDelivery:
         assert fanout.on_cpu.__self__ is second
         fanout.remove(second)
         assert fanout.on_cpu.__func__ is ExecutionListener.on_cpu
-
-    def test_live_names_the_hooks_someone_implements(self):
-        fanout = HookFanout()
-        assert fanout.live == frozenset()
-        cpu, full = CpuOnly([], "c"), Recorder()
-        fanout.add(cpu)
-        assert fanout.live == {"on_cpu"}
-        fanout.add(full)
-        assert fanout.live == set(HOOKS)
-        fanout.remove(full)
-        assert fanout.live == {"on_cpu"}
-
-    def test_the_context_skips_the_enter_hook_when_nobody_listens(self):
-        from repro.config import VMConfig
-        from repro.vm.session import LocalSession
-
-        session = LocalSession(VMConfig(monitoring_event_cost=0.0))
-        session.registry.define("t.Cell").method(
-            "touch", func=lambda ctx, self_obj: None).register()
-        log = []
-        session.add_listener(CpuOnly(log, "c"))
-        entered = []
-        # Shadow the base no-op: a hook outside ``live`` is not called.
-        session.hooks.on_invoke_enter = (
-            lambda callee_class, method, site: entered.append(callee_class))
-        cell = session.ctx.new("t.Cell")
-        session.ctx.invoke(cell, "touch")
-        assert entered == []
-        full = Recorder()
-        session.add_listener(full)
-        session.ctx.invoke(cell, "touch")
-        assert ("enter", "t.Cell") in full.calls
 
     def test_a_fanout_nested_in_a_fanout(self):
         outer, inner = HookFanout(), HookFanout()
